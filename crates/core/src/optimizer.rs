@@ -113,7 +113,7 @@ impl OptimizationReport {
         if eqs.is_empty() {
             return None;
         }
-        let queries: Vec<Query> = eqs.iter().map(|e| e.datalog.clone()).collect();
+        let queries: Vec<&Query> = eqs.iter().map(|e| &e.datalog).collect();
         let (best, costs) = sqo_objdb::choose_best(db, &queries);
         Some((best, &eqs[best], costs))
     }

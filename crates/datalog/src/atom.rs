@@ -267,6 +267,16 @@ impl Literal {
         }
     }
 
+    /// [`Literal::vars`] without the allocation.
+    pub fn iter_vars(&self) -> impl Iterator<Item = &Var> {
+        let (atom, cmp) = match self {
+            Literal::Pos(a) | Literal::Neg(a) => (Some(a), None),
+            Literal::Cmp(c) => (None, Some(c)),
+        };
+        let in_atom = atom.into_iter().flat_map(|a| a.vars());
+        in_atom.chain(cmp.into_iter().flat_map(|c| c.vars()))
+    }
+
     /// Whether this literal is positive (a plain database atom).
     pub fn is_positive(&self) -> bool {
         matches!(self, Literal::Pos(_))

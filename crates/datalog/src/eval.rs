@@ -6,15 +6,23 @@
 //! of the paper), which are "separate structures that explicitly store
 //! OIDs that relate objects with each other".
 //!
-//! Joins bind variables left to right over a greedily reordered body
-//! (most-bound literal first), probing on-demand hash indexes keyed by
-//! the bound argument positions. [`EvalStats`] counts the work done so
-//! benchmarks can report *logical* cost (tuples examined, bindings
-//! produced) alongside wall-clock time.
+//! A body is compiled once per call: [`execution_order`] orders it
+//! greedily (most-bound literal first), chains of binary atoms are fused,
+//! every variable gets a dense slot, and every atom argument becomes a
+//! check or a bind. A binding is a fixed-width row of constants; each
+//! step walks its candidates in place (index postings, a range-probe
+//! result, or the whole relation), *matches* a tuple against the checks
+//! first and allocates a row only for a match. [`choose_access_path`]
+//! picks each atom's access path from the declared indexes and the number
+//! of input bindings. Both functions are public because the cost model
+//! prices exactly the steps the evaluator runs. [`EvalStats`] counts the
+//! work done so benchmarks can report *logical* cost (tuples examined,
+//! bindings produced) alongside wall-clock time.
 
-use crate::atom::{Atom, CmpOp, Literal, PredSym};
+use crate::atom::{Atom, CmpOp, Comparison, Literal, PredSym};
 use crate::clause::{Query, Rule};
 use crate::error::{DatalogError, Result};
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::program::{EdbDatabase, Program, RangeBound, Relation};
 use crate::term::{Const, Term, Var};
 use std::collections::{HashMap, HashSet};
@@ -110,8 +118,6 @@ impl EvalOptions {
     }
 }
 
-type Binding = HashMap<Var, Const>;
-
 /// Range constraints harvested from a body's comparison literals:
 /// variable → (lower bound, upper bound), each side optional.
 pub type RangeMap = HashMap<Var, (Option<RangeBound>, Option<RangeBound>)>;
@@ -161,305 +167,468 @@ pub fn collect_ranges(body: &[Literal]) -> RangeMap {
     out
 }
 
-/// A hash index over one relation: key values (at the bound positions) →
-/// indices of matching tuples.
-type TupleIndex = HashMap<Vec<Const>, Vec<usize>>;
-
-/// On-demand hash indexes for one evaluation: (pred, bound positions) →
-/// [`TupleIndex`]. These are the fallback when no declared index covers a
-/// bound column; each build is a full relation pass, counted in
-/// [`EvalStats::scans`] via `builds`.
-struct IndexCache<'a> {
-    db: &'a EdbDatabase,
-    cache: HashMap<(PredSym, Vec<usize>), TupleIndex>,
-    builds: u64,
+/// One body literal in execution order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OrderedLiteral<'a> {
+    /// The literal.
+    pub literal: &'a Literal,
+    /// Whether every variable of the literal is bound once it has run.
+    /// False only for the unsafe tail: negations and comparisons that
+    /// never become fully bound run last, in body order, and bind nothing
+    /// (a negation's unbound positions are existential; a comparison's
+    /// are an error).
+    pub binds: bool,
 }
 
-impl<'a> IndexCache<'a> {
-    fn new(db: &'a EdbDatabase) -> Self {
-        IndexCache {
-            db,
-            cache: HashMap::new(),
-            builds: 0,
-        }
-    }
-
-    fn index(&mut self, pred: &crate::atom::PredSym, positions: &[usize]) -> Option<&TupleIndex> {
-        let rel = self.db.relation(pred)?;
-        let key = (*pred, positions.to_vec());
-        let builds = &mut self.builds;
-        Some(self.cache.entry(key).or_insert_with(|| {
-            *builds += 1;
-            let mut m: HashMap<Vec<Const>, Vec<usize>> = HashMap::new();
-            for (i, t) in rel.tuples().iter().enumerate() {
-                let k: Vec<Const> = positions.iter().map(|&p| t[p]).collect();
-                m.entry(k).or_default().push(i);
+/// The order in which the evaluator runs a body — and the order the cost
+/// model prices, which is why it is public: greedy, most-bound positive
+/// literal first (ties: body order), with negations and comparisons run
+/// as soon as they are fully bound. An equality with a ground or bound
+/// side runs at once and *binds* its other side (equality propagation),
+/// so `N = "ann"` ahead of `student(X, N)` turns the atom into a probe on
+/// `N` rather than a full enumeration.
+pub fn execution_order(body: &[Literal]) -> Vec<OrderedLiteral<'_>> {
+    // Each pending literal with its occurrences of bound variables and of
+    // unbound ones (duplicates counted), kept up to date as steps bind.
+    let mut remaining: Vec<(&Literal, usize, usize)> =
+        body.iter().map(|l| (l, 0, l.iter_vars().count())).collect();
+    let mut bound: Vec<Var> = Vec::new();
+    let mut ordered = Vec::with_capacity(body.len());
+    while !remaining.is_empty() {
+        let ready = remaining.iter().position(|&(l, shared, unbound)| match l {
+            Literal::Pos(_) => false,
+            Literal::Cmp(c) if c.op == CmpOp::Eq => {
+                shared > 0 || c.lhs.is_ground() || c.rhs.is_ground()
             }
-            m
-        }))
+            _ => unbound == 0,
+        });
+        let next = ready.or_else(|| {
+            remaining
+                .iter()
+                .enumerate()
+                .filter(|(_, (l, ..))| l.is_positive())
+                .max_by_key(|&(i, &(_, shared, _))| (shared, usize::MAX - i))
+                .map(|(i, _)| i)
+        });
+        // With neither, only unbound negations/comparisons remain.
+        let (literal, ..) = remaining.remove(next.unwrap_or(0));
+        if next.is_some() {
+            let already = bound.len();
+            for v in literal.iter_vars() {
+                if !bound.contains(v) {
+                    bound.push(*v);
+                }
+            }
+            let newly = &bound[already..];
+            for (l, shared, unbound) in &mut remaining {
+                let n = l.iter_vars().filter(|v| newly.contains(v)).count();
+                *shared += n;
+                *unbound -= n;
+            }
+        }
+        ordered.push(OrderedLiteral {
+            literal,
+            binds: next.is_some(),
+        });
     }
+    ordered
 }
 
-/// The physical access path chosen for one positive-atom join step.
-enum AccessPath {
-    /// Probe the declared hash index on this column with each binding's
-    /// value for it.
+/// The physical access path of one atom step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessPath {
+    /// Probe the declared hash index on this bound column, once per
+    /// input binding.
     HashProbe(usize),
-    /// The (shared) candidate positions from one range probe against a
-    /// declared ordered index; identical for every input binding because
-    /// range bounds come from body constants.
-    RangeProbe(Vec<usize>),
-    /// Build/reuse an ephemeral per-evaluation index on the bound columns.
-    Ephemeral,
-    /// Enumerate the whole relation per binding.
+    /// One range probe of the declared ordered index on this unbound
+    /// column, bounded by the body's comparison constants; every input
+    /// binding walks the same result.
+    RangeProbe(usize),
+    /// Build an ephemeral hash index on the bound columns (one full
+    /// pass), then probe it once per input binding.
+    Build,
+    /// Enumerate the whole relation once per input binding, filtering on
+    /// the bound columns if there are any.
     Scan,
 }
 
-/// Bound argument positions (and their values) of `atom` under binding `b`.
-fn bound_columns(atom: &Atom, b: &Binding) -> (Vec<usize>, Vec<Const>) {
-    let mut bound_pos: Vec<usize> = Vec::new();
-    let mut bound_vals: Vec<Const> = Vec::new();
-    for (i, t) in atom.args.iter().enumerate() {
-        match t {
-            Term::Const(c) => {
-                bound_pos.push(i);
-                bound_vals.push(*c);
-            }
-            Term::Var(v) => {
-                if let Some(c) = b.get(v) {
-                    bound_pos.push(i);
-                    bound_vals.push(*c);
-                }
-            }
-        }
-    }
-    (bound_pos, bound_vals)
-}
+/// Input bindings up to which an unindexed bound column is answered by
+/// one filtered scan per binding rather than by building an ephemeral
+/// index. Measured (release build, 8 400 tuples of arity 5, one bound
+/// column; EXPERIMENTS.md has the table): a filtered scan costs 60–75 µs
+/// per binding; the build costs 125 µs when the column holds 60 distinct
+/// values and 670 µs when every value is distinct (one postings vector
+/// per key), and a probe next to nothing. Scan and build meet at 2
+/// bindings in the first case and at 12 in the second; at 4 the worse
+/// choice stays within about 2× of the better in both.
+const SCAN_OR_BUILD_BREAK_EVEN: usize = 4;
 
-/// Pick the access path for `atom` given the (position-uniform) bound
-/// columns of the binding set. Preference order: declared hash probe on a
-/// bound column, range probe on an unbound column constrained by body
-/// comparisons (when the probe is estimated cheaper than the fallback),
-/// ephemeral join index on the bound columns, full scan.
-fn choose_access_path(
+/// Pick the access path for `atom` over `rel`, given the columns bound on
+/// entry (constants and already-bound variables) and the number of input
+/// bindings. Preference order: the most selective declared hash index
+/// over a bound column; a range probe on an unbound column constrained by
+/// body comparisons, when probing every binding touches fewer tuples than
+/// one full pass; then, by input cardinality, a scan per binding or an
+/// ephemeral index. Public so the cost model prices the path the executor
+/// will take.
+pub fn choose_access_path(
     rel: &Relation,
     atom: &Atom,
-    bound_pos: &[usize],
+    bound_cols: &[usize],
     ranges: &RangeMap,
-    b0: &Binding,
     n_bindings: usize,
     opts: &EvalOptions,
 ) -> AccessPath {
     if opts.use_indexes {
-        // Most selective declared hash index over a bound column.
-        if let Some(&pos) = bound_pos
+        if let Some(&col) = bound_cols
             .iter()
-            .filter(|&&p| rel.has_hash_index(p))
-            .max_by_key(|&&p| rel.index_distinct(p).unwrap_or(0))
+            .filter(|&&c| rel.has_hash_index(c))
+            .max_by_key(|&&c| rel.index_distinct(c).unwrap_or(0))
         {
-            return AccessPath::HashProbe(pos);
+            return AccessPath::HashProbe(col);
         }
-        // Range probe: an unbound variable column with harvested bounds
-        // and an ordered index. The comparison literal itself still runs
-        // later, so the probe only has to be a sound pre-filter.
+        // The comparison literal itself still runs later, so the probe
+        // only has to be a sound pre-filter.
         let mut best: Option<(usize, usize)> = None; // (count, col)
-        for (i, t) in atom.args.iter().enumerate() {
+        for (col, t) in atom.args.iter().enumerate() {
             let Term::Var(v) = t else { continue };
-            if b0.contains_key(v) {
+            if bound_cols.contains(&col) {
                 continue;
             }
             let Some((lo, hi)) = ranges.get(v) else {
                 continue;
             };
-            if let Some(k) = rel.range_count(i, lo.as_ref(), hi.as_ref()) {
+            if let Some(k) = rel.range_count(col, lo.as_ref(), hi.as_ref()) {
                 if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, i));
+                    best = Some((k, col));
                 }
             }
         }
         if let Some((k, col)) = best {
-            // Worth it when probing every binding touches fewer tuples
-            // than one full pass (the cost of the ephemeral build or of a
-            // single scan); with no bound column the probe always wins.
-            if bound_pos.is_empty() || k.saturating_mul(n_bindings) <= rel.len().max(1) {
-                let Term::Var(v) = &atom.args[col] else {
-                    unreachable!()
-                };
-                let (lo, hi) = &ranges[v];
-                if let Some(positions) = rel.range_probe(col, lo.as_ref(), hi.as_ref()) {
-                    return AccessPath::RangeProbe(positions);
-                }
+            if bound_cols.is_empty() || k.saturating_mul(n_bindings) <= rel.len().max(1) {
+                return AccessPath::RangeProbe(col);
             }
         }
     }
-    if bound_pos.is_empty() {
+    if bound_cols.is_empty() || n_bindings <= SCAN_OR_BUILD_BREAK_EVEN {
         AccessPath::Scan
     } else {
-        AccessPath::Ephemeral
+        AccessPath::Build
     }
 }
 
-/// Evaluate a positive atom against the database, extending each binding.
-fn join_atom(
-    db: &EdbDatabase,
-    idx: &mut IndexCache<'_>,
-    atom: &Atom,
-    bindings: Vec<Binding>,
-    ranges: &RangeMap,
-    opts: &EvalOptions,
-    stats: &mut EvalStats,
-) -> Result<Vec<Binding>> {
-    let Some(rel) = db.relation(&atom.pred) else {
-        // Unknown relation: empty (declared use); mirrors an empty extent.
-        return Ok(Vec::new());
-    };
-    if let Some(a) = rel.arity() {
-        if a != atom.arity() {
-            return Err(DatalogError::ArityMismatch {
-                predicate: atom.pred.name().to_string(),
-                expected: a,
-                found: atom.arity(),
-            });
+/// An ephemeral (per-evaluation) hash index over the bound columns of one
+/// relation: key → positions of the tuples carrying it.
+enum EphemeralIndex {
+    /// One bound column, keyed by the value itself: no key allocation.
+    One(FxHashMap<Const, Vec<usize>>),
+    /// Several bound columns; a key is allocated per distinct value
+    /// combination, not per tuple.
+    Many(FxHashMap<Vec<Const>, Vec<usize>>),
+}
+
+impl EphemeralIndex {
+    fn build(rel: &Relation, cols: &[usize]) -> Self {
+        if let [col] = cols {
+            let mut m: FxHashMap<Const, Vec<usize>> = FxHashMap::default();
+            for (i, t) in rel.tuples().iter().enumerate() {
+                m.entry(t[*col]).or_default().push(i);
+            }
+            return EphemeralIndex::One(m);
         }
-    }
-    stats.join_input_tuples += bindings.len() as u64;
-    let Some(b0) = bindings.first() else {
-        return Ok(Vec::new());
-    };
-    // Bound positions are uniform across the binding set (every binding
-    // carries the same variables), so the access path is chosen once.
-    let (uniform_pos, _) = bound_columns(atom, b0);
-    let path = choose_access_path(rel, atom, &uniform_pos, ranges, b0, bindings.len(), opts);
-    if let AccessPath::RangeProbe(_) = path {
-        stats.range_probes += 1;
-    }
-    let mut out = Vec::new();
-    for b in bindings {
-        let candidates: Vec<usize> = match &path {
-            AccessPath::HashProbe(pos) => {
-                stats.index_probes += 1;
-                let val = term_value(&atom.args[*pos], &b).expect("bound column");
-                rel.hash_probe(*pos, &val).unwrap_or(&[]).to_vec()
-            }
-            AccessPath::RangeProbe(positions) => positions.clone(),
-            AccessPath::Ephemeral => {
-                let (bound_pos, bound_vals) = bound_columns(atom, &b);
-                idx.index(&atom.pred, &bound_pos)
-                    .and_then(|m| m.get(&bound_vals).cloned())
-                    .unwrap_or_default()
-            }
-            AccessPath::Scan => {
-                stats.scans += 1;
-                (0..rel.len()).collect()
-            }
-        };
-        for ti in candidates {
-            let tuple = &rel.tuples()[ti];
-            stats.tuples_examined += 1;
-            *stats.per_pred.entry(atom.pred).or_insert(0) += 1;
-            let mut b2 = b.clone();
-            let mut ok = true;
-            for (t, c) in atom.args.iter().zip(tuple) {
-                match t {
-                    Term::Const(k) => {
-                        if k != c {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    Term::Var(v) => match b2.get(v) {
-                        Some(existing) => {
-                            if existing != c {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            b2.insert(*v, *c);
-                        }
-                    },
+        let mut m: FxHashMap<Vec<Const>, Vec<usize>> = FxHashMap::default();
+        let mut key = Vec::with_capacity(cols.len());
+        for (i, t) in rel.tuples().iter().enumerate() {
+            key.clear();
+            key.extend(cols.iter().map(|&c| t[c]));
+            match m.get_mut(key.as_slice()) {
+                Some(postings) => postings.push(i),
+                None => {
+                    m.insert(key.clone(), vec![i]);
                 }
             }
-            if ok {
-                stats.bindings_produced += 1;
-                out.push(b2);
-            }
+        }
+        EphemeralIndex::Many(m)
+    }
+
+    fn probe(&self, key: &[Const]) -> &[usize] {
+        match self {
+            EphemeralIndex::One(m) => m.get(&key[0]),
+            EphemeralIndex::Many(m) => m.get(key),
+        }
+        .map_or(&[], Vec::as_slice)
+    }
+}
+
+/// The ephemeral indexes of one body evaluation, by (predicate, bound
+/// columns). Each build is a full relation pass, counted in
+/// [`EvalStats::scans`].
+#[derive(Default)]
+struct IndexCache {
+    built: Vec<(PredSym, Vec<usize>, EphemeralIndex)>,
+}
+
+impl IndexCache {
+    fn index(&mut self, rel: &Relation, pred: PredSym, cols: &[usize]) -> &EphemeralIndex {
+        let at = self
+            .built
+            .iter()
+            .position(|(p, c, _)| *p == pred && c == cols)
+            .unwrap_or_else(|| {
+                self.built
+                    .push((pred, cols.to_vec(), EphemeralIndex::build(rel, cols)));
+                self.built.len() - 1
+            });
+        &self.built[at].2
+    }
+}
+
+/// Placeholder in a row for a slot no step has bound yet; never read.
+const UNBOUND: Const = Const::Bool(false);
+
+/// A set of bindings: one fixed-width row of constants per binding, one
+/// slot per variable, stored back to back.
+struct Rows {
+    width: usize,
+    len: usize,
+    data: Vec<Const>,
+}
+
+impl Rows {
+    fn new(width: usize) -> Self {
+        Rows {
+            width,
+            len: 0,
+            data: Vec::new(),
         }
     }
-    stats.join_output_tuples += out.len() as u64;
-    Ok(out)
-}
 
-/// Whether an equality comparison has at least one side resolvable under
-/// some binding (uniform across the binding set: same body position).
-fn half_bound(c: &crate::atom::Comparison, bindings: &[Binding]) -> Option<()> {
-    let b = bindings.first()?;
-    if term_value(&c.lhs, b).is_some() || term_value(&c.rhs, b).is_some() {
-        Some(())
-    } else {
-        None
+    /// The single empty binding every evaluation starts from.
+    fn unit(width: usize) -> Self {
+        Rows {
+            width,
+            len: 1,
+            data: vec![UNBOUND; width],
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Const]> {
+        (0..self.len).map(|i| &self.data[i * self.width..(i + 1) * self.width])
+    }
+
+    /// Append a copy of `row`, returned for the caller to fill its new
+    /// slots.
+    fn push(&mut self, row: &[Const]) -> &mut [Const] {
+        let at = self.data.len();
+        self.data.extend_from_slice(row);
+        self.len += 1;
+        &mut self.data[at..]
+    }
+
+    /// Keep the rows `keep` accepts, in order, compacting in place.
+    fn retain(&mut self, mut keep: impl FnMut(&[Const]) -> Result<bool>) -> Result<()> {
+        let w = self.width;
+        let mut kept = 0;
+        for i in 0..self.len {
+            if keep(&self.data[i * w..(i + 1) * w])? {
+                self.data.copy_within(i * w..(i + 1) * w, kept * w);
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.data.truncate(kept * w);
+        Ok(())
     }
 }
 
-fn term_value(t: &Term, b: &Binding) -> Option<Const> {
+/// Where a bound term's value comes from.
+#[derive(Clone, Copy)]
+enum Src {
+    Const(Const),
+    Slot(usize),
+}
+
+impl Src {
+    fn get(self, row: &[Const]) -> Const {
+        match self {
+            Src::Const(c) => c,
+            Src::Slot(s) => row[s],
+        }
+    }
+}
+
+/// What one atom argument does with the tuple column it faces. A tuple is
+/// *matched* against the checks first; only a match allocates a row, whose
+/// `BindSlot` columns are then copied in.
+#[derive(Clone, Copy)]
+enum ArgOp {
+    /// The column must equal this constant.
+    CheckConst(Const),
+    /// The column must equal the row's value for an already-bound variable.
+    CheckSlot(usize),
+    /// First occurrence of an unbound variable: the column's value goes
+    /// into this slot.
+    BindSlot(usize),
+    /// Repeated occurrence of a variable first seen at this earlier
+    /// column of the same atom.
+    CheckEarlierArg(usize),
+    /// Unbound position of a negated atom: existential, matches anything.
+    Any,
+}
+
+impl ArgOp {
+    /// The value a bound (`CheckConst`/`CheckSlot`) argument carries.
+    fn bound_value(self, row: &[Const]) -> Const {
+        match self {
+            ArgOp::CheckConst(c) => c,
+            ArgOp::CheckSlot(s) => row[s],
+            _ => unreachable!("probe keys come from bound columns"),
+        }
+    }
+}
+
+#[inline]
+fn matches(ops: &[ArgOp], row: &[Const], tuple: &[Const]) -> bool {
+    ops.iter().zip(tuple).all(|(op, c)| match *op {
+        ArgOp::CheckConst(k) => k == *c,
+        ArgOp::CheckSlot(s) => row[s] == *c,
+        ArgOp::CheckEarlierArg(j) => tuple[j] == *c,
+        ArgOp::BindSlot(_) | ArgOp::Any => true,
+    })
+}
+
+/// An atom with the op each argument performs.
+struct AtomOps<'a> {
+    atom: &'a Atom,
+    ops: Vec<ArgOp>,
+}
+
+/// One compiled execution step.
+enum Step<'a> {
+    /// Join a positive atom, extending each row.
+    Join(AtomOps<'a>),
+    /// A run of binary atoms fused into one index-nested-loop walk from
+    /// `start` (first atom, column 0) to `end` (last atom, column 1).
+    Chain {
+        atoms: Vec<&'a Atom>,
+        start: ArgOp,
+        end: ArgOp,
+    },
+    /// Drop the rows some tuple of a negated atom matches.
+    AntiJoin(AtomOps<'a>),
+    /// Equality with exactly one bound side: copy it into the other
+    /// side's slot (the physical analogue of using the equality as a join
+    /// condition, e.g. the `Z = W` OID comparison of Application 3).
+    Bind { from: Src, slot: usize },
+    /// Fully bound comparison.
+    Filter(&'a Comparison, Src, Src),
+    /// A comparison over this never-bound variable: an error as soon as
+    /// a row reaches it.
+    Unsafe(&'a Comparison, Var),
+}
+
+fn slot_of(slots: &[Var], v: &Var) -> Option<usize> {
+    slots.iter().position(|s| s == v)
+}
+
+/// The op for a term that is not a repeat within its atom: check a
+/// constant or bound variable, bind (and allot the next slot to) a new one.
+fn term_op(slots: &mut Vec<Var>, t: &Term) -> ArgOp {
     match t {
-        Term::Const(c) => Some(*c),
-        Term::Var(v) => b.get(v).cloned(),
-    }
-}
-
-fn eval_cmp(c: &crate::atom::Comparison, b: &Binding) -> Result<bool> {
-    let (Some(l), Some(r)) = (term_value(&c.lhs, b), term_value(&c.rhs, b)) else {
-        return Err(DatalogError::UnsafeVariable {
-            clause: c.to_string(),
-            variable: c
-                .vars()
-                .find(|v| !b.contains_key(*v))
-                .map(|v| v.name().to_string())
-                .unwrap_or_default(),
-        });
-    };
-    match c.op {
-        crate::atom::CmpOp::Eq => Ok(l.same_value(&r)),
-        crate::atom::CmpOp::Ne => Ok(!l.same_value(&r)),
-        op => match l.order(&r) {
-            Some(ord) => Ok(op.test(ord)),
-            None => Err(DatalogError::Incomparable {
-                lhs: l.to_string(),
-                rhs: r.to_string(),
-            }),
+        Term::Const(c) => ArgOp::CheckConst(*c),
+        Term::Var(v) => match slot_of(slots, v) {
+            Some(s) => ArgOp::CheckSlot(s),
+            None => {
+                slots.push(*v);
+                ArgOp::BindSlot(slots.len() - 1)
+            }
         },
     }
 }
 
-/// Count every occurrence of each variable across the body's literals
-/// (duplicates within one literal count separately).
-fn occurrence_counts(body: &[Literal]) -> HashMap<Var, usize> {
-    let mut counts: HashMap<Var, usize> = HashMap::new();
-    let count_term = |t: &Term, counts: &mut HashMap<Var, usize>| {
-        if let Term::Var(v) = t {
-            *counts.entry(*v).or_insert(0) += 1;
-        }
+/// The ops of one atom's arguments. A negated atom (`bind` false) binds
+/// nothing: its unbound positions are existential.
+fn atom_ops<'a>(slots: &mut Vec<Var>, atom: &'a Atom, bind: bool) -> AtomOps<'a> {
+    let bound = slots.len();
+    let mut ops = Vec::with_capacity(atom.args.len());
+    for (i, t) in atom.args.iter().enumerate() {
+        let unbound = matches!(t, Term::Var(v) if slot_of(&slots[..bound], v).is_none());
+        ops.push(match atom.args[..i].iter().position(|u| u == t) {
+            Some(j) if unbound => ArgOp::CheckEarlierArg(j),
+            _ if unbound && !bind => ArgOp::Any,
+            _ => term_op(slots, t),
+        });
+    }
+    AtomOps { atom, ops }
+}
+
+fn src(slots: &[Var], t: &Term) -> Option<Src> {
+    match t {
+        Term::Const(c) => Some(Src::Const(*c)),
+        Term::Var(v) => slot_of(slots, v).map(Src::Slot),
+    }
+}
+
+/// Compile a body for one evaluation: order it, fuse chains, give every
+/// variable a dense slot in binding order, and turn every term into the
+/// check or bind it performs. Returns the steps and the slot → variable
+/// table.
+fn compile<'a>(
+    body: &'a [Literal],
+    protected: &HashSet<Var>,
+    opts: &EvalOptions,
+) -> (Vec<Step<'a>>, Vec<Var>) {
+    let ordered = execution_order(body);
+    let units: Vec<Unit<'a>> = if opts.use_indexes && opts.fuse_chains {
+        fuse_chains(&ordered, body, protected)
+    } else {
+        ordered.iter().map(|o| Unit::Single(o.literal)).collect()
     };
-    for l in body {
-        match l {
-            Literal::Pos(a) | Literal::Neg(a) => {
-                for t in &a.args {
-                    count_term(t, &mut counts);
+    let mut slots: Vec<Var> = Vec::new();
+    let steps = units
+        .into_iter()
+        .map(|unit| match unit {
+            Unit::Chain(atoms) => {
+                let start = term_op(&mut slots, &atoms[0].args[0]);
+                let end = term_op(&mut slots, &atoms[atoms.len() - 1].args[1]);
+                Step::Chain { atoms, start, end }
+            }
+            Unit::Single(Literal::Pos(a)) => Step::Join(atom_ops(&mut slots, a, true)),
+            Unit::Single(Literal::Neg(a)) => Step::AntiJoin(atom_ops(&mut slots, a, false)),
+            Unit::Single(Literal::Cmp(c)) => {
+                let sides = (src(&slots, &c.lhs), src(&slots, &c.rhs));
+                let unbound = c.vars().find(|v| slot_of(&slots, v).is_none()).copied();
+                match (sides, unbound) {
+                    ((Some(l), Some(r)), _) => Step::Filter(c, l, r),
+                    ((Some(from), None) | (None, Some(from)), Some(v)) if c.op == CmpOp::Eq => {
+                        slots.push(v);
+                        Step::Bind {
+                            from,
+                            slot: slots.len() - 1,
+                        }
+                    }
+                    (_, Some(v)) => Step::Unsafe(c, v),
+                    (_, None) => unreachable!("a side without a source is an unbound variable"),
                 }
             }
-            Literal::Cmp(c) => {
-                count_term(&c.lhs, &mut counts);
-                count_term(&c.rhs, &mut counts);
-            }
-        }
+        })
+        .collect();
+    (steps, slots)
+}
+
+/// Count every occurrence of each variable across the body's literals
+/// (duplicates within one literal count separately).
+fn occurrence_counts(body: &[Literal]) -> FxHashMap<Var, usize> {
+    let mut counts: FxHashMap<Var, usize> = FxHashMap::default();
+    for v in body.iter().flat_map(Literal::iter_vars) {
+        *counts.entry(*v).or_insert(0) += 1;
     }
     counts
 }
 
-/// One execution step after chain-fusion detection: either a single body
+/// One execution unit after chain-fusion detection: either a single body
 /// literal, or a run of binary atoms fused into an index-nested-loop walk.
-enum Step<'a> {
+enum Unit<'a> {
     Single(&'a Literal),
     Chain(Vec<&'a Atom>),
 }
@@ -471,10 +640,10 @@ enum Step<'a> {
 /// fusion, the run collapses into one index-nested-loop walk that never
 /// materializes the intermediate bindings.
 fn fuse_chains<'a>(
-    ordered: &[&'a Literal],
+    ordered: &[OrderedLiteral<'a>],
     body: &[Literal],
     protected: &HashSet<Var>,
-) -> Vec<Step<'a>> {
+) -> Vec<Unit<'a>> {
     let counts = occurrence_counts(body);
     let fusable_link = |a: &Atom, b: &Atom| -> bool {
         if a.args.len() != 2 || b.args.len() != 2 {
@@ -491,16 +660,16 @@ fn fuse_chains<'a>(
             && a.args[0] != a.args[1]
             && b.args[0] != b.args[1]
     };
-    let mut steps: Vec<Step<'a>> = Vec::new();
+    let mut units: Vec<Unit<'a>> = Vec::new();
     let mut i = 0;
     while i < ordered.len() {
-        let Literal::Pos(a) = ordered[i] else {
-            steps.push(Step::Single(ordered[i]));
+        let Literal::Pos(a) = ordered[i].literal else {
+            units.push(Unit::Single(ordered[i].literal));
             i += 1;
             continue;
         };
         let mut run: Vec<&Atom> = vec![a];
-        while let Some(Literal::Pos(next)) = ordered.get(i + run.len()) {
+        while let Some(Literal::Pos(next)) = ordered.get(i + run.len()).map(|o| o.literal) {
             if fusable_link(run[run.len() - 1], next) {
                 run.push(next);
             } else {
@@ -509,150 +678,361 @@ fn fuse_chains<'a>(
         }
         if run.len() >= 2 {
             i += run.len();
-            steps.push(Step::Chain(run));
+            units.push(Unit::Chain(run));
         } else {
-            steps.push(Step::Single(ordered[i]));
+            units.push(Unit::Single(ordered[i].literal));
             i += 1;
         }
     }
-    steps
+    units
 }
 
-/// All successors of `from` through the binary relation `pred` (column 0 →
-/// column 1), via the declared hash index when present, else the ephemeral
-/// index cache.
-fn hop_targets(
-    db: &EdbDatabase,
-    idx: &mut IndexCache<'_>,
-    pred: &PredSym,
-    from: &Const,
-    stats: &mut EvalStats,
-) -> Vec<Const> {
-    let Some(rel) = db.relation(pred) else {
-        return Vec::new();
-    };
-    let positions: Vec<usize> = if let Some(p) = rel.hash_probe(0, from) {
-        stats.index_probes += 1;
-        p.to_vec()
-    } else {
-        idx.index(pred, &[0])
-            .and_then(|m| m.get(&vec![*from]).cloned())
-            .unwrap_or_default()
-    };
-    let rel = db.relation(pred).expect("checked above");
-    let mut out = Vec::with_capacity(positions.len());
-    for ti in positions {
-        stats.tuples_examined += 1;
-        *stats.per_pred.entry(*pred).or_insert(0) += 1;
-        out.push(rel.tuple_at(ti)[1]);
-    }
-    out
+/// What every step of one body evaluation reads.
+struct Ctx<'a> {
+    db: &'a EdbDatabase,
+    opts: &'a EvalOptions,
+    ranges: RangeMap,
 }
 
-/// Walk a fused chain from one start value: the set of values reachable
-/// through every hop, deduplicating at each level.
-fn chain_reach(
-    db: &EdbDatabase,
-    idx: &mut IndexCache<'_>,
-    atoms: &[&Atom],
-    start: Const,
-    stats: &mut EvalStats,
-) -> HashSet<Const> {
-    let mut level: HashSet<Const> = HashSet::from([start]);
-    for a in atoms {
-        let mut next: HashSet<Const> = HashSet::new();
-        for v in &level {
-            next.extend(hop_targets(db, idx, &a.pred, v, stats));
-        }
-        level = next;
-        if level.is_empty() {
-            break;
-        }
+fn check_arity(rel: &Relation, atom: &Atom) -> Result<()> {
+    match rel.arity() {
+        Some(expected) if expected != atom.arity() => Err(DatalogError::ArityMismatch {
+            predicate: atom.pred.name().to_string(),
+            expected,
+            found: atom.arity(),
+        }),
+        _ => Ok(()),
     }
-    level
 }
 
-/// Execute one fused chain step over the binding set.
-fn join_chain(
-    db: &EdbDatabase,
-    idx: &mut IndexCache<'_>,
-    atoms: &[&Atom],
-    bindings: Vec<Binding>,
-    stats: &mut EvalStats,
-) -> Result<Vec<Binding>> {
-    stats.chains_fused += 1;
-    stats.join_input_tuples += bindings.len() as u64;
-    // Arity guard: a hop relation with non-binary arity is a real error
-    // (the unfused path would raise it too); unknown relations mean empty.
-    for a in atoms {
-        if let Some(rel) = db.relation(&a.pred) {
-            if let Some(n) = rel.arity() {
-                if n != 2 {
-                    return Err(DatalogError::ArityMismatch {
-                        predicate: a.pred.name().to_string(),
-                        expected: n,
-                        found: 2,
-                    });
-                }
-            }
+/// Add `n` examined tuples of `pred`: once per join step, not per tuple.
+fn count_examined(stats: &mut EvalStats, pred: PredSym, n: u64) {
+    if n > 0 {
+        stats.tuples_examined += n;
+        *stats.per_pred.entry(pred).or_insert(0) += n;
+    }
+}
+
+/// The access path of one atom step, opened over its relation: yields each
+/// row's candidate tuple positions in place.
+enum Probe<'a> {
+    Hash(usize),
+    /// The one range-probe result every row walks.
+    Positions(Vec<usize>),
+    Index(&'a EphemeralIndex, Vec<usize>),
+    Scan,
+}
+
+/// Candidate tuple positions for one row.
+enum Candidates<'a> {
+    Postings(std::slice::Iter<'a, usize>),
+    All(std::ops::Range<usize>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Candidates::Postings(it) => it.next().copied(),
+            Candidates::All(range) => range.next(),
         }
     }
-    let start_term = &atoms[0].args[0];
-    let end_term = &atoms[atoms.len() - 1].args[1];
-    let mut out = Vec::new();
-    let emit = |b: &Binding, end: Const, out: &mut Vec<Binding>| match end_term {
-        Term::Const(c) => {
-            if *c == end {
-                out.push(b.clone());
+}
+
+impl<'a> Probe<'a> {
+    /// Choose and open the access path for `n_rows` input rows, counting
+    /// the probes and passes it will make.
+    fn open(
+        ctx: &Ctx<'_>,
+        idx: &'a mut IndexCache,
+        stats: &mut EvalStats,
+        rel: &Relation,
+        step: &AtomOps<'_>,
+        ranges: &RangeMap,
+        n_rows: usize,
+    ) -> Probe<'a> {
+        let AtomOps { atom, ops } = step;
+        let bound_cols: Vec<usize> = (0..ops.len())
+            .filter(|&c| matches!(ops[c], ArgOp::CheckConst(_) | ArgOp::CheckSlot(_)))
+            .collect();
+        match choose_access_path(rel, atom, &bound_cols, ranges, n_rows, ctx.opts) {
+            AccessPath::HashProbe(col) => {
+                stats.index_probes += n_rows as u64;
+                Probe::Hash(col)
             }
-        }
-        Term::Var(v) => match b.get(v) {
-            Some(existing) => {
-                if *existing == end {
-                    out.push(b.clone());
-                }
-            }
-            None => {
-                let mut b2 = b.clone();
-                b2.insert(*v, end);
-                out.push(b2);
-            }
-        },
-    };
-    for b in &bindings {
-        match term_value(start_term, b) {
-            Some(s) => {
-                for end in chain_reach(db, idx, atoms, s, stats) {
-                    emit(b, end, &mut out);
-                }
-            }
-            None => {
-                // Unbound start: enumerate the first hop's distinct source
-                // values, walking the chain from each.
-                let Term::Var(sv) = start_term else {
-                    unreachable!("constants are always bound")
+            AccessPath::RangeProbe(col) => {
+                stats.range_probes += 1;
+                let Term::Var(v) = &atom.args[col] else {
+                    unreachable!("range probes are chosen on variable columns")
                 };
-                let Some(rel0) = db.relation(&atoms[0].pred) else {
-                    continue;
-                };
-                stats.scans += 1;
-                let mut starts: HashSet<Const> = HashSet::new();
-                for t in rel0.tuples() {
-                    starts.insert(t[0]);
-                }
-                for s in starts {
-                    for end in chain_reach(db, idx, atoms, s, stats) {
-                        let mut b2 = b.clone();
-                        b2.insert(*sv, s);
-                        emit(&b2, end, &mut out);
+                let (lo, hi) = &ranges[v];
+                Probe::Positions(
+                    rel.range_probe(col, lo.as_ref(), hi.as_ref())
+                        .expect("range_count answered for the same bounds"),
+                )
+            }
+            AccessPath::Build => Probe::Index(idx.index(rel, atom.pred, &bound_cols), bound_cols),
+            AccessPath::Scan => {
+                stats.scans += n_rows as u64;
+                Probe::Scan
+            }
+        }
+    }
+
+    /// `key` is scratch space for the ephemeral index's probe key.
+    fn candidates<'r>(
+        &'r self,
+        rel: &'r Relation,
+        ops: &[ArgOp],
+        row: &[Const],
+        key: &mut Vec<Const>,
+    ) -> Candidates<'r> {
+        let postings: &[usize] = match self {
+            Probe::Hash(col) => rel
+                .hash_probe(*col, &ops[*col].bound_value(row))
+                .expect("path chosen on a declared index"),
+            Probe::Positions(positions) => positions,
+            Probe::Index(index, cols) => {
+                key.clear();
+                key.extend(cols.iter().map(|&c| ops[c].bound_value(row)));
+                index.probe(key)
+            }
+            Probe::Scan => return Candidates::All(0..rel.len()),
+        };
+        Candidates::Postings(postings.iter())
+    }
+}
+
+/// Join a positive atom against the database, extending each row.
+fn join(
+    ctx: &Ctx<'_>,
+    idx: &mut IndexCache,
+    stats: &mut EvalStats,
+    step: &AtomOps<'_>,
+    rows: &Rows,
+) -> Result<Rows> {
+    let AtomOps { atom, ops } = step;
+    let mut out = Rows::new(rows.width);
+    let Some(rel) = ctx.db.relation(&atom.pred) else {
+        // Unknown relation: empty (declared use); mirrors an empty extent.
+        return Ok(out);
+    };
+    check_arity(rel, atom)?;
+    stats.join_input_tuples += rows.len as u64;
+    let probe = Probe::open(ctx, idx, stats, rel, step, &ctx.ranges, rows.len);
+    let tuples = rel.tuples();
+    let mut examined = 0u64;
+    let mut key = Vec::new();
+    for row in rows.iter() {
+        for ti in probe.candidates(rel, ops, row, &mut key) {
+            examined += 1;
+            let tuple = &tuples[ti];
+            if matches(ops, row, tuple) {
+                let new = out.push(row);
+                for (op, c) in ops.iter().zip(tuple) {
+                    if let ArgOp::BindSlot(s) = *op {
+                        new[s] = *c;
                     }
                 }
             }
         }
     }
-    stats.bindings_produced += out.len() as u64;
-    stats.join_output_tuples += out.len() as u64;
+    count_examined(stats, atom.pred, examined);
+    stats.bindings_produced += out.len as u64;
+    stats.join_output_tuples += out.len as u64;
     Ok(out)
+}
+
+/// Partially-bound anti-join: a row survives unless some tuple matches
+/// all bound positions; unbound positions are existential under the
+/// negation, and repeated unbound variables inside the literal must still
+/// match each other. Same access paths as a positive join, except that a
+/// range bound on an existential position must not pre-filter.
+fn anti_join(
+    ctx: &Ctx<'_>,
+    idx: &mut IndexCache,
+    stats: &mut EvalStats,
+    step: &AtomOps<'_>,
+    rows: &mut Rows,
+) -> Result<()> {
+    let AtomOps { atom, ops } = step;
+    stats.negation_probes += rows.len as u64;
+    let Some(rel) = ctx.db.relation(&atom.pred) else {
+        return Ok(());
+    };
+    check_arity(rel, atom)?;
+    let no_ranges = RangeMap::new();
+    let probe = Probe::open(ctx, idx, stats, rel, step, &no_ranges, rows.len);
+    let tuples = rel.tuples();
+    let mut examined = 0u64;
+    let mut key = Vec::new();
+    rows.retain(|row| {
+        let present = probe.candidates(rel, ops, row, &mut key).any(|ti| {
+            examined += 1;
+            matches(ops, row, &tuples[ti])
+        });
+        Ok(!present)
+    })?;
+    count_examined(stats, atom.pred, examined);
+    Ok(())
+}
+
+/// Walk a fused chain from one start value into `level`: the values
+/// reachable through every hop, deduplicated at each level, via the
+/// declared hash index on a hop's source column when present, else an
+/// ephemeral one.
+fn chain_reach(
+    ctx: &Ctx<'_>,
+    idx: &mut IndexCache,
+    stats: &mut EvalStats,
+    atoms: &[&Atom],
+    start: Const,
+    level: &mut Vec<Const>,
+) {
+    level.clear();
+    level.push(start);
+    for a in atoms {
+        let mut next: Vec<Const> = Vec::new();
+        if let Some(rel) = ctx.db.relation(&a.pred) {
+            let mut seen: FxHashSet<Const> = FxHashSet::default();
+            for from in level.iter() {
+                let postings = match rel.hash_probe(0, from) {
+                    Some(p) => {
+                        stats.index_probes += 1;
+                        p
+                    }
+                    None => idx.index(rel, a.pred, &[0]).probe(&[*from]),
+                };
+                count_examined(stats, a.pred, postings.len() as u64);
+                for &ti in postings {
+                    let to = rel.tuple_at(ti)[1];
+                    if seen.insert(to) {
+                        next.push(to);
+                    }
+                }
+            }
+        }
+        *level = next;
+        if level.is_empty() {
+            break;
+        }
+    }
+}
+
+/// Execute one fused chain step over the rows.
+fn join_chain(
+    ctx: &Ctx<'_>,
+    idx: &mut IndexCache,
+    stats: &mut EvalStats,
+    atoms: &[&Atom],
+    start: ArgOp,
+    end: ArgOp,
+    rows: &Rows,
+) -> Result<Rows> {
+    stats.chains_fused += 1;
+    stats.join_input_tuples += rows.len as u64;
+    // Arity guard: a hop relation with non-binary arity is a real error
+    // (the unfused path would raise it too); unknown relations mean empty.
+    for a in atoms {
+        if let Some(rel) = ctx.db.relation(&a.pred) {
+            check_arity(rel, a)?;
+        }
+    }
+    // Unbound start: every row walks the chain from each distinct source
+    // value of the first hop.
+    let all_starts: Option<Vec<Const>> = match start {
+        ArgOp::BindSlot(_) => Some(match ctx.db.relation(&atoms[0].pred) {
+            None => Vec::new(),
+            Some(rel0) => {
+                stats.scans += rows.len as u64;
+                let mut seen: FxHashSet<Const> = FxHashSet::default();
+                let firsts = rel0.tuples().iter().map(|t| t[0]);
+                firsts.filter(|c| seen.insert(*c)).collect()
+            }
+        }),
+        _ => None,
+    };
+    let mut out = Rows::new(rows.width);
+    let mut reach = Vec::new();
+    for row in rows.iter() {
+        let bound_start;
+        let starts: &[Const] = match &all_starts {
+            Some(all) => all,
+            None => {
+                bound_start = [start.bound_value(row)];
+                &bound_start
+            }
+        };
+        for &from in starts {
+            chain_reach(ctx, idx, stats, atoms, from, &mut reach);
+            for &to in &reach {
+                let accept = match end {
+                    ArgOp::CheckConst(c) => c == to,
+                    // The end may be the start variable this step binds.
+                    ArgOp::CheckSlot(s) if matches!(start, ArgOp::BindSlot(b) if b == s) => {
+                        from == to
+                    }
+                    ArgOp::CheckSlot(s) => row[s] == to,
+                    _ => true,
+                };
+                if accept {
+                    let new = out.push(row);
+                    if let ArgOp::BindSlot(s) = start {
+                        new[s] = from;
+                    }
+                    if let ArgOp::BindSlot(s) = end {
+                        new[s] = to;
+                    }
+                }
+            }
+        }
+    }
+    stats.bindings_produced += out.len as u64;
+    stats.join_output_tuples += out.len as u64;
+    Ok(out)
+}
+
+fn compare(c: &Comparison, l: Const, r: Const) -> Result<bool> {
+    match c.op {
+        CmpOp::Eq => Ok(l.same_value(&r)),
+        CmpOp::Ne => Ok(!l.same_value(&r)),
+        op => match l.order(&r) {
+            Some(ord) => Ok(op.test(ord)),
+            None => Err(DatalogError::Incomparable {
+                lhs: l.to_string(),
+                rhs: r.to_string(),
+            }),
+        },
+    }
+}
+
+/// The complete bindings of a body: rows plus the slot each variable got.
+struct Bindings {
+    rows: Rows,
+    slots: Vec<Var>,
+}
+
+impl Bindings {
+    /// Project every row onto `terms`, in row order (duplicates kept).
+    /// `Err` names a variable the body never bound — reported only when
+    /// there is a row to project, as an unsafe clause with no bindings
+    /// has no answers either way.
+    fn project(&self, terms: &[Term]) -> std::result::Result<Vec<Vec<Const>>, Var> {
+        if self.rows.len == 0 {
+            return Ok(Vec::new());
+        }
+        let srcs = terms
+            .iter()
+            .map(|t| src(&self.slots, t).ok_or_else(|| *t.as_var().expect("constants resolve")))
+            .collect::<std::result::Result<Vec<Src>, Var>>()?;
+        Ok(self
+            .rows
+            .iter()
+            .map(|row| srcs.iter().map(|s| s.get(row)).collect())
+            .collect())
+    }
 }
 
 /// Evaluate a body against the database, returning all complete bindings.
@@ -664,208 +1044,41 @@ fn eval_body(
     protected: &HashSet<Var>,
     opts: &EvalOptions,
     stats: &mut EvalStats,
-) -> Result<Vec<Binding>> {
-    let mut idx = IndexCache::new(db);
-    let ranges = collect_ranges(body);
-    // Greedy ordering: repeatedly pick the positive literal sharing the
-    // most variables with those already bound (ties: original order);
-    // negatives and comparisons run as soon as fully bound.
-    let mut remaining: Vec<&Literal> = body.iter().collect();
-    let mut bound_vars: Vec<Var> = Vec::new();
-    let mut ordered: Vec<&Literal> = Vec::new();
-    while !remaining.is_empty() {
-        // First flush any deferred literal that is now fully bound — or
-        // an equality with at least one bound side, which *binds* its
-        // other side (equality propagation).
-        if let Some(pos) = remaining.iter().position(|l| match l {
-            Literal::Pos(_) => false,
-            Literal::Cmp(c) if c.op == crate::atom::CmpOp::Eq => {
-                c.vars().any(|v| bound_vars.contains(v)) || c.lhs.is_ground() || c.rhs.is_ground()
-            }
-            _ => l.vars().iter().all(|v| bound_vars.contains(v)),
-        }) {
-            let l = remaining.remove(pos);
-            for v in l.vars() {
-                if !bound_vars.contains(v) {
-                    bound_vars.push(*v);
-                }
-            }
-            ordered.push(l);
-            continue;
-        }
-        // Then the best positive literal.
-        let best = remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.is_positive())
-            .max_by_key(|(i, l)| {
-                let shared = l.vars().iter().filter(|v| bound_vars.contains(**v)).count();
-                (shared, usize::MAX - i)
-            })
-            .map(|(i, _)| i);
-        match best {
-            Some(i) => {
-                let l = remaining.remove(i);
-                for v in l.vars() {
-                    if !bound_vars.contains(v) {
-                        bound_vars.push(*v);
-                    }
-                }
-                ordered.push(l);
-            }
-            None => {
-                // Only unbound negatives/comparisons remain: unsafe body.
-                let l = remaining.remove(0);
-                ordered.push(l);
-            }
-        }
-    }
-
-    let steps: Vec<Step<'_>> = if opts.use_indexes && opts.fuse_chains {
-        fuse_chains(&ordered, body, protected)
-    } else {
-        ordered.iter().map(|l| Step::Single(l)).collect()
+) -> Result<Bindings> {
+    let (steps, slots) = compile(body, protected, opts);
+    let ctx = Ctx {
+        db,
+        opts,
+        ranges: collect_ranges(body),
     };
-
-    let mut bindings: Vec<Binding> = vec![Binding::new()];
-    for step in steps {
-        let l = match step {
-            Step::Chain(atoms) => {
-                bindings = join_chain(db, &mut idx, &atoms, bindings, stats)?;
-                if bindings.is_empty() {
-                    break;
-                }
-                continue;
+    let mut idx = IndexCache::default();
+    let mut rows = Rows::unit(slots.len());
+    for step in &steps {
+        match step {
+            Step::Join(step) => rows = join(&ctx, &mut idx, stats, step, &rows)?,
+            Step::Chain { atoms, start, end } => {
+                rows = join_chain(&ctx, &mut idx, stats, atoms, *start, *end, &rows)?;
             }
-            Step::Single(l) => l,
-        };
-        match l {
-            Literal::Pos(a) => {
-                bindings = join_atom(db, &mut idx, a, bindings, &ranges, opts, stats)?;
-            }
-            // An equality with exactly one bound side propagates the
-            // binding (the physical analogue of using the equality as a
-            // join condition / index probe — e.g. the `Z = W` OID
-            // comparison of Application 3).
-            Literal::Cmp(c)
-                if c.op == crate::atom::CmpOp::Eq && half_bound(c, &bindings).is_some() =>
-            {
-                let mut out = Vec::new();
-                for b in bindings {
-                    match (term_value(&c.lhs, &b), term_value(&c.rhs, &b)) {
-                        (Some(l), Some(r)) => {
-                            if l.same_value(&r) {
-                                out.push(b);
-                            }
-                        }
-                        (Some(val), None) => {
-                            let Term::Var(v) = &c.rhs else { unreachable!() };
-                            let mut b2 = b;
-                            b2.insert(*v, val);
-                            out.push(b2);
-                        }
-                        (None, Some(val)) => {
-                            let Term::Var(v) = &c.lhs else { unreachable!() };
-                            let mut b2 = b;
-                            b2.insert(*v, val);
-                            out.push(b2);
-                        }
-                        (None, None) => {
-                            return Err(DatalogError::UnsafeVariable {
-                                clause: c.to_string(),
-                                variable: c
-                                    .vars()
-                                    .next()
-                                    .map(|v| v.name().to_string())
-                                    .unwrap_or_default(),
-                            })
-                        }
-                    }
+            Step::AntiJoin(step) => anti_join(&ctx, &mut idx, stats, step, &mut rows)?,
+            Step::Bind { from, slot } => {
+                for row in rows.data.chunks_exact_mut(rows.width) {
+                    row[*slot] = from.get(row);
                 }
-                bindings = out;
             }
-            Literal::Neg(a) => {
-                // Partially-bound anti-join: a binding survives unless some
-                // tuple matches all bound positions; unbound positions are
-                // existential under the negation. Repeated unbound
-                // variables inside the literal must still match each other.
-                let mut out = Vec::new();
-                for b in bindings {
-                    stats.negation_probes += 1;
-                    let mut bound_pos: Vec<usize> = Vec::new();
-                    let mut bound_vals: Vec<Const> = Vec::new();
-                    for (i, t) in a.args.iter().enumerate() {
-                        if let Some(c) = term_value(t, &b) {
-                            bound_pos.push(i);
-                            bound_vals.push(c);
-                        }
-                    }
-                    let present = match db.relation(&a.pred) {
-                        None => false,
-                        Some(rel) => {
-                            // Same access-path preference as positive joins:
-                            // declared hash probe, then ephemeral, then scan.
-                            let declared = if opts.use_indexes {
-                                bound_pos.iter().position(|&p| rel.has_hash_index(p))
-                            } else {
-                                None
-                            };
-                            let candidates: Vec<usize> = if let Some(bi) = declared {
-                                stats.index_probes += 1;
-                                rel.hash_probe(bound_pos[bi], &bound_vals[bi])
-                                    .unwrap_or(&[])
-                                    .to_vec()
-                            } else if bound_pos.is_empty() {
-                                stats.scans += 1;
-                                (0..rel.len()).collect()
-                            } else {
-                                idx.index(&a.pred, &bound_pos)
-                                    .and_then(|m| m.get(&bound_vals).cloned())
-                                    .unwrap_or_default()
-                            };
-                            candidates.iter().any(|&ti| {
-                                let tuple = &rel.tuples()[ti];
-                                stats.tuples_examined += 1;
-                                *stats.per_pred.entry(a.pred).or_insert(0) += 1;
-                                let mut local: HashMap<&Var, &Const> = HashMap::new();
-                                a.args.iter().zip(tuple).all(|(t, c)| match t {
-                                    Term::Const(k) => k == c,
-                                    Term::Var(v) => match b.get(v) {
-                                        Some(bc) => bc == c,
-                                        None => match local.get(v) {
-                                            Some(&lc) => lc == c,
-                                            None => {
-                                                local.insert(v, c);
-                                                true
-                                            }
-                                        },
-                                    },
-                                })
-                            })
-                        }
-                    };
-                    if !present {
-                        out.push(b);
-                    }
-                }
-                bindings = out;
-            }
-            Literal::Cmp(c) => {
-                let mut out = Vec::new();
-                for b in bindings {
-                    if eval_cmp(c, &b)? {
-                        out.push(b);
-                    }
-                }
-                bindings = out;
+            Step::Filter(c, l, r) => rows.retain(|row| compare(c, l.get(row), r.get(row)))?,
+            Step::Unsafe(c, v) => {
+                return Err(DatalogError::UnsafeVariable {
+                    clause: c.to_string(),
+                    variable: v.name().to_string(),
+                })
             }
         }
-        if bindings.is_empty() {
+        if rows.len == 0 {
             break;
         }
     }
-    stats.scans += idx.builds;
-    Ok(bindings)
+    stats.scans += idx.built.len() as u64;
+    Ok(Bindings { rows, slots })
 }
 
 /// Answer a conjunctive query with the default (index-enabled) options;
@@ -876,8 +1089,8 @@ pub fn answer_query(db: &EdbDatabase, q: &Query) -> Result<(Vec<Vec<Const>>, Eva
 }
 
 /// Answer a conjunctive query under explicit physical options —
-/// [`EvalOptions::scan_only`] reproduces the pre-index executor for
-/// differential testing and seed-equivalent benchmarking.
+/// [`EvalOptions::scan_only`] is the reference executor for differential
+/// testing and seed-equivalent benchmarking.
 pub fn answer_query_with(
     db: &EdbDatabase,
     q: &Query,
@@ -892,24 +1105,23 @@ pub fn answer_query_with(
         .copied()
         .collect();
     let bindings = eval_body(db, &q.body, &protected, opts, &mut stats)?;
-    let mut out = Relation::default();
-    for b in bindings {
-        let tuple: Option<Vec<Const>> = q.projection.iter().map(|t| term_value(t, &b)).collect();
-        let Some(tuple) = tuple else {
-            return Err(DatalogError::UnsafeVariable {
+    let mut answers =
+        bindings
+            .project(&q.projection)
+            .map_err(|v| DatalogError::UnsafeVariable {
                 clause: q.to_string(),
-                variable: q
-                    .projection
-                    .iter()
-                    .filter_map(Term::as_var)
-                    .find(|v| !b.contains_key(*v))
-                    .map(|v| v.name().to_string())
-                    .unwrap_or_default(),
-            });
-        };
-        out.insert(tuple)?;
-    }
-    Ok((out.tuples().to_vec(), stats))
+                variable: v.name().to_string(),
+            })?;
+    // Set semantics, first occurrence kept: mark the first of each answer
+    // through a set of borrowed rows, then drop the rest in place.
+    let first: Vec<bool> = {
+        let mut seen: FxHashSet<&[Const]> =
+            FxHashSet::with_capacity_and_hasher(answers.len(), Default::default());
+        answers.iter().map(|a| seen.insert(a.as_slice())).collect()
+    };
+    let mut first = first.into_iter();
+    answers.retain(|_| first.next().expect("one flag per answer"));
+    Ok((answers, stats))
 }
 
 /// Materialize a program over the database: returns a new database
@@ -962,15 +1174,13 @@ pub fn materialize(db: &EdbDatabase, program: &Program) -> Result<(EdbDatabase, 
                     &EvalOptions::default(),
                     &mut stats,
                 )?;
-                for b in bindings {
-                    let tuple: Option<Vec<Const>> =
-                        rule.head.args.iter().map(|t| term_value(t, &b)).collect();
-                    let Some(tuple) = tuple else {
-                        return Err(DatalogError::UnsafeVariable {
-                            clause: rule.to_string(),
-                            variable: String::new(),
-                        });
-                    };
+                let facts = bindings.project(&rule.head.args).map_err(|_| {
+                    DatalogError::UnsafeVariable {
+                        clause: rule.to_string(),
+                        variable: String::new(),
+                    }
+                })?;
+                for tuple in facts {
                     if total.insert(rule.head.pred, tuple)? {
                         stats.facts_derived += 1;
                         any_new = true;

@@ -321,7 +321,7 @@ impl Relation {
 /// A database of stored relations (the EDB, or a materialized EDB+IDB).
 #[derive(Debug, Clone, Default)]
 pub struct EdbDatabase {
-    relations: HashMap<PredSym, Relation>,
+    relations: crate::fxhash::FxHashMap<PredSym, Relation>,
 }
 
 impl EdbDatabase {

@@ -16,9 +16,11 @@
 
 use crate::error::{ObjDbError, Result};
 use crate::store::ObjectDb;
-use sqo_datalog::eval::{answer_query_with, EvalOptions};
+use sqo_datalog::eval::{answer_query_with, collect_ranges, EvalOptions};
+use sqo_datalog::fxhash::FxHashMap;
 use sqo_datalog::{Atom, Const, Literal, PredSym, Query, Term, Var};
 use sqo_translate::RelKind;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -88,20 +90,33 @@ pub fn rewrite_for_extents(db: &ObjectDb, q: &Query) -> Query {
 /// extent-first anti-join decomposition is suppressed only when an
 /// ordered-index range probe will actually be taken.
 pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> Query {
-    // Count variable occurrences across the whole query.
-    let mut occurrences: HashMap<Var, usize> = HashMap::new();
-    let bump = |v: &Var, occ: &mut HashMap<Var, usize>| {
-        *occ.entry(*v).or_insert(0) += 1;
-    };
-    for t in &q.projection {
-        if let Term::Var(v) = t {
-            bump(v, &mut occurrences);
-        }
+    physical(db, q, opts).into_owned()
+}
+
+/// The query in the shape the executor runs, borrowed when the rewrite
+/// leaves it as it is — plan choice prices every equivalent on each
+/// request, and most of them have nothing to rewrite.
+pub(crate) fn physical<'q>(db: &ObjectDb, q: &'q Query, opts: ExecOptions) -> Cow<'q, Query> {
+    match physical_body(db, q, opts) {
+        Some(body) => Cow::Owned(Query::new(q.name.clone(), q.projection.clone(), body)),
+        None => Cow::Borrowed(q),
     }
-    for l in &q.body {
-        for v in l.vars() {
-            bump(v, &mut occurrences);
-        }
+}
+
+/// The rewritten body, or `None` when no literal changes and no extent
+/// scan is prepended.
+fn physical_body(db: &ObjectDb, q: &Query, opts: ExecOptions) -> Option<Vec<Literal>> {
+    // Count variable occurrences across the whole query.
+    let mut occurrences: FxHashMap<Var, usize> = FxHashMap::default();
+    occurrences.reserve(4 * q.body.len());
+    let projected = q.projection.iter().filter_map(Term::as_var);
+    let in_atoms = q.body.iter().filter_map(Literal::atom).flat_map(Atom::vars);
+    let in_cmps = q.body.iter().filter_map(|l| match l {
+        Literal::Cmp(c) => Some(c.vars()),
+        _ => None,
+    });
+    for v in projected.chain(in_atoms).chain(in_cmps.flatten()) {
+        *occurrences.entry(*v).or_insert(0) += 1;
     }
     let is_object_rel = |pred: &PredSym| {
         matches!(
@@ -116,7 +131,7 @@ pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> 
         // An attribute position is "used" if its variable occurs anywhere
         // else in the query (more often than inside this atom alone) or
         // is a constant.
-        let mut local: HashMap<&Var, usize> = HashMap::new();
+        let mut local: FxHashMap<&Var, usize> = FxHashMap::default();
         for t in &a.args[1..] {
             if let Term::Var(v) = t {
                 *local.entry(v).or_insert(0) += 1;
@@ -145,7 +160,7 @@ pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> 
         if !matches!(decl.kind, RelKind::Class { .. } | RelKind::Struct { .. }) {
             return None;
         }
-        let mut local: HashMap<&Var, usize> = HashMap::new();
+        let mut local: FxHashMap<&Var, usize> = FxHashMap::default();
         for v in a.vars() {
             *local.entry(v).or_insert(0) += 1;
         }
@@ -184,19 +199,20 @@ pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> 
             None
         }
     };
-    let mut body: Vec<Literal> = q
+    let rewritten: Vec<Option<Literal>> = q
         .body
         .iter()
         .map(|l| match l {
-            Literal::Pos(a) => rewrite_atom(a)
-                .map(Literal::Pos)
-                .unwrap_or_else(|| l.clone()),
-            Literal::Neg(a) => rewrite_atom(a)
-                .or_else(|| rewrite_neg(a))
-                .map(Literal::Neg)
-                .unwrap_or_else(|| l.clone()),
-            Literal::Cmp(_) => l.clone(),
+            Literal::Pos(a) => rewrite_atom(a).map(Literal::Pos),
+            Literal::Neg(a) => rewrite_atom(a).or_else(|| rewrite_neg(a)).map(Literal::Neg),
+            Literal::Cmp(_) => None,
         })
+        .collect();
+    // The body as it will run, borrowed where a literal is unchanged.
+    let body: Vec<&Literal> = rewritten
+        .iter()
+        .zip(&q.body)
+        .map(|(new, old)| new.as_ref().unwrap_or(old))
         .collect();
     // The paper's Application 2 plan: "first identify those objects that
     // are in class Person but not in class Faculty, and then retrieve
@@ -217,7 +233,9 @@ pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> 
     // ordered index (a harvested bound on an indexed attribute): the
     // extent-first decomposition would force a full extent scan where
     // the index already restricts the fetches.
-    let ranges = sqo_datalog::eval::collect_ranges(&body);
+    // Comparisons are never rewritten, so the original body's ranges are
+    // the physical body's.
+    let ranges = collect_ranges(&q.body);
     let can_range_probe = |a: &Atom| {
         if opts.scan_only {
             return false;
@@ -254,11 +272,12 @@ pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> 
             }));
         }
     }
-    if !prefix.is_empty() {
-        prefix.append(&mut body);
-        body = prefix;
+    if prefix.is_empty() && rewritten.iter().all(Option::is_none) {
+        return None;
     }
-    Query::new(q.name.clone(), q.projection.clone(), body)
+    let literals = rewritten.into_iter().zip(&q.body);
+    prefix.extend(literals.map(|(new, old)| new.unwrap_or_else(|| old.clone())));
+    Some(prefix)
 }
 
 /// Physical knobs for one objdb execution, forwarded to the Datalog
@@ -300,7 +319,7 @@ pub fn execute_with(
 ) -> Result<(Vec<Vec<Const>>, CostReport)> {
     let _span = sqo_obs::span!("objdb.execute");
     sqo_obs::bump(sqo_obs::Counter::ExecQueries);
-    let physical = rewrite_for_extents_with(db, q, opts);
+    let physical = physical(db, q, opts);
 
     // Materialize method facts for every method atom's constant args.
     for l in &physical.body {

@@ -3,250 +3,182 @@
 //! semantically equivalent queries produced by SQO and picks the one
 //! whose (estimated) evaluation plan is cheapest.
 //!
-//! The model is deliberately textbook: greedy join ordering (the same
-//! policy as the evaluator), independence-assumption selectivities
-//! (`1/distinct` per bound join column, fixed factors for comparisons),
-//! and per-relation-kind access weights reflecting the object-level cost
-//! of each probe (object fetch ≫ extent probe).
+//! The estimator prices the executor's own steps: the body is ordered by
+//! [`execution_order`] — the function the evaluator runs — so a ground
+//! equality binds its variable before the atom that carries it, and each
+//! positive atom is priced against the access path
+//! [`choose_access_path`] picks for the estimated number of input
+//! bindings: a declared hash index on a bound column examines only the
+//! expected matches, an ordered index with a harvested range bound
+//! examines the true in-range count (probed from the index itself), an
+//! unindexed bound column is a filtered scan per binding or, past the
+//! evaluator's break-even, a one-time ephemeral build pass.
 //!
-//! The estimator is *index-aware*: each positive atom is priced against
-//! the access path the executor would actually pick — a declared hash
-//! index on a bound column examines only the expected matches, an
-//! ordered index with a harvested range bound examines the true
-//! in-range count (probed from the index itself), an ephemeral join
-//! index pays a one-time build pass, and everything else is a scan.
-//! Distinct counts come from index postings when a hash index exists.
+//! The rest is deliberately textbook: a join selectivity of `1/distinct`
+//! of the atom's most selective bound column, fixed factors for
+//! comparisons, and per-relation-kind access weights reflecting the
+//! object-level cost of each probe (object fetch ≫ extent probe).
+//! Distinct counts are column statistics of the cached EDB
+//! (`ObjectDb::column_distinct`): counted once per EDB build.
 
-use crate::exec::rewrite_for_extents;
+use crate::exec::{physical, ExecOptions};
 use crate::store::ObjectDb;
-use sqo_datalog::eval::{collect_ranges, RangeMap};
+use sqo_datalog::eval::{
+    choose_access_path, collect_ranges, execution_order, AccessPath, EvalOptions, RangeMap,
+};
 use sqo_datalog::program::Relation;
 use sqo_datalog::{CmpOp, Literal, PredSym, Query, Term, Var};
 use sqo_translate::RelKind;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Borrow;
 
 /// Access weight per probe, by relation kind.
 fn weight(db: &ObjectDb, pred: &PredSym) -> f64 {
-    if pred.name().ends_with("__extent") {
-        return 1.0;
-    }
     match db.catalog().relation_by_pred(pred).map(|d| &d.kind) {
         Some(RelKind::Class { .. }) | Some(RelKind::Struct { .. }) => 5.0,
         Some(RelKind::Relationship { .. }) => 2.0,
         Some(RelKind::View { .. }) => 2.0,
         Some(RelKind::Method { .. }) => 8.0,
+        None if pred.name().ends_with("__extent") => 1.0,
         None => 2.0,
     }
-}
-
-/// Relation cardinality (0 for unknown relations).
-fn cardinality(db: &ObjectDb, pred: &PredSym) -> f64 {
-    if let Some(stripped) = pred.name().strip_suffix("__extent") {
-        return db
-            .edb()
-            .relation(&PredSym::new(stripped))
-            .map(|r| r.len() as f64)
-            .unwrap_or(0.0);
-    }
-    db.edb()
-        .relation(pred)
-        .map(|r| r.len() as f64)
-        .unwrap_or(0.0)
-}
-
-/// Distinct-count memo shared across all [`estimate_cost`] calls within
-/// one [`choose_best`] — keyed by interned symbol, not by name string.
-pub type DistinctMemo = HashMap<(PredSym, usize), f64>;
-
-/// Distinct values in one column of a relation. Reads the declared-index
-/// postings count when a hash (or ordered) index covers the column;
-/// otherwise falls back to a set-building pass, memoized.
-fn distinct(db: &ObjectDb, pred: &PredSym, pos: usize, memo: &mut DistinctMemo) -> f64 {
-    let key = (*pred, pos);
-    if let Some(&d) = memo.get(&key) {
-        return d;
-    }
-    let d = db
-        .edb()
-        .relation(pred)
-        .map(|r| {
-            if let Some(k) = r.index_distinct(pos) {
-                return k.max(1) as f64;
-            }
-            let mut set = HashSet::new();
-            for t in r.tuples() {
-                if let Some(c) = t.get(pos) {
-                    set.insert(*c);
-                }
-            }
-            set.len().max(1) as f64
-        })
-        .unwrap_or(1.0);
-    memo.insert(key, d);
-    d
 }
 
 /// Selectivity of a range probe on one indexed column: the true in-range
 /// fraction, probed from the ordered index, clamped away from 0 and 1 so
 /// an estimate never claims a probe is free or useless.
-fn range_selectivity(rel: &Relation, pos: usize, v: &Var, ranges: &RangeMap) -> Option<f64> {
-    let (lo, hi) = ranges.get(v)?;
-    if lo.is_none() && hi.is_none() {
-        return None;
+fn range_selectivity(rel: &Relation, pos: usize, v: &Var, ranges: &RangeMap) -> f64 {
+    let in_range = ranges
+        .get(v)
+        .and_then(|(lo, hi)| rel.range_count(pos, lo.as_ref(), hi.as_ref()));
+    match in_range {
+        Some(k) if !rel.is_empty() => (k as f64 / rel.len() as f64).clamp(0.01, 0.95),
+        _ => 1.0,
     }
-    let n = rel.len();
-    if n == 0 {
-        return None;
-    }
-    let k = rel.range_count(pos, lo.as_ref(), hi.as_ref())?;
-    Some((k as f64 / n as f64).clamp(0.01, 0.95))
 }
 
 /// Estimate the evaluation cost of a query against the store. Lower is
 /// cheaper. The query is first rewritten to the same physical shape the
 /// executor uses (extent atoms for attribute-free class atoms).
 pub fn estimate_cost(db: &ObjectDb, q: &Query) -> f64 {
-    estimate_cost_memo(db, q, &mut DistinctMemo::new())
+    price_steps(db, q, |_, _| {})
+}
+
+/// The literals [`estimate_cost`] prices, in the order it prices them,
+/// each positive atom with the access path it was priced for — for
+/// explaining a plan choice and for checking the estimator against the
+/// evaluator. Stops where the estimate does: before the first negation
+/// or comparison that nothing can bind.
+pub fn priced_steps(db: &ObjectDb, q: &Query) -> Vec<(Literal, Option<AccessPath>)> {
+    let mut steps = Vec::new();
+    price_steps(db, q, |l, path| steps.push((l.clone(), path)));
+    steps
 }
 
 /// Adapt the store's index-aware plan cost into a best-first search
 /// [`CostModel`](sqo_datalog::search::CostModel): the frontier then pops
 /// the cheapest-looking variant first. Takes ownership of a store
 /// snapshot — [`ObjectDb`] is not `Sync`, so the mutex both serializes
-/// estimates and guards the store's interior caches — and shares one
-/// [`DistinctMemo`] across every estimate the search makes, so column
-/// statistics are computed once per search rather than once per variant.
+/// estimates and guards the store's interior caches.
 pub fn search_cost_model(db: ObjectDb) -> sqo_datalog::search::CostModel {
-    let state = std::sync::Mutex::new((db, DistinctMemo::new()));
+    let db = std::sync::Mutex::new(db);
     sqo_datalog::search::CostModel::Estimator(std::sync::Arc::new(move |q: &Query| {
-        let mut state = state.lock().expect("cost state poisoned");
-        let (db, memo) = &mut *state;
-        estimate_cost_memo(db, q, memo)
+        estimate_cost(&db.lock().expect("cost state poisoned"), q)
     }))
 }
 
-/// [`estimate_cost`] with a caller-owned distinct memo, so one
-/// [`choose_best`] reuses column statistics across all candidates.
-pub fn estimate_cost_memo(db: &ObjectDb, q: &Query, memo: &mut DistinctMemo) -> f64 {
-    let q = rewrite_for_extents(db, q);
+/// Walk the query's execution order, accumulating cost and the running
+/// cardinality estimate; `on_step` sees every literal as it is priced.
+fn price_steps(
+    db: &ObjectDb,
+    q: &Query,
+    mut on_step: impl FnMut(&Literal, Option<AccessPath>),
+) -> f64 {
+    let q = physical(db, q, ExecOptions::default());
     let ranges = collect_ranges(&q.body);
-    let mut bound: HashSet<Var> = HashSet::new();
-    let mut remaining: Vec<&Literal> = q.body.iter().collect();
+    let edb = db.edb();
+    let is_bound = |bound: &[Var], t: &Term| match t {
+        Term::Const(_) => true,
+        Term::Var(v) => bound.contains(v),
+    };
+    let mut bound: Vec<Var> = Vec::new();
+    let mut bound_cols: Vec<usize> = Vec::new();
     let mut card = 1.0f64;
     let mut cost = 0.0f64;
-    while !remaining.is_empty() {
-        // Flush fully-bound non-positive literals first (same policy as
-        // the evaluator).
-        if let Some(i) = remaining.iter().position(|l| match l {
-            Literal::Pos(_) => false,
-            _ => l.vars().iter().all(|v| bound.contains(v)),
-        }) {
-            let l = remaining.remove(i);
-            match l {
-                Literal::Cmp(c) => {
-                    let sel = match c.op {
-                        CmpOp::Eq => 0.1,
-                        CmpOp::Ne => 0.9,
-                        _ => 0.33,
-                    };
-                    card = (card * sel).max(0.0);
-                }
-                Literal::Neg(a) => {
-                    cost += card * weight(db, &a.pred);
-                    card *= 0.5;
-                }
-                Literal::Pos(_) => unreachable!(),
-            }
-            continue;
-        }
-        // Pick the positive literal sharing the most bound variables.
-        let best = remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.is_positive())
-            .max_by(|(i, a), (j, b)| {
-                let sa = a.vars().iter().filter(|v| bound.contains(**v)).count();
-                let sb = b.vars().iter().filter(|v| bound.contains(**v)).count();
-                sa.cmp(&sb).then(j.cmp(i))
-            })
-            .map(|(i, _)| i);
-        let Some(i) = best else {
+    for step in execution_order(&q.body) {
+        if !step.binds {
             // Only unbound negatives/cmps remain; charge a flat penalty.
             cost += card;
             break;
-        };
-        let l = remaining.remove(i);
-        let Literal::Pos(a) = l else { unreachable!() };
-        let n = cardinality(db, &a.pred);
-        let w = weight(db, &a.pred);
-        let mut sel = 1.0;
-        let mut bound_pos: Vec<usize> = Vec::new();
-        for (pos, t) in a.args.iter().enumerate() {
-            let is_bound = match t {
-                Term::Const(_) => true,
-                Term::Var(v) => bound.contains(v),
-            };
-            if is_bound {
-                bound_pos.push(pos);
-                sel /= distinct(db, &a.pred, pos, memo);
+        }
+        let mut path = None;
+        match step.literal {
+            Literal::Cmp(c) => {
+                let both_bound = is_bound(&bound, &c.lhs) && is_bound(&bound, &c.rhs);
+                card *= match c.op {
+                    // One bound side: the equality binds the other.
+                    CmpOp::Eq if !both_bound => 1.0,
+                    CmpOp::Eq => 0.1,
+                    CmpOp::Ne => 0.9,
+                    _ => 0.33,
+                };
+            }
+            Literal::Neg(a) => {
+                cost += card * weight(db, &a.pred);
+                card *= 0.5;
+            }
+            Literal::Pos(a) => {
+                let rel = edb.relation(&a.pred);
+                let n = rel.map_or(0.0, |r| r.len() as f64);
+                let w = weight(db, &a.pred);
+                bound_cols.clear();
+                bound_cols.extend((0..a.args.len()).filter(|&c| is_bound(&bound, &a.args[c])));
+                // The join selectivity is that of the most selective bound
+                // column — the one the executor probes. Further bound
+                // columns are mostly determined by it (an OID fixes every
+                // attribute; an inverse relationship repeats its forward
+                // edge, which is what Step 3's redundant atoms are), so
+                // multiplying their factors in would drive the estimate
+                // towards zero and make the longest body look cheapest.
+                let distinct = bound_cols
+                    .iter()
+                    .map(|&col| db.column_distinct(&a.pred, col))
+                    .fold(1.0, f64::max);
+                let mut sel = 1.0 / distinct;
+                // Repeated variables within the atom also filter.
+                for (i, t) in a.args.iter().enumerate() {
+                    if matches!(t, Term::Var(_)) && a.args[..i].contains(t) {
+                        sel *= 0.1;
+                    }
+                }
+                let n_in = card.max(1.0);
+                path = rel.map(|rel| {
+                    let opts = EvalOptions::default();
+                    choose_access_path(rel, a, &bound_cols, &ranges, n_in.ceil() as usize, &opts)
+                });
+                let matches = (n * sel).max(1.0);
+                let examined = match (path, rel) {
+                    (Some(AccessPath::HashProbe(_)), _) => matches,
+                    (Some(AccessPath::RangeProbe(col)), Some(rel)) => {
+                        let Term::Var(v) = &a.args[col] else {
+                            unreachable!("range probes are chosen on variable columns")
+                        };
+                        (n * range_selectivity(rel, col, v, &ranges)).max(1.0)
+                    }
+                    (Some(AccessPath::Build), _) => {
+                        cost += n * w; // ephemeral index build: one full pass
+                        matches
+                    }
+                    _ => n.max(1.0),
+                };
+                cost += n_in * examined * w;
+                card = (card * n * sel).max(0.0);
             }
         }
-        // Repeated variables within the atom also filter.
-        let mut seen: HashSet<&Var> = HashSet::new();
-        for t in &a.args {
-            if let Term::Var(v) = t {
-                if !seen.insert(v) {
-                    sel *= 0.1;
-                }
+        on_step(step.literal, path);
+        for v in step.literal.iter_vars() {
+            if !bound.contains(v) {
+                bound.push(*v);
             }
-        }
-        // Access-path pricing, mirroring the executor's choice order:
-        // hash probe on a bound indexed column examines only the expected
-        // matches; a range probe examines the true in-range count (read
-        // off the ordered index); an ephemeral join index pays a one-time
-        // build pass then examines matches; everything else scans.
-        let (hash_hit, range_sel) = {
-            let edb = db.edb();
-            match edb.relation(&a.pred) {
-                None => (false, None),
-                Some(rel) => {
-                    let hash_hit = bound_pos.iter().any(|&p| rel.has_hash_index(p));
-                    let range_sel = if !hash_hit && bound_pos.is_empty() {
-                        a.args
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(pos, t)| {
-                                let Term::Var(v) = t else { return None };
-                                if !rel.has_ordered_index(pos) {
-                                    return None;
-                                }
-                                range_selectivity(rel, pos, v, &ranges)
-                            })
-                            .fold(None, |acc: Option<f64>, s| {
-                                Some(acc.map_or(s, |a| a.min(s)))
-                            })
-                    } else {
-                        None
-                    };
-                    (hash_hit, range_sel)
-                }
-            }
-        };
-        let examined = if hash_hit {
-            (n * sel).max(1.0)
-        } else if let Some(rsel) = range_sel {
-            (n * rsel).max(1.0)
-        } else if !bound_pos.is_empty() {
-            cost += n * w; // ephemeral index build: one full pass
-            (n * sel).max(1.0)
-        } else {
-            n.max(1.0)
-        };
-        let produced = (card * n * sel).max(0.0);
-        cost += card.max(1.0) * examined * w;
-        card = produced;
-        for v in a.vars() {
-            bound.insert(*v);
         }
     }
     // Result materialization: a more selective query produces fewer
@@ -260,16 +192,16 @@ pub fn estimate_cost_memo(db: &ObjectDb, q: &Query, memo: &mut DistinctMemo) -> 
 /// Exact cost ties are broken deterministically: prefer the candidate
 /// with fewer body literals, then the lower index — so the winner does
 /// not depend on the enumeration order of the equivalent set.
-pub fn choose_best(db: &ObjectDb, queries: &[Query]) -> (usize, Vec<f64>) {
-    let mut memo = DistinctMemo::new();
+pub fn choose_best<Q: Borrow<Query>>(db: &ObjectDb, queries: &[Q]) -> (usize, Vec<f64>) {
     let costs: Vec<f64> = queries
         .iter()
-        .map(|q| estimate_cost_memo(db, q, &mut memo))
+        .map(|q| estimate_cost(db, q.borrow()))
         .collect();
     let mut best = 0;
     for (i, c) in costs.iter().enumerate() {
         if *c < costs[best]
-            || (*c == costs[best] && queries[i].body.len() < queries[best].body.len())
+            || (*c == costs[best]
+                && queries[i].borrow().body.len() < queries[best].borrow().body.len())
         {
             best = i;
         }
@@ -382,7 +314,7 @@ mod tests {
         let db = db_with_path();
         let q = parse_query("Q(N) <- student(X, N, A, Sid, Ad), A < 30").unwrap();
 
-        // The adapter must agree with the unmemoized estimate. The store
+        // The adapter must agree with the direct estimate. The store
         // construction is deterministic, so a second instance carries
         // identical statistics.
         let model = search_cost_model(db_with_path());
@@ -390,7 +322,7 @@ mod tests {
             panic!("adapter returns an estimator");
         };
         assert_eq!(est(&q), estimate_cost(&db, &q));
-        // Memoized second call: same statistics, same answer.
+        // Second call, column statistics now cached: same answer.
         assert_eq!(est(&q), estimate_cost(&db, &q));
 
         // Plugged into the search, a cost-ordered single-node frontier

@@ -28,6 +28,7 @@
 
 use crate::error::{ObjDbError, Result};
 use crate::value::{Oid, Value};
+use sqo_datalog::fxhash::FxHashMap;
 use sqo_datalog::program::EdbDatabase;
 use sqo_datalog::{Atom, Const, Literal, PredSym, Rule, Term};
 use sqo_odl::{BaseType, Member, Schema, Type};
@@ -95,11 +96,15 @@ pub struct ObjectDb {
 }
 
 /// One generation's cached EDB plus the method/argument combinations
-/// already materialized into it.
+/// already materialized into it and the column statistics counted on it.
 struct EdbCacheEntry {
     generation: u64,
     edb: Arc<EdbDatabase>,
     methods: HashSet<(String, Vec<Const>)>,
+    /// Distinct values per (relation, column), counted on the cost
+    /// model's first use: one pass per column per EDB build, not per
+    /// request.
+    distinct: RefCell<FxHashMap<(PredSym, usize), f64>>,
 }
 
 impl std::fmt::Debug for ObjectDb {
@@ -929,17 +934,48 @@ impl ObjectDb {
     /// Rebuild the cached EDB if it is missing or was built at an older
     /// generation. Pinned `Arc` clones of a stale entry stay untouched.
     fn refresh_edb(&self) {
-        let mut cache = self.edb_cache.borrow_mut();
-        let fresh = cache
+        // Checked under a shared borrow, so a caller already holding
+        // [`ObjectDb::edb`] may ask again (the entry is then fresh).
+        let fresh = self
+            .edb_cache
+            .borrow()
             .as_ref()
             .is_some_and(|e| e.generation == self.generation);
         if !fresh {
-            *cache = Some(EdbCacheEntry {
+            *self.edb_cache.borrow_mut() = Some(EdbCacheEntry {
                 generation: self.generation,
                 edb: Arc::new(self.build_edb()),
                 methods: HashSet::new(),
+                distinct: RefCell::default(),
             });
         }
+    }
+
+    /// Distinct values in one column of an EDB relation (at least 1; 1
+    /// for an unknown relation) — the cost model's join selectivity.
+    /// Read off the declared index's postings when the column has one,
+    /// else counted in one pass; either way kept with the cached EDB, so
+    /// a column is counted once per EDB build.
+    pub(crate) fn column_distinct(&self, pred: &PredSym, col: usize) -> f64 {
+        self.refresh_edb();
+        let cache = self.edb_cache.borrow();
+        let entry = cache.as_ref().expect("just built");
+        if let Some(&d) = entry.distinct.borrow().get(&(*pred, col)) {
+            return d;
+        }
+        let d = entry.edb.relation(pred).map_or(1, |r| {
+            r.index_distinct(col).unwrap_or_else(|| {
+                let values: HashSet<Const> = r
+                    .tuples()
+                    .iter()
+                    .filter_map(|t| t.get(col).copied())
+                    .collect();
+                values.len()
+            })
+        });
+        let d = d.max(1) as f64;
+        entry.distinct.borrow_mut().insert((*pred, col), d);
+        d
     }
 
     /// A consistent EDB snapshot pinned at the current generation.
@@ -1109,9 +1145,11 @@ impl ObjectDb {
             // Copy-on-write: if a pinned snapshot holds this Arc, the
             // clone keeps the pin isolated from the new facts.
             let db = Arc::make_mut(&mut entry.edb);
+            let pred = PredSym::new(pred);
             for t in facts {
-                db.insert(PredSym::new(pred), t).map_err(ObjDbError::from)?;
+                db.insert(pred, t).map_err(ObjDbError::from)?;
             }
+            entry.distinct.get_mut().retain(|(p, _), _| *p != pred);
             entry.methods.insert(key);
         }
         Ok(calls)

@@ -129,7 +129,7 @@ pub struct Catalog {
     struct_rel: HashMap<String, usize>,
     rel_rel: HashMap<(String, String), usize>,
     method_rel: HashMap<(String, String), usize>,
-    by_pred: HashMap<PredSym, usize>,
+    by_pred: sqo_datalog::fxhash::FxHashMap<PredSym, usize>,
     used_names: BTreeSet<String>,
 }
 
