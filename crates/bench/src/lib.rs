@@ -79,7 +79,7 @@ pub fn scope_reduction_scenario(total: usize, faculty_fraction: f64) -> Scenario
     let report = opt
         .optimize("select x.name from x in Person where x.age < 30")
         .expect("query optimizes");
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!("satisfiable");
     };
     let optimized = eqs
@@ -128,7 +128,7 @@ pub fn key_join_scenario(students: usize) -> Scenario {
                where z.name = w.name"#,
         )
         .expect("query optimizes");
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!("satisfiable");
     };
     // The paper's rewrite: Z = W added, Name1 = Name2 removed, faculty
@@ -196,7 +196,7 @@ pub fn asr_scenario(students: usize, courses: usize) -> Scenario {
                     w in v.has_ta"#,
         )
         .expect("query optimizes");
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!("satisfiable");
     };
     let optimized = eqs
@@ -255,7 +255,7 @@ pub fn asr_q1_scenario(students: usize, courses: usize) -> Scenario {
                     v in z.has_sections"#,
         )
         .expect("query optimizes");
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!("satisfiable");
     };
     // The Q1'' shape: asr + has_ta, chain removed.
@@ -340,7 +340,7 @@ pub fn indexed_rewrite_scenario(faculty: usize) -> Scenario {
     let report = opt
         .optimize("select x.name from x in Faculty where x.rank = \"professor\"")
         .expect("query optimizes");
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!("satisfiable");
     };
     let optimized = eqs

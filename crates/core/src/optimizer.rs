@@ -22,6 +22,8 @@ use sqo_obs as obs;
 use sqo_odl::Schema;
 use sqo_oql::SelectQuery;
 use sqo_translate::{apply_delta, translate_query, translate_schema, Catalog, QueryTranslation};
+use std::borrow::Cow;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One semantically equivalent query, in both representations.
 #[derive(Debug, Clone)]
@@ -64,6 +66,32 @@ pub enum Verdict {
     Equivalents(Vec<EquivalentQuery>),
 }
 
+/// What a finished optimization keeps besides its verdict, so a repeat
+/// of the same query re-derives neither: the rendered explain body
+/// (everything of [`OptimizationReport::explain_json`] except the
+/// per-request `stats`) and the chosen physical plan. Shared between a
+/// plan-cache instance and every report served from it; each part is
+/// filled by the first caller that asks for it.
+#[derive(Debug, Default)]
+pub(crate) struct Finished {
+    /// The body as [`OptimizationReport::explain_json`] prints it.
+    body: OnceLock<Box<str>>,
+    /// The body without insignificant whitespace (one-line responses).
+    compact_body: OnceLock<Box<str>>,
+    /// The cheapest equivalent as last priced.
+    plan: Mutex<Option<ChosenPlan>>,
+}
+
+/// A plan choice and the object-base state it was priced against: any
+/// mutation moves [`sqo_objdb::ObjectDb::generation`] and forces one
+/// re-pricing, a read-only base never re-prices.
+#[derive(Debug)]
+struct ChosenPlan {
+    generation: u64,
+    index: usize,
+    costs: Vec<f64>,
+}
+
 /// The full report of one optimization run.
 #[derive(Debug, Clone)]
 pub struct OptimizationReport {
@@ -73,22 +101,25 @@ pub struct OptimizationReport {
     pub normalized: SelectQuery,
     /// The Step 2 Datalog translation.
     pub datalog: Query,
-    /// The Step 3/4 outcome.
-    pub verdict: Verdict,
+    /// The Step 3/4 outcome (shared with the plan cache on a warm hit).
+    pub verdict: Arc<Verdict>,
     /// Counter/span deltas attributable to this one optimization run
     /// (difference of [`obs::snapshot`] taken around the pipeline).
     pub stats: obs::Snapshot,
+    /// The plan-cache instance's memo, when the report was served from
+    /// (or filled) one; `None` renders and prices on every call.
+    pub(crate) finished: Option<Arc<Finished>>,
 }
 
 impl OptimizationReport {
     /// Whether SQO proved the query unsatisfiable.
     pub fn is_contradiction(&self) -> bool {
-        matches!(self.verdict, Verdict::Contradiction { .. })
+        matches!(*self.verdict, Verdict::Contradiction { .. })
     }
 
     /// The equivalent queries (empty on contradiction).
     pub fn equivalents(&self) -> &[EquivalentQuery] {
-        match &self.verdict {
+        match &*self.verdict {
             Verdict::Contradiction { .. } => &[],
             Verdict::Equivalents(v) => v,
         }
@@ -101,10 +132,12 @@ impl OptimizationReport {
 
     /// Pick the cheapest equivalent against a concrete object base, using
     /// the index-aware cost model: the winning equivalent, its index, and
-    /// the per-candidate estimates (empty on contradiction). Works on
-    /// cached reports too, so the service's warm plan-cache path can
-    /// re-run plan selection against the current store without repeating
-    /// the semantic search.
+    /// the per-candidate estimates (empty on contradiction). A report
+    /// served through a [`crate::PlanCache`] hit remembers the choice
+    /// with the cache instance, tagged with `db.generation()`: repeats of
+    /// the query against an unchanged base skip the pricing, and any
+    /// mutation re-prices once. The tag is the generation alone, so one
+    /// plan cache is meant to serve one object base, as a session does.
     pub fn best_plan<'a>(
         &'a self,
         db: &sqo_objdb::ObjectDb,
@@ -113,9 +146,25 @@ impl OptimizationReport {
         if eqs.is_empty() {
             return None;
         }
+        let generation = db.generation();
+        // Held across the pricing, so concurrent repeats after a write
+        // price once between them.
+        let mut memo = self.finished.as_ref().and_then(|f| f.plan.lock().ok());
+        if let Some(Some(p)) = memo.as_deref() {
+            if p.generation == generation {
+                return Some((p.index, &eqs[p.index], p.costs.clone()));
+            }
+        }
         let queries: Vec<&Query> = eqs.iter().map(|e| &e.datalog).collect();
-        let (best, costs) = sqo_objdb::choose_best(db, &queries);
-        Some((best, &eqs[best], costs))
+        let (index, costs) = sqo_objdb::choose_best(db, &queries);
+        if let Some(slot) = memo.as_deref_mut() {
+            *slot = Some(ChosenPlan {
+                generation,
+                index,
+                costs: costs.clone(),
+            });
+        }
+        Some((index, &eqs[index], costs))
     }
 
     /// The refutation chain when the verdict is a contradiction: the
@@ -126,7 +175,7 @@ impl OptimizationReport {
             ic_name,
             note,
             steps,
-        } = &self.verdict
+        } = &*self.verdict
         else {
             return None;
         };
@@ -146,7 +195,7 @@ impl OptimizationReport {
         let mut out = String::new();
         out.push_str(&format!("query: {}\n", self.original));
         out.push_str(&format!("datalog: {}\n", self.datalog));
-        match &self.verdict {
+        match &*self.verdict {
             Verdict::Contradiction { .. } => {
                 out.push_str("verdict: contradiction (query can return no answers)\n");
                 if let Some(p) = self.contradiction_provenance() {
@@ -183,6 +232,38 @@ impl OptimizationReport {
     /// `equivalents` (array of objects with `oql`, `datalog`, `changed`,
     /// `warnings`, `provenance`), then `stats` (the [`obs::Snapshot`]).
     pub fn explain_json(&self) -> String {
+        let body = self.kept(|f| &f.body, || self.render_body());
+        [&body, "\"stats\": ", &self.stats.to_json(), "\n}"].concat()
+    }
+
+    /// [`Self::explain_json`] without insignificant whitespace: the form
+    /// a one-line wire response embeds.
+    pub fn explain_json_compact(&self) -> String {
+        let body = self.kept(
+            |f| &f.compact_body,
+            || obs::json_compact(&self.render_body()),
+        );
+        let stats = obs::json_compact(&self.stats.to_json());
+        [&body, "\"stats\":", &stats, "}"].concat()
+    }
+
+    /// `render()`, made once and kept in `slot` when the report has a
+    /// plan-cache instance to keep it with.
+    fn kept(
+        &self,
+        slot: impl FnOnce(&Finished) -> &OnceLock<Box<str>>,
+        render: impl FnOnce() -> String,
+    ) -> Cow<'_, str> {
+        match &self.finished {
+            Some(f) => Cow::Borrowed(slot(f).get_or_init(|| render().into())),
+            None => Cow::Owned(render()),
+        }
+    }
+
+    /// The one explain renderer: everything of [`Self::explain_json`] up
+    /// to the `stats` key. A pure function of the parsed query and the
+    /// verdict, which is why a plan-cache instance may keep it.
+    fn render_body(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "\"query\": {},\n",
@@ -192,7 +273,7 @@ impl OptimizationReport {
             "\"datalog\": {},\n",
             obs::json_string(&self.datalog.to_string())
         ));
-        match &self.verdict {
+        match &*self.verdict {
             Verdict::Contradiction { ic_name, note, .. } => {
                 out.push_str("\"verdict\": \"contradiction\",\n");
                 out.push_str(&format!(
@@ -228,7 +309,6 @@ impl OptimizationReport {
                 out.push_str("\n],\n");
             }
         }
-        out.push_str(&format!("\"stats\": {}\n}}", self.stats.to_json()));
         out
     }
 }
@@ -264,7 +344,7 @@ impl UnionReport {
             .iter()
             .enumerate()
             .filter_map(|(i, b)| {
-                let Verdict::Contradiction { ic_name, .. } = &b.verdict else {
+                let Verdict::Contradiction { ic_name, .. } = &*b.verdict else {
                     return None;
                 };
                 Some((i, ic_name.clone(), b.contradiction_provenance()?))
@@ -442,8 +522,9 @@ impl SemanticOptimizer {
             original: original.clone(),
             normalized: translation.normalized,
             datalog,
-            verdict,
+            verdict: Arc::new(verdict),
             stats: obs::snapshot().since(&before),
+            finished: None,
         })
     }
 
@@ -495,19 +576,16 @@ pub(crate) fn outcome_to_verdict(
     translation: &QueryTranslation,
     catalog: &Catalog,
 ) -> Result<Verdict> {
-    Ok(match outcome {
+    let verdict = match outcome {
         Outcome::Contradiction {
             ic_name,
             note,
             steps,
-        } => {
-            obs::bump(obs::Counter::OptimizerContradictions);
-            Verdict::Contradiction {
-                ic_name,
-                note,
-                steps,
-            }
-        }
+        } => Verdict::Contradiction {
+            ic_name,
+            note,
+            steps,
+        },
         Outcome::Equivalents(variants) => {
             let mut out = Vec::with_capacity(variants.len());
             for v in variants {
@@ -521,13 +599,24 @@ pub(crate) fn outcome_to_verdict(
                     oql_warnings: edit.warnings,
                 });
             }
-            obs::add(
-                obs::Counter::OptimizerRewrites,
-                out.iter().filter(|e| !e.delta.is_empty()).count() as u64,
-            );
             Verdict::Equivalents(out)
         }
-    })
+    };
+    count_verdict(&verdict);
+    Ok(verdict)
+}
+
+/// Counts one optimization's verdict into `optimizer.contradictions` or
+/// `optimizer.rewrites`, whether it was just derived or is served again
+/// from a plan-cache instance.
+pub(crate) fn count_verdict(verdict: &Verdict) {
+    match verdict {
+        Verdict::Contradiction { .. } => obs::bump(obs::Counter::OptimizerContradictions),
+        Verdict::Equivalents(eqs) => obs::add(
+            obs::Counter::OptimizerRewrites,
+            eqs.iter().filter(|e| !e.delta.is_empty()).count() as u64,
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -573,7 +662,7 @@ mod tests {
             )
             .unwrap();
         assert!(report.is_contradiction(), "verdict: {:?}", report.verdict);
-        if let Verdict::Contradiction { ic_name, .. } = &report.verdict {
+        if let Verdict::Contradiction { ic_name, .. } = &*report.verdict {
             assert_eq!(ic_name.as_deref(), Some("IC3"));
         }
     }
@@ -681,6 +770,65 @@ mod tests {
         let text = folded.oql.to_string();
         assert!(text.contains("w in x.asr"), "{text}");
         assert!(!text.contains("takes"), "{text}");
+    }
+
+    /// The chosen plan rides with the plan-cache instance, tagged with
+    /// the object base's generation: a repeat against an unchanged base
+    /// reads it back, any write re-prices exactly like a fresh report.
+    #[test]
+    fn chosen_plan_is_remembered_until_the_object_base_changes() {
+        let mut opt = SemanticOptimizer::university();
+        opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+            .unwrap();
+        let prep = opt.prepare();
+        let cache = crate::PlanCache::new();
+        let mut db = sqo_objdb::UniversityConfig::default().build().unwrap().db;
+        let q = "select x.name from x in Person where x.age < 28";
+        prep.optimize_cached(&cache, q).unwrap();
+        let (filled, _) = prep.optimize_cached(&cache, q).unwrap();
+        let memo = Arc::clone(filled.finished.as_ref().expect("a hit fills an instance"));
+        assert!(memo.plan.lock().unwrap().is_none(), "priced on demand");
+
+        let fresh = prep.optimize(q).unwrap();
+        let (idx, _, priced_before) = filled.best_plan(&db).unwrap();
+        let (fresh_idx, _, fresh_costs) = fresh.best_plan(&db).unwrap();
+        assert_eq!((idx, &priced_before), (fresh_idx, &fresh_costs));
+        assert_eq!(
+            memo.plan.lock().unwrap().as_ref().map(|p| p.generation),
+            Some(db.generation())
+        );
+
+        // A repeat shares the memo and reads it: a marker planted in the
+        // remembered costs comes back instead of a re-pricing.
+        let (repeat, _) = prep.optimize_cached(&cache, q).unwrap();
+        assert!(Arc::ptr_eq(repeat.finished.as_ref().unwrap(), &memo));
+        memo.plan.lock().unwrap().as_mut().unwrap().costs[0] = -1.0;
+        assert_eq!(repeat.best_plan(&db).unwrap().2[0], -1.0);
+
+        // A write that changes a selectivity moves the generation: the
+        // next repeat prices again, as a fresh report does, and the plan
+        // it picks still answers like the untouched original.
+        for i in 0..200 {
+            db.create(
+                "Student",
+                vec![("name", format!("young{i}").into()), ("age", 19.into())],
+            )
+            .unwrap();
+        }
+        let (repeat, _) = prep.optimize_cached(&cache, q).unwrap();
+        let (idx, eq, costs) = repeat.best_plan(&db).unwrap();
+        let (fresh_idx, _, fresh_costs) = fresh.best_plan(&db).unwrap();
+        assert_eq!((idx, &costs), (fresh_idx, &fresh_costs));
+        assert_ne!(costs, priced_before, "200 more students move the estimates");
+        let mut got = sqo_objdb::execute(&db, &eq.datalog).unwrap().0;
+        let mut want = sqo_objdb::execute(&db, &repeat.datalog).unwrap().0;
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        assert_eq!(
+            memo.plan.lock().unwrap().as_ref().map(|p| p.generation),
+            Some(db.generation())
+        );
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! one entry, with the residue-applicability conditions re-checked
 //! cheaply against the bound constants (the *parameter signature*), and
 //! the cached rewrite set retargeted onto the new variables and
-//! constants before Step 4 runs.
+//! constants before Step 4 runs. Each entry also keeps the *finished
+//! instances* of the queries it has answered — the Step-4 verdict, the
+//! rendered explanation and the chosen physical plan — so a repeated
+//! query costs Step 2, one lookup and its execution.
 //!
 //! ## Why the parameter signature is sound
 //!
@@ -28,17 +31,21 @@
 //! IC-derived constant.
 
 use crate::error::Result;
-use crate::optimizer::{outcome_to_verdict, OptimizationReport, SemanticOptimizer};
+use crate::optimizer::{
+    count_verdict, outcome_to_verdict, Finished, OptimizationReport, SemanticOptimizer, Verdict,
+};
 use sqo_datalog::search::{self, Outcome, SearchConfig, Variant};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::{Atom, CanonicalTemplate, Comparison, Literal, Query, Term};
 use sqo_obs as obs;
 use sqo_odl::Schema;
 use sqo_oql::SelectQuery;
-use sqo_translate::{translate_query, Catalog};
+use sqo_translate::{translate_query, Catalog, QueryTranslation};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use sqo_datalog::term::{Const, Var};
 
@@ -85,8 +92,121 @@ struct CacheEntry {
     repr_params: Vec<Const>,
     /// The representative's variables, in canonical order.
     repr_var_order: Vec<Var>,
-    /// The representative's search outcome.
-    outcome: Outcome,
+    /// The representative's search outcome. Shared, so a hit copies a
+    /// pointer under the shard lock and retargets outside it.
+    outcome: Arc<Outcome>,
+    /// The queries this entry has finished, by [`binding_hash`]. They
+    /// live and die with the entry: a rebind, an eviction or an
+    /// invalidation of the entry drops them.
+    instances: HashMap<u64, Instance>,
+}
+
+/// One query answered under a [`CacheEntry`], finished: what a repeat of
+/// the same query gets without retargeting, Step 4, pricing or
+/// rendering.
+struct Instance {
+    /// The parsed query — all that Step 4 and the explain renderer read
+    /// besides the entry. The binding hash only finds the slot; equality
+    /// here decides the hit, because two OQL surfaces (`select x.a, y.b`
+    /// and `select list(x.a, y.b)`) can share a template and a binding
+    /// yet print different rewrites.
+    query: SelectQuery,
+    verdict: Arc<Verdict>,
+    finished: Arc<Finished>,
+}
+
+/// Where a template's instance for these variables and constants lives.
+fn binding_hash(template: &CanonicalTemplate) -> u64 {
+    let mut h = DefaultHasher::new();
+    template.var_order.hash(&mut h);
+    template.params.hash(&mut h);
+    h.finish()
+}
+
+/// One independently locked slice of the cache.
+#[derive(Default)]
+struct Shard {
+    entries: HashMap<u64, CacheEntry>,
+    /// Instances over all entries of this shard, held to the same budget
+    /// as the entries.
+    instances: usize,
+}
+
+impl Shard {
+    /// Takes the entry of `template` out, its instances with it.
+    fn remove(&mut self, template: u64) -> Option<CacheEntry> {
+        let entry = self.entries.remove(&template)?;
+        self.instances -= entry.instances.len();
+        Some(entry)
+    }
+
+    /// Inserts (or replaces) the entry of `template`; a full shard gives
+    /// up an arbitrary other entry first. Returns the entry displaced
+    /// either way, for the caller to drop outside the shard lock.
+    fn store(&mut self, template: u64, entry: CacheEntry, capacity: usize) -> Option<CacheEntry> {
+        let mut displaced = self.remove(template);
+        if displaced.is_none() && self.entries.len() >= capacity {
+            if let Some(&k) = self.entries.keys().next() {
+                displaced = self.remove(k);
+                let evicted = displaced.as_ref().map_or(0, |e| e.instances.len());
+                obs::add(obs::Counter::PlanCacheInstanceEvictions, evicted as u64);
+            }
+        }
+        self.entries.insert(template, entry);
+        displaced
+    }
+
+    /// Attaches `instance` to the entry it was derived from — unless that
+    /// entry was replaced meanwhile — and, over budget, gives up an
+    /// arbitrary other instance, the way [`Shard::store`] does entries.
+    /// Returns the instance displaced, for the caller to drop outside
+    /// the shard lock.
+    fn fill(
+        &mut self,
+        template: u64,
+        outcome: &Arc<Outcome>,
+        binding: u64,
+        instance: Instance,
+        capacity: usize,
+    ) -> Option<Instance> {
+        let Some(entry) = self
+            .entries
+            .get_mut(&template)
+            .filter(|e| Arc::ptr_eq(&e.outcome, outcome))
+        else {
+            return Some(instance);
+        };
+        if let Some(same_slot) = entry.instances.insert(binding, instance) {
+            return Some(same_slot);
+        }
+        self.instances += 1;
+        if self.instances <= capacity {
+            return None;
+        }
+        // The entry just filled usually holds the victim; only when the
+        // new instance is its first do the other entries get a look.
+        let own = entry.instances.keys().find(|k| **k != binding);
+        let (t, k) = own.map(|k| (template, *k)).or_else(|| {
+            self.entries
+                .iter()
+                .filter(|(t, _)| **t != template)
+                .find_map(|(t, e)| Some((*t, *e.instances.keys().next()?)))
+        })?;
+        let evicted = self.entries.get_mut(&t)?.instances.remove(&k)?;
+        self.instances -= 1;
+        obs::bump(obs::Counter::PlanCacheInstanceEvictions);
+        Some(evicted)
+    }
+}
+
+/// What the cache holds for one query.
+enum Lookup {
+    /// The query itself was finished before.
+    Instance(Arc<Verdict>, Arc<Finished>),
+    /// The template's outcome applies; retarget it and finish.
+    Template(Arc<Outcome>, Retarget),
+    /// Nothing usable: search. `had_entry` tells a rebind from a miss.
+    Search { had_entry: bool },
 }
 
 /// A bounded, invalidation-aware cache of Step-3 search outcomes keyed
@@ -101,15 +221,22 @@ struct CacheEntry {
 /// `plan_cache.*` counters are bumped exactly as before, so per-shard
 /// stats always sum to the old global totals.
 ///
+/// Finished instances hang off the entries and share their budget: over
+/// the whole cache there are never more instances than `capacity`, an
+/// instance goes when its entry is rebound, evicted or invalidated, and a
+/// full shard gives up an arbitrary instance per insertion
+/// ([`PlanCache::instance_count`], `plan_cache.instance_evictions`).
+///
 /// [`PlanCache::invalidate`] bumps the generation and drops every entry
 /// in every shard — call it whenever the constraint set changes (the
 /// service does this on IC reload).
 pub struct PlanCache {
-    shards: Box<[Mutex<HashMap<u64, CacheEntry>>]>,
+    shards: Box<[Mutex<Shard>]>,
     /// `shards.len() - 1`; shard count is always a power of two.
     shard_mask: u64,
     generation: AtomicU64,
-    /// Per-shard entry budget (total capacity / shard count).
+    /// Per-shard budget (total capacity / shard count), for entries and
+    /// for finished instances alike.
     shard_capacity: usize,
 }
 
@@ -143,7 +270,7 @@ impl PlanCache {
         let capacity = capacity.max(1);
         PlanCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             shard_mask: (shards - 1) as u64,
@@ -155,8 +282,18 @@ impl PlanCache {
     /// The shard holding `hash`. Template hashes are already avalanched,
     /// but fold the high half in so shard choice never depends on low
     /// bits alone.
-    fn shard(&self, hash: u64) -> &Mutex<HashMap<u64, CacheEntry>> {
+    fn shard(&self, hash: u64) -> &Mutex<Shard> {
         &self.shards[((hash ^ (hash >> 32)) & self.shard_mask) as usize]
+    }
+
+    /// Changes the shard holding `hash`. What the change displaced is
+    /// dropped here, after the shard lock: freeing plans needs no lock.
+    fn update<T>(&self, hash: u64, change: impl FnOnce(&mut Shard, usize) -> Option<T>) {
+        let displaced = match self.shard(hash).lock() {
+            Ok(mut shard) => change(&mut shard, self.shard_capacity),
+            Err(_) => None,
+        };
+        drop(displaced);
     }
 
     /// Number of independently locked shards.
@@ -168,8 +305,16 @@ impl PlanCache {
     pub fn shard_lens(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.lock().map(|e| e.len()).unwrap_or(0))
+            .map(|s| s.lock().map(|s| s.entries.len()).unwrap_or(0))
             .collect()
+    }
+
+    /// Finished instances over all entries; at most the cache's capacity.
+    pub fn instance_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().map(|s| s.instances).unwrap_or(0))
+            .sum()
     }
 
     /// The current invalidation generation.
@@ -195,9 +340,13 @@ impl PlanCache {
     pub fn invalidate(&self) {
         self.generation.fetch_add(1, Ordering::AcqRel);
         for shard in self.shards.iter() {
-            if let Ok(mut entries) = shard.lock() {
-                obs::add(obs::Counter::PlanCacheInvalidations, entries.len() as u64);
-                entries.clear();
+            // Dropped after the guard: freeing plans needs no lock.
+            let dropped = shard.lock().map(|mut s| std::mem::take(&mut *s));
+            if let Ok(dropped) = dropped {
+                obs::add(
+                    obs::Counter::PlanCacheInvalidations,
+                    dropped.entries.len() as u64,
+                );
             }
         }
     }
@@ -303,8 +452,9 @@ impl PreparedOptimizer {
             original: original.clone(),
             normalized: translation.normalized,
             datalog,
-            verdict,
+            verdict: Arc::new(verdict),
             stats: obs::snapshot().since(&before),
+            finished: None,
         })
     }
 
@@ -347,8 +497,9 @@ impl PreparedOptimizer {
             original: original.clone(),
             normalized: translation.normalized,
             datalog,
-            verdict,
+            verdict: Arc::new(verdict),
             stats: obs::snapshot().since(&before),
+            finished: None,
         })
     }
 
@@ -362,10 +513,12 @@ impl PreparedOptimizer {
         self.optimize_query_cached(cache, &original)
     }
 
-    /// Optimize a parsed OQL query through the semantic-plan cache: on a
-    /// template hit with a matching parameter signature the Step-3
-    /// search is skipped entirely and the cached rewrite set is
-    /// retargeted onto this query's variables and constants.
+    /// Optimize a parsed OQL query through the semantic-plan cache. A
+    /// query the cache has finished before gets its verdict back as is;
+    /// on a template hit with a matching parameter signature the Step-3
+    /// search is skipped and the cached rewrite set is retargeted onto
+    /// this query's variables and constants, which finishes an instance
+    /// for the next repeat.
     pub fn optimize_query_cached(
         &self,
         cache: &PlanCache,
@@ -375,20 +528,46 @@ impl PreparedOptimizer {
         let before = obs::snapshot();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
-        let datalog = translation.query.clone();
+        let datalog = &translation.query;
 
-        let (template, cached) = {
+        let (template, binding, found) = {
             let _s = obs::span!("cache.lookup");
             let template = datalog.canonical_template();
-            let cached = self.try_cached(cache, &template);
-            (template, cached)
+            let binding = binding_hash(&template);
+            let found = self.lookup(cache, &template, binding, original);
+            (template, binding, found)
         };
-        let (outcome, disposition) = match cached {
-            Ok(outcome) => {
+        let (verdict, finished, disposition) = match found {
+            Lookup::Instance(verdict, finished) => {
                 obs::bump(obs::Counter::PlanCacheHits);
-                (outcome, CacheOutcome::Hit)
+                obs::bump(obs::Counter::PlanCacheInstanceHits);
+                count_verdict(&verdict);
+                (verdict, Some(finished), CacheOutcome::Hit)
             }
-            Err(had_entry) => {
+            Lookup::Template(outcome, retarget) => {
+                obs::bump(obs::Counter::PlanCacheHits);
+                let retargeted = {
+                    let _s = obs::span!("cache.retarget");
+                    retarget.outcome(&outcome)
+                };
+                let verdict = Arc::new(outcome_to_verdict(
+                    retargeted,
+                    datalog,
+                    &translation,
+                    &self.catalog,
+                )?);
+                let finished = Arc::new(Finished::default());
+                let instance = Instance {
+                    query: original.clone(),
+                    verdict: Arc::clone(&verdict),
+                    finished: Arc::clone(&finished),
+                };
+                cache.update(template.hash, |shard, capacity| {
+                    shard.fill(template.hash, &outcome, binding, instance, capacity)
+                });
+                (verdict, Some(finished), CacheOutcome::Hit)
+            }
+            Lookup::Search { had_entry } => {
                 let disposition = if had_entry {
                     obs::bump(obs::Counter::PlanCacheRebinds);
                     CacheOutcome::Rebind
@@ -396,55 +575,69 @@ impl PreparedOptimizer {
                     obs::bump(obs::Counter::PlanCacheMisses);
                     CacheOutcome::Miss
                 };
-                let outcome = search::optimize(&datalog, &self.ctx, &self.search);
-                self.store(cache, &datalog, &template, &outcome);
-                (outcome, disposition)
+                let outcome = search::optimize(datalog, &self.ctx, &self.search);
+                self.store(cache, datalog, &template, &outcome);
+                let verdict = outcome_to_verdict(outcome, datalog, &translation, &self.catalog)?;
+                (Arc::new(verdict), None, disposition)
             }
         };
-        let verdict = outcome_to_verdict(outcome, &datalog, &translation, &self.catalog)?;
+        let QueryTranslation {
+            query, normalized, ..
+        } = translation;
         Ok((
             OptimizationReport {
                 original: original.clone(),
-                normalized: translation.normalized,
-                datalog,
+                normalized,
+                datalog: query,
                 verdict,
                 stats: obs::snapshot().since(&before),
+                finished,
             },
             disposition,
         ))
     }
 
-    /// Look the template up and, when applicable, return the cached
-    /// outcome retargeted onto this query. `Err(had_entry)` asks the
-    /// caller to run a fresh search.
-    fn try_cached(
+    /// What the cache holds for `original`, whose template is `template`:
+    /// one probe for the entry, one for the instance, both under the
+    /// shard lock, which is held for pointer copies only.
+    fn lookup(
         &self,
         cache: &PlanCache,
         template: &CanonicalTemplate,
-    ) -> std::result::Result<Outcome, bool> {
-        let entries = cache.shard(template.hash).lock().map_err(|_| false)?;
-        let Some(entry) = entries.get(&template.hash) else {
-            return Err(false);
+        binding: u64,
+        original: &SelectQuery,
+    ) -> Lookup {
+        let Ok(shard) = cache.shard(template.hash).lock() else {
+            return Lookup::Search { had_entry: false };
+        };
+        let Some(entry) = shard.entries.get(&template.hash) else {
+            return Lookup::Search { had_entry: false };
         };
         if entry.generation != self.generation
             || entry.repr_params.len() != template.params.len()
             || entry.repr_var_order.len() != template.var_order.len()
         {
-            return Err(true);
+            return Lookup::Search { had_entry: true };
+        }
+        // An instance was finished under this very entry for these very
+        // parameters, so their signature needs no second check.
+        if let Some(i) = entry.instances.get(&binding) {
+            if i.query == *original {
+                return Lookup::Instance(Arc::clone(&i.verdict), Arc::clone(&i.finished));
+            }
         }
         if param_signature(&template.params, &entry.thresholds) != entry.signature {
-            return Err(true);
+            return Lookup::Search { had_entry: true };
         }
-        let outcome = entry.outcome.clone();
-        let retarget = Retarget::new(
-            &entry.repr_var_order,
-            &template.var_order,
-            &entry.repr_params,
-            &template.params,
-        );
-        drop(entries);
-        let _s = obs::span!("cache.retarget");
-        Ok(retarget.outcome(outcome))
+        Lookup::Template(
+            Arc::clone(&entry.outcome),
+            Retarget::new(
+                &entry.repr_var_order,
+                &template.var_order,
+                &entry.repr_params,
+                &template.params,
+            ),
+        )
     }
 
     /// Insert (or replace) the template's entry with a fresh outcome.
@@ -464,16 +657,12 @@ impl PreparedOptimizer {
             thresholds,
             repr_params: template.params.clone(),
             repr_var_order: template.var_order.clone(),
-            outcome: outcome.clone(),
+            outcome: Arc::new(outcome.clone()),
+            instances: HashMap::new(),
         };
-        if let Ok(mut entries) = cache.shard(template.hash).lock() {
-            if entries.len() >= cache.shard_capacity && !entries.contains_key(&template.hash) {
-                if let Some(&k) = entries.keys().next() {
-                    entries.remove(&k);
-                }
-            }
-            entries.insert(template.hash, entry);
-        }
+        cache.update(template.hash, |shard, capacity| {
+            shard.store(template.hash, entry, capacity)
+        });
     }
 }
 
@@ -655,15 +844,15 @@ impl Retarget {
     /// new variables/constants; derivation steps are kept verbatim — the
     /// provenance describes the template representative's derivation,
     /// which is step-for-step the derivation of the new query.
-    fn outcome(mut self, o: Outcome) -> Outcome {
+    fn outcome(mut self, o: &Outcome) -> Outcome {
         match o {
-            Outcome::Contradiction { .. } => o,
+            Outcome::Contradiction { .. } => o.clone(),
             Outcome::Equivalents(variants) => Outcome::Equivalents(
                 variants
-                    .into_iter()
+                    .iter()
                     .map(|v| Variant {
                         query: self.query(&v.query),
-                        steps: v.steps,
+                        steps: v.steps.clone(),
                     })
                     .collect(),
             ),

@@ -232,3 +232,150 @@ fn distinct_templates_do_not_collide() {
     );
     assert_eq!(cache.len(), 2);
 }
+
+fn instance_hits(r: &OptimizationReport) -> u64 {
+    r.stats.counter(obs::Counter::PlanCacheInstanceHits)
+}
+
+/// A repeat of a warm hit is served from the finished instance that hit
+/// filled: same verdict object, no retargeting, no Step 4 — and every
+/// counter a hit bumps is bumped as before.
+#[test]
+fn a_repeated_query_is_served_from_its_finished_instance() {
+    let _g = lock();
+    let prep = prepared_university();
+    let cache = PlanCache::new();
+    let q = "select x.name from x in Person where x.age < 25";
+    let (_, d0) = prep.optimize_cached(&cache, q).unwrap();
+    let (filled, d1) = prep.optimize_cached(&cache, q).unwrap();
+    let (repeat, d2) = prep.optimize_cached(&cache, q).unwrap();
+    assert_eq!(
+        (d0, d1, d2),
+        (CacheOutcome::Miss, CacheOutcome::Hit, CacheOutcome::Hit)
+    );
+    assert_eq!((instance_hits(&filled), instance_hits(&repeat)), (0, 1));
+    assert_eq!(cache.instance_count(), 1);
+    assert!(std::sync::Arc::ptr_eq(&filled.verdict, &repeat.verdict));
+    assert!(filled.stats.spans.contains_key("cache.retarget"));
+    assert!(!repeat.stats.spans.contains_key("cache.retarget"));
+    for c in [
+        obs::Counter::OptimizerQueries,
+        obs::Counter::OptimizerRewrites,
+        obs::Counter::OptimizerContradictions,
+        obs::Counter::PlanCacheHits,
+        obs::Counter::PlanCacheRebinds,
+        obs::Counter::PlanCacheMisses,
+    ] {
+        assert_eq!(repeat.stats.counter(c), filled.stats.counter(c), "{c:?}");
+    }
+    // Same words as a fresh run, in both renderings.
+    let fresh = prep.optimize(q).unwrap();
+    let body = |r: &OptimizationReport| {
+        let json = r.explain_json();
+        json[..json.find("\"stats\": ").unwrap()].to_string()
+    };
+    assert_eq!(body(&repeat), body(&fresh));
+    assert_eq!(
+        repeat.explain_json_compact(),
+        obs::json_compact(&repeat.explain_json())
+    );
+    // Invalidation leaves no instance behind.
+    cache.invalidate();
+    assert_eq!(cache.instance_count(), 0);
+    let (_, d3) = prep.optimize_cached(&cache, q).unwrap();
+    assert_eq!(d3, CacheOutcome::Miss);
+}
+
+/// Two OQL surfaces with one Datalog translation share a template and a
+/// binding, yet Step 4 prints each its own rewrites: the instance is
+/// decided by the parsed query, not by the binding.
+#[test]
+fn instances_do_not_alias_across_select_clause_shapes() {
+    let _g = lock();
+    let prep = prepared_university();
+    let cache = PlanCache::new();
+    let plain = "select x.name, x.age from x in Person where x.age < 25";
+    let list = "select list(x.name, x.age) from x in Person where x.age < 25";
+    let texts = |r: &OptimizationReport| -> Vec<String> {
+        r.equivalents().iter().map(|e| e.oql.to_string()).collect()
+    };
+    for _ in 0..2 {
+        prep.optimize_cached(&cache, plain).unwrap();
+    }
+    let (p, _) = prep.optimize_cached(&cache, plain).unwrap();
+    assert_eq!(instance_hits(&p), 1);
+    assert_eq!(cache.len(), 1, "one template for both surfaces");
+
+    let (l, d) = prep.optimize_cached(&cache, list).unwrap();
+    assert_eq!(d, CacheOutcome::Hit);
+    assert_eq!(
+        instance_hits(&l),
+        0,
+        "the other surface's instance is not this query's"
+    );
+    assert_eq!(cache.len(), 1);
+    assert!(
+        texts(&l).iter().all(|t| t.contains("list(")),
+        "{:?}",
+        texts(&l)
+    );
+    assert!(
+        texts(&p).iter().all(|t| !t.contains("list(")),
+        "{:?}",
+        texts(&p)
+    );
+    assert_eq!(texts(&l), texts(&prep.optimize(list).unwrap()));
+
+    let (l2, _) = prep.optimize_cached(&cache, list).unwrap();
+    assert_eq!(instance_hits(&l2), 1);
+    assert_eq!(texts(&l2), texts(&l));
+    let (p2, _) = prep.optimize_cached(&cache, plain).unwrap();
+    assert_eq!(texts(&p2), texts(&p));
+}
+
+/// Instances share the entries' budget: never more than `capacity` of
+/// them, evictions counted, and a rebind of the template drops its own.
+#[test]
+fn instances_are_bounded_and_die_with_their_entry() {
+    let _g = lock();
+    let prep = prepared_university();
+    let (capacity, extra) = (4usize, 3usize);
+    let cache = PlanCache::with_shards(capacity, 1);
+    let ask = |q: String| prep.optimize_cached(&cache, &q).unwrap();
+    let names = |c: usize| format!("select x.name from x in Person where x.age < {c}");
+    let before = obs::snapshot();
+    assert_eq!(ask(names(10)).1, CacheOutcome::Miss);
+    for c in 10..10 + capacity + extra {
+        assert_eq!(ask(names(c)).1, CacheOutcome::Hit, "all below IC4's 30");
+    }
+    assert_eq!(cache.instance_count(), capacity);
+    let evicted = |since: &obs::Snapshot| {
+        obs::snapshot()
+            .since(since)
+            .counter(obs::Counter::PlanCacheInstanceEvictions)
+    };
+    assert_eq!(evicted(&before), extra as u64);
+    // The survivors are still served.
+    let served: u64 = (10..10 + capacity + extra)
+        .map(|c| instance_hits(&ask(names(c)).0))
+        .sum();
+    assert!(served >= 1 && cache.instance_count() == capacity);
+
+    // Across IC4's threshold the template rebinds; its instances go.
+    assert_eq!(ask(names(35)).1, CacheOutcome::Rebind);
+    assert_eq!(cache.instance_count(), 0);
+
+    // A full shard gives up another entry's instance for a new entry's
+    // first one.
+    for c in 36..36 + capacity {
+        assert_eq!(ask(names(c)).1, CacheOutcome::Hit);
+    }
+    assert_eq!(cache.instance_count(), capacity);
+    let before = obs::snapshot();
+    let ages = "select x.age from x in Person where x.age < 20".to_string();
+    assert_eq!(ask(ages.clone()).1, CacheOutcome::Miss);
+    assert_eq!(ask(ages.clone()).1, CacheOutcome::Hit);
+    assert_eq!(cache.instance_count(), capacity);
+    assert_eq!(evicted(&before), 1);
+    assert_eq!(instance_hits(&ask(ages).0), 1, "the newcomer stayed");
+}

@@ -7,7 +7,8 @@
 //!
 //! * each [`sqo_core::EquivalentQuery`] from the parallel Step-3 search,
 //! * the sequential search (verdict fingerprints must be byte-identical),
-//! * the warm plan-cache path (miss → hit on the same query, then a
+//! * the warm plan-cache path (miss → hit on the same query, two
+//!   repeats served from the finished instance that hit filled, then a
 //!   constant-shifted sibling through retargeting),
 //! * and a [`sqo_core::Verdict::Contradiction`] only when the baseline is actually
 //!   empty — a contradiction verdict over a non-empty answer set is a
@@ -42,7 +43,7 @@ pub struct PassInfo {
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Which check failed (`"equivalent"`, `"contradiction"`,
-    /// `"backend"`, `"cache"`, `"sibling"`).
+    /// `"backend"`, `"cache"`, `"instance"`, `"sibling"`).
     pub path: String,
     /// Human-readable explanation.
     pub detail: String,
@@ -129,7 +130,7 @@ fn answers_or_mismatch(
 /// A stable fingerprint of a report's verdict: contradictions by
 /// (ic, note), equivalents by their Datalog renderings in order.
 fn fingerprint(report: &OptimizationReport) -> String {
-    match &report.verdict {
+    match &*report.verdict {
         Verdict::Contradiction { ic_name, note, .. } => {
             format!("contradiction ic={ic_name:?} note={note}")
         }
@@ -158,7 +159,7 @@ fn check_report(
     baseline: &[Vec<Const>],
     path: &str,
 ) -> Result<Option<Mismatch>, String> {
-    match &report.verdict {
+    match &*report.verdict {
         Verdict::Contradiction { ic_name, note, .. } => {
             if !baseline.is_empty() {
                 return Ok(Some(Mismatch {
@@ -201,6 +202,81 @@ fn check_report(
     }
 }
 
+/// Everything a report says besides its per-request `stats`: verdict,
+/// and per equivalent the OQL and Datalog text, warnings and provenance.
+fn rendering(report: &OptimizationReport) -> String {
+    let json = report.explain_json();
+    let body = json.split("\"stats\": ").next().unwrap_or_default();
+    body.to_string()
+}
+
+/// A repeat of the query whose warm hit produced `filled` must be served
+/// from that hit's finished instance, and be indistinguishable from
+/// `fresh`, an uncached optimization of the same query: in what it says,
+/// in the plan it picks and in what that plan answers.
+fn check_repeat(
+    db: &ObjectDb,
+    filled: &OptimizationReport,
+    repeat: &OptimizationReport,
+    outcome: CacheOutcome,
+    fresh: &OptimizationReport,
+    baseline: &[Vec<Const>],
+) -> Result<Option<Mismatch>, String> {
+    let mismatch = |detail: String| {
+        Ok(Some(Mismatch {
+            path: "instance".to_string(),
+            detail,
+        }))
+    };
+    // Sibling tests of one binary share the process-wide counters, so
+    // the delta is at least this repeat's one; the shared verdict is the
+    // exact witness.
+    let instance_hits = repeat
+        .stats
+        .counter(sqo_obs::Counter::PlanCacheInstanceHits);
+    if outcome != CacheOutcome::Hit
+        || instance_hits < 1
+        || !std::sync::Arc::ptr_eq(&repeat.verdict, &filled.verdict)
+    {
+        return mismatch(format!(
+            "repeat of a warm hit was not served from its finished instance \
+             (cache={}, plan_cache.instance_hits delta={instance_hits})",
+            outcome.label()
+        ));
+    }
+    let (said, expected) = (rendering(repeat), rendering(fresh));
+    if said != expected {
+        return mismatch(format!(
+            "instance hit explains differently from a fresh optimize:\n--- fresh ---\n\
+             {expected}\n--- instance ---\n{said}"
+        ));
+    }
+    let (Some((idx, eq, costs)), Some((fresh_idx, _, fresh_costs))) =
+        (repeat.best_plan(db), fresh.best_plan(db))
+    else {
+        return Ok(None); // contradiction: nothing to execute
+    };
+    if (idx, &costs) != (fresh_idx, &fresh_costs) {
+        return mismatch(format!(
+            "remembered plan #{idx} {costs:?} differs from a fresh choice #{fresh_idx} \
+             {fresh_costs:?}"
+        ));
+    }
+    let rows = match answers_or_mismatch(db, &eq.datalog)? {
+        Ok(rows) => rows,
+        Err(m) => return Ok(Some(m)),
+    };
+    if rows != baseline {
+        return mismatch(format!(
+            "plan #{idx} [{}] of an instance hit returned {} rows vs baseline {}",
+            eq.datalog,
+            rows.len(),
+            baseline.len()
+        ));
+    }
+    Ok(None)
+}
+
 /// Durability round-trip: save the populated store into a fresh on-disk
 /// directory, recover it through the snapshot + WAL path, and require
 /// the recovered store to return the baseline answer set for the
@@ -239,7 +315,7 @@ fn check_recovery(
             }
         };
         let mut queries: Vec<(String, &Query)> = vec![("baseline".to_string(), baseline_query)];
-        if let Verdict::Equivalents(eqs) = &report.verdict {
+        if let Verdict::Equivalents(eqs) = &*report.verdict {
             for (i, eq) in eqs.iter().enumerate() {
                 queries.push((format!("equivalent #{i}"), &eq.datalog));
             }
@@ -377,6 +453,24 @@ pub fn run_inputs_full(
         return Ok(CaseStatus::Mismatch(m));
     }
 
+    // Finished instances: the hit above filled one, so the same query
+    // asked again skips retargeting, Step 4, pricing and rendering — and
+    // must not be told apart from a fresh, uncached optimization. Twice:
+    // the second repeat also reads the plan the first one remembered.
+    if second == CacheOutcome::Hit {
+        let fresh = prepared
+            .optimize_query(&query)
+            .map_err(|e| format!("optimize(fresh): {e}"))?;
+        for _ in 0..2 {
+            let (repeat, outcome) = prepared
+                .optimize_query_cached(&cache, &query)
+                .map_err(|e| format!("cache(repeat): {e}"))?;
+            if let Some(m) = check_repeat(db, &hit_report, &repeat, outcome, &fresh, &baseline)? {
+                return Ok(CaseStatus::Mismatch(m));
+            }
+        }
+    }
+
     // Constant-shifted sibling through the warm cache: the retargeted
     // rewrites must agree with the sibling's own baseline.
     if let Some(sib_src) = &inputs.sibling_oql {
@@ -398,6 +492,23 @@ pub fn run_inputs_full(
             }
             return Ok(CaseStatus::Mismatch(m));
         }
+        // Same template, other constants: the sibling must get its own
+        // instance, never the first query's — its leading equivalent is
+        // the sibling itself, unchanged.
+        let own = sib_report
+            .equivalents()
+            .first()
+            .is_none_or(|e| e.delta.is_empty());
+        if !own
+            || (sib != query && std::sync::Arc::ptr_eq(&sib_report.verdict, &hit_report.verdict))
+        {
+            return Ok(CaseStatus::Mismatch(Mismatch {
+                path: "sibling".to_string(),
+                detail: format!(
+                    "sibling [{sib_src}] was answered with another query's finished instance"
+                ),
+            }));
+        }
     }
 
     // Sampled durability round-trip: save, recover, re-check everything.
@@ -407,7 +518,7 @@ pub fn run_inputs_full(
         }
     }
 
-    let (variants, contradiction) = match &report_par.verdict {
+    let (variants, contradiction) = match &*report_par.verdict {
         Verdict::Contradiction { .. } => (0, true),
         Verdict::Equivalents(eqs) => (eqs.len(), false),
     };

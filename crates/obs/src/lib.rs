@@ -75,146 +75,124 @@ pub fn set_enabled(on: bool) {
 // Counters
 // ---------------------------------------------------------------------------
 
-/// The fixed set of pipeline counters.
-///
-/// Every counter is monotonic within a process (until [`reset`]). The
-/// discriminant doubles as the index into the counter arrays, and
-/// [`Counter::name`] gives the stable dotted name used in snapshots.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(usize)]
-pub enum Counter {
+/// Declares [`Counter`], its stable dotted names, [`Counter::all`] and
+/// [`N_COUNTERS`] from one list, so a new counter is one line here.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
+        /// The fixed set of pipeline counters.
+        ///
+        /// Every counter is monotonic within a process (until [`reset`]). The
+        /// discriminant doubles as the index into the counter arrays, and
+        /// [`Counter::name`] gives the stable dotted name used in snapshots.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)+
+        }
+
+        const ALL_COUNTERS: &[Counter] = &[$(Counter::$variant,)+];
+        const COUNTER_NAMES: [&str; N_COUNTERS] = [$($name,)+];
+
+        /// Number of distinct counters.
+        pub const N_COUNTERS: usize = ALL_COUNTERS.len();
+    };
+}
+
+counters! {
     /// Classes parsed by the ODL parser (Step 1 input).
-    OdlClassesParsed,
+    OdlClassesParsed => "odl.classes_parsed",
     /// OQL queries translated to Datalog (Step 2).
-    TranslateQueries,
+    TranslateQueries => "translate.queries",
     /// Residues attached to relation predicates during IC compilation.
-    ResiduesAttached,
+    ResiduesAttached => "residue.attached",
     /// Residues whose body matched a query and produced a candidate.
-    ResiduesApplied,
+    ResiduesApplied => "residue.applied",
     /// Residue applicability prefilter accepted (full match attempted).
-    PrefilterHits,
+    PrefilterHits => "residue.prefilter_hits",
     /// Residue applicability prefilter rejected (match skipped).
-    PrefilterMisses,
+    PrefilterMisses => "residue.prefilter_misses",
     /// Atom-level unification attempts.
-    UnifyAttempts,
+    UnifyAttempts => "unify.attempts",
     /// Subsumption checks (`match_body_onto` invocations).
-    SubsumeChecks,
+    SubsumeChecks => "subsume.checks",
     /// Search nodes expanded by the Step-3 BFS.
-    SearchNodesExpanded,
+    SearchNodesExpanded => "search.nodes_expanded",
     /// Candidate nodes pruned by the Step-3 BFS (budget or variant cap).
-    SearchNodesPruned,
+    SearchNodesPruned => "search.nodes_pruned",
     /// Candidates dropped because their fingerprint was already seen.
-    SearchDedupHits,
+    SearchDedupHits => "search.dedup_hits",
     /// BFS levels processed by the Step-3 search.
-    SearchLevels,
+    SearchLevels => "search.levels",
     /// Tuples flowing into join steps during evaluation.
-    EvalJoinInputTuples,
+    EvalJoinInputTuples => "eval.join_input_tuples",
     /// Tuples flowing out of join steps during evaluation.
-    EvalJoinOutputTuples,
+    EvalJoinOutputTuples => "eval.join_output_tuples",
     /// Queries executed by the object-database evaluator.
-    ExecQueries,
+    ExecQueries => "exec.queries",
     /// Queries optimized by the `SemanticOptimizer` facade.
-    OptimizerQueries,
+    OptimizerQueries => "optimizer.queries",
     /// Equivalent rewrites (beyond the original) produced by the optimizer.
-    OptimizerRewrites,
+    OptimizerRewrites => "optimizer.rewrites",
     /// Queries refuted outright by an integrity constraint.
-    OptimizerContradictions,
+    OptimizerContradictions => "optimizer.contradictions",
     /// Plan-cache lookups answered with a fully retargeted cached plan.
-    PlanCacheHits,
+    PlanCacheHits => "plan_cache.hits",
     /// Plan-cache lookups where the template matched but the parameter
     /// signature differed, forcing a fresh search that re-populated the
     /// template entry.
-    PlanCacheRebinds,
+    PlanCacheRebinds => "plan_cache.rebinds",
     /// Plan-cache lookups that found no usable entry.
-    PlanCacheMisses,
+    PlanCacheMisses => "plan_cache.misses",
     /// Plan-cache entries dropped by a generation bump (IC/schema reload).
-    PlanCacheInvalidations,
+    PlanCacheInvalidations => "plan_cache.invalidations",
     /// Sessions prepared (ODL parse + Step-1 translation + residue
     /// compilation) by the service session registry.
-    ServiceSessionsPrepared,
+    ServiceSessionsPrepared => "service.sessions_prepared",
     /// Requests accepted by the serve front end (all ops).
-    ServeRequests,
+    ServeRequests => "serve.requests",
     /// Requests shed because the admission queue was full.
-    ServeShed,
+    ServeShed => "serve.shed",
     /// Requests that missed their deadline before or during execution.
-    ServeDeadlineExceeded,
+    ServeDeadlineExceeded => "serve.deadline_exceeded",
     /// Total nanoseconds accepted requests spent waiting in the admission
     /// queue before a worker picked them up.
-    ServeWaitNs,
+    ServeWaitNs => "serve.wait_ns",
     /// Requests whose service time exceeded the slow-query threshold.
-    ServeSlowQueries,
+    ServeSlowQueries => "serve.slow_queries",
     /// Equality probes against declared (persistent) hash indexes.
-    ExecIndexProbes,
+    ExecIndexProbes => "exec.index_probe",
     /// Range probes against declared ordered indexes.
-    ExecRangeProbes,
+    ExecRangeProbes => "exec.range_probe",
     /// Full relation passes (explicit scans plus ephemeral index builds).
-    ExecScans,
+    ExecScans => "exec.scan",
     /// Path-expression chains fused into index-nested-loop walks.
-    ExecChainsFused,
+    ExecChainsFused => "exec.chain_fused",
     /// Candidate variants eliminated by the subsumption index before
     /// analysis/costing (best-first Step-3 search).
-    SearchSubsumedPruned,
+    SearchSubsumedPruned => "search.subsumed_pruned",
     /// Residue applications skipped by the exactness prefilter: the
     /// residue head provably cannot change the answer set of any query.
-    SearchExactSkipped,
+    SearchExactSkipped => "search.exact_skipped",
     /// Peak size of the best-first priority frontier, summed per search.
-    SearchFrontierPeak,
+    SearchFrontierPeak => "search.frontier_peak",
     /// Records appended to the object-store write-ahead log.
-    StoreWalAppends,
+    StoreWalAppends => "store.wal_appends",
     /// Bytes written by the most recent store snapshot (cumulative across
     /// snapshots; per-snapshot sizes are visible in the `persist` response).
-    StoreSnapshotBytes,
+    StoreSnapshotBytes => "store.snapshot_bytes",
     /// Total nanoseconds spent recovering stores (snapshot load + WAL
     /// tail replay).
-    StoreRecoverNs,
+    StoreRecoverNs => "store.recover_ns",
     /// Total nanoseconds spent waiting to acquire store shard locks.
-    StoreShardLockWaitNs,
+    StoreShardLockWaitNs => "store.shard_lock_wait",
+    /// Plan-cache hits answered from a finished instance: the verdict,
+    /// explain body and chosen plan were reused, not re-derived.
+    PlanCacheInstanceHits => "plan_cache.instance_hits",
+    /// Finished instances dropped to keep the plan cache within capacity.
+    PlanCacheInstanceEvictions => "plan_cache.instance_evictions",
+    /// Panics caught on a serve worker and answered as `internal_error`.
+    ServeWorkerPanic => "serve.worker_panic",
 }
-
-/// Number of distinct counters.
-pub const N_COUNTERS: usize = 39;
-
-const COUNTER_NAMES: [&str; N_COUNTERS] = [
-    "odl.classes_parsed",
-    "translate.queries",
-    "residue.attached",
-    "residue.applied",
-    "residue.prefilter_hits",
-    "residue.prefilter_misses",
-    "unify.attempts",
-    "subsume.checks",
-    "search.nodes_expanded",
-    "search.nodes_pruned",
-    "search.dedup_hits",
-    "search.levels",
-    "eval.join_input_tuples",
-    "eval.join_output_tuples",
-    "exec.queries",
-    "optimizer.queries",
-    "optimizer.rewrites",
-    "optimizer.contradictions",
-    "plan_cache.hits",
-    "plan_cache.rebinds",
-    "plan_cache.misses",
-    "plan_cache.invalidations",
-    "service.sessions_prepared",
-    "serve.requests",
-    "serve.shed",
-    "serve.deadline_exceeded",
-    "serve.wait_ns",
-    "serve.slow_queries",
-    "exec.index_probe",
-    "exec.range_probe",
-    "exec.scan",
-    "exec.chain_fused",
-    "search.subsumed_pruned",
-    "search.exact_skipped",
-    "search.frontier_peak",
-    "store.wal_appends",
-    "store.snapshot_bytes",
-    "store.recover_ns",
-    "store.shard_lock_wait",
-];
 
 impl Counter {
     /// Stable dotted name used as the snapshot key.
@@ -225,51 +203,9 @@ impl Counter {
 
     /// All counters, in declaration order.
     pub fn all() -> impl Iterator<Item = Counter> {
-        (0..N_COUNTERS).map(|i| ALL_COUNTERS[i])
+        ALL_COUNTERS.iter().copied()
     }
 }
-
-const ALL_COUNTERS: [Counter; N_COUNTERS] = [
-    Counter::OdlClassesParsed,
-    Counter::TranslateQueries,
-    Counter::ResiduesAttached,
-    Counter::ResiduesApplied,
-    Counter::PrefilterHits,
-    Counter::PrefilterMisses,
-    Counter::UnifyAttempts,
-    Counter::SubsumeChecks,
-    Counter::SearchNodesExpanded,
-    Counter::SearchNodesPruned,
-    Counter::SearchDedupHits,
-    Counter::SearchLevels,
-    Counter::EvalJoinInputTuples,
-    Counter::EvalJoinOutputTuples,
-    Counter::ExecQueries,
-    Counter::OptimizerQueries,
-    Counter::OptimizerRewrites,
-    Counter::OptimizerContradictions,
-    Counter::PlanCacheHits,
-    Counter::PlanCacheRebinds,
-    Counter::PlanCacheMisses,
-    Counter::PlanCacheInvalidations,
-    Counter::ServiceSessionsPrepared,
-    Counter::ServeRequests,
-    Counter::ServeShed,
-    Counter::ServeDeadlineExceeded,
-    Counter::ServeWaitNs,
-    Counter::ServeSlowQueries,
-    Counter::ExecIndexProbes,
-    Counter::ExecRangeProbes,
-    Counter::ExecScans,
-    Counter::ExecChainsFused,
-    Counter::SearchSubsumedPruned,
-    Counter::SearchExactSkipped,
-    Counter::SearchFrontierPeak,
-    Counter::StoreWalAppends,
-    Counter::StoreSnapshotBytes,
-    Counter::StoreRecoverNs,
-    Counter::StoreShardLockWaitNs,
-];
 
 /// Global merged totals. Thread-local cells flush here on thread exit and on
 /// [`snapshot`]/[`reset`] from the owning thread.
@@ -871,6 +807,46 @@ pub fn json_opt_string(s: Option<&str>) -> String {
     }
 }
 
+/// Removes insignificant whitespace from JSON text, so a pretty-printed
+/// report embeds into a single-line wire response. String literals are
+/// copied verbatim, a run at a time.
+pub fn json_compact(src: &str) -> String {
+    let bytes = src.as_bytes();
+    let mut out = String::with_capacity(src.len());
+    let mut i = 0;
+    // Runs start and end at ASCII bytes (or the end of the text), so
+    // every slice below falls on a character boundary.
+    while i < bytes.len() {
+        let start = i;
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while i < bytes.len() {
+                    match bytes[i] {
+                        b'\\' => i += 2,
+                        b'"' => {
+                            i += 1;
+                            break;
+                        }
+                        _ => i += 1,
+                    }
+                }
+                // An escape at the very end of unterminated text.
+                let end = i.min(bytes.len());
+                out.push_str(&src[start..end]);
+            }
+            b if b.is_ascii_whitespace() => i += 1,
+            _ => {
+                while i < bytes.len() && bytes[i] != b'"' && !bytes[i].is_ascii_whitespace() {
+                    i += 1;
+                }
+                out.push_str(&src[start..i]);
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,6 +962,19 @@ mod tests {
     fn json_string_escapes_specials() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_opt_string(None), "null");
+    }
+
+    #[test]
+    fn json_compact_preserves_strings() {
+        let src = "{\n  \"a b\": \"x \\\" y\",\n  \"n\": [1, 2],\t\"é \\\\\": null\n}";
+        assert_eq!(
+            json_compact(src),
+            r#"{"a b":"x \" y","n":[1,2],"é \\":null}"#
+        );
+        // Already compact text comes back unchanged; so does a string
+        // cut off inside an escape.
+        assert_eq!(json_compact(r#"{"k":"v w"}"#), r#"{"k":"v w"}"#);
+        assert_eq!(json_compact("[ \"ab\\"), "[\"ab\\");
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! (the client gets `overloaded` instead of unbounded latency), and a
 //! task whose deadline passed while it waited is dropped at dequeue
 //! without running — dropping it tears down its reply channel, which the
-//! waiting connection observes as `deadline_exceeded`.
+//! waiting connection observes as `deadline_exceeded`. A task that
+//! panics costs its own request only: the worker catches the unwind,
+//! counts `serve.worker_panic` and takes the next task.
 
 use sqo_obs as obs;
 use std::collections::VecDeque;
@@ -149,7 +151,14 @@ fn worker_loop(inner: &PoolInner) {
             drop(task);
             continue;
         }
-        (task.run)(wait);
+        // A panic in optimize/execute must not shrink the pool for the
+        // life of the process. The task owns everything it touches except
+        // state behind poison-tolerant locks, so resuming is sound; its
+        // reply half answers `internal_error` as the unwind drops it.
+        let run = std::panic::AssertUnwindSafe(move || (task.run)(wait));
+        if std::panic::catch_unwind(run).is_err() {
+            obs::bump(obs::Counter::ServeWorkerPanic);
+        }
         // Make this worker's counters visible to concurrent metrics
         // readers (locals only merge globally on flush).
         obs::flush_local();
@@ -227,6 +236,17 @@ mod tests {
             wait >= Duration::from_millis(20),
             "queued task must report the admission wait it experienced, got {wait:?}"
         );
+    }
+
+    #[test]
+    fn a_panicking_task_does_not_cost_the_pool_its_worker() {
+        let pool = Pool::new(1, 4);
+        assert!(pool.submit(task(|_| panic!("injected task panic"))));
+        // The only worker must still be there to run this.
+        let (tx, rx) = mpsc::channel();
+        assert!(pool.submit(task(move |_| tx.send(()).unwrap())));
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the worker survived the panic");
     }
 
     #[test]

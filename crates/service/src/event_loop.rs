@@ -118,6 +118,9 @@ struct Loop {
     /// The connection whose `shutdown` response ends the loop once
     /// flushed.
     shutdown_conn: Option<u64>,
+    /// Scratch for socket reads, shared by all connections: the framer
+    /// copies out what it keeps before the next read.
+    read_buf: Box<[u8]>,
 }
 
 /// Runs the event loop until a `shutdown` request has been answered and
@@ -139,6 +142,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result
         waker: Waker(Arc::new(wake_tx)),
         wake_rx,
         shutdown_conn: None,
+        read_buf: vec![0u8; 64 * 1024].into_boxed_slice(),
     };
     lp.serve(&listener)
 }
@@ -247,9 +251,9 @@ impl Loop {
     fn handle_conn_event(&mut self, id: u64, ev: Event) -> bool {
         if ev.readable || ev.hangup {
             let conn = self.conns.get_mut(&id).expect("checked by caller");
-            let mut buf = [0u8; 64 * 1024];
+            let buf = &mut self.read_buf;
             loop {
-                match conn.stream.read(&mut buf) {
+                match conn.stream.read(buf) {
                     Ok(0) => {
                         // Peer closed. Anything unflushed has no reader
                         // worth waiting for; pending worker results are
@@ -339,7 +343,7 @@ impl Loop {
                     let admitted = server::submit_job(
                         &self.shared,
                         *job,
-                        Box::new(move |resp| {
+                        server::Reply::new(move |resp| {
                             // Make the worker's counter bumps visible
                             // before the response can hit the wire.
                             obs::flush_local();

@@ -94,29 +94,7 @@ pub fn parse(src: &str) -> Result<Json, String> {
 
 /// Removes insignificant whitespace from JSON text — used to embed the
 /// (pretty-printed) explain report into a single-line wire response.
-pub fn compact(src: &str) -> String {
-    let mut out = String::with_capacity(src.len());
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in src.chars() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else if c == '"' {
-            in_str = true;
-            out.push(c);
-        } else if !c.is_ascii_whitespace() {
-            out.push(c);
-        }
-    }
-    out
-}
+pub use sqo_obs::json_compact as compact;
 
 struct Parser<'a> {
     bytes: &'a [u8],

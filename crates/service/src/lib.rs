@@ -13,7 +13,7 @@
 //!   constraint reloads bump the generation and invalidate the cache.
 //! * [`admission`] — a bounded worker pool: full queue ⇒ shed
 //!   (`overloaded`), expired deadline ⇒ dropped unexecuted
-//!   (`deadline_exceeded`).
+//!   (`deadline_exceeded`), panicking task ⇒ caught (`internal_error`).
 //! * [`server`] — the wire protocol: one JSON request per line, one JSON
 //!   response per line; responses embed the optimizer's explain report.
 //!   Every `query` is traced (`trace_id` = `session:generation:seq`) and
@@ -63,6 +63,9 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The optimizer rejected the query (parse/translation error).
     Optimize(String),
+    /// The worker serving the request panicked; the request is lost, the
+    /// worker is not.
+    Internal,
 }
 
 impl ServeError {
@@ -74,6 +77,7 @@ impl ServeError {
             ServeError::Overloaded => "overloaded",
             ServeError::DeadlineExceeded => "deadline_exceeded",
             ServeError::Optimize(_) => "optimize_error",
+            ServeError::Internal => "internal_error",
         }
     }
 
@@ -85,6 +89,7 @@ impl ServeError {
             ServeError::Overloaded => "admission queue full; request shed".to_string(),
             ServeError::DeadlineExceeded => "deadline exceeded".to_string(),
             ServeError::Optimize(m) => m.clone(),
+            ServeError::Internal => "the worker serving this request panicked".to_string(),
         }
     }
 }

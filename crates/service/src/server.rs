@@ -379,11 +379,12 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
                 })
                 .unwrap_or(0);
             format!(
-                r#"{{"name":{},"generation":{},"cached_templates":{},"cache_shards":{},"store_generation":{}}}"#,
+                r#"{{"name":{},"generation":{},"cached_templates":{},"cache_shards":{},"cached_instances":{},"store_generation":{}}}"#,
                 obs::json_string(s.name()),
                 s.prepared().generation(),
                 s.cache().len(),
                 s.cache().shard_count(),
+                s.cache().instance_count(),
                 store_generation
             )
         })
@@ -671,14 +672,41 @@ fn parse_query(shared: &Arc<Shared>, req: &Json) -> Result<QueryJob, ServeError>
     })
 }
 
-/// Submits the job to the worker pool; `finish` runs on the worker with
-/// the final response line (success or `optimize_error`). Returns
-/// `false` when the queue shed the request — `finish` never runs then.
-pub(crate) fn submit_job(
-    shared: &Arc<Shared>,
-    job: QueryJob,
-    finish: Box<dyn FnOnce(String) + Send>,
-) -> bool {
+/// The reply half of an admitted query: called once, on the worker, with
+/// the response line. A worker that panics drops it uncalled mid-unwind;
+/// it then answers `internal_error` itself, so neither an event-loop
+/// slot nor a threaded connection is left waiting for its deadline. A
+/// task dropped unrun (expired in the queue, pool shut down) stays
+/// silent, as before.
+pub(crate) struct Reply(Option<Box<dyn FnOnce(String) + Send>>);
+
+impl Reply {
+    pub(crate) fn new(finish: impl FnOnce(String) + Send + 'static) -> Reply {
+        Reply(Some(Box::new(finish)))
+    }
+
+    fn send(mut self, resp: String) {
+        if let Some(finish) = self.0.take() {
+            finish(resp);
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if let Some(finish) = self.0.take() {
+            if std::thread::panicking() {
+                finish(error_response(&ServeError::Internal));
+            }
+        }
+    }
+}
+
+/// Submits the job to the worker pool; `reply` gets the final response
+/// line (success, `optimize_error`, or `internal_error` after a panic)
+/// on the worker. Returns `false` when the queue shed the request —
+/// `reply` is never called then.
+pub(crate) fn submit_job(shared: &Arc<Shared>, job: QueryJob, reply: Reply) -> bool {
     let slowlog = Arc::clone(&shared.slowlog);
     let deadline = job.deadline;
     shared.pool.submit(Task {
@@ -695,11 +723,10 @@ pub(crate) fn submit_job(
                 job.want_execute,
                 job.strategy,
             );
-            let resp = match answer {
+            reply.send(match answer {
                 Ok(a) => format_query_ok(&job.name, &a),
                 Err(msg) => error_response(&ServeError::Optimize(msg)),
-            };
-            finish(resp);
+            });
         }),
     })
 }
@@ -712,7 +739,7 @@ fn run_query_sync(shared: &Arc<Shared>, job: QueryJob) -> String {
     let admitted = submit_job(
         shared,
         job,
-        Box::new(move |resp| {
+        Reply::new(move |resp| {
             let _ = tx.send(resp);
         }),
     );
@@ -744,15 +771,16 @@ pub(crate) fn format_query_ok(name: &str, a: &QueryAnswer) -> String {
     if let Some(trace) = &a.trace_json {
         extra.push_str(&format!(r#","trace":{trace}"#));
     }
-    format!(
-        r#"{{"ok":true,"op":"query","session":{},"generation":{},"cache":{},"elapsed_us":{},"trace_id":{}{extra},"report":{}}}"#,
+    let head = format!(
+        r#"{{"ok":true,"op":"query","session":{},"generation":{},"cache":{},"elapsed_us":{},"trace_id":{}{extra},"report":"#,
         obs::json_string(name),
         a.generation,
         obs::json_string(a.cache),
         a.elapsed_us,
         obs::json_string(&a.trace_id),
-        a.report
-    )
+    );
+    // One exact allocation for the line: the report is most of it.
+    [&head, &a.report, "}"].concat()
 }
 
 /// Executes one admitted query on a worker thread: opens the trace,
@@ -816,7 +844,7 @@ fn run_query(
     obs::record_hist("serve.request", elapsed_ns);
     let trace = obs::trace_end();
     let (report, outcome, exec) = outcome?;
-    let explain = json::compact(&report.explain_json());
+    let explain = report.explain_json_compact();
     if slowlog.is_slow(elapsed_ns) {
         let verdict = if report.is_contradiction() {
             "contradiction"

@@ -6,7 +6,7 @@
 use sqo_core::SemanticOptimizer;
 use sqo_obs as obs;
 use sqo_service::json::{self, Json};
-use sqo_service::{Server, ServerConfig, SessionRegistry, SessionSpec};
+use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -207,15 +207,27 @@ fn reload_ic_invalidates_cached_plans_over_the_wire() {
         r#"{{"op":"reload_ic","ic":{}}}"#,
         obs::json_string("ic IC4: Age >= 40 <- faculty(X, N, Age, S, R, Ad).")
     );
-    let resps = roundtrip(addr, &[q.clone(), q.clone(), reload, q]);
+    let metrics = r#"{"op":"metrics"}"#.to_string();
+    let resps = roundtrip(
+        addr,
+        &[q.clone(), q.clone(), metrics.clone(), reload, metrics, q],
+    );
     shutdown(addr);
     assert_eq!(resps[0].get("cache").and_then(Json::as_str), Some("miss"));
     assert_eq!(resps[1].get("cache").and_then(Json::as_str), Some("hit"));
-    assert_eq!(resps[2].get("ok"), Some(&Json::Bool(true)));
-    assert_eq!(resps[2].get("generation").and_then(Json::as_u64), Some(1));
-    // After the reload the old plan must not be served again.
-    assert_eq!(resps[3].get("cache").and_then(Json::as_str), Some("miss"));
+    assert_eq!(resps[3].get("ok"), Some(&Json::Bool(true)));
     assert_eq!(resps[3].get("generation").and_then(Json::as_u64), Some(1));
+    // The hit finished an instance; none survives the reload.
+    let instances = |m: &Json| {
+        m.get("sessions").and_then(Json::as_arr).unwrap()[0]
+            .get("cached_instances")
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(instances(&resps[2]), Some(1));
+    assert_eq!(instances(&resps[4]), Some(0));
+    // After the reload the old plan must not be served again.
+    assert_eq!(resps[5].get("cache").and_then(Json::as_str), Some("miss"));
+    assert_eq!(resps[5].get("generation").and_then(Json::as_u64), Some(1));
     let delta = obs::snapshot().since(&before);
     assert!(delta.counter(obs::Counter::PlanCacheInvalidations) >= 1);
 }
@@ -490,6 +502,84 @@ fn execute_runs_the_chosen_plan_against_bound_data() {
             .unwrap()
             > 0
     );
+}
+
+/// A panic inside optimize/execute costs its own request only: the
+/// connection gets a structured `internal_error` long before its
+/// deadline, and the pool's single worker is still there for the next
+/// request — in both serving modes.
+#[test]
+fn worker_panic_is_answered_and_the_worker_survives() {
+    let _g = lock();
+    for mode in [ServeMode::EventLoop, ServeMode::Threaded] {
+        let registry = Arc::new(SessionRegistry::new());
+        registry
+            .prepare("default", SessionSpec::University, None)
+            .unwrap();
+        let mut db = sqo_objdb::UniversityConfig::default().build().unwrap().db;
+        db.register_method(
+            "Employee",
+            "taxes_withheld",
+            Box::new(|_, _, _| panic!("injected method panic")),
+        )
+        .unwrap();
+        registry.get("default").unwrap().attach_db(db);
+        let server = Server::bind(
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 1,
+                mode,
+                ..ServerConfig::default()
+            },
+            registry,
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        std::thread::spawn(move || server.run().unwrap());
+
+        let exec_line = |oql: &str| {
+            format!(
+                r#"{{"op":"query","oql":{},"execute":true,"timeout_ms":60000}}"#,
+                obs::json_string(oql)
+            )
+        };
+        let before = obs::snapshot();
+        let started = std::time::Instant::now();
+        let resps = roundtrip(
+            addr,
+            &[
+                exec_line("select f.name from f in Faculty where f.taxes_withheld(10%) < 1000"),
+                exec_line("select s.name from s in Student"),
+                r#"{"op":"metrics"}"#.to_string(),
+            ],
+        );
+        let took = started.elapsed();
+        shutdown(addr);
+
+        assert_eq!(resps[0].get("ok"), Some(&Json::Bool(false)), "{mode:?}");
+        assert_eq!(
+            resps[0]
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("internal_error"),
+            "{mode:?}: {:?}",
+            resps[0]
+        );
+        assert_eq!(resps[1].get("ok"), Some(&Json::Bool(true)), "{mode:?}");
+        assert!(resps[1].get("answers").and_then(Json::as_u64).unwrap() > 0);
+        assert!(
+            took < std::time::Duration::from_secs(30),
+            "{mode:?}: the panicked request waited for its deadline ({took:?})"
+        );
+        let panics = resps[2]
+            .get("stats")
+            .and_then(|s| s.get("counters"))
+            .and_then(|c| c.get("serve.worker_panic"))
+            .and_then(Json::as_u64)
+            .unwrap();
+        assert!(panics > before.counter(obs::Counter::ServeWorkerPanic));
+    }
 }
 
 #[test]

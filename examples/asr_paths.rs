@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 w in v.has_ta
            where x.name = "student1""#,
     )?;
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         unreachable!()
     };
     let folded = eqs
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 v in z.has_sections
            where x.name = "student2""#,
     )?;
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         unreachable!()
     };
     println!("  {} equivalent queries; those using the ASR:", eqs.len());

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", "-".repeat(60));
     for (label, src) in queries {
         let report = opt.optimize(src)?;
-        match &report.verdict {
+        match &*report.verdict {
             Verdict::Contradiction { ic_name, note, .. } => println!(
                 "{label:<24} CONTRADICTION [{}] {note}",
                 ic_name.as_deref().unwrap_or("query-local")

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = opt.optimize(oql)?;
     println!("\n== Datalog translation (Step 2) ==\n{}", report.datalog);
 
-    match &report.verdict {
+    match &*report.verdict {
         Verdict::Contradiction { ic_name, note, .. } => {
             println!(
                 "\nThe query is CONTRADICTORY ({}): {note}",
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bad = "select x.name from x in Faculty where x.age < 25";
     let report = opt.optimize(bad)?;
     println!("\n== {bad} ==");
-    if let Verdict::Contradiction { ic_name, note, .. } = &report.verdict {
+    if let Verdict::Contradiction { ic_name, note, .. } = &*report.verdict {
         println!(
             "CONTRADICTION detected by {} — {note}; the query is never evaluated.",
             ic_name.as_deref().unwrap_or("-")

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------- Application 2: access scope reduction ----------
     println!("\n=== Application 2: scope reduction ===");
     let report = opt.optimize("select x.name from x in Person where x.age < 30")?;
-    let Verdict::Equivalents(equivalents) = &report.verdict else {
+    let Verdict::Equivalents(equivalents) = &*report.verdict else {
         unreachable!("satisfiable query");
     };
     let queries: Vec<_> = equivalents.iter().map(|e| e.datalog.clone()).collect();
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 w in v.is_taught_by
            where z.name = w.name"#,
     )?;
-    let Verdict::Equivalents(equivalents) = &report.verdict else {
+    let Verdict::Equivalents(equivalents) = &*report.verdict else {
         unreachable!("satisfiable query");
     };
     let queries: Vec<_> = equivalents.iter().map(|e| e.datalog.clone()).collect();

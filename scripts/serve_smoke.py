@@ -30,6 +30,12 @@ one TCP segment on a single connection, and the responses must come
 back one per request, in request order, identical (modulo volatile
 fields) to the same requests sent one at a time.
 
+A repeat phase checks finished warm hits: on a session with bound data
+the same executing query is sent four times (miss, hit, and two repeats
+served from the plan cache's finished instance); the repeats must equal
+the first hit modulo volatile fields, count as instance hits, and still
+execute — a create between them changes the answer count.
+
 A fourth phase smoke-tests durable-store crash recovery: a server
 started with --store-path takes writes over the wire (create/link),
 persists a snapshot, keeps writing so the WAL holds a tail, is killed
@@ -297,6 +303,47 @@ def pipelined_phase(addr, serve_schema):
     return len(lines)
 
 
+def repeat_phase(addr, serve_schema):
+    """A repeated executing query is served from its finished instance:
+    same bytes as the hit that filled it, answers still executed."""
+    def instance_hits():
+        metrics = request(addr, json.dumps({"op": "metrics"}))
+        check(metrics, serve_schema, serve_schema, "repeat metrics")
+        return metrics["stats"]["counters"]["plan_cache.instance_hits"]
+
+    prep = request(addr, json.dumps(
+        {"op": "prepare", "session": "repeat", "university": True,
+         "data": True, "ic": IC4}))
+    if not prep.get("ok"):
+        fail(f"repeat: prepare failed: {prep}")
+    line = json.dumps(
+        {"op": "query", "session": "repeat", "execute": True,
+         "oql": "select x.name from x in Student where x.age < 29"})
+    miss, fill = request(addr, line), request(addr, line)
+    if (miss.get("cache"), fill.get("cache")) != ("miss", "hit"):
+        fail(f"repeat: expected miss then hit: {miss.get('cache')}, "
+             f"{fill.get('cache')}")
+    base = instance_hits()
+    again = request(addr, line)
+    check(again, serve_schema, serve_schema, "repeat response")
+    if again.get("cache") != "hit" or scrub(again) != scrub(fill):
+        fail(f"repeat: instance hit diverged from the hit that filled it:\n"
+             f"  fill:   {json.dumps(scrub(fill))}\n"
+             f"  repeat: {json.dumps(scrub(again))}")
+    created = request(addr, json.dumps(
+        {"op": "create", "session": "repeat", "class": "Student",
+         "attrs": {"name": "repeat-smoke", "age": 20}}))
+    if not created.get("ok"):
+        fail(f"repeat: create failed: {created}")
+    after = request(addr, line)
+    if after.get("cache") != "hit" or after.get("answers") != fill["answers"] + 1:
+        fail(f"repeat: the repeat after a create must execute again: "
+             f"{fill.get('answers')} answers before, {after}")
+    if instance_hits() != base + 2:
+        fail("repeat: both repeats should count as plan_cache.instance_hits")
+    return after["answers"]
+
+
 def recovery_phase(sqo, serve_schema, mode):
     """Durable-store crash recovery over the wire.
 
@@ -475,6 +522,8 @@ def run_mode(sqo, serve_schema, explain_schema, mode):
 
         n_piped = pipelined_phase(addr, serve_schema)
 
+        n_repeat = repeat_phase(addr, serve_schema)
+
         n_fuzz = fuzz_differential(sqo, addr, serve_schema, explain_schema)
 
         bye = request(addr, json.dumps({"op": "shutdown"}))
@@ -487,6 +536,7 @@ def run_mode(sqo, serve_schema, explain_schema, mode):
               f"{hits} warm hits, shed 0, trace {n_events} events, "
               f"slowlog {n_slow} entries, "
               f"{n_piped} pipelined == one-at-a-time, "
+              f"{n_repeat} answers re-executed on an instance hit, "
               f"{n_fuzz} fuzz cases wire==in-process, "
               f"{n_recovered} answers across a kill -9 recovery)")
     finally:

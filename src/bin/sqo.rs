@@ -504,7 +504,7 @@ fn main() -> ExitCode {
             };
         }
         for (i, b) in report.branches.iter().enumerate() {
-            match &b.verdict {
+            match &*b.verdict {
                 semantic_sqo::Verdict::Contradiction { ic_name, note, .. } => println!(
                     "branch {}: PRUNED [{}] {note}",
                     i + 1,
@@ -559,7 +559,7 @@ fn main() -> ExitCode {
         };
     }
     println!("-- datalog translation\n{}\n", report.datalog);
-    match &report.verdict {
+    match &*report.verdict {
         Verdict::Contradiction { ic_name, note, .. } => {
             println!(
                 "CONTRADICTION [{}]: {note}\nThe query can return no answers and need not be evaluated.",

@@ -175,7 +175,7 @@ fn plan_chooser_consistency() {
     let report = opt
         .optimize("select x.name from x in Person where x.age < 30")
         .unwrap();
-    let Verdict::Equivalents(eqs) = &report.verdict else {
+    let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!()
     };
     let orig = estimate_cost(&data.db, &eqs[0].datalog);

@@ -1,0 +1,125 @@
+//! Finished warm hits over a real `sqo_service::Server` socket: a
+//! repeated executing query is served from the plan cache's finished
+//! instance — same bytes as the hit that filled it — and is still
+//! executed, so a write between two repeats shows in the answer count.
+
+use sqo_obs as obs;
+use sqo_service::json::{self, Json};
+use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+
+const IC4: &str = "ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).";
+
+/// Drops the per-request fields: timings, the trace id and every `stats`
+/// object (its spans list only the work a request did).
+fn scrub(v: &Json) -> Json {
+    match v {
+        Json::Obj(m) => Json::Obj(
+            m.iter()
+                .filter(|(k, _)| !matches!(k.as_str(), "elapsed_us" | "trace_id" | "stats"))
+                .map(|(k, v)| (k.clone(), scrub(v)))
+                .collect(),
+        ),
+        Json::Arr(a) => Json::Arr(a.iter().map(scrub).collect()),
+        other => other.clone(),
+    }
+}
+
+fn counter(resp: &Json, name: &str) -> u64 {
+    resp.get("stats")
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("metrics reply lists {name}"))
+}
+
+#[test]
+fn a_repeated_query_is_finished_once_and_executed_every_time() {
+    for mode in [ServeMode::EventLoop, ServeMode::Threaded] {
+        let registry = Arc::new(SessionRegistry::new());
+        registry
+            .prepare("default", SessionSpec::University, Some(IC4))
+            .unwrap();
+        let session = registry.get("default").unwrap();
+        session.attach_university_data().unwrap();
+        let server = Server::bind(
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 2,
+                mode,
+                ..ServerConfig::default()
+            },
+            registry,
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let serving = std::thread::spawn(move || server.run().unwrap());
+
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut ask = |line: &str| {
+            writeln!(stream, "{line}").unwrap();
+            let mut resp = String::new();
+            reader.read_line(&mut resp).unwrap();
+            json::parse(&resp).unwrap_or_else(|e| panic!("{e}: {resp}"))
+        };
+        let query = format!(
+            r#"{{"op":"query","execute":true,"oql":{}}}"#,
+            obs::json_string("select x.name from x in Person where x.age < 27")
+        );
+        let cache = |r: &Json| r.get("cache").and_then(Json::as_str).map(str::to_string);
+        let answers = |r: &Json| r.get("answers").and_then(Json::as_u64).unwrap();
+
+        let miss = ask(&query);
+        assert_eq!(cache(&miss).as_deref(), Some("miss"), "{mode:?}: {miss:?}");
+        let first = ask(&query);
+        let before = ask(r#"{"op":"metrics"}"#);
+        let repeat = ask(&query);
+        assert_eq!(cache(&first).as_deref(), Some("hit"), "{mode:?}");
+        assert_eq!(cache(&repeat).as_deref(), Some("hit"), "{mode:?}");
+        assert_eq!(
+            scrub(&first),
+            scrub(&repeat),
+            "{mode:?}: an instance hit answers what the hit that filled it answered"
+        );
+        assert!(answers(&repeat) > 0, "the generated base has young persons");
+        // The repeat skipped Step 4: its stats carry no retarget span.
+        let spans = |r: &Json| {
+            r.get("report")
+                .and_then(|r| r.get("stats"))
+                .and_then(|s| s.get("spans"))
+                .cloned()
+                .unwrap()
+        };
+        assert!(spans(&first).get("cache.retarget").is_some(), "{mode:?}");
+        assert!(spans(&repeat).get("cache.retarget").is_none(), "{mode:?}");
+
+        // Answers are never cached: a write between two repeats shows.
+        let created =
+            ask(r#"{"op":"create","class":"Student","attrs":{"name":"finished-hit","age":19}}"#);
+        assert_eq!(created.get("ok"), Some(&Json::Bool(true)), "{created:?}");
+        let after = ask(&query);
+        assert_eq!(cache(&after).as_deref(), Some("hit"), "{mode:?}");
+        assert_eq!(answers(&after), answers(&repeat) + 1, "{mode:?}");
+        assert_eq!(
+            scrub(after.get("report").unwrap()),
+            scrub(repeat.get("report").unwrap())
+        );
+
+        let metrics = ask(r#"{"op":"metrics"}"#);
+        assert_eq!(
+            counter(&metrics, "plan_cache.instance_hits"),
+            counter(&before, "plan_cache.instance_hits") + 2,
+            "{mode:?}: both repeats were instance hits"
+        );
+        let instances = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0]
+            .get("cached_instances")
+            .and_then(Json::as_u64);
+        assert_eq!(instances, Some(1), "{mode:?}");
+
+        ask(r#"{"op":"shutdown"}"#);
+        serving.join().unwrap();
+    }
+}

@@ -159,7 +159,7 @@ fn contradiction_provenance_names_refuting_ic() {
                where x.name = "john" and z.taxes_withheld(10%) < 1000"#,
         )
         .unwrap();
-    let Verdict::Contradiction { ic_name, .. } = &report.verdict else {
+    let Verdict::Contradiction { ic_name, .. } = &*report.verdict else {
         panic!("expected contradiction, got {:?}", report.verdict);
     };
     assert_eq!(ic_name.as_deref(), Some("IC3"));

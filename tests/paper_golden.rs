@@ -344,7 +344,7 @@ fn application4_q1_fold_blocked_without_one_to_one() {
 fn original_always_first_and_unchanged() {
     let mut opt = SemanticOptimizer::university();
     let report = opt.optimize("select x.title from x in Course").unwrap();
-    match &report.verdict {
+    match &*report.verdict {
         Verdict::Equivalents(v) => {
             assert!(v[0].delta.is_empty());
             assert!(v[0].steps.is_empty());

@@ -75,7 +75,7 @@ proptest! {
 
         let src = query_template(template, age, &frag);
         let report = opt.optimize(&src).unwrap();
-        match &report.verdict {
+        match &*report.verdict {
             Verdict::Contradiction { .. } => {
                 // A contradiction verdict must mean zero answers on any
                 // IC-satisfying database.
