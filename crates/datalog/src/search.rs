@@ -7,23 +7,24 @@
 //! selected by [`Strategy`], with the heuristic knobs exposed in
 //! [`SearchConfig`]:
 //!
+//! * **`BestFirst`** (default) — a cost-ordered priority frontier over an
+//!   exact [`SubsumptionIndex`]. Residue matching is memoized per query
+//!   structure on the [`TransformContext`], so it is shared by every
+//!   search on that context; each popped node is analysed when it is
+//!   merged, and once no child of it could be admitted (depth bound
+//!   reached or variant budget spent) it gets the contradiction probe
+//!   only. Under the default [`CostModel::DepthUniform`] it expands nodes
+//!   in exactly the BFS order and produces byte-identical outcomes.
 //! * **`Bfs`** — the original bounded level-BFS, deduplicated by a
-//!   canonical form. Kept intact as the ablation baseline.
-//! * **`BestFirst`** (default) — a cost-ordered priority frontier with a
-//!   per-search [`AnalysisCache`] (structure-level memoization of
-//!   residue matching), a compile-time exactness prefilter, and an exact
-//!   [`SubsumptionIndex`] in place of the hash-fingerprint seen-set.
-//!   Under the default [`CostModel::DepthUniform`] it expands nodes in
-//!   exactly the BFS order and produces byte-identical outcomes while
-//!   doing a fraction of the per-node work.
+//!   canonical form and analysed without the memo. Kept intact as the
+//!   ablation baseline; [`Backend`] and the `parallel` feature select
+//!   only how *its* levels are analysed.
 
 use crate::atom::Literal;
 use crate::clause::Query;
 use crate::fxhash::FxHashSet;
 use crate::subsume::SubsumptionIndex;
-use crate::transform::{
-    analyse, analyse_cached, apply, Analysis, AnalysisCache, Op, TransformContext,
-};
+use crate::transform::{analyse, analyse_memo, apply, Analysis, Op, TransformContext};
 use sqo_obs as obs;
 use std::collections::{BinaryHeap, HashSet};
 
@@ -59,10 +60,12 @@ pub enum DedupMode {
     CanonicalKey,
 }
 
-/// Which engine analyses the BFS frontier. The two backends produce
-/// byte-identical outcomes (same variants, same order, same provenance,
-/// same counter totals); the enumeration exists so differential harnesses
-/// can run every backend against the same query and assert exactly that.
+/// Which engine analyses a level of the [`Strategy::Bfs`] frontier (the
+/// best-first engine analyses each node as it merges it and has no
+/// batch to fan out). The two backends produce byte-identical outcomes
+/// (same variants, same order, same provenance, same counter totals);
+/// the enumeration exists so differential harnesses can run every
+/// backend against the same query and assert exactly that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// Frontier analyses fan out over worker threads (the default path;
@@ -93,8 +96,8 @@ pub enum Strategy {
     /// The original exhaustive level-BFS. Kept byte-for-byte as the
     /// ablation baseline (`--search=bfs`).
     Bfs,
-    /// Cost-driven best-first search: priority frontier, per-search
-    /// analysis cache, exactness prefilter, exact subsumption index.
+    /// Cost-driven best-first search: priority frontier, context-lifetime
+    /// structure memo, exactness prefilter, exact subsumption index.
     /// Byte-identical outcomes to [`Strategy::Bfs`] under the default
     /// [`CostModel::DepthUniform`].
     #[default]
@@ -179,8 +182,8 @@ pub struct SearchConfig {
     /// Frontier ordering for the best-first engine.
     pub cost_model: CostModel,
     /// Maximum nodes the best-first engine pops per round. `None`
-    /// (default) drains the whole frontier each round, preserving level
-    /// batching for the parallel fanout; `Some(k)` analyses only the
+    /// (default) drains the whole frontier each round (one BFS level
+    /// under [`CostModel::DepthUniform`]); `Some(k)` analyses only the
     /// top-K cheapest nodes per round.
     pub frontier_slice: Option<usize>,
     /// Admissible early-termination bound for the best-first engine:
@@ -402,28 +405,32 @@ impl Outcome {
 
 /// Run the bounded equivalent-query search (Step 3).
 ///
-/// The search is a breadth-first expansion processed level by level:
-/// the expensive applicability analysis of each frontier node depends
-/// only on the node's query and the (immutable) context, so with the
-/// `parallel` feature (on by default) every level's analyses run on
-/// worker threads. The merge that consumes the analyses — candidate
-/// ordering, dedup against the seen-set, budget checks, contradiction
-/// short-circuiting — stays sequential and ordered, so the outcome is
-/// byte-identical to [`optimize_sequential`].
+/// Under the default [`Strategy::BestFirst`] the search pops its
+/// frontier in cost order (derivation depth by default, so level by
+/// level), analyses each popped node on the calling thread against the
+/// context's structure memo, and merges its children through the
+/// subsumption index; a node that can no longer contribute a child is
+/// only probed for a contradiction. The outcome depends on the query,
+/// the context and `cfg` alone — never on what earlier searches left in
+/// the memo. [`Strategy::Bfs`] runs the legacy level-BFS, whose levels
+/// are analysed on worker threads with the `parallel` feature (on by
+/// default) and merged sequentially, byte-identical to
+/// [`optimize_sequential`].
 pub fn optimize(q: &Query, ctx: &TransformContext, cfg: &SearchConfig) -> Outcome {
     match cfg.strategy {
         Strategy::Bfs => optimize_with(q, ctx, cfg, analyse_level),
-        Strategy::BestFirst => best_first(q, ctx, cfg, Backend::Parallel),
+        Strategy::BestFirst => best_first(q, ctx, cfg),
     }
 }
 
-/// Single-threaded variant of [`optimize`]. Produces the identical
-/// outcome (same variants, same order, same provenance); exists so the
-/// equivalence can be asserted in tests and measured in benchmarks.
+/// [`optimize`] with the [`Strategy::Bfs`] levels analysed on the
+/// calling thread. Produces the identical outcome (same variants, same
+/// order, same provenance); exists so the equivalence can be asserted in
+/// tests and measured in benchmarks.
 pub fn optimize_sequential(q: &Query, ctx: &TransformContext, cfg: &SearchConfig) -> Outcome {
     match cfg.strategy {
         Strategy::Bfs => optimize_with(q, ctx, cfg, analyse_level_sequential),
-        Strategy::BestFirst => best_first(q, ctx, cfg, Backend::Sequential),
+        Strategy::BestFirst => best_first(q, ctx, cfg),
     }
 }
 
@@ -608,7 +615,23 @@ fn optimize_with(
         frontier = next_level;
     }
 
+    note_budget(cfg, &variants, expansions, seen.len());
     Outcome::Equivalents(variants)
+}
+
+/// Bump `search.budget_exhausted` when a finished search was bounded by
+/// a budget rather than by running out of transformations: a variant
+/// sits at the depth bound, some passed through unanalysed (`expanded`
+/// falls short of their number), or a child was refused because the
+/// dedup structure had outgrown the variant budget (`distinct`).
+/// Conservative: a bounded search *may* have had nothing more to find.
+fn note_budget(cfg: &SearchConfig, variants: &[Variant], expanded: usize, distinct: usize) {
+    if variants.iter().any(|v| v.steps.len() >= cfg.max_depth)
+        || expanded < variants.len()
+        || distinct > cfg.max_variants
+    {
+        obs::bump(obs::Counter::SearchBudgetExhausted);
+    }
 }
 
 /// A frontier entry in the best-first heap. Ordering is inverted so the
@@ -647,86 +670,33 @@ impl Ord for FrontierNode {
     }
 }
 
-fn analyse_batch_sequential(
-    nodes: &[Variant],
-    ctx: &TransformContext,
-    cache: &AnalysisCache,
-) -> Vec<Analysis> {
-    nodes
-        .iter()
-        .map(|n| analyse_cached(&n.query, ctx, cache))
-        .collect()
-}
-
-#[cfg(feature = "parallel")]
-fn analyse_batch_parallel(
-    nodes: &[Variant],
-    ctx: &TransformContext,
-    cache: &AnalysisCache,
-) -> Vec<Analysis> {
-    let workers = worker_budget().min(nodes.len());
-    if workers <= 1 {
-        return analyse_batch_sequential(nodes, ctx, cache);
-    }
-    let chunk = nodes.len().div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = nodes
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    let out = analyse_batch_sequential(c, ctx, cache);
-                    // Flush inside the closure: scope/join completion does
-                    // not wait for the worker's TLS destructors to run.
-                    obs::flush_local();
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("search worker panicked"))
-            .collect()
-    })
-}
-
-#[cfg(not(feature = "parallel"))]
-fn analyse_batch_parallel(
-    nodes: &[Variant],
-    ctx: &TransformContext,
-    cache: &AnalysisCache,
-) -> Vec<Analysis> {
-    analyse_batch_sequential(nodes, ctx, cache)
-}
-
 /// The cost-driven best-first engine. Structure per round:
 ///
 /// 1. Pop the cheapest `frontier_slice` nodes off the heap (all of them
-///    when the slice is `None`, which batches a whole BFS level under
-///    [`CostModel::DepthUniform`] and keeps the parallel fanout).
+///    when the slice is `None`, which is a whole BFS level under
+///    [`CostModel::DepthUniform`]).
 /// 2. Nodes whose cost exceeds `cost_cutoff` skip analysis entirely and
 ///    pass straight through as variants — sound, because every frontier
 ///    node is an already-proven equivalent; the cutoff only stops us
 ///    *expanding* them further.
-/// 3. Analyse the batch through the per-search [`AnalysisCache`]
-///    (structural memoization + exactness prefilter) and merge children
-///    through the [`SubsumptionIndex`] (canonical-hash-bucketed, exact
-///    on collision — no false dedup from a 64-bit fingerprint).
+/// 3. Analyse each remaining node as it is merged, against the
+///    context's structure memo ([`analyse_memo`]). The candidate list
+///    is asked for only while a child could still be admitted — below
+///    the depth bound and with room in the variant budget, which the
+///    never-shrinking [`SubsumptionIndex`] cannot give back; otherwise
+///    the node gets the contradiction probe alone. Children merge
+///    through the index (canonical-hash-bucketed, exact on collision —
+///    no false dedup from a 64-bit fingerprint).
 ///
 /// Under the default config (DepthUniform, no slice, no cutoff) the pop
 /// order, budget accounting, candidate filtering, and dedup decisions
-/// are all identical to [`optimize_with`], so the outcome — and the
-/// downstream `explain_json` — is byte-identical to the legacy BFS.
-/// Pinned by `best_first_matches_bfs_*` tests here and the
-/// cross-strategy sweep in the fuzz crate.
-fn best_first(q: &Query, ctx: &TransformContext, cfg: &SearchConfig, backend: Backend) -> Outcome {
+/// are all identical to [`optimize_with`], and every node the BFS would
+/// analyse is still probed, so the outcome — and the downstream
+/// `explain_json` — is byte-identical to the legacy BFS. Pinned by
+/// `best_first_matches_bfs_*` tests here and the cross-strategy sweep in
+/// the fuzz crate.
+fn best_first(q: &Query, ctx: &TransformContext, cfg: &SearchConfig) -> Outcome {
     let _span = obs::span!("step3.search");
-    let cache = AnalysisCache::new();
-    let analyse_batch = |nodes: &[Variant]| -> Vec<Analysis> {
-        match backend {
-            Backend::Parallel => analyse_batch_parallel(nodes, ctx, &cache),
-            Backend::Sequential => analyse_batch_sequential(nodes, ctx, &cache),
-        }
-    };
     let cost_of = |node: &Variant| -> f64 {
         match &cfg.cost_model {
             CostModel::DepthUniform => node.steps.len() as f64,
@@ -778,14 +748,17 @@ fn best_first(q: &Query, ctx: &TransformContext, cfg: &SearchConfig, backend: Ba
         expansions += analysed;
         obs::bump(obs::Counter::SearchLevels);
         obs::add(obs::Counter::SearchNodesExpanded, analysed as u64);
-        let analyses = analyse_batch(&batch[..analysed]);
-        let mut results = analyses.into_iter();
         for (i, node) in batch.into_iter().enumerate() {
             if i >= analysed {
                 variants.push(node);
                 continue;
             }
-            match results.next().expect("one analysis per analysed node") {
+            // A child needs room under the depth bound and in the variant
+            // budget, which the never-shrinking index cannot give back;
+            // without both, all this node can still yield is a
+            // contradiction.
+            let enumerate = node.steps.len() < cfg.max_depth && index.len() <= cfg.max_variants;
+            match analyse_memo(&node.query, ctx, enumerate) {
                 Analysis::Contradiction { ic_name, note } => {
                     return Outcome::Contradiction {
                         ic_name,
@@ -794,49 +767,46 @@ fn best_first(q: &Query, ctx: &TransformContext, cfg: &SearchConfig, backend: Ba
                     };
                 }
                 Analysis::Candidates(mut cands) => {
-                    let depth = node.steps.len();
-                    if depth < cfg.max_depth {
-                        cands.sort_by_key(|c| SearchConfig::priority(&c.op));
-                        for cand in cands {
-                            if !cfg.enabled(&cand.op, ctx) {
-                                continue;
-                            }
-                            // The index never shrinks, so once the variant
-                            // budget is exhausted no child can ever be
-                            // admitted — skip building and canonicalizing it.
-                            if index.len() > cfg.max_variants {
-                                obs::bump(obs::Counter::SearchNodesPruned);
-                                continue;
-                            }
-                            let next = apply(&node.query, &cand.op);
-                            if !next.is_safe() {
-                                continue;
-                            }
-                            if !index.insert(&next) {
-                                obs::bump(obs::Counter::SearchDedupHits);
-                                obs::bump(obs::Counter::SearchNodesPruned);
-                                obs::bump(obs::Counter::SearchSubsumedPruned);
-                                continue;
-                            }
-                            if index.len() > cfg.max_variants {
-                                obs::bump(obs::Counter::SearchNodesPruned);
-                                continue;
-                            }
-                            let mut steps = node.steps.clone();
-                            steps.push(Step {
-                                op: cand.op,
-                                ic_name: cand.ic_name,
-                                residue: cand.residue,
-                                note: cand.note,
-                            });
-                            let child = Variant { query: next, steps };
-                            heap.push(FrontierNode {
-                                cost: cost_of(&child),
-                                seq,
-                                node: child,
-                            });
-                            seq += 1;
+                    cands.sort_by_key(|c| SearchConfig::priority(&c.op));
+                    for cand in cands {
+                        if !cfg.enabled(&cand.op, ctx) {
+                            continue;
                         }
+                        // The budget can run out between two children of
+                        // one node: skip building and canonicalizing the
+                        // rest.
+                        if index.len() > cfg.max_variants {
+                            obs::bump(obs::Counter::SearchNodesPruned);
+                            continue;
+                        }
+                        let next = apply(&node.query, &cand.op);
+                        if !next.is_safe() {
+                            continue;
+                        }
+                        if !index.insert(&next) {
+                            obs::bump(obs::Counter::SearchDedupHits);
+                            obs::bump(obs::Counter::SearchNodesPruned);
+                            obs::bump(obs::Counter::SearchSubsumedPruned);
+                            continue;
+                        }
+                        if index.len() > cfg.max_variants {
+                            obs::bump(obs::Counter::SearchNodesPruned);
+                            continue;
+                        }
+                        let mut steps = node.steps.clone();
+                        steps.push(Step {
+                            op: cand.op,
+                            ic_name: cand.ic_name,
+                            residue: cand.residue,
+                            note: cand.note,
+                        });
+                        let child = Variant { query: next, steps };
+                        heap.push(FrontierNode {
+                            cost: cost_of(&child),
+                            seq,
+                            node: child,
+                        });
+                        seq += 1;
                     }
                     variants.push(node);
                 }
@@ -847,6 +817,7 @@ fn best_first(q: &Query, ctx: &TransformContext, cfg: &SearchConfig, backend: Ba
     }
 
     obs::add(obs::Counter::SearchFrontierPeak, frontier_peak as u64);
+    note_budget(cfg, &variants, expansions, index.len());
     Outcome::Equivalents(variants)
 }
 
@@ -1035,11 +1006,16 @@ mod tests {
         assert_eq!(d.added.len(), 1);
     }
 
-    /// Assert the two search paths return identical outcomes: same
-    /// variants in the same order, same steps, same provenance.
+    /// Assert the two [`Backend`]s return identical outcomes: same
+    /// variants in the same order, same steps, same provenance. Only
+    /// [`Strategy::Bfs`] has a batch for a backend to analyse.
     fn assert_outcomes_identical(q: &Query, ctx: &TransformContext, cfg: &SearchConfig) {
-        let par = optimize(q, ctx, cfg);
-        let seq = optimize_sequential(q, ctx, cfg);
+        let bfs = SearchConfig {
+            strategy: Strategy::Bfs,
+            ..cfg.clone()
+        };
+        let par = optimize(q, ctx, &bfs);
+        let seq = optimize_sequential(q, ctx, &bfs);
         assert_same_outcome(&par, &seq);
     }
 
@@ -1085,7 +1061,7 @@ mod tests {
     }
 
     /// Run the same search under both strategies (and both backends for
-    /// the best-first side) and assert identical outcomes. This is the
+    /// the BFS side) and assert identical outcomes. This is the
     /// unit-level pin behind the "best-first is byte-identical to BFS by
     /// default" guarantee; the fuzz crate pins the rendered
     /// `explain_json` across strategies on top of this.
@@ -1101,7 +1077,6 @@ mod tests {
         let baseline = optimize_sequential(q, ctx, &bfs);
         assert_same_outcome(&optimize(q, ctx, &bfs), &baseline);
         assert_same_outcome(&optimize(q, ctx, &best), &baseline);
-        assert_same_outcome(&optimize_sequential(q, ctx, &best), &baseline);
     }
 
     #[test]

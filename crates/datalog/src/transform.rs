@@ -32,7 +32,8 @@ use crate::term::{Term, Var};
 use crate::unify::match_atoms;
 use sqo_obs as obs;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, RwLock};
 
 /// An atomic semantic transformation of a query.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,8 +118,14 @@ pub enum Analysis {
 }
 
 /// Everything the transformer needs besides the query itself.
+///
+/// A context is built once per compiled knowledge base and replaced
+/// wholesale when the constraints change, so what it memoizes (see
+/// [`analyse_memo`]) needs no invalidation: it dies with the context.
 pub struct TransformContext {
-    /// Compiled residues.
+    /// Compiled residues. Fixed for the context's lifetime: the structure
+    /// memo below is derived from them, so new constraints mean a new
+    /// context ([`TransformContext::new`]), never an assignment here.
     pub residues: ResidueSet,
     /// Chase dependencies (derived from the same constraints + views).
     pub chase: ChaseContext,
@@ -129,6 +136,9 @@ pub struct TransformContext {
     pub functional: BTreeMap<PredSym, usize>,
     /// Chase budget for removal checks.
     pub budget: ChaseBudget,
+    /// Residue matches per query structure, shared by every search on
+    /// this context.
+    structures: StructureMemo,
 }
 
 impl TransformContext {
@@ -151,6 +161,7 @@ impl TransformContext {
             views,
             functional,
             budget: ChaseBudget::default(),
+            structures: StructureMemo::default(),
         }
     }
 
@@ -403,7 +414,7 @@ pub fn analyse(q: &Query, ctx: &TransformContext) -> Analysis {
 }
 
 /// The solver-dependent tail of the analysis, shared by [`analyse`] and
-/// [`analyse_cached`]: comparison removal, chase-validated atom removal,
+/// [`analyse_memo`]: comparison removal, chase-validated atom removal,
 /// and view folds. These phases only *add* candidates — none of them can
 /// surface a contradiction — so the helper has no early return.
 fn tail_candidates(
@@ -508,36 +519,52 @@ fn tail_candidates(
 /// variable set. Two queries with the same structure differ only in
 /// their comparison literals, which residue application consumes solely
 /// through the per-query [`ConstraintSet`] — so everything *except* the
-/// solver-dependent checks can be computed once per structure and
-/// replayed across sibling variants.
-#[derive(Debug, PartialEq, Eq, Hash)]
+/// solver-dependent checks is computed once per structure and replayed
+/// for every query that shares it.
+#[derive(Debug)]
 struct StructKey {
     pos: Vec<Atom>,
     neg: Vec<Atom>,
     qvars: BTreeSet<Var>,
 }
 
+fn negative_atoms(q: &Query) -> impl Iterator<Item = &Atom> {
+    q.body.iter().filter_map(|l| match l {
+        Literal::Neg(a) => Some(a),
+        _ => None,
+    })
+}
+
 impl StructKey {
-    fn of(q: &Query, qvars: &BTreeSet<Var>) -> (StructKey, u64) {
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        for l in &q.body {
-            match l {
-                Literal::Pos(a) => pos.push(a.clone()),
-                Literal::Neg(a) => neg.push(a.clone()),
-                Literal::Cmp(_) => {}
-            }
-        }
-        let key = StructKey {
-            pos,
-            neg,
+    /// The owned key of `q`'s structure (cloned only when a structure is
+    /// built; lookups go through [`StructKey::hash_of`] and
+    /// [`StructKey::matches`] on the borrowed query).
+    fn of(q: &Query, qvars: &BTreeSet<Var>) -> StructKey {
+        StructKey {
+            pos: q.positive_atoms().cloned().collect(),
+            neg: negative_atoms(q).cloned().collect(),
             qvars: qvars.clone(),
-        };
-        use std::hash::{Hash, Hasher};
+        }
+    }
+
+    fn hash_of(q: &Query, qvars: &BTreeSet<Var>) -> u64 {
         let mut h = FxHasher::default();
-        key.hash(&mut h);
-        let hash = h.finish();
-        (key, hash)
+        for a in q.positive_atoms() {
+            a.hash(&mut h);
+        }
+        // Keeps `p(X), not r(X)` and `p(X), r(X)` apart.
+        h.write_u8(0xff);
+        for a in negative_atoms(q) {
+            a.hash(&mut h);
+        }
+        qvars.hash(&mut h);
+        h.finish()
+    }
+
+    fn matches(&self, q: &Query, qvars: &BTreeSet<Var>) -> bool {
+        self.pos.iter().eq(q.positive_atoms())
+            && self.neg.iter().eq(negative_atoms(q))
+            && self.qvars == *qvars
     }
 }
 
@@ -545,7 +572,7 @@ impl StructKey {
 /// at structure-cache build time. Solver-independent checks (foreign
 /// comparison variables, negated-head anchoring, head freshening, note
 /// rendering) are resolved here; solver-dependent checks replay per
-/// query in [`analyse_cached`].
+/// query in [`analyse_memo`].
 #[derive(Debug)]
 enum HeadAction {
     /// Denial head: the match alone proves a contradiction.
@@ -594,55 +621,71 @@ struct AppEntry {
     matches: Vec<ThetaEntry>,
 }
 
-/// The cached residue-application phase for one query structure.
+/// The residue-application phase of one query structure: every staged
+/// residue match and what its head would do, none of it dependent on a
+/// query's comparison literals.
 #[derive(Debug)]
-struct StructEntry {
+struct Structure {
+    key: StructKey,
     apps: Vec<AppEntry>,
 }
 
-/// A per-search memo of the residue-application phase, keyed by query
-/// structure. [`analyse_cached`] consults it so sibling variants that
-/// share positive/negative atoms — differing only in comparison
-/// literals, the overwhelmingly common case under restriction-heavy IC
-/// sets — pay for residue matching once instead of once per node.
-///
-/// Thread-safe and deterministic: the mutex guards only the bucket map
-/// (fetching/inserting entry slots), and each entry is built exactly
-/// once inside its own `OnceLock` *outside* the lock — so parallel and
-/// sequential searches bump build-time counters identically, and
-/// concurrent builders of different structures don't serialize.
+/// Most structures a context retains. One structure at 32 range ICs is
+/// about 50 KB (133 staged matches with their rendered notes) and a
+/// query shape contributes a handful, so the cap bounds the memo to a
+/// few MB; past it each newcomer displaces an arbitrary resident.
+const STRUCTURE_MEMO_CAP: usize = 128;
+
+/// The context-lifetime memo of [`Structure`]s, keyed by
+/// [`StructKey::hash_of`] (a lookup verifies the key, so two structures
+/// that collide merely displace each other). Sound to share between
+/// every search on the context because a structure depends only on the
+/// query's atoms and variables and on the compiled residues, which never
+/// change under a live context. Readers hold the read lock for one
+/// probe; a structure is built outside any lock (two racing builders
+/// both build, one copy is kept).
 #[derive(Debug, Default)]
-pub struct AnalysisCache {
-    #[allow(clippy::type_complexity)]
-    map: Mutex<FxHashMap<u64, Vec<(StructKey, Arc<OnceLock<StructEntry>>)>>>,
+struct StructureMemo {
+    map: RwLock<FxHashMap<u64, Arc<Structure>>>,
 }
 
-impl AnalysisCache {
-    /// An empty cache, scoped to one search (one query + context).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fetch or create the entry slot for a structure. The build itself
-    /// happens in the caller via `get_or_init`, outside the map lock.
-    fn slot(&self, key: StructKey, hash: u64) -> Arc<OnceLock<StructEntry>> {
-        let mut map = self.map.lock().expect("analysis cache poisoned");
-        let bucket = map.entry(hash).or_default();
-        if let Some((_, slot)) = bucket.iter().find(|(k, _)| *k == key) {
-            return Arc::clone(slot);
+impl TransformContext {
+    /// The memoized [`Structure`] of `q`, built on first sight.
+    fn structure_of(&self, q: &Query, qvars: &BTreeSet<Var>) -> Arc<Structure> {
+        let hash = StructKey::hash_of(q, qvars);
+        let find = |map: &FxHashMap<u64, Arc<Structure>>| {
+            map.get(&hash).filter(|s| s.key.matches(q, qvars)).cloned()
+        };
+        let memo = &self.structures.map;
+        if let Some(found) = find(&memo.read().expect("structure memo poisoned")) {
+            return found;
         }
-        let slot = Arc::new(OnceLock::new());
-        bucket.push((key, Arc::clone(&slot)));
-        slot
+        let built = Arc::new(build_structure(q, qvars, self));
+        let mut map = memo.write().expect("structure memo poisoned");
+        if let Some(raced) = find(&map) {
+            return raced;
+        }
+        let evicted = if map.len() >= STRUCTURE_MEMO_CAP && !map.contains_key(&hash) {
+            let victim = *map.keys().next().expect("a full memo has an entry");
+            map.remove(&victim)
+        } else {
+            None
+        };
+        let collided = map.insert(hash, Arc::clone(&built));
+        // Displaced structures are freed after the lock is released.
+        drop(map);
+        drop((evicted, collided));
+        built
     }
 }
 
-/// Build the cached residue-application phase for one structure. Runs
-/// the same enumeration as the residue loop of [`analyse`] minus the
+/// Build the residue-application phase for one structure. Runs the same
+/// enumeration as the residue loop of [`analyse`] minus the
 /// solver-dependent checks; build-time counters (exactness skips,
 /// prefilter hits/misses, subsumption stagings, unification attempts)
-/// are bumped here exactly once per structure.
-fn build_struct_entry(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> StructEntry {
+/// are bumped here, once per build — so once per context for a structure
+/// the memo retains, not once per search.
+fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> Structure {
     let mut pos_refs: Vec<&Atom> = Vec::new();
     let mut neg_refs: Vec<&Atom> = Vec::new();
     let mut pos_sigs: FxHashSet<(PredSym, usize)> = FxHashSet::default();
@@ -757,24 +800,40 @@ fn build_struct_entry(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) 
             });
         }
     }
-    StructEntry { apps }
+    Structure {
+        key: StructKey::of(q, qvars),
+        apps,
+    }
 }
 
-/// [`analyse`] with the residue-application phase served from `cache`.
+/// [`analyse`] with the residue-application phase served from the
+/// context's structure memo, and the candidate list built only on
+/// request.
 ///
-/// Produces the identical [`Analysis`] for every query: the cached
-/// enumeration replays staged matches in the exact order the uncached
-/// loop visits them, and contradiction short-circuit points are
-/// identical. One check is reordered — the implied/contained test runs
-/// *before* the contradiction probe — which cannot change the outcome:
-/// a comparison already contained in the query asserts nothing new, and
-/// an implied one (`unsat(solver ∧ ¬c)`) cannot make a solver the
-/// closure found satisfiable turn unsatisfiable, because both
-/// judgements compose through the same complete order/constant closure.
+/// With `enumerate` set it produces the identical [`Analysis`] for every
+/// query: the memoized enumeration replays staged matches in the exact
+/// order the unmemoized loop visits them, and contradiction
+/// short-circuit points are identical. One check is reordered — the
+/// implied/contained test runs *before* the contradiction probe — which
+/// cannot change the outcome: a comparison already contained in the
+/// query asserts nothing new, and an implied one (`unsat(solver ∧ ¬c)`)
+/// cannot make a solver the closure found satisfiable turn
+/// unsatisfiable, because both judgements compose through the same
+/// complete order/constant closure.
+///
+/// Without `enumerate` the call is the *contradiction probe* alone: the
+/// own-solver check, the deferred-comparison gates and every head test
+/// that can return [`Analysis::Contradiction`] run as above, but no
+/// [`Candidate`] is materialised and the solver-rebuilding tail
+/// (comparison removal, chase-validated atom removal, view folds — none of
+/// which can surface a contradiction) is skipped; a satisfiable query yields an
+/// empty candidate list. The search asks for this once no child of the
+/// node could be admitted any more.
+///
 /// Only observability counters differ from [`analyse`]: structure-level
-/// work (prefilter, unification, subsumption staging) is counted once
-/// per structure instead of once per node.
-pub fn analyse_cached(q: &Query, ctx: &TransformContext, cache: &AnalysisCache) -> Analysis {
+/// work (prefilter, unification, subsumption staging) is counted when a
+/// structure is built, not once per node.
+pub fn analyse_memo(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
     let solver = query_solver(q, &ctx.functional);
     if solver.check() == Sat::Unsatisfiable {
         return Analysis::Contradiction {
@@ -783,24 +842,34 @@ pub fn analyse_cached(q: &Query, ctx: &TransformContext, cache: &AnalysisCache) 
         };
     }
     let qvars = q.vars();
-    let (key, hash) = StructKey::of(q, &qvars);
-    let slot = cache.slot(key, hash);
-    let entry = slot.get_or_init(|| build_struct_entry(q, &qvars, ctx));
+    let structure = ctx.structure_of(q, &qvars);
 
     let mut candidates: Vec<Candidate> = Vec::new();
-    for app in &entry.apps {
+    for app in &structure.apps {
+        let mut propose = |op: Op, note: &str| {
+            if enumerate {
+                push_candidate(
+                    &mut candidates,
+                    Candidate {
+                        op,
+                        note: note.to_owned(),
+                        ic_name: app.ic_name.clone(),
+                        residue: Some(app.residue_id.clone()),
+                    },
+                );
+            }
+        };
+        let contradiction = |note: &str| Analysis::Contradiction {
+            ic_name: app.ic_name.clone(),
+            note: note.to_owned(),
+        };
         for m in &app.matches {
             if !m.deferred.iter().all(|c| solver.implies(c)) {
                 continue;
             }
             obs::bump(obs::Counter::ResiduesApplied);
             match &m.action {
-                HeadAction::Denial { note } => {
-                    return Analysis::Contradiction {
-                        ic_name: app.ic_name.clone(),
-                        note: note.clone(),
-                    };
-                }
+                HeadAction::Denial { note } => return contradiction(note),
                 HeadAction::Discard => {}
                 HeadAction::Cmp {
                     c,
@@ -811,38 +880,18 @@ pub fn analyse_cached(q: &Query, ctx: &TransformContext, cache: &AnalysisCache) 
                         continue;
                     }
                     if solver.sat_with(c) == Sat::Unsatisfiable {
-                        return Analysis::Contradiction {
-                            ic_name: app.ic_name.clone(),
-                            note: contra_note.clone(),
-                        };
+                        return contradiction(contra_note);
                     }
-                    push_candidate(
-                        &mut candidates,
-                        Candidate {
-                            note: note.clone(),
-                            op: Op::AddCmp(*c),
-                            ic_name: app.ic_name.clone(),
-                            residue: Some(app.residue_id.clone()),
-                        },
-                    );
+                    propose(Op::AddCmp(*c), note);
                 }
                 HeadAction::Atom {
                     raw,
                     freshened,
                     note,
                 } => {
-                    if atom_subsumed_in_query(raw, q, &qvars, &solver) {
-                        continue;
+                    if enumerate && !atom_subsumed_in_query(raw, q, &qvars, &solver) {
+                        propose(Op::AddAtom(freshened.clone()), note);
                     }
-                    push_candidate(
-                        &mut candidates,
-                        Candidate {
-                            note: note.clone(),
-                            op: Op::AddAtom(freshened.clone()),
-                            ic_name: app.ic_name.clone(),
-                            residue: Some(app.residue_id.clone()),
-                        },
-                    );
                 }
                 HeadAction::NegAtom {
                     raw,
@@ -857,10 +906,7 @@ pub fn analyse_cached(q: &Query, ctx: &TransformContext, cache: &AnalysisCache) 
                                 x == y || (term_occurs_once(x, q) && !var_in(y, &qvars))
                             })
                     };
-                    if q.body
-                        .iter()
-                        .any(|l| matches!(l, Literal::Neg(b) if local_ok(b, raw)))
-                    {
+                    if negative_atoms(q).any(|b| local_ok(b, raw)) {
                         continue;
                     }
                     let clash = q.positive_atoms().any(|b| {
@@ -871,26 +917,19 @@ pub fn analyse_cached(q: &Query, ctx: &TransformContext, cache: &AnalysisCache) 
                             })
                     });
                     if clash {
-                        return Analysis::Contradiction {
-                            ic_name: app.ic_name.clone(),
-                            note: contra_note.clone(),
-                        };
+                        return contradiction(contra_note);
                     }
-                    push_candidate(
-                        &mut candidates,
-                        Candidate {
-                            note: note.clone(),
-                            op: Op::AddNegAtom(freshened.clone()),
-                            ic_name: app.ic_name.clone(),
-                            residue: Some(app.residue_id.clone()),
-                        },
-                    );
+                    if enumerate {
+                        propose(Op::AddNegAtom(freshened.clone()), note);
+                    }
                 }
             }
         }
     }
 
-    tail_candidates(q, ctx, &solver, &mut candidates);
+    if enumerate {
+        tail_candidates(q, ctx, &solver, &mut candidates);
+    }
 
     Analysis::Candidates(candidates)
 }
@@ -1458,5 +1497,47 @@ mod tests {
             panic!("satisfiable");
         };
         assert!(cands.is_empty(), "{cands:#?}");
+    }
+
+    /// More distinct structures than [`STRUCTURE_MEMO_CAP`]: the memo
+    /// stops at the cap, and every search — first visit, resident or
+    /// displaced — still agrees with the memo-free BFS engine.
+    #[test]
+    fn structure_memo_is_capped_and_outcomes_do_not_depend_on_it() {
+        use crate::search::{optimize, SearchConfig, Strategy};
+        let shapes = STRUCTURE_MEMO_CAP + 40;
+        let ics = (0..shapes)
+            .map(|i| {
+                Constraint::named(
+                    format!("R{i}"),
+                    ConstraintHead::Cmp(Comparison::new(v("A"), CmpOp::Gt, Term::int(i as i64))),
+                    vec![Literal::pos(format!("p{i}").as_str(), vec![v("X"), v("A")])],
+                )
+            })
+            .collect();
+        let ctx = TransformContext::new(ResidueSet::compile(ics), vec![], BTreeMap::new());
+        let memo_len = || ctx.structures.map.read().unwrap().len();
+        let bfs = SearchConfig {
+            strategy: Strategy::Bfs,
+            ..Default::default()
+        };
+        for round in 0..2 {
+            for i in 0..shapes {
+                let q = Query::new(
+                    "q",
+                    vec![v("X")],
+                    vec![Literal::pos(format!("p{i}").as_str(), vec![v("X"), v("A")])],
+                );
+                let memoized = optimize(&q, &ctx, &SearchConfig::default());
+                assert_eq!(memoized.variants().len(), 2, "p{i}: original + `A > {i}`");
+                assert_eq!(
+                    format!("{memoized:?}"),
+                    format!("{:?}", optimize(&q, &ctx, &bfs)),
+                    "round {round}, p{i}"
+                );
+                assert!(memo_len() <= STRUCTURE_MEMO_CAP);
+            }
+            assert_eq!(memo_len(), STRUCTURE_MEMO_CAP);
+        }
     }
 }

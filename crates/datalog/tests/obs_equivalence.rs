@@ -1,16 +1,20 @@
-//! Counter-equivalence between the parallel and sequential Step-3 search
-//! backends: both must report byte-identical observability totals for the
-//! same input, because the parallel frontier performs exactly the same
+//! Counter-equivalence between the parallel and sequential backends of
+//! the `Strategy::Bfs` search (the only engine with a level to fan out):
+//! both must report byte-identical observability totals for the same
+//! input, because the parallel frontier performs exactly the same
 //! `analyse` calls and worker-thread counters merge at the sequential join.
 //!
 //! This file runs under both feature configurations in CI (`--features
 //! parallel` is the default; `--no-default-features` forces `optimize` onto
 //! the sequential path), so equality here pins the cross-build guarantee:
 //! `explain_json` counter totals do not depend on the chosen backend.
+//!
+//! The best-first engine has one path, so what is pinned for it is which
+//! counters a warm context moves (`warm_context_moves_only_structure_counters`).
 
 use sqo_datalog::parser::{parse_constraint, parse_query};
 use sqo_datalog::residue::ResidueSet;
-use sqo_datalog::search::{self, SearchConfig};
+use sqo_datalog::search::{self, SearchConfig, Strategy};
 use sqo_datalog::transform::TransformContext;
 use sqo_obs as obs;
 use std::collections::BTreeMap;
@@ -40,6 +44,14 @@ fn university_ctx() -> TransformContext {
     TransformContext::new(ResidueSet::compile(ics), vec![], BTreeMap::new())
 }
 
+/// The default configuration on the engine that has backends.
+fn bfs_cfg() -> SearchConfig {
+    SearchConfig {
+        strategy: Strategy::Bfs,
+        ..SearchConfig::default()
+    }
+}
+
 /// Counter totals recorded while running `f`, as a stable sorted map.
 fn counters_of(f: impl FnOnce()) -> BTreeMap<&'static str, u64> {
     let before = obs::snapshot();
@@ -51,7 +63,7 @@ fn counters_of(f: impl FnOnce()) -> BTreeMap<&'static str, u64> {
 fn parallel_and_sequential_counter_totals_identical() {
     let _g = lock();
     let ctx = university_ctx();
-    let cfg = SearchConfig::default();
+    let cfg = bfs_cfg();
     for src in [
         // Example 1's restriction attachment (satisfiable).
         "Q(Name) <- student(St, Name), takes_section(St, Sec), faculty(Sec, F, Age)",
@@ -81,7 +93,7 @@ fn parallel_and_sequential_counter_totals_identical() {
 fn counter_totals_serialize_byte_identically() {
     let _g = lock();
     let ctx = university_ctx();
-    let cfg = SearchConfig::default();
+    let cfg = bfs_cfg();
     let q =
         parse_query("Q(Name) <- student(St, Name), takes_section(St, Sec), faculty(Sec, F, Age)")
             .unwrap();
@@ -104,6 +116,44 @@ fn counter_totals_serialize_byte_identically() {
     assert_eq!(par, seq);
 }
 
+/// What a second best-first search on the same context may and may not
+/// change in the counters: per-node work (`search.*` budget accounting,
+/// `residue.applied`) repeats exactly; structure-level work (prefilter,
+/// unification, subsumption staging, exactness skips) was charged when the
+/// context built the structure and is not charged again.
+#[test]
+fn warm_context_moves_only_structure_counters() {
+    let _g = lock();
+    let ctx = university_ctx();
+    let cfg = SearchConfig::default();
+    let q = parse_query(
+        "Q(N1, N2) <- student(S1, N1), student(S2, N2), takes_section(S1, Sec1), \
+         takes_section(S2, Sec2), faculty(Sec1, F1, A1), faculty(Sec2, F2, A2)",
+    )
+    .unwrap();
+    let cold = counters_of(|| {
+        std::hint::black_box(search::optimize(&q, &ctx, &cfg));
+    });
+    let warm = counters_of(|| {
+        std::hint::black_box(search::optimize(&q, &ctx, &cfg));
+    });
+    const STRUCTURE_LEVEL: [&str; 5] = [
+        "residue.prefilter_hits",
+        "residue.prefilter_misses",
+        "unify.attempts",
+        "subsume.checks",
+        "search.exact_skipped",
+    ];
+    assert!(cold["unify.attempts"] > 0 && cold["residue.applied"] > 0);
+    for (name, value) in &cold {
+        if STRUCTURE_LEVEL.contains(name) {
+            assert_eq!(warm.get(name), Some(&0), "{name} is charged per build");
+        } else {
+            assert_eq!(warm.get(name), Some(value), "{name} is charged per search");
+        }
+    }
+}
+
 /// Histogram sample counts (not timings, which necessarily vary) must be
 /// backend-independent: both search paths complete the same spans, and the
 /// per-thread histogram merge — element-wise bucket addition, like the
@@ -114,7 +164,7 @@ fn counter_totals_serialize_byte_identically() {
 fn histogram_merge_is_backend_and_interleaving_independent() {
     let _g = lock();
     let ctx = university_ctx();
-    let cfg = SearchConfig::default();
+    let cfg = bfs_cfg();
     let q =
         parse_query("Q(Name) <- student(St, Name), takes_section(St, Sec), faculty(Sec, F, Age)")
             .unwrap();
@@ -212,7 +262,7 @@ fn randomized_sweep_backends_byte_identical() {
     use rand::{Rng, SeedableRng};
 
     let _g = lock();
-    let cfg = SearchConfig::default();
+    let cfg = bfs_cfg();
     let rels: [(&str, usize); 3] = [("p", 2), ("q", 2), ("r", 3)];
     for seed in 0u64..50 {
         let mut rng = StdRng::seed_from_u64(0xD1FF ^ seed.wrapping_mul(0x9E37_79B9));

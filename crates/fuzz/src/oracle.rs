@@ -7,6 +7,8 @@
 //!
 //! * each [`sqo_core::EquivalentQuery`] from the parallel Step-3 search,
 //! * the sequential search (verdict fingerprints must be byte-identical),
+//! * a second search on a context an earlier search has warmed (same
+//!   verdict, equivalents and steps as the context's first search),
 //! * the warm plan-cache path (miss → hit on the same query, two
 //!   repeats served from the finished instance that hit filled, then a
 //!   constant-shifted sibling through retargeting),
@@ -43,7 +45,8 @@ pub struct PassInfo {
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Which check failed (`"equivalent"`, `"contradiction"`,
-    /// `"backend"`, `"cache"`, `"instance"`, `"sibling"`).
+    /// `"backend"`, `"warm-context"`, `"cache"`, `"instance"`,
+    /// `"sibling"`).
     pub path: String,
     /// Human-readable explanation.
     pub detail: String,
@@ -427,11 +430,32 @@ pub fn run_inputs_full(
         o.prepare()
     };
     let cache = PlanCache::new();
-    let (_, first) = prepared
+    let (cold_report, first) = prepared
         .optimize_query_cached(&cache, &query)
         .map_err(|e| format!("cache(miss): {e}"))?;
     if first != CacheOutcome::Miss {
         return Err(format!("expected cold cache miss, got {}", first.label()));
+    }
+
+    // Warm context: the miss was this `PreparedOptimizer`'s first search
+    // and filled its context's structure memo; a second, uncached search
+    // replays the memo and must say (verdict, equivalents, steps) and
+    // answer exactly what the cold one did.
+    let fresh = prepared
+        .optimize_query(&query)
+        .map_err(|e| format!("optimize(warm context): {e}"))?;
+    let (cold, warm) = (rendering(&cold_report), rendering(&fresh));
+    if cold != warm {
+        return Ok(CaseStatus::Mismatch(Mismatch {
+            path: "warm-context".to_string(),
+            detail: format!(
+                "a search on a warm context disagrees with the context's first search:\n\
+                 --- cold ---\n{cold}\n--- warm ---\n{warm}"
+            ),
+        }));
+    }
+    if let Some(m) = check_report(db, &fresh, &baseline, "warm-context")? {
+        return Ok(CaseStatus::Mismatch(m));
     }
     let (hit_report, second) = prepared
         .optimize_query_cached(&cache, &query)
@@ -458,9 +482,6 @@ pub fn run_inputs_full(
     // must not be told apart from a fresh, uncached optimization. Twice:
     // the second repeat also reads the plan the first one remembered.
     if second == CacheOutcome::Hit {
-        let fresh = prepared
-            .optimize_query(&query)
-            .map_err(|e| format!("optimize(fresh): {e}"))?;
         for _ in 0..2 {
             let (repeat, outcome) = prepared
                 .optimize_query_cached(&cache, &query)

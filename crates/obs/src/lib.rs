@@ -175,6 +175,10 @@ counters! {
     SearchExactSkipped => "search.exact_skipped",
     /// Peak size of the best-first priority frontier, summed per search.
     SearchFrontierPeak => "search.frontier_peak",
+    /// Searches a budget bounded (depth bound reached, variant budget
+    /// spent, or nodes passed through unexpanded): "gave up", as opposed
+    /// to "nothing more to find". At most one per search.
+    SearchBudgetExhausted => "search.budget_exhausted",
     /// Records appended to the object-store write-ahead log.
     StoreWalAppends => "store.wal_appends",
     /// Bytes written by the most recent store snapshot (cumulative across
