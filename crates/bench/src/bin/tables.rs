@@ -10,10 +10,10 @@
 //!
 //! Besides the human-readable tables, the run writes
 //! `BENCH_pipeline.json` at the repo root: a flat `{"name": median_ns}`
-//! map covering the e1/f2 pipeline benchmarks in both the current
-//! engine configuration and the pre-optimization baseline paths kept as
-//! ablation knobs ([`DedupMode::CanonicalKey`], `optimize_sequential`),
-//! plus the derived `speedup/…` ratios and `stage/…` entries carrying the
+//! map covering the e1/f2 pipeline benchmarks, the reference paths that
+//! still exist (`_baseline`: string canonical keys, the scan-only
+//! executor, an uncached request), the derived `speedup/…` ratios over
+//! them, `stage/…` entries carrying the
 //! mean per-stage span timings from the observability registry, and the
 //! `serve/…` rows measuring the query-serving path (cold per-request
 //! search vs warm semantic-plan-cache hits, sequential and concurrent,
@@ -28,7 +28,7 @@ use sqo_bench::{
 use sqo_core::{PlanCache, SemanticOptimizer};
 use sqo_datalog::parser::{parse_constraint, parse_query};
 use sqo_datalog::residue::ResidueSet;
-use sqo_datalog::search::{self, DedupMode, Outcome, SearchConfig};
+use sqo_datalog::search::{self, Outcome, SearchConfig};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
 use sqo_objdb::{choose_best, execute, execute_with, ExecOptions};
@@ -462,35 +462,17 @@ fn bench_store_recovery(quick: bool) -> (usize, f64) {
     (n as usize, ns)
 }
 
-/// Measure the e1/f2 pipeline benchmarks in the current engine
-/// configuration and in the pre-optimization baseline (string
-/// canonical-key dedup + sequential frontier, both kept as ablation
-/// knobs), then write the flat `{"name": median_ns}` map to
+/// Measure the e1/f2 pipeline benchmarks and the reference paths that
+/// still exist, then write the flat `{"name": median_ns}` map to
 /// `BENCH_pipeline.json` at the repo root.
 fn bench_pipeline(quick: bool) {
-    println!("\n## Pipeline benchmarks — current engine vs. baseline paths");
+    println!("\n## Pipeline benchmarks");
     // The microsecond-scale e1 entries need many repetitions for a
-    // stable median on a busy machine; the f2 search is ~tens of ms.
+    // stable median on a busy machine; the f2 search is milliseconds.
     let reps_small = if quick { 25 } else { 201 };
     let reps = if quick { 7 } else { 21 };
     let mut bench: BTreeMap<String, f64> = BTreeMap::new();
     let current = SearchConfig::default();
-    // The pre-optimization baseline: the exhaustive level-BFS engine with
-    // string canonical-key dedup, run sequentially. `strategy` is pinned
-    // because the config default is now the best-first engine.
-    let baseline = SearchConfig {
-        strategy: search::Strategy::Bfs,
-        dedup: DedupMode::CanonicalKey,
-        ..Default::default()
-    };
-    // The pre-PR *default* engine (parallel BFS with fingerprint dedup):
-    // unlike the historical `*_seed` medians merged from the manifest,
-    // this path is still compiled in behind `--search=bfs`, so the wide-IC
-    // seed rows below are re-measured on every full run.
-    let seed_cfg = SearchConfig {
-        strategy: search::Strategy::Bfs,
-        ..Default::default()
-    };
 
     // Setup shared by every measurement round.
     //
@@ -523,12 +505,10 @@ fn bench_pipeline(quick: bool) {
     let parsed = sqo_oql::parse_oql(oql).unwrap();
     let q = opt.translate(&parsed).unwrap().query;
     let ctx = opt.compile();
-    // f2 wide-IC: the 32- and 64-IC scenarios the best-first engine's
-    // structure memo and exactness prefilter are built for. The looped
-    // rows reuse one context, so they time a warm memo (the steady state
-    // of a served session); `_cold_context` rows time a context's first
-    // search, which is what the memo-free `_baseline`/`_seed` engines pay
-    // on every search.
+    // f2 wide-IC: the 32- and 64-IC scenarios the structure memo and
+    // exactness prefilter are built for. The looped rows reuse one
+    // context, so they time a warm memo (the steady state of a served
+    // session); `_cold_context` rows time a context's first search.
     let (mut opt32, oql32) = optimizer_with_n_ics(32);
     let q32 = opt32
         .translate(&sqo_oql::parse_oql(oql32).unwrap())
@@ -655,13 +635,6 @@ fn bench_pipeline(quick: bool) {
                     std::hint::black_box(search::optimize(query, &e1_ctx, &current));
                 }),
             );
-            record(
-                &mut bench,
-                &format!("e1/{name}_baseline"),
-                median_ns(reps_small, || {
-                    std::hint::black_box(search::optimize_sequential(query, &e1_ctx, &baseline));
-                }),
-            );
         }
         record(
             &mut bench,
@@ -677,13 +650,6 @@ fn bench_pipeline(quick: bool) {
                 std::hint::black_box(search::optimize(&q, ctx, &current));
             }),
         );
-        record(
-            &mut bench,
-            "f2/step3_sqo_vs_applicable_ics/12_baseline",
-            median_ns(reps, || {
-                std::hint::black_box(search::optimize_sequential(&q, ctx, &baseline));
-            }),
-        );
         for (label, wq, wctx) in [("32", &q32, ctx32), ("64", &q64, ctx64)] {
             record(
                 &mut bench,
@@ -696,20 +662,6 @@ fn bench_pipeline(quick: bool) {
                 &mut bench,
                 &format!("f2/step3_sqo_vs_applicable_ics/{label}_cold_context"),
                 median_cold_context_ns(reps, wq, wctx, &current),
-            );
-            record(
-                &mut bench,
-                &format!("f2/step3_sqo_vs_applicable_ics/{label}_baseline"),
-                median_ns(reps, || {
-                    std::hint::black_box(search::optimize_sequential(wq, wctx, &baseline));
-                }),
-            );
-            record(
-                &mut bench,
-                &format!("f2/step3_sqo_vs_applicable_ics/{label}_seed"),
-                median_ns(reps, || {
-                    std::hint::black_box(search::optimize(wq, wctx, &seed_cfg));
-                }),
             );
         }
         record(
@@ -855,18 +807,15 @@ fn bench_pipeline(quick: bool) {
         .collect();
     for name in &measured {
         let cur = bench[name];
-        // A `_cold_context` row is the same scenario as its steady-state
-        // row and is judged against the same reference engines.
-        let scenario = name.trim_end_matches("_cold_context");
         let base_name = if name == "e1/canonical_dedup/hash" {
             "e1/canonical_dedup/string_baseline".to_string()
         } else {
-            format!("{scenario}_baseline")
+            format!("{name}_baseline")
         };
         if let Some(base) = bench.get(&base_name).copied() {
             bench.insert(format!("speedup/{name}"), base / cur);
         }
-        if let Some(seed) = bench.get(&format!("{scenario}_seed")).copied() {
+        if let Some(seed) = bench.get(&format!("{name}_seed")).copied() {
             bench.insert(format!("speedup_vs_seed/{name}"), seed / cur);
         }
     }

@@ -15,7 +15,7 @@
 
 use crate::error::Result;
 use sqo_datalog::residue::{CompileOptions, ResidueSet};
-use sqo_datalog::search::{self, Backend, Delta, Outcome, SearchConfig, Step};
+use sqo_datalog::search::{self, Delta, Outcome, SearchConfig, Step};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::{parser as dl_parser, Constraint, Query, Rule};
 use sqo_obs as obs;
@@ -452,12 +452,6 @@ impl SemanticOptimizer {
         self.search = cfg;
     }
 
-    /// Select the Step 3 search strategy (`--search=bfs|best-first`),
-    /// leaving every other heuristic untouched.
-    pub fn set_search_strategy(&mut self, strategy: search::Strategy) {
-        self.search.strategy = strategy;
-    }
-
     /// Tune semantic compilation (IC derivation).
     pub fn set_compile_options(&mut self, opts: CompileOptions) {
         self.compile_options = opts;
@@ -497,18 +491,6 @@ impl SemanticOptimizer {
 
     /// Optimize a parsed OQL query through the full pipeline.
     pub fn optimize_query(&mut self, original: &SelectQuery) -> Result<OptimizationReport> {
-        self.optimize_query_backend(original, Backend::Parallel)
-    }
-
-    /// Optimize a parsed OQL query, forcing a specific Step-3 search
-    /// backend. Both backends yield byte-identical reports; differential
-    /// harnesses (the fuzz oracle, the cross-config determinism tests)
-    /// call this to assert it.
-    pub fn optimize_query_backend(
-        &mut self,
-        original: &SelectQuery,
-        backend: Backend,
-    ) -> Result<OptimizationReport> {
         let _span = obs::span!("pipeline.optimize");
         let before = obs::snapshot();
         obs::bump(obs::Counter::OptimizerQueries);
@@ -516,7 +498,7 @@ impl SemanticOptimizer {
         let datalog = translation.query.clone();
         let search_cfg = self.search.clone();
         let ctx = self.compile();
-        let outcome = search::optimize_with_backend(&datalog, ctx, &search_cfg, backend);
+        let outcome = search::optimize(&datalog, ctx, &search_cfg);
         let verdict = outcome_to_verdict(outcome, &datalog, &translation, &self.catalog)?;
         Ok(OptimizationReport {
             original: original.clone(),

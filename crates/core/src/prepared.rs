@@ -60,10 +60,6 @@ pub enum CacheOutcome {
     Rebind,
     /// No entry for the template; a fresh search ran and was cached.
     Miss,
-    /// The request overrode the session's search strategy, so the cache
-    /// was skipped both ways: entries are computed under the session
-    /// default and an override must not read or pollute them.
-    Bypass,
 }
 
 impl CacheOutcome {
@@ -73,7 +69,6 @@ impl CacheOutcome {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Rebind => "rebind",
             CacheOutcome::Miss => "miss",
-            CacheOutcome::Bypass => "bypass",
         }
     }
 }
@@ -431,67 +426,12 @@ impl PreparedOptimizer {
 
     /// Optimize a parsed OQL query without consulting a cache.
     pub fn optimize_query(&self, original: &SelectQuery) -> Result<OptimizationReport> {
-        self.optimize_query_backend(original, search::Backend::Parallel)
-    }
-
-    /// Optimize a parsed OQL query with an explicit Step-3 search
-    /// backend (see [`sqo_datalog::search::Backend`]).
-    pub fn optimize_query_backend(
-        &self,
-        original: &SelectQuery,
-        backend: search::Backend,
-    ) -> Result<OptimizationReport> {
         let _span = obs::span!("pipeline.optimize");
         let before = obs::snapshot();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
         let datalog = translation.query.clone();
-        let outcome = search::optimize_with_backend(&datalog, &self.ctx, &self.search, backend);
-        let verdict = outcome_to_verdict(outcome, &datalog, &translation, &self.catalog)?;
-        Ok(OptimizationReport {
-            original: original.clone(),
-            normalized: translation.normalized,
-            datalog,
-            verdict: Arc::new(verdict),
-            stats: obs::snapshot().since(&before),
-            finished: None,
-        })
-    }
-
-    /// The Step-3 search strategy this instance was prepared with.
-    pub fn strategy(&self) -> search::Strategy {
-        self.search.strategy
-    }
-
-    /// Optimize an OQL query with an explicit Step-3 search strategy,
-    /// overriding the prepared default. Always uncached: plan-cache
-    /// entries are computed under the session default, so an override
-    /// must neither read nor populate them (see [`CacheOutcome::Bypass`]).
-    pub fn optimize_with_strategy(
-        &self,
-        oql_src: &str,
-        strategy: search::Strategy,
-    ) -> Result<OptimizationReport> {
-        let original = sqo_oql::parse_oql(oql_src)?;
-        self.optimize_query_strategy(&original, strategy)
-    }
-
-    /// [`PreparedOptimizer::optimize_with_strategy`] on a parsed query.
-    pub fn optimize_query_strategy(
-        &self,
-        original: &SelectQuery,
-        strategy: search::Strategy,
-    ) -> Result<OptimizationReport> {
-        let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
-        obs::bump(obs::Counter::OptimizerQueries);
-        let translation = translate_query(original, &self.schema, &self.catalog)?;
-        let datalog = translation.query.clone();
-        let cfg = SearchConfig {
-            strategy,
-            ..self.search.clone()
-        };
-        let outcome = search::optimize(&datalog, &self.ctx, &cfg);
+        let outcome = search::optimize(&datalog, &self.ctx, &self.search);
         let verdict = outcome_to_verdict(outcome, &datalog, &translation, &self.catalog)?;
         Ok(OptimizationReport {
             original: original.clone(),

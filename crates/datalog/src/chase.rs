@@ -26,6 +26,7 @@ use crate::atom::{Atom, CmpOp, Literal, PredSym};
 use crate::clause::{Constraint, ConstraintHead, Rule};
 use crate::solver::ConstraintSet;
 use crate::term::{Const, Term, Var};
+use sqo_obs as obs;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// A term in the chase universe.
@@ -133,6 +134,9 @@ pub struct Chase<'a> {
     /// Firing keys to avoid re-firing the same dependency on the same
     /// binding (oblivious-chase dedup).
     fired: HashSet<String>,
+    /// Whether the null or fact budget refused something the
+    /// dependencies asked for.
+    refused: bool,
 }
 
 impl<'a> Chase<'a> {
@@ -152,6 +156,7 @@ impl<'a> Chase<'a> {
             canon: BTreeMap::new(),
             next_null: 0,
             fired: HashSet::new(),
+            refused: false,
         };
         for l in body {
             if let Literal::Pos(a) = l {
@@ -216,8 +221,19 @@ impl<'a> Chase<'a> {
         true
     }
 
+    /// Insert a fact a dependency derived, unless the fact budget is
+    /// spent.
+    fn derive_fact(&mut self, pred: PredSym, args: Vec<CTerm>) -> bool {
+        if self.facts.len() < self.budget.max_facts {
+            return self.insert_fact(pred, args);
+        }
+        self.refused |= !self.facts.contains(&(pred, args));
+        false
+    }
+
     fn fresh_null(&mut self) -> Option<CTerm> {
         if self.next_null >= self.budget.max_nulls {
+            self.refused = true;
             return None;
         }
         let n = self.next_null;
@@ -315,9 +331,11 @@ impl<'a> Chase<'a> {
         bindings
     }
 
-    /// Run the chase to fixpoint (or budget exhaustion).
+    /// Run the chase to fixpoint (or budget exhaustion, which bumps
+    /// `chase.budget_exhausted` once).
     pub fn run(&mut self) {
         let empty = BTreeMap::new();
+        let mut fixpoint = false;
         for _round in 0..self.budget.max_rounds {
             let mut changed = false;
 
@@ -351,8 +369,8 @@ impl<'a> Chase<'a> {
                             }
                         }
                     }
-                    if ok && self.facts.len() < self.budget.max_facts {
-                        changed |= self.insert_fact(head.pred, args);
+                    if ok {
+                        changed |= self.derive_fact(head.pred, args);
                     }
                 }
             }
@@ -396,9 +414,7 @@ impl<'a> Chase<'a> {
                     }
                     if ok {
                         for (p, args) in new_facts {
-                            if self.facts.len() < self.budget.max_facts {
-                                changed |= self.insert_fact(p, args);
-                            }
+                            changed |= self.derive_fact(p, args);
                         }
                     }
                 }
@@ -450,8 +466,12 @@ impl<'a> Chase<'a> {
             }
 
             if !changed {
+                fixpoint = true;
                 break;
             }
+        }
+        if !fixpoint || self.refused {
+            obs::bump(obs::Counter::ChaseBudgetExhausted);
         }
     }
 
@@ -784,8 +804,16 @@ mod tests {
                 max_nulls: 20,
             },
         );
-        chase.run();
+        // Read this thread's own bumps off a request trace: other tests
+        // in the binary chase concurrently.
+        obs::trace_begin("chase-test".into());
+        {
+            let _span = obs::span!("test.chase");
+            chase.run();
+        }
+        let trace = obs::trace_end().expect("trace was begun on this thread");
         assert!(chase.fact_count() <= 50);
+        assert_eq!(trace.events[0].counters, [("chase.budget_exhausted", 1)]);
     }
 
     #[test]

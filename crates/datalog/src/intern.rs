@@ -18,7 +18,7 @@
 //! resulting output — so interning must not change it.
 //!
 //! The interner is thread-safe (`RwLock`; reads vastly dominate) and
-//! the parallel Step-3 frontier interns freely from worker threads.
+//! the service's workers intern freely from their own threads.
 
 use std::collections::HashMap;
 use std::fmt;

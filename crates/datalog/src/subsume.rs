@@ -214,11 +214,10 @@ pub fn match_db_staged(
 /// A canonical-hash-bucketed duplicate/subsumption index over query
 /// variants.
 ///
-/// The level-BFS engine dedups candidates with a flat `HashSet` of
-/// [`Query::canonical_hash`] fingerprints, accepting a (vanishingly
-/// small but nonzero) risk that a hash collision silently drops a
-/// genuinely novel variant. The best-first engine instead buckets by
-/// the canonical hash and, when a bucket already has occupants,
+/// A flat `HashSet` of [`Query::canonical_hash`] fingerprints would
+/// accept a (vanishingly small but nonzero) risk that a hash collision
+/// silently drops a genuinely novel variant. The index instead buckets
+/// by the canonical hash and, when a bucket already has occupants,
 /// confirms with the exact canonical token form
 /// ([`Query::canonical_form`] — the very sequence the hash digests) —
 /// so a true duplicate is recognized exactly, and a hash collision

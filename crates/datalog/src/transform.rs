@@ -121,7 +121,7 @@ pub enum Analysis {
 ///
 /// A context is built once per compiled knowledge base and replaced
 /// wholesale when the constraints change, so what it memoizes (see
-/// [`analyse_memo`]) needs no invalidation: it dies with the context.
+/// [`analyse`]) needs no invalidation: it dies with the context.
 pub struct TransformContext {
     /// Compiled residues. Fixed for the context's lifetime: the structure
     /// memo below is derived from them, so new constraints mean a new
@@ -223,200 +223,10 @@ pub fn query_solver(q: &Query, functional: &BTreeMap<PredSym, usize>) -> Constra
     solver
 }
 
-/// Analyse the query: detect contradictions and enumerate candidate
-/// transformations.
-pub fn analyse(q: &Query, ctx: &TransformContext) -> Analysis {
-    let solver = query_solver(q, &ctx.functional);
-    if solver.check() == Sat::Unsatisfiable {
-        return Analysis::Contradiction {
-            ic_name: None,
-            note: "the query's own comparison literals are inconsistent".into(),
-        };
-    }
-    let mut candidates: Vec<Candidate> = Vec::new();
-    let qvars = q.vars();
-    let target = MatchTarget::new(&q.body, &solver);
-
-    // Signature sets for the rest-literal prefilter: a residue whose rest
-    // contains a database literal with no same-sign, same-predicate,
-    // same-arity counterpart in the query can never map into it
-    // (`match_body_onto` matches positives onto positives and negatives
-    // onto negatives), so it is skipped before the allocating
-    // standardize-apart + match work.
-    let mut pos_sigs: FxHashSet<(PredSym, usize)> = FxHashSet::default();
-    let mut neg_sigs: FxHashSet<(PredSym, usize)> = FxHashSet::default();
-    for l in &q.body {
-        match l {
-            Literal::Pos(a) => {
-                pos_sigs.insert((a.pred, a.args.len()));
-            }
-            Literal::Neg(a) => {
-                neg_sigs.insert((a.pred, a.args.len()));
-            }
-            Literal::Cmp(_) => {}
-        }
-    }
-    let rest_can_match = |rest: &[Literal]| {
-        rest.iter().all(|l| match l {
-            Literal::Pos(a) => pos_sigs.contains(&(a.pred, a.args.len())),
-            Literal::Neg(a) => neg_sigs.contains(&(a.pred, a.args.len())),
-            Literal::Cmp(_) => true,
-        })
-    };
-
-    // Residue applications.
-    for lit in &q.body {
-        let Literal::Pos(anchor_target) = lit else {
-            continue;
-        };
-        for residue in ctx.residues.residues_for(&anchor_target.pred) {
-            if residue.anchor.args.len() != anchor_target.args.len()
-                || !rest_can_match(&residue.rest)
-            {
-                obs::bump(obs::Counter::PrefilterMisses);
-                continue;
-            }
-            obs::bump(obs::Counter::PrefilterHits);
-            let residue = standardize_residue_apart(residue, &qvars);
-            let mut seed = Subst::new();
-            if !match_atoms(&residue.anchor, anchor_target, &mut seed) {
-                continue;
-            }
-            let residue_id = residue.provenance_id();
-            for theta in match_body_onto(&residue.rest, &target, &seed) {
-                obs::bump(obs::Counter::ResiduesApplied);
-                let head = theta.apply_head(&residue.head);
-                let provenance = residue.ic_name.clone();
-                match head {
-                    ConstraintHead::None => {
-                        return Analysis::Contradiction {
-                            ic_name: provenance,
-                            note: format!(
-                                "denial constraint{} fully matches the query",
-                                name_suffix(&residue.ic_name)
-                            ),
-                        };
-                    }
-                    ConstraintHead::Cmp(c) => {
-                        // Heads mentioning unresolved residue variables are
-                        // existential and carry no usable restriction.
-                        if has_foreign_var(&c, &qvars) {
-                            continue;
-                        }
-                        if solver.sat_with(&c) == Sat::Unsatisfiable {
-                            return Analysis::Contradiction {
-                                ic_name: provenance,
-                                note: format!(
-                                    "residue head `{c}`{} contradicts the query",
-                                    name_suffix(&residue.ic_name)
-                                ),
-                            };
-                        }
-                        if solver.implies(&c) || q.contains(&Literal::Cmp(c)) {
-                            continue;
-                        }
-                        push_candidate(
-                            &mut candidates,
-                            Candidate {
-                                note: format!("restriction `{c}` attached by residue"),
-                                op: Op::AddCmp(c),
-                                ic_name: provenance,
-                                residue: Some(residue_id.clone()),
-                            },
-                        );
-                    }
-                    ConstraintHead::Atom(a) => {
-                        // Adding is pointless if an existing atom already
-                        // subsumes the candidate: same predicate, and every
-                        // position that is bound to a query term agrees
-                        // (foreign/existential positions match anything).
-                        if atom_subsumed_in_query(&a, q, &qvars, &solver) {
-                            continue;
-                        }
-                        // Rename leftover residue variables to fresh query
-                        // variables (they are existential witnesses).
-                        let a = freshen_foreign_vars(&a, &qvars);
-                        push_candidate(
-                            &mut candidates,
-                            Candidate {
-                                note: format!("join introduction: `{a}` implied by the query"),
-                                op: Op::AddAtom(a),
-                                ic_name: provenance,
-                                residue: Some(residue_id.clone()),
-                            },
-                        );
-                    }
-                    ConstraintHead::NegAtom(a) => {
-                        // At least one variable must be anchored to the
-                        // query; the rest are existential under the
-                        // negation (partially-bound anti-join) and get
-                        // fresh negation-local names.
-                        if !a.vars().any(|v| qvars.contains(v)) {
-                            continue;
-                        }
-                        // Dedup against existing negated atoms, treating
-                        // negation-local variables (occurring once in the
-                        // whole query) as wildcards on both sides.
-                        let local_ok = |b: &Atom, cand: &Atom| {
-                            b.pred == cand.pred
-                                && b.args.len() == cand.args.len()
-                                && b.args.iter().zip(&cand.args).all(|(x, y)| {
-                                    x == y || (term_occurs_once(x, q) && !var_in(y, &qvars))
-                                })
-                        };
-                        if q.body
-                            .iter()
-                            .any(|l| matches!(l, Literal::Neg(b) if local_ok(b, &a)))
-                        {
-                            continue;
-                        }
-                        let a = freshen_foreign_vars(&a, &qvars);
-                        // A positively required identical atom would make
-                        // the query contradictory (existential positions
-                        // match anything).
-                        let clash = q.positive_atoms().any(|b| {
-                            b.pred == a.pred
-                                && b.args.len() == a.args.len()
-                                && b.args.iter().zip(&a.args).all(|(x, y)| {
-                                    x == y || !var_in(y, &qvars) || solver.entails_equal(x, y)
-                                })
-                        });
-                        if clash {
-                            return Analysis::Contradiction {
-                                ic_name: provenance,
-                                note: format!(
-                                    "residue head `not {a}`{} contradicts a required atom",
-                                    name_suffix(&residue.ic_name)
-                                ),
-                            };
-                        }
-                        push_candidate(
-                            &mut candidates,
-                            Candidate {
-                                note: format!(
-                                    "scope reduction: answers cannot lie in `{}`",
-                                    a.pred
-                                ),
-                                op: Op::AddNegAtom(a),
-                                ic_name: provenance,
-                                residue: Some(residue_id.clone()),
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    tail_candidates(q, ctx, &solver, &mut candidates);
-
-    Analysis::Candidates(candidates)
-}
-
-/// The solver-dependent tail of the analysis, shared by [`analyse`] and
-/// [`analyse_memo`]: comparison removal, chase-validated atom removal,
-/// and view folds. These phases only *add* candidates — none of them can
-/// surface a contradiction — so the helper has no early return.
+/// The solver-dependent tail of [`analyse`]: comparison removal,
+/// chase-validated atom removal, and view folds. These phases only *add*
+/// candidates — none of them can surface a contradiction — so the helper
+/// has no early return.
 fn tail_candidates(
     q: &Query,
     ctx: &TransformContext,
@@ -572,7 +382,7 @@ impl StructKey {
 /// at structure-cache build time. Solver-independent checks (foreign
 /// comparison variables, negated-head anchoring, head freshening, note
 /// rendering) are resolved here; solver-dependent checks replay per
-/// query in [`analyse_memo`].
+/// query in [`analyse`].
 #[derive(Debug)]
 enum HeadAction {
     /// Denial head: the match alone proves a contradiction.
@@ -679,9 +489,9 @@ impl TransformContext {
     }
 }
 
-/// Build the residue-application phase for one structure. Runs the same
-/// enumeration as the residue loop of [`analyse`] minus the
-/// solver-dependent checks; build-time counters (exactness skips,
+/// Build the residue-application phase for one structure: every residue
+/// anchored on a positive atom, matched against the query's atoms with
+/// the solver-dependent checks left for [`analyse`]; build-time counters (exactness skips,
 /// prefilter hits/misses, subsumption stagings, unification attempts)
 /// are bumped here, once per build — so once per context for a structure
 /// the memo retains, not once per search.
@@ -806,16 +616,15 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
     }
 }
 
-/// [`analyse`] with the residue-application phase served from the
-/// context's structure memo, and the candidate list built only on
-/// request.
+/// Analyse the query: detect contradictions and, on request, enumerate
+/// candidate transformations. The residue-application phase is served
+/// from the context's structure memo.
 ///
-/// With `enumerate` set it produces the identical [`Analysis`] for every
-/// query: the memoized enumeration replays staged matches in the exact
-/// order the unmemoized loop visits them, and contradiction
-/// short-circuit points are identical. One check is reordered — the
-/// implied/contained test runs *before* the contradiction probe — which
-/// cannot change the outcome: a comparison already contained in the
+/// With `enumerate` set, staged residue matches replay in body order ×
+/// residue order, a match counts as applied once the node's solver
+/// implies its deferred comparisons, and a head is tested in the order
+/// implied/contained → contradiction → candidate. Testing implied first
+/// cannot hide a contradiction: a comparison already contained in the
 /// query asserts nothing new, and an implied one (`unsat(solver ∧ ¬c)`)
 /// cannot make a solver the closure found satisfiable turn
 /// unsatisfiable, because both judgements compose through the same
@@ -830,10 +639,9 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
 /// empty candidate list. The search asks for this once no child of the
 /// node could be admitted any more.
 ///
-/// Only observability counters differ from [`analyse`]: structure-level
-/// work (prefilter, unification, subsumption staging) is counted when a
-/// structure is built, not once per node.
-pub fn analyse_memo(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
+/// Structure-level work (prefilter, unification, subsumption staging) is
+/// counted when a structure is built, not once per node.
+pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
     let solver = query_solver(q, &ctx.functional);
     if solver.check() == Sat::Unsatisfiable {
         return Analysis::Contradiction {
@@ -1189,7 +997,7 @@ mod tests {
                 Literal::cmp(v("Age"), CmpOp::Lt, Term::int(18)),
             ],
         );
-        match analyse(&q, &ctx) {
+        match analyse(&q, &ctx, true) {
             Analysis::Contradiction { ic_name, .. } => {
                 assert_eq!(ic_name.as_deref(), Some("IC"));
             }
@@ -1212,7 +1020,7 @@ mod tests {
             vec![v("F")],
             vec![Literal::pos("faculty", vec![v("Sec"), v("F"), v("A")])],
         );
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("no contradiction expected");
         };
         assert!(cands.iter().any(|c| matches!(
@@ -1244,7 +1052,7 @@ mod tests {
                 Literal::cmp(v("Age"), CmpOp::Lt, Term::int(30)),
             ],
         );
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("no contradiction expected");
         };
         let scope = cands
@@ -1283,7 +1091,7 @@ mod tests {
                 Literal::cmp(v("Age"), CmpOp::Lt, Term::int(20)),
             ],
         );
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("no contradiction expected");
         };
         assert!(cands
@@ -1318,7 +1126,7 @@ mod tests {
                 Literal::cmp(v("Name1"), CmpOp::Eq, v("Name2")),
             ],
         );
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("no contradiction expected");
         };
         let add_eq = cands.iter().find(|c| {
@@ -1328,7 +1136,7 @@ mod tests {
         assert!(add_eq.is_some(), "candidates: {cands:#?}");
         // After adding Z = W, Name1 = Name2 becomes removable.
         let q2 = apply(&q, &add_eq.unwrap().op);
-        let Analysis::Candidates(cands2) = analyse(&q2, &ctx) else {
+        let Analysis::Candidates(cands2) = analyse(&q2, &ctx, true) else {
             panic!("no contradiction expected");
         };
         assert!(
@@ -1364,7 +1172,7 @@ mod tests {
                 Literal::cmp(v("Name"), CmpOp::Eq, Term::str("johnson")),
             ],
         );
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("no contradiction expected");
         };
         let intro = cands
@@ -1404,7 +1212,7 @@ mod tests {
             ],
         );
         // Phase 1: the ASR atom is proposed.
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("no contradiction expected");
         };
         let intro = cands
@@ -1413,7 +1221,7 @@ mod tests {
             .expect("asr introduction");
         let q2 = apply(&q, &intro.op);
         // Phase 2: the whole chain is foldable away.
-        let Analysis::Candidates(cands2) = analyse(&q2, &ctx) else {
+        let Analysis::Candidates(cands2) = analyse(&q2, &ctx, true) else {
             panic!("no contradiction expected");
         };
         let fold = cands2
@@ -1454,7 +1262,7 @@ mod tests {
                 Literal::cmp(v("Age"), CmpOp::Lt, Term::int(30)),
             ],
         );
-        match analyse(&q, &ctx) {
+        match analyse(&q, &ctx, true) {
             Analysis::Contradiction { .. } => {}
             Analysis::Candidates(c) => panic!("expected contradiction, got {c:#?}"),
         }
@@ -1486,25 +1294,28 @@ mod tests {
                 Literal::cmp(v("X"), CmpOp::Gt, Term::int(1)),
             ],
         );
-        assert!(matches!(analyse(&q, &ctx), Analysis::Contradiction { .. }));
+        assert!(matches!(
+            analyse(&q, &ctx, true),
+            Analysis::Contradiction { .. }
+        ));
     }
 
     #[test]
     fn no_candidates_without_knowledge() {
         let ctx = TransformContext::empty();
         let q = Query::new("q", vec![v("X")], vec![Literal::pos("p", vec![v("X")])]);
-        let Analysis::Candidates(cands) = analyse(&q, &ctx) else {
+        let Analysis::Candidates(cands) = analyse(&q, &ctx, true) else {
             panic!("satisfiable");
         };
         assert!(cands.is_empty(), "{cands:#?}");
     }
 
     /// More distinct structures than [`STRUCTURE_MEMO_CAP`]: the memo
-    /// stops at the cap, and every search — first visit, resident or
-    /// displaced — still agrees with the memo-free BFS engine.
+    /// stops at the cap, and a search whose structure is resident or was
+    /// displaced finds what the structure's first search found.
     #[test]
     fn structure_memo_is_capped_and_outcomes_do_not_depend_on_it() {
-        use crate::search::{optimize, SearchConfig, Strategy};
+        use crate::search::{optimize, SearchConfig};
         let shapes = STRUCTURE_MEMO_CAP + 40;
         let ics = (0..shapes)
             .map(|i| {
@@ -1517,10 +1328,9 @@ mod tests {
             .collect();
         let ctx = TransformContext::new(ResidueSet::compile(ics), vec![], BTreeMap::new());
         let memo_len = || ctx.structures.map.read().unwrap().len();
-        let bfs = SearchConfig {
-            strategy: Strategy::Bfs,
-            ..Default::default()
-        };
+        // Round 0 builds every structure; round 1 meets a memo in which
+        // some of them survived and the rest were displaced.
+        let mut first_round: Vec<String> = Vec::new();
         for round in 0..2 {
             for i in 0..shapes {
                 let q = Query::new(
@@ -1528,13 +1338,14 @@ mod tests {
                     vec![v("X")],
                     vec![Literal::pos(format!("p{i}").as_str(), vec![v("X"), v("A")])],
                 );
-                let memoized = optimize(&q, &ctx, &SearchConfig::default());
-                assert_eq!(memoized.variants().len(), 2, "p{i}: original + `A > {i}`");
-                assert_eq!(
-                    format!("{memoized:?}"),
-                    format!("{:?}", optimize(&q, &ctx, &bfs)),
-                    "round {round}, p{i}"
-                );
+                let out = optimize(&q, &ctx, &SearchConfig::default());
+                assert_eq!(out.variants().len(), 2, "p{i}: original + `A > {i}`");
+                let rendered = format!("{out:?}");
+                if round == 0 {
+                    first_round.push(rendered);
+                } else {
+                    assert_eq!(rendered, first_round[i], "p{i}");
+                }
                 assert!(memo_len() <= STRUCTURE_MEMO_CAP);
             }
             assert_eq!(memo_len(), STRUCTURE_MEMO_CAP);

@@ -11,10 +11,9 @@
 //! relationships, keys), a set of range ICs *satisfied by construction*
 //! by the generated population, and a conjunctive OQL query — then the
 //! [`oracle`] runs the full pipeline and asserts that the original
-//! query, every [`sqo_core::EquivalentQuery`] the Step-3 search emits
-//! (under both the parallel and sequential backends), and the warm
-//! plan-cache retargeted path all return identical answer sets against
-//! the store. A [`sqo_core::Verdict::Contradiction`] is only accepted
+//! query, every [`sqo_core::EquivalentQuery`] the Step-3 search emits,
+//! and the warm plan-cache retargeted path all return identical answer
+//! sets against the store. A [`sqo_core::Verdict::Contradiction`] is only accepted
 //! when the store's answer set really is empty.
 //!
 //! On a mismatch the [`shrink`] module greedily minimizes the case and
@@ -28,7 +27,6 @@ pub mod shrink;
 pub mod spec;
 
 use oracle::{CaseStatus, Mismatch};
-use sqo_datalog::search::Strategy;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -50,32 +48,24 @@ pub enum SeedOutcome {
     Skipped(String),
 }
 
-/// Generate, run, and (on mismatch) shrink one seed under the default
-/// Step-3 search strategy.
-pub fn run_seed(seed: u64) -> SeedOutcome {
-    run_seed_with(seed, Strategy::default())
-}
-
 /// Every `RECOVERY_SAMPLE`th seed also saves its populated store to
 /// disk, recovers it through the snapshot + WAL path, and requires the
 /// recovered store to reproduce every answer set — a durability
 /// differential riding the same oracle.
 pub const RECOVERY_SAMPLE: u64 = 4;
 
-/// Generate, run, and (on mismatch) shrink one seed with an explicit
-/// Step-3 search strategy, so the whole oracle can be swept under both
-/// the best-first engine and the BFS ablation baseline.
-pub fn run_seed_with(seed: u64, strategy: Strategy) -> SeedOutcome {
+/// Generate, run, and (on mismatch) shrink one seed.
+pub fn run_seed(seed: u64) -> SeedOutcome {
     let spec = gen::generate_case(seed);
     let recovery = seed.is_multiple_of(RECOVERY_SAMPLE);
-    match oracle::run_inputs_full(&spec.inputs(), strategy, recovery) {
+    match oracle::run_inputs_full(&spec.inputs(), recovery) {
         Err(e) => SeedOutcome::Skipped(e),
         Ok(CaseStatus::Pass(info)) => SeedOutcome::Pass(info),
         Ok(CaseStatus::Mismatch(_)) => {
-            let small = shrink::shrink_full(&spec, strategy, recovery);
+            let small = shrink::shrink(&spec, recovery);
             // Re-run the minimized case to report its (possibly clearer)
             // mismatch rather than the original's.
-            let mismatch = match oracle::run_inputs_full(&small.inputs(), strategy, recovery) {
+            let mismatch = match oracle::run_inputs_full(&small.inputs(), recovery) {
                 Ok(CaseStatus::Mismatch(m)) => m,
                 // Shrinking never keeps a non-failing candidate, so this
                 // arm only guards against oracle nondeterminism.
@@ -136,20 +126,15 @@ fn replay_paths(path: &Path) -> Result<Vec<PathBuf>, String> {
     }
 }
 
-/// [`replay_path_with`] under the default Step-3 search strategy.
+/// Replay every `.repro` file at `path` (a file or a directory). Returns
+/// the number of files whose observed status did not match their
+/// expectation.
 pub fn replay_path(path: &Path) -> Result<usize, String> {
-    replay_path_with(path, Strategy::default())
-}
-
-/// Replay every `.repro` file at `path` (a file or a directory) under an
-/// explicit Step-3 search strategy. Returns the number of files whose
-/// observed status did not match their expectation.
-pub fn replay_path_with(path: &Path, strategy: Strategy) -> Result<usize, String> {
     let mut failures = 0usize;
     for p in replay_paths(path)? {
         let text = std::fs::read_to_string(&p).map_err(|e| format!("read {}: {e}", p.display()))?;
         let case = repro::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?;
-        let report = repro::replay_with(&case, strategy);
+        let report = repro::replay(&case);
         let tag = if report.ok { "ok" } else { "FAIL" };
         println!(
             "replay {} [{tag}] expected {}, observed: {}",
@@ -210,7 +195,6 @@ pub fn cli_main(args: &[String]) -> i32 {
     let mut emit: Option<usize> = None;
     let mut out_dir = PathBuf::from("fuzz-out");
     let mut dump_dir = PathBuf::from("fuzz-failures");
-    let mut strategy = Strategy::default();
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -244,26 +228,10 @@ pub fn cli_main(args: &[String]) -> i32 {
             "--dump-dir" => val("--dump-dir").map(|v| {
                 dump_dir = PathBuf::from(v);
             }),
-            "--search" => val("--search").and_then(|v| {
-                strategy = Strategy::parse(&v)
-                    .ok_or_else(|| format!("bad --search `{v}` (bfs|best-first)"))?;
-                Ok(())
-            }),
-            s if s.starts_with("--search=") => {
-                let v = &s["--search=".len()..];
-                match Strategy::parse(v) {
-                    Some(st) => {
-                        strategy = st;
-                        Ok(())
-                    }
-                    None => Err(format!("bad --search `{v}` (bfs|best-first)")),
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: sqo-fuzz [--seeds A..B] [--budget 60s] [--replay FILE|DIR]\n\
-                     \x20               [--save DIR] [--emit-cases N --out DIR] [--dump-dir DIR]\n\
-                     \x20               [--search bfs|best-first]"
+                     \x20               [--save DIR] [--emit-cases N --out DIR] [--dump-dir DIR]"
                 );
                 return 0;
             }
@@ -276,7 +244,7 @@ pub fn cli_main(args: &[String]) -> i32 {
     }
 
     if let Some(path) = replay {
-        return match replay_path_with(&path, strategy) {
+        return match replay_path(&path) {
             Ok(0) => {
                 println!("replay: all cases matched their expectations");
                 0
@@ -302,7 +270,7 @@ pub fn cli_main(args: &[String]) -> i32 {
         for seed in lo..hi {
             let spec = gen::generate_case(seed);
             let inputs = spec.inputs();
-            let expect = match oracle::run_inputs_with(&inputs, strategy) {
+            let expect = match oracle::run_inputs(&inputs) {
                 Err(_) => continue, // invalid case: nothing worth pinning
                 Ok(CaseStatus::Pass(_)) => repro::Expect::Pass,
                 Ok(CaseStatus::Mismatch(_)) => repro::Expect::Mismatch,
@@ -347,7 +315,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             }
         }
         ran += 1;
-        match run_seed_with(seed, strategy) {
+        match run_seed(seed) {
             SeedOutcome::Pass(info) => {
                 passed += 1;
                 variants += info.variants;
@@ -378,10 +346,9 @@ pub fn cli_main(args: &[String]) -> i32 {
         }
     }
     println!(
-        "fuzz[{}]: {ran} seeds — {passed} passed ({variants} equivalents checked, \
+        "fuzz: {ran} seeds — {passed} passed ({variants} equivalents checked, \
          {contradictions} validated contradictions), {skipped} skipped, {mismatches} mismatches \
          in {:.1}s",
-        strategy.label(),
         start.elapsed().as_secs_f64()
     );
     if mismatches > 0 {

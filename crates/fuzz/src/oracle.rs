@@ -5,8 +5,7 @@
 //! baseline answer multiset, then checks that *every* artifact the
 //! optimizer can emit agrees with it —
 //!
-//! * each [`sqo_core::EquivalentQuery`] from the parallel Step-3 search,
-//! * the sequential search (verdict fingerprints must be byte-identical),
+//! * each [`sqo_core::EquivalentQuery`] from the Step-3 search,
 //! * a second search on a context an earlier search has warmed (same
 //!   verdict, equivalents and steps as the context's first search),
 //! * the warm plan-cache path (miss → hit on the same query, two
@@ -19,8 +18,7 @@
 //! Invalid cases (parse/translate errors) are reported as `Err(reason)`
 //! so the driver can skip them; the generator should make these rare.
 
-use sqo_core::{Backend, CacheOutcome, OptimizationReport, PlanCache, SemanticOptimizer, Verdict};
-use sqo_datalog::search::Strategy;
+use sqo_core::{CacheOutcome, OptimizationReport, PlanCache, SemanticOptimizer, Verdict};
 use sqo_datalog::term::Const;
 use sqo_datalog::Query;
 use sqo_objdb::{execute, execute_with, ExecOptions, ObjectDb};
@@ -45,8 +43,8 @@ pub struct PassInfo {
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Which check failed (`"equivalent"`, `"contradiction"`,
-    /// `"backend"`, `"warm-context"`, `"cache"`, `"instance"`,
-    /// `"sibling"`).
+    /// `"warm-context"`, `"cache"`, `"instance"`, `"sibling"`,
+    /// `"recovery"`).
     pub path: String,
     /// Human-readable explanation.
     pub detail: String,
@@ -357,28 +355,16 @@ fn check_recovery(
     outcome
 }
 
-/// Run one rendered case through every differential check under the
-/// default Step-3 search strategy.
+/// Run one rendered case through every differential check.
 pub fn run_inputs(inputs: &CaseInputs) -> Result<CaseStatus, String> {
-    run_inputs_with(inputs, Strategy::default())
+    run_inputs_full(inputs, false)
 }
 
-/// Run one rendered case through every differential check with an
-/// explicit Step-3 search strategy (`--search=bfs|best-first`), so the
-/// whole answer-set oracle can be replayed under either engine.
-pub fn run_inputs_with(inputs: &CaseInputs, strategy: Strategy) -> Result<CaseStatus, String> {
-    run_inputs_full(inputs, strategy, false)
-}
-
-/// [`run_inputs_with`] plus, when `recovery` is set, a durability
+/// [`run_inputs`] plus, when `recovery` is set, a durability
 /// round-trip (save → recover → re-answer). The driver samples which seeds pay
 /// for the save + recover; shrink and replay keep the flag so recovery
 /// mismatches stay reproducible end to end.
-pub fn run_inputs_full(
-    inputs: &CaseInputs,
-    strategy: Strategy,
-    recovery: bool,
-) -> Result<CaseStatus, String> {
+pub fn run_inputs_full(inputs: &CaseInputs, recovery: bool) -> Result<CaseStatus, String> {
     // Store population (IC-consistent by construction).
     let schema = Schema::parse(&inputs.odl).map_err(|e| format!("schema: {e}"))?;
     let data = inputs
@@ -389,7 +375,6 @@ pub fn run_inputs_full(
 
     // Baseline: the original query, translated but untouched by Step 3.
     let mut opt = build_optimizer(inputs)?;
-    opt.set_search_strategy(strategy);
     let query: SelectQuery = sqo_oql::parse_oql(&inputs.oql).map_err(|e| format!("oql: {e}"))?;
     let translation = opt
         .translate(&query)
@@ -399,36 +384,18 @@ pub fn run_inputs_full(
         Err(m) => return Ok(CaseStatus::Mismatch(m)),
     };
 
-    // Parallel and sequential searches must agree verdict-for-verdict.
-    let report_par = opt
-        .optimize_query_backend(&query, Backend::Parallel)
-        .map_err(|e| format!("optimize(parallel): {e}"))?;
-    let report_seq = opt
-        .optimize_query_backend(&query, Backend::Sequential)
-        .map_err(|e| format!("optimize(sequential): {e}"))?;
-    let fp_par = fingerprint(&report_par);
-    let fp_seq = fingerprint(&report_seq);
-    if fp_par != fp_seq {
-        return Ok(CaseStatus::Mismatch(Mismatch {
-            path: "backend".to_string(),
-            detail: format!(
-                "parallel and sequential searches disagree:\n--- parallel ---\n{fp_par}\n--- \
-                 sequential ---\n{fp_seq}"
-            ),
-        }));
-    }
+    let report = opt
+        .optimize_query(&query)
+        .map_err(|e| format!("optimize: {e}"))?;
+    let fp_cold = fingerprint(&report);
 
     // Every equivalent (and any contradiction verdict) vs the baseline.
-    if let Some(m) = check_report(db, &report_par, &baseline, "equivalent")? {
+    if let Some(m) = check_report(db, &report, &baseline, "equivalent")? {
         return Ok(CaseStatus::Mismatch(m));
     }
 
     // Warm plan-cache path: miss, then hit, on the very same query.
-    let prepared = {
-        let mut o = build_optimizer(inputs)?;
-        o.set_search_strategy(strategy);
-        o.prepare()
-    };
+    let prepared = build_optimizer(inputs)?.prepare();
     let cache = PlanCache::new();
     let (cold_report, first) = prepared
         .optimize_query_cached(&cache, &query)
@@ -464,11 +431,11 @@ pub fn run_inputs_full(
         return Err("expected warm cache hit, got miss".to_string());
     }
     let fp_hit = fingerprint(&hit_report);
-    if fp_hit != fp_par {
+    if fp_hit != fp_cold {
         return Ok(CaseStatus::Mismatch(Mismatch {
             path: "cache".to_string(),
             detail: format!(
-                "warm cached plan disagrees with cold search:\n--- cold ---\n{fp_par}\n--- \
+                "warm cached plan disagrees with cold search:\n--- cold ---\n{fp_cold}\n--- \
                  cached ---\n{fp_hit}"
             ),
         }));
@@ -534,12 +501,12 @@ pub fn run_inputs_full(
 
     // Sampled durability round-trip: save, recover, re-check everything.
     if recovery {
-        if let Some(m) = check_recovery(inputs, db, &report_par, &translation.query, &baseline)? {
+        if let Some(m) = check_recovery(inputs, db, &report, &translation.query, &baseline)? {
             return Ok(CaseStatus::Mismatch(m));
         }
     }
 
-    let (variants, contradiction) = match &*report_par.verdict {
+    let (variants, contradiction) = match &*report.verdict {
         Verdict::Contradiction { .. } => (0, true),
         Verdict::Equivalents(eqs) => (eqs.len(), false),
     };

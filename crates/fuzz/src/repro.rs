@@ -271,17 +271,12 @@ pub struct ReplayReport {
     pub detail: String,
 }
 
-/// [`replay_with`] under the default Step-3 search strategy.
+/// Replay a parsed repro case through the oracle and compare against
+/// its expectation. Replays always run the durability round-trip, so
+/// recovery mismatches (found on sampled seeds) reproduce from their
+/// `.repro` files.
 pub fn replay(case: &ReproCase) -> ReplayReport {
-    replay_with(case, sqo_datalog::search::Strategy::default())
-}
-
-/// Replay a parsed repro case through the oracle under an explicit
-/// Step-3 search strategy and compare against its expectation. Replays
-/// always run the durability round-trip, so recovery mismatches (found
-/// on sampled seeds) reproduce from their `.repro` files.
-pub fn replay_with(case: &ReproCase, strategy: sqo_datalog::search::Strategy) -> ReplayReport {
-    match run_inputs_full(&case.inputs, strategy, true) {
+    match run_inputs_full(&case.inputs, true) {
         Err(e) => ReplayReport {
             expected: case.expect,
             observed: None,

@@ -8,27 +8,15 @@
 
 use crate::oracle::{run_inputs_full, CaseStatus};
 use crate::spec::CaseSpec;
-use sqo_datalog::search::Strategy;
 
 /// Hard cap on oracle invocations during one shrink.
 const MAX_ORACLE_RUNS: usize = 200;
 
-/// [`shrink_with`] under the default Step-3 search strategy.
-pub fn shrink(spec: &CaseSpec) -> CaseSpec {
-    shrink_with(spec, Strategy::default())
-}
-
-/// [`shrink_full`] without the durability round-trip.
-pub fn shrink_with(spec: &CaseSpec, strategy: Strategy) -> CaseSpec {
-    shrink_full(spec, strategy, false)
-}
-
 /// Shrink `spec` while the oracle keeps reporting a mismatch *under the
-/// same strategy (and recovery flag) that found it* — a failure specific
-/// to one engine, or to the save/recover path, must not vanish
-/// mid-shrink. Returns the smallest mismatching spec found (possibly
-/// `spec` unchanged).
-pub fn shrink_full(spec: &CaseSpec, strategy: Strategy, recovery: bool) -> CaseSpec {
+/// recovery flag that found it* — a failure specific to the save/recover
+/// path must not vanish mid-shrink. Returns the smallest mismatching
+/// spec found (possibly `spec` unchanged).
+pub fn shrink(spec: &CaseSpec, recovery: bool) -> CaseSpec {
     let mut best = spec.clone();
     let mut runs = 0usize;
 
@@ -38,7 +26,7 @@ pub fn shrink_full(spec: &CaseSpec, strategy: Strategy, recovery: bool) -> CaseS
         }
         *runs += 1;
         matches!(
-            run_inputs_full(&candidate.inputs(), strategy, recovery),
+            run_inputs_full(&candidate.inputs(), recovery),
             Ok(CaseStatus::Mismatch(_))
         )
     };

@@ -4,15 +4,14 @@
 //! class, so the two residue application orders produce body-permuted —
 //! alpha-equivalent — variants that only the exact canonical-form
 //! [`SubsumptionIndex`] collapses. Replaying it must (a) pass the
-//! answer-set oracle under both search strategies and (b) actually fire
-//! the `search.subsumed_pruned` counter under the best-first engine.
+//! answer-set oracle and (b) actually fire the `search.subsumed_pruned`
+//! counter.
 //!
 //! This file is its own test binary on purpose: the counter assertion
 //! reads deltas from the process-global `sqo-obs` registry, and
 //! concurrent tests in the same binary would pollute them.
 
-use sqo_datalog::search::Strategy;
-use sqo_fuzz::repro::{parse, replay_with};
+use sqo_fuzz::repro::{parse, replay};
 use sqo_obs as obs;
 
 #[test]
@@ -21,8 +20,8 @@ fn subsumption_fixture_prunes_and_matches_oracle() {
     let case = parse(text).expect("fixture parses");
 
     obs::reset();
-    let report = replay_with(&case, Strategy::BestFirst);
-    assert!(report.ok, "best-first replay failed: {}", report.detail);
+    let report = replay(&case);
+    assert!(report.ok, "replay failed: {}", report.detail);
     let pruned = obs::snapshot()
         .counters
         .get("search.subsumed_pruned")
@@ -32,7 +31,4 @@ fn subsumption_fixture_prunes_and_matches_oracle() {
         pruned > 0,
         "fixture no longer exercises subsumption pruning (search.subsumed_pruned = 0)"
     );
-
-    let report = replay_with(&case, Strategy::Bfs);
-    assert!(report.ok, "bfs replay failed: {}", report.detail);
 }

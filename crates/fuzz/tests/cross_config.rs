@@ -1,95 +1,76 @@
-//! Full-pipeline determinism over the fuzz corpus's first 50 seeds: for
-//! every generated case, the parallel and sequential Step-3 backends must
-//! produce **byte-identical** `explain_json()` reports (span timings
-//! cleared — they are the only nondeterministic field), and the
-//! best-first search engine must produce a report byte-identical to the
-//! exhaustive-BFS engine (counters additionally cleared — pruning
-//! telemetry like `search.subsumed_pruned` legitimately exists only on
-//! the best-first side). Together with `obs_equivalence.rs` (which runs
-//! at the Datalog level under both `--features parallel` and
-//! `--no-default-features` in CI), this pins the guarantee that explain
-//! output never depends on the backend, the search strategy, or the
-//! build configuration.
+//! Full-pipeline determinism over the fuzz generator's first 50 seeds:
+//! every generated case's `explain_json()` report must hash to the value
+//! recorded in `explain_fingerprints.txt`. The report is hashed with
+//! span and histogram timings cleared (the only nondeterministic fields)
+//! and counters restricted to the `search.` family, so the recorded
+//! table pins verdicts, variants, plans, provenance *and* the search's
+//! own work totals (`search.levels`, `search.nodes_expanded`,
+//! `search.frontier_peak`, `search.subsumed_pruned`, …), while a new
+//! counter elsewhere in the pipeline does not churn the file.
 //!
-//! Everything runs inside ONE test function: per-report counter deltas
-//! are computed against the process-global `sqo-obs` registry, so
+//! The table was recorded at the last commit that still carried the
+//! exhaustive level-BFS engine, where the same 50 reports were asserted
+//! byte-identical to that engine's. An intentional change to what Step 3
+//! finds re-records it with
+//! `cargo test -p sqo-fuzz --test cross_config -- --ignored --nocapture`.
+//!
+//! Everything runs inside ONE test function per run: per-report counter
+//! deltas are computed against the process-global `sqo-obs` registry, so
 //! concurrently running tests in the same binary would pollute them.
 
-use sqo_core::Backend;
-use sqo_datalog::search::Strategy;
 use sqo_fuzz::gen::generate_case;
 use sqo_fuzz::oracle::run_inputs;
-use sqo_fuzz::spec::CaseInputs;
 use std::collections::BTreeMap;
 
-fn build(inputs: &CaseInputs) -> sqo_core::SemanticOptimizer {
-    let mut opt = sqo_core::SemanticOptimizer::from_odl(&inputs.odl).expect("valid odl");
-    for ic in &inputs.ics {
-        opt.add_constraint_text(ic).expect("valid ic");
-    }
-    opt
+const RECORDED: &str = include_str!("explain_fingerprints.txt");
+
+/// 64-bit FNV-1a, written out so the recorded values never depend on a
+/// standard-library or in-repo hasher changing its definition.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
-#[test]
-fn first_50_seeds_explain_json_backend_and_strategy_invariant() {
-    let mut checked = 0usize;
+/// `seed <hash>` lines for seeds 0..50, skipping cases the oracle itself
+/// would skip (none expected today, but the generator contract allows
+/// them).
+fn fingerprints() -> String {
+    let mut out = String::new();
     for seed in 0u64..50 {
-        let spec = generate_case(seed);
-        let inputs = spec.inputs();
-        // Skip cases the oracle itself would skip (none expected today,
-        // but the generator contract allows them).
+        let inputs = generate_case(seed).inputs();
         if run_inputs(&inputs).is_err() {
             continue;
         }
         let query = sqo_oql::parse_oql(&inputs.oql).expect("valid oql");
-
-        let mut opt = build(&inputs);
-        let mut par = opt
-            .optimize_query_backend(&query, Backend::Parallel)
-            .expect("parallel optimize");
-        // Fresh optimizer for the sequential run: residue compilation
-        // and symbol interning state must not leak between backends for
-        // the comparison to mean anything.
-        let mut opt = build(&inputs);
-        let mut seq = opt
-            .optimize_query_backend(&query, Backend::Sequential)
-            .expect("sequential optimize");
-
-        // The same query under the pre-best-first exhaustive-BFS engine.
-        let mut opt = build(&inputs);
-        opt.set_search_strategy(Strategy::Bfs);
-        let mut bfs = opt.optimize_query(&query).expect("bfs optimize");
-
-        // Span and histogram wall-clock timings are the legitimately
-        // nondeterministic fields; everything else must match bytewise.
-        par.stats.spans = BTreeMap::new();
-        seq.stats.spans = BTreeMap::new();
-        par.stats.hists = BTreeMap::new();
-        seq.stats.hists = BTreeMap::new();
-        let par_json = par.explain_json();
-        let seq_json = seq.explain_json();
-        assert_eq!(
-            par_json, seq_json,
-            "seed {seed}: explain_json differs between backends for `{}`",
-            inputs.oql
-        );
-
-        // Strategy invariance: the BFS report must match the best-first
-        // one byte-for-byte once counters are also cleared (dedup/prune
-        // accounting differs by construction — the best-first engine
-        // skips work BFS performs — but verdicts, variants, plans, and
-        // every other field may not).
-        bfs.stats.spans = BTreeMap::new();
-        bfs.stats.hists = BTreeMap::new();
-        bfs.stats.counters = BTreeMap::new();
-        par.stats.counters = BTreeMap::new();
-        assert_eq!(
-            par.explain_json(),
-            bfs.explain_json(),
-            "seed {seed}: explain_json differs between best-first and bfs for `{}`",
-            inputs.oql
-        );
-        checked += 1;
+        let mut opt = sqo_core::SemanticOptimizer::from_odl(&inputs.odl).expect("valid odl");
+        for ic in &inputs.ics {
+            opt.add_constraint_text(ic).expect("valid ic");
+        }
+        let mut report = opt.optimize_query(&query).expect("optimize");
+        report.stats.spans = BTreeMap::new();
+        report.stats.hists = BTreeMap::new();
+        report
+            .stats
+            .counters
+            .retain(|k, _| k.starts_with("search."));
+        let hash = fnv1a(report.explain_json().as_bytes());
+        out.push_str(&format!("{seed} {hash:016x}\n"));
     }
-    assert!(checked >= 45, "only {checked}/50 seeds were comparable");
+    out
+}
+
+#[test]
+fn first_50_seeds_explain_json_matches_recorded() {
+    let live = fingerprints();
+    for (live, recorded) in live.lines().zip(RECORDED.lines()) {
+        assert_eq!(live, recorded, "explain_json fingerprint differs");
+    }
+    assert_eq!(live.lines().count(), RECORDED.lines().count());
+}
+
+#[test]
+#[ignore = "prints the table to re-record after an intentional search change"]
+fn print_explain_fingerprints() {
+    print!("{}", fingerprints());
 }

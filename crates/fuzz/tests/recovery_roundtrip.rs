@@ -5,7 +5,6 @@
 //! These tests pin the sampling contract and run the round-trip
 //! explicitly on handcrafted cases from both verdict families.
 
-use sqo_datalog::search::Strategy;
 use sqo_fuzz::oracle::{run_inputs_full, CaseStatus};
 use sqo_fuzz::spec::CaseInputs;
 use sqo_fuzz::RECOVERY_SAMPLE;
@@ -38,12 +37,9 @@ fn recovery_roundtrip_passes_on_equivalents_case() {
     // equivalents; with recovery on, each of them (and the baseline) is
     // re-evaluated against the recovered store.
     let case = inputs("select x0 from x0 in C0 where x0.a0_0 < 150");
-    for strategy in [Strategy::BestFirst, Strategy::Bfs] {
-        let status = run_inputs_full(&case, strategy, true).expect("case valid");
-        match status {
-            CaseStatus::Pass(info) => assert!(!info.contradiction),
-            CaseStatus::Mismatch(m) => panic!("recovery round-trip flagged: {m:?}"),
-        }
+    match run_inputs_full(&case, true).expect("case valid") {
+        CaseStatus::Pass(info) => assert!(!info.contradiction),
+        CaseStatus::Mismatch(m) => panic!("recovery round-trip flagged: {m:?}"),
     }
 }
 
@@ -52,7 +48,7 @@ fn recovery_roundtrip_passes_on_contradiction_case() {
     // A sound contradiction: the recovered store must stay empty for the
     // baseline query too.
     let case = inputs("select x0 from x0 in C0 where x0.a0_0 < 50");
-    let status = run_inputs_full(&case, Strategy::default(), true).expect("case valid");
+    let status = run_inputs_full(&case, true).expect("case valid");
     match status {
         CaseStatus::Pass(info) => {
             assert!(info.contradiction);

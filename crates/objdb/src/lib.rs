@@ -28,6 +28,6 @@ pub use exec::{execute, execute_with, CostReport, ExecOptions};
 pub use generate::{
     register_university_methods, GenericConfig, GenericData, UniversityConfig, UniversityData,
 };
-pub use plan::{choose_best, estimate_cost, priced_steps, search_cost_model};
+pub use plan::{choose_best, estimate_cost, priced_steps};
 pub use store::{AsrDef, MethodFn, Object, ObjectDb};
 pub use value::{Oid, Value};

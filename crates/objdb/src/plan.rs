@@ -74,18 +74,6 @@ pub fn priced_steps(db: &ObjectDb, q: &Query) -> Vec<(Literal, Option<AccessPath
     steps
 }
 
-/// Adapt the store's index-aware plan cost into a best-first search
-/// [`CostModel`](sqo_datalog::search::CostModel): the frontier then pops
-/// the cheapest-looking variant first. Takes ownership of a store
-/// snapshot — [`ObjectDb`] is not `Sync`, so the mutex both serializes
-/// estimates and guards the store's interior caches.
-pub fn search_cost_model(db: ObjectDb) -> sqo_datalog::search::CostModel {
-    let db = std::sync::Mutex::new(db);
-    sqo_datalog::search::CostModel::Estimator(std::sync::Arc::new(move |q: &Query| {
-        estimate_cost(&db.lock().expect("cost state poisoned"), q)
-    }))
-}
-
 /// Walk the query's execution order, accumulating cost and the running
 /// cardinality estimate; `on_step` sees every literal as it is priced.
 fn price_steps(
@@ -304,54 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn search_cost_model_drives_best_first_frontier() {
-        use sqo_datalog::parser::parse_constraint;
-        use sqo_datalog::residue::ResidueSet;
-        use sqo_datalog::search::{optimize, Outcome, SearchConfig};
-        use sqo_datalog::transform::TransformContext;
-        use std::collections::{BTreeMap, BTreeSet};
-
-        let db = db_with_path();
+    fn estimate_cost_repeats_across_instances_and_calls() {
+        // The store construction is deterministic, so a second instance
+        // carries identical statistics.
+        let (db, other) = (db_with_path(), db_with_path());
         let q = parse_query("Q(N) <- student(X, N, A, Sid, Ad), A < 30").unwrap();
-
-        // The adapter must agree with the direct estimate. The store
-        // construction is deterministic, so a second instance carries
-        // identical statistics.
-        let model = search_cost_model(db_with_path());
-        let sqo_datalog::search::CostModel::Estimator(est) = &model else {
-            panic!("adapter returns an estimator");
-        };
-        assert_eq!(est(&q), estimate_cost(&db, &q));
+        assert_eq!(estimate_cost(&other, &q), estimate_cost(&db, &q));
         // Second call, column statistics now cached: same answer.
-        assert_eq!(est(&q), estimate_cost(&db, &q));
-
-        // Plugged into the search, a cost-ordered single-node frontier
-        // must still explore exactly the variant set BFS order explores.
-        let ics: Vec<_> = [
-            "ic A1: A >= 16 <- student(X, N, A, Sid, Ad).",
-            "ic A2: A >= 17 <- ta(X, N, A, Sid, Eid, Ad).",
-        ]
-        .iter()
-        .map(|s| parse_constraint(s).unwrap())
-        .collect();
-        let ctx = TransformContext::new(ResidueSet::compile(ics), vec![], BTreeMap::new());
-        let costed = optimize(
-            &q,
-            &ctx,
-            &SearchConfig {
-                cost_model: model,
-                frontier_slice: Some(1),
-                ..Default::default()
-            },
-        );
-        let default = optimize(&q, &ctx, &SearchConfig::default());
-        let keys = |o: &Outcome| -> BTreeSet<String> {
-            o.variants()
-                .iter()
-                .map(|va| va.query.canonical_key())
-                .collect()
-        };
-        assert_eq!(keys(&costed), keys(&default));
+        assert_eq!(estimate_cost(&other, &q), estimate_cost(&db, &q));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and to merge. Merging is element-wise addition, hence associative and
 //! commutative: merging per-thread histograms in any order produces a
 //! byte-identical result, the same discipline the counter registry
-//! relies on for parallel-vs-sequential equivalence.
+//! relies on when the service's workers merge their totals.
 
 /// Number of buckets: index 0 holds zeros, index 1 holds ones, and each
 /// octave `o in 1..=63` owns indices `2*o` and `2*o + 1`.

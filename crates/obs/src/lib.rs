@@ -12,15 +12,16 @@
 //! * **Counters** — a fixed set of named monotonic counters ([`Counter`]).
 //!   Increments land in thread-local cells and are merged into the global
 //!   registry when the thread exits (or when the owning thread snapshots).
-//!   The parallel Step-3 search relies on this: worker threads accumulate
-//!   locally and their totals merge at the sequential join, so sequential
-//!   and parallel runs report identical totals.
+//!   The service's workers rely on this: each accumulates locally and
+//!   the totals merge at flush, so the merged totals do not depend on
+//!   which worker ran which request.
 //! * **Histograms** — [`Histogram`] is a dependency-free log-bucketed
 //!   (HDR-style, two sub-buckets per octave) streaming latency histogram.
 //!   [`record_hist`] records into thread-local histograms that merge into
 //!   a global registry with the same flush discipline as the counters
 //!   (element-wise bucket addition is associative and commutative, so
-//!   parallel and sequential merges are byte-identical). Every completed
+//!   a merge of several threads' histograms is byte-identical to one
+//!   thread recording every sample). Every completed
 //!   span additionally records its duration into the histogram of the
 //!   same name, giving p50/p90/p99 per stage for free.
 //! * **Traces** — [`trace_begin`] / [`trace_end`] open a request-scoped
@@ -115,13 +116,13 @@ counters! {
     UnifyAttempts => "unify.attempts",
     /// Subsumption checks (`match_body_onto` invocations).
     SubsumeChecks => "subsume.checks",
-    /// Search nodes expanded by the Step-3 BFS.
+    /// Search nodes analysed by the Step-3 search.
     SearchNodesExpanded => "search.nodes_expanded",
-    /// Candidate nodes pruned by the Step-3 BFS (budget or variant cap).
+    /// Candidate nodes pruned by the Step-3 search (duplicate or variant cap).
     SearchNodesPruned => "search.nodes_pruned",
     /// Candidates dropped because their fingerprint was already seen.
     SearchDedupHits => "search.dedup_hits",
-    /// BFS levels processed by the Step-3 search.
+    /// Levels (derivation depths) processed by the Step-3 search.
     SearchLevels => "search.levels",
     /// Tuples flowing into join steps during evaluation.
     EvalJoinInputTuples => "eval.join_input_tuples",
@@ -168,12 +169,13 @@ counters! {
     /// Path-expression chains fused into index-nested-loop walks.
     ExecChainsFused => "exec.chain_fused",
     /// Candidate variants eliminated by the subsumption index before
-    /// analysis/costing (best-first Step-3 search).
+    /// analysis/costing.
     SearchSubsumedPruned => "search.subsumed_pruned",
     /// Residue applications skipped by the exactness prefilter: the
     /// residue head provably cannot change the answer set of any query.
     SearchExactSkipped => "search.exact_skipped",
-    /// Peak size of the best-first priority frontier, summed per search.
+    /// Peak size of a search level (the queue between two rounds), summed
+    /// per search.
     SearchFrontierPeak => "search.frontier_peak",
     /// Searches a budget bounded (depth bound reached, variant budget
     /// spent, or nodes passed through unexpanded): "gave up", as opposed
@@ -196,6 +198,10 @@ counters! {
     PlanCacheInstanceEvictions => "plan_cache.instance_evictions",
     /// Panics caught on a serve worker and answered as `internal_error`.
     ServeWorkerPanic => "serve.worker_panic",
+    /// Chase runs a budget stopped short of a fixpoint (rounds ran out,
+    /// or a fresh null or a derived fact was refused): "not derivable"
+    /// then means "not derivable within the budget". At most one per run.
+    ChaseBudgetExhausted => "chase.budget_exhausted",
 }
 
 impl Counter {
@@ -485,8 +491,7 @@ macro_rules! span {
 /// A point-in-time copy of the counter and span registries.
 ///
 /// Both maps use sorted (`BTreeMap`) key order, so serialized snapshots are
-/// byte-comparable across runs and across the sequential/parallel search
-/// backends.
+/// byte-comparable across runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter totals keyed by [`Counter::name`]. Every counter is present,

@@ -8,10 +8,9 @@
 //! span was open. Counter deltas are derived from the thread's cumulative
 //! cell totals (live cells plus everything already flushed), so snapshot
 //! flushes in the middle of a span do not corrupt them. Work merged into
-//! the global registry by *other* threads (e.g. the parallel Step-3
-//! workers) is intentionally excluded: attributing it to one request
-//! would be wrong under concurrency, so it stays visible only in the
-//! global counters.
+//! the global registry by *other* threads is intentionally excluded:
+//! attributing it to one request would be wrong under concurrency, so it
+//! stays visible only in the global counters.
 //!
 //! The context is thread-local and costs one `Cell<bool>` read per span
 //! when no trace is active, keeping the instrumentation-overhead budget

@@ -11,7 +11,6 @@
 //! {"op":"ping"}
 //! {"op":"query","session":"default","oql":"select ...","timeout_ms":250}
 //! {"op":"query","session":"default","oql":"...","trace":true,"execute":true}
-//! {"op":"query","session":"default","oql":"...","search":"bfs"}
 //! {"op":"prepare","session":"s","university":true,"ic":"ic IC4: ..."}
 //! {"op":"prepare","session":"s","university":true,"data":true}
 //! {"op":"prepare","session":"s","schema":"<ODL source>"}
@@ -43,7 +42,6 @@ use crate::json::{self, Json};
 use crate::registry::{SessionRegistry, SessionSpec};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::ServeError;
-use sqo_datalog::search;
 use sqo_obs as obs;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -614,7 +612,6 @@ pub(crate) struct QueryJob {
     pub(crate) deadline: Instant,
     pub(crate) want_trace: bool,
     pub(crate) want_execute: bool,
-    pub(crate) strategy: Option<search::Strategy>,
     pub(crate) session: Arc<crate::registry::Session>,
     pub(crate) trace_id: String,
 }
@@ -637,19 +634,6 @@ fn parse_query(shared: &Arc<Shared>, req: &Json) -> Result<QueryJob, ServeError>
         .unwrap_or(shared.default_timeout);
     let want_trace = req.get("trace").and_then(Json::as_bool) == Some(true);
     let want_execute = req.get("execute").and_then(Json::as_bool) == Some(true);
-    let strategy = match req.get("search") {
-        None => None,
-        Some(v) => {
-            let s = v
-                .as_str()
-                .ok_or_else(|| ServeError::BadRequest("\"search\" must be a string".into()))?;
-            Some(search::Strategy::parse(s).ok_or_else(|| {
-                ServeError::BadRequest(format!(
-                    "unknown \"search\" strategy {s:?} (expected \"bfs\" or \"best-first\")"
-                ))
-            })?)
-        }
-    };
     let session = shared
         .registry
         .get(&name)
@@ -666,7 +650,6 @@ fn parse_query(shared: &Arc<Shared>, req: &Json) -> Result<QueryJob, ServeError>
         deadline: Instant::now() + timeout,
         want_trace,
         want_execute,
-        strategy,
         session,
         trace_id,
     })
@@ -721,7 +704,6 @@ pub(crate) fn submit_job(shared: &Arc<Shared>, job: QueryJob, reply: Reply) -> b
                 wait,
                 job.want_trace,
                 job.want_execute,
-                job.strategy,
             );
             reply.send(match answer {
                 Ok(a) => format_query_ok(&job.name, &a),
@@ -786,7 +768,6 @@ pub(crate) fn format_query_ok(name: &str, a: &QueryAnswer) -> String {
 /// Executes one admitted query on a worker thread: opens the trace,
 /// optimizes (and optionally executes) under it, records the request
 /// latency histogram, and files a slow-log entry past the threshold.
-#[allow(clippy::too_many_arguments)]
 fn run_query(
     session: &crate::registry::Session,
     slowlog: &SlowLog,
@@ -795,22 +776,13 @@ fn run_query(
     wait: Duration,
     want_trace: bool,
     want_execute: bool,
-    strategy: Option<search::Strategy>,
 ) -> Result<QueryAnswer, String> {
     obs::trace_begin(trace_id.clone());
     let wait_ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
     obs::trace_event("serve.admission_wait", 0, wait_ns);
     let prep = session.prepared();
     let started = Instant::now();
-    // A per-request strategy override skips the plan cache both ways:
-    // cached outcomes were computed under the session default.
-    let result = match strategy {
-        Some(s) if s != prep.strategy() => prep
-            .optimize_with_strategy(oql, s)
-            .map(|r| (r, sqo_core::CacheOutcome::Bypass)),
-        _ => prep.optimize_cached(session.cache(), oql),
-    };
-    let outcome = match result {
+    let outcome = match prep.optimize_cached(session.cache(), oql) {
         Ok((report, outcome)) => {
             let mut exec = None;
             let mut exec_err = None;

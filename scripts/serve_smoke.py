@@ -147,9 +147,10 @@ def telemetry_checks(addr, serve_schema, slowlog_path):
             fail(f"serve.request {p} should be a positive sample: {req}")
     if "queue_depth_hwm" not in metrics:
         fail("metrics lacks queue_depth_hwm")
-    # "Gave up" is told apart from "nothing more to find" by this counter.
-    if "search.budget_exhausted" not in metrics["stats"]["counters"]:
-        fail("metrics counters lack search.budget_exhausted")
+    # "Gave up" is told apart from "nothing more to find" by these counters.
+    for counter in ("search.budget_exhausted", "chase.budget_exhausted"):
+        if counter not in metrics["stats"]["counters"]:
+            fail(f"metrics counters lack {counter}")
 
     def assert_sorted(obj, what):
         keys = list(obj)

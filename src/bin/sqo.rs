@@ -17,7 +17,6 @@
 //! ```
 
 use semantic_sqo::datalog::parser::{parse_program, Statement};
-use semantic_sqo::datalog::search::Strategy;
 use semantic_sqo::service::json::{self as wire, Json};
 use semantic_sqo::service::{Server, ServerConfig, SessionRegistry, SessionSpec};
 use semantic_sqo::{SemanticOptimizer, Verdict};
@@ -34,7 +33,6 @@ struct Args {
     show_datalog: bool,
     trace: bool,
     explain: bool,
-    search: Option<Strategy>,
     query: Option<String>,
 }
 
@@ -47,12 +45,11 @@ fn usage() -> ! {
          \u{20}                 [--store-path DIR] [--store-shards N]\n\
          \u{20}                 [--serve-mode event-loop|threaded] [--max-frame-bytes N]\n\
          \u{20}      sqo client [--addr HOST:PORT] (--oql QUERY [--session S] [--timeout-ms N]\n\
-         \u{20}                 [--trace] [--execute] [--search bfs|best-first]\n\
+         \u{20}                 [--trace] [--execute]\n\
          \u{20}                 | --metrics | --slowlog | --ping | --shutdown | --persist\n\
          \u{20}                 | --json REQUEST | --reload-ic FILE [--session S])\n\
          \u{20}      sqo fuzz   [--seeds A..B] [--budget 60s] [--replay FILE|DIR] [--save DIR]\n\
          \u{20}                 [--emit-cases N --out DIR] [--dump-dir DIR]\n\
-         \u{20}                 [--search bfs|best-first]\n\
          \n\
          options:\n\
            --ic FILE         add integrity constraints / ASR views (Datalog syntax;\n\
@@ -63,8 +60,6 @@ fn usage() -> ! {
                              rewrite plus pipeline counters and span timings\n\
            --explain         print the machine-readable optimization report\n\
                              (JSON: verdict, rewrites, provenance, stats)\n\
-           --search S        Step-3 search strategy: best-first (default) or\n\
-                             bfs (the exhaustive level-BFS ablation baseline)\n\
          \n\
          A contradiction verdict exits with status 2."
     );
@@ -80,7 +75,6 @@ fn parse_args() -> Args {
         show_datalog: false,
         trace: false,
         explain: false,
-        search: None,
         query: None,
     };
     let mut it = std::env::args().skip(1);
@@ -93,14 +87,6 @@ fn parse_args() -> Args {
             "--show-datalog" => args.show_datalog = true,
             "--trace" => args.trace = true,
             "--explain" => args.explain = true,
-            "--search" => {
-                let s = it.next().unwrap_or_else(|| usage());
-                args.search = Some(Strategy::parse(&s).unwrap_or_else(|| usage()));
-            }
-            s if s.starts_with("--search=") => {
-                let s = &s["--search=".len()..];
-                args.search = Some(Strategy::parse(s).unwrap_or_else(|| usage()));
-            }
             "--help" | "-h" => usage(),
             q if !q.starts_with('-') => args.query = Some(q.to_string()),
             _ => usage(),
@@ -274,7 +260,6 @@ fn client_main(args: &[String]) -> ExitCode {
     let mut reload_file: Option<String> = None;
     let mut trace = false;
     let mut execute = false;
-    let mut search: Option<String> = None;
     let mut raw: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -298,20 +283,6 @@ fn client_main(args: &[String]) -> ExitCode {
             "--slowlog" => op = Some("slowlog"),
             "--trace" => trace = true,
             "--execute" => execute = true,
-            "--search" => {
-                let s = next("--search");
-                if Strategy::parse(&s).is_none() {
-                    usage();
-                }
-                search = Some(s);
-            }
-            s if s.starts_with("--search=") => {
-                let s = &s["--search=".len()..];
-                if Strategy::parse(s).is_none() {
-                    usage();
-                }
-                search = Some(s.to_string());
-            }
             "--ping" => op = Some("ping"),
             "--persist" => op = Some("persist"),
             "--json" => raw = Some(next("--json")),
@@ -344,9 +315,6 @@ fn client_main(args: &[String]) -> ExitCode {
     }
     if execute {
         fields.push("\"execute\":true".to_string());
-    }
-    if let Some(s) = &search {
-        fields.push(format!("\"search\":{}", sqo_obs::json_string(s)));
     }
     if let Some(f) = &reload_file {
         match std::fs::read_to_string(f) {
@@ -430,9 +398,6 @@ fn main() -> ExitCode {
             }
         }
     };
-    if let Some(s) = args.search {
-        opt.set_search_strategy(s);
-    }
 
     for f in &args.ic_files {
         let src = match std::fs::read_to_string(f) {

@@ -46,8 +46,8 @@
 //! ```
 
 pub use sqo_core::{
-    Backend, CacheOutcome, CompileOptions, Constraint, Delta, EquivalentQuery, OptimizationReport,
-    Outcome, PlanCache, PreparedOptimizer, Query, Result, Rule, Schema, SearchConfig, SelectQuery,
+    CacheOutcome, CompileOptions, Constraint, Delta, EquivalentQuery, OptimizationReport, Outcome,
+    PlanCache, PreparedOptimizer, Query, Result, Rule, Schema, SearchConfig, SelectQuery,
     SemanticOptimizer, SqoError, Step, Verdict,
 };
 pub use sqo_datalog as datalog;
