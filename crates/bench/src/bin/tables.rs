@@ -6,6 +6,7 @@
 //! cargo run --release -p sqo-bench --bin tables [--quick]
 //! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/* rows only
 //! cargo run --release -p sqo-bench --bin tables -- --store-recovery  # store/* row only
+//! cargo run --release -p sqo-bench --bin tables -- --edb             # x1/edb_* rows only
 //! ```
 //!
 //! Besides the human-readable tables, the run writes
@@ -18,12 +19,15 @@
 //! `serve/…` rows measuring the query-serving path (cold per-request
 //! search vs warm semantic-plan-cache hits, sequential and concurrent,
 //! plus closed-loop TCP latency under the event loop, its
-//! thread-per-connection ablation, and 8-deep client pipelining).
+//! thread-per-connection ablation, and 8-deep client pipelining), and
+//! the `x1/edb_*` rows: what the Datalog image of the served object base
+//! costs to rebuild (ms) and to hold (bytes per tuple).
 
 use sqo_bench::loadgen::{self, LoadConfig};
 use sqo_bench::{
     asr_q1_scenario, asr_scenario, contradiction_scenario, indexed_rewrite_scenario,
-    key_join_scenario, optimizer_with_n_ics, scope_reduction_scenario, synthetic_schema,
+    key_join_scenario, optimizer_with_n_ics, scope_reduction_scenario, served_university_base,
+    synthetic_schema,
 };
 use sqo_core::{PlanCache, SemanticOptimizer};
 use sqo_datalog::parser::{parse_constraint, parse_query};
@@ -31,7 +35,7 @@ use sqo_datalog::residue::ResidueSet;
 use sqo_datalog::search::{self, Outcome, SearchConfig};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
-use sqo_objdb::{choose_best, execute, execute_with, ExecOptions};
+use sqo_objdb::{choose_best, execute, execute_with, ExecOptions, Value};
 use sqo_obs as obs;
 use sqo_service::ServeMode;
 use sqo_translate::translate_schema;
@@ -97,11 +101,8 @@ fn main() {
             println!("(quick mode — {n}-object recovery not persisted)");
             return;
         }
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-        let mut bench = read_manifest(path);
-        bench.insert("store/recover_1m_objects".to_string(), ns);
-        write_manifest(path, &bench);
-        println!("(updated store/recover_1m_objects in {path})");
+        let row = ("store/recover_1m_objects".to_string(), ns);
+        merge_into_manifest([row].into(), "store/recover_1m_objects");
         return;
     }
 
@@ -116,11 +117,21 @@ fn main() {
             println!("(quick mode — serve/* rows not persisted)");
             return;
         }
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-        let mut bench = read_manifest(path);
-        bench.extend(rows);
-        write_manifest(path, &bench);
-        println!("(updated serve/* closed-loop rows in {path})");
+        merge_into_manifest(rows, "serve/* closed-loop rows");
+        return;
+    }
+
+    // Standalone EDB mode: re-measure just the rebuild and footprint of
+    // the served base's EDB and merge the rows into the committed
+    // manifest.
+    if std::env::args().any(|a| a == "--edb") {
+        let mut rows = BTreeMap::new();
+        bench_edb_storage(quick, &mut rows);
+        if quick {
+            println!("(quick mode — x1/edb_* rows not persisted)");
+            return;
+        }
+        merge_into_manifest(rows, "x1/edb_* rows");
         return;
     }
 
@@ -298,6 +309,17 @@ fn main() {
     println!("\n(done — see EXPERIMENTS.md for the expectations each table is checked against)");
 }
 
+/// Merge freshly measured `rows` into the committed manifest, leaving
+/// every other row as recorded: how the standalone modes refresh their
+/// rows without the full table sweep.
+fn merge_into_manifest(rows: BTreeMap<String, f64>, what: &str) {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+    let mut bench = read_manifest(path);
+    bench.extend(rows);
+    write_manifest(path, &bench);
+    println!("(updated {what} in {path})");
+}
+
 /// Parse the flat `{"name": number}` manifest (the same line-based
 /// reader the merge step has always used — the file is written by
 /// [`write_manifest`], one entry per line).
@@ -337,6 +359,54 @@ fn write_manifest(path: &str, bench: &BTreeMap<String, f64>) {
     }
     json.push_str("}\n");
     std::fs::write(path, json).expect("write BENCH_pipeline.json");
+}
+
+/// X1: what the EDB of the served university base costs to rebuild and
+/// to hold, recorded into `bench` — [`served_university_base`] × 4 and
+/// × 20, the benchmark's 6 000- and 30 000-object bases:
+///
+/// * `x1/edb_build_ms/{6000,30000}` — median time of the rebuild the
+///   first read after a write pays (`edb_pinned` on a stale cache,
+///   dropping the previous EDB included);
+/// * `x1/edb_bytes_per_tuple/30000` — `heap_bytes() / total_tuples()`,
+///   which is deterministic.
+///
+/// Also prints the time per tuple of a filtered scan (the 8 400-tuple
+/// `student.name` scan of the A4 and A3 templates at × 20).
+fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
+    println!("\n## X1 — EDB rebuild and footprint (served university base)");
+    println!(
+        "{:>10} {:>10} {:>12} {:>13} {:>16}",
+        "objects", "tuples", "build (ms)", "bytes/tuple", "scan (ns/tuple)"
+    );
+    let reps = if quick { 3 } else { 15 };
+    for mult in [4, 20] {
+        let mut data = served_university_base(mult);
+        let objects = 1500 * mult;
+        let build_ms = median((0..reps).map(|i| {
+            // Any write leaves the cached EDB stale.
+            let age = Value::Int(40 + i as i64);
+            data.db.set_attr(data.persons[0], "age", age).unwrap();
+            time_ms(|| data.db.edb_pinned()).1
+        }));
+        let edb = data.db.edb_pinned();
+        let tuples = edb.total_tuples();
+        let per_tuple = edb.heap_bytes() as f64 / tuples as f64;
+        // student(X0, "student7", X2, …): no index on `name`, one scan.
+        let arity = edb.relation(&"student".into()).unwrap().arity().unwrap();
+        let mut args: Vec<String> = (0..arity).map(|i| format!("X{i}")).collect();
+        args[1] = "\"student7\"".to_string();
+        let scan = parse_query(&format!("Q(X0) <- student({})", args.join(", "))).unwrap();
+        let (_, stats) = sqo_datalog::eval::answer_query(&edb, &scan).unwrap();
+        let scan_ns = median_ns(reps * 7, || {
+            std::hint::black_box(sqo_datalog::eval::answer_query(&edb, &scan).unwrap());
+        }) / stats.tuples_examined as f64;
+        println!("{objects:>10} {tuples:>10} {build_ms:>12.2} {per_tuple:>13.1} {scan_ns:>16.2}");
+        bench.insert(format!("x1/edb_build_ms/{objects}"), build_ms);
+        if mult == 20 {
+            bench.insert("x1/edb_bytes_per_tuple/30000".to_string(), per_tuple);
+        }
+    }
 }
 
 /// The closed-loop serving phases over real TCP, recorded into `bench`:
@@ -769,6 +839,9 @@ fn bench_pipeline(quick: bool) {
     println!();
     bench_serve_phases(quick, &mut bench);
 
+    // EDB rebuild and footprint of the served base.
+    bench_edb_storage(quick, &mut bench);
+
     // Durable-store cold recovery (snapshot + WAL-tail replay).
     let (_, recover_ns) = bench_store_recovery(quick);
     bench.insert("store/recover_1m_objects".to_string(), recover_ns);
@@ -801,6 +874,7 @@ fn bench_pipeline(quick: bool) {
                 && !n.ends_with("_qps")
                 && !n.starts_with("speedup")
                 && !n.starts_with("stage/")
+                && !n.starts_with("x1/")
                 && !n.contains("shed_rate")
         })
         .cloned()

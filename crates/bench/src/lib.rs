@@ -12,7 +12,7 @@ pub mod loadgen;
 
 use sqo_core::{SemanticOptimizer, Verdict};
 use sqo_datalog::{Literal, Query};
-use sqo_objdb::{ObjectDb, UniversityConfig};
+use sqo_objdb::{ObjectDb, UniversityConfig, UniversityData};
 
 /// A prepared comparison: the object base plus the original and the
 /// SQO-chosen Datalog queries.
@@ -25,6 +25,29 @@ pub struct Scenario {
     pub optimized: Query,
     /// A short label for reports.
     pub label: String,
+}
+
+/// The university base the served-path benchmark loads:
+/// `UniversityConfig::default()` scaled by `mult` (1 500 objects per
+/// unit, so 4 and 20 are its 6 000- and 30 000-object bases), seed 1,
+/// with the four-hop access support relation `asr` defined.
+pub fn served_university_base(mult: usize) -> UniversityData {
+    let d = UniversityConfig::default();
+    let mut data = UniversityConfig {
+        persons: d.persons * mult,
+        students: d.students * mult,
+        faculty: d.faculty * mult,
+        courses: d.courses * mult,
+        seed: 1,
+        ..d
+    }
+    .build()
+    .expect("university base builds");
+    let path = ["takes", "is_section_of", "has_sections", "has_ta"];
+    data.db
+        .define_asr("asr", "Student", &path)
+        .expect("asr path resolves");
+    data
 }
 
 /// Application 1: contradiction detection. Returns the optimizer primed

@@ -55,6 +55,11 @@ pub enum DatalogError {
         /// Right operand, pretty-printed.
         rhs: String,
     },
+    /// A relation cannot take another row: row ids are dense `u32`s.
+    RelationFull {
+        /// The most rows a relation holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for DatalogError {
@@ -87,6 +92,9 @@ impl fmt::Display for DatalogError {
             }
             DatalogError::Incomparable { lhs, rhs } => {
                 write!(f, "incomparable constants `{lhs}` and `{rhs}`")
+            }
+            DatalogError::RelationFull { limit } => {
+                write!(f, "relation is full: at most {limit} rows")
             }
         }
     }

@@ -318,40 +318,40 @@ pub fn choose_access_path(
 }
 
 /// An ephemeral (per-evaluation) hash index over the bound columns of one
-/// relation: key → positions of the tuples carrying it.
+/// relation: key → ids of the rows carrying it.
 enum EphemeralIndex {
     /// One bound column, keyed by the value itself: no key allocation.
-    One(FxHashMap<Const, Vec<usize>>),
+    One(FxHashMap<Const, Vec<u32>>),
     /// Several bound columns; a key is allocated per distinct value
     /// combination, not per tuple.
-    Many(FxHashMap<Vec<Const>, Vec<usize>>),
+    Many(FxHashMap<Vec<Const>, Vec<u32>>),
 }
 
 impl EphemeralIndex {
     fn build(rel: &Relation, cols: &[usize]) -> Self {
         if let [col] = cols {
-            let mut m: FxHashMap<Const, Vec<usize>> = FxHashMap::default();
-            for (i, t) in rel.tuples().iter().enumerate() {
-                m.entry(t[*col]).or_default().push(i);
+            let mut m: FxHashMap<Const, Vec<u32>> = FxHashMap::default();
+            for (i, t) in rel.rows().enumerate() {
+                m.entry(t[*col]).or_default().push(i as u32);
             }
             return EphemeralIndex::One(m);
         }
-        let mut m: FxHashMap<Vec<Const>, Vec<usize>> = FxHashMap::default();
+        let mut m: FxHashMap<Vec<Const>, Vec<u32>> = FxHashMap::default();
         let mut key = Vec::with_capacity(cols.len());
-        for (i, t) in rel.tuples().iter().enumerate() {
+        for (i, t) in rel.rows().enumerate() {
             key.clear();
             key.extend(cols.iter().map(|&c| t[c]));
             match m.get_mut(key.as_slice()) {
-                Some(postings) => postings.push(i),
+                Some(postings) => postings.push(i as u32),
                 None => {
-                    m.insert(key.clone(), vec![i]);
+                    m.insert(key.clone(), vec![i as u32]);
                 }
             }
         }
         EphemeralIndex::Many(m)
     }
 
-    fn probe(&self, key: &[Const]) -> &[usize] {
+    fn probe(&self, key: &[Const]) -> &[u32] {
         match self {
             EphemeralIndex::One(m) => m.get(&key[0]),
             EphemeralIndex::Many(m) => m.get(key),
@@ -714,26 +714,26 @@ fn count_examined(stats: &mut EvalStats, pred: PredSym, n: u64) {
 }
 
 /// The access path of one atom step, opened over its relation: yields each
-/// row's candidate tuple positions in place.
+/// row's candidate row ids in place.
 enum Probe<'a> {
     Hash(usize),
     /// The one range-probe result every row walks.
-    Positions(Vec<usize>),
+    Positions(Vec<u32>),
     Index(&'a EphemeralIndex, Vec<usize>),
     Scan,
 }
 
-/// Candidate tuple positions for one row.
+/// Candidate row ids for one row.
 enum Candidates<'a> {
-    Postings(std::slice::Iter<'a, usize>),
-    All(std::ops::Range<usize>),
+    Postings(std::slice::Iter<'a, u32>),
+    All(std::ops::Range<u32>),
 }
 
 impl Iterator for Candidates<'_> {
-    type Item = usize;
+    type Item = u32;
 
     #[inline]
-    fn next(&mut self) -> Option<usize> {
+    fn next(&mut self) -> Option<u32> {
         match self {
             Candidates::Postings(it) => it.next().copied(),
             Candidates::All(range) => range.next(),
@@ -789,7 +789,7 @@ impl<'a> Probe<'a> {
         row: &[Const],
         key: &mut Vec<Const>,
     ) -> Candidates<'r> {
-        let postings: &[usize] = match self {
+        let postings: &[u32] = match self {
             Probe::Hash(col) => rel
                 .hash_probe(*col, &ops[*col].bound_value(row))
                 .expect("path chosen on a declared index"),
@@ -799,7 +799,7 @@ impl<'a> Probe<'a> {
                 key.extend(cols.iter().map(|&c| ops[c].bound_value(row)));
                 index.probe(key)
             }
-            Probe::Scan => return Candidates::All(0..rel.len()),
+            Probe::Scan => return Candidates::All(0..rel.len() as u32),
         };
         Candidates::Postings(postings.iter())
     }
@@ -822,13 +822,12 @@ fn join(
     check_arity(rel, atom)?;
     stats.join_input_tuples += rows.len as u64;
     let probe = Probe::open(ctx, idx, stats, rel, step, &ctx.ranges, rows.len);
-    let tuples = rel.tuples();
     let mut examined = 0u64;
     let mut key = Vec::new();
     for row in rows.iter() {
         for ti in probe.candidates(rel, ops, row, &mut key) {
             examined += 1;
-            let tuple = &tuples[ti];
+            let tuple = rel.tuple_at(ti);
             if matches(ops, row, tuple) {
                 let new = out.push(row);
                 for (op, c) in ops.iter().zip(tuple) {
@@ -865,13 +864,12 @@ fn anti_join(
     check_arity(rel, atom)?;
     let no_ranges = RangeMap::new();
     let probe = Probe::open(ctx, idx, stats, rel, step, &no_ranges, rows.len);
-    let tuples = rel.tuples();
     let mut examined = 0u64;
     let mut key = Vec::new();
     rows.retain(|row| {
         let present = probe.candidates(rel, ops, row, &mut key).any(|ti| {
             examined += 1;
-            matches(ops, row, &tuples[ti])
+            matches(ops, row, rel.tuple_at(ti))
         });
         Ok(!present)
     })?;
@@ -948,7 +946,7 @@ fn join_chain(
             Some(rel0) => {
                 stats.scans += rows.len as u64;
                 let mut seen: FxHashSet<Const> = FxHashSet::default();
-                let firsts = rel0.tuples().iter().map(|t| t[0]);
+                let firsts = rel0.rows().map(|t| t[0]);
                 firsts.filter(|c| seen.insert(*c)).collect()
             }
         }),
@@ -1181,7 +1179,7 @@ pub fn materialize(db: &EdbDatabase, program: &Program) -> Result<(EdbDatabase, 
                     }
                 })?;
                 for tuple in facts {
-                    if total.insert(rule.head.pred, tuple)? {
+                    if total.insert(rule.head.pred, &tuple)? {
                         stats.facts_derived += 1;
                         any_new = true;
                         new_changed.insert(rule.head.pred.name().to_string());
@@ -1294,7 +1292,7 @@ mod tests {
         let (mat, stats) = materialize(&db, &p).unwrap();
         let asr = mat.relation(&"asr".into()).unwrap();
         assert_eq!(asr.len(), 1);
-        assert_eq!(asr.tuples()[0], vec![Const::Oid(1), Const::Oid(50)]);
+        assert_eq!(asr.tuple_at(0), [Const::Oid(1), Const::Oid(50)]);
         assert_eq!(stats.facts_derived, 1);
     }
 

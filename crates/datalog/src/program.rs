@@ -3,9 +3,12 @@
 use crate::atom::{Atom, Literal, PredSym};
 use crate::clause::Rule;
 use crate::error::{DatalogError, Result};
+use crate::fxhash::FxHasher;
 use crate::term::Const;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::ops::Bound;
 
 /// A secondary-index key with a *total* order over mixed-type columns.
@@ -55,22 +58,88 @@ impl PartialEq for OrdKey {
 
 impl Eq for OrdKey {}
 
-/// A hash secondary index over one column: key value → positions (into
-/// [`Relation::tuples`]) of the tuples carrying it. Keys use `Const`'s
-/// derived equality — the same equality the join verification loop applies
-/// — so a probe returns exactly the tuples a scan-and-compare would keep.
+/// The rows carrying one index key, ascending. OID and key columns are
+/// unique, so the single-row case stays inline: no `Vec` header and no
+/// heap block per key.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Postings {
+    fn push(&mut self, row: u32) {
+        match self {
+            Postings::One(first) => {
+                // Room for four: the allocator's smallest block anyway,
+                // and one regrowth fewer for every key that gets there.
+                let mut rows = Vec::with_capacity(4);
+                rows.extend([*first, row]);
+                *self = Postings::Many(rows);
+            }
+            Postings::Many(rows) => rows.push(row),
+        }
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Postings::One(row) => std::slice::from_ref(row),
+            Postings::Many(rows) => rows,
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Postings::One(_) => 0,
+            Postings::Many(rows) => rows.capacity() * size_of::<u32>(),
+        }
+    }
+}
+
+/// A hash secondary index over one column: key value → ids of the rows
+/// carrying it. Keys use `Const`'s derived equality — the same equality
+/// the join verification loop applies — so a probe returns exactly the
+/// rows a scan-and-compare would keep.
 #[derive(Debug, Clone, Default)]
 struct HashIndex {
-    postings: HashMap<Const, Vec<usize>>,
+    postings: HashMap<Const, Postings>,
+}
+
+impl HashIndex {
+    fn add(&mut self, key: Const, row: u32) {
+        self.postings
+            .entry(key)
+            .and_modify(|p| p.push(row))
+            .or_insert(Postings::One(row));
+    }
+
+    /// The table's allocation — one control byte per bucket, seven
+    /// eighths of the buckets usable — plus the multi-row postings.
+    fn heap_bytes(&self) -> usize {
+        let buckets = self.postings.capacity() * 8 / 7;
+        buckets * (size_of::<(Const, Postings)>() + 1)
+            + self
+                .postings
+                .values()
+                .map(Postings::heap_bytes)
+                .sum::<usize>()
+    }
 }
 
 /// An ordered secondary index over one column, supporting range probes.
 #[derive(Debug, Clone, Default)]
 struct OrderedIndex {
-    postings: BTreeMap<OrdKey, Vec<usize>>,
+    postings: BTreeMap<OrdKey, Postings>,
 }
 
 impl OrderedIndex {
+    fn add(&mut self, key: Const, row: u32) {
+        self.postings
+            .entry(OrdKey(key))
+            .and_modify(|p| p.push(row))
+            .or_insert(Postings::One(row));
+    }
+
     /// Whether every key in the index has the same type rank as `probe`
     /// (and that rank supports ordering) — the precondition for a range
     /// probe to be equivalent to scan-plus-filter, *including* the filter's
@@ -88,6 +157,18 @@ impl OrderedIndex {
             _ => true, // empty index: trivially homogeneous
         }
     }
+
+    /// An estimate — `BTreeMap` does not report its allocation: entries
+    /// at the two-thirds node fill random insertion settles at, plus the
+    /// multi-row postings.
+    fn heap_bytes(&self) -> usize {
+        self.postings.len() * size_of::<(OrdKey, Postings)>() * 3 / 2
+            + self
+                .postings
+                .values()
+                .map(Postings::heap_bytes)
+                .sum::<usize>()
+    }
 }
 
 /// One end of a range probe: the bounding constant and whether the bound
@@ -102,13 +183,42 @@ fn to_bound(b: Option<&RangeBound>) -> Bound<OrdKey> {
     }
 }
 
+/// An unused slot of a relation's row table; never a row id.
+const EMPTY: u32 = u32::MAX;
+
+/// The id the next row of a relation holding `len` rows gets.
+fn next_row_id(len: usize) -> Result<u32> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&id| id != EMPTY)
+        .ok_or(DatalogError::RelationFull {
+            limit: EMPTY as usize,
+        })
+}
+
+fn hash_row(row: &[Const]) -> u64 {
+    let mut h = FxHasher::default();
+    for c in row {
+        c.hash(&mut h);
+    }
+    h.finish()
+}
+
 /// A stored relation: a deduplicated bag of constant tuples, plus any
 /// declared secondary indexes (maintained incrementally by [`Relation::insert`]).
+///
+/// Every tuple is stored once, in `cells`: row `i` is the `arity` cells
+/// from `i * arity`, in insertion order. Membership and the indexes refer
+/// to rows by that id.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: Option<usize>,
-    tuples: Vec<Vec<Const>>,
-    set: HashSet<Vec<Const>>,
+    cells: Vec<Const>,
+    len: usize,
+    /// Membership: an open-addressing table of row ids, linear probing
+    /// from the top bits of the row's hash. Empty, or a power of two at
+    /// most half full.
+    slots: Vec<u32>,
     hash_indexes: BTreeMap<usize, HashIndex>,
     ordered_indexes: BTreeMap<usize, OrderedIndex>,
 }
@@ -128,8 +238,55 @@ impl Relation {
         self.arity
     }
 
+    /// Where `tuple`'s probe run starts: the top bits of its hash (the
+    /// multiply-rotate hash mixes upwards). The table must not be empty.
+    fn home_slot(&self, tuple: &[Const]) -> usize {
+        (hash_row(tuple) >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The slot holding `tuple`'s row (`Ok`), or the empty slot its row
+    /// would take (`Err`). The table must not be empty.
+    fn find_slot(&self, tuple: &[Const]) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home_slot(tuple);
+        loop {
+            match self.slots[at] {
+                EMPTY => return Err(at),
+                row if self.tuple_at(row) == tuple => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Size the row table for `rows` rows, re-slotting the present ones.
+    fn resize_slots(&mut self, rows: usize) {
+        let slots = (rows * 2).next_power_of_two().max(8);
+        if slots <= self.slots.len() {
+            return;
+        }
+        self.slots = vec![EMPTY; slots];
+        // Stored rows are distinct: each takes the first free slot of its
+        // probe run, no comparing.
+        for row in 0..self.len as u32 {
+            let mut at = self.home_slot(self.tuple_at(row));
+            while self.slots[at] != EMPTY {
+                at = (at + 1) & (slots - 1);
+            }
+            self.slots[at] = row;
+        }
+    }
+
+    /// Make room for `additional` more rows, so that loading them neither
+    /// regrows the arena nor re-slots the row table. The arena is sized
+    /// only once the arity is known.
+    pub fn reserve(&mut self, additional: usize) {
+        self.cells
+            .reserve(additional * self.arity.unwrap_or_default());
+        self.resize_slots(self.len + additional);
+    }
+
     /// Insert a tuple; returns `true` if it was new.
-    pub fn insert(&mut self, tuple: Vec<Const>) -> Result<bool> {
+    pub fn insert(&mut self, tuple: &[Const]) -> Result<bool> {
         match self.arity {
             Some(a) if a != tuple.len() => {
                 return Err(DatalogError::ArityMismatch {
@@ -141,23 +298,25 @@ impl Relation {
             None => self.arity = Some(tuple.len()),
             _ => {}
         }
-        if self.set.insert(tuple.clone()) {
-            let pos = self.tuples.len();
-            for (&col, idx) in &mut self.hash_indexes {
-                if let Some(c) = tuple.get(col) {
-                    idx.postings.entry(*c).or_default().push(pos);
-                }
+        self.resize_slots(self.len + 1);
+        let Err(slot) = self.find_slot(tuple) else {
+            return Ok(false);
+        };
+        let row = next_row_id(self.len)?;
+        self.slots[slot] = row;
+        for (&col, idx) in &mut self.hash_indexes {
+            if let Some(c) = tuple.get(col) {
+                idx.add(*c, row);
             }
-            for (&col, idx) in &mut self.ordered_indexes {
-                if let Some(c) = tuple.get(col) {
-                    idx.postings.entry(OrdKey(*c)).or_default().push(pos);
-                }
-            }
-            self.tuples.push(tuple);
-            Ok(true)
-        } else {
-            Ok(false)
         }
+        for (&col, idx) in &mut self.ordered_indexes {
+            if let Some(c) = tuple.get(col) {
+                idx.add(*c, row);
+            }
+        }
+        self.cells.extend_from_slice(tuple);
+        self.len += 1;
+        Ok(true)
     }
 
     /// Declare a hash secondary index on column `col`. Existing tuples are
@@ -167,9 +326,9 @@ impl Relation {
             return;
         }
         let mut idx = HashIndex::default();
-        for (pos, t) in self.tuples.iter().enumerate() {
+        for (row, t) in self.rows().enumerate() {
             if let Some(c) = t.get(col) {
-                idx.postings.entry(*c).or_default().push(pos);
+                idx.add(*c, row as u32);
             }
         }
         self.hash_indexes.insert(col, idx);
@@ -183,9 +342,9 @@ impl Relation {
             return;
         }
         let mut idx = OrderedIndex::default();
-        for (pos, t) in self.tuples.iter().enumerate() {
+        for (row, t) in self.rows().enumerate() {
             if let Some(c) = t.get(col) {
-                idx.postings.entry(OrdKey(*c)).or_default().push(pos);
+                idx.add(*c, row as u32);
             }
         }
         self.ordered_indexes.insert(col, idx);
@@ -206,12 +365,13 @@ impl Relation {
         self.hash_indexes.keys().copied()
     }
 
-    /// Equality probe against the hash index on `col`: tuple positions
-    /// whose `col` equals `key`. `None` when no hash index is declared.
-    pub fn hash_probe(&self, col: usize, key: &Const) -> Option<&[usize]> {
+    /// Equality probe against the hash index on `col`: ids, ascending, of
+    /// the rows whose `col` equals `key`. `None` when no hash index is
+    /// declared.
+    pub fn hash_probe(&self, col: usize, key: &Const) -> Option<&[u32]> {
         self.hash_indexes
             .get(&col)
-            .map(|idx| idx.postings.get(key).map_or(&[][..], Vec::as_slice))
+            .map(|idx| idx.postings.get(key).map_or(&[][..], Postings::as_slice))
     }
 
     /// Number of distinct keys in the index on `col` (hash preferred,
@@ -232,7 +392,7 @@ impl Relation {
         col: usize,
         lo: Option<&RangeBound>,
         hi: Option<&RangeBound>,
-    ) -> Option<impl Iterator<Item = &Vec<usize>>> {
+    ) -> Option<impl Iterator<Item = &[u32]>> {
         let idx = self.ordered_indexes.get(&col)?;
         let probe = lo.or(hi).map(|(c, _)| c)?;
         if !idx.homogeneous_for(probe) {
@@ -258,21 +418,22 @@ impl Relation {
         } else {
             Some(idx.postings.range((to_bound(lo), to_bound(hi))))
         };
-        Some(range.into_iter().flatten().map(|(_, v)| v))
+        Some(range.into_iter().flatten().map(|(_, p)| p.as_slice()))
     }
 
-    /// Range probe against the ordered index on `col`: positions of tuples
+    /// Range probe against the ordered index on `col`: ids of the rows
     /// whose `col` lies within `[lo, hi]` (each bound optional, inclusive
-    /// per its flag). Returns `None` — meaning "fall back to a scan" —
-    /// when no ordered index is declared *or* the column holds values of a
-    /// different type rank than the probe constants, so scan-and-filter
-    /// error semantics (incomparable operands) are preserved.
+    /// per its flag), in key order and ascending within a key. Returns
+    /// `None` — meaning "fall back to a scan" — when no ordered index is
+    /// declared *or* the column holds values of a different type rank than
+    /// the probe constants, so scan-and-filter error semantics
+    /// (incomparable operands) are preserved.
     pub fn range_probe(
         &self,
         col: usize,
         lo: Option<&RangeBound>,
         hi: Option<&RangeBound>,
-    ) -> Option<Vec<usize>> {
+    ) -> Option<Vec<u32>> {
         let postings = self.range_postings(col, lo, hi)?;
         let mut out = Vec::new();
         for p in postings {
@@ -282,39 +443,59 @@ impl Relation {
     }
 
     /// Number of tuples a [`Relation::range_probe`] with the same bounds
-    /// would return, without materializing the positions.
+    /// would return, without materializing the row ids.
     pub fn range_count(
         &self,
         col: usize,
         lo: Option<&RangeBound>,
         hi: Option<&RangeBound>,
     ) -> Option<usize> {
-        Some(self.range_postings(col, lo, hi)?.map(Vec::len).sum())
+        Some(self.range_postings(col, lo, hi)?.map(<[u32]>::len).sum())
     }
 
-    /// Tuple at position `pos` (as returned by the probe methods).
-    pub fn tuple_at(&self, pos: usize) -> &[Const] {
-        &self.tuples[pos]
+    /// The tuple of row `row` (an id as returned by the probe methods).
+    #[inline]
+    pub fn tuple_at(&self, row: u32) -> &[Const] {
+        let arity = self.arity.unwrap_or_default();
+        let at = row as usize * arity;
+        &self.cells[at..at + arity]
     }
 
-    /// Whether the tuple is present.
+    /// Whether the tuple is present. A tuple of another arity never is.
     pub fn contains(&self, tuple: &[Const]) -> bool {
-        self.set.contains(tuple)
+        self.arity == Some(tuple.len()) && self.len > 0 && self.find_slot(tuple).is_ok()
     }
 
-    /// All tuples, in insertion order.
-    pub fn tuples(&self) -> &[Vec<Const>] {
-        &self.tuples
+    /// All tuples, in insertion order: row ids `0..len()`.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Const]> {
+        (0..self.len as u32).map(|row| self.tuple_at(row))
     }
 
     /// Number of tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.len
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.len == 0
+    }
+
+    /// Heap bytes held: the arena, the row table and the indexes, by
+    /// allocated capacity (ordered indexes by estimate).
+    pub fn heap_bytes(&self) -> usize {
+        self.cells.capacity() * size_of::<Const>()
+            + self.slots.capacity() * size_of::<u32>()
+            + self
+                .hash_indexes
+                .values()
+                .map(HashIndex::heap_bytes)
+                .sum::<usize>()
+            + self
+                .ordered_indexes
+                .values()
+                .map(OrderedIndex::heap_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -342,23 +523,28 @@ impl EdbDatabase {
             .iter()
             .map(|t| *t.as_const().expect("ground"))
             .collect();
-        self.insert(atom.pred, tuple)
+        self.insert(atom.pred, &tuple)
     }
 
     /// Insert a tuple into the named relation.
-    pub fn insert(&mut self, pred: PredSym, tuple: Vec<Const>) -> Result<bool> {
-        let pred_name = pred.name().to_string();
+    pub fn insert(&mut self, pred: PredSym, tuple: &[Const]) -> Result<bool> {
         let rel = self.relations.entry(pred).or_default();
         rel.insert(tuple).map_err(|e| match e {
             DatalogError::ArityMismatch {
                 expected, found, ..
             } => DatalogError::ArityMismatch {
-                predicate: pred_name,
+                predicate: pred.name().to_string(),
                 expected,
                 found,
             },
             other => other,
         })
+    }
+
+    /// Make room for `additional` more tuples of `pred` (creating the
+    /// relation if absent); see [`Relation::reserve`].
+    pub fn reserve(&mut self, pred: PredSym, additional: usize) {
+        self.relations.entry(pred).or_default().reserve(additional);
     }
 
     /// Declare an (empty) relation with a fixed arity.
@@ -402,11 +588,16 @@ impl EdbDatabase {
         self.relations.values().map(Relation::len).sum()
     }
 
+    /// Heap bytes held by all relations; see [`Relation::heap_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        self.relations.values().map(Relation::heap_bytes).sum()
+    }
+
     /// Merge all tuples of `other` into `self`.
     pub fn absorb(&mut self, other: &EdbDatabase) -> Result<()> {
         for (p, rel) in &other.relations {
-            for t in rel.tuples() {
-                self.insert(*p, t.clone())?;
+            for t in rel.rows() {
+                self.insert(*p, t)?;
             }
         }
         Ok(())
@@ -530,9 +721,9 @@ mod tests {
     #[test]
     fn relation_dedup_and_order() {
         let mut r = Relation::default();
-        assert!(r.insert(vec![Const::Int(1)]).unwrap());
-        assert!(!r.insert(vec![Const::Int(1)]).unwrap());
-        assert!(r.insert(vec![Const::Int(2)]).unwrap());
+        assert!(r.insert(&[Const::Int(1)]).unwrap());
+        assert!(!r.insert(&[Const::Int(1)]).unwrap());
+        assert!(r.insert(&[Const::Int(2)]).unwrap());
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[Const::Int(1)]));
         assert_eq!(r.arity(), Some(1));
@@ -541,9 +732,9 @@ mod tests {
     #[test]
     fn arity_mismatch_rejected() {
         let mut db = EdbDatabase::new();
-        db.insert(PredSym::new("p"), vec![Const::Int(1)]).unwrap();
+        db.insert(PredSym::new("p"), &[Const::Int(1)]).unwrap();
         let err = db
-            .insert(PredSym::new("p"), vec![Const::Int(1), Const::Int(2)])
+            .insert(PredSym::new("p"), &[Const::Int(1), Const::Int(2)])
             .unwrap_err();
         assert!(matches!(err, DatalogError::ArityMismatch { predicate, .. } if predicate == "p"));
     }
@@ -604,23 +795,14 @@ mod tests {
     #[test]
     fn hash_index_backfills_and_maintains_incrementally() {
         let mut r = Relation::default();
-        r.insert(vec![Const::Int(1), Const::Str("a".into())])
-            .unwrap();
-        r.insert(vec![Const::Int(2), Const::Str("b".into())])
-            .unwrap();
+        r.insert(&[Const::Int(1), Const::Str("a".into())]).unwrap();
+        r.insert(&[Const::Int(2), Const::Str("b".into())]).unwrap();
         // Declared after the fact: back-fill covers existing tuples.
         r.declare_hash_index(1);
-        assert_eq!(
-            r.hash_probe(1, &Const::Str("a".into())),
-            Some(&[0usize][..])
-        );
+        assert_eq!(r.hash_probe(1, &Const::Str("a".into())), Some(&[0][..]));
         // Incremental maintenance on subsequent inserts.
-        r.insert(vec![Const::Int(3), Const::Str("a".into())])
-            .unwrap();
-        assert_eq!(
-            r.hash_probe(1, &Const::Str("a".into())),
-            Some(&[0usize, 2][..])
-        );
+        r.insert(&[Const::Int(3), Const::Str("a".into())]).unwrap();
+        assert_eq!(r.hash_probe(1, &Const::Str("a".into())), Some(&[0, 2][..]));
         assert_eq!(r.hash_probe(1, &Const::Str("zzz".into())), Some(&[][..]));
         assert_eq!(r.hash_probe(0, &Const::Int(1)), None, "no index on col 0");
         assert_eq!(r.index_distinct(1), Some(2));
@@ -636,7 +818,7 @@ mod tests {
             Const::Int(10),
             Const::Real(crate::term::R64::new(7.0)),
         ] {
-            r.insert(vec![v]).unwrap();
+            r.insert(&[v]).unwrap();
         }
         // 2.5 < x <= 7.0 → {5, 7.0}; Int/Real interleave numerically.
         let lo = (Const::Real(crate::term::R64::new(2.5)), false);
@@ -665,16 +847,16 @@ mod tests {
     fn range_probe_declines_on_mixed_type_columns() {
         let mut r = Relation::default();
         r.declare_ordered_index(0);
-        r.insert(vec![Const::Int(1)]).unwrap();
-        r.insert(vec![Const::Str("x".into())]).unwrap();
+        r.insert(&[Const::Int(1)]).unwrap();
+        r.insert(&[Const::Str("x".into())]).unwrap();
         // A scan would raise an incomparability error on the string row;
         // the probe must decline rather than silently skip it.
         assert_eq!(r.range_probe(0, Some(&(Const::Int(0), true)), None), None);
         // A type-homogeneous column accepts the probe.
         let mut ok = Relation::default();
         ok.declare_ordered_index(0);
-        ok.insert(vec![Const::Str("a".into())]).unwrap();
-        ok.insert(vec![Const::Str("c".into())]).unwrap();
+        ok.insert(&[Const::Str("a".into())]).unwrap();
+        ok.insert(&[Const::Str("c".into())]).unwrap();
         assert_eq!(
             ok.range_count(0, Some(&(Const::Str("b".into()), true)), None),
             Some(1)
@@ -682,12 +864,125 @@ mod tests {
     }
 
     #[test]
+    fn arity_zero_relation_holds_one_fact() {
+        let mut r = Relation::with_arity(0);
+        assert!(!r.contains(&[]));
+        assert!(r.insert(&[]).unwrap());
+        assert!(!r.insert(&[]).unwrap());
+        assert_eq!(r.len(), 1);
+        assert!(r.contains(&[]));
+        assert_eq!(r.rows().collect::<Vec<_>>(), [&[] as &[Const]]);
+        assert_eq!(r.tuple_at(0), &[] as &[Const]);
+    }
+
+    #[test]
+    fn contains_with_wrong_arity_is_false() {
+        let mut r = Relation::default();
+        assert!(!r.contains(&[Const::Int(1)]), "no arity yet");
+        r.insert(&[Const::Int(1), Const::Int(2)]).unwrap();
+        assert!(!r.contains(&[Const::Int(1)]));
+        assert!(!r.contains(&[Const::Int(1), Const::Int(2), Const::Int(3)]));
+        assert!(!r.contains(&[]));
+        assert!(r.contains(&[Const::Int(1), Const::Int(2)]));
+    }
+
+    #[test]
+    fn index_on_a_column_past_the_arity_is_ignored() {
+        let mut r = Relation::default();
+        r.declare_hash_index(5);
+        r.declare_ordered_index(5);
+        r.insert(&[Const::Int(1), Const::Int(2)]).unwrap();
+        assert_eq!(r.hash_probe(5, &Const::Int(1)), Some(&[][..]));
+        assert_eq!(r.index_distinct(5), Some(0));
+        assert_eq!(
+            r.range_count(5, Some(&(Const::Int(0), true)), None),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn declaring_before_and_after_the_load_gives_the_same_postings() {
+        let tuples: Vec<[Const; 2]> = (0..200)
+            .map(|i| [Const::Int(i % 7), Const::Int(i)])
+            .collect();
+        let mut before = Relation::default();
+        before.declare_hash_index(0);
+        before.declare_ordered_index(0);
+        let mut after = Relation::default();
+        for t in tuples.iter().chain(&tuples[..50]) {
+            before.insert(t).unwrap();
+            after.insert(t).unwrap();
+        }
+        after.declare_hash_index(0);
+        after.declare_ordered_index(0);
+        assert_eq!(before.len(), 200);
+        for k in -1..8 {
+            let k = Const::Int(k);
+            assert_eq!(before.hash_probe(0, &k), after.hash_probe(0, &k));
+            let hi = (k, true);
+            assert_eq!(
+                before.range_probe(0, None, Some(&hi)),
+                after.range_probe(0, None, Some(&hi))
+            );
+        }
+        // Ascending within a key, whichever way the index was filled.
+        let fives = before.hash_probe(0, &Const::Int(5)).unwrap();
+        assert!(fives.windows(2).all(|w| w[0] < w[1]));
+        assert!(fives
+            .iter()
+            .all(|&row| before.tuple_at(row)[0] == Const::Int(5)));
+    }
+
+    #[test]
+    fn row_ids_stop_below_the_empty_marker() {
+        assert_eq!(next_row_id(0), Ok(0));
+        assert_eq!(next_row_id(EMPTY as usize - 1), Ok(EMPTY - 1));
+        let full = DatalogError::RelationFull {
+            limit: EMPTY as usize,
+        };
+        assert_eq!(next_row_id(EMPTY as usize), Err(full.clone()));
+        assert_eq!(next_row_id(EMPTY as usize + 1), Err(full.clone()));
+        assert_eq!(next_row_id(usize::MAX), Err(full));
+    }
+
+    #[test]
+    fn reserve_changes_capacity_not_content() {
+        let mut r = Relation::default();
+        r.declare_hash_index(0);
+        r.insert(&[Const::Int(1), Const::Int(2)]).unwrap();
+        r.reserve(1000);
+        let outside_index = |r: &Relation| r.heap_bytes() - r.hash_indexes[&0].heap_bytes();
+        let held = outside_index(&r);
+        for i in 2..1000 {
+            r.insert(&[Const::Int(i), Const::Int(i)]).unwrap();
+        }
+        assert!(r.contains(&[Const::Int(1), Const::Int(2)]));
+        assert_eq!(r.hash_probe(0, &Const::Int(999)), Some(&[998][..]));
+        assert_eq!(outside_index(&r), held, "arena and row table sized once");
+    }
+
+    #[test]
+    fn round_reals_spread_over_the_row_table() {
+        // The bit patterns of round floats share their low bits, which a
+        // multiply-rotate hash passes on to its own low bits: slots picked
+        // from those would make this one probe run (minutes, not
+        // milliseconds).
+        let mut r = Relation::default();
+        for i in 0..200_000 {
+            r.insert(&[Const::Real((i as f64 * 1024.0).into())])
+                .unwrap();
+        }
+        assert_eq!(r.len(), 200_000);
+        assert!(r.contains(&[Const::Real(2048.0.into())]));
+    }
+
+    #[test]
     fn absorb_merges_databases() {
         let mut a = EdbDatabase::new();
-        a.insert(PredSym::new("p"), vec![Const::Int(1)]).unwrap();
+        a.insert(PredSym::new("p"), &[Const::Int(1)]).unwrap();
         let mut b = EdbDatabase::new();
-        b.insert(PredSym::new("p"), vec![Const::Int(2)]).unwrap();
-        b.insert(PredSym::new("q"), vec![Const::Int(3)]).unwrap();
+        b.insert(PredSym::new("p"), &[Const::Int(2)]).unwrap();
+        b.insert(PredSym::new("q"), &[Const::Int(3)]).unwrap();
         a.absorb(&b).unwrap();
         assert_eq!(a.total_tuples(), 3);
     }

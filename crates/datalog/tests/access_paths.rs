@@ -18,11 +18,10 @@ use sqo_datalog::{Const, PredSym};
 fn small_big(index_big: bool) -> EdbDatabase {
     let mut db = EdbDatabase::new();
     for i in 0..5 {
-        db.insert(PredSym::new("small"), vec![Const::Int(i)])
-            .unwrap();
+        db.insert(PredSym::new("small"), &[Const::Int(i)]).unwrap();
     }
     for i in 0..200 {
-        db.insert(PredSym::new("big"), vec![Const::Int(i), Const::Int(i % 10)])
+        db.insert(PredSym::new("big"), &[Const::Int(i), Const::Int(i % 10)])
             .unwrap();
     }
     if index_big {
@@ -79,16 +78,16 @@ fn fused_chain_walks_postings_without_intermediate_bindings() {
     let mut db = EdbDatabase::new();
     let int = |v: i64| Const::Int(v);
     for i in 0..3 {
-        db.insert(PredSym::new("start"), vec![int(i)]).unwrap();
+        db.insert(PredSym::new("start"), &[int(i)]).unwrap();
     }
     for i in 0..20 {
-        db.insert(PredSym::new("a"), vec![int(i), int(i + 10)])
+        db.insert(PredSym::new("a"), &[int(i), int(i + 10)])
             .unwrap();
-        db.insert(PredSym::new("a"), vec![int(i), int(i + 11)])
+        db.insert(PredSym::new("a"), &[int(i), int(i + 11)])
             .unwrap();
-        db.insert(PredSym::new("b"), vec![int(i + 10), int(i + 110)])
+        db.insert(PredSym::new("b"), &[int(i + 10), int(i + 110)])
             .unwrap();
-        db.insert(PredSym::new("c"), vec![int(i + 110), int(i % 2)])
+        db.insert(PredSym::new("c"), &[int(i + 110), int(i % 2)])
             .unwrap();
     }
     for p in ["a", "b", "c"] {
@@ -131,11 +130,8 @@ fn one_binding_on_an_unindexed_column_scans_without_building() {
 fn many_bindings_on_an_unindexed_column_build_exactly_once() {
     let mut db = small_big(false);
     for i in 0..50 {
-        db.insert(
-            PredSym::new("wide"),
-            vec![Const::Int(i % 10), Const::Int(i)],
-        )
-        .unwrap();
+        db.insert(PredSym::new("wide"), &[Const::Int(i % 10), Const::Int(i)])
+            .unwrap();
     }
     let q = parse_query("Q(I, J) <- wide(X, J), big(I, X)").unwrap();
     let (rows, got) = answer_query(&db, &q).unwrap();

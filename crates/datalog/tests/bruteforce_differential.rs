@@ -290,7 +290,7 @@ fn case(seed: u64) -> Case {
         let rows = tables.entry(name).or_default();
         for _ in 0..if name == "e" { 0 } else { 4 + rng.below(14) } {
             let tuple: Vec<Const> = cols.iter().map(|&c| value(&mut rng, c)).collect();
-            if db.insert(pred, tuple.clone()).unwrap() {
+            if db.insert(pred, &tuple).unwrap() {
                 rows.push(tuple);
             }
         }

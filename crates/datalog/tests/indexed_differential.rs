@@ -86,7 +86,7 @@ fn rand_case(rng: &mut Lcg) -> (EdbDatabase, Query) {
         db.declare(pred, arity);
         for _ in 0..rng.below(14) {
             let tuple: Vec<Const> = (0..arity).map(|_| rand_const(rng)).collect();
-            db.insert(pred, tuple).unwrap();
+            db.insert(pred, &tuple).unwrap();
         }
         for col in 0..arity {
             if rng.chance(50) {
@@ -193,7 +193,7 @@ fn chain_fusion_matches_scan_only() {
     for i in 0u64..40 {
         for j in 0u64..40 {
             if (i * 7 + j * 3) % 11 == 0 {
-                db.insert(e, vec![Const::Oid(i), Const::Oid(j)]).unwrap();
+                db.insert(e, &[Const::Oid(i), Const::Oid(j)]).unwrap();
             }
         }
     }

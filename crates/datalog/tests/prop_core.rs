@@ -165,8 +165,8 @@ proptest! {
         // Database closed under the dependency.
         let mut db = EdbDatabase::new();
         for (f, t) in &edges {
-            db.insert(PredSym::new("takes"), vec![Const::Oid(*f), Const::Oid(*t)]).unwrap();
-            db.insert(PredSym::new("student"), vec![Const::Oid(*f)]).unwrap();
+            db.insert(PredSym::new("takes"), &[Const::Oid(*f), Const::Oid(*t)]).unwrap();
+            db.insert(PredSym::new("student"), &[Const::Oid(*f)]).unwrap();
         }
         let q = Query::new(
             "q",

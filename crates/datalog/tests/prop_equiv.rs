@@ -39,7 +39,7 @@ fn random_edb(rng: &mut StdRng) -> EdbDatabase {
             let t: Vec<Const> = (0..arity)
                 .map(|_| Const::Int(rng.gen_range(0i64..4)))
                 .collect();
-            let _ = db.insert(pred, t);
+            let _ = db.insert(pred, &t);
         }
     }
     db

@@ -28,7 +28,7 @@
 
 use crate::error::{ObjDbError, Result};
 use crate::value::{Oid, Value};
-use sqo_datalog::fxhash::FxHashMap;
+use sqo_datalog::fxhash::{FxHashMap, FxHashSet};
 use sqo_datalog::program::EdbDatabase;
 use sqo_datalog::{Atom, Const, Literal, PredSym, Rule, Term};
 use sqo_odl::{BaseType, Member, Schema, Type};
@@ -105,6 +105,15 @@ struct EdbCacheEntry {
     /// model's first use: one pass per column per EDB build, not per
     /// request.
     distinct: RefCell<FxHashMap<(PredSym, usize), f64>>,
+}
+
+/// Load OID pairs into the binary relation `pred`.
+fn insert_pairs(db: &mut EdbDatabase, pred: PredSym, pairs: &[(Oid, Oid)]) {
+    db.reserve(pred, pairs.len());
+    for (f, t) in pairs {
+        db.insert(pred, &[Const::Oid(f.0), Const::Oid(t.0)])
+            .expect("binary");
+    }
 }
 
 impl std::fmt::Debug for ObjectDb {
@@ -886,34 +895,44 @@ impl ObjectDb {
         self.resolve_rel(class, rel)
     }
 
-    /// Materialized pairs of an ASR (walking the stored links).
+    /// The pairs of an ASR (walking the stored links) in derivation order:
+    /// by first-hop pair, then by what the rest of the path reaches from
+    /// its far end. A pair derived along two paths is listed twice; the
+    /// relation keeps the first.
     fn asr_pairs(&self, def: &AsrDef) -> Vec<(Oid, Oid)> {
-        let mut frontier: Option<Vec<(Oid, Oid)>> = None;
-        for pred in &def.path {
-            let hop = self.links.get(pred).cloned().unwrap_or_default();
-            frontier = Some(match frontier {
-                None => hop,
-                Some(prev) => {
-                    let mut index: HashMap<Oid, Vec<Oid>> = HashMap::new();
-                    for (f, t) in &hop {
-                        index.entry(*f).or_default().push(*t);
-                    }
-                    let mut next = Vec::new();
-                    let mut seen = HashSet::new();
-                    for (start, mid) in prev {
-                        if let Some(ends) = index.get(&mid) {
-                            for e in ends {
-                                if seen.insert((start, *e)) {
-                                    next.push((start, *e));
-                                }
-                            }
-                        }
-                    }
-                    next
+        let hop = |pred: &String| self.links.get(pred).map_or(&[][..], Vec::as_slice);
+        let Some((first, rest)) = def.path.split_first() else {
+            return Vec::new();
+        };
+        // `ends[x]`: what the hops after the first reach from `x`, each
+        // end once, composed from the last hop back — these maps are
+        // keyed by the path's inner objects, not by its many starts.
+        let mut ends: Option<FxHashMap<Oid, Vec<Oid>>> = None;
+        let mut seen = FxHashSet::default();
+        for pred in rest.iter().rev() {
+            let mut reached: FxHashMap<Oid, Vec<Oid>> = FxHashMap::default();
+            for (from, to) in hop(pred) {
+                let list = reached.entry(*from).or_default();
+                match &ends {
+                    None => list.push(*to),
+                    Some(ends) => list.extend(ends.get(to).into_iter().flatten()),
                 }
-            });
+            }
+            for list in reached.values_mut() {
+                seen.clear();
+                list.retain(|end| seen.insert(*end));
+            }
+            ends = Some(reached);
         }
-        frontier.unwrap_or_default()
+        let Some(ends) = ends else {
+            return hop(first).to_vec();
+        };
+        let mut pairs = Vec::new();
+        for (start, mid) in hop(first) {
+            let ends = ends.get(mid).into_iter().flatten();
+            pairs.extend(ends.map(|end| (*start, *end)));
+        }
+        pairs
     }
 
     /// The Datalog representation of the whole store (cached).
@@ -965,11 +984,8 @@ impl ObjectDb {
         }
         let d = entry.edb.relation(pred).map_or(1, |r| {
             r.index_distinct(col).unwrap_or_else(|| {
-                let values: HashSet<Const> = r
-                    .tuples()
-                    .iter()
-                    .filter_map(|t| t.get(col).copied())
-                    .collect();
+                let values: FxHashSet<Const> =
+                    r.rows().filter_map(|t| t.get(col).copied()).collect();
                 values.len()
             })
         });
@@ -1005,8 +1021,12 @@ impl ObjectDb {
         Ok(tmp.build_edb())
     }
 
+    /// The one production loader of the EDB. Every relation's indexes are
+    /// declared and its room reserved before its rows arrive, and the rows
+    /// of an extent are staged in one reused scratch row.
     fn build_edb(&self) -> EdbDatabase {
         let mut db = EdbDatabase::new();
+        let mut row: Vec<Const> = Vec::new();
         for decl in &self.catalog.relations {
             match &decl.kind {
                 RelKind::Class { class } | RelKind::Struct { strct: class } => {
@@ -1038,28 +1058,29 @@ impl ObjectDb {
                             db.declare_ordered_index(pred, pos);
                         }
                     }
-                    for oid in self.extent(class) {
+                    let extent = self.extent(class);
+                    db.reserve(pred, extent.len());
+                    db.reserve(extent_pred, extent.len());
+                    for oid in extent {
                         let obj = &self.objects[oid];
-                        let mut tuple: Vec<Const> = vec![Const::Oid(oid.0)];
-                        for arg in decl.args.iter().skip(1) {
-                            let v =
-                                obj.attrs
-                                    .get(&arg.name)
-                                    .map(Value::to_const)
-                                    .unwrap_or(match &arg.ty {
-                                        ArgType::Oid(_) => Const::Oid(0),
-                                        ArgType::Base(BaseType::Str) => {
-                                            Const::Str(sqo_datalog::Sym::intern(""))
-                                        }
-                                        ArgType::Base(BaseType::Real) => Const::Real(0.0.into()),
-                                        ArgType::Base(BaseType::Bool) => Const::Bool(false),
-                                        ArgType::Base(BaseType::Int) => Const::Int(0),
-                                    });
-                            tuple.push(v);
-                        }
-                        db.insert(pred, tuple).expect("consistent arity");
-                        db.insert(extent_pred, vec![Const::Oid(oid.0)])
-                            .expect("unary");
+                        row.clear();
+                        row.push(Const::Oid(oid.0));
+                        row.extend(decl.args.iter().skip(1).map(|arg| {
+                            obj.attrs.get(&arg.name).map_or_else(
+                                || match &arg.ty {
+                                    ArgType::Oid(_) => Const::Oid(0),
+                                    ArgType::Base(BaseType::Str) => {
+                                        Const::Str(sqo_datalog::Sym::intern(""))
+                                    }
+                                    ArgType::Base(BaseType::Real) => Const::Real(0.0.into()),
+                                    ArgType::Base(BaseType::Bool) => Const::Bool(false),
+                                    ArgType::Base(BaseType::Int) => Const::Int(0),
+                                },
+                                Value::to_const,
+                            )
+                        }));
+                        db.insert(pred, &row).expect("consistent arity");
+                        db.insert(extent_pred, &row[..1]).expect("unary");
                     }
                 }
                 RelKind::Relationship { .. } => {
@@ -1067,10 +1088,7 @@ impl ObjectDb {
                     db.declare_hash_index(decl.pred, 0);
                     db.declare_hash_index(decl.pred, 1);
                     if let Some(pairs) = self.links.get(decl.pred.name()) {
-                        for (f, t) in pairs {
-                            db.insert(decl.pred, vec![Const::Oid(f.0), Const::Oid(t.0)])
-                                .expect("binary");
-                        }
+                        insert_pairs(&mut db, decl.pred, pairs);
                     }
                 }
                 RelKind::View { .. } => {
@@ -1084,14 +1102,10 @@ impl ObjectDb {
                 }
             }
         }
+        // An ASR's relation is its catalog view, declared and indexed
+        // above.
         for def in &self.asrs {
-            let pred = PredSym::new(def.name.clone());
-            for (f, t) in self.asr_pairs(def) {
-                db.insert(pred, vec![Const::Oid(f.0), Const::Oid(t.0)])
-                    .expect("binary");
-            }
-            db.declare_hash_index(pred, 0);
-            db.declare_hash_index(pred, 1);
+            insert_pairs(&mut db, PredSym::new(&def.name), &self.asr_pairs(def));
         }
         db
     }
@@ -1147,7 +1161,7 @@ impl ObjectDb {
             let db = Arc::make_mut(&mut entry.edb);
             let pred = PredSym::new(pred);
             for t in facts {
-                db.insert(pred, t).map_err(ObjDbError::from)?;
+                db.insert(pred, &t).map_err(ObjDbError::from)?;
             }
             entry.distinct.get_mut().retain(|(p, _), _| *p != pred);
             entry.methods.insert(key);
@@ -1268,7 +1282,7 @@ mod tests {
         assert_eq!(student.len(), 1);
         assert!(edb.relation(&"person__extent".into()).unwrap().len() == 1);
         let takes = edb.relation(&"takes".into()).unwrap();
-        assert_eq!(takes.tuples()[0], vec![Const::Oid(s.0), Const::Oid(sec.0)]);
+        assert_eq!(takes.tuple_at(0), [Const::Oid(s.0), Const::Oid(sec.0)]);
         let taken_by = edb.relation(&"taken_by".into()).unwrap();
         assert_eq!(taken_by.len(), 1);
         // Structure instances present (auto-created addresses).
@@ -1306,8 +1320,8 @@ mod tests {
         let edb = d.edb();
         let m = edb.relation(&"taxes_withheld".into()).unwrap();
         assert_eq!(
-            m.tuples()[0],
-            vec![
+            m.tuple_at(0),
+            [
                 Const::Oid(f.0),
                 Const::Real(0.1.into()),
                 Const::Real(5000.0.into())
@@ -1337,13 +1351,44 @@ mod tests {
         assert_eq!(pred.name(), "asr");
         let edb = d.edb();
         let asr = edb.relation(&pred).unwrap();
-        assert_eq!(asr.tuples(), &[vec![Const::Oid(s.0), Const::Oid(ta.0)]]);
+        assert_eq!(
+            asr.rows().collect::<Vec<_>>(),
+            [[Const::Oid(s.0), Const::Oid(ta.0)]]
+        );
         // The view rule is available for the optimizer.
         assert_eq!(d.asr_rules().len(), 1);
         assert_eq!(
             d.asr_rules()[0].to_string(),
             "asr(X0, X4) <- takes(X0, X1), is_section_of(X1, X2), \
              has_sections(X2, X3), has_ta(X3, X4)"
+        );
+    }
+
+    #[test]
+    fn asr_pair_derived_along_two_paths_is_stored_once_in_derivation_order() {
+        let mut d = db();
+        let s = d.create("Student", vec![]).unwrap();
+        let course = d.create("Course", vec![]).unwrap();
+        let mut tas = Vec::new();
+        for _ in 0..2 {
+            let sec = d.create("Section", vec![]).unwrap();
+            let ta = d.create("TA", vec![]).unwrap();
+            // Both sections of the one course: each is reached from
+            // either, so every (student, TA) pair is derived twice.
+            d.link(s, "takes", sec).unwrap();
+            d.link(sec, "is_section_of", course).unwrap();
+            d.link(sec, "has_ta", ta).unwrap();
+            tas.push(ta);
+        }
+        let path = ["takes", "is_section_of", "has_sections", "has_ta"];
+        let pred = d.define_asr("asr", "Student", &path).unwrap();
+        let edb = d.edb();
+        assert_eq!(
+            edb.relation(&pred).unwrap().rows().collect::<Vec<_>>(),
+            [
+                [Const::Oid(s.0), Const::Oid(tas[0].0)],
+                [Const::Oid(s.0), Const::Oid(tas[1].0)]
+            ]
         );
     }
 
@@ -1415,6 +1460,6 @@ mod tests {
             .unwrap()
             .arg_position("age")
             .unwrap();
-        assert_eq!(person.tuples()[0][pos], Const::Int(44));
+        assert_eq!(person.tuple_at(0)[pos], Const::Int(44));
     }
 }

@@ -24,7 +24,7 @@ fn edb_fingerprint(db: &ObjectDb) -> Vec<(String, Vec<Vec<sqo_datalog::Const>>)>
     let mut out = Vec::new();
     for decl in &db.catalog().relations {
         if let Some(rel) = edb.relation(&decl.pred) {
-            let mut tuples = rel.tuples().to_vec();
+            let mut tuples: Vec<_> = rel.rows().map(<[_]>::to_vec).collect();
             tuples.sort();
             out.push((decl.pred.name().to_string(), tuples));
         }
@@ -253,11 +253,12 @@ fn pinned_generation_answers_are_stable_under_writes() {
     let mut db = data.db;
     let pinned = db.edb_pinned();
     let answers_at_g: Vec<Vec<sqo_datalog::Const>> = {
-        let mut t = pinned
+        let mut t: Vec<_> = pinned
             .relation(&"faculty".into())
             .unwrap()
-            .tuples()
-            .to_vec();
+            .rows()
+            .map(<[_]>::to_vec)
+            .collect();
         t.sort();
         t
     };
@@ -274,8 +275,9 @@ fn pinned_generation_answers_are_stable_under_writes() {
     let mut answers_again: Vec<Vec<sqo_datalog::Const>> = pinned
         .relation(&"faculty".into())
         .unwrap()
-        .tuples()
-        .to_vec();
+        .rows()
+        .map(<[_]>::to_vec)
+        .collect();
     answers_again.sort();
     assert_eq!(answers_again, answers_at_g);
     // The live view has moved on.
@@ -297,8 +299,7 @@ fn edb_for_view_reads_a_consistent_generation() {
     assert!(edb
         .relation(&"person".into())
         .unwrap()
-        .tuples()
-        .iter()
+        .rows()
         .any(|t| t[0] == sqo_datalog::Const::Oid(p.0)));
     assert!(db.store().unwrap().generation() > g);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -38,6 +38,15 @@ which never overwrites the manifest, so this validates what a full
    (refresh with `tables --store-recovery`) and under its 10 s budget:
    a cold open of a million-object store must load the snapshot and
    replay the WAL tail without an order-of-magnitude regression.
+8. The EDB storage rows are present (refresh with `tables --edb`):
+   `x1/edb_bytes_per_tuple/30000` <= 128 — the Datalog image of the
+   30 000-object served base holds every tuple once (the doubled
+   `Vec<Vec<Const>>` + `HashSet<Vec<Const>>` layout held 214 bytes per
+   tuple) — and `x1/edb_build_ms/30000` <= 8 x `x1/edb_build_ms/6000`:
+   the load stays linear. Five times the objects measure 5.7x to 6.9x
+   the rebuild from one hour to the next on the box that recorded the
+   rows (the larger image no longer fits the cache); a load that is
+   quadratic anywhere would measure 25x.
 
 Usage: python3 scripts/check_bench_manifest.py [path/to/BENCH_pipeline.json]
 """
@@ -84,6 +93,15 @@ STEP3_GATES = (
     ("f2/step3_sqo_vs_applicable_ics/32_cold_context", 48.54e6 / 5),
     ("f2/step3_sqo_vs_applicable_ics/12", 20.29e6 / 2),
 )
+
+
+# EDB storage: footprint ceiling at 30 000 objects, and the rebuild at
+# 30 000 objects against the rebuild at 6 000 (5x the data).
+EDB_BUILD_SMALL = "x1/edb_build_ms/6000"
+EDB_BUILD_LARGE = "x1/edb_build_ms/30000"
+EDB_BYTES_ROW = "x1/edb_bytes_per_tuple/30000"
+EDB_MAX_BYTES_PER_TUPLE = 128.0
+EDB_MAX_BUILD_GROWTH = 8.0
 
 
 def fail(msg: str) -> None:
@@ -172,6 +190,24 @@ def main() -> None:
                 "retired exhaustive-BFS engine's last measurement"
             )
 
+    for row in (EDB_BUILD_SMALL, EDB_BUILD_LARGE, EDB_BYTES_ROW):
+        if row not in manifest:
+            fail(f"missing EDB storage row {row!r} — run the full tables "
+                 "binary or `tables --edb`")
+    if manifest[EDB_BYTES_ROW] > EDB_MAX_BYTES_PER_TUPLE:
+        fail(
+            f"{EDB_BYTES_ROW} = {manifest[EDB_BYTES_ROW]} exceeds "
+            f"{EDB_MAX_BYTES_PER_TUPLE}: the EDB no longer holds each tuple "
+            "once with compact postings"
+        )
+    growth = manifest[EDB_BUILD_LARGE] / manifest[EDB_BUILD_SMALL]
+    if growth > EDB_MAX_BUILD_GROWTH:
+        fail(
+            f"{EDB_BUILD_LARGE} is {growth:.1f}x {EDB_BUILD_SMALL} "
+            f"(> {EDB_MAX_BUILD_GROWTH}x for 5x the objects): the EDB load "
+            "is no longer linear"
+        )
+
     step3 = ", ".join(
         f"{row.rsplit('/', 1)[-1]}: {manifest[row] / 1e6:.2f} ms"
         for row, _ in STEP3_GATES
@@ -183,7 +219,10 @@ def main() -> None:
         f"serve p99 {manifest['serve/p99'] / 1e6:.2f} ms event-loop vs "
         f"{manifest['serve/p99_threaded'] / 1e6:.2f} ms threaded; "
         f"overload shed rate {shed}; "
-        f"1m-object recovery {recover / 1e6:.0f} ms)"
+        f"1m-object recovery {recover / 1e6:.0f} ms; "
+        f"EDB {manifest[EDB_BYTES_ROW]:.0f} B/tuple, rebuild "
+        f"{manifest[EDB_BUILD_SMALL]:.1f} -> {manifest[EDB_BUILD_LARGE]:.1f} ms "
+        "at 6 000 -> 30 000 objects)"
     )
 
 

@@ -44,7 +44,7 @@ fn asr_materialization_agrees_with_datalog_views() {
     let (mat, _) = materialize(&data.db.edb(), &program).unwrap();
     let mut engine_pairs: Vec<Vec<Const>> = mat
         .relation(&"asr_check".into())
-        .map(|r| r.tuples().to_vec())
+        .map(|r| r.rows().map(<[Const]>::to_vec).collect())
         .unwrap_or_default();
     engine_pairs.sort();
     assert_eq!(store_pairs, engine_pairs);
