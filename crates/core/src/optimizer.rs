@@ -103,8 +103,9 @@ pub struct OptimizationReport {
     pub datalog: Query,
     /// The Step 3/4 outcome (shared with the plan cache on a warm hit).
     pub verdict: Arc<Verdict>,
-    /// Counter/span deltas attributable to this one optimization run
-    /// (difference of [`obs::snapshot`] taken around the pipeline).
+    /// What this one optimization run counted and which spans it
+    /// completed, on the thread that ran it (an [`obs::Scope`] around the
+    /// pipeline): work other threads did meanwhile is not in it.
     pub stats: obs::Snapshot,
     /// The plan-cache instance's memo, when the report was served from
     /// (or filled) one; `None` renders and prices on every call.
@@ -112,6 +113,24 @@ pub struct OptimizationReport {
 }
 
 impl OptimizationReport {
+    /// The report of an optimization no plan-cache instance stands
+    /// behind: it owns what it says, and renders and prices on demand.
+    pub(crate) fn fresh(
+        original: &SelectQuery,
+        translation: QueryTranslation,
+        verdict: Verdict,
+        stats: obs::Snapshot,
+    ) -> OptimizationReport {
+        OptimizationReport {
+            original: original.clone(),
+            normalized: translation.normalized,
+            datalog: translation.query,
+            verdict: Arc::new(verdict),
+            stats,
+            finished: None,
+        }
+    }
+
     /// Whether SQO proved the query unsatisfiable.
     pub fn is_contradiction(&self) -> bool {
         matches!(*self.verdict, Verdict::Contradiction { .. })
@@ -492,22 +511,19 @@ impl SemanticOptimizer {
     /// Optimize a parsed OQL query through the full pipeline.
     pub fn optimize_query(&mut self, original: &SelectQuery) -> Result<OptimizationReport> {
         let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
+        let scope = obs::Scope::enter();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = self.translate(original)?;
-        let datalog = translation.query.clone();
         let search_cfg = self.search.clone();
         let ctx = self.compile();
-        let outcome = search::optimize(&datalog, ctx, &search_cfg);
-        let verdict = outcome_to_verdict(outcome, &datalog, &translation, &self.catalog)?;
-        Ok(OptimizationReport {
-            original: original.clone(),
-            normalized: translation.normalized,
-            datalog,
-            verdict: Arc::new(verdict),
-            stats: obs::snapshot().since(&before),
-            finished: None,
-        })
+        let outcome = search::optimize(&translation.query, ctx, &search_cfg);
+        let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
+        Ok(OptimizationReport::fresh(
+            original,
+            translation,
+            verdict,
+            scope.finish(),
+        ))
     }
 
     /// Optimize a top-level `union` of select-from-where queries.
@@ -554,7 +570,6 @@ impl SemanticOptimizer {
 /// verdict, back-translating every surviving variant to OQL.
 pub(crate) fn outcome_to_verdict(
     outcome: Outcome,
-    datalog: &Query,
     translation: &QueryTranslation,
     catalog: &Catalog,
 ) -> Result<Verdict> {
@@ -571,7 +586,7 @@ pub(crate) fn outcome_to_verdict(
         Outcome::Equivalents(variants) => {
             let mut out = Vec::with_capacity(variants.len());
             for v in variants {
-                let delta = search::delta(datalog, &v.query);
+                let delta = search::delta(&translation.query, &v.query);
                 let edit = apply_delta(&translation.normalized, &translation.map, catalog, &delta)?;
                 out.push(EquivalentQuery {
                     datalog: v.query,

@@ -11,9 +11,11 @@
 //! cheaply against the bound constants (the *parameter signature*), and
 //! the cached rewrite set retargeted onto the new variables and
 //! constants before Step 4 runs. Each entry also keeps the *finished
-//! instances* of the queries it has answered — the Step-4 verdict, the
-//! rendered explanation and the chosen physical plan — so a repeated
-//! query costs Step 2, one lookup and its execution.
+//! instances* of the queries it has answered — the query's parsed,
+//! normalized and Datalog forms, the Step-4 verdict, the rendered
+//! explanation and the chosen physical plan — and the cache indexes them
+//! by the request text that produced them, so a query repeated verbatim
+//! costs one lookup and its execution: no parse, no Step 2.
 //!
 //! ## Why the parameter signature is sound
 //!
@@ -40,12 +42,12 @@ use sqo_datalog::{Atom, CanonicalTemplate, Comparison, Literal, Query, Term};
 use sqo_obs as obs;
 use sqo_odl::Schema;
 use sqo_oql::SelectQuery;
-use sqo_translate::{translate_query, Catalog, QueryTranslation};
-use std::collections::hash_map::DefaultHasher;
+use sqo_translate::{translate_query, Catalog};
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
 use sqo_datalog::term::{Const, Var};
 
@@ -90,24 +92,63 @@ struct CacheEntry {
     /// The representative's search outcome. Shared, so a hit copies a
     /// pointer under the shard lock and retargets outside it.
     outcome: Arc<Outcome>,
-    /// The queries this entry has finished, by [`binding_hash`]. They
-    /// live and die with the entry: a rebind, an eviction or an
-    /// invalidation of the entry drops them.
-    instances: HashMap<u64, Instance>,
+    /// The queries this entry has finished, by [`binding_hash`]. The
+    /// entry owns them: they live and die with it, a rebind, an eviction
+    /// or an invalidation of the entry drops them — and with them every
+    /// [`TextSlot`] that points at one.
+    instances: HashMap<u64, Arc<Instance>>,
 }
 
 /// One query answered under a [`CacheEntry`], finished: what a repeat of
-/// the same query gets without retargeting, Step 4, pricing or
+/// the same query gets without Step 2, retargeting, Step 4, pricing or
 /// rendering.
 struct Instance {
-    /// The parsed query — all that Step 4 and the explain renderer read
-    /// besides the entry. The binding hash only finds the slot; equality
+    /// Generation of the prepared optimizer that finished it (its
+    /// entry's): a hit found by text never sees the entry.
+    generation: u64,
+    /// The parsed query. The binding hash only finds the slot; equality
     /// here decides the hit, because two OQL surfaces (`select x.a, y.b`
     /// and `select list(x.a, y.b)`) can share a template and a binding
     /// yet print different rewrites.
-    query: SelectQuery,
+    original: SelectQuery,
+    /// What Step 2 made of it; a hit found by text has no other source.
+    normalized: SelectQuery,
+    datalog: Query,
     verdict: Arc<Verdict>,
     finished: Arc<Finished>,
+}
+
+impl Instance {
+    /// A report of this instance: the query forms copied, the verdict
+    /// and the memo shared.
+    fn report(&self, stats: obs::Snapshot) -> OptimizationReport {
+        OptimizationReport {
+            original: self.original.clone(),
+            normalized: self.normalized.clone(),
+            datalog: self.datalog.clone(),
+            verdict: Arc::clone(&self.verdict),
+            stats,
+            finished: Some(Arc::clone(&self.finished)),
+        }
+    }
+
+    /// The report of a repeat served from this instance, counted as the
+    /// hit it is, whichever way the instance was found.
+    fn hit(&self, scope: obs::Scope) -> OptimizationReport {
+        obs::bump(obs::Counter::PlanCacheHits);
+        obs::bump(obs::Counter::PlanCacheInstanceHits);
+        count_verdict(&self.verdict);
+        self.report(scope.finish())
+    }
+}
+
+/// One request text known to produce a finished instance. It points and
+/// never owns: once the entry drops the instance the slot is dead, and a
+/// dead slot is a miss.
+struct TextSlot {
+    /// The exact request bytes; the slot's key is only their hash.
+    text: Box<str>,
+    instance: Weak<Instance>,
 }
 
 /// Where a template's instance for these variables and constants lives.
@@ -125,6 +166,10 @@ struct Shard {
     /// Instances over all entries of this shard, held to the same budget
     /// as the entries.
     instances: usize,
+    /// Request texts by [`PlanCache::text_hash`], which also picks the
+    /// shard — so a slot and the instance it points at usually live in
+    /// different shards. Held to the same budget again.
+    texts: HashMap<u64, TextSlot>,
 }
 
 impl Shard {
@@ -161,9 +206,9 @@ impl Shard {
         template: u64,
         outcome: &Arc<Outcome>,
         binding: u64,
-        instance: Instance,
+        instance: Arc<Instance>,
         capacity: usize,
-    ) -> Option<Instance> {
+    ) -> Option<Arc<Instance>> {
         let Some(entry) = self
             .entries
             .get_mut(&template)
@@ -192,12 +237,25 @@ impl Shard {
         obs::bump(obs::Counter::PlanCacheInstanceEvictions);
         Some(evicted)
     }
+
+    /// Points `hash` at `slot`; a full shard gives up an arbitrary other
+    /// slot first, the way [`Shard::store`] does entries. Returns the
+    /// slot displaced, for the caller to drop outside the shard lock.
+    fn point(&mut self, hash: u64, slot: TextSlot, capacity: usize) -> Option<TextSlot> {
+        let mut displaced = self.texts.insert(hash, slot);
+        if displaced.is_none() && self.texts.len() > capacity {
+            if let Some(&k) = self.texts.keys().find(|k| **k != hash) {
+                displaced = self.texts.remove(&k);
+            }
+        }
+        displaced
+    }
 }
 
 /// What the cache holds for one query.
 enum Lookup {
     /// The query itself was finished before.
-    Instance(Arc<Verdict>, Arc<Finished>),
+    Instance(Arc<Instance>),
     /// The template's outcome applies; retarget it and finish.
     Template(Arc<Outcome>, Retarget),
     /// Nothing usable: search. `had_entry` tells a rebind from a miss.
@@ -222,6 +280,14 @@ enum Lookup {
 /// full shard gives up an arbitrary instance per insertion
 /// ([`PlanCache::instance_count`], `plan_cache.instance_evictions`).
 ///
+/// There are two ways to find an instance, the cheaper tried first: by
+/// the exact bytes of the request text — no normalisation, so a client
+/// that reformats a query pays Step 2 once per spelling — and, through
+/// the entry, by template and binding. The text index only points at
+/// instances ([`PlanCache::text_count`] slots, the same budget and
+/// eviction again); its keys come from clients, so it hashes them with a
+/// per-cache random SipHash key.
+///
 /// [`PlanCache::invalidate`] bumps the generation and drops every entry
 /// in every shard — call it whenever the constraint set changes (the
 /// service does this on IC reload).
@@ -230,9 +296,11 @@ pub struct PlanCache {
     /// `shards.len() - 1`; shard count is always a power of two.
     shard_mask: u64,
     generation: AtomicU64,
-    /// Per-shard budget (total capacity / shard count), for entries and
-    /// for finished instances alike.
+    /// Per-shard budget (total capacity / shard count), for entries,
+    /// finished instances and request texts alike.
     shard_capacity: usize,
+    /// Keys [`PlanCache::text_hash`].
+    text_keys: RandomState,
 }
 
 impl Default for PlanCache {
@@ -259,10 +327,12 @@ impl PlanCache {
     }
 
     /// A cache with an explicit shard count (rounded up to a power of
-    /// two) splitting `capacity` evenly.
+    /// two, and down to one no larger than `capacity`) splitting
+    /// `capacity` evenly, so the shards' budgets never sum to more.
     pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let shards = shards.clamp(1, 1 << 16).next_power_of_two();
         let capacity = capacity.max(1);
+        let most = 1 << capacity.ilog2();
+        let shards = shards.clamp(1, 1 << 16).next_power_of_two().min(most);
         PlanCache {
             shards: (0..shards)
                 .map(|_| Mutex::new(Shard::default()))
@@ -270,7 +340,8 @@ impl PlanCache {
                 .into_boxed_slice(),
             shard_mask: (shards - 1) as u64,
             generation: AtomicU64::new(0),
-            shard_capacity: capacity.div_ceil(shards).max(1),
+            shard_capacity: capacity / shards,
+            text_keys: RandomState::new(),
         }
     }
 
@@ -312,6 +383,42 @@ impl PlanCache {
             .sum()
     }
 
+    /// Request texts the cache can answer without parsing, live or dead;
+    /// at most the cache's capacity.
+    pub fn text_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().map(|s| s.texts.len()).unwrap_or(0))
+            .sum()
+    }
+
+    /// Where the request text `src` lives: slot key and shard choice.
+    fn text_hash(&self, src: &str) -> u64 {
+        self.text_keys.hash_one(src)
+    }
+
+    /// The finished instance `src` is known to produce, when the entry
+    /// that owns it still does and a prepared optimizer of `generation`
+    /// finished it.
+    fn find_text(&self, src: &str, generation: u64) -> Option<Arc<Instance>> {
+        let hash = self.text_hash(src);
+        let shard = self.shard(hash).lock().ok()?;
+        let slot = shard.texts.get(&hash).filter(|s| *s.text == *src)?;
+        slot.instance
+            .upgrade()
+            .filter(|i| i.generation == generation)
+    }
+
+    /// Makes `src` find `instance` from now on.
+    fn register_text(&self, src: &str, instance: &Arc<Instance>) {
+        let hash = self.text_hash(src);
+        let slot = TextSlot {
+            text: src.into(),
+            instance: Arc::downgrade(instance),
+        };
+        self.update(hash, |shard, capacity| shard.point(hash, slot, capacity));
+    }
+
     /// The current invalidation generation.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
@@ -327,8 +434,9 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drop every cached plan and bump the generation, so plans computed
-    /// under the previous constraint set can never be served again.
+    /// Drop every cached plan, and every request text with them, and bump
+    /// the generation, so plans computed under the previous constraint
+    /// set can never be served again.
     /// Bumps [`obs::Counter::PlanCacheInvalidations`] once per dropped
     /// entry (summed over shards, so the total matches the old
     /// single-map behaviour exactly).
@@ -427,30 +535,43 @@ impl PreparedOptimizer {
     /// Optimize a parsed OQL query without consulting a cache.
     pub fn optimize_query(&self, original: &SelectQuery) -> Result<OptimizationReport> {
         let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
+        let scope = obs::Scope::enter();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
-        let datalog = translation.query.clone();
-        let outcome = search::optimize(&datalog, &self.ctx, &self.search);
-        let verdict = outcome_to_verdict(outcome, &datalog, &translation, &self.catalog)?;
-        Ok(OptimizationReport {
-            original: original.clone(),
-            normalized: translation.normalized,
-            datalog,
-            verdict: Arc::new(verdict),
-            stats: obs::snapshot().since(&before),
-            finished: None,
-        })
+        let outcome = search::optimize(&translation.query, &self.ctx, &self.search);
+        let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
+        Ok(OptimizationReport::fresh(
+            original,
+            translation,
+            verdict,
+            scope.finish(),
+        ))
     }
 
-    /// Optimize an OQL query through the semantic-plan cache.
+    /// Optimize an OQL query through the semantic-plan cache. A text the
+    /// cache has finished before — these exact bytes — gets its instance
+    /// back before anything is parsed: such a hit's `stats` show one
+    /// `cache.lookup`, `translate.queries: 0` and no Step-2 span. Any
+    /// other text is parsed and goes the way of
+    /// [`Self::optimize_query_cached`], which remembers the text with the
+    /// instance it fills or finds.
     pub fn optimize_cached(
         &self,
         cache: &PlanCache,
         oql_src: &str,
     ) -> Result<(OptimizationReport, CacheOutcome)> {
+        let _span = obs::span!("pipeline.optimize");
+        let scope = obs::Scope::enter();
+        let by_text = {
+            let _s = obs::span!("cache.lookup");
+            cache.find_text(oql_src, self.generation)
+        };
+        if let Some(instance) = by_text {
+            obs::bump(obs::Counter::OptimizerQueries);
+            return Ok((instance.hit(scope), CacheOutcome::Hit));
+        }
         let original = sqo_oql::parse_oql(oql_src)?;
-        self.optimize_query_cached(cache, &original)
+        self.optimize_parsed(cache, &original, Some(oql_src), scope)
     }
 
     /// Optimize a parsed OQL query through the semantic-plan cache. A
@@ -465,7 +586,19 @@ impl PreparedOptimizer {
         original: &SelectQuery,
     ) -> Result<(OptimizationReport, CacheOutcome)> {
         let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
+        self.optimize_parsed(cache, original, None, obs::Scope::enter())
+    }
+
+    /// The cached path from Step 2 on, inside the caller's
+    /// `pipeline.optimize` span and `scope`. `text` is the request text
+    /// `original` was parsed from, when there is one to remember.
+    fn optimize_parsed(
+        &self,
+        cache: &PlanCache,
+        original: &SelectQuery,
+        text: Option<&str>,
+        scope: obs::Scope,
+    ) -> Result<(OptimizationReport, CacheOutcome)> {
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
         let datalog = &translation.query;
@@ -477,12 +610,12 @@ impl PreparedOptimizer {
             let found = self.lookup(cache, &template, binding, original);
             (template, binding, found)
         };
-        let (verdict, finished, disposition) = match found {
-            Lookup::Instance(verdict, finished) => {
-                obs::bump(obs::Counter::PlanCacheHits);
-                obs::bump(obs::Counter::PlanCacheInstanceHits);
-                count_verdict(&verdict);
-                (verdict, Some(finished), CacheOutcome::Hit)
+        match found {
+            Lookup::Instance(instance) => {
+                if let Some(src) = text {
+                    cache.register_text(src, &instance);
+                }
+                Ok((instance.hit(scope), CacheOutcome::Hit))
             }
             Lookup::Template(outcome, retarget) => {
                 obs::bump(obs::Counter::PlanCacheHits);
@@ -490,22 +623,23 @@ impl PreparedOptimizer {
                     let _s = obs::span!("cache.retarget");
                     retarget.outcome(&outcome)
                 };
-                let verdict = Arc::new(outcome_to_verdict(
-                    retargeted,
-                    datalog,
-                    &translation,
-                    &self.catalog,
-                )?);
-                let finished = Arc::new(Finished::default());
-                let instance = Instance {
-                    query: original.clone(),
-                    verdict: Arc::clone(&verdict),
-                    finished: Arc::clone(&finished),
-                };
-                cache.update(template.hash, |shard, capacity| {
-                    shard.fill(template.hash, &outcome, binding, instance, capacity)
+                let verdict = outcome_to_verdict(retargeted, &translation, &self.catalog)?;
+                let instance = Arc::new(Instance {
+                    generation: self.generation,
+                    original: original.clone(),
+                    normalized: translation.normalized,
+                    datalog: translation.query,
+                    verdict: Arc::new(verdict),
+                    finished: Arc::new(Finished::default()),
                 });
-                (verdict, Some(finished), CacheOutcome::Hit)
+                cache.update(template.hash, |shard, capacity| {
+                    let filling = Arc::clone(&instance);
+                    shard.fill(template.hash, &outcome, binding, filling, capacity)
+                });
+                if let Some(src) = text {
+                    cache.register_text(src, &instance);
+                }
+                Ok((instance.report(scope.finish()), CacheOutcome::Hit))
             }
             Lookup::Search { had_entry } => {
                 let disposition = if had_entry {
@@ -517,24 +651,12 @@ impl PreparedOptimizer {
                 };
                 let outcome = search::optimize(datalog, &self.ctx, &self.search);
                 self.store(cache, datalog, &template, &outcome);
-                let verdict = outcome_to_verdict(outcome, datalog, &translation, &self.catalog)?;
-                (Arc::new(verdict), None, disposition)
+                let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
+                let report =
+                    OptimizationReport::fresh(original, translation, verdict, scope.finish());
+                Ok((report, disposition))
             }
-        };
-        let QueryTranslation {
-            query, normalized, ..
-        } = translation;
-        Ok((
-            OptimizationReport {
-                original: original.clone(),
-                normalized,
-                datalog: query,
-                verdict,
-                stats: obs::snapshot().since(&before),
-                finished,
-            },
-            disposition,
-        ))
+        }
     }
 
     /// What the cache holds for `original`, whose template is `template`:
@@ -562,8 +684,8 @@ impl PreparedOptimizer {
         // An instance was finished under this very entry for these very
         // parameters, so their signature needs no second check.
         if let Some(i) = entry.instances.get(&binding) {
-            if i.query == *original {
-                return Lookup::Instance(Arc::clone(&i.verdict), Arc::clone(&i.finished));
+            if i.original == *original {
+                return Lookup::Instance(Arc::clone(i));
             }
         }
         if param_signature(&template.params, &entry.thresholds) != entry.signature {

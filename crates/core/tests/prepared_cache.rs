@@ -1,11 +1,12 @@
 //! Behavior tests for [`PreparedOptimizer`] + [`PlanCache`].
 //!
-//! These assert on obs counter/span deltas, so every test in this binary
-//! serializes through one lock (the obs registry is process-global).
+//! These assert on obs counter/span deltas. A report's `stats` and an
+//! [`obs::Scope`] are the asserting thread's own; the tests still
+//! serialize through one lock, as the obs enable switch is process-global.
 
 use sqo_core::{CacheOutcome, OptimizationReport, PlanCache, PreparedOptimizer, SemanticOptimizer};
 use sqo_obs as obs;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -119,9 +120,9 @@ fn invalidation_prevents_stale_plans() {
     let (_r, d0) = prep.optimize_cached(&cache, q).unwrap();
     assert_eq!(d0, CacheOutcome::Miss);
     assert_eq!(cache.len(), 1);
-    let before = obs::snapshot();
+    let scope = obs::Scope::enter();
     cache.invalidate();
-    let invalidated = obs::snapshot().since(&before);
+    let invalidated = scope.finish();
     assert_eq!(invalidated.counter(obs::Counter::PlanCacheInvalidations), 1);
     assert!(cache.is_empty());
     // The same query misses again (fresh compilation of the plan).
@@ -162,7 +163,7 @@ fn shard_stats_sum_to_the_global_counters() {
         "select x.name from x in Person where x.age > 28",
         "select x.name from x in Student where x.age > 28",
     ];
-    let before = obs::snapshot();
+    let scope = obs::Scope::enter();
     for q in queries {
         let (_r, d) = prep.optimize_cached(&cache, q).unwrap();
         assert_eq!(d, CacheOutcome::Miss, "{q} should be a distinct template");
@@ -173,7 +174,7 @@ fn shard_stats_sum_to_the_global_counters() {
     // Invalidation counts each dropped entry once, summed over shards —
     // identical to the old single-map total.
     cache.invalidate();
-    let delta = obs::snapshot().since(&before);
+    let delta = scope.finish();
     assert_eq!(
         delta.counter(obs::Counter::PlanCacheInvalidations),
         queries.len() as u64
@@ -343,18 +344,18 @@ fn instances_are_bounded_and_die_with_their_entry() {
     let cache = PlanCache::with_shards(capacity, 1);
     let ask = |q: String| prep.optimize_cached(&cache, &q).unwrap();
     let names = |c: usize| format!("select x.name from x in Person where x.age < {c}");
-    let before = obs::snapshot();
+    let evicted = |scope: obs::Scope| {
+        scope
+            .finish()
+            .counter(obs::Counter::PlanCacheInstanceEvictions)
+    };
+    let scope = obs::Scope::enter();
     assert_eq!(ask(names(10)).1, CacheOutcome::Miss);
     for c in 10..10 + capacity + extra {
         assert_eq!(ask(names(c)).1, CacheOutcome::Hit, "all below IC4's 30");
     }
     assert_eq!(cache.instance_count(), capacity);
-    let evicted = |since: &obs::Snapshot| {
-        obs::snapshot()
-            .since(since)
-            .counter(obs::Counter::PlanCacheInstanceEvictions)
-    };
-    assert_eq!(evicted(&before), extra as u64);
+    assert_eq!(evicted(scope), extra as u64);
     // The survivors are still served.
     let served: u64 = (10..10 + capacity + extra)
         .map(|c| instance_hits(&ask(names(c)).0))
@@ -371,11 +372,132 @@ fn instances_are_bounded_and_die_with_their_entry() {
         assert_eq!(ask(names(c)).1, CacheOutcome::Hit);
     }
     assert_eq!(cache.instance_count(), capacity);
-    let before = obs::snapshot();
+    let scope = obs::Scope::enter();
     let ages = "select x.age from x in Person where x.age < 20".to_string();
     assert_eq!(ask(ages.clone()).1, CacheOutcome::Miss);
     assert_eq!(ask(ages.clone()).1, CacheOutcome::Hit);
     assert_eq!(cache.instance_count(), capacity);
-    assert_eq!(evicted(&before), 1);
+    assert_eq!(evicted(scope), 1);
     assert_eq!(instance_hits(&ask(ages).0), 1, "the newcomer stayed");
+}
+
+/// A text the cache has finished is answered before it is parsed: the
+/// hit shares what the filling hit kept, counts what a hit counts, and
+/// its stats show the one lookup it did — no Step 2.
+#[test]
+fn a_verbatim_repeat_is_decided_on_its_text() {
+    let _g = lock();
+    let prep = prepared_university();
+    let cache = PlanCache::new();
+    let q = "select x.name from x in Person where x.age < 25";
+    prep.optimize_cached(&cache, q).unwrap();
+    assert_eq!(cache.text_count(), 0, "a miss finishes no instance");
+    let (filled, _) = prep.optimize_cached(&cache, q).unwrap();
+    assert_eq!(cache.text_count(), 1);
+    assert_eq!(
+        filled.stats.counter(obs::Counter::TranslateQueries),
+        1,
+        "the filling hit went through Step 2"
+    );
+    assert_eq!(filled.stats.spans["cache.lookup"].count, 2);
+
+    let (hit, d) = prep.optimize_cached(&cache, q).unwrap();
+    assert_eq!(d, CacheOutcome::Hit);
+    assert_eq!(instance_hits(&hit), 1);
+    assert_eq!(hit.stats.counter(obs::Counter::TranslateQueries), 0);
+    assert_eq!(hit.stats.counter(obs::Counter::OptimizerQueries), 1);
+    assert_eq!(hit.stats.counter(obs::Counter::PlanCacheHits), 1);
+    assert_eq!(
+        hit.stats.spans.keys().copied().collect::<Vec<_>>(),
+        ["cache.lookup"]
+    );
+    assert_eq!(hit.stats.spans["cache.lookup"].count, 1);
+    assert_eq!(
+        (&hit.original, &hit.normalized, &hit.datalog),
+        (&filled.original, &filled.normalized, &filled.datalog),
+        "what Step 2 made of the text comes back from the instance"
+    );
+    assert!(Arc::ptr_eq(&hit.verdict, &filled.verdict));
+    let body = |r: &OptimizationReport| {
+        let json = r.explain_json_compact();
+        json[..json.find("\"stats\":").unwrap()].to_string()
+    };
+    assert_eq!(body(&hit), body(&prep.optimize(q).unwrap()));
+
+    // Another spelling is another text: it pays Step 2 once, finds the
+    // same instance through the entry, and is a text hit from then on.
+    let respelled = "SELECT  x.name  FROM x IN Person  WHERE x.age < 25";
+    let (first, _) = prep.optimize_cached(&cache, respelled).unwrap();
+    assert_eq!(instance_hits(&first), 1);
+    assert_eq!(first.stats.counter(obs::Counter::TranslateQueries), 1);
+    let (second, _) = prep.optimize_cached(&cache, respelled).unwrap();
+    assert_eq!(second.stats.counter(obs::Counter::TranslateQueries), 0);
+    assert!(Arc::ptr_eq(&second.verdict, &filled.verdict));
+    assert_eq!((cache.instance_count(), cache.text_count()), (1, 2));
+
+    // The parsed entry point keeps finding it by template and binding.
+    let parsed = sqo_oql::parse_oql(q).unwrap();
+    let (by_binding, _) = prep.optimize_query_cached(&cache, &parsed).unwrap();
+    assert_eq!(instance_hits(&by_binding), 1);
+    assert_eq!(by_binding.stats.counter(obs::Counter::TranslateQueries), 1);
+
+    // A text of another generation's optimizer is not this one's.
+    let reloaded = prepared_university().with_generation(1);
+    let (other, d) = reloaded.optimize_cached(&cache, q).unwrap();
+    assert_ne!(d, CacheOutcome::Hit);
+    assert_eq!(instance_hits(&other), 0);
+
+    cache.invalidate();
+    assert_eq!((cache.instance_count(), cache.text_count()), (0, 0));
+}
+
+/// The text index is held to the cache's capacity like entries and
+/// instances, whatever the number of distinct texts.
+#[test]
+fn distinct_texts_stay_within_capacity() {
+    let _g = lock();
+    let prep = prepared_university();
+    let capacity = 8;
+    let cache = PlanCache::with_capacity(capacity);
+    for c in 0..1000 {
+        // One template, a thousand bindings (and two rebinds, at IC4's 30).
+        let q = format!("select x.name from x in Person where x.age < {c}");
+        prep.optimize_cached(&cache, &q).unwrap();
+        assert!(cache.text_count() <= capacity, "{}", cache.text_count());
+        assert!(cache.instance_count() <= capacity);
+        assert!(cache.len() <= capacity);
+    }
+    assert!(cache.text_count() > 0 && cache.instance_count() > 0);
+}
+
+/// A rebind drops the entry's instances; the texts that pointed at them
+/// are dead pointers, so the old text is searched again, never answered
+/// from what the entry used to hold.
+#[test]
+fn a_rebind_makes_the_old_texts_miss() {
+    let _g = lock();
+    let prep = prepared_university();
+    let cache = PlanCache::new();
+    let young = "select x.name from x in Person where x.age < 25";
+    for _ in 0..3 {
+        prep.optimize_cached(&cache, young).unwrap();
+    }
+    assert_eq!((cache.instance_count(), cache.text_count()), (1, 1));
+    let old = "select x.name from x in Person where x.age < 35";
+    assert_eq!(
+        prep.optimize_cached(&cache, old).unwrap().1,
+        CacheOutcome::Rebind
+    );
+    assert_eq!(cache.instance_count(), 0);
+    assert_eq!(
+        cache.text_count(),
+        1,
+        "the slot outlives what it pointed at"
+    );
+
+    let (again, d) = prep.optimize_cached(&cache, young).unwrap();
+    assert_eq!(d, CacheOutcome::Rebind);
+    assert_eq!(instance_hits(&again), 0);
+    assert_eq!(again.stats.counter(obs::Counter::TranslateQueries), 1);
+    assert_eq!(rewrites(&again), rewrites(&prep.optimize(young).unwrap()));
 }

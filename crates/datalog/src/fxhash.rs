@@ -94,6 +94,45 @@ mod tests {
         assert_eq!(seen.len(), 10_000);
     }
 
+    /// Round `f64`s carry nothing in the low bits this hasher passes
+    /// through to `std`'s bucket index; [`crate::term::R64`] folds its key
+    /// before hashing, so a map keyed on a round-real column costs what
+    /// the same map costs on integers (it was 50 times that at this size,
+    /// and quadratic).
+    #[test]
+    fn round_reals_hash_as_well_as_integers() {
+        use crate::term::Const;
+        use std::time::{Duration, Instant};
+        const KEYS: u32 = 32_000;
+        fn build(key: impl Fn(u32) -> Const) -> (FxHashMap<Const, Vec<u32>>, Duration) {
+            let mut best: Option<(FxHashMap<Const, Vec<u32>>, Duration)> = None;
+            for _ in 0..3 {
+                let started = Instant::now();
+                let mut map: FxHashMap<Const, Vec<u32>> = FxHashMap::default();
+                for i in 0..KEYS {
+                    map.entry(key(i)).or_default().push(i);
+                }
+                let took = started.elapsed();
+                if best.as_ref().is_none_or(|(_, t)| took < *t) {
+                    best = Some((map, took));
+                }
+            }
+            best.expect("three rounds")
+        }
+        let real = |i: u32| Const::from(40_000.0 + f64::from(i));
+        let (ints, int_time) = build(|i| Const::Int(40_000 + i64::from(i)));
+        let (reals, real_time) = build(real);
+        assert_eq!((ints.len(), reals.len()), (KEYS as usize, KEYS as usize));
+        for i in 0..KEYS {
+            assert_eq!(reals.get(&real(i)), Some(&vec![i]));
+        }
+        assert_eq!(reals.get(&Const::from(39_999.5)), None);
+        assert!(
+            real_time <= int_time * 4 + Duration::from_millis(2),
+            "{KEYS} round reals took {real_time:?}, as many integers {int_time:?}"
+        );
+    }
+
     #[test]
     fn map_roundtrip() {
         let mut m: FxHashMap<u64, u64> = FxHashMap::default();

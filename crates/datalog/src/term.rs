@@ -64,8 +64,18 @@ impl Ord for R64 {
     }
 }
 impl std::hash::Hash for R64 {
+    /// Round reals (`40000.0`, `40001.0`, …) differ only in the high bits
+    /// of their encoding and have zeros below. [`crate::fxhash`] is
+    /// multiply-rotate, so the low bits of its hash are those of the key,
+    /// and `std`'s tables index by the low bits: hashed as they are, such
+    /// keys share a handful of buckets and a map over a `salary` column
+    /// goes quadratic. So the key is folded first: both halves of its
+    /// 128-bit product with an odd constant, xor-ed, carry every bit of
+    /// the key into the low bits.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.key().hash(state);
+        const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+        let wide = u128::from(self.key()) * u128::from(FOLD);
+        (((wide >> 64) as u64) ^ (wide as u64)).hash(state);
     }
 }
 impl From<f64> for R64 {

@@ -11,6 +11,9 @@
 //! * the warm plan-cache path (miss → hit on the same query, two
 //!   repeats served from the finished instance that hit filled, then a
 //!   constant-shifted sibling through retargeting),
+//! * the request-text path (the case's OQL text three times through a
+//!   cache of its own: miss, fill, and a hit decided on the text before
+//!   anything is parsed),
 //! * and a [`sqo_core::Verdict::Contradiction`] only when the baseline is actually
 //!   empty — a contradiction verdict over a non-empty answer set is a
 //!   soundness bug, not an optimization.
@@ -43,7 +46,7 @@ pub struct PassInfo {
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Which check failed (`"equivalent"`, `"contradiction"`,
-    /// `"warm-context"`, `"cache"`, `"instance"`, `"sibling"`,
+    /// `"warm-context"`, `"cache"`, `"instance"`, `"text"`, `"sibling"`,
     /// `"recovery"`).
     pub path: String,
     /// Human-readable explanation.
@@ -278,6 +281,61 @@ fn check_repeat(
     Ok(None)
 }
 
+/// `oql` three times through [`sqo_core::PreparedOptimizer::optimize_cached`]
+/// on an empty cache: a miss, the hit that fills an instance, and the hit
+/// decided on the request text. All three must say what `fresh`, an
+/// uncached optimization, says, and answer `baseline`; the third must
+/// have skipped Step 2.
+fn check_text_path(
+    db: &ObjectDb,
+    prepared: &sqo_core::PreparedOptimizer,
+    oql: &str,
+    fresh: &OptimizationReport,
+    baseline: &[Vec<Const>],
+) -> Result<Option<Mismatch>, String> {
+    let mismatch = |detail: String| {
+        Ok(Some(Mismatch {
+            path: "text".to_string(),
+            detail,
+        }))
+    };
+    let cache = PlanCache::new();
+    let expected = rendering(fresh);
+    // Per pass: the disposition, and whether Step 2 ran.
+    let mut passes = Vec::new();
+    for pass in ["miss", "fill", "text hit"] {
+        let (report, outcome) = prepared
+            .optimize_cached(&cache, oql)
+            .map_err(|e| format!("text({pass}): {e}"))?;
+        let said = rendering(&report);
+        if said != expected {
+            return mismatch(format!(
+                "the {pass} pass explains differently from a fresh optimize:\n\
+                 --- fresh ---\n{expected}\n--- {pass} ---\n{said}"
+            ));
+        }
+        if let Some(m) = check_report(db, &report, baseline, "text")? {
+            return Ok(Some(m));
+        }
+        let translated = report.stats.counter(sqo_obs::Counter::TranslateQueries) == 1;
+        passes.push((outcome, translated));
+    }
+    // Only a hit fills an instance for the text to find; a fill that
+    // rebinds leaves the third pass to fill.
+    let decided_on_text = passes[1].0 != CacheOutcome::Hit || !passes[2].1;
+    if passes[0] != (CacheOutcome::Miss, true)
+        || passes[1].0 == CacheOutcome::Miss
+        || !passes[1].1
+        || passes[2].0 == CacheOutcome::Miss
+        || !decided_on_text
+    {
+        return mismatch(format!(
+            "miss, fill, text hit were answered as (cache, Step 2 ran) = {passes:?}"
+        ));
+    }
+    Ok(None)
+}
+
 /// Durability round-trip: save the populated store into a fresh on-disk
 /// directory, recover it through the snapshot + WAL path, and require
 /// the recovered store to return the baseline answer set for the
@@ -457,6 +515,14 @@ pub fn run_inputs_full(inputs: &CaseInputs, recovery: bool) -> Result<CaseStatus
                 return Ok(CaseStatus::Mismatch(m));
             }
         }
+    }
+
+    // The text entry point, on a cache of its own: the same words miss,
+    // fill an instance and are then answered from it without a parse —
+    // one more way to reach an answer, held to the uncached verdict and
+    // to the baseline like the others.
+    if let Some(m) = check_text_path(db, &prepared, &inputs.oql, &fresh, &baseline)? {
+        return Ok(CaseStatus::Mismatch(m));
     }
 
     // Constant-shifted sibling through the warm cache: the retargeted

@@ -5,10 +5,11 @@
 //! spirit as the `shims/` stand-ins:
 //!
 //! * **Spans** — [`span!`] returns a guard that records elapsed wall time
-//!   into a thread-safe global registry keyed by a static name. Each span
-//!   name aggregates `count / total_ns / min_ns / max_ns`. Guards are cheap
-//!   enough to stay always-on and become a no-op when recording is disabled
-//!   (a single relaxed atomic load).
+//!   under a static name. Each span name aggregates
+//!   `count / total_ns / min_ns / max_ns`, thread-locally, and merges into
+//!   the global registry with the flush discipline of the counters. Guards
+//!   are cheap enough to stay always-on and become a no-op when recording
+//!   is disabled (a single relaxed atomic load).
 //! * **Counters** — a fixed set of named monotonic counters ([`Counter`]).
 //!   Increments land in thread-local cells and are merged into the global
 //!   registry when the thread exits (or when the owning thread snapshots).
@@ -32,15 +33,21 @@
 //!   which residue, source integrity constraint, and transformation kind
 //!   derived each rewrite. These are plain data (always populated, never
 //!   gated by [`enabled`]).
+//! * **Scopes** — [`Scope`] is the request-scoped accumulator: what *this
+//!   thread* counted and which spans it completed between `enter` and
+//!   `finish`, as a [`Snapshot`], without touching the global registries.
 //! * **Snapshots** — [`snapshot`] / [`snapshot_json`] expose the registry
-//!   with a stable (sorted) key order for machine consumption.
+//!   with a stable (sorted) key order for machine consumption: whole-process
+//!   totals, and deltas of them through [`Snapshot::since`].
 
 #![warn(missing_docs)]
 
 mod hist;
+mod scope;
 mod trace;
 
 pub use hist::{Histogram, N_HIST_BUCKETS};
+pub use scope::Scope;
 pub use trace::{trace_active, trace_begin, trace_end, trace_event, SpanEvent, Trace};
 
 use std::cell::{Cell, RefCell};
@@ -307,14 +314,14 @@ pub(crate) fn local_counter_totals() -> [u64; N_COUNTERS] {
         .unwrap_or([0; N_COUNTERS])
 }
 
-/// Flushes the calling thread's local counter cells and histograms into the
-/// global registries.
+/// Flushes the calling thread's local counter cells, span aggregates and
+/// histograms into the global registries.
 ///
 /// Worker threads flush automatically on exit; long-lived threads (e.g. the
 /// main thread) call this implicitly via [`snapshot`] / [`reset`].
 pub fn flush_local() {
     let _ = LOCAL.try_with(LocalCells::flush);
-    let _ = LOCAL_HISTS.try_with(LocalHists::flush);
+    let _ = LOCAL_SERIES.try_with(LocalSeries::flush);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,46 +330,64 @@ pub fn flush_local() {
 
 /// Global merged histograms keyed by name. Span names land here via
 /// [`SpanGuard`]; explicit request-level series (`serve.request`,
-/// `serve.wait`) via [`record_hist`].
+/// `serve.wait`) via [`record_hist`]. Thread-local until flushed.
 static HISTS: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
 
-/// Per-thread histograms, merged into [`HISTS`] with the same discipline as
-/// the counter cells: on thread exit and on [`flush_local`] / [`snapshot`].
-/// Bucket merges are element-wise additions, so the merged state does not
-/// depend on thread interleaving or merge order.
-struct LocalHists {
-    map: RefCell<BTreeMap<&'static str, Histogram>>,
+/// Per-thread span aggregates and histograms, merged into [`SPANS`] and
+/// [`HISTS`] with the same discipline as the counter cells: on thread exit
+/// and on [`flush_local`] / [`snapshot`]. Both merges are commutative
+/// (bucket-wise and count/total additions, exact extrema), so the merged
+/// state does not depend on thread interleaving or merge order — and a
+/// completing span takes no process-wide lock.
+struct LocalSeries {
+    inner: RefCell<Series>,
 }
 
-impl LocalHists {
+#[derive(Default)]
+struct Series {
+    spans: BTreeMap<&'static str, SpanStat>,
+    hists: BTreeMap<&'static str, Histogram>,
+}
+
+impl LocalSeries {
     const fn new() -> Self {
-        LocalHists {
-            map: RefCell::new(BTreeMap::new()),
+        LocalSeries {
+            inner: RefCell::new(Series {
+                spans: BTreeMap::new(),
+                hists: BTreeMap::new(),
+            }),
         }
     }
 
     fn flush(&self) {
-        let mut local = self.map.borrow_mut();
-        if local.is_empty() {
-            return;
-        }
-        if let Ok(mut global) = HISTS.lock() {
-            for (name, h) in local.iter() {
-                global.entry(name).or_default().merge(h);
+        let mut local = self.inner.borrow_mut();
+        if !local.spans.is_empty() {
+            if let Ok(mut global) = SPANS.lock() {
+                for (name, s) in &local.spans {
+                    global.entry(name).or_default().merge(s);
+                }
             }
+            local.spans.clear();
         }
-        local.clear();
+        if !local.hists.is_empty() {
+            if let Ok(mut global) = HISTS.lock() {
+                for (name, h) in &local.hists {
+                    global.entry(name).or_default().merge(h);
+                }
+            }
+            local.hists.clear();
+        }
     }
 }
 
-impl Drop for LocalHists {
+impl Drop for LocalSeries {
     fn drop(&mut self) {
         self.flush();
     }
 }
 
 thread_local! {
-    static LOCAL_HISTS: LocalHists = const { LocalHists::new() };
+    static LOCAL_SERIES: LocalSeries = const { LocalSeries::new() };
 }
 
 /// Records one sample (nanoseconds, by convention) into the named
@@ -372,7 +397,10 @@ pub fn record_hist(name: &'static str, ns: u64) {
     if !enabled() {
         return;
     }
-    let ok = LOCAL_HISTS.try_with(|h| h.map.borrow_mut().entry(name).or_default().record(ns));
+    let ok = LOCAL_SERIES.try_with(|l| {
+        let mut series = l.inner.borrow_mut();
+        series.hists.entry(name).or_default().record(ns);
+    });
     if ok.is_err() {
         // TLS teardown: merge straight into the global registry.
         if let Ok(mut global) = HISTS.lock() {
@@ -419,21 +447,33 @@ impl SpanStat {
         self.total_ns += ns;
     }
 
+    /// Folds `other` in: counts and totals add, extrema combine.
+    fn merge(&mut self, other: &SpanStat) {
+        if self.count == 0 {
+            *self = *other;
+        } else if other.count > 0 {
+            self.min_ns = self.min_ns.min(other.min_ns);
+            self.max_ns = self.max_ns.max(other.max_ns);
+            self.count += other.count;
+            self.total_ns += other.total_ns;
+        }
+    }
+
     /// Mean elapsed nanoseconds per completion (0 when `count == 0`).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
-/// Span registry. Spans fire at pipeline-stage granularity (a handful per
-/// optimized query), so one mutex around a sorted map is plenty; the hot
-/// per-atom work uses thread-local [`Counter`]s instead.
+/// Global merged span aggregates. Completing spans aggregate in
+/// [`LOCAL_SERIES`] and land here when their thread flushes.
 static SPANS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::new());
 
 /// RAII guard created by [`span!`]; records elapsed time on drop into the
-/// span registry and the same-named latency histogram, and — when a trace
-/// is active on this thread — appends a [`SpanEvent`] with the counter
-/// delta observed while the span was open.
+/// thread's span aggregate and same-named latency histogram, notes it for
+/// the [`Scope`]s open on this thread, and — when a trace is active on this
+/// thread — appends a [`SpanEvent`] with the counter delta observed while
+/// the span was open.
 #[must_use = "binding the guard to `_name` keeps the span open for the scope"]
 pub struct SpanGuard {
     name: &'static str,
@@ -464,13 +504,29 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            if let Ok(mut spans) = SPANS.lock() {
-                spans.entry(self.name).or_default().record(ns);
-            }
-            record_hist(self.name, ns);
+            record_span(self.name, ns);
+            scope::note_span(self.name, ns);
             if let Some(base) = self.trace_base.take() {
                 trace::push_span(self.name, start, ns, &base);
             }
+        }
+    }
+}
+
+/// One completed span: its aggregate and its histogram sample.
+fn record_span(name: &'static str, ns: u64) {
+    let ok = LOCAL_SERIES.try_with(|l| {
+        let mut series = l.inner.borrow_mut();
+        series.spans.entry(name).or_default().record(ns);
+        series.hists.entry(name).or_default().record(ns);
+    });
+    if ok.is_err() {
+        // TLS teardown: merge straight into the global registries.
+        if let Ok(mut spans) = SPANS.lock() {
+            spans.entry(name).or_default().record(ns);
+        }
+        if let Ok(mut hists) = HISTS.lock() {
+            hists.entry(name).or_default().record(ns);
         }
     }
 }
@@ -488,7 +544,9 @@ macro_rules! span {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// A point-in-time copy of the counter and span registries.
+/// A point-in-time copy of the counter and span registries
+/// ([`snapshot`]) — or, with the same shape, what one thread counted and
+/// completed inside a [`Scope`].
 ///
 /// Both maps use sorted (`BTreeMap`) key order, so serialized snapshots are
 /// byte-comparable across runs.
@@ -569,7 +627,10 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!("\n    {}: {v}", json_string(name)));
+            out.push_str("\n    ");
+            push_json_string(&mut out, name);
+            out.push_str(": ");
+            push_u64(&mut out, *v);
         }
         out.push_str("\n  },\n  \"spans\": {");
         first = true;
@@ -660,9 +721,10 @@ pub fn snapshot_json() -> String {
     snapshot().to_json()
 }
 
-/// Zeroes all global counters, the calling thread's local cells and
-/// histograms, and the span and histogram registries. Counts still held by
-/// *other* live threads are unaffected until those threads flush.
+/// Zeroes all global counters, the calling thread's local cells, span
+/// aggregates and histograms, and the span and histogram registries.
+/// Counts still held by *other* live threads are unaffected until those
+/// threads flush.
 pub fn reset() {
     let _ = LOCAL.try_with(|l| {
         for (cell, flushed) in l.cells.iter().zip(l.flushed.iter()) {
@@ -670,7 +732,7 @@ pub fn reset() {
             flushed.set(0);
         }
     });
-    let _ = LOCAL_HISTS.try_with(|h| h.map.borrow_mut().clear());
+    let _ = LOCAL_SERIES.try_with(|l| *l.inner.borrow_mut() = Series::default());
     for global in &GLOBAL {
         global.store(0, Ordering::Relaxed);
     }
@@ -792,20 +854,45 @@ impl fmt::Display for Provenance {
 /// Escapes and quotes `s` as a JSON string literal.
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal. Text with nothing to
+/// escape is copied in one piece.
+fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
         }
+    } else {
+        out.push_str(s);
     }
     out.push('"');
-    out
+}
+
+/// Appends `v` in decimal to `out`, without going through `fmt`.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// `json_string` for optional values; `None` serializes as `null`.
@@ -863,7 +950,7 @@ mod tests {
     /// Serializes tests in this binary: they all mutate the global registry.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -984,6 +1071,28 @@ mod tests {
         // cut off inside an escape.
         assert_eq!(json_compact(r#"{"k":"v w"}"#), r#"{"k":"v w"}"#);
         assert_eq!(json_compact("[ \"ab\\"), "[\"ab\\");
+    }
+
+    #[test]
+    fn spans_merge_from_scoped_workers() {
+        let _g = lock();
+        reset();
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        let _s = span!("test.span.merge");
+                    }
+                    flush_local();
+                });
+            }
+        });
+        {
+            let _s = span!("test.span.merge");
+        }
+        let stat = snapshot().spans["test.span.merge"];
+        assert_eq!(stat.count, 16);
+        assert!(stat.min_ns <= stat.max_ns && stat.total_ns >= stat.max_ns);
     }
 
     #[test]

@@ -767,7 +767,8 @@ pub(crate) fn format_query_ok(name: &str, a: &QueryAnswer) -> String {
 
 /// Executes one admitted query on a worker thread: opens the trace,
 /// optimizes (and optionally executes) under it, records the request
-/// latency histogram, and files a slow-log entry past the threshold.
+/// latency histogram, files a slow-log entry past the threshold, and
+/// publishes the thread's counters.
 fn run_query(
     session: &crate::registry::Session,
     slowlog: &SlowLog,
@@ -815,36 +816,42 @@ fn run_query(
     let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     obs::record_hist("serve.request", elapsed_ns);
     let trace = obs::trace_end();
-    let (report, outcome, exec) = outcome?;
-    let explain = report.explain_json_compact();
-    if slowlog.is_slow(elapsed_ns) {
-        let verdict = if report.is_contradiction() {
-            "contradiction"
-        } else {
-            "equivalents"
-        };
-        slowlog.record(&SlowEntry {
-            trace_id: &trace_id,
-            session: session.name(),
-            template_hash: report.datalog.canonical_template().hash,
-            verdict,
+    let answer = outcome.map(|(report, outcome, exec)| {
+        let explain = report.explain_json_compact();
+        if slowlog.is_slow(elapsed_ns) {
+            let verdict = if report.is_contradiction() {
+                "contradiction"
+            } else {
+                "equivalents"
+            };
+            slowlog.record(&SlowEntry {
+                trace_id: &trace_id,
+                session: session.name(),
+                template_hash: report.datalog.canonical_template().hash,
+                verdict,
+                cache: outcome.label(),
+                plan_cost: exec.and_then(|(_, cost, _)| cost),
+                elapsed_ns,
+                trace: trace.as_ref(),
+                explain: &explain,
+            });
+        }
+        QueryAnswer {
+            report: explain,
             cache: outcome.label(),
-            plan_cost: exec.and_then(|(_, cost, _)| cost),
-            elapsed_ns,
-            trace: trace.as_ref(),
-            explain: &explain,
-        });
-    }
-    Ok(QueryAnswer {
-        report: explain,
-        cache: outcome.label(),
-        generation: prep.generation(),
-        elapsed_us: elapsed.as_micros(),
-        trace_id,
-        trace_json: match (&trace, want_trace) {
-            (Some(t), true) => Some(t.events_json()),
-            _ => None,
-        },
-        exec,
-    })
+            generation: prep.generation(),
+            elapsed_us: elapsed.as_micros(),
+            trace_json: match (&trace, want_trace) {
+                (Some(t), true) => Some(t.events_json()),
+                _ => None,
+            },
+            trace_id,
+            exec,
+        }
+    });
+    // What this request counted is in `metrics` before its reply is on
+    // the wire: a report's `stats` are the thread's own and publish
+    // nothing, so the worker does, here.
+    obs::flush_local();
+    answer
 }

@@ -568,6 +568,18 @@ fn worker_panic_is_answered_and_the_worker_survives() {
         );
         assert_eq!(resps[1].get("ok"), Some(&Json::Bool(true)), "{mode:?}");
         assert!(resps[1].get("answers").and_then(Json::as_u64).unwrap() > 0);
+        // The one worker served both: the request after the panic reports
+        // its own work only, nothing the unwound one left behind.
+        let own = |name: &str| {
+            resps[1]
+                .get("report")
+                .and_then(|r| r.get("stats"))
+                .and_then(|s| s.get("counters"))
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(own("optimizer.queries"), Some(1), "{mode:?}");
+        assert_eq!(own("translate.queries"), Some(1), "{mode:?}");
         assert!(
             took < std::time::Duration::from_secs(30),
             "{mode:?}: the panicked request waited for its deadline ({took:?})"

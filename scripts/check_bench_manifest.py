@@ -47,6 +47,17 @@ which never overwrites the manifest, so this validates what a full
    the rebuild from one hour to the next on the box that recorded the
    rows (the larger image no longer fits the cache); a load that is
    quadratic anywhere would measure 25x.
+9. The in-process warm-hit rows are present (refresh with
+   `tables --serve`): `serve/warm_hit` (`optimize_cached` on a request
+   text the plan cache has finished) <= 8 000 ns — it read 20 773 ns
+   while every hit parsed, ran Step 2 and diffed two whole-registry
+   snapshots, and 3 300 to 3 400 ns since the text decides the hit and
+   the stats are a thread-local scope — and `serve/warm_hit` <=
+   `serve/warm_hit_parsed` (`optimize_query_cached`, which still pays
+   Step 2 and the template hash): finding the instance by text must
+   never cost more than finding it by binding. `serve/warm_hit_obs_ns`
+   (the rendered hit with `obs` on minus off) must be present; it is
+   reported, not gated.
 
 Usage: python3 scripts/check_bench_manifest.py [path/to/BENCH_pipeline.json]
 """
@@ -102,6 +113,13 @@ EDB_BUILD_LARGE = "x1/edb_build_ms/30000"
 EDB_BYTES_ROW = "x1/edb_bytes_per_tuple/30000"
 EDB_MAX_BYTES_PER_TUPLE = 128.0
 EDB_MAX_BUILD_GROWTH = 8.0
+
+# In-process warm hit: by request text (ceiling in ns), by parsed query,
+# and what obs recording adds to the rendered hit.
+WARM_HIT_ROW = "serve/warm_hit"
+WARM_HIT_PARSED_ROW = "serve/warm_hit_parsed"
+WARM_HIT_OBS_ROW = "serve/warm_hit_obs_ns"
+WARM_HIT_MAX_NS = 8000.0
 
 
 def fail(msg: str) -> None:
@@ -208,6 +226,24 @@ def main() -> None:
             "is no longer linear"
         )
 
+    for row in (WARM_HIT_ROW, WARM_HIT_PARSED_ROW, WARM_HIT_OBS_ROW):
+        if row not in manifest:
+            fail(f"missing warm-hit row {row!r} — run the full tables "
+                 "binary or `tables --serve`")
+    if manifest[WARM_HIT_ROW] > WARM_HIT_MAX_NS:
+        fail(
+            f"{WARM_HIT_ROW} = {manifest[WARM_HIT_ROW]:.0f} ns exceeds "
+            f"{WARM_HIT_MAX_NS:.0f} ns: a verbatim repeat no longer skips "
+            "the parse, Step 2 or the whole-registry stats"
+        )
+    if manifest[WARM_HIT_ROW] > manifest[WARM_HIT_PARSED_ROW]:
+        fail(
+            f"{WARM_HIT_ROW} ({manifest[WARM_HIT_ROW]:.0f} ns) exceeds "
+            f"{WARM_HIT_PARSED_ROW} ({manifest[WARM_HIT_PARSED_ROW]:.0f} ns): "
+            "finding a finished instance by its request text costs more "
+            "than parsing and translating the query to find it by binding"
+        )
+
     step3 = ", ".join(
         f"{row.rsplit('/', 1)[-1]}: {manifest[row] / 1e6:.2f} ms"
         for row, _ in STEP3_GATES
@@ -219,6 +255,9 @@ def main() -> None:
         f"serve p99 {manifest['serve/p99'] / 1e6:.2f} ms event-loop vs "
         f"{manifest['serve/p99_threaded'] / 1e6:.2f} ms threaded; "
         f"overload shed rate {shed}; "
+        f"warm hit {manifest[WARM_HIT_ROW]:.0f} ns by text vs "
+        f"{manifest[WARM_HIT_PARSED_ROW]:.0f} ns parsed, obs "
+        f"{manifest[WARM_HIT_OBS_ROW]:.0f} ns; "
         f"1m-object recovery {recover / 1e6:.0f} ms; "
         f"EDB {manifest[EDB_BYTES_ROW]:.0f} B/tuple, rebuild "
         f"{manifest[EDB_BUILD_SMALL]:.1f} -> {manifest[EDB_BUILD_LARGE]:.1f} ms "

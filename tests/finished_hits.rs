@@ -1,7 +1,9 @@
 //! Finished warm hits over a real `sqo_service::Server` socket: a
 //! repeated executing query is served from the plan cache's finished
-//! instance — same bytes as the hit that filled it — and is still
-//! executed, so a write between two repeats shows in the answer count.
+//! instance, found by the request text before anything is parsed — same
+//! bytes as the hit that filled it — and is still executed, so a write
+//! between two repeats shows in the answer count; another spelling finds
+//! the same instance; an IC reload leaves nothing of it behind.
 
 use sqo_obs as obs;
 use sqo_service::json::{self, Json};
@@ -27,12 +29,20 @@ fn scrub(v: &Json) -> Json {
     }
 }
 
-fn counter(resp: &Json, name: &str) -> u64 {
-    resp.get("stats")
+/// A counter of the `stats` object `holder` carries: a `metrics` reply
+/// (whole process) or a query reply's `report` (that request alone).
+fn counter(holder: &Json, name: &str) -> u64 {
+    holder
+        .get("stats")
         .and_then(|s| s.get("counters"))
         .and_then(|c| c.get(name))
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("metrics reply lists {name}"))
+        .unwrap_or_else(|| panic!("stats list {name}"))
+}
+
+/// The same counter of a query reply's own report.
+fn own(reply: &Json, name: &str) -> u64 {
+    counter(reply.get("report").expect("a query reply"), name)
 }
 
 #[test]
@@ -95,6 +105,21 @@ fn a_repeated_query_is_finished_once_and_executed_every_time() {
         };
         assert!(spans(&first).get("cache.retarget").is_some(), "{mode:?}");
         assert!(spans(&repeat).get("cache.retarget").is_none(), "{mode:?}");
+        // ... and Step 2: it was decided on its text.
+        assert_eq!(own(&first, "translate.queries"), 1, "{mode:?}");
+        assert_eq!(own(&repeat, "translate.queries"), 0, "{mode:?}");
+        assert!(spans(&repeat).get("step2.translate_query").is_none());
+        for reply in [&first, &repeat] {
+            assert_eq!(own(reply, "optimizer.queries"), 1, "{mode:?}");
+        }
+        // `metrics` read right after a reply already counts that request,
+        // whichever of the two workers served it.
+        let counted = ask(r#"{"op":"metrics"}"#);
+        assert_eq!(
+            counter(&counted, "optimizer.queries"),
+            counter(&before, "optimizer.queries") + 1,
+            "{mode:?}"
+        );
 
         // Answers are never cached: a write between two repeats shows.
         let created =
@@ -102,22 +127,60 @@ fn a_repeated_query_is_finished_once_and_executed_every_time() {
         assert_eq!(created.get("ok"), Some(&Json::Bool(true)), "{created:?}");
         let after = ask(&query);
         assert_eq!(cache(&after).as_deref(), Some("hit"), "{mode:?}");
+        assert_eq!(own(&after, "translate.queries"), 0, "{mode:?}: a text hit");
         assert_eq!(answers(&after), answers(&repeat) + 1, "{mode:?}");
+        assert_ne!(
+            after.get("plan_cost"),
+            repeat.get("plan_cost"),
+            "{mode:?}: the write re-priced the remembered plan"
+        );
         assert_eq!(
             scrub(after.get("report").unwrap()),
             scrub(repeat.get("report").unwrap())
         );
 
+        // Another spelling of the query is another text: it pays Step 2
+        // once, finds the same instance, and says the same.
+        let respelled = format!(
+            r#"{{"op":"query","execute":true,"oql":{}}}"#,
+            obs::json_string("SELECT  x.name  FROM x IN Person  WHERE  x.age < 27")
+        );
+        let other = ask(&respelled);
+        assert_eq!(own(&other, "translate.queries"), 1, "{mode:?}");
+        assert_eq!(own(&other, "plan_cache.instance_hits"), 1, "{mode:?}");
+        assert_eq!(scrub(&other), scrub(&after), "{mode:?}");
+        let other = ask(&respelled);
+        assert_eq!(own(&other, "translate.queries"), 0, "{mode:?}");
+        assert_eq!(scrub(&other), scrub(&after), "{mode:?}");
+
         let metrics = ask(r#"{"op":"metrics"}"#);
         assert_eq!(
             counter(&metrics, "plan_cache.instance_hits"),
-            counter(&before, "plan_cache.instance_hits") + 2,
-            "{mode:?}: both repeats were instance hits"
+            counter(&before, "plan_cache.instance_hits") + 4,
+            "{mode:?}: every repeat was an instance hit"
         );
         let instances = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0]
             .get("cached_instances")
             .and_then(Json::as_u64);
-        assert_eq!(instances, Some(1), "{mode:?}");
+        assert_eq!(instances, Some(1), "{mode:?}: one instance, two spellings");
+
+        // An IC reload between two verbatim repeats: the text finds
+        // nothing of the old generation, and the reply carries the new
+        // constraints' verdict. IC4 (no faculty member under 30) let
+        // `x.age < 27` exclude Faculty from the scan; the reloaded bound
+        // of 20 does not, so the report differs and the answers do not.
+        let verdict_of = |r: &Json| scrub(r.get("report").unwrap());
+        let reloaded = ask(&format!(
+            r#"{{"op":"reload_ic","ic":{}}}"#,
+            obs::json_string("ic IC4: Age >= 20 <- faculty(X, N, Age, S, R, Ad).")
+        ));
+        assert_eq!(reloaded.get("ok"), Some(&Json::Bool(true)), "{reloaded:?}");
+        let fresh = ask(&query);
+        assert_eq!(cache(&fresh).as_deref(), Some("miss"), "{mode:?}");
+        assert_eq!(own(&fresh, "plan_cache.instance_hits"), 0, "{mode:?}");
+        assert_eq!(fresh.get("generation").and_then(Json::as_u64), Some(1));
+        assert_ne!(verdict_of(&fresh), verdict_of(&after), "{mode:?}");
+        assert_eq!(answers(&fresh), answers(&after), "{mode:?}");
 
         ask(r#"{"op":"shutdown"}"#);
         serving.join().unwrap();

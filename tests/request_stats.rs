@@ -1,0 +1,87 @@
+//! A report's `stats` is its own: what the thread that ran the
+//! optimization counted, whatever other threads do on the same plan cache
+//! at the same time — and the per-report counters still add up to the
+//! whole-process delta `metrics` reports.
+
+use sqo_core::{CacheOutcome, PlanCache, SemanticOptimizer};
+use sqo_obs::{self as obs, Counter};
+use std::sync::Barrier;
+
+const THREADS: usize = 2;
+const REQUESTS: usize = 20_000;
+
+/// Counters an optimization through the plan cache moves.
+const SUMMED: [Counter; 8] = [
+    Counter::OptimizerQueries,
+    Counter::OptimizerRewrites,
+    Counter::TranslateQueries,
+    Counter::PlanCacheHits,
+    Counter::PlanCacheInstanceHits,
+    Counter::PlanCacheMisses,
+    Counter::PlanCacheRebinds,
+    Counter::SearchNodesExpanded,
+];
+
+#[test]
+fn concurrent_reports_count_only_their_own_request() {
+    let mut opt = SemanticOptimizer::university();
+    opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+        .unwrap();
+    let prep = opt.prepare();
+    let cache = PlanCache::new();
+    // A few texts per thread, so both threads also meet in the shards.
+    let texts: Vec<String> = (20..26)
+        .map(|c| format!("select x.name from x in Person where x.age < {c}"))
+        .collect();
+
+    let before = obs::snapshot();
+    let start = Barrier::new(THREADS);
+    let per_thread: Vec<[u64; SUMMED.len()]> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (prep, cache, texts, start) = (&prep, &cache, &texts, &start);
+                s.spawn(move || {
+                    let mut sums = [0u64; SUMMED.len()];
+                    start.wait();
+                    for i in 0..REQUESTS {
+                        let text = &texts[(i + t) % texts.len()];
+                        let (report, outcome) = prep.optimize_cached(cache, text).unwrap();
+                        let stat = |c| report.stats.counter(c);
+                        assert_eq!(
+                            stat(Counter::OptimizerQueries),
+                            1,
+                            "request {i} of thread {t} reports another thread's work"
+                        );
+                        if stat(Counter::TranslateQueries) == 0 {
+                            // Decided on the text: no Step 2, one lookup.
+                            assert_eq!(outcome, CacheOutcome::Hit);
+                            assert_eq!(stat(Counter::PlanCacheInstanceHits), 1);
+                            assert_eq!(report.stats.spans["cache.lookup"].count, 1);
+                            assert!(!report.stats.spans.contains_key("step2.translate_query"));
+                        }
+                        for (sum, c) in sums.iter_mut().zip(SUMMED) {
+                            *sum += stat(c);
+                        }
+                    }
+                    // The scope joins on the closure's return, not on the
+                    // thread-local destructors that would publish this.
+                    obs::flush_local();
+                    sums
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    let whole = obs::snapshot().since(&before);
+
+    for (i, c) in SUMMED.into_iter().enumerate() {
+        let summed: u64 = per_thread.iter().map(|sums| sums[i]).sum();
+        assert_eq!(summed, whole.counter(c), "{c:?}: reports vs process");
+    }
+    let total = (THREADS * REQUESTS) as u64;
+    assert_eq!(whole.counter(Counter::OptimizerQueries), total);
+    // All but each text's miss and fill — raced, so a handful per thread
+    // and text — were decided on the text.
+    let by_text = total - whole.counter(Counter::TranslateQueries);
+    assert!(by_text >= total * 99 / 100, "{by_text} of {total}");
+}
