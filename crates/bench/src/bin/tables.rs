@@ -4,26 +4,25 @@
 //!
 //! ```text
 //! cargo run --release -p sqo-bench --bin tables [--quick]
-//! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/* rows only
+//! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/warm_hit* rows only
 //! cargo run --release -p sqo-bench --bin tables -- --store-recovery  # store/* row only
 //! cargo run --release -p sqo-bench --bin tables -- --edb             # x1/edb_* rows only
 //! ```
 //!
-//! Besides the human-readable tables, the run writes
+//! Besides the human-readable tables, a full run writes
 //! `BENCH_pipeline.json` at the repo root: a flat `{"name": median_ns}`
-//! map covering the e1/f2 pipeline benchmarks, the reference paths that
-//! still exist (`_baseline`: string canonical keys, the scan-only
-//! executor, an uncached request), the derived `speedup/…` ratios over
-//! them, `stage/…` entries carrying the
-//! mean per-stage span timings from the observability registry, and the
-//! `serve/…` rows measuring the query-serving path (cold per-request
-//! search vs warm semantic-plan-cache hits, sequential and concurrent,
-//! plus closed-loop TCP latency under the event loop, its
-//! thread-per-connection ablation, and 8-deep client pipelining), and
-//! the `x1/edb_*` rows: what the Datalog image of the served object base
-//! costs to rebuild (ms) and to hold (bytes per tuple).
+//! map of exactly the rows it measured — the e1/f2 pipeline benchmarks;
+//! the e3 indexed rewrite with its reference paths (`_baseline`: the
+//! original query on the scan-only executor, `_seed`: the rewrite on the
+//! scan-only executor) and `e1/canonical_dedup/string_baseline`; the two
+//! `speedup/…` ratios derived over the baselines; the in-process warm
+//! hit (`serve/warm_hit`, `_parsed`, `_obs_ns`);
+//! `store/recover_1m_objects`; and the `x1/edb_*` rows: what the Datalog
+//! image of the served object base costs to rebuild (ms) and to hold
+//! (bytes per tuple). `scripts/check_bench_manifest.py` knows every one
+//! of these names and rejects any other. What a request costs over a
+//! socket is measured by `benchmark/`, not here.
 
-use sqo_bench::loadgen::{self, LoadConfig};
 use sqo_bench::{
     asr_q1_scenario, asr_scenario, contradiction_scenario, indexed_rewrite_scenario,
     key_join_scenario, optimizer_with_n_ics, scope_reduction_scenario, served_university_base,
@@ -37,7 +36,6 @@ use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
 use sqo_objdb::{choose_best, execute, execute_with, ExecOptions, Value};
 use sqo_obs as obs;
-use sqo_service::ServeMode;
 use sqo_translate::translate_schema;
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
@@ -106,20 +104,16 @@ fn main() {
         return;
     }
 
-    // Standalone serving mode: re-run just the in-process warm hit and
-    // the closed-loop TCP phases (event-loop and thread-per-connection
-    // warm latency, pipelined warm latency, 10x-overload shed rate) and
-    // merge their rows into the committed manifest without re-running
-    // the full table sweep.
+    // Standalone serving mode: re-measure just the in-process warm hit
+    // and merge its rows into the committed manifest.
     if std::env::args().any(|a| a == "--serve") {
         let mut rows = BTreeMap::new();
         bench_warm_hit(&mut rows);
-        bench_serve_phases(quick, &mut rows);
         if quick {
-            println!("(quick mode — serve/* rows not persisted)");
+            println!("(quick mode — serve/warm_hit* rows not persisted)");
             return;
         }
-        merge_into_manifest(rows, "serve/* closed-loop rows");
+        merge_into_manifest(rows, "serve/warm_hit* rows");
         return;
     }
 
@@ -311,56 +305,31 @@ fn main() {
     println!("\n(done — see EXPERIMENTS.md for the expectations each table is checked against)");
 }
 
-/// Re-derives every `speedup/…` and `speedup_vs_seed/…` row from the
-/// measured rows and their `_baseline` / `_seed` references; returns the
-/// measured rows' names.
-fn derive_speedups(bench: &mut BTreeMap<String, f64>) -> Vec<String> {
-    let measured: Vec<String> = bench
-        .keys()
-        .filter(|n| {
-            !n.ends_with("_baseline")
-                && !n.ends_with("_seed")
-                && !n.ends_with("_qps")
-                && !n.starts_with("speedup")
-                && !n.starts_with("stage/")
-                && !n.starts_with("x1/")
-                && !n.contains("shed_rate")
-        })
-        .cloned()
-        .collect();
-    for name in &measured {
-        let cur = bench[name];
-        let base_name = if name == "e1/canonical_dedup/hash" {
-            "e1/canonical_dedup/string_baseline".to_string()
-        } else {
-            format!("{name}_baseline")
-        };
-        if let Some(base) = bench.get(&base_name).copied() {
-            bench.insert(format!("speedup/{name}"), base / cur);
-        }
-        if let Some(seed) = bench.get(&format!("{name}_seed")).copied() {
-            bench.insert(format!("speedup_vs_seed/{name}"), seed / cur);
-        }
-    }
-    measured
-}
+/// The derived `speedup/<row>` entries: each measured row against the
+/// reference path it is compared with.
+const SPEEDUPS: [(&str, &str); 2] = [
+    (
+        "e1/canonical_dedup/hash",
+        "e1/canonical_dedup/string_baseline",
+    ),
+    ("e3/indexed_rewrite", "e3/indexed_rewrite_baseline"),
+];
+
+const MANIFEST_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
 
 /// Merge freshly measured `rows` into the committed manifest, leaving
-/// every other measured row as recorded and re-deriving the ratios over
-/// them: how the standalone modes refresh their rows without the full
-/// table sweep.
+/// every other row as recorded: how the standalone modes refresh their
+/// rows without the full table sweep. None of their rows feeds a
+/// `speedup/…` ratio, so nothing is re-derived.
 fn merge_into_manifest(rows: BTreeMap<String, f64>, what: &str) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    let mut bench = read_manifest(path);
+    let mut bench = read_manifest(MANIFEST_PATH);
     bench.extend(rows);
-    derive_speedups(&mut bench);
-    write_manifest(path, &bench);
-    println!("(updated {what} in {path})");
+    write_manifest(MANIFEST_PATH, &bench);
+    println!("(updated {what} in {MANIFEST_PATH})");
 }
 
-/// Parse the flat `{"name": number}` manifest (the same line-based
-/// reader the merge step has always used — the file is written by
-/// [`write_manifest`], one entry per line).
+/// Parse the flat `{"name": number}` manifest (line-based: the file is
+/// written by [`write_manifest`], one entry per line).
 fn read_manifest(path: &str) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
     if let Ok(existing) = std::fs::read_to_string(path) {
@@ -385,9 +354,8 @@ fn write_manifest(path: &str, bench: &BTreeMap<String, f64>) {
     let mut json = String::from("{\n");
     for (i, (name, v)) in bench.iter().enumerate() {
         let sep = if i + 1 == bench.len() { "" } else { "," };
-        // Sub-100 values (speedup ratios, shed rates) need more digits
-        // than nanosecond medians: one decimal would round a 4% shed
-        // rate to 0.0 and fail the manifest's positivity check.
+        // Sub-100 values (speedup ratios, the x1 rows) need more digits
+        // than nanosecond medians.
         let rendered = if *v < 100.0 {
             format!("{v:.4}")
         } else {
@@ -447,17 +415,6 @@ fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
     }
 }
 
-/// The query every in-process `serve/*` row asks, and the prepared
-/// optimizer (university schema + IC4) it asks it of.
-const SERVE_Q: &str = "select x.name from x in Person where x.age < 25";
-
-fn serve_prep() -> sqo_core::PreparedOptimizer {
-    let mut o = SemanticOptimizer::university();
-    o.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
-        .unwrap();
-    o.prepare()
-}
-
 /// What a served warm hit runs in process, and what `obs` costs it: a
 /// query the plan cache has finished, asked again verbatim —
 /// `optimize_cached(text)`, then `explain_json_compact()` as the reply
@@ -478,8 +435,11 @@ fn serve_prep() -> sqo_core::PreparedOptimizer {
 /// hit itself. Runs at full strength in quick mode too: a round is
 /// milliseconds.
 fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
-    let prep = serve_prep();
-    let text = SERVE_Q;
+    let mut opt = SemanticOptimizer::university();
+    opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+        .unwrap();
+    let prep = opt.prepare();
+    let text = "select x.name from x in Person where x.age < 25";
     let parsed = sqo_oql::parse_oql(text).unwrap();
     let cache = PlanCache::new();
     // Miss, fill, and from here on instance hits — by either entry point.
@@ -534,70 +494,6 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
     // The manifest holds positive numbers only; a difference lost in the
     // noise is recorded as the smallest of them.
     bench.insert("serve/warm_hit_obs_ns".to_string(), obs_ns.max(1.0));
-}
-
-/// The closed-loop serving phases over real TCP, recorded into `bench`:
-///
-/// * warm 1x under the event loop (`serve/p50`, `serve/p99`) — clients
-///   equal workers, so admission can never shed and the quantiles are
-///   the service's intrinsic warm-cache latency;
-/// * the identical phase on the thread-per-connection ablation
-///   (`serve/p50_threaded`, `serve/p99_threaded`), the baseline the
-///   manifest gate compares the event loop against;
-/// * warm 1x with each client pipelining 8-request windows
-///   (`serve/p50_pipelined`, `serve/p99_pipelined`), which exercises
-///   the event loop's drain-all-complete-frames batching — per-request
-///   latency includes the wait behind the client's own window;
-/// * 10x overload (`serve/shed_rate_overload`) — ten clients per server
-///   slot against a small queue, where bounded admission must shed.
-///
-/// Warm quantiles keep the minimum over a few rounds (the same
-/// min-of-rounds rule the concurrent ns/query row uses), so the
-/// event-loop-vs-threaded comparison gates on intrinsic latency rather
-/// than on whichever round caught a scheduler hiccup. The quick run
-/// keeps the phases tiny but still asserts the closed-loop invariants.
-fn bench_serve_phases(quick: bool, bench: &mut BTreeMap<String, f64>) {
-    let reqs = if quick { 30 } else { 200 };
-    let rounds = if quick { 1 } else { 3 };
-    let warm_quantiles = |cfg: LoadConfig, label: &str| -> (f64, f64) {
-        let (mut p50, mut p99) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..rounds {
-            let r = loadgen::run(&cfg);
-            println!("{}", r.summary(label));
-            assert_eq!(r.shed, 0, "1x closed-loop load must never shed");
-            assert_eq!(r.other_errors, 0, "1x phase hit non-shed errors");
-            p50 = p50.min(r.p50_ns().expect("1x phase records latencies") as f64);
-            p99 = p99.min(r.p99_ns().expect("1x phase records latencies") as f64);
-        }
-        (p50, p99)
-    };
-    let (p50, p99) = warm_quantiles(LoadConfig::warm(4, reqs), "serve 1x warm (event loop)");
-    bench.insert("serve/p50".to_string(), p50);
-    bench.insert("serve/p99".to_string(), p99);
-    let (p50, p99) = warm_quantiles(
-        LoadConfig::warm(4, reqs).with_mode(ServeMode::Threaded),
-        "serve 1x warm (threaded ablation)",
-    );
-    bench.insert("serve/p50_threaded".to_string(), p50);
-    bench.insert("serve/p99_threaded".to_string(), p99);
-    let (p50, p99) = warm_quantiles(
-        LoadConfig::warm(4, reqs).pipelined(8),
-        "serve 1x warm (pipelined x8)",
-    );
-    bench.insert("serve/p50_pipelined".to_string(), p50);
-    bench.insert("serve/p99_pipelined".to_string(), p99);
-
-    let overload = loadgen::run(&LoadConfig::overload(2, 2, if quick { 10 } else { 50 }));
-    println!("{}", overload.summary("serve 10x overload (closed loop)"));
-    assert!(
-        overload.shed > 0,
-        "10x closed-loop overload against a bounded queue must shed"
-    );
-    assert_eq!(
-        overload.other_errors, 0,
-        "overload phase hit non-shed errors"
-    );
-    bench.insert("serve/shed_rate_overload".to_string(), overload.shed_rate());
 }
 
 /// Store durability: build an n-object store on disk — a compact
@@ -659,9 +555,10 @@ fn bench_store_recovery(quick: bool) -> (usize, f64) {
     (n as usize, ns)
 }
 
-/// Measure the e1/f2 pipeline benchmarks and the reference paths that
-/// still exist, then write the flat `{"name": median_ns}` map to
-/// `BENCH_pipeline.json` at the repo root.
+/// Measure the e1/f2/e3 pipeline benchmarks with their reference paths,
+/// the in-process warm hit, the EDB rows and store recovery, then write
+/// the flat `{"name": median_ns}` map to `BENCH_pipeline.json` at the
+/// repo root.
 fn bench_pipeline(quick: bool) {
     println!("\n## Pipeline benchmarks");
     // The microsecond-scale e1 entries need many repetitions for a
@@ -725,11 +622,6 @@ fn bench_pipeline(quick: bool) {
         Outcome::Equivalents(vs) => vs.into_iter().map(|v| v.query).collect(),
         Outcome::Contradiction { .. } => unreachable!("range query is satisfiable"),
     };
-    // serve: the query-serving path — a prepared (frozen) optimizer
-    // answering a parameterized query cold (fresh search per request)
-    // vs warm (semantic-plan-cache hit with retargeting).
-    let prep = serve_prep();
-    let serve_q = SERVE_Q;
     // e3: the indexed-rewrite scenario — the semantic rewrite binds an
     // ordered-indexed column (`salary`) the original query never touches.
     // Three rows: the rewrite on the indexed engine (current), the
@@ -851,58 +743,10 @@ fn bench_pipeline(quick: bool) {
                 );
             }),
         );
-        // Cold: every request pays translation + Step-3 search.
-        record(
-            &mut bench,
-            "serve/cold_miss",
-            median_ns(reps, || {
-                let cache = PlanCache::new();
-                std::hint::black_box(prep.optimize_cached(&cache, serve_q).unwrap());
-            }),
-        );
-        // The same request uncached: the baseline of `serve/warm_hit`
-        // (see bench_warm_hit).
-        record(
-            &mut bench,
-            "serve/warm_hit_baseline",
-            median_ns(reps, || {
-                std::hint::black_box(prep.optimize(serve_q).unwrap());
-            }),
-        );
-        // Concurrent warm throughput: every hardware thread hammering
-        // one shared cache; recorded as ns/query so the min-of-rounds
-        // rule applies (the derived `serve/warm_qps` is written below).
-        {
-            let cache = PlanCache::new();
-            let _ = prep.optimize_cached(&cache, serve_q).unwrap();
-            let threads = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2);
-            let per_thread = if quick { 16 } else { 64 };
-            let t0 = Instant::now();
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| {
-                        for _ in 0..per_thread {
-                            std::hint::black_box(prep.optimize_cached(&cache, serve_q).unwrap());
-                        }
-                    });
-                }
-            });
-            record(
-                &mut bench,
-                "serve/warm_concurrent_ns_per_query",
-                t0.elapsed().as_secs_f64() * 1e9 / (threads * per_thread) as f64,
-            );
-        }
     }
 
     // The in-process warm hit and what `obs` costs it.
     bench_warm_hit(&mut bench);
-
-    // Closed-loop serving phases over real TCP (see bench_serve_phases).
-    println!();
-    bench_serve_phases(quick, &mut bench);
 
     // EDB rebuild and footprint of the served base.
     bench_edb_storage(quick, &mut bench);
@@ -911,77 +755,39 @@ fn bench_pipeline(quick: bool) {
     let (_, recover_ns) = bench_store_recovery(quick);
     bench.insert("store/recover_1m_objects".to_string(), recover_ns);
 
-    // Merge with any entries already recorded in the file (notably the
-    // `*_seed` medians measured once against the pre-PR seed build,
-    // which this binary cannot regenerate), then derive the speedup
-    // ratios from the merged map.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
-    for (k, v) in read_manifest(path) {
-        // `speedup/…` is re-derived and `stage/…` re-snapshotted below,
-        // so stale entries under either prefix never survive a rewrite.
-        if k.starts_with("speedup") || k.starts_with("stage/") || bench.contains_key(&k) {
+    println!("{:>44} {:>14} {:>10}", "bench", "median (ns)", "vs base");
+    for (name, base) in SPEEDUPS {
+        bench.insert(format!("speedup/{name}"), bench[base] / bench[name]);
+    }
+    for (name, ns) in &bench {
+        // The x1 rows are ms and bytes, printed with their own table.
+        if name.starts_with("speedup/") || name.starts_with("x1/") {
             continue;
         }
-        bench.insert(k, v);
-    }
-    // Stage-level breakdown: mean span time per pipeline stage, from the
-    // observability registry populated by all the work this process did
-    // above (parse, translate, search, eval, execute). These carry their
-    // own `stage/` namespace and take no part in the speedup derivation.
-    for (name, stat) in &obs::snapshot().spans {
-        bench.insert(format!("stage/{name}"), stat.mean_ns() as f64);
-    }
-    let measured = derive_speedups(&mut bench);
-    // Queries/sec is derived, not measured: re-computed from the
-    // (min-of-rounds) concurrent ns/query on every full run.
-    if let Some(ns) = bench.get("serve/warm_concurrent_ns_per_query").copied() {
-        bench.insert("serve/warm_qps".to_string(), 1e9 / ns);
-    }
-
-    println!(
-        "{:>44} {:>14} {:>10} {:>10}",
-        "bench", "median (ns)", "vs base", "vs seed"
-    );
-    for name in &measured {
-        let fmt = |r: Option<&f64>| match r {
+        let vs_base = match bench.get(&format!("speedup/{name}")) {
             Some(r) => format!("{r:.2}x"),
             None => "-".into(),
         };
-        println!(
-            "{name:>44} {:>14.0} {:>10} {:>10}",
-            bench[name],
-            fmt(bench.get(&format!("speedup/{name}"))),
-            fmt(bench.get(&format!("speedup_vs_seed/{name}"))),
-        );
-    }
-    if let Some(qps) = bench.get("serve/warm_qps") {
-        println!("{:>44} {qps:>14.0} (derived)", "serve/warm_qps");
-    }
-    if let Some(rate) = bench.get("serve/shed_rate_overload") {
-        println!(
-            "{:>44} {:>13.1}% (10x overload)",
-            "serve/shed_rate_overload",
-            rate * 100.0
-        );
+        println!("{name:>44} {ns:>14.0} {vs_base:>10}");
     }
 
     // Quick mode trades repetitions for speed; its medians are too noisy
     // to record, so it never overwrites the manifest — and says so, so a
     // CI log never reads as if the manifest were refreshed.
     if quick {
-        if std::path::Path::new(path).exists() {
+        if std::path::Path::new(MANIFEST_PATH).exists() {
             println!(
-                "\n(quick mode — declining to overwrite {path}: quick-run medians \
+                "\n(quick mode — declining to overwrite {MANIFEST_PATH}: quick-run medians \
                  are too noisy to persist; existing manifest kept as-is)"
             );
         } else {
             println!(
-                "\n(quick mode — declining to write {path}: quick-run medians are \
+                "\n(quick mode — declining to write {MANIFEST_PATH}: quick-run medians are \
                  too noisy to persist; run without --quick to generate it)"
             );
         }
         return;
     }
-    write_manifest(path, &bench);
-    println!("\n(wrote {path})");
+    write_manifest(MANIFEST_PATH, &bench);
+    println!("\n(wrote {MANIFEST_PATH})");
 }

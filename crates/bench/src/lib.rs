@@ -8,8 +8,6 @@
 //! holds the scenario builders shared by the Criterion benches and the
 //! `tables` binary.
 
-pub mod loadgen;
-
 use sqo_core::{SemanticOptimizer, Verdict};
 use sqo_datalog::{Literal, Query};
 use sqo_objdb::{ObjectDb, UniversityConfig, UniversityData};

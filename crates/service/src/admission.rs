@@ -4,8 +4,8 @@
 //! threads. When the queue is full the submission is *shed* immediately
 //! (the client gets `overloaded` instead of unbounded latency), and a
 //! task whose deadline passed while it waited is dropped at dequeue
-//! without running — dropping it tears down its reply channel, which the
-//! waiting connection observes as `deadline_exceeded`. A task that
+//! without running — its reply half stays silent, and the serving loop
+//! answers the request `deadline_exceeded`. A task that
 //! panics costs its own request only: the worker catches the unwind,
 //! counts `serve.worker_panic` and takes the next task.
 
@@ -25,7 +25,7 @@ pub struct Task {
     /// `serve.wait_ns` counter, and recorded into the `serve.wait`
     /// histogram — so shed decisions are explainable from metrics.
     pub submitted: Instant,
-    /// The work itself (owns its reply channel); receives the admission
+    /// The work itself (owns its reply half); receives the admission
     /// wait it experienced.
     pub run: Box<dyn FnOnce(Duration) + Send + 'static>,
 }
@@ -103,7 +103,7 @@ impl Pool {
     }
 
     /// Stops accepting work, drains nothing further, and joins the
-    /// workers. Pending tasks are dropped (their reply channels close).
+    /// workers. Pending tasks are dropped unrun.
     pub fn shutdown(&mut self) {
         {
             let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -145,9 +145,8 @@ fn worker_loop(inner: &PoolInner) {
         obs::add(obs::Counter::ServeWaitNs, wait_ns);
         obs::record_hist("serve.wait", wait_ns);
         if Instant::now() > task.deadline {
-            // Expired while queued: drop without running. The waiting
-            // connection sees the reply channel close and reports
-            // deadline_exceeded.
+            // Expired while queued: drop without running. The serving
+            // loop's deadline sweep answers deadline_exceeded.
             drop(task);
             continue;
         }

@@ -1,26 +1,25 @@
-//! The readiness-driven serving mode: one loop thread multiplexing
-//! every connection over non-blocking sockets.
+//! The serving loop: one thread multiplexing every connection over
+//! non-blocking sockets, driven by readiness.
 //!
 //! Connections are state machines, not threads. Each one owns an
 //! incremental [`LineFramer`](crate::framing::LineFramer) for reads, an
 //! in-order response queue (*slots*), and a pending write buffer. A
 //! single wake-up drains **all** complete frames a connection has
-//! buffered (pipelined batching), routes each through the same
-//! [`route`](crate::server) table as the threaded mode, and queues the
-//! responses strictly in request order — a later request answered early
-//! (a cache hit behind a slow miss) waits in its slot until everything
-//! ahead of it is on the wire.
+//! buffered (pipelined batching), routes each through
+//! [`route`](crate::server), and queues the responses strictly in
+//! request order — a later request answered early (a cache hit behind a
+//! slow miss) waits in its slot until everything ahead of it is on the
+//! wire.
 //!
 //! Division of labour: control ops (`ping`, `metrics`, `prepare`, …)
 //! are answered inline on the loop thread; `query` work is submitted to
-//! the same admission [`Pool`](crate::admission::Pool) as threaded mode
-//! — shed and queue semantics are byte-for-byte identical — and the
-//! worker hands the formatted response back through a completion queue,
-//! waking the loop via a self-pipe. Deadlines are enforced by the loop:
-//! the poll timeout is the nearest pending deadline, and an expired
-//! slot is answered with `deadline_exceeded` (a late worker result for
-//! an already-answered slot is dropped, mirroring the closed reply
-//! channel of the threaded path).
+//! the admission [`Pool`](crate::admission::Pool) — a full queue is
+//! answered `overloaded` on the spot — and the worker hands the
+//! formatted response back through a completion queue, waking the loop
+//! via a self-pipe. Deadlines are enforced by the loop: the poll timeout
+//! is the nearest pending deadline, and an expired slot is answered with
+//! `deadline_exceeded` (a late worker result for an already-answered
+//! slot is dropped).
 //!
 //! Nothing here blocks on a socket, so a slow-loris peer dribbling one
 //! byte per minute costs one framer tail, never a worker thread, and a
@@ -208,9 +207,10 @@ impl Loop {
                     if self.shared.stop.load(Ordering::Acquire) {
                         continue; // shutting down: accept-and-drop
                     }
-                    // Same rationale as the threaded mode: tiny request
-                    // and response lines lose whole delayed-ACK timers
-                    // to Nagle.
+                    // One small request line begets one small response
+                    // line; letting Nagle hold either back couples the
+                    // protocol to the peer's delayed-ACK timer (tens of
+                    // ms per round trip on loopback).
                     let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
@@ -366,8 +366,7 @@ impl Loop {
 
     /// Files worker results into their slots. A completion whose slot
     /// is gone (connection closed) or already `Ready` (deadline beat
-    /// the worker) is dropped, exactly as the threaded mode drops a
-    /// send into a closed reply channel.
+    /// the worker) is dropped.
     fn apply_completions(&mut self) {
         let done: Vec<Completion> =
             std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()));
@@ -385,9 +384,8 @@ impl Loop {
         }
     }
 
-    /// Answers every expired pending slot with `deadline_exceeded`,
-    /// matching the threaded mode's `recv_timeout` path (including the
-    /// counter bump).
+    /// Answers every expired pending slot with `deadline_exceeded` and
+    /// counts it (`serve.deadline_exceeded`).
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         for conn in self.conns.values_mut() {

@@ -79,14 +79,11 @@ impl Json {
 /// Parses exactly one JSON value from `src` (surrounding whitespace
 /// allowed, trailing content rejected).
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(format!("trailing content at byte {}", p.pos));
     }
     Ok(v)
@@ -97,23 +94,19 @@ pub fn parse(src: &str) -> Result<Json, String> {
 pub use sqo_obs::json_compact as compact;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), String> {
@@ -126,7 +119,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -221,7 +214,8 @@ impl Parser<'_> {
                         Some(b'f') => s.push('\u{000C}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
@@ -235,12 +229,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one (possibly multi-byte) character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape
+                    // in one go. Both delimiters are ASCII and `pos`
+                    // only ever advances over whole characters, so the
+                    // run starts and ends on character boundaries.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -256,7 +253,7 @@ impl Parser<'_> {
         }) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {text:?}"))
@@ -288,6 +285,30 @@ mod tests {
         assert!(parse("{\"a\": 1} trailing").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_runs_and_every_escape() {
+        // Runs of plain characters (1- to 4-byte) on both sides of each
+        // escape, and escapes back to back with no run between them.
+        let src = r#""aé€😀\"é\\€\/😀\n\t\r\b\fé\u00e9\u20ACz😀""#;
+        let want = "aé€😀\"é\\€/😀\n\t\r\u{8}\u{c}é\u{e9}\u{20ac}z😀";
+        assert_eq!(parse(src).unwrap(), Json::Str(want.to_string()));
+        // As an object key and value, with a long run.
+        let long = "ü".repeat(10_000);
+        let v = parse(&format!(r#"{{"{long}":"{long}\n"}}"#)).unwrap();
+        assert_eq!(
+            v.get(&long).and_then(Json::as_str),
+            Some(format!("{long}\n").as_str())
+        );
+        assert_eq!(parse(r#""aé"#), Err("unterminated string".to_string()));
+        assert_eq!(parse(r#""aé\"#), Err("bad escape at byte 5".to_string()));
+        assert_eq!(parse(r#""é\x""#), Err("bad escape at byte 4".to_string()));
+        assert!(parse(r#""\u00"#).is_err());
+        // A `\u` whose four bytes end inside a character is rejected, so
+        // no run can start off a character boundary.
+        assert!(parse(r#""\u00é""#).is_err());
+        assert!(parse(r#""\u000é""#).is_err());
     }
 
     #[test]

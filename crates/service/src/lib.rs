@@ -47,7 +47,7 @@ pub mod server;
 pub mod slowlog;
 
 pub use registry::{Session, SessionRegistry, SessionSpec};
-pub use server::{ServeMode, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use slowlog::{SlowEntry, SlowLog};
 
 /// Why a request was not answered with a result.

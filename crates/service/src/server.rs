@@ -44,10 +44,9 @@ use crate::slowlog::{SlowEntry, SlowLog};
 use crate::ServeError;
 use sqo_obs as obs;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Histogram series pinned into every `metrics` reply (with zero samples
@@ -62,38 +61,6 @@ const PINNED_HISTS: [&str; 7] = [
     "objdb.execute",
     "store.recover",
 ];
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One OS thread per connection, blocking reads (the PR-3 design,
-    /// kept as the ablation baseline).
-    Threaded,
-    /// A single readiness-driven event loop over non-blocking sockets;
-    /// connections are per-loop state machines and only CPU-bound query
-    /// work runs on the worker pool. Falls back to [`ServeMode::Threaded`]
-    /// on non-Unix targets.
-    EventLoop,
-}
-
-impl ServeMode {
-    /// Parses the `--serve-mode` flag value.
-    pub fn parse(s: &str) -> Option<ServeMode> {
-        match s {
-            "threaded" => Some(ServeMode::Threaded),
-            "event-loop" => Some(ServeMode::EventLoop),
-            _ => None,
-        }
-    }
-
-    /// The wire label reported under `"serve_mode"` in `metrics`.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServeMode::Threaded => "threaded",
-            ServeMode::EventLoop => "event-loop",
-        }
-    }
-}
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -113,11 +80,9 @@ pub struct ServerConfig {
     /// When set, every slow-log entry is also appended to this file as a
     /// JSON line.
     pub slowlog_path: Option<String>,
-    /// Connection multiplexing strategy.
-    pub mode: ServeMode,
-    /// Largest accepted request line in bytes (event-loop mode only);
-    /// a longer line is answered with `bad_request` and the connection
-    /// is closed, bounding per-connection memory.
+    /// Largest accepted request line in bytes; a longer line is
+    /// answered with `bad_request` and the connection is closed,
+    /// bounding per-connection memory.
     pub max_frame_bytes: usize,
 }
 
@@ -131,7 +96,6 @@ impl Default for ServerConfig {
             slow_ms: 250,
             slowlog_capacity: 128,
             slowlog_path: None,
-            mode: ServeMode::EventLoop,
             max_frame_bytes: 1 << 20,
         }
     }
@@ -146,7 +110,6 @@ pub(crate) struct Shared {
     pub(crate) queue_capacity: usize,
     pub(crate) default_timeout: Duration,
     pub(crate) slowlog: Arc<SlowLog>,
-    pub(crate) mode: ServeMode,
     pub(crate) max_frame_bytes: usize,
 }
 
@@ -157,8 +120,16 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `cfg.addr` and spawns the worker pool.
+    /// Binds `cfg.addr` and spawns the worker pool. Serving needs a Unix
+    /// readiness poller (epoll or `poll(2)`, the `poll` module); on any
+    /// other target this returns [`std::io::ErrorKind::Unsupported`].
     pub fn bind(cfg: ServerConfig, registry: Arc<SessionRegistry>) -> std::io::Result<Server> {
+        if cfg!(not(unix)) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "sqo serve requires a Unix poller (epoll or poll(2))",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let slowlog = SlowLog::new(
@@ -178,7 +149,6 @@ impl Server {
             queue_capacity: cfg.queue_capacity.max(1),
             default_timeout: Duration::from_millis(cfg.default_timeout_ms.max(1)),
             slowlog: Arc::new(slowlog),
-            mode: effective_mode(cfg.mode),
             max_frame_bytes: cfg.max_frame_bytes.max(1024),
         });
         Ok(Server { listener, shared })
@@ -189,78 +159,15 @@ impl Server {
         self.shared.local_addr
     }
 
-    /// Serves until a `shutdown` request, multiplexing connections
-    /// according to the configured [`ServeMode`].
+    /// Serves until a `shutdown` request has been answered and flushed:
+    /// one readiness loop over every connection, `query` work on the
+    /// worker pool.
     pub fn run(self) -> std::io::Result<()> {
-        match self.shared.mode {
-            ServeMode::Threaded => self.run_threaded(),
-            #[cfg(unix)]
-            ServeMode::EventLoop => crate::event_loop::run(self.listener, self.shared),
-            #[cfg(not(unix))]
-            ServeMode::EventLoop => unreachable!("effective_mode folds to Threaded off Unix"),
-        }
+        #[cfg(unix)]
+        return crate::event_loop::run(self.listener, self.shared);
+        #[cfg(not(unix))]
+        unreachable!("Server::bind fails off Unix")
     }
-
-    /// Accept loop of the threaded ablation mode. Each connection is
-    /// served by its own thread; the bounded resource is the query
-    /// queue, not the connection count.
-    fn run_threaded(self) -> std::io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.shared.stop.load(Ordering::Acquire) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let _ = handle_conn(&shared, stream);
-                obs::flush_local();
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Folds the requested mode to what the target can actually run: the
-/// readiness loop needs a Unix poller, elsewhere `threaded` serves.
-fn effective_mode(requested: ServeMode) -> ServeMode {
-    if cfg!(unix) {
-        requested
-    } else {
-        ServeMode::Threaded
-    }
-}
-
-fn handle_conn(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
-    // One small request line begets one small response line; letting
-    // Nagle hold either back just couples the protocol to the peer's
-    // delayed-ACK timer (tens of ms per round trip on loopback).
-    let _ = stream.set_nodelay(true);
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = handle_line(shared, &line);
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        // By the time the client sees a response, this thread's counter
-        // bumps are globally visible (metrics may be read elsewhere).
-        obs::flush_local();
-        if shared.stop.load(Ordering::Acquire) {
-            // Unblock the accept loop only now that the goodbye line is
-            // flushed: doing it inside the shutdown handler would race
-            // process exit against this thread's response write.
-            let _ = TcpStream::connect(shared.local_addr);
-            break;
-        }
-    }
-    Ok(())
 }
 
 pub(crate) fn error_response(e: &ServeError) -> String {
@@ -271,14 +178,12 @@ pub(crate) fn error_response(e: &ServeError) -> String {
     )
 }
 
-/// What a request line routed to: both serving modes share this so the
-/// wire bytes per request are identical regardless of transport.
+/// What a request line routed to.
 pub(crate) enum Routed {
     /// Fully handled inline (control ops and every error path).
     Done(String),
-    /// An admitted-shape `query`: the caller decides how to wait on the
-    /// worker pool (blocking channel in threaded mode, completion queue
-    /// in the event loop).
+    /// An admitted-shape `query`, not yet submitted: the event loop
+    /// reserves its response slot, then calls [`submit_job`].
     Query(Box<QueryJob>),
     /// `shutdown`: the stop flag is already set; write this response,
     /// then stop serving.
@@ -309,21 +214,14 @@ fn route_inner(shared: &Arc<Shared>, line: &str) -> Result<Routed, ServeError> {
         "persist" => persist(shared, &req).map(Routed::Done),
         "query" => Ok(Routed::Query(Box::new(parse_query(shared, &req)?))),
         "shutdown" => {
-            // The transport unblocks/exits only after the response line
-            // is on the wire (see the per-mode loops for why).
+            // The event loop exits only after the response line is on
+            // the wire.
             shared.stop.store(true, Ordering::Release);
             Ok(Routed::Shutdown(
                 r#"{"ok":true,"op":"shutdown"}"#.to_string(),
             ))
         }
         other => Err(ServeError::BadRequest(format!("unknown op {other:?}"))),
-    }
-}
-
-pub(crate) fn handle_line(shared: &Arc<Shared>, line: &str) -> String {
-    match route(shared, line) {
-        Routed::Done(resp) | Routed::Shutdown(resp) => resp,
-        Routed::Query(job) => run_query_sync(shared, *job),
     }
 }
 
@@ -389,8 +287,7 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
         .collect();
     let snapshot = obs::snapshot();
     format!(
-        r#"{{"ok":true,"op":"metrics","serve_mode":{},"workers":{},"queue_capacity":{},"queue_depth":{},"queue_depth_hwm":{},"sessions":[{}],"hist":{},"stats":{}}}"#,
-        obs::json_string(shared.mode.label()),
+        r#"{{"ok":true,"op":"metrics","workers":{},"queue_capacity":{},"queue_depth":{},"queue_depth_hwm":{},"sessions":[{}],"hist":{},"stats":{}}}"#,
         shared.workers,
         shared.queue_capacity,
         shared.pool.queue_depth(),
@@ -617,8 +514,7 @@ pub(crate) struct QueryJob {
 }
 
 /// Validates a `query` request into a [`QueryJob`]. Counts the request
-/// (`serve.requests`) whether or not validation succeeds, exactly as
-/// the seed thread-per-connection path did.
+/// (`serve.requests`) whether or not validation succeeds.
 fn parse_query(shared: &Arc<Shared>, req: &Json) -> Result<QueryJob, ServeError> {
     obs::add(obs::Counter::ServeRequests, 1);
     let name = session_name(req)?.to_string();
@@ -657,10 +553,10 @@ fn parse_query(shared: &Arc<Shared>, req: &Json) -> Result<QueryJob, ServeError>
 
 /// The reply half of an admitted query: called once, on the worker, with
 /// the response line. A worker that panics drops it uncalled mid-unwind;
-/// it then answers `internal_error` itself, so neither an event-loop
-/// slot nor a threaded connection is left waiting for its deadline. A
-/// task dropped unrun (expired in the queue, pool shut down) stays
-/// silent, as before.
+/// it then answers `internal_error` itself, so the request's slot is
+/// not left waiting for its deadline. A task dropped unrun (expired in
+/// the queue, pool shut down) stays silent: the loop's deadline sweep
+/// answers it.
 pub(crate) struct Reply(Option<Box<dyn FnOnce(String) + Send>>);
 
 impl Reply {
@@ -713,34 +609,7 @@ pub(crate) fn submit_job(shared: &Arc<Shared>, job: QueryJob, reply: Reply) -> b
     })
 }
 
-/// Threaded-mode query path: submit, then block the connection thread
-/// until the response or the deadline, whichever comes first.
-fn run_query_sync(shared: &Arc<Shared>, job: QueryJob) -> String {
-    let deadline = job.deadline;
-    let (tx, rx) = mpsc::sync_channel::<String>(1);
-    let admitted = submit_job(
-        shared,
-        job,
-        Reply::new(move |resp| {
-            let _ = tx.send(resp);
-        }),
-    );
-    if !admitted {
-        return error_response(&ServeError::Overloaded);
-    }
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    match rx.recv_timeout(remaining) {
-        Ok(resp) => resp,
-        Err(_) => {
-            // Timed out waiting, or the pool dropped the expired task.
-            obs::add(obs::Counter::ServeDeadlineExceeded, 1);
-            error_response(&ServeError::DeadlineExceeded)
-        }
-    }
-}
-
-/// The success envelope for a completed query, shared by both serving
-/// modes so transports cannot drift apart on the wire.
+/// The success envelope for a completed query.
 pub(crate) fn format_query_ok(name: &str, a: &QueryAnswer) -> String {
     let mut extra = String::new();
     if let Some((plan_index, plan_cost, answers)) = a.exec {

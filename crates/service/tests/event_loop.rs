@@ -1,13 +1,12 @@
-//! Event-loop-mode wire tests: pipelined batching, adversarial
-//! connections, and counter equivalence against the threaded ablation
-//! mode.
+//! Wire tests of the serving loop: pipelined batching, adversarial
+//! connections, and the counters a fixed workload must leave behind.
 //!
 //! Tests assert on obs counter deltas (process-global), so every test in
 //! this binary serializes through one lock.
 
 use sqo_obs as obs;
 use sqo_service::json::{self, Json};
-use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
+use sqo_service::{Server, ServerConfig, SessionRegistry, SessionSpec};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
@@ -35,7 +34,6 @@ fn start_server(cfg: ServerConfig) -> SocketAddr {
 fn event_loop_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        mode: ServeMode::EventLoop,
         ..ServerConfig::default()
     }
 }
@@ -173,9 +171,8 @@ fn slow_loris_never_stalls_fast_clients() {
     slow.write_all(head).unwrap();
     slow.flush().unwrap();
 
-    // With the threaded seed this held one worker hostage per loris; on
-    // the event loop it must cost nothing. 32 full round trips while
-    // the frame dangles.
+    // A dangling frame holds no thread: 32 full round trips while it
+    // dangles.
     let started = Instant::now();
     for _ in 0..32 {
         let resps = roundtrip(addr, &[r#"{"op":"ping"}"#.to_string()]);
@@ -193,6 +190,48 @@ fn slow_loris_never_stalls_fast_clients() {
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
     assert_eq!(resp.get("op").and_then(Json::as_str), Some("query"));
     shutdown(addr);
+}
+
+/// Every frame is parsed on the loop thread, so the cost of the largest
+/// frame the server accepts is a latency every connection pays: a frame
+/// just inside `max_frame_bytes` is answered, and a `ping` on a second
+/// connection issued while it is in flight returns, each within 1 s.
+/// A parse superlinear in the frame size misses both bounds by seconds.
+#[test]
+fn a_full_size_frame_does_not_hold_up_other_connections() {
+    let _g = lock();
+    let cfg = event_loop_config();
+    let (head, tail) = (r#"{"op":"ping","pad":""#, "\"}\n");
+    let pad = "x".repeat(cfg.max_frame_bytes - 64 - head.len() - (tail.len() - 1));
+    let frame = [head, &pad, tail].concat();
+    assert_eq!(frame.len() - 1, cfg.max_frame_bytes - 64);
+    let addr = start_server(cfg);
+
+    let mut big = connect(addr);
+    let mut bystander = connect(addr);
+    big.write_all(frame.as_bytes()).unwrap();
+    big.flush().unwrap();
+    let sent = Instant::now();
+    writeln!(bystander, r#"{{"op":"ping"}}"#).unwrap();
+    bystander.flush().unwrap();
+    let pong = read_response(&mut BufReader::new(bystander.try_clone().unwrap()));
+    let bystander_waited = sent.elapsed();
+    let reply = read_response(&mut BufReader::new(big.try_clone().unwrap()));
+    let frame_waited = sent.elapsed();
+    shutdown(addr);
+
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(reply.get("ok"), Some(&Json::Bool(true)));
+    assert_eq!(reply.get("op").and_then(Json::as_str), Some("ping"));
+    assert!(
+        bystander_waited < Duration::from_secs(1),
+        "a ping waited {bystander_waited:?} behind another connection's frame"
+    );
+    assert!(
+        frame_waited < Duration::from_secs(1),
+        "a {}-byte frame took {frame_waited:?} to answer",
+        frame.len() - 1
+    );
 }
 
 /// Satellite: an endless unterminated frame is cut off at the
@@ -331,106 +370,65 @@ fn mid_request_disconnect_leaves_server_healthy() {
     shutdown(addr);
 }
 
-/// Satellite (fix check): the sharded plan cache and the event loop
-/// leave every `serve.*` and `plan_cache.*` counter exactly where the
-/// threaded mode leaves it for the same workload — including shard
-/// stats summing to the old global totals.
+/// A fixed workload leaves every `serve.*` and `plan_cache.*` counter
+/// at the workload's arithmetic, with the per-shard cache stats summing
+/// to the session totals `metrics` reports.
 #[test]
-fn counters_are_equivalent_across_modes() {
+fn counters_match_the_workloads_arithmetic() {
     let _g = lock();
-
-    fn run_workload(mode: ServeMode) -> Vec<(&'static str, u64)> {
-        let before = obs::snapshot();
-        let addr = start_server(ServerConfig {
-            workers: 2,
-            mode,
-            ..event_loop_config()
-        });
-        let mut lines: Vec<String> = Vec::new();
-        // A parameterized family: one miss, then hits.
-        for i in 0..6 {
-            lines.push(query_line(&format!(
-                "select x.name from x in Person where x.age < {}",
-                20 + i
-            )));
-        }
-        // A second template.
-        lines.push(query_line(
-            "select x.age from x in Student where x.age < 25",
-        ));
-        // Invalidate (2 cached templates drop), then repopulate one.
-        lines.push(format!(
-            r#"{{"op":"reload_ic","ic":{}}}"#,
-            obs::json_string(IC4)
-        ));
-        lines.push(query_line(
-            "select x.name from x in Person where x.age < 21",
-        ));
-        // Trailing metrics round trip forces every prior counter bump
-        // to be flushed before we snapshot.
-        lines.push(r#"{"op":"metrics"}"#.to_string());
-        let resps = roundtrip(addr, &lines);
-        shutdown(addr);
-        for r in &resps {
-            assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-        }
-        let metrics = resps.last().unwrap();
-        assert_eq!(
-            metrics.get("serve_mode").and_then(Json::as_str),
-            Some(mode.label())
-        );
-        // Shard stats visible on the wire: the session reports its
-        // shard count alongside the (summed) cached-template count.
-        let session = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0].clone();
-        let shards = session.get("cache_shards").and_then(Json::as_u64).unwrap();
-        assert!(shards >= 1 && shards.is_power_of_two());
-        assert_eq!(
-            session.get("cached_templates").and_then(Json::as_u64),
-            Some(1),
-            "one template repopulated after the reload"
-        );
-
-        let delta = obs::snapshot().since(&before);
-        let keys = [
-            ("serve.requests", obs::Counter::ServeRequests),
-            ("serve.shed", obs::Counter::ServeShed),
-            (
-                "serve.deadline_exceeded",
-                obs::Counter::ServeDeadlineExceeded,
-            ),
-            ("plan_cache.hits", obs::Counter::PlanCacheHits),
-            ("plan_cache.rebinds", obs::Counter::PlanCacheRebinds),
-            ("plan_cache.misses", obs::Counter::PlanCacheMisses),
-            (
-                "plan_cache.invalidations",
-                obs::Counter::PlanCacheInvalidations,
-            ),
-        ];
-        keys.iter().map(|(n, c)| (*n, delta.counter(*c))).collect()
+    let before = obs::snapshot();
+    let addr = start_server(ServerConfig {
+        workers: 2,
+        ..event_loop_config()
+    });
+    let mut lines: Vec<String> = Vec::new();
+    // A parameterized family: one miss, then hits.
+    for i in 0..6 {
+        lines.push(query_line(&format!(
+            "select x.name from x in Person where x.age < {}",
+            20 + i
+        )));
     }
-
-    let event_loop = run_workload(ServeMode::EventLoop);
-    let threaded = run_workload(ServeMode::Threaded);
+    // A second template.
+    lines.push(query_line(
+        "select x.age from x in Student where x.age < 25",
+    ));
+    // Invalidate (2 cached templates drop), then repopulate one.
+    lines.push(format!(
+        r#"{{"op":"reload_ic","ic":{}}}"#,
+        obs::json_string(IC4)
+    ));
+    lines.push(query_line(
+        "select x.name from x in Person where x.age < 21",
+    ));
+    // Trailing metrics round trip forces every prior counter bump to be
+    // flushed before we snapshot.
+    lines.push(r#"{"op":"metrics"}"#.to_string());
+    let resps = roundtrip(addr, &lines);
+    shutdown(addr);
+    for r in &resps {
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+    }
+    // Shard stats visible on the wire: the session reports its shard
+    // count alongside the (summed) cached-template count.
+    let metrics = resps.last().unwrap();
+    let session = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0].clone();
+    let shards = session.get("cache_shards").and_then(Json::as_u64).unwrap();
+    assert!(shards >= 1 && shards.is_power_of_two());
     assert_eq!(
-        event_loop, threaded,
-        "counter totals must not depend on the serving mode"
+        session.get("cached_templates").and_then(Json::as_u64),
+        Some(1),
+        "one template repopulated after the reload"
     );
-    // And the absolute values are the workload's arithmetic, not just
-    // mutually consistent: 8 queries, 5 hits (ages 21..25 of the first
-    // family), 3 misses (family, second template, post-reload), 2
-    // invalidated entries.
-    let get = |k: &str| {
-        event_loop
-            .iter()
-            .find(|(n, _)| *n == k)
-            .map(|(_, v)| *v)
-            .unwrap()
-    };
-    assert_eq!(get("serve.requests"), 8);
-    assert_eq!(get("serve.shed"), 0);
-    assert_eq!(get("serve.deadline_exceeded"), 0);
-    assert_eq!(get("plan_cache.hits"), 5);
-    assert_eq!(get("plan_cache.rebinds"), 0);
-    assert_eq!(get("plan_cache.misses"), 3);
-    assert_eq!(get("plan_cache.invalidations"), 2);
+
+    // 8 queries, 5 hits (ages 21..25 of the first family), 3 misses
+    // (family, second template, post-reload), 2 invalidated entries.
+    let delta = obs::snapshot().since(&before);
+    assert_eq!(delta.counter(obs::Counter::ServeRequests), 8);
+    assert_eq!(delta.counter(obs::Counter::ServeShed), 0);
+    assert_eq!(delta.counter(obs::Counter::ServeDeadlineExceeded), 0);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheHits), 5);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheRebinds), 0);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheMisses), 3);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheInvalidations), 2);
 }

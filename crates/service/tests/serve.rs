@@ -6,10 +6,10 @@
 use sqo_core::SemanticOptimizer;
 use sqo_obs as obs;
 use sqo_service::json::{self, Json};
-use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
+use sqo_service::{Server, ServerConfig, SessionRegistry, SessionSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 static LOCK: Mutex<()> = Mutex::new(());
 
@@ -64,6 +64,11 @@ fn shutdown(addr: SocketAddr) {
 
 fn query_line(oql: &str) -> String {
     format!(r#"{{"op":"query","oql":{}}}"#, obs::json_string(oql))
+}
+
+/// The `error.kind` of a failed response.
+fn error_kind(resp: &Json) -> Option<&str> {
+    resp.get("error")?.get("kind")?.as_str()
 }
 
 /// The rewrite OQL strings of a wire `query` response.
@@ -248,16 +253,10 @@ fn protocol_errors_are_structured() {
         ],
     );
     shutdown(addr);
-    let kind = |r: &Json| {
-        r.get("error")
-            .and_then(|e| e.get("kind"))
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
-    assert_eq!(kind(&resps[0]).as_deref(), Some("bad_request"));
-    assert_eq!(kind(&resps[1]).as_deref(), Some("bad_request"));
-    assert_eq!(kind(&resps[2]).as_deref(), Some("unknown_session"));
-    assert_eq!(kind(&resps[3]).as_deref(), Some("bad_request"));
+    assert_eq!(error_kind(&resps[0]), Some("bad_request"));
+    assert_eq!(error_kind(&resps[1]), Some("bad_request"));
+    assert_eq!(error_kind(&resps[2]), Some("unknown_session"));
+    assert_eq!(error_kind(&resps[3]), Some("bad_request"));
     assert_eq!(resps[4].get("ok"), Some(&Json::Bool(true)));
 }
 
@@ -504,94 +503,179 @@ fn execute_runs_the_chosen_plan_against_bound_data() {
     );
 }
 
+/// Starts a one-worker server over the default university base with
+/// `Employee::taxes_withheld` bound to `method`, so a test decides what
+/// executing [`METHOD_QUERY`] does on the worker.
+fn start_server_with_method(queue: usize, method: sqo_objdb::MethodFn) -> SocketAddr {
+    let registry = Arc::new(SessionRegistry::new());
+    registry
+        .prepare("default", SessionSpec::University, None)
+        .unwrap();
+    let mut db = sqo_objdb::UniversityConfig::default().build().unwrap().db;
+    db.register_method("Employee", "taxes_withheld", method)
+        .unwrap();
+    registry.get("default").unwrap().attach_db(db);
+    let server = Server::bind(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_capacity: queue,
+            ..ServerConfig::default()
+        },
+        registry,
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    std::thread::spawn(move || server.run().unwrap());
+    addr
+}
+
+const METHOD_QUERY: &str = "select f.name from f in Faculty where f.taxes_withheld(10%) < 1000";
+
+/// An executing query whose deadline is far beyond any test's runtime.
+fn exec_line(oql: &str) -> String {
+    format!(
+        r#"{{"op":"query","oql":{},"execute":true,"timeout_ms":60000}}"#,
+        obs::json_string(oql)
+    )
+}
+
 /// A panic inside optimize/execute costs its own request only: the
 /// connection gets a structured `internal_error` long before its
 /// deadline, and the pool's single worker is still there for the next
-/// request — in both serving modes.
+/// request.
 #[test]
 fn worker_panic_is_answered_and_the_worker_survives() {
     let _g = lock();
-    for mode in [ServeMode::EventLoop, ServeMode::Threaded] {
-        let registry = Arc::new(SessionRegistry::new());
-        registry
-            .prepare("default", SessionSpec::University, None)
-            .unwrap();
-        let mut db = sqo_objdb::UniversityConfig::default().build().unwrap().db;
-        db.register_method(
-            "Employee",
-            "taxes_withheld",
-            Box::new(|_, _, _| panic!("injected method panic")),
-        )
-        .unwrap();
-        registry.get("default").unwrap().attach_db(db);
-        let server = Server::bind(
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 1,
-                mode,
-                ..ServerConfig::default()
-            },
-            registry,
-        )
-        .unwrap();
-        let addr = server.local_addr();
-        std::thread::spawn(move || server.run().unwrap());
+    let addr = start_server_with_method(64, Box::new(|_, _, _| panic!("injected method panic")));
+    let before = obs::snapshot();
+    let started = std::time::Instant::now();
+    let resps = roundtrip(
+        addr,
+        &[
+            exec_line(METHOD_QUERY),
+            exec_line("select s.name from s in Student"),
+            r#"{"op":"metrics"}"#.to_string(),
+        ],
+    );
+    let took = started.elapsed();
+    shutdown(addr);
 
-        let exec_line = |oql: &str| {
-            format!(
-                r#"{{"op":"query","oql":{},"execute":true,"timeout_ms":60000}}"#,
-                obs::json_string(oql)
-            )
-        };
-        let before = obs::snapshot();
-        let started = std::time::Instant::now();
-        let resps = roundtrip(
-            addr,
-            &[
-                exec_line("select f.name from f in Faculty where f.taxes_withheld(10%) < 1000"),
-                exec_line("select s.name from s in Student"),
-                r#"{"op":"metrics"}"#.to_string(),
-            ],
-        );
-        let took = started.elapsed();
-        shutdown(addr);
-
-        assert_eq!(resps[0].get("ok"), Some(&Json::Bool(false)), "{mode:?}");
-        assert_eq!(
-            resps[0]
-                .get("error")
-                .and_then(|e| e.get("kind"))
-                .and_then(Json::as_str),
-            Some("internal_error"),
-            "{mode:?}: {:?}",
-            resps[0]
-        );
-        assert_eq!(resps[1].get("ok"), Some(&Json::Bool(true)), "{mode:?}");
-        assert!(resps[1].get("answers").and_then(Json::as_u64).unwrap() > 0);
-        // The one worker served both: the request after the panic reports
-        // its own work only, nothing the unwound one left behind.
-        let own = |name: &str| {
-            resps[1]
-                .get("report")
-                .and_then(|r| r.get("stats"))
-                .and_then(|s| s.get("counters"))
-                .and_then(|c| c.get(name))
-                .and_then(Json::as_u64)
-        };
-        assert_eq!(own("optimizer.queries"), Some(1), "{mode:?}");
-        assert_eq!(own("translate.queries"), Some(1), "{mode:?}");
-        assert!(
-            took < std::time::Duration::from_secs(30),
-            "{mode:?}: the panicked request waited for its deadline ({took:?})"
-        );
-        let panics = resps[2]
-            .get("stats")
+    assert_eq!(resps[0].get("ok"), Some(&Json::Bool(false)));
+    assert_eq!(
+        resps[0]
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("internal_error"),
+        "{:?}",
+        resps[0]
+    );
+    assert_eq!(resps[1].get("ok"), Some(&Json::Bool(true)));
+    assert!(resps[1].get("answers").and_then(Json::as_u64).unwrap() > 0);
+    // The one worker served both: the request after the panic reports
+    // its own work only, nothing the unwound one left behind.
+    let own = |name: &str| {
+        resps[1]
+            .get("report")
+            .and_then(|r| r.get("stats"))
             .and_then(|s| s.get("counters"))
-            .and_then(|c| c.get("serve.worker_panic"))
+            .and_then(|c| c.get(name))
             .and_then(Json::as_u64)
-            .unwrap();
-        assert!(panics > before.counter(obs::Counter::ServeWorkerPanic));
+    };
+    assert_eq!(own("optimizer.queries"), Some(1));
+    assert_eq!(own("translate.queries"), Some(1));
+    assert!(
+        took < std::time::Duration::from_secs(30),
+        "the panicked request waited for its deadline ({took:?})"
+    );
+    let panics = resps[2]
+        .get("stats")
+        .and_then(|s| s.get("counters"))
+        .and_then(|c| c.get("serve.worker_panic"))
+        .and_then(Json::as_u64)
+        .unwrap();
+    assert!(panics > before.counter(obs::Counter::ServeWorkerPanic));
+}
+
+/// A full queue answers `overloaded` on the socket, in request order.
+/// One worker, one queue slot, four executing queries pipelined on one
+/// connection: the first holds the worker inside a method that waits on
+/// a gate the test holds, the second takes the queue slot, the third and
+/// fourth find it full. Once the gate opens the replies arrive as ok,
+/// ok, `overloaded`, `overloaded`.
+#[test]
+fn full_queue_sheds_in_request_order() {
+    let _g = lock();
+    let (entered_tx, entered) = mpsc::channel::<()>();
+    // Closed by dropping the sender: every `recv` returns from then on.
+    let (gate, gate_rx) = mpsc::channel::<()>();
+    let addr = start_server_with_method(
+        1,
+        Box::new(move |_, _, _| {
+            let _ = entered_tx.send(());
+            let _ = gate_rx.recv();
+            Ok(sqo_objdb::Value::Int(0))
+        }),
+    );
+    let before = obs::snapshot();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let line = exec_line(METHOD_QUERY);
+
+    // The worker is inside the first request before the rest are sent,
+    // so the queue is empty and what happens to each is decided.
+    writeln!(stream, "{line}").unwrap();
+    entered.recv().unwrap();
+    write!(stream, "{line}\n{line}\n{line}\n").unwrap();
+    stream.flush().unwrap();
+    // The gate opens only after the loop has routed all four: it
+    // publishes its counters at the end of the iteration that did.
+    let routed = |n| {
+        obs::snapshot()
+            .since(&before)
+            .counter(obs::Counter::ServeRequests)
+            == n
+    };
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !routed(4) {
+        assert!(std::time::Instant::now() < give_up, "requests never routed");
+        std::thread::yield_now();
     }
+    drop(gate);
+
+    let mut read = || {
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        json::parse(&resp).unwrap()
+    };
+    let replies: Vec<Json> = (0..4).map(|_| read()).collect();
+    // A metrics round trip: every counter bump behind the replies is
+    // published before the snapshot.
+    writeln!(stream, r#"{{"op":"metrics"}}"#).unwrap();
+    assert_eq!(read().get("ok"), Some(&Json::Bool(true)));
+    let delta = obs::snapshot().since(&before);
+    shutdown(addr);
+
+    for (i, ok) in replies[..2].iter().enumerate() {
+        assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "reply {i}: {ok:?}");
+        assert_eq!(
+            ok.get("trace_id").and_then(Json::as_str),
+            Some(format!("default:0:{i}").as_str())
+        );
+        assert!(ok.get("answers").and_then(Json::as_u64).unwrap() > 0);
+    }
+    for (i, shed) in replies[2..].iter().enumerate() {
+        assert_eq!(
+            error_kind(shed),
+            Some("overloaded"),
+            "reply {}: {shed:?}",
+            i + 2
+        );
+    }
+    assert_eq!(delta.counter(obs::Counter::ServeShed), 2);
+    assert_eq!(delta.counter(obs::Counter::ServeRequests), 4);
+    assert_eq!(delta.counter(obs::Counter::ServeDeadlineExceeded), 0);
 }
 
 #[test]

@@ -42,11 +42,6 @@ persists a snapshot, keeps writing so the WAL holds a tail, is killed
 with SIGKILL, and is restarted from the same directory — the recovered
 server must return the same executed answer count.
 
-Every phase runs twice: once under the default event-loop connection
-multiplexer and once under the thread-per-connection ablation
-(--serve-mode threaded), so the two serving paths stay behaviorally
-interchangeable.
-
 Usage: python3 scripts/serve_smoke.py [path/to/sqo]
 """
 
@@ -348,7 +343,7 @@ def repeat_phase(addr, serve_schema):
     return after["answers"]
 
 
-def recovery_phase(sqo, serve_schema, mode):
+def recovery_phase(sqo, serve_schema):
     """Durable-store crash recovery over the wire.
 
     Starts a second server with --store-path on a fresh directory, writes
@@ -366,8 +361,7 @@ def recovery_phase(sqo, serve_schema, mode):
     def start():
         p = subprocess.Popen(
             [sqo, "serve", "--university", "--addr", "127.0.0.1:0",
-             "--workers", "2", "--queue", "16", "--store-path", store_dir,
-             "--serve-mode", mode],
+             "--workers", "2", "--queue", "16", "--store-path", store_dir],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         line = p.stdout.readline()
         if not line:
@@ -438,7 +432,7 @@ def recovery_phase(sqo, serve_schema, mode):
         shutil.rmtree(store_dir, ignore_errors=True)
 
 
-def run_mode(sqo, serve_schema, explain_schema, mode):
+def run_phases(sqo, serve_schema, explain_schema):
     with tempfile.NamedTemporaryFile("w", suffix=".dl", delete=False) as f:
         f.write(IC4)
         ic_path = f.name
@@ -448,8 +442,7 @@ def run_mode(sqo, serve_schema, explain_schema, mode):
     proc = subprocess.Popen(
         [sqo, "serve", "--university", "--ic", ic_path,
          "--addr", "127.0.0.1:0", "--workers", "4", "--queue", "64",
-         "--slow-ms", "0", "--slowlog-path", slowlog_path,
-         "--serve-mode", mode],
+         "--slow-ms", "0", "--slowlog-path", slowlog_path],
         stdout=subprocess.PIPE, text=True,
     )
     try:
@@ -510,9 +503,6 @@ def run_mode(sqo, serve_schema, explain_schema, mode):
 
         metrics = request(addr, json.dumps({"op": "metrics"}))
         check(metrics, serve_schema, serve_schema, "metrics response")
-        if metrics.get("serve_mode") != mode:
-            fail(f"metrics serve_mode {metrics.get('serve_mode')!r} != "
-                 f"requested {mode!r}")
         counters = metrics["stats"]["counters"]
         if counters.get("plan_cache.hits", 0) < 1 or hits < 1:
             fail(f"expected cache hits >= 1 (wire: {hits}, counter: "
@@ -534,9 +524,9 @@ def run_mode(sqo, serve_schema, explain_schema, mode):
         check(bye, serve_schema, serve_schema, "shutdown response")
         proc.wait(timeout=TIMEOUT_S)
 
-        n_recovered = recovery_phase(sqo, serve_schema, mode)
+        n_recovered = recovery_phase(sqo, serve_schema)
 
-        print(f"serve_smoke: [{mode}] OK ({N_CLIENTS} concurrent queries, "
+        print(f"serve_smoke: OK ({N_CLIENTS} concurrent queries, "
               f"{hits} warm hits, shed 0, trace {n_events} events, "
               f"slowlog {n_slow} entries, "
               f"{n_piped} pipelined == one-at-a-time, "
@@ -559,9 +549,7 @@ def main():
         fail(f"binary not found: {sqo} (build with `cargo build --release`)")
     serve_schema = load_schema("serve.schema.json")
     explain_schema = load_schema("explain.schema.json")
-    for mode in ("event-loop", "threaded"):
-        run_mode(sqo, serve_schema, explain_schema, mode)
-    print("serve_smoke: OK (all phases under both --serve-modes)")
+    run_phases(sqo, serve_schema, explain_schema)
 
 
 if __name__ == "__main__":

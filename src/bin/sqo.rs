@@ -42,8 +42,7 @@ fn usage() -> ! {
          \u{20}      sqo serve  (--schema FILE.odl | --university) [--ic FILE]...\n\
          \u{20}                 [--addr HOST:PORT] [--workers N] [--queue N] [--timeout-ms N]\n\
          \u{20}                 [--slow-ms N] [--slowlog-cap N] [--slowlog-path FILE]\n\
-         \u{20}                 [--store-path DIR] [--store-shards N]\n\
-         \u{20}                 [--serve-mode event-loop|threaded] [--max-frame-bytes N]\n\
+         \u{20}                 [--store-path DIR] [--store-shards N] [--max-frame-bytes N]\n\
          \u{20}      sqo client [--addr HOST:PORT] (--oql QUERY [--session S] [--timeout-ms N]\n\
          \u{20}                 [--trace] [--execute]\n\
          \u{20}                 | --metrics | --slowlog | --ping | --shutdown | --persist\n\
@@ -132,13 +131,6 @@ fn serve_main(args: &[String]) -> ExitCode {
             "--store-path" => store_path = Some(next("--store-path")),
             "--store-shards" => {
                 store_shards = next("--store-shards").parse().unwrap_or_else(|_| usage())
-            }
-            "--serve-mode" => {
-                let v = next("--serve-mode");
-                cfg.mode = semantic_sqo::service::ServeMode::parse(&v).unwrap_or_else(|| {
-                    eprintln!("sqo serve: --serve-mode must be \"event-loop\" or \"threaded\"");
-                    std::process::exit(64)
-                })
             }
             "--max-frame-bytes" => {
                 cfg.max_frame_bytes = next("--max-frame-bytes")

@@ -7,7 +7,7 @@
 
 use sqo_obs as obs;
 use sqo_service::json::{self, Json};
-use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
+use sqo_service::{Server, ServerConfig, SessionRegistry, SessionSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -47,142 +47,138 @@ fn own(reply: &Json, name: &str) -> u64 {
 
 #[test]
 fn a_repeated_query_is_finished_once_and_executed_every_time() {
-    for mode in [ServeMode::EventLoop, ServeMode::Threaded] {
-        let registry = Arc::new(SessionRegistry::new());
-        registry
-            .prepare("default", SessionSpec::University, Some(IC4))
-            .unwrap();
-        let session = registry.get("default").unwrap();
-        session.attach_university_data().unwrap();
-        let server = Server::bind(
-            ServerConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers: 2,
-                mode,
-                ..ServerConfig::default()
-            },
-            registry,
-        )
+    let registry = Arc::new(SessionRegistry::new());
+    registry
+        .prepare("default", SessionSpec::University, Some(IC4))
         .unwrap();
-        let addr = server.local_addr();
-        let serving = std::thread::spawn(move || server.run().unwrap());
+    let session = registry.get("default").unwrap();
+    session.attach_university_data().unwrap();
+    let server = Server::bind(
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 2,
+            ..ServerConfig::default()
+        },
+        registry,
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let serving = std::thread::spawn(move || server.run().unwrap());
 
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut ask = |line: &str| {
-            writeln!(stream, "{line}").unwrap();
-            let mut resp = String::new();
-            reader.read_line(&mut resp).unwrap();
-            json::parse(&resp).unwrap_or_else(|e| panic!("{e}: {resp}"))
-        };
-        let query = format!(
-            r#"{{"op":"query","execute":true,"oql":{}}}"#,
-            obs::json_string("select x.name from x in Person where x.age < 27")
-        );
-        let cache = |r: &Json| r.get("cache").and_then(Json::as_str).map(str::to_string);
-        let answers = |r: &Json| r.get("answers").and_then(Json::as_u64).unwrap();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| {
+        writeln!(stream, "{line}").unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        json::parse(&resp).unwrap_or_else(|e| panic!("{e}: {resp}"))
+    };
+    let query = format!(
+        r#"{{"op":"query","execute":true,"oql":{}}}"#,
+        obs::json_string("select x.name from x in Person where x.age < 27")
+    );
+    let cache = |r: &Json| r.get("cache").and_then(Json::as_str).map(str::to_string);
+    let answers = |r: &Json| r.get("answers").and_then(Json::as_u64).unwrap();
 
-        let miss = ask(&query);
-        assert_eq!(cache(&miss).as_deref(), Some("miss"), "{mode:?}: {miss:?}");
-        let first = ask(&query);
-        let before = ask(r#"{"op":"metrics"}"#);
-        let repeat = ask(&query);
-        assert_eq!(cache(&first).as_deref(), Some("hit"), "{mode:?}");
-        assert_eq!(cache(&repeat).as_deref(), Some("hit"), "{mode:?}");
-        assert_eq!(
-            scrub(&first),
-            scrub(&repeat),
-            "{mode:?}: an instance hit answers what the hit that filled it answered"
-        );
-        assert!(answers(&repeat) > 0, "the generated base has young persons");
-        // The repeat skipped Step 4: its stats carry no retarget span.
-        let spans = |r: &Json| {
-            r.get("report")
-                .and_then(|r| r.get("stats"))
-                .and_then(|s| s.get("spans"))
-                .cloned()
-                .unwrap()
-        };
-        assert!(spans(&first).get("cache.retarget").is_some(), "{mode:?}");
-        assert!(spans(&repeat).get("cache.retarget").is_none(), "{mode:?}");
-        // ... and Step 2: it was decided on its text.
-        assert_eq!(own(&first, "translate.queries"), 1, "{mode:?}");
-        assert_eq!(own(&repeat, "translate.queries"), 0, "{mode:?}");
-        assert!(spans(&repeat).get("step2.translate_query").is_none());
-        for reply in [&first, &repeat] {
-            assert_eq!(own(reply, "optimizer.queries"), 1, "{mode:?}");
-        }
-        // `metrics` read right after a reply already counts that request,
-        // whichever of the two workers served it.
-        let counted = ask(r#"{"op":"metrics"}"#);
-        assert_eq!(
-            counter(&counted, "optimizer.queries"),
-            counter(&before, "optimizer.queries") + 1,
-            "{mode:?}"
-        );
-
-        // Answers are never cached: a write between two repeats shows.
-        let created =
-            ask(r#"{"op":"create","class":"Student","attrs":{"name":"finished-hit","age":19}}"#);
-        assert_eq!(created.get("ok"), Some(&Json::Bool(true)), "{created:?}");
-        let after = ask(&query);
-        assert_eq!(cache(&after).as_deref(), Some("hit"), "{mode:?}");
-        assert_eq!(own(&after, "translate.queries"), 0, "{mode:?}: a text hit");
-        assert_eq!(answers(&after), answers(&repeat) + 1, "{mode:?}");
-        assert_ne!(
-            after.get("plan_cost"),
-            repeat.get("plan_cost"),
-            "{mode:?}: the write re-priced the remembered plan"
-        );
-        assert_eq!(
-            scrub(after.get("report").unwrap()),
-            scrub(repeat.get("report").unwrap())
-        );
-
-        // Another spelling of the query is another text: it pays Step 2
-        // once, finds the same instance, and says the same.
-        let respelled = format!(
-            r#"{{"op":"query","execute":true,"oql":{}}}"#,
-            obs::json_string("SELECT  x.name  FROM x IN Person  WHERE  x.age < 27")
-        );
-        let other = ask(&respelled);
-        assert_eq!(own(&other, "translate.queries"), 1, "{mode:?}");
-        assert_eq!(own(&other, "plan_cache.instance_hits"), 1, "{mode:?}");
-        assert_eq!(scrub(&other), scrub(&after), "{mode:?}");
-        let other = ask(&respelled);
-        assert_eq!(own(&other, "translate.queries"), 0, "{mode:?}");
-        assert_eq!(scrub(&other), scrub(&after), "{mode:?}");
-
-        let metrics = ask(r#"{"op":"metrics"}"#);
-        assert_eq!(
-            counter(&metrics, "plan_cache.instance_hits"),
-            counter(&before, "plan_cache.instance_hits") + 4,
-            "{mode:?}: every repeat was an instance hit"
-        );
-        let instances = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0]
-            .get("cached_instances")
-            .and_then(Json::as_u64);
-        assert_eq!(instances, Some(1), "{mode:?}: one instance, two spellings");
-
-        // An IC reload between two verbatim repeats: the text finds
-        // nothing of the old generation, and the reply carries the new
-        // constraints' verdict. IC4 (no faculty member under 30) let
-        // `x.age < 27` exclude Faculty from the scan; the reloaded bound
-        // of 20 does not, so the report differs and the answers do not.
-        let verdict_of = |r: &Json| scrub(r.get("report").unwrap());
-        let reloaded = ask(&format!(
-            r#"{{"op":"reload_ic","ic":{}}}"#,
-            obs::json_string("ic IC4: Age >= 20 <- faculty(X, N, Age, S, R, Ad).")
-        ));
-        assert_eq!(reloaded.get("ok"), Some(&Json::Bool(true)), "{reloaded:?}");
-        let fresh = ask(&query);
-        assert_eq!(cache(&fresh).as_deref(), Some("miss"), "{mode:?}");
-        assert_eq!(own(&fresh, "plan_cache.instance_hits"), 0, "{mode:?}");
-        assert_eq!(fresh.get("generation").and_then(Json::as_u64), Some(1));
-        assert_ne!(verdict_of(&fresh), verdict_of(&after), "{mode:?}");
-        assert_eq!(answers(&fresh), answers(&after), "{mode:?}");
-
-        ask(r#"{"op":"shutdown"}"#);
-        serving.join().unwrap();
+    let miss = ask(&query);
+    assert_eq!(cache(&miss).as_deref(), Some("miss"), "{miss:?}");
+    let first = ask(&query);
+    let before = ask(r#"{"op":"metrics"}"#);
+    let repeat = ask(&query);
+    assert_eq!(cache(&first).as_deref(), Some("hit"));
+    assert_eq!(cache(&repeat).as_deref(), Some("hit"));
+    assert_eq!(
+        scrub(&first),
+        scrub(&repeat),
+        "an instance hit answers what the hit that filled it answered"
+    );
+    assert!(answers(&repeat) > 0, "the generated base has young persons");
+    // The repeat skipped Step 4: its stats carry no retarget span.
+    let spans = |r: &Json| {
+        r.get("report")
+            .and_then(|r| r.get("stats"))
+            .and_then(|s| s.get("spans"))
+            .cloned()
+            .unwrap()
+    };
+    assert!(spans(&first).get("cache.retarget").is_some());
+    assert!(spans(&repeat).get("cache.retarget").is_none());
+    // ... and Step 2: it was decided on its text.
+    assert_eq!(own(&first, "translate.queries"), 1);
+    assert_eq!(own(&repeat, "translate.queries"), 0);
+    assert!(spans(&repeat).get("step2.translate_query").is_none());
+    for reply in [&first, &repeat] {
+        assert_eq!(own(reply, "optimizer.queries"), 1);
     }
+    // `metrics` read right after a reply already counts that request,
+    // whichever of the two workers served it.
+    let counted = ask(r#"{"op":"metrics"}"#);
+    assert_eq!(
+        counter(&counted, "optimizer.queries"),
+        counter(&before, "optimizer.queries") + 1
+    );
+
+    // Answers are never cached: a write between two repeats shows.
+    let created =
+        ask(r#"{"op":"create","class":"Student","attrs":{"name":"finished-hit","age":19}}"#);
+    assert_eq!(created.get("ok"), Some(&Json::Bool(true)), "{created:?}");
+    let after = ask(&query);
+    assert_eq!(cache(&after).as_deref(), Some("hit"));
+    assert_eq!(own(&after, "translate.queries"), 0, "a text hit");
+    assert_eq!(answers(&after), answers(&repeat) + 1);
+    assert_ne!(
+        after.get("plan_cost"),
+        repeat.get("plan_cost"),
+        "the write re-priced the remembered plan"
+    );
+    assert_eq!(
+        scrub(after.get("report").unwrap()),
+        scrub(repeat.get("report").unwrap())
+    );
+
+    // Another spelling of the query is another text: it pays Step 2
+    // once, finds the same instance, and says the same.
+    let respelled = format!(
+        r#"{{"op":"query","execute":true,"oql":{}}}"#,
+        obs::json_string("SELECT  x.name  FROM x IN Person  WHERE  x.age < 27")
+    );
+    let other = ask(&respelled);
+    assert_eq!(own(&other, "translate.queries"), 1);
+    assert_eq!(own(&other, "plan_cache.instance_hits"), 1);
+    assert_eq!(scrub(&other), scrub(&after));
+    let other = ask(&respelled);
+    assert_eq!(own(&other, "translate.queries"), 0);
+    assert_eq!(scrub(&other), scrub(&after));
+
+    let metrics = ask(r#"{"op":"metrics"}"#);
+    assert_eq!(
+        counter(&metrics, "plan_cache.instance_hits"),
+        counter(&before, "plan_cache.instance_hits") + 4,
+        "every repeat was an instance hit"
+    );
+    let instances = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0]
+        .get("cached_instances")
+        .and_then(Json::as_u64);
+    assert_eq!(instances, Some(1), "one instance, two spellings");
+
+    // An IC reload between two verbatim repeats: the text finds
+    // nothing of the old generation, and the reply carries the new
+    // constraints' verdict. IC4 (no faculty member under 30) let
+    // `x.age < 27` exclude Faculty from the scan; the reloaded bound
+    // of 20 does not, so the report differs and the answers do not.
+    let verdict_of = |r: &Json| scrub(r.get("report").unwrap());
+    let reloaded = ask(&format!(
+        r#"{{"op":"reload_ic","ic":{}}}"#,
+        obs::json_string("ic IC4: Age >= 20 <- faculty(X, N, Age, S, R, Ad).")
+    ));
+    assert_eq!(reloaded.get("ok"), Some(&Json::Bool(true)), "{reloaded:?}");
+    let fresh = ask(&query);
+    assert_eq!(cache(&fresh).as_deref(), Some("miss"));
+    assert_eq!(own(&fresh, "plan_cache.instance_hits"), 0);
+    assert_eq!(fresh.get("generation").and_then(Json::as_u64), Some(1));
+    assert_ne!(verdict_of(&fresh), verdict_of(&after));
+    assert_eq!(answers(&fresh), answers(&after));
+
+    ask(r#"{"op":"shutdown"}"#);
+    serving.join().unwrap();
 }
