@@ -9,7 +9,8 @@
 //! `tables` binary.
 
 use sqo_core::{SemanticOptimizer, Verdict};
-use sqo_datalog::{Literal, Query};
+use sqo_datalog::program::EdbDatabase;
+use sqo_datalog::{Const, Literal, Query};
 use sqo_objdb::{ObjectDb, UniversityConfig, UniversityData};
 
 /// A prepared comparison: the object base plus the original and the
@@ -46,6 +47,25 @@ pub fn served_university_base(mult: usize) -> UniversityData {
         .define_asr("asr", "Student", &path)
         .expect("asr path resolves");
     data
+}
+
+/// Probe every declared index of `edb` once — an index is built by the
+/// first probe of its column — and return how many there are. After it
+/// `heap_bytes()` is the EDB with nothing left to build.
+pub fn probe_every_index(edb: &EdbDatabase) -> usize {
+    let from_zero = (Const::Int(0), true);
+    let mut indexes = 0;
+    for (_, rel) in edb.iter() {
+        for col in rel.hash_indexed_columns() {
+            rel.hash_probe(col, &Const::Int(0));
+            indexes += 1;
+        }
+        for col in rel.ordered_indexed_columns() {
+            rel.range_count(col, Some(&from_zero), None);
+            indexes += 1;
+        }
+    }
+    indexes
 }
 
 /// Application 1: contradiction detection. Returns the optimizer primed

@@ -265,12 +265,19 @@ const SCAN_OR_BUILD_BREAK_EVEN: usize = 4;
 
 /// Pick the access path for `atom` over `rel`, given the columns bound on
 /// entry (constants and already-bound variables) and the number of input
-/// bindings. Preference order: the most selective declared hash index
-/// over a bound column; a range probe on an unbound column constrained by
-/// body comparisons, when probing every binding touches fewer tuples than
-/// one full pass; then, by input cardinality, a scan per binding or an
-/// ephemeral index. Public so the cost model prices the path the executor
-/// will take.
+/// bindings. The two probes compete on the candidates each hands one
+/// binding: a declared hash index over a bound column, its exact postings
+/// when the argument is a constant and `len / distinct` when it is a
+/// variable; a range probe on an unbound column constrained by body
+/// comparisons, the in-range count. The fewer wins: `rank = "professor"`
+/// over two ranks loses to a salary range of twenty rows. A tie goes to
+/// the hash probe, and between two hash indexes to the higher column. A
+/// hash index that hands a binding one row at most — an OID, a key — is
+/// taken without counting any range, which would cost more than the row
+/// it could save. A range probe with no hash index to
+/// beat must still touch fewer tuples over every binding than one full
+/// pass; then, by input cardinality, a scan per binding or an ephemeral
+/// index. Public so the cost model prices the path the executor will take.
 pub fn choose_access_path(
     rel: &Relation,
     atom: &Atom,
@@ -280,34 +287,46 @@ pub fn choose_access_path(
     opts: &EvalOptions,
 ) -> AccessPath {
     if opts.use_indexes {
-        if let Some(&col) = bound_cols
+        let hash = bound_cols
             .iter()
-            .filter(|&&c| rel.has_hash_index(c))
-            .max_by_key(|&&c| rel.index_distinct(c).unwrap_or(0))
-        {
+            .filter(|&&col| rel.has_hash_index(col))
+            .map(|&col| {
+                let candidates = match &atom.args[col] {
+                    Term::Const(key) => rel.hash_probe(col, key).map_or(0, <[u32]>::len) as f64,
+                    Term::Var(_) => {
+                        rel.len() as f64 / rel.index_distinct(col).unwrap_or(0).max(1) as f64
+                    }
+                };
+                (candidates, col)
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)));
+        if let Some((_, col)) = hash.filter(|&(candidates, _)| candidates <= 1.0) {
             return AccessPath::HashProbe(col);
         }
         // The comparison literal itself still runs later, so the probe
         // only has to be a sound pre-filter.
-        let mut best: Option<(usize, usize)> = None; // (count, col)
-        for (col, t) in atom.args.iter().enumerate() {
-            let Term::Var(v) = t else { continue };
-            if bound_cols.contains(&col) {
-                continue;
-            }
-            let Some((lo, hi)) = ranges.get(v) else {
-                continue;
-            };
-            if let Some(k) = rel.range_count(col, lo.as_ref(), hi.as_ref()) {
-                if best.is_none_or(|(bk, _)| k < bk) {
-                    best = Some((k, col));
+        let range = atom
+            .args
+            .iter()
+            .enumerate()
+            .filter_map(|(col, t)| {
+                let Term::Var(v) = t else { return None };
+                if bound_cols.contains(&col) {
+                    return None;
                 }
+                let (lo, hi) = ranges.get(v)?;
+                Some((rel.range_count(col, lo.as_ref(), hi.as_ref())?, col))
+            })
+            .min();
+        match (hash, range) {
+            (Some((h, _)), Some((k, col))) if (k as f64) < h => return AccessPath::RangeProbe(col),
+            (Some((_, col)), _) => return AccessPath::HashProbe(col),
+            (None, Some((k, col)))
+                if bound_cols.is_empty() || k.saturating_mul(n_bindings) <= rel.len().max(1) =>
+            {
+                return AccessPath::RangeProbe(col)
             }
-        }
-        if let Some((k, col)) = best {
-            if bound_cols.is_empty() || k.saturating_mul(n_bindings) <= rel.len().max(1) {
-                return AccessPath::RangeProbe(col);
-            }
+            _ => {}
         }
     }
     if bound_cols.is_empty() || n_bindings <= SCAN_OR_BUILD_BREAK_EVEN {

@@ -6,10 +6,12 @@ use crate::error::{DatalogError, Result};
 use crate::fxhash::FxHasher;
 use crate::term::Const;
 use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Bound;
+use std::sync::OnceLock;
 
 /// A secondary-index key with a *total* order over mixed-type columns.
 ///
@@ -58,8 +60,8 @@ impl PartialEq for OrdKey {
 
 impl Eq for OrdKey {}
 
-/// The rows carrying one index key, ascending. OID and key columns are
-/// unique, so the single-row case stays inline: no `Vec` header and no
+/// The rows carrying one key of an ordered index, ascending. Most keys of
+/// a near-unique column are one inline row id: no `Vec` header and no
 /// heap block per key.
 #[derive(Debug, Clone)]
 enum Postings {
@@ -70,13 +72,7 @@ enum Postings {
 impl Postings {
     fn push(&mut self, row: u32) {
         match self {
-            Postings::One(first) => {
-                // Room for four: the allocator's smallest block anyway,
-                // and one regrowth fewer for every key that gets there.
-                let mut rows = Vec::with_capacity(4);
-                rows.extend([*first, row]);
-                *self = Postings::Many(rows);
-            }
+            Postings::One(first) => *self = Postings::Many(new_group(*first, row)),
             Postings::Many(rows) => rows.push(row),
         }
     }
@@ -96,32 +92,162 @@ impl Postings {
     }
 }
 
+/// The rows of a key that a second row has just joined. Room for four: the
+/// allocator's smallest block anyway, and one regrowth fewer for every key
+/// that gets there.
+fn new_group(first: u32, second: u32) -> Vec<u32> {
+    let mut rows = Vec::with_capacity(4);
+    rows.extend([first, second]);
+    rows
+}
+
+/// An unused slot of a relation's row table or of a hash index; never a
+/// row id, and never a tagged group id.
+const EMPTY: u32 = u32::MAX;
+
+/// Tag of a hash-index slot whose key several rows carry: the other 31
+/// bits then name a group, not a row.
+const MANY: u32 = 1 << 31;
+
+/// The most rows a relation holds. Row ids leave bit 31 to the [`MANY`]
+/// tag; [`EMPTY`] is the tag over the largest 31-bit number, which is
+/// therefore no group id — a group has two rows at least.
+const MAX_ROWS: usize = (MANY - 1) as usize;
+
+/// One slot of a [`HashIndex`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// [`EMPTY`], the one row carrying the key, or `MANY | group id`.
+    entry: u32,
+    /// The low half of the key's hash. Its low bits say where the key's
+    /// probe run starts, at any table size, so growth never re-reads a
+    /// key; the rest spares a probe most comparisons against the arena.
+    bits: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    entry: EMPTY,
+    bits: 0,
+};
+
 /// A hash secondary index over one column: key value → ids of the rows
-/// carrying it. Keys use `Const`'s derived equality — the same equality
-/// the join verification loop applies — so a probe returns exactly the
-/// rows a scan-and-compare would keep.
+/// carrying it. It stores no key — a key is read from the arena row a slot
+/// names, through the `key_of` every method takes — and compares keys by
+/// `Const`'s derived equality, the same equality the join verification
+/// loop applies, so a probe returns exactly the rows a scan-and-compare
+/// would keep.
+///
+/// An open-addressing table, linear probing, empty or a power of two at
+/// most half full. A unique key costs its 8-byte slot; a key of several
+/// rows points at a group. The hasher is keyed per index: column values
+/// are client-supplied.
 #[derive(Debug, Clone, Default)]
 struct HashIndex {
-    postings: HashMap<Const, Postings>,
+    hasher: RandomState,
+    slots: Vec<Slot>,
+    /// Rows of the keys carried by more than one row, ascending.
+    groups: Vec<Vec<u32>>,
+    /// Distinct keys: the occupied slots.
+    keys: usize,
 }
 
 impl HashIndex {
-    fn add(&mut self, key: Const, row: u32) {
-        self.postings
-            .entry(key)
-            .and_modify(|p| p.push(row))
-            .or_insert(Postings::One(row));
+    fn bits_of(&self, key: &Const) -> u32 {
+        self.hasher.hash_one(key) as u32
     }
 
-    /// The table's allocation — one control byte per bucket, seven
-    /// eighths of the buckets usable — plus the multi-row postings.
+    /// The slot holding `key` (`Ok`), or the empty slot it would take
+    /// (`Err`). The table must not be empty.
+    fn find_slot(
+        &self,
+        key: &Const,
+        bits: u32,
+        key_of: impl Fn(u32) -> Const,
+    ) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = bits as usize & mask;
+        loop {
+            let slot = self.slots[at];
+            if slot.entry == EMPTY {
+                return Err(at);
+            }
+            if slot.bits == bits {
+                let row = match slot.entry & MANY {
+                    0 => slot.entry,
+                    _ => self.groups[(slot.entry & !MANY) as usize][0],
+                };
+                if key_of(row) == *key {
+                    return Ok(at);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Ids of the rows carrying `key`, ascending.
+    fn rows(&self, key: &Const, key_of: impl Fn(u32) -> Const) -> &[u32] {
+        if self.slots.is_empty() {
+            return &[];
+        }
+        let Ok(at) = self.find_slot(key, self.bits_of(key), key_of) else {
+            return &[];
+        };
+        let entry = &self.slots[at].entry;
+        match entry & MANY {
+            0 => std::slice::from_ref(entry),
+            _ => &self.groups[(entry & !MANY) as usize],
+        }
+    }
+
+    /// Add `row`, whose id is above every row's already in the index.
+    fn add(&mut self, row: u32, key_of: impl Fn(u32) -> Const) {
+        self.resize_slots(self.keys + 1);
+        let key = key_of(row);
+        let bits = self.bits_of(&key);
+        match self.find_slot(&key, bits, key_of) {
+            Err(at) => {
+                self.slots[at] = Slot { entry: row, bits };
+                self.keys += 1;
+            }
+            Ok(at) => {
+                let entry = self.slots[at].entry;
+                if entry & MANY == 0 {
+                    // Groups are at most half the rows: the id fits.
+                    self.slots[at].entry = MANY | self.groups.len() as u32;
+                    self.groups.push(new_group(entry, row));
+                } else {
+                    self.groups[(entry & !MANY) as usize].push(row);
+                }
+            }
+        }
+    }
+
+    /// Size the table for `keys` keys, re-slotting the present ones by
+    /// their stored hash bits: the arena is not read.
+    fn resize_slots(&mut self, keys: usize) {
+        let slots = (keys * 2).next_power_of_two().max(8);
+        if slots <= self.slots.len() {
+            return;
+        }
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; slots]);
+        // Stored keys are distinct: each takes the first free slot of its
+        // probe run, no comparing.
+        for slot in old.into_iter().filter(|s| s.entry != EMPTY) {
+            let mut at = slot.bits as usize & (slots - 1);
+            while self.slots[at].entry != EMPTY {
+                at = (at + 1) & (slots - 1);
+            }
+            self.slots[at] = slot;
+        }
+    }
+
     fn heap_bytes(&self) -> usize {
-        let buckets = self.postings.capacity() * 8 / 7;
-        buckets * (size_of::<(Const, Postings)>() + 1)
+        self.slots.capacity() * size_of::<Slot>()
+            + self.groups.capacity() * size_of::<Vec<u32>>()
             + self
-                .postings
-                .values()
-                .map(Postings::heap_bytes)
+                .groups
+                .iter()
+                .map(|rows| rows.capacity() * size_of::<u32>())
                 .sum::<usize>()
     }
 }
@@ -183,17 +309,13 @@ fn to_bound(b: Option<&RangeBound>) -> Bound<OrdKey> {
     }
 }
 
-/// An unused slot of a relation's row table; never a row id.
-const EMPTY: u32 = u32::MAX;
-
 /// The id the next row of a relation holding `len` rows gets.
 fn next_row_id(len: usize) -> Result<u32> {
-    u32::try_from(len)
-        .ok()
-        .filter(|&id| id != EMPTY)
-        .ok_or(DatalogError::RelationFull {
-            limit: EMPTY as usize,
-        })
+    if len < MAX_ROWS {
+        Ok(len as u32)
+    } else {
+        Err(DatalogError::RelationFull { limit: MAX_ROWS })
+    }
 }
 
 fn hash_row(row: &[Const]) -> u64 {
@@ -205,11 +327,16 @@ fn hash_row(row: &[Const]) -> u64 {
 }
 
 /// A stored relation: a deduplicated bag of constant tuples, plus any
-/// declared secondary indexes (maintained incrementally by [`Relation::insert`]).
+/// declared secondary indexes.
 ///
 /// Every tuple is stored once, in `cells`: row `i` is the `arity` cells
 /// from `i * arity`, in insertion order. Membership and the indexes refer
 /// to rows by that id.
+///
+/// Declaring an index records its column and nothing else. The first
+/// probe of the column builds the index from the arena — under `&self`,
+/// once, whichever thread gets there first — and [`Relation::insert`]
+/// maintains the indexes that exist: one nobody probes costs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: Option<usize>,
@@ -219,8 +346,8 @@ pub struct Relation {
     /// from the top bits of the row's hash. Empty, or a power of two at
     /// most half full.
     slots: Vec<u32>,
-    hash_indexes: BTreeMap<usize, HashIndex>,
-    ordered_indexes: BTreeMap<usize, OrderedIndex>,
+    hash_indexes: BTreeMap<usize, OnceLock<HashIndex>>,
+    ordered_indexes: BTreeMap<usize, OnceLock<OrderedIndex>>,
 }
 
 impl Relation {
@@ -304,50 +431,71 @@ impl Relation {
         };
         let row = next_row_id(self.len)?;
         self.slots[slot] = row;
-        for (&col, idx) in &mut self.hash_indexes {
-            if let Some(c) = tuple.get(col) {
-                idx.add(*c, row);
-            }
-        }
-        for (&col, idx) in &mut self.ordered_indexes {
-            if let Some(c) = tuple.get(col) {
-                idx.add(*c, row);
-            }
-        }
         self.cells.extend_from_slice(tuple);
         self.len += 1;
+        // The indexes some probe has built. One declared on a column past
+        // the arity has no key to add.
+        let (cells, arity) = (&self.cells, tuple.len());
+        for (&col, built) in self.hash_indexes.range_mut(..arity) {
+            if let Some(idx) = built.get_mut() {
+                idx.add(row, |r| cells[r as usize * arity + col]);
+            }
+        }
+        for (&col, built) in self.ordered_indexes.range_mut(..arity) {
+            if let Some(idx) = built.get_mut() {
+                idx.add(tuple[col], row);
+            }
+        }
         Ok(true)
     }
 
-    /// Declare a hash secondary index on column `col`. Existing tuples are
-    /// back-filled; later inserts maintain the index incrementally.
+    /// Declare a hash secondary index on column `col`: from here on
+    /// [`Relation::has_hash_index`] holds and the column can be probed.
     pub fn declare_hash_index(&mut self, col: usize) {
-        if self.hash_indexes.contains_key(&col) {
-            return;
-        }
-        let mut idx = HashIndex::default();
-        for (row, t) in self.rows().enumerate() {
-            if let Some(c) = t.get(col) {
-                idx.add(*c, row as u32);
-            }
-        }
-        self.hash_indexes.insert(col, idx);
+        self.hash_indexes.entry(col).or_default();
     }
 
     /// Declare an ordered (range) secondary index on column `col`.
-    /// Existing tuples are back-filled; later inserts maintain the index
-    /// incrementally.
     pub fn declare_ordered_index(&mut self, col: usize) {
-        if self.ordered_indexes.contains_key(&col) {
-            return;
-        }
-        let mut idx = OrderedIndex::default();
-        for (row, t) in self.rows().enumerate() {
-            if let Some(c) = t.get(col) {
-                idx.add(*c, row as u32);
+        self.ordered_indexes.entry(col).or_default();
+    }
+
+    /// Build an index over column `col` of the rows present, `add`ing
+    /// them in id order: what the first probe of a declared column pays.
+    fn build_index<I: Default>(&self, col: usize, add: impl Fn(&mut I, u32)) -> I {
+        let _span = sqo_obs::span!("edb.index_build");
+        sqo_obs::bump(sqo_obs::Counter::EdbIndexBuilds);
+        let mut idx = I::default();
+        if col < self.arity.unwrap_or_default() {
+            for row in 0..self.len as u32 {
+                add(&mut idx, row);
             }
         }
-        self.ordered_indexes.insert(col, idx);
+        idx
+    }
+
+    fn key_at(&self, row: u32, col: usize) -> Const {
+        self.tuple_at(row)[col]
+    }
+
+    /// The hash index declared on `col`, built if this is its first use.
+    fn hash_index(&self, col: usize) -> Option<&HashIndex> {
+        let built = self.hash_indexes.get(&col)?;
+        Some(built.get_or_init(|| {
+            self.build_index(col, |idx: &mut HashIndex, row| {
+                idx.add(row, |r| self.key_at(r, col))
+            })
+        }))
+    }
+
+    /// The ordered index declared on `col`, built if this is its first use.
+    fn ordered_index(&self, col: usize) -> Option<&OrderedIndex> {
+        let built = self.ordered_indexes.get(&col)?;
+        Some(built.get_or_init(|| {
+            self.build_index(col, |idx: &mut OrderedIndex, row| {
+                idx.add(self.key_at(row, col), row)
+            })
+        }))
     }
 
     /// Whether a hash index is declared on `col`.
@@ -365,22 +513,26 @@ impl Relation {
         self.hash_indexes.keys().copied()
     }
 
+    /// Columns with a declared ordered index.
+    pub fn ordered_indexed_columns(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ordered_indexes.keys().copied()
+    }
+
     /// Equality probe against the hash index on `col`: ids, ascending, of
     /// the rows whose `col` equals `key`. `None` when no hash index is
     /// declared.
     pub fn hash_probe(&self, col: usize, key: &Const) -> Option<&[u32]> {
-        self.hash_indexes
-            .get(&col)
-            .map(|idx| idx.postings.get(key).map_or(&[][..], Postings::as_slice))
+        let idx = self.hash_index(col)?;
+        Some(idx.rows(key, |row| self.key_at(row, col)))
     }
 
     /// Number of distinct keys in the index on `col` (hash preferred,
     /// ordered as fallback). `None` when the column has no index.
     pub fn index_distinct(&self, col: usize) -> Option<usize> {
-        if let Some(idx) = self.hash_indexes.get(&col) {
-            return Some(idx.postings.len());
+        match self.hash_index(col) {
+            Some(idx) => Some(idx.keys),
+            None => self.ordered_index(col).map(|idx| idx.postings.len()),
         }
-        self.ordered_indexes.get(&col).map(|i| i.postings.len())
     }
 
     /// Shared precondition + traversal for range probes. `None` means the
@@ -393,7 +545,7 @@ impl Relation {
         lo: Option<&RangeBound>,
         hi: Option<&RangeBound>,
     ) -> Option<impl Iterator<Item = &[u32]>> {
-        let idx = self.ordered_indexes.get(&col)?;
+        let idx = self.ordered_index(col)?;
         let probe = lo.or(hi).map(|(c, _)| c)?;
         if !idx.homogeneous_for(probe) {
             return None;
@@ -481,19 +633,21 @@ impl Relation {
         self.len == 0
     }
 
-    /// Heap bytes held: the arena, the row table and the indexes, by
-    /// allocated capacity (ordered indexes by estimate).
+    /// Heap bytes held: the arena, the row table and the indexes built
+    /// so far, by allocated capacity (ordered indexes by estimate).
     pub fn heap_bytes(&self) -> usize {
         self.cells.capacity() * size_of::<Const>()
             + self.slots.capacity() * size_of::<u32>()
             + self
                 .hash_indexes
                 .values()
+                .filter_map(OnceLock::get)
                 .map(HashIndex::heap_bytes)
                 .sum::<usize>()
             + self
                 .ordered_indexes
                 .values()
+                .filter_map(OnceLock::get)
                 .map(OrderedIndex::heap_bytes)
                 .sum::<usize>()
     }
@@ -555,8 +709,7 @@ impl EdbDatabase {
     }
 
     /// Declare a hash secondary index on `pred`'s column `col` (creating
-    /// the relation if absent). Existing tuples are back-filled; inserts
-    /// maintain the index incrementally from then on.
+    /// the relation if absent); see [`Relation::declare_hash_index`].
     pub fn declare_hash_index(&mut self, pred: PredSym, col: usize) {
         self.relations
             .entry(pred)
@@ -797,8 +950,11 @@ mod tests {
         let mut r = Relation::default();
         r.insert(&[Const::Int(1), Const::Str("a".into())]).unwrap();
         r.insert(&[Const::Int(2), Const::Str("b".into())]).unwrap();
-        // Declared after the fact: back-fill covers existing tuples.
+        // Declared after the fact, and declaring builds nothing: the
+        // first probe does, from the tuples present.
         r.declare_hash_index(1);
+        assert!(r.has_hash_index(1));
+        assert!(r.hash_indexes[&1].get().is_none());
         assert_eq!(r.hash_probe(1, &Const::Str("a".into())), Some(&[0][..]));
         // Incremental maintenance on subsequent inserts.
         r.insert(&[Const::Int(3), Const::Str("a".into())]).unwrap();
@@ -934,14 +1090,19 @@ mod tests {
     }
 
     #[test]
-    fn row_ids_stop_below_the_empty_marker() {
+    fn row_ids_stop_below_the_many_tag() {
+        assert_eq!(MAX_ROWS, (1 << 31) - 1);
         assert_eq!(next_row_id(0), Ok(0));
-        assert_eq!(next_row_id(EMPTY as usize - 1), Ok(EMPTY - 1));
-        let full = DatalogError::RelationFull {
-            limit: EMPTY as usize,
-        };
-        assert_eq!(next_row_id(EMPTY as usize), Err(full.clone()));
-        assert_eq!(next_row_id(EMPTY as usize + 1), Err(full.clone()));
+        let last = next_row_id(MAX_ROWS - 1).unwrap();
+        assert_eq!(last as usize, MAX_ROWS - 1);
+        // The last row id carries no tag, and no group id — there are at
+        // most half as many groups as rows — reads as the empty marker.
+        assert_eq!(last & MANY, 0);
+        assert_ne!(MANY | (MAX_ROWS / 2) as u32, EMPTY);
+        let full = DatalogError::RelationFull { limit: MAX_ROWS };
+        assert_eq!(next_row_id(MAX_ROWS), Err(full.clone()));
+        assert_eq!(next_row_id(MAX_ROWS + 1), Err(full.clone()));
+        assert_eq!(next_row_id(u32::MAX as usize), Err(full.clone()));
         assert_eq!(next_row_id(usize::MAX), Err(full));
     }
 
@@ -950,15 +1111,19 @@ mod tests {
         let mut r = Relation::default();
         r.declare_hash_index(0);
         r.insert(&[Const::Int(1), Const::Int(2)]).unwrap();
+        assert_eq!(r.hash_probe(0, &Const::Int(1)), Some(&[0][..]));
         r.reserve(1000);
-        let outside_index = |r: &Relation| r.heap_bytes() - r.hash_indexes[&0].heap_bytes();
+        let index_bytes = |r: &Relation| r.hash_indexes[&0].get().unwrap().heap_bytes();
+        let outside_index = |r: &Relation| r.heap_bytes() - index_bytes(r);
         let held = outside_index(&r);
+        let index_held = index_bytes(&r);
         for i in 2..1000 {
             r.insert(&[Const::Int(i), Const::Int(i)]).unwrap();
         }
         assert!(r.contains(&[Const::Int(1), Const::Int(2)]));
         assert_eq!(r.hash_probe(0, &Const::Int(999)), Some(&[998][..]));
         assert_eq!(outside_index(&r), held, "arena and row table sized once");
+        assert!(index_bytes(&r) > index_held, "the built index is counted");
     }
 
     #[test]

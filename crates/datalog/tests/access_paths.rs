@@ -6,7 +6,9 @@
 //! scenarios: the rewrite changed how a tuple is touched, not which tuples
 //! are. The scan-or-build numbers are new with the rule they check: an
 //! unindexed bound column is answered by one filtered scan per binding up
-//! to the break-even, and by one ephemeral index build beyond it.
+//! to the break-even, and by one ephemeral index build beyond it. So are
+//! the hash-or-range numbers: with both indexes usable, the one handing a
+//! binding fewer candidates is probed.
 
 use sqo_datalog::eval::{answer_query, answer_query_with, EvalOptions, EvalStats};
 use sqo_datalog::fxhash::FxHashMap;
@@ -70,6 +72,65 @@ fn range_probe_examines_only_the_range() {
         ..EvalStats::default()
     };
     assert_eq!(got, want);
+}
+
+/// `(index_probes, range_probes, tuples examined)` of one query.
+fn probes(db: &EdbDatabase, query: &str) -> (u64, u64, u64) {
+    let (_, got) = answer_query(db, &parse_query(query).unwrap()).unwrap();
+    assert_eq!(got.scans, 0, "{query}");
+    (got.index_probes, got.range_probes, got.tuples_examined)
+}
+
+/// `big`'s hash index holds 10 keys of 20 rows each: being bound does not
+/// win by itself, a two-valued column can be hashed.
+#[test]
+fn a_low_cardinality_hash_index_loses_to_a_narrower_range() {
+    let db = small_big(true);
+    // A constant key: its exact postings, 20 rows, against the range's 5.
+    assert_eq!(probes(&db, "Q(I) <- big(I, 3), I < 5"), (0, 1, 5));
+    assert_eq!(probes(&db, "Q(I) <- I < 5, big(I, 3)"), (0, 1, 5));
+    // A bound variable: len / distinct = 20 expected rows.
+    assert_eq!(probes(&db, "Q(I) <- X = 3, big(I, X), I >= 195"), (0, 1, 5));
+}
+
+#[test]
+fn a_hash_index_beats_a_wider_range_and_takes_the_tie() {
+    let db = small_big(true);
+    assert_eq!(probes(&db, "Q(I) <- big(I, 3), I < 100"), (1, 0, 20));
+    assert_eq!(probes(&db, "Q(I) <- I < 100, big(I, 3)"), (1, 0, 20));
+    assert_eq!(probes(&db, "Q(I) <- X = 3, big(I, X), I < 100"), (1, 0, 20));
+    // 20 rows either way.
+    assert_eq!(probes(&db, "Q(I) <- big(I, 3), I < 20"), (1, 0, 20));
+    assert_eq!(probes(&db, "Q(I) <- X = 3, big(I, X), I < 20"), (1, 0, 20));
+    // An absent key is an exact 0, which no range undercuts.
+    assert_eq!(probes(&db, "Q(I) <- big(I, 77), I < 5"), (1, 0, 0));
+    // A unique key hands over its one row; the empty range that would
+    // hand over none is not even counted.
+    let mut db = db;
+    db.declare_hash_index(PredSym::new("big"), 0);
+    db.declare_ordered_index(PredSym::new("big"), 1);
+    assert_eq!(probes(&db, "Q(X) <- big(7, X), X > 50"), (1, 0, 1));
+    assert_eq!(probes(&db, "Q(X) <- I = 7, big(I, X), X > 50"), (1, 0, 1));
+}
+
+/// Two hash indexes that promise a bound variable the same `len /
+/// distinct`: the higher column is probed. Three values a column, skewed
+/// the opposite way in each, so the examined count names the column.
+#[test]
+fn two_hash_indexes_that_tie_probe_the_higher_column() {
+    let mut db = EdbDatabase::new();
+    let pair = PredSym::new("pair");
+    for (a, b) in [(0, 1), (1, 1), (2, 1), (0, 0), (0, 2)] {
+        db.insert(pair, &[Const::Int(a), Const::Int(b)]).unwrap();
+    }
+    db.declare_hash_index(pair, 0);
+    db.declare_hash_index(pair, 1);
+    // Column 1 holds three 1s, column 0 one.
+    assert_eq!(probes(&db, "Q() <- A = 1, B = 1, pair(A, B)"), (1, 0, 3));
+    // Column 1 holds one 0, column 0 three.
+    assert_eq!(probes(&db, "Q() <- A = 0, B = 0, pair(A, B)"), (1, 0, 1));
+    // Constants are counted exactly, so there is no tie to break.
+    assert_eq!(probes(&db, "Q() <- pair(1, 1)"), (1, 0, 1));
 }
 
 #[test]

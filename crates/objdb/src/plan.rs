@@ -19,7 +19,12 @@
 //! comparisons, and per-relation-kind access weights reflecting the
 //! object-level cost of each probe (object fetch ≫ extent probe).
 //! Distinct counts are column statistics of the cached EDB
-//! (`ObjectDb::column_distinct`): counted once per EDB build.
+//! (`ObjectDb::column_distinct`): counted once per EDB build — read off
+//! the column's hash index where one is declared, else in one pass.
+//! Pricing is a first use like any other: it builds the indexes
+//! `choose_access_path` consults — the hash index of a bound column, the
+//! ordered index of a range-constrained one — for every candidate priced,
+//! not only the one chosen. The distinct count builds nothing more.
 
 use crate::exec::{physical, ExecOptions};
 use crate::store::ObjectDb;
@@ -300,6 +305,21 @@ mod tests {
         assert_eq!(estimate_cost(&other, &q), estimate_cost(&db, &q));
         // Second call, column statistics now cached: same answer.
         assert_eq!(estimate_cost(&other, &q), estimate_cost(&db, &q));
+    }
+
+    #[test]
+    fn pricing_a_bound_numeric_column_builds_no_index() {
+        let d = db_with_path();
+        let bare = d.edb().heap_bytes();
+        // `age` is bound on entry: its ordered index answers no equality
+        // probe, so its distinct count is a pass over the column.
+        let by_age = parse_query("Q(X) <- A = 30, student(X, N, A, Sid, Ad)").unwrap();
+        estimate_cost(&d, &by_age);
+        assert_eq!(d.edb().heap_bytes(), bare);
+        // A bound hashed column is probed to be priced, and so built.
+        let by_name = parse_query("Q(X) <- student(X, \"st1\", A, Sid, Ad)").unwrap();
+        estimate_cost(&d, &by_name);
+        assert!(d.edb().heap_bytes() > bare);
     }
 
     #[test]

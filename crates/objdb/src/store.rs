@@ -972,9 +972,12 @@ impl ObjectDb {
 
     /// Distinct values in one column of an EDB relation (at least 1; 1
     /// for an unknown relation) — the cost model's join selectivity.
-    /// Read off the declared index's postings when the column has one,
-    /// else counted in one pass; either way kept with the cached EDB, so
-    /// a column is counted once per EDB build.
+    /// Read off the hash index when the column has one — pricing a bound
+    /// hashed column goes on to probe it (`choose_access_path`), so
+    /// building it here costs nothing more — else counted in one pass,
+    /// which builds nothing: an ordered index answers no equality probe
+    /// and is not built for its key count. Either way kept with the
+    /// cached EDB, so a column is counted once per EDB build.
     pub(crate) fn column_distinct(&self, pred: &PredSym, col: usize) -> f64 {
         self.refresh_edb();
         let cache = self.edb_cache.borrow();
@@ -983,11 +986,11 @@ impl ObjectDb {
             return d;
         }
         let d = entry.edb.relation(pred).map_or(1, |r| {
-            r.index_distinct(col).unwrap_or_else(|| {
-                let values: FxHashSet<Const> =
-                    r.rows().filter_map(|t| t.get(col).copied()).collect();
-                values.len()
-            })
+            if r.has_hash_index(col) {
+                return r.index_distinct(col).unwrap_or(1);
+            }
+            let values: FxHashSet<Const> = r.rows().filter_map(|t| t.get(col).copied()).collect();
+            values.len()
         });
         let d = d.max(1) as f64;
         entry.distinct.borrow_mut().insert((*pred, col), d);
@@ -1022,8 +1025,9 @@ impl ObjectDb {
     }
 
     /// The one production loader of the EDB. Every relation's indexes are
-    /// declared and its room reserved before its rows arrive, and the rows
-    /// of an extent are staged in one reused scratch row.
+    /// declared — not built: that is the first probe's — and its room
+    /// reserved before its rows arrive, and the rows of an extent are
+    /// staged in one reused scratch row.
     fn build_edb(&self) -> EdbDatabase {
         let mut db = EdbDatabase::new();
         let mut row: Vec<Const> = Vec::new();
@@ -1034,11 +1038,13 @@ impl ObjectDb {
                     let extent_pred = PredSym::new(format!("{}__extent", pred.name()));
                     db.declare(pred, decl.arity());
                     db.declare(extent_pred, 1);
-                    // Physical design: the OID column and every declared
-                    // (single-attribute) key get a hash index; numeric
-                    // attributes get an ordered index for range probes.
-                    // String attributes stay unindexed unless they are
-                    // keys — equality on a non-key string is a scan.
+                    // Physical design: every attribute column a query can
+                    // bind gets an index. The OID column, every declared
+                    // (single-attribute) key and every string attribute
+                    // get a hash index; numeric attributes an ordered one,
+                    // for range probes. Object-valued and boolean columns
+                    // stay unindexed. Declaring is free — the first probe
+                    // of a column builds its index.
                     db.declare_hash_index(pred, 0);
                     db.declare_hash_index(extent_pred, 0);
                     if let Some(cls) = self.schema.class(class) {
@@ -1051,11 +1057,12 @@ impl ObjectDb {
                         }
                     }
                     for (pos, arg) in decl.args.iter().enumerate().skip(1) {
-                        if matches!(
-                            arg.ty,
-                            ArgType::Base(BaseType::Int) | ArgType::Base(BaseType::Real)
-                        ) {
-                            db.declare_ordered_index(pred, pos);
+                        match arg.ty {
+                            ArgType::Base(BaseType::Int | BaseType::Real) => {
+                                db.declare_ordered_index(pred, pos)
+                            }
+                            ArgType::Base(BaseType::Str) => db.declare_hash_index(pred, pos),
+                            ArgType::Base(BaseType::Bool) | ArgType::Oid(_) => {}
                         }
                     }
                     let extent = self.extent(class);

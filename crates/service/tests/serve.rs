@@ -449,6 +449,8 @@ fn execute_runs_the_chosen_plan_against_bound_data() {
             ),
             exec_line("select s.name from s in Student"),
             exec_line("select f.name from f in Faculty where f.age < 25"),
+            exec_line(r#"select s.age from s in Student where s.name = "student7""#),
+            exec_line(r#"select s.age from s in Student where s.name = "student7""#),
             r#"{"op":"metrics"}"#.to_string(),
         ],
     );
@@ -469,17 +471,26 @@ fn execute_runs_the_chosen_plan_against_bound_data() {
     );
     assert!(executed.get("plan_index").and_then(Json::as_u64).is_some());
     assert!(executed.get("plan_cost").and_then(Json::as_f64).unwrap() > 0.0);
-    let names: Vec<&str> = executed
-        .get("trace")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .iter()
-        .filter_map(|e| e.get("name").and_then(Json::as_str))
-        .collect();
+    let span_names = |resp: &Json| -> Vec<String> {
+        let events = resp.get("trace").and_then(Json::as_arr).unwrap();
+        let names = events.iter().filter_map(|e| e.get("name"));
+        names.filter_map(Json::as_str).map(str::to_string).collect()
+    };
+    let names = span_names(executed);
     assert!(
-        names.contains(&"objdb.execute"),
+        names.iter().any(|n| n == "objdb.execute"),
         "execution must appear in the trace: {names:?}"
     );
+    // The first selection on `student.name` builds its index, and says so
+    // in its own trace; the repeat finds it built.
+    let builds = |resp| {
+        span_names(resp)
+            .iter()
+            .filter(|n| *n == "edb.index_build")
+            .count()
+    };
+    assert_eq!(resps[4].get("answers").and_then(Json::as_u64), Some(1));
+    assert_eq!((builds(&resps[4]), builds(&resps[5])), (1, 0));
     // Contradiction: step 4 skips evaluation — zero answers, no plan.
     let refuted = &resps[3];
     assert_eq!(
@@ -492,8 +503,11 @@ fn execute_runs_the_chosen_plan_against_bound_data() {
     assert_eq!(refuted.get("answers").and_then(Json::as_u64), Some(0));
     assert_eq!(refuted.get("plan_index"), Some(&Json::Null));
     assert_eq!(refuted.get("plan_cost"), Some(&Json::Null));
+    let counters = resps[6].get("stats").and_then(|s| s.get("counters"));
+    let built = counters.and_then(|c| c.get("edb.index_builds"));
+    assert!(built.and_then(Json::as_u64).unwrap() >= 1);
     // Real executions feed the stage/objdb.execute quantiles.
-    let hist = resps[4].get("hist").unwrap();
+    let hist = resps[6].get("hist").unwrap();
     assert!(
         hist.get("stage/objdb.execute")
             .and_then(|s| s.get("p50"))

@@ -142,8 +142,13 @@ def telemetry_checks(addr, serve_schema, slowlog_path):
             fail(f"serve.request {p} should be a positive sample: {req}")
     if "queue_depth_hwm" not in metrics:
         fail("metrics lacks queue_depth_hwm")
-    # "Gave up" is told apart from "nothing more to find" by these counters.
-    for counter in ("search.budget_exhausted", "chase.budget_exhausted"):
+    # "Gave up" is told apart from "nothing more to find" by these
+    # counters, and a first-probe index build from a slow plan by the last.
+    for counter in (
+        "search.budget_exhausted",
+        "chase.budget_exhausted",
+        "edb.index_builds",
+    ):
         if counter not in metrics["stats"]["counters"]:
             fail(f"metrics counters lack {counter}")
 

@@ -4,8 +4,8 @@
 //! * objdb-level differential — indexed and scan-only execution agree on
 //!   the generated university store across representative query shapes;
 //! * the cost model prefers an index probe over a scan *exactly* when
-//!   the index exists (same data, schemas differing only in a `key`
-//!   declaration);
+//!   the index exists (same data: a string column against an
+//!   object-valued one, with and without a `key` declaration);
 //! * range-probe pricing is monotone in the true in-range count;
 //! * the extent-first anti-join prefix is deduplicated per
 //!   (extent, OID) pair;
@@ -60,17 +60,23 @@ fn objdb_indexed_matches_scan_only() {
     }
 }
 
-/// Two stores with identical data whose schemas differ only in a
-/// `key tag` declaration: the equality selection on `tag` must be priced
-/// cheaper exactly when the key (and therefore its hash index) exists.
+/// The cost model prices an equality selection as a probe exactly on the
+/// columns the loader indexes: every string attribute, key or not — two
+/// stores differing only in a `key tag` declaration price alike — and no
+/// object-valued column, which nothing but an OID join binds, and that is
+/// probed from the other side.
 #[test]
 fn cost_model_prefers_hash_probe_exactly_when_indexed() {
     let keyed = r#"
+        struct Crate {
+            attribute string label;
+        };
         interface Item {
             extent Item;
             key tag;
             attribute string tag;
             attribute string color;
+            attribute Crate packed_in;
         };
     "#;
     let unkeyed = keyed.replace("key tag;\n", "");
@@ -91,34 +97,47 @@ fn cost_model_prefers_hash_probe_exactly_when_indexed() {
         }
         db
     };
-    let with_index = build(keyed);
-    let without_index = build(&unkeyed);
-    let q = parse_query("Q(X) <- item(X, \"t7\", Color)").unwrap();
-
-    {
-        let edb = with_index.edb();
+    let with_key = build(keyed);
+    let without_key = build(&unkeyed);
+    let (tag, color, packed_in) = (1, 2, 3);
+    for db in [&with_key, &without_key] {
+        let edb = db.edb();
         let rel = edb.relation(&"item".into()).expect("item relation");
-        assert!(rel.has_hash_index(1), "key tag must declare a hash index");
-    }
-    {
-        let edb = without_index.edb();
-        let rel = edb.relation(&"item".into()).expect("item relation");
-        assert!(!rel.has_hash_index(1), "no key, no index");
+        assert!(rel.has_hash_index(tag), "a string attribute is indexed");
+        assert!(rel.has_hash_index(color), "key or not");
+        assert!(
+            !rel.has_hash_index(packed_in),
+            "an object-valued one is not"
+        );
+        assert!(!rel.has_ordered_index(packed_in));
     }
 
-    let probe = estimate_cost(&with_index, &q);
-    let scan = estimate_cost(&without_index, &q);
-    assert!(
-        probe < scan / 5.0,
-        "hash probe must be priced well below the scan: probe={probe} scan={scan}"
-    );
+    let q_tag = parse_query("Q(X) <- item(X, \"t7\", Color, Crate)").unwrap();
+    let a_crate = with_key.edb().relation(&"item".into()).unwrap().tuple_at(7)[packed_in];
+    let q_crate = parse_query(&format!("Q(X) <- item(X, Tag, Color, {a_crate})")).unwrap();
+    for db in [&with_key, &without_key] {
+        let (probe, scan) = (estimate_cost(db, &q_tag), estimate_cost(db, &q_crate));
+        assert!(
+            probe < scan / 5.0,
+            "hash probe must be priced well below the scan: probe={probe} scan={scan}"
+        );
+        // Both select one item of 300; only the access path differs.
+        let (rows, by_tag) = execute_with(db, &q_tag, ExecOptions::default()).unwrap();
+        assert_eq!((rows.len(), by_tag.index_probes, by_tag.scans), (1, 1, 0));
+        let (rows, by_crate) = execute_with(db, &q_crate, ExecOptions::default()).unwrap();
+        assert_eq!(
+            (rows.len(), by_crate.index_probes, by_crate.scans),
+            (1, 0, 1)
+        );
+    }
 
-    // Same stores, a selection on the never-indexed column: identical
-    // estimates — the model only discounts where an index actually exists.
-    let q_color = parse_query("Q(X) <- item(X, Tag, \"red\")").unwrap();
-    let a = estimate_cost(&with_index, &q_color);
-    let b = estimate_cost(&without_index, &q_color);
-    assert_eq!(a, b, "unindexed column must price identically: {a} vs {b}");
+    // The model discounts where an index exists, and only there: the two
+    // stores hold the same indexes, so every estimate is identical.
+    let q_color = parse_query("Q(X) <- item(X, Tag, \"red\", Crate)").unwrap();
+    for q in [&q_tag, &q_color, &q_crate] {
+        let (a, b) = (estimate_cost(&with_key, q), estimate_cost(&without_key, q));
+        assert_eq!(a, b, "[{q}] must price identically: {a} vs {b}");
+    }
 }
 
 /// Range-probe pricing tracks the true in-range count: a narrow age

@@ -1,8 +1,12 @@
 //! A report's `stats` is its own: what the thread that ran the
 //! optimization counted, whatever other threads do on the same plan cache
 //! at the same time — and the per-report counters still add up to the
-//! whole-process delta `metrics` reports.
+//! whole-process delta `metrics` reports. An index build is counted the
+//! same way: by the request whose probe was the column's first, and by no
+//! request after it.
 
+use semantic_sqo::datalog::parser::parse_query;
+use semantic_sqo::objdb::{execute, ObjectDb, UniversityConfig, Value};
 use sqo_core::{CacheOutcome, PlanCache, SemanticOptimizer};
 use sqo_obs::{self as obs, Counter};
 use std::sync::Barrier;
@@ -84,4 +88,38 @@ fn concurrent_reports_count_only_their_own_request() {
     // and text — were decided on the text.
     let by_text = total - whole.counter(Counter::TranslateQueries);
     assert!(by_text >= total * 99 / 100, "{by_text} of {total}");
+}
+
+/// What one read of `student.name` builds, as its request sees it: the
+/// thread's scope and the request trace, as `sqo serve` opens them.
+#[test]
+fn only_the_first_read_of_a_column_builds_its_index() {
+    let mut data = UniversityConfig::default().build().unwrap();
+    let q = parse_query("Q(X) <- student(X, \"student7\", A, Sid, Ad)").unwrap();
+    let read = |db: &ObjectDb| {
+        obs::trace_begin("read".to_string());
+        let scope = obs::Scope::enter();
+        execute(db, &q).unwrap();
+        let trace = obs::trace_end().expect("begun above");
+        let builds: Vec<_> = trace
+            .events
+            .into_iter()
+            .filter(|e| e.name == "edb.index_build")
+            .map(|e| e.counters)
+            .collect();
+        let stats = scope.finish();
+        let spans = stats.spans.get("edb.index_build").map_or(0, |s| s.count);
+        (stats.counter(Counter::EdbIndexBuilds), spans, builds)
+    };
+    // The EDB build declares some forty indexes and builds none; the read
+    // pays for the one it walks, in a span of its own trace.
+    let one_build = vec![vec![("edb.index_builds", 1)]];
+    assert_eq!(read(&data.db), (1, 1, one_build.clone()));
+    assert_eq!(read(&data.db), (0, 0, vec![]));
+    assert_eq!(read(&data.db), (0, 0, vec![]));
+    // A write leaves the EDB stale: the rebuilt one starts without.
+    let age = Value::Int(41);
+    data.db.set_attr(data.persons[0], "age", age).unwrap();
+    assert_eq!(read(&data.db), (1, 1, one_build));
+    assert_eq!(read(&data.db), (0, 0, vec![]));
 }
