@@ -29,5 +29,6 @@ pub use generate::{
     register_university_methods, GenericConfig, GenericData, UniversityConfig, UniversityData,
 };
 pub use plan::{choose_best, estimate_cost, priced_steps};
+pub use sqo_store::ShardedStore;
 pub use store::{AsrDef, MethodFn, Object, ObjectDb};
 pub use value::{Oid, Value};

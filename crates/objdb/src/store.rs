@@ -11,10 +11,11 @@
 //!
 //! [`ObjectDb::edb`] exposes the whole store in the Datalog
 //! representation of Step 1, so translated queries run directly against
-//! it; a generation-tagged, `Arc`-shared cache keeps repeated query
-//! evaluation cheap while letting callers pin a consistent snapshot
-//! with [`ObjectDb::edb_pinned`] — writers that arrive later bump the
-//! generation and rebuild lazily without disturbing pinned readers.
+//! it; an `Arc`-shared cache keeps repeated query evaluation cheap
+//! while letting callers pin a consistent snapshot with
+//! [`ObjectDb::edb_pinned`] — a writer that arrives later drops the
+//! cache, and the next read rebuilds it, without disturbing pinned
+//! readers.
 //!
 //! When a durable [`ShardedStore`] is attached (via [`ObjectDb::open`]
 //! or [`ObjectDb::from_store`]), every mutation is mirrored into the
@@ -89,16 +90,15 @@ pub struct ObjectDb {
     generation: u64,
     /// Attached durable store; `None` for a purely in-memory database.
     store: Option<Arc<ShardedStore>>,
-    /// Cached Datalog representation, tagged with the generation it was
-    /// built at. Stale entries are replaced lazily; pinned `Arc` clones
+    /// Cached Datalog representation of the current generation: dropped
+    /// by every mutation, rebuilt by the next read. Pinned `Arc` clones
     /// handed out earlier stay valid and unchanged.
     edb_cache: RefCell<Option<EdbCacheEntry>>,
 }
 
-/// One generation's cached EDB plus the method/argument combinations
-/// already materialized into it and the column statistics counted on it.
+/// The cached EDB plus the method/argument combinations already
+/// materialized into it and the column statistics counted on it.
 struct EdbCacheEntry {
-    generation: u64,
     edb: Arc<EdbDatabase>,
     methods: HashSet<(String, Vec<Const>)>,
     /// Distinct values per (relation, column), counted on the cost
@@ -329,11 +329,12 @@ impl ObjectDb {
         }
     }
 
-    /// Bump the cache epoch without logging a store operation (used for
-    /// changes that do not touch durable state, e.g. method
-    /// registration).
+    /// Bump the cache epoch and drop the cached EDB, without logging a
+    /// store operation (used directly for changes that do not touch
+    /// durable state, e.g. method registration).
     fn touch(&mut self) {
         self.generation += 1;
+        *self.edb_cache.get_mut() = None;
     }
 
     /// Mirror one shard-local operation into the attached store (if
@@ -950,19 +951,14 @@ impl ObjectDb {
         })
     }
 
-    /// Rebuild the cached EDB if it is missing or was built at an older
-    /// generation. Pinned `Arc` clones of a stale entry stay untouched.
+    /// Build the cached EDB if a mutation dropped it (or none was built
+    /// yet). Pinned `Arc` clones of an earlier one stay untouched.
     fn refresh_edb(&self) {
         // Checked under a shared borrow, so a caller already holding
-        // [`ObjectDb::edb`] may ask again (the entry is then fresh).
-        let fresh = self
-            .edb_cache
-            .borrow()
-            .as_ref()
-            .is_some_and(|e| e.generation == self.generation);
-        if !fresh {
+        // [`ObjectDb::edb`] may ask again (the entry is then there).
+        let missing = self.edb_cache.borrow().is_none();
+        if missing {
             *self.edb_cache.borrow_mut() = Some(EdbCacheEntry {
-                generation: self.generation,
                 edb: Arc::new(self.build_edb()),
                 methods: HashSet::new(),
                 distinct: RefCell::default(),
@@ -1000,9 +996,9 @@ impl ObjectDb {
     /// A consistent EDB snapshot pinned at the current generation.
     ///
     /// The returned `Arc` stays valid and *unchanged* while later
-    /// writers advance the database: mutations bump the generation and
-    /// rebuild the cache entry rather than touching shared state, and
-    /// late method materialization copies-on-write. Long-running
+    /// writers advance the database: mutations drop the cache entry
+    /// rather than touching shared state, and late method
+    /// materialization copies-on-write. Long-running
     /// evaluations (or service sessions) should pin once and evaluate
     /// against the pin.
     pub fn edb_pinned(&self) -> Arc<EdbDatabase> {
@@ -1013,15 +1009,6 @@ impl ObjectDb {
             .expect("just built")
             .edb
             .clone()
-    }
-
-    /// Build a fresh (uncached) EDB from a pinned store view, so an EDB
-    /// build can run against a consistent generation while writers keep
-    /// advancing the attached store.
-    pub fn edb_for_view(&self, view: &StoreView) -> Result<EdbDatabase> {
-        let mut tmp = ObjectDb::new(self.schema.clone());
-        tmp.load_view(view)?;
-        Ok(tmp.build_edb())
     }
 
     /// The one production loader of the EDB. Every relation's indexes are
@@ -1122,9 +1109,8 @@ impl ObjectDb {
     /// of invocations performed (0 when already materialized).
     pub fn ensure_method_facts(&self, pred: &str, args: &[Const]) -> Result<u64> {
         let key = (pred.to_string(), args.to_vec());
-        // Bring the cache entry up to the current generation first; the
-        // materialized-methods set lives with the entry, so stale
-        // entries never short-circuit.
+        // The materialized-methods set lives with the cache entry, so a
+        // mutation forgets it along with the EDB.
         self.refresh_edb();
         if self
             .edb_cache

@@ -284,27 +284,6 @@ fn pinned_generation_answers_are_stable_under_writes() {
     assert_eq!(relation_len(&db.edb(), "faculty"), answers_at_g.len() + 25);
 }
 
-/// `edb_for_view` builds against a pinned store view: a consistent
-/// generation even while the attached store keeps advancing.
-#[test]
-fn edb_for_view_reads_a_consistent_generation() {
-    let dir = test_dir("edb_for_view");
-    let mut db = ObjectDb::open(university_schema(), &dir, 4).unwrap();
-    let p = db.create("Person", vec![("name", "pin".into())]).unwrap();
-    let view = db.store().unwrap().view();
-    let g = view.generation();
-    db.create("Person", vec![("name", "later".into())]).unwrap();
-    let edb = db.edb_for_view(&view).unwrap();
-    assert_eq!(relation_len(&edb, "person"), 1);
-    assert!(edb
-        .relation(&"person".into())
-        .unwrap()
-        .rows()
-        .any(|t| t[0] == sqo_datalog::Const::Oid(p.0)));
-    assert!(db.store().unwrap().generation() > g);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Deleting in one session and recovering in the next leaves no
 /// dangling extent or link entries.
 #[test]

@@ -9,17 +9,22 @@
 //! byte-identical result, the same discipline the counter registry
 //! relies on when the service's workers merge their totals.
 
+use crate::SpanStat;
+
 /// Number of buckets: index 0 holds zeros, index 1 holds ones, and each
 /// octave `o in 1..=63` owns indices `2*o` and `2*o + 1`.
 pub const N_HIST_BUCKETS: usize = 128;
 
 /// A streaming log-bucketed histogram of `u64` samples (nanoseconds, by
-/// convention). Tracks exact `count`/`min`/`max` besides the buckets, so
-/// extreme quantiles are exact and a single-sample histogram reports the
-/// sample itself.
+/// convention). Tracks exact `count`/`sum`/`min`/`max` besides the
+/// buckets, so extreme quantiles are exact, a single-sample histogram
+/// reports the sample itself, and a span's aggregate needs no second
+/// record. The sum is a `u128`: `u64::MAX` samples of `u64::MAX` fit, so
+/// it never saturates and `merge`/`since` stay exact.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Histogram {
     count: u64,
+    sum: u128,
     min: u64,
     max: u64,
     buckets: [u64; N_HIST_BUCKETS],
@@ -35,6 +40,7 @@ impl std::fmt::Debug for Histogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Histogram")
             .field("count", &self.count)
+            .field("sum", &self.sum)
             .field("min", &self.min)
             .field("max", &self.max)
             .field("p50", &self.quantile(0.5))
@@ -78,6 +84,7 @@ impl Histogram {
     pub const fn new() -> Self {
         Histogram {
             count: 0,
+            sum: 0,
             min: 0,
             max: 0,
             buckets: [0; N_HIST_BUCKETS],
@@ -95,12 +102,14 @@ impl Histogram {
             self.max = self.max.max(v);
         }
         self.count += 1;
+        self.sum += u128::from(v);
         self.buckets[bucket_index(v)] += 1;
     }
 
-    /// Merges `other` into `self` (element-wise bucket addition; exact
-    /// extrema combine). Associative and commutative, so any merge order
-    /// over a set of histograms yields byte-identical state.
+    /// Merges `other` into `self` (element-wise bucket addition; counts
+    /// and sums add, exact extrema combine). Associative and commutative,
+    /// so any merge order over a set of histograms yields byte-identical
+    /// state.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
@@ -113,6 +122,7 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
         self.count += other.count;
+        self.sum += other.sum;
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += *o;
         }
@@ -121,6 +131,18 @@ impl Histogram {
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// The exact aggregate of the recorded samples — what
+    /// [`crate::Snapshot::spans`] lists for this series. A total past
+    /// `u64::MAX` reads as `u64::MAX`.
+    pub(crate) fn stat(&self) -> SpanStat {
+        SpanStat {
+            count: self.count,
+            total_ns: u64::try_from(self.sum).unwrap_or(u64::MAX),
+            min_ns: self.min,
+            max_ns: self.max,
+        }
     }
 
     /// Smallest recorded sample (`None` when empty).
@@ -160,11 +182,12 @@ impl Histogram {
     }
 
     /// The difference of `self` relative to an `earlier` state of the
-    /// same histogram (bucket-wise subtraction). `min`/`max` are taken
-    /// from `self`: extrema cannot be un-merged.
+    /// same histogram (bucket-wise subtraction; count and sum subtract).
+    /// `min`/`max` are taken from `self`: extrema cannot be un-merged.
     pub fn since(&self, earlier: &Histogram) -> Histogram {
         let mut out = Histogram::new();
         out.count = self.count.saturating_sub(earlier.count);
+        out.sum = self.sum.saturating_sub(earlier.sum);
         out.min = self.min;
         out.max = self.max;
         for (o, (a, b)) in out

@@ -2,60 +2,57 @@
 //!
 //! The workspace builds hermetically, so this crate supplies the small slice
 //! of `tracing`/`metrics` functionality the pipeline needs, in the same
-//! spirit as the `shims/` stand-ins:
+//! spirit as the `shims/` stand-ins. There are two process-wide registries
+//! — the counters and the series — each fed from thread-local state that
+//! merges in on [`flush_local`], [`snapshot`] and thread exit, and one
+//! thread-local request log. Recording is on by default, cheap enough to
+//! leave on, and a no-op behind one relaxed atomic load when disabled
+//! ([`set_enabled`]).
 //!
-//! * **Spans** — [`span!`] returns a guard that records elapsed wall time
-//!   under a static name. Each span name aggregates
-//!   `count / total_ns / min_ns / max_ns`, thread-locally, and merges into
-//!   the global registry with the flush discipline of the counters. Guards
-//!   are cheap enough to stay always-on and become a no-op when recording
-//!   is disabled (a single relaxed atomic load).
-//! * **Counters** — a fixed set of named monotonic counters ([`Counter`]).
-//!   Increments land in thread-local cells and are merged into the global
-//!   registry when the thread exits (or when the owning thread snapshots).
-//!   The service's workers rely on this: each accumulates locally and
-//!   the totals merge at flush, so the merged totals do not depend on
-//!   which worker ran which request.
-//! * **Histograms** — [`Histogram`] is a dependency-free log-bucketed
-//!   (HDR-style, two sub-buckets per octave) streaming latency histogram.
-//!   [`record_hist`] records into thread-local histograms that merge into
-//!   a global registry with the same flush discipline as the counters
-//!   (element-wise bucket addition is associative and commutative, so
-//!   a merge of several threads' histograms is byte-identical to one
-//!   thread recording every sample). Every completed
-//!   span additionally records its duration into the histogram of the
-//!   same name, giving p50/p90/p99 per stage for free.
-//! * **Traces** — [`trace_begin`] / [`trace_end`] open a request-scoped
-//!   trace on the executing thread; spans completing inside it append
-//!   ordered [`SpanEvent`]s (name, start offset, duration, per-thread
-//!   counter deltas) for per-request attribution.
+//! * **A counter bump** ([`bump`] / [`add`], the fixed set [`Counter`])
+//!   lands in a thread-local cell. A flush adds the cell to the global
+//!   total and to the thread's *flushed* tally; cell + tally is the
+//!   thread's monotonic lifetime total, which is what request-level
+//!   attribution diffs, so the hot path is one cell write and the merged
+//!   totals do not depend on which worker ran which request.
+//! * **A completing span** ([`span!`] returns the guard) is recorded once,
+//!   as one sample of the series of its name, and appended to the
+//!   thread's request log when something is reading it.
+//! * **A series** is a [`Histogram`]: log-bucketed (HDR-style, two
+//!   sub-buckets per octave) plus the exact count, sum, minimum and
+//!   maximum. [`record_hist`] feeds one explicitly (`serve.request`,
+//!   `serve.wait`, `store.recover`). Merging is element-wise addition —
+//!   associative and commutative — so several threads' series merge
+//!   byte-identically to one thread recording every sample, and a span's
+//!   `count / total_ns / min_ns / max_ns` ([`SpanStat`]) is read off its
+//!   series when a [`Snapshot`] is taken, not stored beside it.
+//! * **A request** reads the thread's log of completed spans from the
+//!   mark at which it began: a [`Scope`] aggregates it (with the thread's
+//!   own counter deltas) into the `stats` of one report, and
+//!   [`trace_begin`] / [`trace_end`] return it as ordered [`SpanEvent`]s
+//!   (name, start offset, duration, per-span counter deltas).
+//! * **Snapshots** — [`snapshot`] copies the registries with a stable
+//!   (sorted) key order: whole-process totals, and deltas of them through
+//!   [`Snapshot::since`]. A scope's result has the same shape.
 //! * **Provenance** — [`Provenance`] / [`ProvenanceStep`] records describing
 //!   which residue, source integrity constraint, and transformation kind
 //!   derived each rewrite. These are plain data (always populated, never
 //!   gated by [`enabled`]).
-//! * **Scopes** — [`Scope`] is the request-scoped accumulator: what *this
-//!   thread* counted and which spans it completed between `enter` and
-//!   `finish`, as a [`Snapshot`], without touching the global registries.
-//! * **Snapshots** — [`snapshot`] / [`snapshot_json`] expose the registry
-//!   with a stable (sorted) key order for machine consumption: whole-process
-//!   totals, and deltas of them through [`Snapshot::since`].
 
 #![warn(missing_docs)]
 
 mod hist;
-mod scope;
-mod trace;
+mod request;
 
 pub use hist::{Histogram, N_HIST_BUCKETS};
-pub use scope::Scope;
-pub use trace::{trace_active, trace_begin, trace_end, trace_event, SpanEvent, Trace};
+pub use request::{trace_begin, trace_end, trace_event, Scope, SpanEvent, Trace};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Enable switch
@@ -240,8 +237,8 @@ struct LocalCells {
     cells: [Cell<u64>; N_COUNTERS],
     /// Cumulative totals already flushed to [`GLOBAL`] by this thread.
     /// `cells[i] + flushed[i]` is the thread's monotonic lifetime total,
-    /// which the trace layer diffs to attribute counters to spans without
-    /// adding any work to the hot [`add`] path (flushes are rare).
+    /// which the request log diffs to attribute counters to scopes and
+    /// spans without adding any work to the hot [`add`] path.
     flushed: [Cell<u64>; N_COUNTERS],
 }
 
@@ -304,8 +301,8 @@ pub fn add(c: Counter, n: u64) {
 }
 
 /// The calling thread's monotonic lifetime counter totals (live cells plus
-/// everything it already flushed). Used by the trace layer for per-span
-/// counter deltas; immune to mid-span flushes, unlike the raw cells.
+/// everything it already flushed). Request-level attribution diffs these:
+/// immune to a flush in between, unlike the raw cells.
 pub(crate) fn local_counter_totals() -> [u64; N_COUNTERS] {
     LOCAL
         .try_with(|l| {
@@ -318,8 +315,8 @@ pub(crate) fn local_counter_totals() -> [u64; N_COUNTERS] {
         .unwrap_or([0; N_COUNTERS])
 }
 
-/// Flushes the calling thread's local counter cells, span aggregates and
-/// histograms into the global registries.
+/// Flushes the calling thread's local counter cells and series into the
+/// global registries.
 ///
 /// Worker threads flush automatically on exit; long-lived threads (e.g. the
 /// main thread) call this implicitly via [`snapshot`] / [`reset`].
@@ -329,58 +326,36 @@ pub fn flush_local() {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram registry
+// Series registry
 // ---------------------------------------------------------------------------
 
-/// Global merged histograms keyed by name. Span names land here via
-/// [`SpanGuard`]; explicit request-level series (`serve.request`,
-/// `serve.wait`) via [`record_hist`]. Thread-local until flushed.
-static HISTS: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
+type SeriesMap = BTreeMap<&'static str, Histogram>;
 
-/// Per-thread span aggregates and histograms, merged into [`SPANS`] and
-/// [`HISTS`] with the same discipline as the counter cells: on thread exit
-/// and on [`flush_local`] / [`snapshot`]. Both merges are commutative
-/// (bucket-wise and count/total additions, exact extrema), so the merged
-/// state does not depend on thread interleaving or merge order — and a
-/// completing span takes no process-wide lock.
-struct LocalSeries {
-    inner: RefCell<Series>,
-}
+/// Global merged series keyed by name: one per span name, fed by
+/// [`SpanGuard`], and the explicit request-level ones (`serve.request`,
+/// `serve.wait`, `store.recover`), fed by [`record_hist`].
+static SERIES: Mutex<SeriesMap> = Mutex::new(BTreeMap::new());
 
-#[derive(Default)]
-struct Series {
-    spans: BTreeMap<&'static str, SpanStat>,
-    hists: BTreeMap<&'static str, Histogram>,
-}
+/// Per-thread series, merged into [`SERIES`] with the same discipline as
+/// the counter cells: on thread exit and on [`flush_local`] /
+/// [`snapshot`]. The merge is commutative (bucket-wise, count and sum
+/// additions, exact extrema), so the merged state does not depend on
+/// thread interleaving or merge order — and a completing span takes no
+/// process-wide lock.
+struct LocalSeries(RefCell<SeriesMap>);
 
 impl LocalSeries {
-    const fn new() -> Self {
-        LocalSeries {
-            inner: RefCell::new(Series {
-                spans: BTreeMap::new(),
-                hists: BTreeMap::new(),
-            }),
-        }
-    }
-
     fn flush(&self) {
-        let mut local = self.inner.borrow_mut();
-        if !local.spans.is_empty() {
-            if let Ok(mut global) = SPANS.lock() {
-                for (name, s) in &local.spans {
-                    global.entry(name).or_default().merge(s);
-                }
-            }
-            local.spans.clear();
+        let mut local = self.0.borrow_mut();
+        if local.is_empty() {
+            return;
         }
-        if !local.hists.is_empty() {
-            if let Ok(mut global) = HISTS.lock() {
-                for (name, h) in &local.hists {
-                    global.entry(name).or_default().merge(h);
-                }
+        if let Ok(mut global) = SERIES.lock() {
+            for (name, h) in local.iter() {
+                global.entry(name).or_default().merge(h);
             }
-            local.hists.clear();
         }
+        local.clear();
     }
 }
 
@@ -391,32 +366,33 @@ impl Drop for LocalSeries {
 }
 
 thread_local! {
-    static LOCAL_SERIES: LocalSeries = const { LocalSeries::new() };
+    static LOCAL_SERIES: LocalSeries = const { LocalSeries(RefCell::new(BTreeMap::new())) };
 }
 
-/// Records one sample (nanoseconds, by convention) into the named
-/// histogram. Thread-local until the next flush, like counters.
-#[inline]
-pub fn record_hist(name: &'static str, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let ok = LOCAL_SERIES.try_with(|l| {
-        let mut series = l.inner.borrow_mut();
-        series.hists.entry(name).or_default().record(ns);
-    });
-    if ok.is_err() {
-        // TLS teardown: merge straight into the global registry.
-        if let Ok(mut global) = HISTS.lock() {
+/// One sample of the named series. Thread-local until the next flush.
+fn record(name: &'static str, ns: u64) {
+    let local = LOCAL_SERIES.try_with(|l| l.0.borrow_mut().entry(name).or_default().record(ns));
+    if local.is_err() {
+        // TLS teardown: straight into the global registry.
+        if let Ok(mut global) = SERIES.lock() {
             global.entry(name).or_default().record(ns);
         }
     }
 }
 
-/// Ensures the named histogram exists in the global registry (with zero
+/// Records one sample (nanoseconds, by convention) into the named
+/// series. Thread-local until the next flush, like counters.
+#[inline]
+pub fn record_hist(name: &'static str, ns: u64) {
+    if enabled() {
+        record(name, ns);
+    }
+}
+
+/// Ensures the named series exists in the global registry (with zero
 /// samples if never recorded), so consumers see a stable key set.
 pub fn hist_touch(name: &'static str) {
-    if let Ok(mut global) = HISTS.lock() {
+    if let Ok(mut global) = SERIES.lock() {
         global.entry(name).or_default();
     }
 }
@@ -425,7 +401,8 @@ pub fn hist_touch(name: &'static str) {
 // Spans
 // ---------------------------------------------------------------------------
 
-/// Aggregated timing for one span name.
+/// Exact aggregate of one series — for a span name, its timing. A plain
+/// value read off the series' [`Histogram`] when a [`Snapshot`] is made.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanStat {
     /// Number of completed span guards.
@@ -439,50 +416,28 @@ pub struct SpanStat {
 }
 
 impl SpanStat {
-    fn record(&mut self, ns: u64) {
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.total_ns += ns;
-    }
-
-    /// Folds `other` in: counts and totals add, extrema combine.
-    fn merge(&mut self, other: &SpanStat) {
-        if self.count == 0 {
-            *self = *other;
-        } else if other.count > 0 {
-            self.min_ns = self.min_ns.min(other.min_ns);
-            self.max_ns = self.max_ns.max(other.max_ns);
-            self.count += other.count;
-            self.total_ns += other.total_ns;
-        }
-    }
-
     /// Mean elapsed nanoseconds per completion (0 when `count == 0`).
     pub fn mean_ns(&self) -> u64 {
         self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
-/// Global merged span aggregates. Completing spans aggregate in
-/// [`LOCAL_SERIES`] and land here when their thread flushes.
-static SPANS: Mutex<BTreeMap<&'static str, SpanStat>> = Mutex::new(BTreeMap::new());
+/// The aggregates of the series that have samples: [`Snapshot::spans`]
+/// for a given [`Snapshot::hists`].
+pub(crate) fn spans_of(hists: &SeriesMap) -> BTreeMap<&'static str, SpanStat> {
+    let sampled = hists.iter().filter(|(_, h)| h.count() > 0);
+    sampled.map(|(name, h)| (*name, h.stat())).collect()
+}
 
-/// RAII guard created by [`span!`]; records elapsed time on drop into the
-/// thread's span aggregate and same-named latency histogram, notes it for
-/// the [`Scope`]s open on this thread, and — when a trace is active on this
-/// thread — appends a [`SpanEvent`] with the counter delta observed while
-/// the span was open.
+/// RAII guard created by [`span!`]; on drop records the elapsed time as
+/// one sample of the series of its name and appends it to the thread's
+/// request log — for the open [`Scope`]s and, inside a trace, as a
+/// [`SpanEvent`] with the counter delta observed while the span was open.
 #[must_use = "binding the guard to `_name` keeps the span open for the scope"]
 pub struct SpanGuard {
     name: &'static str,
     start: Option<Instant>,
-    trace_base: Option<Box<[u64; N_COUNTERS]>>,
+    trace_base: Option<[u64; N_COUNTERS]>,
 }
 
 impl SpanGuard {
@@ -499,38 +454,21 @@ impl SpanGuard {
         SpanGuard {
             name,
             start: Some(Instant::now()),
-            trace_base: trace::span_baseline(),
+            trace_base: request::span_baseline(),
         }
     }
+}
+
+pub(crate) fn saturating_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            record_span(self.name, ns);
-            scope::note_span(self.name, ns);
-            if let Some(base) = self.trace_base.take() {
-                trace::push_span(self.name, start, ns, &base);
-            }
-        }
-    }
-}
-
-/// One completed span: its aggregate and its histogram sample.
-fn record_span(name: &'static str, ns: u64) {
-    let ok = LOCAL_SERIES.try_with(|l| {
-        let mut series = l.inner.borrow_mut();
-        series.spans.entry(name).or_default().record(ns);
-        series.hists.entry(name).or_default().record(ns);
-    });
-    if ok.is_err() {
-        // TLS teardown: merge straight into the global registries.
-        if let Ok(mut spans) = SPANS.lock() {
-            spans.entry(name).or_default().record(ns);
-        }
-        if let Ok(mut hists) = HISTS.lock() {
-            hists.entry(name).or_default().record(ns);
+            let ns = saturating_ns(start.elapsed());
+            record(self.name, ns);
+            request::note_span(self.name, start, ns, self.trace_base.as_ref());
         }
     }
 }
@@ -548,31 +486,31 @@ macro_rules! span {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// A point-in-time copy of the counter and span registries
+/// A point-in-time copy of the counter and series registries
 /// ([`snapshot`]) — or, with the same shape, what one thread counted and
 /// completed inside a [`Scope`].
 ///
-/// Both maps use sorted (`BTreeMap`) key order, so serialized snapshots are
+/// All maps use sorted (`BTreeMap`) key order, so serialized snapshots are
 /// byte-comparable across runs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     /// Counter totals keyed by [`Counter::name`]. Every counter is present,
     /// including zeros, so the key set is build-independent.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Span aggregates keyed by span name.
+    /// Exact aggregates of the series in `hists` that have samples.
     pub spans: BTreeMap<&'static str, SpanStat>,
-    /// Latency histograms keyed by series name (span names plus explicit
-    /// `serve.*` series).
+    /// Latency histograms keyed by series name (span names plus the
+    /// explicitly recorded series).
     pub hists: BTreeMap<&'static str, Histogram>,
 }
 
 impl Snapshot {
     /// Returns the delta of `self` relative to an `earlier` snapshot.
     ///
-    /// Counter values, span `count`/`total_ns`, and histogram buckets
-    /// subtract; span and histogram `min`/`max` are taken from `self`
-    /// (extrema cannot be un-merged). Spans and histograms with no
-    /// completions since `earlier` are omitted.
+    /// Counter values and histogram buckets, counts and sums subtract;
+    /// `min`/`max` are taken from `self` (extrema cannot be un-merged).
+    /// Series with no samples since `earlier` are omitted, and `spans` is
+    /// read off the remaining ones.
     pub fn since(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
@@ -584,22 +522,6 @@ impl Snapshot {
                 )
             })
             .collect();
-        let mut spans = BTreeMap::new();
-        for (name, stat) in &self.spans {
-            let before = earlier.spans.get(name).copied().unwrap_or_default();
-            let count = stat.count.saturating_sub(before.count);
-            if count > 0 {
-                spans.insert(
-                    *name,
-                    SpanStat {
-                        count,
-                        total_ns: stat.total_ns.saturating_sub(before.total_ns),
-                        min_ns: stat.min_ns,
-                        max_ns: stat.max_ns,
-                    },
-                );
-            }
-        }
         let mut hists = BTreeMap::new();
         for (name, h) in &self.hists {
             let delta = match earlier.hists.get(name) {
@@ -612,7 +534,7 @@ impl Snapshot {
         }
         Snapshot {
             counters,
-            spans,
+            spans: spans_of(&hists),
             hists,
         }
     }
@@ -702,7 +624,7 @@ impl Snapshot {
     }
 }
 
-/// Takes a snapshot of all counters, spans, and histograms.
+/// Takes a snapshot of all counters and series.
 ///
 /// Flushes the calling thread's local cells first, so totals include all
 /// work done on this thread and on any already-joined worker thread.
@@ -711,24 +633,17 @@ pub fn snapshot() -> Snapshot {
     let counters = Counter::all()
         .map(|c| (c.name(), GLOBAL[c as usize].load(Ordering::Relaxed)))
         .collect();
-    let spans = SPANS.lock().map(|s| s.clone()).unwrap_or_default();
-    let hists = HISTS.lock().map(|h| h.clone()).unwrap_or_default();
+    let hists = SERIES.lock().map(|s| s.clone()).unwrap_or_default();
     Snapshot {
         counters,
-        spans,
+        spans: spans_of(&hists),
         hists,
     }
 }
 
-/// [`snapshot`] serialized as JSON with stable key order.
-pub fn snapshot_json() -> String {
-    snapshot().to_json()
-}
-
-/// Zeroes all global counters, the calling thread's local cells, span
-/// aggregates and histograms, and the span and histogram registries.
-/// Counts still held by *other* live threads are unaffected until those
-/// threads flush.
+/// Zeroes all global counters, the calling thread's local cells and
+/// series, and the series registry. Counts still held by *other* live
+/// threads are unaffected until those threads flush.
 pub fn reset() {
     let _ = LOCAL.try_with(|l| {
         for (cell, flushed) in l.cells.iter().zip(l.flushed.iter()) {
@@ -736,15 +651,12 @@ pub fn reset() {
             flushed.set(0);
         }
     });
-    let _ = LOCAL_SERIES.try_with(|l| *l.inner.borrow_mut() = Series::default());
+    let _ = LOCAL_SERIES.try_with(|l| l.0.borrow_mut().clear());
     for global in &GLOBAL {
         global.store(0, Ordering::Relaxed);
     }
-    if let Ok(mut spans) = SPANS.lock() {
-        spans.clear();
-    }
-    if let Ok(mut hists) = HISTS.lock() {
-        hists.clear();
+    if let Ok(mut series) = SERIES.lock() {
+        series.clear();
     }
 }
 
@@ -1013,12 +925,12 @@ mod tests {
         let _g = lock();
         reset();
         bump(Counter::SearchLevels);
-        let json = snapshot_json();
+        let json = snapshot().to_json();
         let a = json.find("\"eval.join_input_tuples\"").unwrap();
         let b = json.find("\"search.levels\"").unwrap();
         let c = json.find("\"unify.attempts\"").unwrap();
         assert!(a < b && b < c, "counter keys must be sorted");
-        assert_eq!(json, snapshot_json());
+        assert_eq!(json, snapshot().to_json());
     }
 
     #[test]
@@ -1162,45 +1074,5 @@ mod tests {
         let h = &snap.hists["test.hist.touched"];
         assert_eq!(h.count(), 0);
         assert_eq!(h.quantile(0.99), None);
-    }
-
-    #[test]
-    fn trace_collects_ordered_events_with_counter_deltas() {
-        let _g = lock();
-        reset();
-        assert!(trace_end().is_none());
-        trace_begin("s:0:7".to_string());
-        trace_event("serve.admission_wait", 0, 1234);
-        {
-            let _s = span!("test.trace.outer");
-            add(Counter::UnifyAttempts, 3);
-            // A snapshot mid-span flushes the local cells; the cumulative
-            // totals keep the delta intact.
-            let _ = snapshot();
-            add(Counter::UnifyAttempts, 2);
-        }
-        {
-            let _s = span!("test.trace.second");
-        }
-        let trace = trace_end().expect("trace was active");
-        assert_eq!(trace.id, "s:0:7");
-        let names: Vec<&str> = trace.events.iter().map(|e| e.name).collect();
-        assert_eq!(
-            names,
-            [
-                "serve.admission_wait",
-                "test.trace.outer",
-                "test.trace.second"
-            ]
-        );
-        assert_eq!(trace.event_dur_ns("serve.admission_wait"), Some(1234));
-        let outer = &trace.events[1];
-        assert!(outer.counters.contains(&("unify.attempts", 5)));
-        let json = trace.events_json();
-        assert!(json.contains("\"name\": \"test.trace.outer\""));
-        assert!(json.contains("\"unify.attempts\": 5"));
-        // The trace is closed: further spans do not record events.
-        assert!(!trace_active());
-        assert!(trace_end().is_none());
     }
 }

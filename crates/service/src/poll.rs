@@ -3,7 +3,8 @@
 //! The workspace is dependency-free, so this is the "tiny shim" layer:
 //! on Linux a level-triggered **epoll** instance driven through the
 //! C ABI that `std` already links (`epoll_create1`/`epoll_ctl`/
-//! `epoll_wait`); on other Unixes a **poll(2)** set rebuilt per wait.
+//! `epoll_wait`); on other Unixes a **poll(2)** set rebuilt per wait
+//! (compiled, and tested, on Linux too, so it cannot rot unseen).
 //! Both expose the same [`Poller`] surface: register a file descriptor
 //! with a `u64` token and an interest set, wait for readiness events,
 //! get `(token, readable, writable, hangup)` tuples back.
@@ -12,8 +13,6 @@
 //! condition holds, so the event loop may process a bounded amount per
 //! wake-up (fairness across connections) and rely on being woken again
 //! for the remainder.
-
-use std::time::Duration;
 
 /// What to watch a descriptor for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,14 +207,22 @@ mod linux {
 }
 
 /// Non-Linux Unix: a poll(2) set rebuilt on every wait. O(n) per wake,
-/// which is fine at the connection counts the fallback targets.
-#[cfg(all(unix, not(target_os = "linux")))]
+/// which is fine at the connection counts the fallback targets. Linux
+/// compiles it for its tests only.
+#[cfg(unix)]
+#[cfg_attr(target_os = "linux", allow(dead_code))]
 mod posix {
     use super::{Event, Interest};
     use std::collections::HashMap;
     use std::io;
     use std::os::raw::{c_int, c_short};
     use std::time::Duration;
+
+    /// `nfds_t`: `unsigned long` on Linux, `unsigned int` elsewhere.
+    #[cfg(target_os = "linux")]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::os::raw::c_uint;
 
     #[repr(C)]
     struct PollFd {
@@ -230,7 +237,7 @@ mod posix {
     const POLLHUP: c_short = 0x010;
 
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u32, timeout: c_int) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
     }
 
     /// A poll(2)-backed poller.
@@ -286,7 +293,7 @@ mod posix {
                     .unwrap_or(i32::MAX),
             };
             let n = loop {
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms) };
+                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
                 if n >= 0 {
                     break n as usize;
                 }
@@ -309,63 +316,68 @@ mod posix {
     }
 }
 
-/// Smallest-positive-duration helper: the next wait timeout given an
-/// optional deadline, saturating at zero when the deadline passed.
-pub fn timeout_until(deadline: Option<std::time::Instant>) -> Option<Duration> {
-    deadline.map(|d| d.saturating_duration_since(std::time::Instant::now()))
-}
-
 #[cfg(all(test, unix))]
 mod tests {
-    use super::*;
-    use std::io::Write;
-    use std::os::unix::net::UnixStream;
-    // `AsRawFd` is in scope for the fd() helper below.
-    use std::os::unix::io::AsRawFd;
+    /// The poller contract, held against one backend.
+    macro_rules! poller_tests {
+        ($backend:ident) => {
+            mod $backend {
+                use crate::poll::{$backend::Poller, Interest};
+                use std::io::Write;
+                use std::os::unix::io::AsRawFd;
+                use std::os::unix::net::UnixStream;
+                use std::time::Duration;
 
-    #[test]
-    fn pipe_readability_round_trip() {
-        let (mut a, b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+                #[test]
+                fn pipe_readability_round_trip() {
+                    let (mut a, b) = UnixStream::pair().unwrap();
+                    b.set_nonblocking(true).unwrap();
+                    let mut poller = Poller::new().unwrap();
+                    poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
 
-        let mut events = Vec::new();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0, "nothing written yet");
+                    let mut events = Vec::new();
+                    let n = poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .unwrap();
+                    assert_eq!(n, 0, "nothing written yet");
 
-        a.write_all(b"x").unwrap();
-        a.flush().unwrap();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(n >= 1);
-        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+                    a.write_all(b"x").unwrap();
+                    a.flush().unwrap();
+                    let n = poller
+                        .wait(&mut events, Some(Duration::from_secs(5)))
+                        .unwrap();
+                    assert!(n >= 1);
+                    assert!(events.iter().any(|e| e.token == 7 && e.readable));
 
-        poller.deregister(b.as_raw_fd()).unwrap();
-        events.clear();
-        let n = poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert_eq!(n, 0, "deregistered descriptors never fire");
+                    poller.deregister(b.as_raw_fd()).unwrap();
+                    events.clear();
+                    let n = poller
+                        .wait(&mut events, Some(Duration::from_millis(10)))
+                        .unwrap();
+                    assert_eq!(n, 0, "deregistered descriptors never fire");
+                }
+
+                #[test]
+                fn hangup_is_reported_readable() {
+                    let (a, b) = UnixStream::pair().unwrap();
+                    b.set_nonblocking(true).unwrap();
+                    let mut poller = Poller::new().unwrap();
+                    poller.register(b.as_raw_fd(), 1, Interest::READ).unwrap();
+                    drop(a);
+                    let mut events = Vec::new();
+                    poller
+                        .wait(&mut events, Some(Duration::from_secs(5)))
+                        .unwrap();
+                    assert!(
+                        events.iter().any(|e| e.readable || e.hangup),
+                        "peer close must wake the poller: {events:?}"
+                    );
+                }
+            }
+        };
     }
 
-    #[test]
-    fn hangup_is_reported_readable() {
-        let (a, b) = UnixStream::pair().unwrap();
-        b.set_nonblocking(true).unwrap();
-        let mut poller = Poller::new().unwrap();
-        poller.register(b.as_raw_fd(), 1, Interest::READ).unwrap();
-        drop(a);
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(
-            events.iter().any(|e| e.readable || e.hangup),
-            "peer close must wake the poller: {events:?}"
-        );
-    }
+    #[cfg(target_os = "linux")]
+    poller_tests!(linux);
+    poller_tests!(posix);
 }

@@ -12,7 +12,7 @@
 use crate::ServeError;
 use sqo_core::{PlanCache, PreparedOptimizer, SemanticOptimizer};
 use sqo_datalog::parser::{parse_program, Statement};
-use sqo_objdb::{ObjectDb, UniversityConfig};
+use sqo_objdb::{ObjectDb, ShardedStore, UniversityConfig};
 use sqo_obs as obs;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,9 +38,17 @@ pub struct Session {
     /// Per-session request sequence, the tail of each trace id.
     trace_seq: AtomicU64,
     /// Optional bound object base. `ObjectDb` keeps interior caches in
-    /// `RefCell`s, so execution serializes on this mutex; optimization
+    /// `RefCell`s, so execution serializes on its mutex; optimization
     /// (the expensive part) stays concurrent.
-    data: RwLock<Option<Arc<Mutex<ObjectDb>>>>,
+    data: RwLock<Option<Attached>>,
+}
+
+/// A bound object base and, beside it, the durable store it logs to (if
+/// any): what can be asked of the store alone — its generation — is
+/// answered without waiting for whoever holds the base.
+struct Attached {
+    db: Arc<Mutex<ObjectDb>>,
+    store: Option<Arc<ShardedStore>>,
 }
 
 impl Session {
@@ -89,7 +97,17 @@ impl Session {
 
     /// The session's bound object base, when data was attached.
     pub fn data(&self) -> Option<Arc<Mutex<ObjectDb>>> {
-        self.data.read().unwrap_or_else(|e| e.into_inner()).clone()
+        let data = self.data.read().unwrap_or_else(|e| e.into_inner());
+        data.as_ref().map(|a| a.db.clone())
+    }
+
+    /// The attached store's generation (0 without data, or for an
+    /// in-memory base). Reads the store's own atomic: never waits for a
+    /// query executing under the [`Session::data`] mutex.
+    pub fn store_generation(&self) -> u64 {
+        let data = self.data.read().unwrap_or_else(|e| e.into_inner());
+        let store = data.as_ref().and_then(|a| a.store.as_ref());
+        store.map_or(0, |s| s.generation())
     }
 
     /// Binds an object base to this session so `query` requests can
@@ -97,7 +115,11 @@ impl Session {
     /// mutate durable state. The database may be in-memory or opened
     /// from a store directory (see `ObjectDb::open`).
     pub fn attach_db(&self, db: ObjectDb) {
-        *self.data.write().unwrap_or_else(|e| e.into_inner()) = Some(Arc::new(Mutex::new(db)));
+        let attached = Attached {
+            store: db.store().cloned(),
+            db: Arc::new(Mutex::new(db)),
+        };
+        *self.data.write().unwrap_or_else(|e| e.into_inner()) = Some(attached);
     }
 
     /// Binds the deterministic built-in university object base (the

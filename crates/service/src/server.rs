@@ -266,14 +266,6 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
         .into_iter()
         .filter_map(|name| shared.registry.get(&name))
         .map(|s| {
-            let store_generation = s
-                .data()
-                .map(|db| {
-                    db.lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .store_generation()
-                })
-                .unwrap_or(0);
             format!(
                 r#"{{"name":{},"generation":{},"cached_templates":{},"cache_shards":{},"cached_instances":{},"store_generation":{}}}"#,
                 obs::json_string(s.name()),
@@ -281,7 +273,7 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
                 s.cache().len(),
                 s.cache().shard_count(),
                 s.cache().instance_count(),
-                store_generation
+                s.store_generation()
             )
         })
         .collect();

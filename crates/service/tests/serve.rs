@@ -797,6 +797,10 @@ fn prepare_over_the_wire_creates_sessions() {
 /// Starts a server whose default session is bound to a durable store
 /// opened (or recovered) from `dir`.
 fn start_store_server(dir: &std::path::Path) -> SocketAddr {
+    start_store_server_and_registry(dir).0
+}
+
+fn start_store_server_and_registry(dir: &std::path::Path) -> (SocketAddr, Arc<SessionRegistry>) {
     let registry = Arc::new(SessionRegistry::new());
     registry
         .prepare("default", SessionSpec::University, Some(IC4))
@@ -811,12 +815,53 @@ fn start_store_server(dir: &std::path::Path) -> SocketAddr {
             queue_capacity: 16,
             ..ServerConfig::default()
         },
-        registry,
+        registry.clone(),
     )
     .unwrap();
     let addr = server.local_addr();
     std::thread::spawn(move || server.run().unwrap());
-    addr
+    (addr, registry)
+}
+
+/// `metrics` is answered on the event-loop thread, and a worker holds a
+/// session's data mutex for a whole plan choice and execute: reading the
+/// store generation must not take that mutex, or one `metrics` poll
+/// stalls every connection for as long as the slowest running query.
+/// Here the test thread is that query.
+#[test]
+fn metrics_does_not_wait_for_a_running_query() {
+    let _g = lock();
+    let dir = std::env::temp_dir().join(format!("sqo_serve_held_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (addr, registry) = start_store_server_and_registry(&dir);
+    let create = r#"{"op":"create","class":"Person","attrs":{"name":"held"}}"#;
+    let created = roundtrip(addr, &[create.to_string()]);
+    assert_eq!(created[0].get("ok"), Some(&Json::Bool(true)));
+
+    // One request on a connection of its own, given five seconds.
+    let ask = |line: &str| -> std::io::Result<Json> {
+        let mut stream = TcpStream::connect(addr)?;
+        stream.set_read_timeout(Some(std::time::Duration::from_secs(5)))?;
+        writeln!(stream, "{line}")?;
+        let mut resp = String::new();
+        BufReader::new(stream).read_line(&mut resp)?;
+        Ok(json::parse(&resp).unwrap())
+    };
+    let data = registry.get("default").unwrap().data().unwrap();
+    let held = data.lock().unwrap();
+    let metrics = ask(r#"{"op":"metrics"}"#).expect("metrics waited for the data mutex");
+    let ping = ask(r#"{"op":"ping"}"#).expect("the event loop is stalled");
+    let generation = held.store_generation();
+    drop(held);
+    shutdown(addr);
+
+    assert_eq!(ping.get("ok"), Some(&Json::Bool(true)));
+    let sessions = metrics.get("sessions").and_then(Json::as_arr).unwrap();
+    let reported = sessions[0].get("store_generation").and_then(Json::as_u64);
+    assert!(generation > 0);
+    assert_eq!(reported, Some(generation));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -3,10 +3,11 @@
 //! thread-local-then-merge discipline gives byte-identical results no
 //! matter how many threads recorded or in which order their cells were
 //! folded in), and `quantile` must never panic and always answer inside
-//! the recorded range.
+//! the recorded range. The exact sum a histogram carries — what a span's
+//! `total_ns` is read from — is part of that monoid and of `since`.
 
 use proptest::prelude::*;
-use semantic_sqo::obs::Histogram;
+use semantic_sqo::obs::{Histogram, Snapshot, SpanStat};
 
 fn build(samples: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -14,6 +15,16 @@ fn build(samples: &[u64]) -> Histogram {
         h.record(s);
     }
     h
+}
+
+/// What `later.since(earlier)` lists under `spans` for one series.
+fn span_since(later: &Histogram, earlier: &Histogram) -> Option<SpanStat> {
+    let holding = |h: &Histogram| Snapshot {
+        hists: [("series", h.clone())].into(),
+        ..Snapshot::default()
+    };
+    let delta = holding(later).since(&holding(earlier));
+    delta.spans.get("series").copied()
 }
 
 fn merged(parts: &[&Histogram]) -> Histogram {
@@ -95,6 +106,28 @@ proptest! {
         prop_assert_eq!(&merged(&reversed), &sequential);
     }
 
+    /// What was recorded after an earlier state of a series comes back
+    /// from `since` with its exact count and sum, however the later
+    /// state was put together — the sum is a `u128`, so `u64::MAX`
+    /// samples on either side do not disturb the other's; only the
+    /// `u64` it is read into saturates.
+    #[test]
+    fn since_gives_back_the_count_and_sum_recorded_after(
+        a in proptest::collection::vec(sample_strategy(), 0..40),
+        b in proptest::collection::vec(sample_strategy(), 0..40),
+    ) {
+        let (ha, hb) = (build(&a), build(&b));
+        let stat = span_since(&merged(&[&hb, &ha]), &ha);
+        if b.is_empty() {
+            prop_assert_eq!(stat, None, "no samples since: not listed");
+        } else {
+            let stat = stat.expect("samples since: listed");
+            let sum: u128 = b.iter().map(|&v| u128::from(v)).sum();
+            prop_assert_eq!(stat.count, b.len() as u64);
+            prop_assert_eq!(stat.total_ns, u64::try_from(sum).unwrap_or(u64::MAX));
+        }
+    }
+
     /// quantile never panics, answers None exactly on the empty
     /// histogram, and always lands within [min, max] of what was
     /// recorded (half-octave bucketing cannot escape the range because
@@ -125,4 +158,28 @@ fn single_sample_quantiles_are_exact_at_extremes() {
             assert_eq!(h.quantile(p), Some(v), "single sample {v} at p={p}");
         }
     }
+}
+
+/// Two sample sets no bucket, count or extremum tells apart still merge
+/// to different states: the sum is part of what `merge` carries.
+#[test]
+fn the_sum_is_part_of_the_merged_state() {
+    let (low, high) = (build(&[4, 4, 5]), build(&[4, 5, 5]));
+    assert_eq!(low.buckets(), high.buckets());
+    assert_eq!((low.count(), low.min(), low.max()), (3, Some(4), Some(5)));
+    assert_eq!(
+        (high.count(), high.min(), high.max()),
+        (3, Some(4), Some(5))
+    );
+    assert_ne!(low, high);
+    let empty = Histogram::new();
+    let total = |h: &Histogram| span_since(h, &empty).map(|s| s.total_ns);
+    assert_eq!((total(&low), total(&high)), (Some(13), Some(14)));
+    assert_eq!(total(&merged(&[&low, &high])), Some(27));
+    // Past `u64::MAX` the total reads saturated, and is still exact
+    // underneath: taking the large samples away again leaves the 27.
+    let large = build(&[u64::MAX, u64::MAX]);
+    let all = merged(&[&large, &low, &high]);
+    assert_eq!(total(&all), Some(u64::MAX));
+    assert_eq!(span_since(&all, &large).map(|s| s.total_ns), Some(27));
 }

@@ -3,9 +3,13 @@
 //! Application 3 key-join elimination, plus the structural guarantees the
 //! explain surface makes (non-empty provenance for every equivalent,
 //! refuting-IC attribution for contradictions, per-run counter deltas).
+//! The scope behind a report's `stats` and the request's trace read one
+//! thread-local log of completed spans, each from its own mark: the tests
+//! at the end hold the two views to each other.
 
 use semantic_sqo::{SemanticOptimizer, Verdict};
-use sqo_obs as obs;
+use sqo_core::{PlanCache, PreparedOptimizer};
+use sqo_obs::{self as obs, Counter};
 use std::sync::Mutex;
 
 /// Serializes the tests in this binary: `OptimizationReport::stats` is a
@@ -221,4 +225,183 @@ fn report_stats_capture_per_run_counters() {
         .unwrap();
     assert_eq!(second.stats.counter(obs::Counter::ResiduesAttached), 0);
     assert_eq!(second.stats.counter(obs::Counter::OptimizerQueries), 1);
+}
+
+/// A prepared university optimizer with IC4, and a query it rewrites.
+fn prepared() -> (PreparedOptimizer, &'static str) {
+    let mut opt = SemanticOptimizer::university();
+    opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+        .unwrap();
+    let oql = "select x.name from x in Person where x.age < 27";
+    (opt.prepare(), oql)
+}
+
+/// The aggregate of a trace's events of one name, as `stats.spans` has it.
+fn aggregate(trace: &obs::Trace, name: &str) -> Option<obs::SpanStat> {
+    let durs = trace.events.iter().filter(|e| e.name == name);
+    let durs: Vec<u64> = durs.map(|e| e.dur_ns).collect();
+    Some(obs::SpanStat {
+        count: durs.len() as u64,
+        total_ns: durs.iter().sum(),
+        min_ns: *durs.iter().min()?,
+        max_ns: *durs.iter().max()?,
+    })
+}
+
+/// As `run_query` nests them — the trace around the optimization, whose
+/// report's `stats` is a scope: every span the report lists is in the
+/// trace as often and with the very durations, whether the search ran
+/// (miss), the instance was filled, or the text decided (hit).
+#[test]
+fn a_report_and_its_trace_agree_on_every_span() {
+    let (prep, oql) = prepared();
+    let cache = PlanCache::new();
+    for _ in 0..3 {
+        obs::trace_begin("request".to_string());
+        let (report, _) = prep.optimize_cached(&cache, oql).unwrap();
+        {
+            let _outside = obs::span!("test.after_the_report");
+        }
+        let trace = obs::trace_end().expect("begun above");
+        assert!(obs::trace_end().is_none(), "closed once");
+        assert!(!report.stats.spans.is_empty());
+        for (name, stat) in &report.stats.spans {
+            assert_eq!(aggregate(&trace, name), Some(*stat), "{name}");
+            assert_eq!(report.stats.hists[name].count(), stat.count, "{name}");
+        }
+        // The trace outlives the scope: it also has the span that
+        // enclosed the scope, and what came after the report.
+        let in_trace = |name| trace.events.iter().filter(|e| e.name == name).count();
+        assert_eq!(in_trace("pipeline.optimize"), 1);
+        assert_eq!(in_trace("test.after_the_report"), 1);
+        assert!(!report.stats.spans.contains_key("pipeline.optimize"));
+        let listed: u64 = report.stats.spans.values().map(|s| s.count).sum();
+        assert_eq!(trace.events.len() as u64, listed + 2);
+    }
+}
+
+/// The other nesting: a scope around whole requests, each with a trace
+/// and a report of its own. The outer scope contains every inner one.
+#[test]
+fn an_inner_scope_is_contained_in_its_outer() {
+    let (prep, oql) = prepared();
+    let cache = PlanCache::new();
+    let outer = obs::Scope::enter();
+    let mut inner = Vec::new();
+    for _ in 0..2 {
+        obs::trace_begin("inside".to_string());
+        inner.push(prep.optimize_cached(&cache, oql).unwrap().0.stats);
+        let trace = obs::trace_end().expect("begun above");
+        let stats = inner.last().unwrap();
+        for (name, stat) in &stats.spans {
+            assert_eq!(aggregate(&trace, name), Some(*stat), "{name}");
+        }
+    }
+    let outer = outer.finish();
+    for (name, v) in &outer.counters {
+        let summed: u64 = inner.iter().map(|s| s.counters[name]).sum();
+        assert_eq!(*v, summed, "{name}");
+    }
+    for stats in &inner {
+        for (name, stat) in &stats.spans {
+            let around = outer.spans[name];
+            assert!(around.count >= stat.count && around.total_ns >= stat.total_ns);
+            assert!(around.min_ns <= stat.min_ns && around.max_ns >= stat.max_ns);
+        }
+    }
+    // Each request's own `pipeline.optimize` closed inside the outer scope.
+    assert_eq!(outer.spans["pipeline.optimize"].count, 2);
+    assert_eq!(outer.counter(Counter::OptimizerQueries), 2);
+}
+
+/// The serve pool catches a panicking task and reuses its worker, and an
+/// error return leaves `run_query`'s callee early: neither may leave
+/// anything behind for the worker's next request to report.
+#[test]
+fn an_error_or_unwind_inside_a_trace_leaves_nothing_for_the_next_request() {
+    let (prep, oql) = prepared();
+    let cache = PlanCache::new();
+    let clean_request = || {
+        obs::trace_begin("next".to_string());
+        let (report, _) = prep.optimize_cached(&cache, oql).unwrap();
+        let trace = obs::trace_end().expect("begun above");
+        assert_eq!(trace.id, "next");
+        for (name, stat) in &report.stats.spans {
+            assert_eq!(aggregate(&trace, name), Some(*stat), "{name}");
+        }
+        let names: Vec<_> = trace.events.iter().map(|e| e.name).collect();
+        assert!(!names.iter().any(|n| n.starts_with("test.")), "{names:?}");
+        assert_eq!(report.stats.counter(Counter::OptimizerQueries), 1);
+        assert_eq!(report.stats.counter(Counter::UnifyAttempts), 0, "a hit");
+    };
+    // Miss, then fill: from here on the text decides, and unifies nothing.
+    for _ in 0..2 {
+        prep.optimize_cached(&cache, oql).unwrap();
+    }
+    clean_request();
+
+    // `?` through an open scope: the parse error of a request.
+    obs::trace_begin("failed".to_string());
+    assert!(prep.optimize_cached(&cache, "select from where").is_err());
+    let failed = obs::trace_end().expect("begun above");
+    assert_eq!(failed.id, "failed");
+    clean_request();
+
+    // An unwind through two open scopes and an open span, the trace never
+    // closed: the next `trace_begin` replaces it.
+    let caught = std::panic::catch_unwind(|| {
+        obs::trace_begin("abandoned".to_string());
+        let _outer = obs::Scope::enter();
+        let _inner = obs::Scope::enter();
+        obs::add(Counter::UnifyAttempts, 5);
+        {
+            let _s = obs::span!("test.before_the_panic");
+        }
+        let _open = obs::span!("test.open_at_the_panic");
+        panic!("injected panic inside two scopes inside a trace");
+    });
+    assert!(caught.is_err());
+    clean_request();
+    let empty = obs::Scope::enter().finish();
+    assert!(empty.spans.is_empty() && empty.hists.is_empty());
+    assert!(empty.counters.values().all(|v| *v == 0));
+}
+
+/// Completes a span, records a sample and bumps a counter when its
+/// thread's locals are destroyed.
+struct RecordsOnExit;
+
+impl Drop for RecordsOnExit {
+    fn drop(&mut self) {
+        let _s = obs::span!("test.teardown.span");
+        obs::record_hist("test.teardown.series", 7);
+        obs::bump(Counter::ServeDeadlineExceeded);
+    }
+}
+
+thread_local! {
+    static ON_EXIT: RecordsOnExit = const { RecordsOnExit };
+}
+
+/// Thread-locals are destroyed in no promised order: what is recorded
+/// after this crate's own are gone goes straight to the registries.
+#[test]
+fn what_completes_during_tls_teardown_still_reaches_the_snapshot() {
+    let before = obs::snapshot();
+    let thread = std::thread::spawn(|| {
+        // Registered before the thread-locals the span below makes obs
+        // register, so (where destructors run newest first) outliving
+        // them.
+        ON_EXIT.with(|_| ());
+        let _s = obs::span!("test.teardown.earlier");
+        obs::bump(Counter::ServeDeadlineExceeded);
+    });
+    thread.join().expect("thread and its destructors ran");
+    let delta = obs::snapshot().since(&before);
+    assert_eq!(delta.spans["test.teardown.earlier"].count, 1);
+    assert_eq!(delta.spans["test.teardown.span"].count, 1);
+    assert_eq!(delta.hists["test.teardown.span"].count(), 1);
+    let series = delta.spans["test.teardown.series"];
+    assert_eq!((series.count, series.total_ns), (1, 7));
+    assert_eq!(delta.counter(Counter::ServeDeadlineExceeded), 2);
 }
