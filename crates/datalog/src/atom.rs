@@ -132,6 +132,17 @@ impl CmpOp {
         }
     }
 
+    fn as_str(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "!=",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+
     /// Evaluate the operator on a concrete ordering result.
     pub fn test(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
@@ -148,14 +159,40 @@ impl CmpOp {
 
 impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "!=",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        })
+        f.write_str(self.as_str())
+    }
+}
+
+/// The `Display` text of a term in a fixed buffer on the stack.
+struct StackText {
+    buf: [u8; 48],
+    len: usize,
+}
+
+impl StackText {
+    /// Render `t`; `None` when its text does not fit.
+    fn of(t: &Term) -> Option<StackText> {
+        use fmt::Write;
+        let mut text = StackText {
+            buf: [0; 48],
+            len: 0,
+        };
+        write!(text, "{t}").ok()?;
+        Some(text)
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl fmt::Write for StackText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let free = self.buf.get_mut(self.len..end).ok_or(fmt::Error)?;
+        free.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -191,11 +228,35 @@ impl Comparison {
         Comparison::new(self.rhs, self.op.flip(), self.lhs)
     }
 
-    /// A canonical orientation: variable (or smaller term) on the left, so
-    /// that `X = Y` and `Y = X` normalize identically.
+    /// Whether the two comparisons state the same constraint: equal, or
+    /// equal once one is flipped (`X < Y` and `Y > X`). The same relation
+    /// as `self.canonical() == other.canonical()`, without rendering
+    /// either side.
+    pub fn same_as(&self, other: &Comparison) -> bool {
+        self == other || *self == other.flip()
+    }
+
+    /// A canonical orientation, so that `X = Y` and `Y = X` normalize
+    /// identically: of the comparison and its flip, the one whose
+    /// [`Display`](fmt::Display) text sorts first (`30 < Age`, not
+    /// `Age > 30`). The two texts are compared piece by piece — operand,
+    /// operator, operand — with each operand rendered once, on the stack;
+    /// only an operand whose text is longer than 48 bytes goes through two
+    /// heap `String`s.
     pub fn canonical(&self) -> Comparison {
+        fn text<'a>(l: &'a [u8], op: CmpOp, r: &'a [u8]) -> impl Iterator<Item = &'a u8> {
+            let op = op.as_str().as_bytes();
+            l.iter().chain(b" ").chain(op).chain(b" ").chain(r)
+        }
         let flipped = self.flip();
-        if format!("{flipped}") < format!("{self}") {
+        let flipped_first = match (StackText::of(&self.lhs), StackText::of(&self.rhs)) {
+            (Some(l), Some(r)) => {
+                let (l, r) = (l.bytes(), r.bytes());
+                text(r, flipped.op, l).lt(text(l, self.op, r))
+            }
+            _ => flipped.to_string() < self.to_string(),
+        };
+        if flipped_first {
             flipped
         } else {
             *self

@@ -76,68 +76,62 @@ impl Rule {
     /// *only* inside that one literal (it is then existential under the
     /// negation and evaluated as a partially-bound anti-join).
     pub fn is_safe(&self) -> bool {
-        let positive: BTreeSet<&Var> = self
-            .body
-            .iter()
-            .filter(|l| l.is_positive())
-            .flat_map(|l| l.vars())
-            .collect();
-        // Occurrence counts across the whole clause, to recognize
-        // negation-local existential variables.
-        let mut occurrences: std::collections::HashMap<&Var, usize> =
-            std::collections::HashMap::new();
-        for v in self.head.vars() {
-            *occurrences.entry(v).or_insert(0) += 1;
-        }
-        for l in &self.body {
-            let mut per_lit: BTreeSet<&Var> = BTreeSet::new();
-            per_lit.extend(l.vars());
-            for v in per_lit {
-                *occurrences.entry(v).or_insert(0) += 1;
-            }
-        }
-        let needs: Vec<&Var> = self
-            .head
-            .vars()
-            .chain(self.body.iter().flat_map(|l| {
-                match l {
-                    Literal::Neg(_) => l
-                        .vars()
-                        .into_iter()
-                        .filter(|v| occurrences.get(v).copied().unwrap_or(0) > 1)
-                        .collect::<Vec<_>>(),
-                    Literal::Cmp(_) => l.vars(),
-                    Literal::Pos(_) => Vec::new(),
-                }
-            }))
-            .collect();
-        // A variable equated to a constant by an `=` comparison counts as
-        // bound.
-        let mut bound = positive.clone();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for l in &self.body {
-                if let Literal::Cmp(c) = l {
-                    if c.op == crate::atom::CmpOp::Eq {
-                        match (&c.lhs, &c.rhs) {
-                            (Term::Var(v), t) | (t, Term::Var(v)) => {
-                                let other_bound = match t {
-                                    Term::Const(_) => true,
-                                    Term::Var(w) => bound.contains(w),
-                                };
-                                if other_bound && bound.insert(v) {
-                                    changed = true;
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-        needs.iter().all(|v| bound.contains(*v))
+        range_restricted(&self.head.args, &self.body)
     }
+}
+
+/// The safety check behind [`Rule::is_safe`] and [`Query::is_safe`], over
+/// the head's terms and the body as they stand.
+fn range_restricted(head: &[Term], body: &[Literal]) -> bool {
+    fn bind(bound: &mut Vec<Var>, v: &Var) -> bool {
+        let new = !bound.contains(v);
+        if new {
+            bound.push(*v);
+        }
+        new
+    }
+    // Bound: the variables of positive literals, and — transitively —
+    // those an `=` comparison equates to a constant or a bound variable.
+    let mut bound: Vec<Var> = Vec::new();
+    for l in body.iter().filter(|l| l.is_positive()) {
+        for v in l.iter_vars() {
+            bind(&mut bound, v);
+        }
+    }
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for l in body {
+            let Literal::Cmp(c) = l else { continue };
+            if c.op != CmpOp::Eq {
+                continue;
+            }
+            if let (Term::Var(v), t) | (t, Term::Var(v)) = (&c.lhs, &c.rhs) {
+                let other_bound = match t {
+                    Term::Const(_) => true,
+                    Term::Var(w) => bound.contains(w),
+                };
+                if other_bound && bind(&mut bound, v) {
+                    changed = true;
+                }
+            }
+        }
+    }
+    let head_vars = || head.iter().filter_map(Term::as_var);
+    // Whether `v` occurs anywhere but in body literal `own`.
+    let occurs_outside = |v: &Var, own: usize| {
+        head_vars().any(|h| h == v)
+            || body
+                .iter()
+                .enumerate()
+                .any(|(j, l)| j != own && l.iter_vars().any(|w| w == v))
+    };
+    head_vars().all(|v| bound.contains(v))
+        && body.iter().enumerate().all(|(i, l)| match l {
+            Literal::Pos(_) => true,
+            Literal::Cmp(c) => c.vars().all(|v| bound.contains(v)),
+            Literal::Neg(a) => a.vars().all(|v| bound.contains(v) || !occurs_outside(v, i)),
+        })
 }
 
 impl fmt::Display for Rule {
@@ -344,16 +338,14 @@ impl Query {
     /// Whether the query body contains the given literal.
     pub fn contains(&self, lit: &Literal) -> bool {
         self.body.iter().any(|l| match (l, lit) {
-            (Literal::Cmp(a), Literal::Cmp(b)) => a.canonical() == b.canonical(),
+            (Literal::Cmp(a), Literal::Cmp(b)) => a.same_as(b),
             _ => l == lit,
         })
     }
 
-    /// Safety check, mirroring [`Rule::is_safe`] with the projection as the
-    /// head.
+    /// Safety check, [`Rule::is_safe`] with the projection as the head.
     pub fn is_safe(&self) -> bool {
-        let head = Atom::new(self.name.as_str(), self.projection.clone());
-        Rule::new(head, self.body.clone()).is_safe()
+        range_restricted(&self.projection, &self.body)
     }
 
     /// A canonical string for duplicate detection across equivalent

@@ -225,7 +225,7 @@ pub fn delta(original: &Query, variant: &Query) -> Delta {
 
 fn lit_eq(a: &Literal, b: &Literal) -> bool {
     match (a, b) {
-        (Literal::Cmp(x), Literal::Cmp(y)) => x.canonical() == y.canonical(),
+        (Literal::Cmp(x), Literal::Cmp(y)) => x.same_as(y),
         _ => a == b,
     }
 }

@@ -21,10 +21,16 @@
 //! maximum. Non-strict cycles merge their nodes; a strict cycle, a merged
 //! disequality, two distinct constants in one class, or a derived
 //! constant-to-constant edge that contradicts the real order each yield
-//! *unsatisfiable*.
+//! *unsatisfiable*. A set of nothing but constant bounds on variables —
+//! what a query's own comparisons usually are — never gets that far: one
+//! pass reduces it to an interval per variable ([`ConstraintSet::check`]
+//! keeps it), and every later bound probed against the set is read off
+//! those intervals.
 
 use crate::atom::{CmpOp, Comparison};
-use crate::term::{Const, Term};
+use crate::term::{Const, Term, Var};
+use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Result of a satisfiability check.
@@ -42,6 +48,89 @@ enum Strict {
     Strict,
 }
 
+/// The tightest constant bounds on one variable, each with whether it is
+/// strict.
+#[derive(Debug, Clone, Copy, Default)]
+struct Interval {
+    lo: Option<(Const, Strict)>,
+    hi: Option<(Const, Strict)>,
+}
+
+/// What [`ConstraintSet::check`] learned about the current assertions.
+#[derive(Debug, Clone)]
+struct Checked {
+    sat: Sat,
+    /// The interval summary: present exactly when the set is satisfiable
+    /// and lies in the bounds fragment (see [`ConstraintSet::summarize`]).
+    /// One entry per bounded variable — a handful at query sizes, so a
+    /// probe scans it.
+    summary: Option<Vec<(Var, Interval)>>,
+}
+
+/// Whether `lo ≤ hi` (`lo < hi` when strict) holds between two constants;
+/// constants of incomparable types are never ordered.
+fn ordered(lo: &Const, hi: &Const, s: Strict) -> bool {
+    let op = if s == Strict::Strict {
+        CmpOp::Lt
+    } else {
+        CmpOp::Le
+    };
+    matches!(lo.order(hi), Some(ord) if op.test(ord))
+}
+
+/// Whether [`Const::order`] places the term (a variable trivially) exactly.
+/// `Int` meets `Real` through `f64`, which is only the integers' own order
+/// up to 2⁵³; past that two bounds can tie against a real and differ
+/// against each other, so the summary leaves such sets and probes to the
+/// general path.
+fn exactly_ordered(t: &Term) -> bool {
+    !matches!(t, Term::Const(Const::Int(v)) if v.unsigned_abs() > 1 << 53)
+}
+
+/// Whether the bound `(c, s)` is tighter than `cur` on the side where
+/// moving towards `tighter` narrows the interval; `None` when the two
+/// constants cannot be ordered.
+fn tightens(c: &Const, s: Strict, cur: &(Const, Strict), tighter: Ordering) -> Option<bool> {
+    Some(match c.order(&cur.0)? {
+        Ordering::Equal => s > cur.1,
+        ord => ord == tighter,
+    })
+}
+
+/// Answer the probe `summary ∧ c` from a satisfiable set's interval
+/// summary: a new bound on a variable is consistent exactly when it
+/// clears that variable's tightest opposite bound, and a ground probe
+/// when it holds. `None` for what the summary cannot see — `=`, `!=`,
+/// a var–var edge, or a constant it cannot place ([`exactly_ordered`]).
+fn probe(summary: &[(Var, Interval)], c: &Comparison) -> Option<Sat> {
+    let (lo, hi, s) = match c.op {
+        CmpOp::Lt => (&c.lhs, &c.rhs, Strict::Strict),
+        CmpOp::Le => (&c.lhs, &c.rhs, Strict::NonStrict),
+        CmpOp::Gt => (&c.rhs, &c.lhs, Strict::Strict),
+        CmpOp::Ge => (&c.rhs, &c.lhs, Strict::NonStrict),
+        CmpOp::Eq | CmpOp::Ne => return None,
+    };
+    if !exactly_ordered(lo) || !exactly_ordered(hi) {
+        return None;
+    }
+    let interval = |v: &Var| summary.iter().find(|(w, _)| w == v).map(|(_, i)| i);
+    let holds = match (lo, hi) {
+        (Term::Var(_), Term::Var(_)) => return None,
+        (Term::Const(a), Term::Const(b)) => ordered(a, b, s),
+        (Term::Const(k), Term::Var(v)) => interval(v)
+            .and_then(|i| i.hi.as_ref())
+            .is_none_or(|(hi, s2)| ordered(k, hi, s.max(*s2))),
+        (Term::Var(v), Term::Const(k)) => interval(v)
+            .and_then(|i| i.lo.as_ref())
+            .is_none_or(|(lo, s1)| ordered(lo, k, s.max(*s1))),
+    };
+    Some(if holds {
+        Sat::Satisfiable
+    } else {
+        Sat::Unsatisfiable
+    })
+}
+
 /// A conjunction of comparison constraints over variables and constants.
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintSet {
@@ -56,10 +145,9 @@ pub struct ConstraintSet {
     /// Set when an assertion is immediately inconsistent (e.g. `"a" < 3`).
     poisoned: bool,
     /// Memo of [`ConstraintSet::check`] for the current assertions
-    /// (cleared by `assert_cmp`). Lets repeated checks — and the
-    /// incremental probe inside [`ConstraintSet::sat_with`] — skip
-    /// recomputation on an unchanged set.
-    checked: std::cell::Cell<Option<Sat>>,
+    /// (cleared by `assert_cmp`): the verdict, and the interval summary
+    /// that answers [`ConstraintSet::sat_with`] probes on an unchanged set.
+    checked: OnceCell<Checked>,
 }
 
 impl ConstraintSet {
@@ -108,187 +196,121 @@ impl ConstraintSet {
             CmpOp::Gt => self.edges.push((r, l, Strict::Strict)),
             CmpOp::Ge => self.edges.push((r, l, Strict::NonStrict)),
         }
-        self.checked.set(None);
+        self.checked = OnceCell::new();
         self.check()
     }
 
-    /// Interval fast path for the dominant query shape: no equalities, no
-    /// disequalities, and every order edge touching a constant (var–const
-    /// bounds and ground const–const assertions). In that fragment the
-    /// closure the general algorithm computes collapses to pairwise
-    /// lower-bound × upper-bound checks per variable — every cycle through
-    /// a variable alternates const→var→const, so the only derivable
-    /// const–const relations are exactly those pairs — making this
-    /// decision-for-decision identical to the general path, just without
-    /// the union-find, hash maps, or Floyd–Warshall. Returns `None` when
-    /// the constraint set (or the extra probe edge) falls outside the
-    /// fragment.
-    fn bounds_sat(&self, extra: Option<(&Term, &Term, Strict)>) -> Option<Sat> {
+    /// Decide the dominant query shape — the *bounds fragment*: no
+    /// equalities, no disequalities, and every order edge touching a
+    /// constant (var–const bounds and ground const–const assertions) — in
+    /// one pass over the edges, keeping each variable's tightest lower and
+    /// upper bound. In that fragment the closure the general algorithm
+    /// computes collapses to lower-bound × upper-bound checks per variable
+    /// — every cycle through a variable alternates const→var→const, so the
+    /// only derivable const–const relations are exactly those pairs — and
+    /// some pair is violated exactly when the tightest pair is, because
+    /// the violation test is monotone in the bound and in its strictness.
+    /// So the verdict is the general path's, without the union-find, hash
+    /// maps or Floyd–Warshall, and the intervals it leaves behind answer
+    /// every later `var ⋚ const` probe.
+    ///
+    /// A poisoned set is unsatisfiable wherever it lies. Returns `None` —
+    /// the general path decides — outside the fragment, and for bounds it
+    /// cannot order totally: two bounds on one side of a variable with
+    /// incomparable constants, or an integer past 2⁵³
+    /// ([`exactly_ordered`]).
+    fn summarize(&self) -> Option<Checked> {
+        const UNSAT: Checked = Checked {
+            sat: Sat::Unsatisfiable,
+            summary: None,
+        };
+        if self.poisoned {
+            return Some(UNSAT);
+        }
         if !self.eqs.is_empty() || !self.diseqs.is_empty() {
             return None;
         }
-        // Allocation-free on purpose: this runs twice per residue
-        // candidate, and edge counts are query-sized (a handful), so
-        // O(E²) pair scans beat building per-variable bound lists.
-        let edge = |k: usize| -> (&Term, &Term, Strict) {
-            if k < self.edges.len() {
-                let (a, b, s) = self.edges[k];
-                (&self.nodes[a], &self.nodes[b], s)
-            } else {
-                extra.expect("index past own edges only with an extra edge")
+        let mut summary: Vec<(Var, Interval)> = Vec::new();
+        for &(a, b, s) in &self.edges {
+            let (lo, hi) = (&self.nodes[a], &self.nodes[b]);
+            if !exactly_ordered(lo) || !exactly_ordered(hi) {
+                return None;
             }
-        };
-        let ordered = |lo: &Const, hi: &Const, s: Strict| -> bool {
-            let op = if s == Strict::Strict {
-                CmpOp::Lt
-            } else {
-                CmpOp::Le
-            };
-            matches!(lo.order(hi), Some(ord) if op.test(ord))
-        };
-        let total = self.edges.len() + usize::from(extra.is_some());
-        for k in 0..total {
-            match edge(k) {
-                (Term::Const(ca), Term::Const(cb), s) if !ordered(ca, cb, s) => {
-                    return Some(Sat::Unsatisfiable);
-                }
-                (Term::Var(_), Term::Var(_), _) => return None,
-                _ => {}
-            }
-        }
-        for k1 in 0..total {
-            let (Term::Const(lo), Term::Var(v1), s1) = edge(k1) else {
-                continue;
-            };
-            for k2 in 0..total {
-                let (Term::Var(v2), Term::Const(hi), s2) = edge(k2) else {
+            let (v, c, lower) = match (lo, hi) {
+                (Term::Var(_), Term::Var(_)) => return None,
+                (Term::Const(lo), Term::Const(hi)) => {
+                    if !ordered(lo, hi, s) {
+                        return Some(UNSAT);
+                    }
                     continue;
-                };
-                if v1 == v2 && !ordered(lo, hi, s1.max(s2)) {
-                    return Some(Sat::Unsatisfiable);
                 }
+                (Term::Const(lo), Term::Var(v)) => (v, lo, true),
+                (Term::Var(v), Term::Const(hi)) => (v, hi, false),
+            };
+            let at = summary.iter().position(|(w, _)| w == v).unwrap_or_else(|| {
+                summary.push((*v, Interval::default()));
+                summary.len() - 1
+            });
+            let interval = &mut summary[at].1;
+            let (side, tighter) = if lower {
+                (&mut interval.lo, Ordering::Greater)
+            } else {
+                (&mut interval.hi, Ordering::Less)
+            };
+            match side {
+                Some(cur) if !tightens(c, s, cur, tighter)? => {}
+                _ => *side = Some((*c, s)),
             }
         }
-        Some(Sat::Satisfiable)
+        let empty = |i: &Interval| match (&i.lo, &i.hi) {
+            (Some((lo, s1)), Some((hi, s2))) => !ordered(lo, hi, *s1.max(s2)),
+            _ => false,
+        };
+        if summary.iter().any(|(_, i)| empty(i)) {
+            return Some(UNSAT);
+        }
+        Some(Checked {
+            sat: Sat::Satisfiable,
+            summary: Some(summary),
+        })
     }
 
-    /// Satisfiability of `self ∧ c` without mutating or cloning `self`.
-    /// Decision-identical to `self.clone().assert_cmp(c)`.
+    /// Satisfiability of `self ∧ c` without mutating `self`.
+    /// Decision-identical to `self.clone().assert_cmp(c)`: an
+    /// unsatisfiable set stays so whatever is added, an order probe
+    /// against a summarised set only has to clear the tightest opposite
+    /// bound of its variable, and everything else takes the clone.
     pub fn sat_with(&self, c: &Comparison) -> Sat {
-        if self.poisoned {
+        let checked = self.checked();
+        if checked.sat == Sat::Unsatisfiable {
             return Sat::Unsatisfiable;
         }
-        if let (Term::Const(a), Term::Const(b)) = (&c.lhs, &c.rhs) {
-            let order_op = !matches!(c.op, CmpOp::Eq | CmpOp::Ne);
-            if order_op && a.order(b).is_none() {
-                return Sat::Unsatisfiable;
-            }
+        if let Some(sat) = checked.summary.as_deref().and_then(|s| probe(s, c)) {
+            return sat;
         }
-        let extra = match c.op {
-            CmpOp::Lt => Some((&c.lhs, &c.rhs, Strict::Strict)),
-            CmpOp::Le => Some((&c.lhs, &c.rhs, Strict::NonStrict)),
-            CmpOp::Gt => Some((&c.rhs, &c.lhs, Strict::Strict)),
-            CmpOp::Ge => Some((&c.rhs, &c.lhs, Strict::NonStrict)),
-            CmpOp::Eq | CmpOp::Ne => None,
-        };
-        if let Some(edge) = extra {
-            if self.checked.get() == Some(Sat::Satisfiable) {
-                if let Some(sat) = self.bounds_sat_incremental(edge) {
-                    return sat;
-                }
-            }
-            if let Some(sat) = self.bounds_sat(Some(edge)) {
-                return sat;
-            }
-        }
-        let mut probe = self.clone();
-        probe.assert_cmp(c)
+        let mut with = self.clone();
+        with.assert_cmp(c)
     }
 
-    /// Incremental form of [`ConstraintSet::bounds_sat`] for a set
-    /// already known satisfiable: only const–const triples *through the
-    /// extra edge* can newly violate the real order, so one scan over
-    /// the existing edges (pairing the extra bound against the same
-    /// variable's opposite bounds) decides. Bails out (`None`) on any
-    /// var–var edge — there, violations can route around the extra
-    /// edge's variable — or outside the fragment.
-    fn bounds_sat_incremental(&self, extra: (&Term, &Term, Strict)) -> Option<Sat> {
-        if !self.eqs.is_empty() || !self.diseqs.is_empty() {
-            return None;
-        }
-        let ordered = |lo: &Const, hi: &Const, s: Strict| -> bool {
-            let op = if s == Strict::Strict {
-                CmpOp::Lt
-            } else {
-                CmpOp::Le
-            };
-            matches!(lo.order(hi), Some(ord) if op.test(ord))
-        };
-        match extra {
-            (Term::Const(ca), Term::Const(cb), s) => {
-                // A ground extra edge composes with the (already
-                // consistent) rest only transitively; its own validity
-                // decides.
-                if self.edges.iter().any(|&(a, b, _)| {
-                    matches!(self.nodes[a], Term::Var(_)) && matches!(self.nodes[b], Term::Var(_))
-                }) {
-                    return None;
-                }
-                Some(if ordered(ca, cb, s) {
-                    Sat::Satisfiable
-                } else {
-                    Sat::Unsatisfiable
-                })
-            }
-            (Term::Const(lo), Term::Var(v), s1) => {
-                for &(a, b, s2) in &self.edges {
-                    match (&self.nodes[a], &self.nodes[b]) {
-                        (Term::Var(_), Term::Var(_)) => return None,
-                        (Term::Var(v2), Term::Const(hi))
-                            if v2 == v && !ordered(lo, hi, s1.max(s2)) =>
-                        {
-                            return Some(Sat::Unsatisfiable);
-                        }
-                        _ => {}
-                    }
-                }
-                Some(Sat::Satisfiable)
-            }
-            (Term::Var(v), Term::Const(hi), s1) => {
-                for &(a, b, s2) in &self.edges {
-                    match (&self.nodes[a], &self.nodes[b]) {
-                        (Term::Var(_), Term::Var(_)) => return None,
-                        (Term::Const(lo), Term::Var(v2))
-                            if v2 == v && !ordered(lo, hi, s1.max(s2)) =>
-                        {
-                            return Some(Sat::Unsatisfiable);
-                        }
-                        _ => {}
-                    }
-                }
-                Some(Sat::Satisfiable)
-            }
-            (Term::Var(_), Term::Var(_), _) => None,
-        }
+    fn checked(&self) -> &Checked {
+        self.checked.get_or_init(|| self.check_uncached())
     }
 
     /// Check satisfiability of the currently asserted constraints.
     pub fn check(&self) -> Sat {
-        if let Some(s) = self.checked.get() {
-            return s;
-        }
-        let s = self.check_uncached();
-        self.checked.set(Some(s));
-        s
+        self.checked().sat
     }
 
-    fn check_uncached(&self) -> Sat {
-        if self.poisoned {
-            return Sat::Unsatisfiable;
-        }
-        if let Some(sat) = self.bounds_sat(None) {
-            return sat;
-        }
+    fn check_uncached(&self) -> Checked {
+        self.summarize().unwrap_or_else(|| Checked {
+            sat: self.close(),
+            summary: None,
+        })
+    }
+
+    /// The general path: union-find over equalities, transitive closure
+    /// over the order edges.
+    fn close(&self) -> Sat {
         let n = self.nodes.len();
         let mut uf = UnionFind::new(n);
         for &(a, b) in &self.eqs {
@@ -364,18 +386,8 @@ impl ConstraintSet {
                     continue;
                 }
                 if let (Some(&ca), Some(&cb)) = (class_const.get(&a), class_const.get(&b)) {
-                    match ca.order(cb) {
-                        None => return Sat::Unsatisfiable,
-                        Some(ord) => {
-                            let op = if s == Strict::Strict {
-                                CmpOp::Lt
-                            } else {
-                                CmpOp::Le
-                            };
-                            if !op.test(ord) {
-                                return Sat::Unsatisfiable;
-                            }
-                        }
+                    if !ordered(ca, cb, s) {
+                        return Sat::Unsatisfiable;
                     }
                 }
             }
@@ -415,6 +427,11 @@ impl ConstraintSet {
     /// `unsat(self ∧ ¬c)`. Sound; incomplete only for disjunctive
     /// disequality reasoning.
     pub fn implies(&self, c: &Comparison) -> bool {
+        // `t = t` holds in every model; its negation would only be refuted
+        // by the general path, one clone and closure per call.
+        if c.op == CmpOp::Eq && c.lhs == c.rhs {
+            return true;
+        }
         // Ground comparisons decide directly where possible.
         if let (Term::Const(a), Term::Const(b)) = (&c.lhs, &c.rhs) {
             match c.op {
@@ -643,16 +660,26 @@ mod tests {
         assert!(s.implies(&cmp(v("X"), CmpOp::Le, v("X"))));
     }
 
-    /// The interval fast path must decide exactly like the general
+    /// The interval summary must decide exactly like the general
     /// union-find/closure path: enumerate small bound-only constraint
-    /// sets and compare `check()`/`sat_with()` (which take the fast
-    /// path) against a set with a redundant variable–variable tautology
-    /// appended (which forces the general path without changing the
-    /// decision).
+    /// sets and compare `check()`/`sat_with()`/`implies()` (answered from
+    /// the summary) against a set with a redundant variable–variable
+    /// tautology appended (which forces the general path without changing
+    /// the decision). Probes cover both orientations of a bound on a
+    /// bounded and on an unbounded variable, and ground comparisons.
     #[test]
     fn bounds_fast_path_matches_general_path() {
         let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
         let consts = [0i64, 5, 10];
+        let mut probes = Vec::new();
+        for &op in &ops {
+            for &k in &consts {
+                probes.push(cmp(v("X"), op, i(k)));
+                probes.push(cmp(i(k), op, v("X")));
+                probes.push(cmp(v("U"), op, i(k)));
+                probes.push(cmp(i(5), op, i(k)));
+            }
+        }
         let mut cases = 0usize;
         for &op1 in &ops {
             for &c1 in &consts {
@@ -666,30 +693,29 @@ mod tests {
                                     cmp(v("Y"), op3, i(c3)),
                                 ];
                                 let fast = ConstraintSet::from_comparisons(&cmps);
-                                assert!(fast.bounds_sat(None).is_some());
                                 let mut general = ConstraintSet::from_comparisons(&cmps);
-                                // `Z ≤ W` touches no constant, so the fast
-                                // path refuses and the general closure runs.
+                                // `Z ≤ W` touches no constant, so the
+                                // summary refuses and the general closure
+                                // runs.
                                 general.assert_cmp(&cmp(v("Z"), CmpOp::Le, v("W")));
-                                assert!(general.bounds_sat(None).is_none());
+                                assert!(general.checked().summary.is_none());
                                 assert_eq!(fast.check(), general.check(), "{cmps:?}");
-                                for &op in &ops {
-                                    for &k in &consts {
-                                        let probe = cmp(v("X"), op, i(k));
-                                        assert_eq!(
-                                            fast.sat_with(&probe),
-                                            {
-                                                let mut g = general.clone();
-                                                g.assert_cmp(&probe)
-                                            },
-                                            "{cmps:?} + {probe:?}"
-                                        );
-                                        assert_eq!(
-                                            fast.implies(&probe),
-                                            general.implies(&probe),
-                                            "{cmps:?} => {probe:?}"
-                                        );
-                                    }
+                                assert_eq!(
+                                    fast.checked().summary.is_some(),
+                                    fast.check() == Sat::Satisfiable,
+                                    "{cmps:?}"
+                                );
+                                for probe in &probes {
+                                    assert_eq!(
+                                        fast.sat_with(probe),
+                                        general.clone().assert_cmp(probe),
+                                        "{cmps:?} + {probe:?}"
+                                    );
+                                    assert_eq!(
+                                        fast.implies(probe),
+                                        general.implies(probe),
+                                        "{cmps:?} => {probe:?}"
+                                    );
                                 }
                                 cases += 1;
                             }
@@ -699,6 +725,47 @@ mod tests {
             }
         }
         assert_eq!(cases, 1728);
+    }
+
+    /// What the summary declines goes to the general path and comes back
+    /// with its answer: a var–var probe, an `=`/`!=` probe, two lower
+    /// bounds of incomparable types, an integer `f64` cannot hold.
+    #[test]
+    fn summary_declines_what_it_cannot_order() {
+        let s = ConstraintSet::from_comparisons(&[
+            cmp(v("X"), CmpOp::Gt, i(3)),
+            cmp(v("X"), CmpOp::Lt, i(9)),
+        ]);
+        let summary = s.checked().summary.as_deref().expect("bounds only");
+        assert!(probe(summary, &cmp(v("X"), CmpOp::Lt, v("Y"))).is_none());
+        assert!(probe(summary, &cmp(v("X"), CmpOp::Eq, i(4))).is_none());
+        assert!(probe(summary, &cmp(v("X"), CmpOp::Lt, i(1 << 60))).is_none());
+        assert_eq!(s.sat_with(&cmp(v("X"), CmpOp::Eq, i(4))), Sat::Satisfiable);
+        assert_eq!(
+            s.sat_with(&cmp(v("X"), CmpOp::Eq, i(9))),
+            Sat::Unsatisfiable
+        );
+        assert!(s.implies(&cmp(v("X"), CmpOp::Ne, i(9))));
+        assert!(s.implies(&cmp(v("X"), CmpOp::Lt, i(1 << 60))));
+
+        let mixed = ConstraintSet::from_comparisons(&[
+            cmp(v("X"), CmpOp::Gt, Term::str("a")),
+            cmp(v("X"), CmpOp::Gt, i(3)),
+        ]);
+        assert!(mixed.checked().summary.is_none());
+        assert_eq!(mixed.check(), Sat::Satisfiable);
+        let huge = ConstraintSet::from_comparisons(&[cmp(v("X"), CmpOp::Ge, i((1 << 53) + 1))]);
+        assert!(huge.checked().summary.is_none());
+        assert!(huge.implies(&cmp(v("X"), CmpOp::Gt, i(1 << 53))));
+    }
+
+    #[test]
+    fn reflexive_equality_is_implied_without_the_solver() {
+        let s = ConstraintSet::from_comparisons(&[cmp(v("X"), CmpOp::Lt, v("Y"))]);
+        assert!(s.implies(&cmp(v("X"), CmpOp::Eq, v("X"))));
+        assert!(s.implies(&cmp(v("Name"), CmpOp::Eq, v("Name"))));
+        assert!(s.implies(&cmp(Term::oid(7), CmpOp::Eq, Term::oid(7))));
+        assert!(!s.implies(&cmp(v("X"), CmpOp::Eq, v("Y"))));
     }
 
     #[test]

@@ -229,6 +229,7 @@ pub fn query_solver(q: &Query, functional: &BTreeMap<PredSym, usize>) -> Constra
 /// has no early return.
 fn tail_candidates(
     q: &Query,
+    qvars: &BTreeSet<Var>,
     ctx: &TransformContext,
     solver: &ConstraintSet,
     candidates: &mut Vec<Candidate>,
@@ -318,7 +319,7 @@ fn tail_candidates(
 
     // View folds (access support relations).
     for view in &ctx.views {
-        for cand in fold_view_candidates(q, view, solver, ctx, &proj_vars) {
+        for cand in fold_view_candidates(q, qvars, view, solver, ctx, &proj_vars) {
             push_candidate(candidates, cand);
         }
     }
@@ -413,12 +414,13 @@ enum HeadAction {
     },
 }
 
-/// One staged match of a residue against a structure: the deferred
-/// (instantiated) body comparisons that gate it per query, and the
-/// precomputed head action.
+/// One staged match of a residue against a structure: its gate — the
+/// deferred (instantiated) body comparisons a query's solver must imply,
+/// as an index into [`Structure::gates`] — and the precomputed head
+/// action.
 #[derive(Debug)]
 struct ThetaEntry {
-    deferred: Vec<Comparison>,
+    gate: usize,
     action: HeadAction,
 }
 
@@ -437,6 +439,11 @@ struct AppEntry {
 #[derive(Debug)]
 struct Structure {
     key: StructKey,
+    /// The distinct gates of the staged matches. Matches share them — a
+    /// range IC's derived scope reductions all wait on its one threshold,
+    /// and every ungated match on the empty gate — so a node decides each
+    /// once.
+    gates: Vec<Vec<Comparison>>,
     apps: Vec<AppEntry>,
 }
 
@@ -490,11 +497,12 @@ impl TransformContext {
 }
 
 /// Build the residue-application phase for one structure: every residue
-/// anchored on a positive atom, matched against the query's atoms with
-/// the solver-dependent checks left for [`analyse`]; build-time counters (exactness skips,
-/// prefilter hits/misses, subsumption stagings, unification attempts)
-/// are bumped here, once per build — so once per context for a structure
-/// the memo retains, not once per search.
+/// anchored on a positive atom, matched against the query's atoms, with
+/// the solver-dependent checks left for [`analyse`]. The build-time
+/// counters (exactness skips, prefilter hits/misses, subsumption
+/// stagings, unification attempts) are bumped here, once per build — so
+/// once per context for a structure the memo retains, not once per
+/// search.
 fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> Structure {
     let mut pos_refs: Vec<&Atom> = Vec::new();
     let mut neg_refs: Vec<&Atom> = Vec::new();
@@ -522,6 +530,7 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
     };
 
     let mut apps: Vec<AppEntry> = Vec::new();
+    let mut gate_ids: FxHashMap<Vec<Comparison>, usize> = FxHashMap::default();
     for anchor_target in &pos_refs {
         for residue in ctx.residues.residues_for(&anchor_target.pred) {
             // Exactness prefilter: applications that provably cannot
@@ -598,8 +607,9 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                         }
                     }
                 };
+                let fresh = gate_ids.len();
                 matches.push(ThetaEntry {
-                    deferred: m.deferred,
+                    gate: *gate_ids.entry(m.deferred).or_insert(fresh),
                     action,
                 });
             }
@@ -610,8 +620,13 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
             });
         }
     }
+    let mut gates = vec![Vec::new(); gate_ids.len()];
+    for (gate, id) in gate_ids {
+        gates[id] = gate;
+    }
     Structure {
         key: StructKey::of(q, qvars),
+        gates,
         apps,
     }
 }
@@ -623,12 +638,14 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
 /// With `enumerate` set, staged residue matches replay in body order ×
 /// residue order, a match counts as applied once the node's solver
 /// implies its deferred comparisons, and a head is tested in the order
-/// implied/contained → contradiction → candidate. Testing implied first
-/// cannot hide a contradiction: a comparison already contained in the
-/// query asserts nothing new, and an implied one (`unsat(solver ∧ ¬c)`)
+/// implied → contradiction → candidate. Testing implied first cannot
+/// hide a contradiction: an implied comparison (`unsat(solver ∧ ¬c)`)
 /// cannot make a solver the closure found satisfiable turn
 /// unsatisfiable, because both judgements compose through the same
-/// complete order/constant closure.
+/// complete order/constant closure. A comparison the query already
+/// contains is implied — the node's solver asserted it, and a
+/// satisfiable set implies each of its members — so it needs no test of
+/// its own.
 ///
 /// Without `enumerate` the call is the *contradiction probe* alone: the
 /// own-solver check, the deferred-comparison gates and every head test
@@ -653,6 +670,12 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
     let structure = ctx.structure_of(q, &qvars);
 
     let mut candidates: Vec<Candidate> = Vec::new();
+    // Matches applied at this node, counted here and added to
+    // `residue.applied` once — by a refutation, its own match included, or
+    // at the end of the replay.
+    let mut applied = 0u64;
+    // Whether the solver implies each gate, decided on first use.
+    let mut open: Vec<Option<bool>> = vec![None; structure.gates.len()];
     for app in &structure.apps {
         let mut propose = |op: Op, note: &str| {
             if enumerate {
@@ -667,28 +690,32 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
                 );
             }
         };
-        let contradiction = |note: &str| Analysis::Contradiction {
-            ic_name: app.ic_name.clone(),
-            note: note.to_owned(),
+        let contradiction = |note: &str, applied: u64| {
+            obs::add(obs::Counter::ResiduesApplied, applied);
+            Analysis::Contradiction {
+                ic_name: app.ic_name.clone(),
+                note: note.to_owned(),
+            }
         };
         for m in &app.matches {
-            if !m.deferred.iter().all(|c| solver.implies(c)) {
+            let gate = &structure.gates[m.gate];
+            if !*open[m.gate].get_or_insert_with(|| gate.iter().all(|c| solver.implies(c))) {
                 continue;
             }
-            obs::bump(obs::Counter::ResiduesApplied);
+            applied += 1;
             match &m.action {
-                HeadAction::Denial { note } => return contradiction(note),
+                HeadAction::Denial { note } => return contradiction(note, applied),
                 HeadAction::Discard => {}
                 HeadAction::Cmp {
                     c,
                     contra_note,
                     note,
                 } => {
-                    if solver.implies(c) || q.contains(&Literal::Cmp(*c)) {
+                    if solver.implies(c) {
                         continue;
                     }
                     if solver.sat_with(c) == Sat::Unsatisfiable {
-                        return contradiction(contra_note);
+                        return contradiction(contra_note, applied);
                     }
                     propose(Op::AddCmp(*c), note);
                 }
@@ -725,7 +752,7 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
                             })
                     });
                     if clash {
-                        return contradiction(contra_note);
+                        return contradiction(contra_note, applied);
                     }
                     if enumerate {
                         propose(Op::AddNegAtom(freshened.clone()), note);
@@ -735,8 +762,10 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
         }
     }
 
+    obs::add(obs::Counter::ResiduesApplied, applied);
+
     if enumerate {
-        tail_candidates(q, ctx, &solver, &mut candidates);
+        tail_candidates(q, &qvars, ctx, &solver, &mut candidates);
     }
 
     Analysis::Candidates(candidates)
@@ -751,26 +780,26 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
 /// actual fold.
 fn fold_view_candidates(
     q: &Query,
+    qvars: &BTreeSet<Var>,
     view: &Rule,
     solver: &ConstraintSet,
     ctx: &TransformContext,
     proj_vars: &BTreeSet<Var>,
 ) -> Vec<Candidate> {
     let mut out = Vec::new();
-    let qvars = q.vars();
     let packed = crate::clause::Constraint {
         name: None,
         head: ConstraintHead::Atom(view.head.clone()),
         body: view.body.clone(),
     };
-    let fresh = crate::subst::standardize_apart(&packed, &qvars);
+    let fresh = crate::subst::standardize_apart(&packed, qvars);
     let ConstraintHead::Atom(head) = &fresh.head else {
         return out;
     };
     let target = MatchTarget::new(&q.body, solver);
     for theta in match_body_onto(&fresh.body, &target, &Subst::new()) {
         let head_inst = theta.apply_atom(head);
-        if has_foreign_atom_var(&head_inst, &qvars) {
+        if has_foreign_atom_var(&head_inst, qvars) {
             // The view head must be fully determined by the match.
             continue;
         }
@@ -864,10 +893,9 @@ pub fn apply(q: &Query, op: &Op) -> Query {
         Op::AddAtom(a) => body.push(Literal::Pos(a.clone())),
         Op::AddNegAtom(a) => body.push(Literal::Neg(a.clone())),
         Op::RemoveCmp(c) => {
-            let canon = c.canonical();
             if let Some(pos) = body
                 .iter()
-                .position(|l| matches!(l, Literal::Cmp(d) if d.canonical() == canon))
+                .position(|l| matches!(l, Literal::Cmp(d) if d.same_as(c)))
             {
                 body.remove(pos);
             }
@@ -959,11 +987,6 @@ fn freshen_foreign_vars(a: &Atom, qvars: &BTreeSet<Var>) -> Atom {
         }
     }
     s.apply_atom(a)
-}
-
-/// Whether two comparisons are the same up to orientation.
-pub fn same_cmp(a: &Comparison, b: &Comparison) -> bool {
-    a.canonical() == b.canonical()
 }
 
 #[cfg(test)]
@@ -1131,7 +1154,7 @@ mod tests {
         };
         let add_eq = cands.iter().find(|c| {
             matches!(&c.op, Op::AddCmp(cmp) if cmp.op == CmpOp::Eq
-                && cmp.canonical() == Comparison::eq(v("Z"), v("W")).canonical())
+                && cmp.same_as(&Comparison::eq(v("Z"), v("W"))))
         });
         assert!(add_eq.is_some(), "candidates: {cands:#?}");
         // After adding Z = W, Name1 = Name2 becomes removable.
@@ -1142,7 +1165,7 @@ mod tests {
         assert!(
             cands2.iter().any(|c| matches!(
                 &c.op,
-                Op::RemoveCmp(cmp) if same_cmp(cmp, &Comparison::eq(v("Name1"), v("Name2")))
+                Op::RemoveCmp(cmp) if cmp.same_as(&Comparison::eq(v("Name1"), v("Name2")))
             )),
             "candidates after Z = W: {cands2:#?}"
         );
@@ -1265,6 +1288,57 @@ mod tests {
         match analyse(&q, &ctx, true) {
             Analysis::Contradiction { .. } => {}
             Analysis::Candidates(c) => panic!("expected contradiction, got {c:#?}"),
+        }
+    }
+
+    /// `residue.applied` is added once per node but counts what one bump
+    /// per match counted: every match whose deferred comparisons hold, up
+    /// to and including the one that refutes the query.
+    #[test]
+    fn a_refutation_mid_replay_counts_the_matches_applied_so_far() {
+        let ics = [10, 20, 30]
+            .iter()
+            .map(|k| {
+                Constraint::named(
+                    format!("R{k}"),
+                    ConstraintHead::Cmp(Comparison::new(v("A"), CmpOp::Ge, Term::int(*k))),
+                    vec![Literal::pos("faculty", vec![v("X"), v("A")])],
+                )
+            })
+            .collect();
+        let ctx = TransformContext::new(ResidueSet::compile(ics), vec![], BTreeMap::new());
+        let applied_by = |bound: Comparison, enumerate: bool| {
+            let q = Query::new(
+                "q",
+                vec![v("X")],
+                vec![
+                    Literal::pos("faculty", vec![v("X"), v("Age")]),
+                    Literal::Cmp(bound),
+                ],
+            );
+            let scope = obs::Scope::enter();
+            let analysis = analyse(&q, &ctx, enumerate);
+            let applied = scope.finish().counter(obs::Counter::ResiduesApplied);
+            (analysis, applied)
+        };
+        for enumerate in [true, false] {
+            // `Age < 15`: R10 attaches, R20 refutes, R30 is never reached.
+            let (refuted, applied) = applied_by(
+                Comparison::new(v("Age"), CmpOp::Lt, Term::int(15)),
+                enumerate,
+            );
+            assert!(
+                matches!(&refuted, Analysis::Contradiction { ic_name, .. }
+                    if ic_name.as_deref() == Some("R20")),
+                "{refuted:?}"
+            );
+            assert_eq!(applied, 2);
+            let (open, applied) = applied_by(
+                Comparison::new(v("Age"), CmpOp::Gt, Term::int(50)),
+                enumerate,
+            );
+            assert!(matches!(open, Analysis::Candidates(_)));
+            assert_eq!(applied, 3);
         }
     }
 

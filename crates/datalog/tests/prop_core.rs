@@ -8,7 +8,9 @@ use sqo_datalog::eval::answer_query;
 use sqo_datalog::program::EdbDatabase;
 use sqo_datalog::subsume::body_subsumes;
 use sqo_datalog::unify::{match_atoms, mgu};
-use sqo_datalog::{Atom, Const, ConstraintSet, Literal, PredSym, Query, Subst, Term, Var};
+use sqo_datalog::{
+    Atom, CmpOp, Comparison, Const, ConstraintSet, Literal, PredSym, Query, Subst, Term, Var,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn small_term() -> impl Strategy<Value = Term> {
@@ -226,5 +228,75 @@ proptest! {
         prop_assert_eq!(v.name(), name.as_str());
         prop_assert_eq!(p.name(), name.as_str());
         prop_assert_eq!(Var::new(v.name()), v);
+    }
+}
+
+/// Operands whose `Display` texts collide in every way a comparison of
+/// renderings can: variable names that prefix each other, `Int` and `Real`
+/// of equal value (`3` and `3.0`, one text a prefix of the other), strings
+/// (quoted, escaped, one past what `canonical()` renders on the stack),
+/// booleans and OIDs.
+fn cmp_operand() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        4 => (0usize..5).prop_map(|i| Term::var(["A", "Ab", "Abc", "B", "X"][i])),
+        2 => (-2i64..4).prop_map(Term::int),
+        2 => (-2i64..4).prop_map(|v| Term::real(v as f64)),
+        1 => (0i64..4).prop_map(|h| Term::real(h as f64 + 0.5)),
+        2 => (0usize..5).prop_map(|i| {
+            let long = "x".repeat(60);
+            Term::str(["a", "ab", "A", "q\"uote", long.as_str()][i])
+        }),
+        1 => any::<bool>().prop_map(|b| Term::Const(Const::Bool(b))),
+        1 => (0u64..3).prop_map(Term::oid),
+    ]
+}
+
+fn any_cmp() -> impl Strategy<Value = Comparison> {
+    let op = (0usize..6).prop_map(|i| {
+        [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ][i]
+    });
+    (cmp_operand(), op, cmp_operand()).prop_map(|(l, op, r)| Comparison::new(l, op, r))
+}
+
+/// `Comparison::canonical` as it was defined: render both orientations,
+/// keep the one that sorts first.
+fn canonical_by_text(c: &Comparison) -> Comparison {
+    let flipped = c.flip();
+    if format!("{flipped}") < format!("{c}") {
+        flipped
+    } else {
+        *c
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The stack-rendered `canonical()` picks the orientation the
+    /// `format!` definition picks, and `same_as` is equality of canonical
+    /// orientations — reflexive comparisons (`X = X`, `X < X`) included.
+    #[test]
+    fn canonical_and_same_as_agree_with_the_rendered_definition(
+        a in any_cmp(),
+        b in any_cmp(),
+        flip_b in any::<bool>(),
+    ) {
+        prop_assert_eq!(a.canonical(), canonical_by_text(&a), "{}", a);
+        prop_assert_eq!(a.flip().canonical(), a.canonical(), "{}", a);
+        prop_assert!(a.same_as(&a.flip()) && a.same_as(&a), "{}", a);
+        // Mostly unrelated pairs; half the time force the related one.
+        let b = if flip_b { a.flip() } else { b };
+        prop_assert_eq!(
+            a.same_as(&b),
+            canonical_by_text(&a) == canonical_by_text(&b),
+            "{} vs {}", a, b
+        );
     }
 }

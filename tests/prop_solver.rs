@@ -62,8 +62,84 @@ fn brute_force_sat(cmps: &[Comparison]) -> bool {
     })
 }
 
+/// Constants for the summary-vs-general test: few enough values, equal
+/// across `Int`/`Real` (`2` and `2.0`), that duplicate and equal-valued
+/// bounds of both strictnesses meet on one variable, and strings, which
+/// no number can be ordered against.
+fn mixed_const_strategy() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        3 => (1i64..3).prop_map(Term::int),
+        3 => (2i64..5).prop_map(|h| Term::real(h as f64 / 2.0)),
+        1 => (0usize..2).prop_map(|i| Term::str(["a", "b"][i])),
+    ]
+}
+
+/// Mostly `var ⋚ const` bounds in either orientation — the fragment the
+/// interval summary answers — with var–var edges, `=`/`!=` and ground
+/// comparisons mixed in so some sets fall outside it.
+fn mixed_cmp_strategy() -> impl Strategy<Value = Comparison> {
+    let var = || (0usize..3).prop_map(|i| Term::var(["A", "A", "B"][i]));
+    let order_op = || {
+        prop_oneof![
+            Just(CmpOp::Lt),
+            Just(CmpOp::Le),
+            Just(CmpOp::Gt),
+            Just(CmpOp::Ge),
+        ]
+    };
+    prop_oneof![
+        6 => (var(), order_op(), mixed_const_strategy())
+            .prop_map(|(v, op, k)| Comparison::new(v, op, k)),
+        3 => (mixed_const_strategy(), order_op(), var())
+            .prop_map(|(k, op, v)| Comparison::new(k, op, v)),
+        1 => (var(), op_strategy(), var()).prop_map(|(l, op, r)| Comparison::new(l, op, r)),
+        1 => (var(), prop_oneof![Just(CmpOp::Eq), Just(CmpOp::Ne)], mixed_const_strategy())
+            .prop_map(|(v, op, k)| Comparison::new(v, op, k)),
+        1 => (mixed_const_strategy(), order_op(), mixed_const_strategy())
+            .prop_map(|(l, op, r)| Comparison::new(l, op, r)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Summary-decided ≡ general-path-decided: whatever answers a probe —
+    /// the interval summary of a bounds-only set, or the closure — says
+    /// what asserting the probe (or its negation) onto a copy says. The
+    /// copy carries `C <= D` over two variables nothing else mentions,
+    /// which changes no decision and keeps it on the general path.
+    #[test]
+    fn summary_decides_like_the_general_path(
+        cmps in prop::collection::vec(mixed_cmp_strategy(), 0..6),
+        probes in prop::collection::vec(mixed_cmp_strategy(), 4..12),
+    ) {
+        let set = ConstraintSet::from_comparisons(cmps.iter());
+        let mut general = set.clone();
+        general.assert_cmp(&Comparison::new(Term::var("C"), CmpOp::Le, Term::var("D")));
+        prop_assert_eq!(set.check(), general.check(), "{:?}", cmps);
+        // A satisfiable set implies each member in either orientation —
+        // why Step 3 never looks a residue head up in the query's body.
+        if set.check() == Sat::Satisfiable {
+            for c in &cmps {
+                prop_assert!(set.implies(c) && set.implies(&c.flip()), "{:?} =/=> {}", cmps, c);
+            }
+        }
+        for c in &probes {
+            prop_assert_eq!(
+                set.sat_with(c),
+                general.clone().assert_cmp(c),
+                "{:?} + {}", cmps, c
+            );
+            // A ground probe is implied when it is true, whatever the set.
+            let ground_truth = match (&c.lhs, &c.rhs) {
+                (Term::Const(a), Term::Const(b)) => a.order(b).map(|ord| c.op.test(ord)),
+                _ => None,
+            };
+            let implied = ground_truth
+                .unwrap_or_else(|| general.clone().assert_cmp(&c.negate()) == Sat::Unsatisfiable);
+            prop_assert_eq!(set.implies(c), implied, "{:?} => {}", cmps, c);
+        }
+    }
 
     /// Soundness: if the solver says UNSAT, no integer model exists.
     /// (The converse can fail only through density — `X > 1 ∧ X < 2` is
