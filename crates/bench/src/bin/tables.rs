@@ -14,31 +14,33 @@
 //! map of exactly the rows it measured — the e1/f2 pipeline benchmarks;
 //! the e3 indexed rewrite with its reference paths (`_baseline`: the
 //! original query on the scan-only executor, `_seed`: the rewrite on the
-//! scan-only executor) and `e1/canonical_dedup/string_baseline`; the two
-//! `speedup/…` ratios derived over the baselines; the in-process warm
-//! hit (`serve/warm_hit`, `_parsed`, `_obs_ns`);
+//! scan-only executor) and the `speedup/…` ratio derived over the
+//! baseline; the in-process warm hit (`serve/warm_hit`, `_parsed`,
+//! `_obs_ns`);
 //! `store/recover_1m_objects`; and the `x1/edb_*` rows: what the Datalog
 //! image of the served object base costs to rebuild (ms), to index (ms,
 //! every declared index built once) and to hold (bytes per tuple).
 //! `scripts/check_bench_manifest.py` knows every one of these names and
-//! rejects any other. What a request costs over a
-//! socket is measured by `benchmark/`, not here.
+//! rejects any other. Sections F2.3, F2.4 and ABL are printed only: the
+//! linearity of Steps 2 and 4 and the cost of each design knob are shapes
+//! to read, not rows to gate. What a request costs over a socket is
+//! measured by `benchmark/`, not here.
 
 use sqo_bench::{
-    asr_q1_scenario, asr_scenario, contradiction_scenario, indexed_rewrite_scenario,
+    asr_base, asr_q1_scenario, asr_scenario, contradiction_scenario, indexed_rewrite_scenario,
     key_join_scenario, optimizer_with_n_ics, probe_every_index, scope_reduction_scenario,
-    served_university_base, synthetic_schema, Scenario,
+    served_university_base, synthetic_schema, Scenario, ASR_PATH_OQL,
 };
-use sqo_core::{PlanCache, SemanticOptimizer};
+use sqo_core::{CompileOptions, PlanCache, SemanticOptimizer};
 use sqo_datalog::parser::{parse_constraint, parse_query};
 use sqo_datalog::residue::ResidueSet;
-use sqo_datalog::search::{self, Outcome, SearchConfig};
+use sqo_datalog::search::{self, JoinIntro, SearchConfig};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
 use sqo_objdb::{choose_best, execute, execute_with, ExecOptions, Value};
 use sqo_obs as obs;
 use sqo_translate::translate_schema;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -169,6 +171,8 @@ fn main() {
             ms
         );
     }
+
+    steps_2_and_4_tables(quick);
 
     // ---------------- A1: contradiction detection ----------------
     println!("\n## A1 — Contradiction detection (Application 1)");
@@ -311,21 +315,149 @@ fn main() {
         );
     }
 
+    ablation_table(quick);
+
     // ---------------- BENCH_pipeline.json ----------------
     bench_pipeline(quick);
 
     println!("\n(done — see EXPERIMENTS.md for the expectations each table is checked against)");
 }
 
-/// The derived `speedup/<row>` entries: each measured row against the
-/// reference path it is compared with.
-const SPEEDUPS: [(&str, &str); 2] = [
-    (
-        "e1/canonical_dedup/hash",
-        "e1/canonical_dedup/string_baseline",
-    ),
-    ("e3/indexed_rewrite", "e3/indexed_rewrite_baseline"),
-];
+/// A path query of `hops` relationship hops over the university schema:
+/// `takes`, then alternating section → course → section.
+fn query_of_hops(hops: usize) -> String {
+    let mut from = String::from("x0 in Student\n x1 in x0.takes");
+    for i in 1..hops {
+        let rel = if i % 2 == 1 {
+            "is_section_of"
+        } else {
+            "has_sections"
+        };
+        from.push_str(&format!("\n x{} in x{i}.{rel}", i + 1));
+    }
+    format!("select x0.name from {from} where x0.age > 20")
+}
+
+/// F2.3 and F2.4 — Section 4.1's other two claims: Step 2 (query
+/// translation) is linear in the query's size and Step 4 (change
+/// mapping) in the delta's. Printed, not recorded.
+fn steps_2_and_4_tables(quick: bool) {
+    let reps = if quick { 25 } else { 201 };
+    let opt = SemanticOptimizer::university();
+
+    println!("\n## F2.3 — Step 2 (query translation) vs path length");
+    println!("{:>6} {:>10} {:>12}", "hops", "literals", "time (us)");
+    for hops in [1usize, 3, 5, 9, 13] {
+        let parsed = sqo_oql::parse_oql(&query_of_hops(hops)).unwrap();
+        let literals = opt.translate(&parsed).unwrap().query.body.len();
+        let ns = median_ns(reps, || {
+            std::hint::black_box(opt.translate(&parsed).unwrap());
+        });
+        println!("{hops:>6} {literals:>10} {:>12.2}", ns / 1e3);
+    }
+
+    println!("\n## F2.4 — Step 4 (change mapping) vs delta size");
+    println!("{:>14} {:>12}", "added literals", "time (us)");
+    let parsed = sqo_oql::parse_oql("select x.name from x in Faculty").unwrap();
+    let t = opt.translate(&parsed).unwrap();
+    let name_is_not = |i| {
+        use sqo_datalog::{CmpOp, Literal, Term};
+        Literal::cmp(Term::var("Name"), CmpOp::Ne, Term::str(format!("x{i}")))
+    };
+    for n in [1usize, 4, 8] {
+        let delta = sqo_core::Delta {
+            added: (0..n).map(name_is_not).collect(),
+            removed: vec![],
+        };
+        let ns = median_ns(reps, || {
+            let mapped = sqo_translate::apply_delta(&t.normalized, &t.map, opt.catalog(), &delta);
+            std::hint::black_box(mapped.unwrap());
+        });
+        println!("{n:>14} {:>12.2}", ns / 1e3);
+    }
+}
+
+/// ABL — what each remaining design knob costs and finds, so the
+/// decision to keep or drop it (ROADMAP item 4) has a number: IC
+/// derivation (strengthening + contrapositives; scope reduction only
+/// exists with it), the join-introduction policy, and the chase budget
+/// behind removal-soundness checks. Printed, not recorded.
+fn ablation_table(quick: bool) {
+    let reps = if quick { 5 } else { 21 };
+    println!("\n## ABL — Design knobs (one Step-3 optimization each)");
+    println!(
+        "{:>16} {:>16} {:>12} {:>12}",
+        "knob", "setting", "equivalents", "time (ms)"
+    );
+    // `optimize` runs one optimization and returns how many equivalents
+    // it found.
+    let row = |knob: &str, setting: &str, optimize: &mut dyn FnMut() -> usize| {
+        let equivalents = optimize();
+        let ns = median_ns(reps, || {
+            std::hint::black_box(optimize());
+        });
+        println!(
+            "{knob:>16} {setting:>16} {equivalents:>12} {:>12.3}",
+            ns / 1e6
+        );
+    };
+    let facade_row = |knob, setting, mut opt: SemanticOptimizer, oql| {
+        opt.residue_count(); // compile outside the measured loop
+        row(knob, setting, &mut || {
+            opt.optimize(oql).unwrap().equivalents().len()
+        });
+    };
+
+    for (setting, derive) in [("on", true), ("off", false)] {
+        let mut opt = SemanticOptimizer::university();
+        opt.set_compile_options(CompileOptions {
+            derive_strengthened: derive,
+            derive_contrapositives: derive,
+        });
+        opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+            .unwrap();
+        let oql = "select x.name from x in Person where x.age < 30";
+        facade_row("ic_derivation", setting, opt, oql);
+    }
+
+    for (setting, join_intro) in [
+        ("off", JoinIntro::Off),
+        ("view_relevant", JoinIntro::ViewRelevant),
+        ("all", JoinIntro::All),
+    ] {
+        let (_, mut opt) = asr_base(40, 4);
+        opt.set_search_config(SearchConfig {
+            join_intro,
+            ..Default::default()
+        });
+        facade_row("join_intro", setting, opt, ASR_PATH_OQL);
+    }
+
+    // The chase budget lives in the `TransformContext`, below the facade.
+    let (db, opt) = asr_base(40, 4);
+    let parsed = sqo_oql::parse_oql(ASR_PATH_OQL).unwrap();
+    let q = opt.translate(&parsed).unwrap().query;
+    for max_facts in [100usize, 400, 1600] {
+        let mut ctx = TransformContext::new(
+            ResidueSet::compile(opt.constraints()),
+            db.asr_rules(),
+            opt.catalog().functional.clone(),
+        );
+        ctx.budget = sqo_datalog::chase::ChaseBudget {
+            max_rounds: 6,
+            max_facts,
+            max_nulls: 64,
+        };
+        row(
+            "chase_max_facts",
+            &max_facts.to_string(),
+            &mut || match search::optimize(&q, &ctx, &SearchConfig::default()) {
+                search::Outcome::Equivalents(vs) => vs.len(),
+                search::Outcome::Contradiction { .. } => 0,
+            },
+        );
+    }
+}
 
 const MANIFEST_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
 
@@ -655,13 +787,6 @@ fn bench_pipeline(quick: bool) {
         .unwrap()
         .query;
     let ctx64 = opt64.compile();
-    // The variant-dedup kernel the search's seen-set runs on: structural
-    // canonical_hash fingerprints vs. the baseline rendered canonical_key
-    // strings, over the equivalence class Step 3 just produced.
-    let variants: Vec<Query> = match search::optimize(&q, ctx, &current) {
-        Outcome::Equivalents(vs) => vs.into_iter().map(|v| v.query).collect(),
-        Outcome::Contradiction { .. } => unreachable!("range query is satisfiable"),
-    };
     // e3: the indexed-rewrite scenario — the semantic rewrite binds an
     // ordered-indexed column (`salary`) the original query never touches.
     // Three rows: the rewrite on the indexed engine (current), the
@@ -740,26 +865,6 @@ fn bench_pipeline(quick: bool) {
         }
         record(
             &mut bench,
-            "e1/canonical_dedup/hash",
-            median_ns(reps_small, || {
-                let mut seen = HashSet::new();
-                for v in &variants {
-                    std::hint::black_box(seen.insert(v.canonical_hash()));
-                }
-            }),
-        );
-        record(
-            &mut bench,
-            "e1/canonical_dedup/string_baseline",
-            median_ns(reps_small, || {
-                let mut seen = HashSet::new();
-                for v in &variants {
-                    std::hint::black_box(seen.insert(v.canonical_key()));
-                }
-            }),
-        );
-        record(
-            &mut bench,
             "e3/indexed_rewrite",
             median_ns(reps, || {
                 std::hint::black_box(execute(&e3.db, &e3.optimized).unwrap());
@@ -796,9 +901,9 @@ fn bench_pipeline(quick: bool) {
     bench.insert("store/recover_1m_objects".to_string(), recover_ns);
 
     println!("{:>44} {:>14} {:>10}", "bench", "median (ns)", "vs base");
-    for (name, base) in SPEEDUPS {
-        bench.insert(format!("speedup/{name}"), bench[base] / bench[name]);
-    }
+    // The one derived row: the rewrite against the path it is compared with.
+    let e3_speedup = bench["e3/indexed_rewrite_baseline"] / bench["e3/indexed_rewrite"];
+    bench.insert("speedup/e3/indexed_rewrite".to_string(), e3_speedup);
     for (name, ns) in &bench {
         // The x1 rows are ms and bytes, printed with their own table.
         if name.starts_with("speedup/") || name.starts_with("x1/") {

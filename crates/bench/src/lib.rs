@@ -5,8 +5,8 @@
 //! Section 5 becomes a measured comparison between the original query
 //! and its SQO rewrite on the synthetic university object base, and the
 //! complexity claims of Section 4.1 are measured directly. This crate
-//! holds the scenario builders shared by the Criterion benches and the
-//! `tables` binary.
+//! holds the scenario builders of the `tables` binary, which the root
+//! package's tests reuse.
 
 use sqo_core::{SemanticOptimizer, Verdict};
 use sqo_datalog::program::EdbDatabase;
@@ -42,11 +42,45 @@ pub fn served_university_base(mult: usize) -> UniversityData {
     }
     .build()
     .expect("university base builds");
-    let path = ["takes", "is_section_of", "has_sections", "has_ta"];
     data.db
-        .define_asr("asr", "Student", &path)
+        .define_asr("asr", "Student", &ASR_PATH)
         .expect("asr path resolves");
     data
+}
+
+/// The four-hop path the access support relation `asr` materializes
+/// (Application 4), and the paper's query Q over it.
+pub const ASR_PATH: [&str; 4] = ["takes", "is_section_of", "has_sections", "has_ta"];
+/// See [`ASR_PATH`].
+pub const ASR_PATH_OQL: &str = r#"select w
+    from x in Student
+         y in x.takes
+         z in y.is_section_of
+         v in z.has_sections
+         w in v.has_ta"#;
+
+/// A university base of the given scale with `asr` defined over
+/// [`ASR_PATH`], and an optimizer that knows the view.
+pub fn asr_base(students: usize, courses: usize) -> (ObjectDb, SemanticOptimizer) {
+    let mut data = UniversityConfig {
+        students,
+        persons: 0,
+        faculty: 20,
+        courses,
+        sections_per_course: 3,
+        takes_per_student: 4,
+        ..Default::default()
+    }
+    .build()
+    .expect("generator succeeds");
+    data.db
+        .define_asr("asr", "Student", &ASR_PATH)
+        .expect("asr path resolves");
+    let mut opt = SemanticOptimizer::university();
+    for rule in data.db.asr_rules() {
+        opt.add_view(rule);
+    }
+    (data.db, opt)
 }
 
 /// Probe every declared index of `edb` once — an index is built by the
@@ -202,41 +236,11 @@ pub fn key_join_scenario(students: usize) -> Scenario {
 
 /// Application 4 (Q): ASR join elimination over the 4-hop path.
 pub fn asr_scenario(students: usize, courses: usize) -> Scenario {
-    let mut data = UniversityConfig {
-        students,
-        persons: 0,
-        faculty: 20,
-        courses,
-        sections_per_course: 3,
-        takes_per_student: 4,
-        ..Default::default()
-    }
-    .build()
-    .expect("generator succeeds");
-    data.db
-        .define_asr(
-            "asr",
-            "Student",
-            &["takes", "is_section_of", "has_sections", "has_ta"],
-        )
-        .expect("asr path resolves");
-    let mut opt = SemanticOptimizer::university();
-    for rule in data.db.asr_rules() {
-        opt.add_view(rule);
-    }
+    let (db, mut opt) = asr_base(students, courses);
     // No selective filter: the join over the whole 4-hop path is the
     // cost under study (the paper's "queries that require evaluating
     // very long path expressions may be expensive to process").
-    let report = opt
-        .optimize(
-            r#"select w
-               from x in Student
-                    y in x.takes
-                    z in y.is_section_of
-                    v in z.has_sections
-                    w in v.has_ta"#,
-        )
-        .expect("query optimizes");
+    let report = opt.optimize(ASR_PATH_OQL).expect("query optimizes");
     let Verdict::Equivalents(eqs) = &*report.verdict else {
         panic!("satisfiable");
     };
@@ -249,7 +253,7 @@ pub fn asr_scenario(students: usize, courses: usize) -> Scenario {
         .datalog
         .clone();
     Scenario {
-        db: data.db,
+        db,
         original: report.datalog.clone(),
         optimized,
         label: format!("A4 students={students} courses={courses}"),
@@ -261,28 +265,7 @@ pub fn asr_scenario(students: usize, courses: usize) -> Scenario {
 /// through the ASR (the paper's Q1″). Note IC9 must actually hold on the
 /// data: the generator assigns a TA to every section.
 pub fn asr_q1_scenario(students: usize, courses: usize) -> Scenario {
-    let mut data = UniversityConfig {
-        students,
-        persons: 0,
-        faculty: 20,
-        courses,
-        sections_per_course: 3,
-        takes_per_student: 4,
-        ..Default::default()
-    }
-    .build()
-    .expect("generator succeeds");
-    data.db
-        .define_asr(
-            "asr",
-            "Student",
-            &["takes", "is_section_of", "has_sections", "has_ta"],
-        )
-        .expect("asr path resolves");
-    let mut opt = SemanticOptimizer::university();
-    for rule in data.db.asr_rules() {
-        opt.add_view(rule);
-    }
+    let (db, mut opt) = asr_base(students, courses);
     opt.add_constraint_text(
         "ic IC9: has_ta(V, W) <- takes(X, Y), is_section_of(Y, Z), has_sections(Z, V).",
     )
@@ -313,7 +296,7 @@ pub fn asr_q1_scenario(students: usize, courses: usize) -> Scenario {
         .datalog
         .clone();
     Scenario {
-        db: data.db,
+        db,
         original: report.datalog.clone(),
         optimized,
         label: format!("A4-Q1 students={students} courses={courses}"),

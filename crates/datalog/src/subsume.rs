@@ -221,11 +221,7 @@ pub fn match_db_staged(
 /// confirms with the exact canonical token form
 /// ([`Query::canonical_form`] — the very sequence the hash digests) —
 /// so a true duplicate is recognized exactly, and a hash collision
-/// costs one token-sequence compare instead of a lost variant. The
-/// rendered [`Query::canonical_key`] is deliberately *not* used here:
-/// its string-sorted tie-break order renames variables differently on
-/// duplicate-shape comparison literals and can split alpha-equivalent
-/// queries the fingerprint (correctly) merges.
+/// costs one token-sequence compare instead of a lost variant.
 #[derive(Debug, Default)]
 pub struct SubsumptionIndex {
     buckets: FxHashMap<u64, Vec<crate::clause::CanonicalForm>>,

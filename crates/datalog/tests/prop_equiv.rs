@@ -8,7 +8,7 @@
 //!
 //! The suite generates 200 query pairs per property from a seeded PRNG
 //! (deterministic, no time dependence): alpha-variants (variable
-//! permutation + body shuffle) must agree on hash, key, and answers;
+//! permutation + body shuffle) must agree on form, hash and answers;
 //! independently generated pairs must answer identically *whenever*
 //! their hashes agree; and standardizing constraints/residues apart from
 //! a query's variable set must never capture a query variable.
@@ -208,18 +208,14 @@ fn alpha_variants_hash_equal_and_answer_equal() {
                 v.canonical_hash(),
                 "pair {i}: alpha-variants must hash identically\n  q: {q}\n  v: {v}"
             );
-            assert_eq!(
-                q.canonical_key(),
-                v.canonical_key(),
-                "pair {i}: alpha-variants must render identically"
-            );
         }
         // Either way, hash agreement must imply answer equality (checked
-        // above) and key/hash must agree with each other.
+        // above), and the hash is the digest of the form: the two agree
+        // on every pair.
         assert_eq!(
+            q.canonical_form() == v.canonical_form(),
             q.canonical_hash() == v.canonical_hash(),
-            q.canonical_key() == v.canonical_key(),
-            "pair {i}: canonical_hash and canonical_key disagree\n  q: {q}\n  v: {v}"
+            "pair {i}: canonical_form and canonical_hash disagree\n  q: {q}\n  v: {v}"
         );
     }
     assert!(

@@ -170,8 +170,8 @@ pub(crate) fn note_span(
         }
         let (start_ns, counters) = match (&log.trace, base) {
             (Some(trace), Some(base)) => {
-                let mut moved: Vec<_> = counter_deltas(base).filter(|(_, d)| *d != 0).collect();
-                moved.sort_by_key(|(name, _)| *name);
+                // In name order, as the counters are declared.
+                let moved = counter_deltas(base).filter(|(_, d)| *d != 0).collect();
                 (saturating_ns(started.duration_since(trace.began)), moved)
             }
             // No trace is open, or the span is older than the trace.

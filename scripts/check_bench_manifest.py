@@ -53,10 +53,13 @@ which never overwrites the manifest, so this validates what a full
    and nowhere else, since no rebuild pays it.
 8. The in-process warm-hit rows are present (refresh with
    `tables --serve`): `serve/warm_hit` (`optimize_cached` on a request
-   text the plan cache has finished) <= 8 000 ns — it read 20 773 ns
-   while every hit parsed, ran Step 2 and diffed two whole-registry
-   snapshots, and 3 300 to 3 400 ns since the text decides the hit and
-   the stats are a thread-local scope — and `serve/warm_hit` <=
+   text the plan cache has finished) <= 3 226 ns, twice the recorded
+   median — it read 20 773 ns while every hit parsed, ran Step 2 and
+   diffed two whole-registry snapshots, 3 000 to 3 400 ns once the text
+   decided the hit and the stats were a thread-local scope, and 1 587 to
+   1 636 ns (five recordings; 2 700 in the box's slow state) since the
+   counters are declared in name order and the scope's sorted map is
+   built from sorted input — and `serve/warm_hit` <=
    `serve/warm_hit_parsed` (`optimize_query_cached`, which still pays
    Step 2 and the template hash): finding the instance by text must
    never cost more than finding it by binding. `serve/warm_hit_obs_ns`
@@ -126,18 +129,15 @@ EDB_MAX_INDEX_ALL_SHARE = 2.0
 WARM_HIT_ROW = "serve/warm_hit"
 WARM_HIT_PARSED_ROW = "serve/warm_hit_parsed"
 WARM_HIT_OBS_ROW = "serve/warm_hit_obs_ns"
-WARM_HIT_MAX_NS = 8000.0
+WARM_HIT_MAX_NS = 2 * 1613.0
 
 # Rows EXPERIMENTS.md cites and no check bounds: Example 1's residue
-# attachment, refutation and compilation, the variant-dedup kernel with
-# its string-key reference, and a 64-IC context's first search.
+# attachment, refutation and compilation, and a 64-IC context's first
+# search.
 REPORT_ONLY = (
     "e1/attach_restriction",
     "e1/detect_contradiction",
     "e1/semantic_compilation/64",
-    "e1/canonical_dedup/hash",
-    "e1/canonical_dedup/string_baseline",
-    "speedup/e1/canonical_dedup/hash",
     "f2/step3_sqo_vs_applicable_ics/64_cold_context",
 )
 
@@ -264,7 +264,8 @@ def main() -> None:
         fail(
             f"{WARM_HIT_ROW} = {manifest[WARM_HIT_ROW]:.0f} ns exceeds "
             f"{WARM_HIT_MAX_NS:.0f} ns: a verbatim repeat no longer skips "
-            "the parse, Step 2 or the whole-registry stats"
+            "the parse, Step 2 or the whole-registry stats, or its "
+            "counters are sorted per request again"
         )
     if manifest[WARM_HIT_ROW] > manifest[WARM_HIT_PARSED_ROW]:
         fail(

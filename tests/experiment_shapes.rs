@@ -1,6 +1,7 @@
 //! Shape assertions for the experiment suite: the qualitative claims of
 //! EXPERIMENTS.md, checked as hard test invariants (not timings — those
-//! are criterion's business — but the *who-wins-and-how* structure).
+//! are the `tables` binary's business — but the *who-wins-and-how*
+//! structure).
 
 use semantic_sqo::objdb::{choose_best, execute, execute_with, ExecOptions};
 use semantic_sqo::SemanticOptimizer;

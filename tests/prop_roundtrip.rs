@@ -92,9 +92,9 @@ proptest! {
         prop_assert_eq!(parsed, c);
     }
 
-    /// Canonical keys are invariant under consistent variable renaming.
+    /// The canonical hash is invariant under consistent variable renaming.
     #[test]
-    fn canonical_key_rename_invariant(q in dl_query(), suffix in "[0-9]{1,2}") {
+    fn canonical_hash_rename_invariant(q in dl_query(), suffix in "[0-9]{1,2}") {
         let renamed = {
             let mut subst = semantic_sqo::datalog::Subst::new();
             for v in q.vars() {
@@ -105,7 +105,7 @@ proptest! {
             }
             subst.apply_query(&q)
         };
-        prop_assert_eq!(q.canonical_key(), renamed.canonical_key());
+        prop_assert_eq!(q.canonical_hash(), renamed.canonical_hash());
     }
 }
 
