@@ -22,19 +22,19 @@
 //! every declared index built once) and to hold (bytes per tuple).
 //! `scripts/check_bench_manifest.py` knows every one of these names and
 //! rejects any other. Sections F2.3, F2.4 and ABL are printed only: the
-//! linearity of Steps 2 and 4 and the cost of each design knob are shapes
+//! linearity of Steps 2 and 4 and the cost of IC derivation are shapes
 //! to read, not rows to gate. What a request costs over a socket is
 //! measured by `benchmark/`, not here.
 
 use sqo_bench::{
-    asr_base, asr_q1_scenario, asr_scenario, contradiction_scenario, indexed_rewrite_scenario,
+    asr_q1_scenario, asr_scenario, contradiction_scenario, indexed_rewrite_scenario,
     key_join_scenario, optimizer_with_n_ics, probe_every_index, scope_reduction_scenario,
-    served_university_base, synthetic_schema, Scenario, ASR_PATH_OQL,
+    served_university_base, synthetic_schema, Scenario,
 };
 use sqo_core::{CompileOptions, PlanCache, SemanticOptimizer};
 use sqo_datalog::parser::{parse_constraint, parse_query};
 use sqo_datalog::residue::ResidueSet;
-use sqo_datalog::search::{self, JoinIntro, SearchConfig};
+use sqo_datalog::search::{self, SearchConfig};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
 use sqo_objdb::{choose_best, execute, execute_with, ExecOptions, Value};
@@ -377,11 +377,10 @@ fn steps_2_and_4_tables(quick: bool) {
     }
 }
 
-/// ABL — what each remaining design knob costs and finds, so the
+/// ABL — what the one remaining design knob costs and finds, so the
 /// decision to keep or drop it (ROADMAP item 4) has a number: IC
 /// derivation (strengthening + contrapositives; scope reduction only
-/// exists with it), the join-introduction policy, and the chase budget
-/// behind removal-soundness checks. Printed, not recorded.
+/// exists with it). Printed, not recorded.
 fn ablation_table(quick: bool) {
     let reps = if quick { 5 } else { 21 };
     println!("\n## ABL — Design knobs (one Step-3 optimization each)");
@@ -389,25 +388,6 @@ fn ablation_table(quick: bool) {
         "{:>16} {:>16} {:>12} {:>12}",
         "knob", "setting", "equivalents", "time (ms)"
     );
-    // `optimize` runs one optimization and returns how many equivalents
-    // it found.
-    let row = |knob: &str, setting: &str, optimize: &mut dyn FnMut() -> usize| {
-        let equivalents = optimize();
-        let ns = median_ns(reps, || {
-            std::hint::black_box(optimize());
-        });
-        println!(
-            "{knob:>16} {setting:>16} {equivalents:>12} {:>12.3}",
-            ns / 1e6
-        );
-    };
-    let facade_row = |knob, setting, mut opt: SemanticOptimizer, oql| {
-        opt.residue_count(); // compile outside the measured loop
-        row(knob, setting, &mut || {
-            opt.optimize(oql).unwrap().equivalents().len()
-        });
-    };
-
     for (setting, derive) in [("on", true), ("off", false)] {
         let mut opt = SemanticOptimizer::university();
         opt.set_compile_options(CompileOptions {
@@ -416,45 +396,16 @@ fn ablation_table(quick: bool) {
         });
         opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
             .unwrap();
+        opt.residue_count(); // compile outside the measured loop
         let oql = "select x.name from x in Person where x.age < 30";
-        facade_row("ic_derivation", setting, opt, oql);
-    }
-
-    for (setting, join_intro) in [
-        ("off", JoinIntro::Off),
-        ("view_relevant", JoinIntro::ViewRelevant),
-        ("all", JoinIntro::All),
-    ] {
-        let (_, mut opt) = asr_base(40, 4);
-        opt.set_search_config(SearchConfig {
-            join_intro,
-            ..Default::default()
+        let equivalents = opt.optimize(oql).unwrap().equivalents().len();
+        let ns = median_ns(reps, || {
+            std::hint::black_box(opt.optimize(oql).unwrap());
         });
-        facade_row("join_intro", setting, opt, ASR_PATH_OQL);
-    }
-
-    // The chase budget lives in the `TransformContext`, below the facade.
-    let (db, opt) = asr_base(40, 4);
-    let parsed = sqo_oql::parse_oql(ASR_PATH_OQL).unwrap();
-    let q = opt.translate(&parsed).unwrap().query;
-    for max_facts in [100usize, 400, 1600] {
-        let mut ctx = TransformContext::new(
-            ResidueSet::compile(opt.constraints()),
-            db.asr_rules(),
-            opt.catalog().functional.clone(),
-        );
-        ctx.budget = sqo_datalog::chase::ChaseBudget {
-            max_rounds: 6,
-            max_facts,
-            max_nulls: 64,
-        };
-        row(
-            "chase_max_facts",
-            &max_facts.to_string(),
-            &mut || match search::optimize(&q, &ctx, &SearchConfig::default()) {
-                search::Outcome::Equivalents(vs) => vs.len(),
-                search::Outcome::Contradiction { .. } => 0,
-            },
+        println!(
+            "{:>16} {setting:>16} {equivalents:>12} {:>12.3}",
+            "ic_derivation",
+            ns / 1e6
         );
     }
 }

@@ -30,7 +30,7 @@ pub use prepared::{CacheOutcome, PlanCache, PreparedOptimizer};
 
 // Re-export the pieces callers typically need alongside the facade.
 pub use sqo_datalog::residue::CompileOptions;
-pub use sqo_datalog::search::{Delta, Outcome, SearchConfig, Step};
+pub use sqo_datalog::search::{Delta, Outcome, Step};
 pub use sqo_datalog::{Constraint, Query, Rule};
 pub use sqo_odl::Schema;
 pub use sqo_oql::SelectQuery;

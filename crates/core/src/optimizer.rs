@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Steps 1–2 and 4 are linear; Step 3 is the exponential search, bounded
-//! by [`SearchConfig`] heuristics (Section 4.1).
+//! by the default [`SearchConfig`] (Section 4.1).
 
 use crate::error::Result;
 use sqo_datalog::residue::{CompileOptions, ResidueSet};
@@ -379,7 +379,6 @@ pub struct SemanticOptimizer {
     catalog: Catalog,
     user_constraints: Vec<Constraint>,
     views: Vec<Rule>,
-    search: SearchConfig,
     compile_options: CompileOptions,
     /// Compiled transform context (rebuilt lazily after changes).
     ctx: Option<TransformContext>,
@@ -394,7 +393,6 @@ impl SemanticOptimizer {
             catalog,
             user_constraints: Vec::new(),
             views: Vec::new(),
-            search: SearchConfig::default(),
             compile_options: CompileOptions::default(),
             ctx: None,
         }
@@ -466,11 +464,6 @@ impl SemanticOptimizer {
         Ok(())
     }
 
-    /// Tune the Step 3 search heuristics.
-    pub fn set_search_config(&mut self, cfg: SearchConfig) {
-        self.search = cfg;
-    }
-
     /// Tune semantic compilation (IC derivation).
     pub fn set_compile_options(&mut self, opts: CompileOptions) {
         self.compile_options = opts;
@@ -514,9 +507,8 @@ impl SemanticOptimizer {
         let scope = obs::Scope::enter();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = self.translate(original)?;
-        let search_cfg = self.search.clone();
         let ctx = self.compile();
-        let outcome = search::optimize(&translation.query, ctx, &search_cfg);
+        let outcome = search::optimize(&translation.query, ctx, &SearchConfig::default());
         let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
         Ok(OptimizationReport::fresh(
             original,
@@ -543,9 +535,7 @@ impl SemanticOptimizer {
     /// experiments phrased directly in the Datalog representation, like
     /// the paper's Example 1.
     pub fn optimize_datalog(&mut self, q: &Query) -> Outcome {
-        let cfg = self.search.clone();
-        let ctx = self.compile();
-        search::optimize(q, ctx, &cfg)
+        search::optimize(q, self.compile(), &SearchConfig::default())
     }
 
     /// Freeze this optimizer into an immutable, shareable
@@ -558,10 +548,10 @@ impl SemanticOptimizer {
 
     /// Decompose into the pieces a prepared optimizer keeps, compiling
     /// first so the transform context is guaranteed present.
-    pub(crate) fn into_parts(mut self) -> (Schema, Catalog, SearchConfig, TransformContext) {
+    pub(crate) fn into_parts(mut self) -> (Schema, Catalog, TransformContext) {
         self.compile();
         let ctx = self.ctx.take().expect("just compiled");
-        (self.schema, self.catalog, self.search, ctx)
+        (self.schema, self.catalog, ctx)
     }
 }
 

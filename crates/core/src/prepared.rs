@@ -456,12 +456,11 @@ impl PlanCache {
 }
 
 /// An immutable, eagerly compiled optimizer: schema, Step-1 catalog,
-/// compiled residues and search configuration, shareable across threads
+/// compiled residues, shareable across threads
 /// with `&self` (wrap in an `Arc` for the service layer).
 pub struct PreparedOptimizer {
     schema: Schema,
     catalog: Catalog,
-    search: SearchConfig,
     ctx: TransformContext,
     generation: u64,
     /// Constants of the compiled knowledge base (constraints + views):
@@ -472,7 +471,7 @@ pub struct PreparedOptimizer {
 impl PreparedOptimizer {
     /// Compile `opt` (Step 1 + residues) and freeze it at generation 0.
     pub fn new(opt: SemanticOptimizer) -> Self {
-        let (schema, catalog, search, ctx) = opt.into_parts();
+        let (schema, catalog, ctx) = opt.into_parts();
         let mut kb: BTreeSet<Const> = BTreeSet::new();
         for ic in &ctx.residues.constraints {
             collect_head_consts(&ic.head, &mut kb);
@@ -491,7 +490,6 @@ impl PreparedOptimizer {
         PreparedOptimizer {
             schema,
             catalog,
-            search,
             ctx,
             generation: 0,
             kb_consts: kb.into_iter().collect(),
@@ -538,7 +536,7 @@ impl PreparedOptimizer {
         let scope = obs::Scope::enter();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
-        let outcome = search::optimize(&translation.query, &self.ctx, &self.search);
+        let outcome = search::optimize(&translation.query, &self.ctx, &SearchConfig::default());
         let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
         Ok(OptimizationReport::fresh(
             original,
@@ -649,7 +647,7 @@ impl PreparedOptimizer {
                     obs::bump(obs::Counter::PlanCacheMisses);
                     CacheOutcome::Miss
                 };
-                let outcome = search::optimize(datalog, &self.ctx, &self.search);
+                let outcome = search::optimize(datalog, &self.ctx, &SearchConfig::default());
                 self.store(cache, datalog, &template, &outcome);
                 let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
                 let report =

@@ -54,26 +54,12 @@ impl std::fmt::Display for CTerm {
 /// A chase fact: a predicate applied to chase terms.
 pub type CFact = (PredSym, Vec<CTerm>);
 
-/// Resource bounds for the chase.
-#[derive(Debug, Clone)]
-pub struct ChaseBudget {
-    /// Maximum fixpoint rounds.
-    pub max_rounds: usize,
-    /// Maximum number of facts.
-    pub max_facts: usize,
-    /// Maximum number of fresh nulls.
-    pub max_nulls: usize,
-}
-
-impl Default for ChaseBudget {
-    fn default() -> Self {
-        ChaseBudget {
-            max_rounds: 6,
-            max_facts: 400,
-            max_nulls: 64,
-        }
-    }
-}
+/// Maximum fixpoint rounds of one chase.
+const MAX_ROUNDS: usize = 6;
+/// Maximum number of facts one chase holds.
+const MAX_FACTS: usize = 400;
+/// Maximum number of fresh nulls one chase introduces.
+const MAX_NULLS: usize = 64;
 
 /// The dependencies the chase runs with.
 #[derive(Debug, Clone, Default)]
@@ -124,7 +110,6 @@ pub struct Chase<'a> {
     /// The query's comparison context, used to evaluate comparison
     /// literals over frozen terms.
     solver: &'a ConstraintSet,
-    budget: ChaseBudget,
     facts: HashSet<CFact>,
     /// Per-predicate index over `facts` (kept in sync).
     by_pred: BTreeMap<PredSym, Vec<Vec<CTerm>>>,
@@ -141,16 +126,10 @@ pub struct Chase<'a> {
 
 impl<'a> Chase<'a> {
     /// Create a chase over the frozen body of a query.
-    pub fn new(
-        body: &[Literal],
-        ctx: &'a ChaseContext,
-        solver: &'a ConstraintSet,
-        budget: ChaseBudget,
-    ) -> Self {
+    pub fn new(body: &[Literal], ctx: &'a ChaseContext, solver: &'a ConstraintSet) -> Self {
         let mut chase = Chase {
             ctx,
             solver,
-            budget,
             facts: HashSet::new(),
             by_pred: BTreeMap::new(),
             canon: BTreeMap::new(),
@@ -224,7 +203,7 @@ impl<'a> Chase<'a> {
     /// Insert a fact a dependency derived, unless the fact budget is
     /// spent.
     fn derive_fact(&mut self, pred: PredSym, args: Vec<CTerm>) -> bool {
-        if self.facts.len() < self.budget.max_facts {
+        if self.facts.len() < MAX_FACTS {
             return self.insert_fact(pred, args);
         }
         self.refused |= !self.facts.contains(&(pred, args));
@@ -232,7 +211,7 @@ impl<'a> Chase<'a> {
     }
 
     fn fresh_null(&mut self) -> Option<CTerm> {
-        if self.next_null >= self.budget.max_nulls {
+        if self.next_null >= MAX_NULLS {
             self.refused = true;
             return None;
         }
@@ -336,7 +315,7 @@ impl<'a> Chase<'a> {
     pub fn run(&mut self) {
         let empty = BTreeMap::new();
         let mut fixpoint = false;
-        for _round in 0..self.budget.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             let mut changed = false;
 
             // 1. tgds: body ⇒ head atom (existential head vars get nulls).
@@ -471,7 +450,7 @@ impl<'a> Chase<'a> {
             }
         }
         if !fixpoint || self.refused {
-            obs::bump(obs::Counter::ChaseBudgetExhausted);
+            obs::bump(obs::Counter::ChaseExhausted);
         }
     }
 
@@ -517,7 +496,6 @@ pub fn group_removal_sound(
     projection_vars: &BTreeSet<Var>,
     ctx: &ChaseContext,
     solver: &ConstraintSet,
-    budget: ChaseBudget,
 ) -> bool {
     // Frozen variables: those shared with the kept body or projected.
     let kept_vars: BTreeSet<Var> = kept
@@ -527,7 +505,7 @@ pub fn group_removal_sound(
         .collect();
     let pattern_vars: BTreeSet<Var> = pattern.iter().flat_map(|a| a.vars().cloned()).collect();
     let frozen: BTreeSet<Var> = pattern_vars.intersection(&kept_vars).cloned().collect();
-    let mut chase = Chase::new(kept, ctx, solver, budget);
+    let mut chase = Chase::new(kept, ctx, solver);
     chase.run();
     chase.entails(pattern, &frozen)
 }
@@ -558,7 +536,7 @@ mod tests {
         let ctx = ChaseContext::from_constraints(&[oid_ident_ic()], vec![], BTreeMap::new());
         let solver = empty_solver();
         let kept = vec![Literal::pos("takes", vec![v("S"), v("Sec")])];
-        let mut chase = Chase::new(&kept, &ctx, &solver, ChaseBudget::default());
+        let mut chase = Chase::new(&kept, &ctx, &solver);
         chase.run();
         // student(S, _) must be derivable with S frozen.
         let frozen: BTreeSet<Var> = [Var::new("S")].into_iter().collect();
@@ -584,7 +562,6 @@ mod tests {
             &BTreeSet::new(),
             &ctx,
             &solver,
-            ChaseBudget::default(),
         ));
         // If N is projected it is frozen, and the null-valued witness no
         // longer suffices.
@@ -595,7 +572,6 @@ mod tests {
             &proj,
             &ctx,
             &solver,
-            ChaseBudget::default(),
         ));
     }
 
@@ -621,7 +597,7 @@ mod tests {
             Literal::pos("faculty", vec![v("Z"), v("Name1")]),
             Literal::pos("faculty", vec![v("W"), v("Name2")]),
         ];
-        let mut chase = Chase::new(&kept, &ctx, &solver, ChaseBudget::default());
+        let mut chase = Chase::new(&kept, &ctx, &solver);
         chase.run();
         // Z and W must be merged.
         assert_eq!(
@@ -643,7 +619,7 @@ mod tests {
         let ctx = ChaseContext::from_constraints(&[], vec![view], BTreeMap::new());
         let solver = empty_solver();
         let kept = vec![Literal::pos("asr", vec![v("S"), v("T")])];
-        let mut chase = Chase::new(&kept, &ctx, &solver, ChaseBudget::default());
+        let mut chase = Chase::new(&kept, &ctx, &solver);
         chase.run();
         // The witness chain takes(S, ~n), has_ta(~n, T) must exist.
         let frozen: BTreeSet<Var> = [Var::new("S"), Var::new("T")].into_iter().collect();
@@ -682,14 +658,7 @@ mod tests {
             Atom::new("has_ta", vec![v("V"), v("W")]),
         ];
         let proj: BTreeSet<Var> = [Var::new("W")].into_iter().collect();
-        assert!(group_removal_sound(
-            &kept,
-            &pattern,
-            &proj,
-            &ctx,
-            &solver,
-            ChaseBudget::default(),
-        ));
+        assert!(group_removal_sound(&kept, &pattern, &proj, &ctx, &solver,));
     }
 
     #[test]
@@ -729,24 +698,14 @@ mod tests {
         // Without the one-to-one constraint: unsound, fold rejected.
         let ctx_no = ChaseContext::from_constraints(&[], vec![view.clone()], BTreeMap::new());
         assert!(!group_removal_sound(
-            &kept,
-            &pattern,
-            &proj,
-            &ctx_no,
-            &solver,
-            ChaseBudget::default(),
+            &kept, &pattern, &proj, &ctx_no, &solver,
         ));
 
         // With it: the chase merges the witness TA with the query's V and
         // the fold becomes sound — exactly the paper's argument.
         let ctx_yes = ChaseContext::from_constraints(&[one_to_one], vec![view], BTreeMap::new());
         assert!(group_removal_sound(
-            &kept,
-            &pattern,
-            &proj,
-            &ctx_yes,
-            &solver,
-            ChaseBudget::default(),
+            &kept, &pattern, &proj, &ctx_yes, &solver,
         ));
     }
 
@@ -772,7 +731,7 @@ mod tests {
             Literal::pos("faculty", vec![v("W"), v("Name2")]),
             Literal::pos("pin", vec![v("Z"), v("W")]),
         ];
-        let mut chase = Chase::new(&kept, &ctx, &solver, ChaseBudget::default());
+        let mut chase = Chase::new(&kept, &ctx, &solver);
         chase.run();
         assert_eq!(
             chase.rep(&CTerm::Frozen(Var::new("Z"))),
@@ -794,16 +753,7 @@ mod tests {
         let ctx = ChaseContext::from_constraints(&[t1], vec![], BTreeMap::new());
         let solver = empty_solver();
         let kept = vec![Literal::pos("p", vec![v("A"), v("B")])];
-        let mut chase = Chase::new(
-            &kept,
-            &ctx,
-            &solver,
-            ChaseBudget {
-                max_rounds: 4,
-                max_facts: 50,
-                max_nulls: 20,
-            },
-        );
+        let mut chase = Chase::new(&kept, &ctx, &solver);
         // Read this thread's own bumps off a request trace: other tests
         // in the binary chase concurrently.
         obs::trace_begin("chase-test".into());
@@ -812,7 +762,7 @@ mod tests {
             chase.run();
         }
         let trace = obs::trace_end().expect("trace was begun on this thread");
-        assert!(chase.fact_count() <= 50);
+        assert!(chase.fact_count() <= MAX_FACTS);
         assert_eq!(trace.events[0].counters, [("chase.budget_exhausted", 1)]);
     }
 
@@ -836,7 +786,7 @@ mod tests {
             CmpOp::Gt,
             Term::int(20),
         )]);
-        let mut c1 = Chase::new(&kept, &ctx, &strong, ChaseBudget::default());
+        let mut c1 = Chase::new(&kept, &ctx, &strong);
         c1.run();
         assert!(c1.entails(&[Atom::new("adult", vec![v("P")])], &frozen));
 
@@ -845,7 +795,7 @@ mod tests {
             CmpOp::Gt,
             Term::int(10),
         )]);
-        let mut c2 = Chase::new(&kept, &ctx, &weak, ChaseBudget::default());
+        let mut c2 = Chase::new(&kept, &ctx, &weak);
         c2.run();
         assert!(!c2.entails(&[Atom::new("adult", vec![v("P")])], &frozen));
     }

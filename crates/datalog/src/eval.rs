@@ -83,38 +83,24 @@ impl EvalStats {
     }
 }
 
-/// Physical knobs for one evaluation.
+/// The physical access paths of one evaluation.
 ///
 /// The default is the full access-path repertoire; [`EvalOptions::scan_only`]
 /// reproduces the pre-index engine (ephemeral join indexes and scans only),
 /// which the differential tests and the `*_seed` bench rows use as the
 /// reference executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Consult declared hash/ordered indexes for equality and range
-    /// probes (off → every access is a scan or ephemeral join index).
-    pub use_indexes: bool,
-    /// Fuse runs of binary-relation atoms chained through single-use
-    /// variables into one index-nested-loop walk.
-    pub fuse_chains: bool,
-}
-
-impl Default for EvalOptions {
-    fn default() -> Self {
-        EvalOptions {
-            use_indexes: true,
-            fuse_chains: true,
-        }
-    }
+    /// Scans and ephemeral join indexes only: no declared hash/ordered
+    /// index probes and no fusion of binary-relation chains into one
+    /// index-nested-loop walk.
+    pub scan_only: bool,
 }
 
 impl EvalOptions {
-    /// The pre-index engine: no declared-index probes, no chain fusion.
+    /// The pre-index engine.
     pub fn scan_only() -> Self {
-        EvalOptions {
-            use_indexes: false,
-            fuse_chains: false,
-        }
+        EvalOptions { scan_only: true }
     }
 }
 
@@ -286,7 +272,7 @@ pub fn choose_access_path(
     n_bindings: usize,
     opts: &EvalOptions,
 ) -> AccessPath {
-    if opts.use_indexes {
+    if !opts.scan_only {
         let hash = bound_cols
             .iter()
             .filter(|&&col| rel.has_hash_index(col))
@@ -598,7 +584,7 @@ fn compile<'a>(
     opts: &EvalOptions,
 ) -> (Vec<Step<'a>>, Vec<Var>) {
     let ordered = execution_order(body);
-    let units: Vec<Unit<'a>> = if opts.use_indexes && opts.fuse_chains {
+    let units: Vec<Unit<'a>> = if !opts.scan_only {
         fuse_chains(&ordered, body, protected)
     } else {
         ordered.iter().map(|o| Unit::Single(o.literal)).collect()

@@ -5,10 +5,10 @@
 //! guide the transformation process so "only promising transformations are
 //! generated". This module is that search ([`optimize`]): a
 //! level-by-level queue over query variants, deduplicated by an exact
-//! [`SubsumptionIndex`], with the heuristic knobs exposed in
-//! [`SearchConfig`]. Residue matching is memoized per query structure on
-//! the [`TransformContext`], so it is shared by every search on that
-//! context.
+//! [`SubsumptionIndex`], bounded by [`SearchConfig`] and exploring join
+//! introduction only where a registered view can use it. Residue
+//! matching is memoized per query structure on the [`TransformContext`],
+//! so it is shared by every search on that context.
 
 use crate::atom::Literal;
 use crate::clause::Query;
@@ -16,26 +16,7 @@ use crate::subsume::SubsumptionIndex;
 use crate::transform::{analyse, apply, Analysis, Op, TransformContext};
 use sqo_obs as obs;
 
-/// When join introduction (`AddAtom`) is explored.
-///
-/// Unrestricted join introduction adds every implied atom (inverse
-/// relationships, superclass memberships, …) and blows up the search
-/// space without enabling anything — exactly the explosion Section 4.1
-/// warns about. The default only introduces atoms that can participate
-/// in a registered view (access support relation), which covers the
-/// paper's IC9/ASR scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinIntro {
-    /// Never introduce atoms.
-    Off,
-    /// Introduce only atoms whose predicate occurs in a registered view
-    /// definition (head or body).
-    ViewRelevant,
-    /// Introduce every implied atom (exhaustive; exponential).
-    All,
-}
-
-/// Heuristic configuration for the equivalent-query search.
+/// Bounds on the equivalent-query search.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Maximum number of transformation steps applied along one path.
@@ -46,16 +27,6 @@ pub struct SearchConfig {
     /// Maximum number of analysed nodes (applicability checks are the
     /// expensive part; this bounds total work).
     pub max_expansions: usize,
-    /// Enable restriction introduction (`AddCmp`).
-    pub enable_add_cmp: bool,
-    /// Join-introduction policy (`AddAtom`).
-    pub join_intro: JoinIntro,
-    /// Enable scope reduction (`AddNegAtom`).
-    pub enable_add_neg: bool,
-    /// Enable comparison removal (`RemoveCmp`).
-    pub enable_remove_cmp: bool,
-    /// Enable atom/group removal (`RemoveAtoms`).
-    pub enable_remove_atoms: bool,
 }
 
 impl Default for SearchConfig {
@@ -64,35 +35,31 @@ impl Default for SearchConfig {
             max_depth: 4,
             max_variants: 64,
             max_expansions: 96,
-            enable_add_cmp: true,
-            join_intro: JoinIntro::ViewRelevant,
-            enable_add_neg: true,
-            enable_remove_cmp: true,
-            enable_remove_atoms: true,
         }
     }
 }
 
-impl SearchConfig {
-    fn enabled(&self, op: &Op, ctx: &TransformContext) -> bool {
-        match op {
-            Op::AddCmp(_) => self.enable_add_cmp,
-            Op::AddAtom(a) => match self.join_intro {
-                JoinIntro::Off => false,
-                JoinIntro::All => true,
-                JoinIntro::ViewRelevant => ctx.views.iter().any(|v| {
-                    v.head.pred == a.pred
-                        || v.body
-                            .iter()
-                            .any(|l| l.pred().is_some_and(|p| *p == a.pred))
-                }),
-            },
-            Op::AddNegAtom(_) => self.enable_add_neg,
-            Op::RemoveCmp(_) => self.enable_remove_cmp,
-            Op::RemoveAtoms(_) => self.enable_remove_atoms,
-        }
-    }
+/// Whether the search explores a candidate. Every class is explored but
+/// join introduction (`AddAtom`), which only introduces atoms whose
+/// predicate occurs in a registered view definition (head or body).
+/// Unrestricted join introduction adds every implied atom (inverse
+/// relationships, superclass memberships, …) and blows up the search
+/// space without enabling anything — exactly the explosion Section 4.1
+/// warns about; the view-relevant ones are what the paper's IC9/ASR
+/// fold (Application 4) needs.
+fn explored(op: &Op, ctx: &TransformContext) -> bool {
+    let Op::AddAtom(a) = op else {
+        return true;
+    };
+    ctx.views.iter().any(|v| {
+        v.head.pred == a.pred
+            || v.body
+                .iter()
+                .any(|l| l.pred().is_some_and(|p| *p == a.pred))
+    })
+}
 
+impl SearchConfig {
     /// Exploration priority: cheaper/more-decisive transformations first
     /// (folds, removals, key equalities), speculative additions last.
     fn priority(op: &Op) -> u8 {
@@ -319,7 +286,7 @@ pub fn optimize(q: &Query, ctx: &TransformContext, cfg: &SearchConfig) -> Outcom
                 Analysis::Candidates(mut cands) => {
                     cands.sort_by_key(|c| SearchConfig::priority(&c.op));
                     for cand in cands {
-                        if !cfg.enabled(&cand.op, ctx) {
+                        if !explored(&cand.op, ctx) {
                             continue;
                         }
                         // The budget can run out between two children of
@@ -475,27 +442,6 @@ mod tests {
         };
         let out = optimize(&q, &scope_ctx(), &cfg);
         assert_eq!(out.variants().len(), 1);
-    }
-
-    #[test]
-    fn disabled_op_classes_are_not_applied() {
-        let q = Query::new(
-            "q",
-            vec![v("Name")],
-            vec![
-                Literal::pos("person", vec![v("X"), v("Name"), v("Age")]),
-                Literal::cmp(v("Age"), CmpOp::Lt, Term::int(30)),
-            ],
-        );
-        let cfg = SearchConfig {
-            enable_add_neg: false,
-            ..Default::default()
-        };
-        let out = optimize(&q, &scope_ctx(), &cfg);
-        assert!(out
-            .variants()
-            .iter()
-            .all(|va| { va.query.body.iter().all(|l| !matches!(l, Literal::Neg(_))) }));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   elimination; the ASR fold of Application 4).
 
 use crate::atom::{Atom, Comparison, Literal, PredSym};
-use crate::chase::{group_removal_sound, ChaseBudget, ChaseContext};
+use crate::chase::{group_removal_sound, ChaseContext};
 use crate::clause::{ConstraintHead, Query, Rule};
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
 use crate::residue::{standardize_residue_apart, ResidueSet};
@@ -134,8 +134,6 @@ pub struct TransformContext {
     /// Functional-dependency map: `pred → k` means the first `k`
     /// arguments determine the rest.
     pub functional: BTreeMap<PredSym, usize>,
-    /// Chase budget for removal checks.
-    pub budget: ChaseBudget,
     /// Residue matches per query structure, shared by every search on
     /// this context.
     structures: StructureMemo,
@@ -160,7 +158,6 @@ impl TransformContext {
             chase,
             views,
             functional,
-            budget: ChaseBudget::default(),
             structures: StructureMemo::default(),
         }
     }
@@ -303,7 +300,6 @@ fn tail_candidates(
             &proj_vars,
             &ctx.chase,
             solver,
-            ctx.budget.clone(),
         ) {
             push_candidate(
                 candidates,
@@ -860,14 +856,7 @@ fn fold_view_candidates(
             if !folded.is_safe() {
                 continue;
             }
-            if group_removal_sound(
-                &kept,
-                &removal,
-                proj_vars,
-                &ctx.chase,
-                solver,
-                ctx.budget.clone(),
-            ) {
+            if group_removal_sound(&kept, &removal, proj_vars, &ctx.chase, solver) {
                 out.push(Candidate {
                     note: format!(
                         "fold path expression into access support relation `{}`",

@@ -3,7 +3,7 @@
 //! against the evaluation engine.
 
 use proptest::prelude::*;
-use sqo_datalog::chase::{group_removal_sound, ChaseBudget, ChaseContext};
+use sqo_datalog::chase::{group_removal_sound, ChaseContext};
 use sqo_datalog::eval::answer_query;
 use sqo_datalog::program::EdbDatabase;
 use sqo_datalog::subsume::body_subsumes;
@@ -187,7 +187,6 @@ proptest! {
             &q.projection.iter().filter_map(Term::as_var).cloned().collect(),
             &ctx,
             &solver,
-            ChaseBudget::default(),
         );
         prop_assert!(ok, "removal should be approved under the dependency");
         let reduced = Query::new("q", q.projection.clone(), kept);

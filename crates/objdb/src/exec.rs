@@ -81,22 +81,17 @@ impl std::fmt::Display for CostReport {
 /// Rewrite class/structure atoms whose attributes are never used into
 /// unary extent atoms (cheap membership tests). Public so the planner can
 /// estimate against the same physical shape. Assumes the default
-/// (indexed) executor; see [`rewrite_for_extents_with`].
+/// (indexed) executor, under which the extent-first anti-join
+/// decomposition is suppressed when an ordered-index range probe will
+/// actually be taken.
 pub fn rewrite_for_extents(db: &ObjectDb, q: &Query) -> Query {
-    rewrite_for_extents_with(db, q, ExecOptions::default())
-}
-
-/// [`rewrite_for_extents`] for an explicit executor configuration: the
-/// extent-first anti-join decomposition is suppressed only when an
-/// ordered-index range probe will actually be taken.
-pub fn rewrite_for_extents_with(db: &ObjectDb, q: &Query, opts: ExecOptions) -> Query {
-    physical(db, q, opts).into_owned()
+    physical(db, q, EvalOptions::default()).into_owned()
 }
 
 /// The query in the shape the executor runs, borrowed when the rewrite
 /// leaves it as it is — plan choice prices every equivalent on each
 /// request, and most of them have nothing to rewrite.
-pub(crate) fn physical<'q>(db: &ObjectDb, q: &'q Query, opts: ExecOptions) -> Cow<'q, Query> {
+pub(crate) fn physical<'q>(db: &ObjectDb, q: &'q Query, opts: EvalOptions) -> Cow<'q, Query> {
     match physical_body(db, q, opts) {
         Some(body) => Cow::Owned(Query::new(q.name.clone(), q.projection.clone(), body)),
         None => Cow::Borrowed(q),
@@ -105,7 +100,7 @@ pub(crate) fn physical<'q>(db: &ObjectDb, q: &'q Query, opts: ExecOptions) -> Co
 
 /// The rewritten body, or `None` when no literal changes and no extent
 /// scan is prepended.
-fn physical_body(db: &ObjectDb, q: &Query, opts: ExecOptions) -> Option<Vec<Literal>> {
+fn physical_body(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Option<Vec<Literal>> {
     // Count variable occurrences across the whole query.
     let mut occurrences: FxHashMap<Var, usize> = FxHashMap::default();
     occurrences.reserve(4 * q.body.len());
@@ -280,42 +275,19 @@ fn physical_body(db: &ObjectDb, q: &Query, opts: ExecOptions) -> Option<Vec<Lite
     Some(prefix)
 }
 
-/// Physical knobs for one objdb execution, forwarded to the Datalog
-/// engine. [`ExecOptions::scan_only`] reproduces the pre-index executor;
-/// the differential tests and the `*_seed`/`*_baseline` bench rows use it
-/// as the reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecOptions {
-    /// Evaluate without declared-index probes or chain fusion.
-    pub scan_only: bool,
-}
-
-impl ExecOptions {
-    /// The pre-index executor: scans and ephemeral join indexes only.
-    pub fn scan_only() -> Self {
-        ExecOptions { scan_only: true }
-    }
-
-    fn eval_options(self) -> EvalOptions {
-        if self.scan_only {
-            EvalOptions::scan_only()
-        } else {
-            EvalOptions::default()
-        }
-    }
-}
-
 /// Execute a Datalog query against the object store, with cost
 /// accounting, using the full access-path repertoire.
 pub fn execute(db: &ObjectDb, q: &Query) -> Result<(Vec<Vec<Const>>, CostReport)> {
-    execute_with(db, q, ExecOptions::default())
+    execute_with(db, q, EvalOptions::default())
 }
 
-/// Execute with explicit physical options (see [`ExecOptions`]).
+/// Execute with explicit physical options (see [`EvalOptions`]; the
+/// differential tests and the `*_seed`/`*_baseline` bench rows use
+/// [`EvalOptions::scan_only`] as the reference).
 pub fn execute_with(
     db: &ObjectDb,
     q: &Query,
-    opts: ExecOptions,
+    opts: EvalOptions,
 ) -> Result<(Vec<Vec<Const>>, CostReport)> {
     let _span = sqo_obs::span!("objdb.execute");
     sqo_obs::bump(sqo_obs::Counter::ExecQueries);
@@ -350,7 +322,7 @@ pub fn execute_with(
     let start = Instant::now();
     let (rows, stats) = {
         let edb = db.edb();
-        answer_query_with(&edb, &physical, &opts.eval_options())?
+        answer_query_with(&edb, &physical, &opts)?
     };
     let elapsed = start.elapsed();
 
@@ -513,7 +485,7 @@ mod tests {
         assert!(report.range_probes >= 1);
         assert_eq!(report.extent_probes, 0);
         // The pre-index executor scans all persons incl faculty.
-        let (rows_s, report_s) = execute_with(&d, &q, ExecOptions::scan_only()).unwrap();
+        let (rows_s, report_s) = execute_with(&d, &q, EvalOptions::scan_only()).unwrap();
         assert_eq!(rows_s, rows);
         assert!(report_s.object_fetches >= 15);
         assert_eq!(report_s.range_probes, 0);

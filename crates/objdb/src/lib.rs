@@ -24,11 +24,13 @@ pub mod store;
 pub mod value;
 
 pub use error::{ObjDbError, Result};
-pub use exec::{execute, execute_with, CostReport, ExecOptions};
+pub use exec::{execute, execute_with, CostReport};
 pub use generate::{
     register_university_methods, GenericConfig, GenericData, UniversityConfig, UniversityData,
 };
 pub use plan::{choose_best, estimate_cost, priced_steps};
+/// The executor's physical options are the Datalog engine's.
+pub use sqo_datalog::eval::EvalOptions as ExecOptions;
 pub use sqo_store::ShardedStore;
 pub use store::{AsrDef, MethodFn, Object, ObjectDb};
 pub use value::{Oid, Value};

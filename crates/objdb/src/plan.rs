@@ -26,7 +26,7 @@
 //! ordered index of a range-constrained one — for every candidate priced,
 //! not only the one chosen. The distinct count builds nothing more.
 
-use crate::exec::{physical, ExecOptions};
+use crate::exec::physical;
 use crate::store::ObjectDb;
 use sqo_datalog::eval::{
     choose_access_path, collect_ranges, execution_order, AccessPath, EvalOptions, RangeMap,
@@ -86,7 +86,7 @@ fn price_steps(
     q: &Query,
     mut on_step: impl FnMut(&Literal, Option<AccessPath>),
 ) -> f64 {
-    let q = physical(db, q, ExecOptions::default());
+    let q = physical(db, q, EvalOptions::default());
     let ranges = collect_ranges(&q.body);
     let edb = db.edb();
     let is_bound = |bound: &[Var], t: &Term| match t {

@@ -110,7 +110,7 @@ counters! {
     /// Chase runs a budget stopped short of a fixpoint (rounds ran out,
     /// or a fresh null or a derived fact was refused): "not derivable"
     /// then means "not derivable within the budget". At most one per run.
-    ChaseBudgetExhausted => "chase.budget_exhausted",
+    ChaseExhausted => "chase.budget_exhausted",
     /// Secondary indexes of stored relations built: each by the first
     /// probe of its column (span `edb.index_build`), so a repeated read
     /// adds none.

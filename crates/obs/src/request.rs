@@ -94,12 +94,18 @@ impl Trace {
         format!("[{}]", items.join(", "))
     }
 
-    /// Duration of a named event, when present (first occurrence).
-    pub fn event_dur_ns(&self, name: &str) -> Option<u64> {
-        self.events
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.dur_ns)
+    /// Total duration per event name, in first-occurrence order: a name
+    /// that completed several times (two `cache.lookup` probes, one
+    /// `edb.index_build` per index) is one entry with the summed time.
+    pub fn stage_totals(&self) -> Vec<(&'static str, u64)> {
+        let mut totals: Vec<(&'static str, u64)> = Vec::new();
+        for e in &self.events {
+            match totals.iter_mut().find(|(name, _)| *name == e.name) {
+                Some((_, ns)) => *ns = ns.saturating_add(e.dur_ns),
+                None => totals.push((e.name, e.dur_ns)),
+            }
+        }
+        totals
     }
 }
 
@@ -494,6 +500,7 @@ mod tests {
             {
                 let _s = span!("test.trace.second");
             }
+            trace_event("serve.admission_wait", 0, 6);
             let trace = trace_end().expect("trace was open");
             assert_eq!(trace.id, "s:0:7");
             let names: Vec<&str> = trace.events.iter().map(|e| e.name).collect();
@@ -502,10 +509,13 @@ mod tests {
                 [
                     "serve.admission_wait",
                     "test.trace.outer",
-                    "test.trace.second"
+                    "test.trace.second",
+                    "serve.admission_wait"
                 ]
             );
-            assert_eq!(trace.event_dur_ns("serve.admission_wait"), Some(1234));
+            let totals = trace.stage_totals();
+            assert_eq!(totals.len(), 3);
+            assert_eq!(totals[0], ("serve.admission_wait", 1240));
             assert_eq!(trace.events[1].counters, [("unify.attempts", 5)]);
             assert!(trace.events[2].counters.is_empty());
             assert!(trace.events[1].start_ns <= trace.events[2].start_ns);

@@ -440,7 +440,7 @@ impl Loop {
             };
             if self
                 .poller
-                .modify(conn.stream.as_raw_fd(), id, interest)
+                .register(conn.stream.as_raw_fd(), id, interest)
                 .is_ok()
             {
                 let conn = self.conns.get_mut(&id).expect("still present");

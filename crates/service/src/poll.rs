@@ -1,18 +1,23 @@
 //! A minimal readiness-polling abstraction over raw OS primitives.
 //!
 //! The workspace is dependency-free, so this is the "tiny shim" layer:
-//! on Linux a level-triggered **epoll** instance driven through the
-//! C ABI that `std` already links (`epoll_create1`/`epoll_ctl`/
-//! `epoll_wait`); on other Unixes a **poll(2)** set rebuilt per wait
-//! (compiled, and tested, on Linux too, so it cannot rot unseen).
-//! Both expose the same [`Poller`] surface: register a file descriptor
-//! with a `u64` token and an interest set, wait for readiness events,
-//! get `(token, readable, writable, hangup)` tuples back.
+//! one **poll(2)** set driven through the C ABI that `std` already links,
+//! on every Unix. [`Poller`] registers a file descriptor with a `u64`
+//! token and an interest set, waits for readiness events, and hands back
+//! `(token, readable, writable, hangup)` tuples. The `pollfd` array is
+//! kept between waits and edited in place by `register`/`deregister`,
+//! so a wait is one syscall over it. Every operation is O(n) in the
+//! watched descriptors, which is fine at the connection counts one event
+//! loop serves.
 //!
-//! Level-triggered semantics everywhere: an event keeps firing while the
+//! Level-triggered semantics: an event keeps firing while the
 //! condition holds, so the event loop may process a bounded amount per
 //! wake-up (fairness across connections) and rely on being woken again
 //! for the remainder.
+
+use std::io;
+use std::os::raw::{c_int, c_short};
+use std::time::Duration;
 
 /// What to watch a descriptor for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,335 +54,188 @@ pub struct Event {
     pub hangup: bool,
 }
 
+/// `nfds_t`: `unsigned long` on Linux, `unsigned int` elsewhere.
 #[cfg(target_os = "linux")]
-pub use linux::Poller;
+type NFds = std::os::raw::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NFds = std::os::raw::c_uint;
 
-#[cfg(all(unix, not(target_os = "linux")))]
-pub use posix::Poller;
-
-/// Linux: one epoll instance for the lifetime of the poller.
-#[cfg(target_os = "linux")]
-mod linux {
-    use super::{Event, Interest};
-    use std::io;
-    use std::os::raw::c_int;
-    use std::time::Duration;
-
-    // The kernel packs `struct epoll_event` on x86-64 only.
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    const EPOLLIN: u32 = 0x001;
-    const EPOLLOUT: u32 = 0x004;
-    const EPOLLERR: u32 = 0x008;
-    const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn cvt(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
-        if interest.readable {
-            m |= EPOLLIN;
-        }
-        if interest.writable {
-            m |= EPOLLOUT;
-        }
-        m
-    }
-
-    /// A level-triggered epoll instance.
-    pub struct Poller {
-        epfd: c_int,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Poller {
-        /// Creates the epoll instance (close-on-exec).
-        pub fn new() -> io::Result<Poller> {
-            let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Poller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 256],
-            })
-        }
-
-        /// Starts watching `fd` under `token`.
-        pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_ADD, fd, &mut ev) }).map(drop)
-        }
-
-        /// Changes the interest set of a watched descriptor.
-        pub fn modify(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: mask(interest),
-                data: token,
-            };
-            cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_MOD, fd, &mut ev) }).map(drop)
-        }
-
-        /// Stops watching a descriptor (must happen before the fd closes).
-        pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(drop)
-        }
-
-        /// Blocks until readiness or `timeout` (`None` = indefinitely);
-        /// appends events to `out` and returns how many arrived.
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                // Round up so a 100µs deadline doesn't busy-spin at 0ms.
-                Some(d) => c_int::try_from(d.as_millis().saturating_add(1).min(i32::MAX as u128))
-                    .unwrap_or(i32::MAX),
-            };
-            let n = loop {
-                let n = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as c_int,
-                        timeout_ms,
-                    )
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for ev in &self.buf[..n] {
-                let events = ev.events;
-                out.push(Event {
-                    token: ev.data,
-                    readable: events & (EPOLLIN | EPOLLRDHUP) != 0,
-                    writable: events & EPOLLOUT != 0,
-                    hangup: events & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
-            }
-        }
-    }
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-/// Non-Linux Unix: a poll(2) set rebuilt on every wait. O(n) per wake,
-/// which is fine at the connection counts the fallback targets. Linux
-/// compiles it for its tests only.
-#[cfg(unix)]
-#[cfg_attr(target_os = "linux", allow(dead_code))]
-mod posix {
-    use super::{Event, Interest};
-    use std::collections::HashMap;
-    use std::io;
-    use std::os::raw::{c_int, c_short};
-    use std::time::Duration;
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
 
-    /// `nfds_t`: `unsigned long` on Linux, `unsigned int` elsewhere.
-    #[cfg(target_os = "linux")]
-    type NFds = std::os::raw::c_ulong;
-    #[cfg(not(target_os = "linux"))]
-    type NFds = std::os::raw::c_uint;
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+}
 
-    #[repr(C)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
+fn mask(interest: Interest) -> c_short {
+    (if interest.readable { POLLIN } else { 0 }) | if interest.writable { POLLOUT } else { 0 }
+}
+
+/// A poll(2)-backed poller.
+pub struct Poller {
+    /// The array handed to `poll(2)`, one entry per watched descriptor.
+    fds: Vec<PollFd>,
+    /// `tokens[i]` is the token `fds[i]` was registered with.
+    tokens: Vec<u64>,
+}
+
+impl Poller {
+    /// Creates an empty poll set.
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            fds: Vec::new(),
+            tokens: Vec::new(),
+        })
     }
 
-    const POLLIN: c_short = 0x001;
-    const POLLOUT: c_short = 0x004;
-    const POLLERR: c_short = 0x008;
-    const POLLHUP: c_short = 0x010;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    fn slot(&self, fd: i32) -> Option<usize> {
+        self.fds.iter().position(|p| p.fd == fd)
     }
 
-    /// A poll(2)-backed poller.
-    pub struct Poller {
-        watched: HashMap<i32, (u64, Interest)>,
-    }
-
-    impl Poller {
-        /// Creates an empty poll set.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                watched: HashMap::new(),
-            })
-        }
-
-        /// Starts watching `fd` under `token`.
-        pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.watched.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        /// Changes the interest set of a watched descriptor.
-        pub fn modify(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
-            self.watched.insert(fd, (token, interest));
-            Ok(())
-        }
-
-        /// Stops watching a descriptor.
-        pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
-            self.watched.remove(&fd);
-            Ok(())
-        }
-
-        /// Blocks until readiness or `timeout` (`None` = indefinitely).
-        pub fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let mut fds: Vec<PollFd> = self
-                .watched
-                .iter()
-                .map(|(&fd, &(_, interest))| PollFd {
+    /// Starts watching `fd` under `token`, or replaces the token and
+    /// interest set it is watched with.
+    pub fn register(&mut self, fd: i32, token: u64, interest: Interest) -> io::Result<()> {
+        let events = mask(interest);
+        match self.slot(fd) {
+            Some(i) => (self.fds[i].events, self.tokens[i]) = (events, token),
+            None => {
+                self.fds.push(PollFd {
                     fd,
-                    events: if interest.readable { POLLIN } else { 0 }
-                        | if interest.writable { POLLOUT } else { 0 },
+                    events,
                     revents: 0,
-                })
-                .collect();
-            let timeout_ms: c_int = match timeout {
-                None => -1,
-                Some(d) => c_int::try_from(d.as_millis().saturating_add(1).min(i32::MAX as u128))
-                    .unwrap_or(i32::MAX),
-            };
-            let n = loop {
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, timeout_ms) };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for pfd in fds.iter().filter(|p| p.revents != 0) {
-                let (token, _) = self.watched[&pfd.fd];
-                out.push(Event {
-                    token,
-                    readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                    writable: pfd.revents & POLLOUT != 0,
-                    hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
                 });
+                self.tokens.push(token);
             }
-            Ok(n)
         }
+        Ok(())
     }
-}
 
-#[cfg(all(test, unix))]
-mod tests {
-    /// The poller contract, held against one backend.
-    macro_rules! poller_tests {
-        ($backend:ident) => {
-            mod $backend {
-                use crate::poll::{$backend::Poller, Interest};
-                use std::io::Write;
-                use std::os::unix::io::AsRawFd;
-                use std::os::unix::net::UnixStream;
-                use std::time::Duration;
+    /// Stops watching a descriptor.
+    pub fn deregister(&mut self, fd: i32) -> io::Result<()> {
+        if let Some(i) = self.slot(fd) {
+            self.fds.swap_remove(i);
+            self.tokens.swap_remove(i);
+        }
+        Ok(())
+    }
 
-                #[test]
-                fn pipe_readability_round_trip() {
-                    let (mut a, b) = UnixStream::pair().unwrap();
-                    b.set_nonblocking(true).unwrap();
-                    let mut poller = Poller::new().unwrap();
-                    poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
-
-                    let mut events = Vec::new();
-                    let n = poller
-                        .wait(&mut events, Some(Duration::from_millis(10)))
-                        .unwrap();
-                    assert_eq!(n, 0, "nothing written yet");
-
-                    a.write_all(b"x").unwrap();
-                    a.flush().unwrap();
-                    let n = poller
-                        .wait(&mut events, Some(Duration::from_secs(5)))
-                        .unwrap();
-                    assert!(n >= 1);
-                    assert!(events.iter().any(|e| e.token == 7 && e.readable));
-
-                    poller.deregister(b.as_raw_fd()).unwrap();
-                    events.clear();
-                    let n = poller
-                        .wait(&mut events, Some(Duration::from_millis(10)))
-                        .unwrap();
-                    assert_eq!(n, 0, "deregistered descriptors never fire");
-                }
-
-                #[test]
-                fn hangup_is_reported_readable() {
-                    let (a, b) = UnixStream::pair().unwrap();
-                    b.set_nonblocking(true).unwrap();
-                    let mut poller = Poller::new().unwrap();
-                    poller.register(b.as_raw_fd(), 1, Interest::READ).unwrap();
-                    drop(a);
-                    let mut events = Vec::new();
-                    poller
-                        .wait(&mut events, Some(Duration::from_secs(5)))
-                        .unwrap();
-                    assert!(
-                        events.iter().any(|e| e.readable || e.hangup),
-                        "peer close must wake the poller: {events:?}"
-                    );
-                }
+    /// Blocks until readiness or `timeout` (`None` = indefinitely);
+    /// appends events to `out` and returns how many arrived.
+    pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+        let timeout_ms: c_int = match timeout {
+            None => -1,
+            // Round up so a 100µs deadline doesn't busy-spin at 0ms.
+            Some(d) => c_int::try_from(d.as_millis().saturating_add(1).min(i32::MAX as u128))
+                .unwrap_or(i32::MAX),
+        };
+        let n = loop {
+            // SAFETY: `fds` is an exclusively borrowed, initialised array
+            // of `fds.len()` `repr(C)` `struct pollfd`s that outlives the
+            // call; the kernel writes only their `revents`.
+            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NFds, timeout_ms) };
+            if n >= 0 {
+                break n as usize;
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
         };
+        let ready = self.fds.iter().zip(&self.tokens);
+        for (pfd, &token) in ready.filter(|(p, _)| p.revents != 0) {
+            out.push(Event {
+                token,
+                readable: pfd.revents & (POLLIN | POLLHUP) != 0,
+                writable: pfd.revents & POLLOUT != 0,
+                hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
+            });
+        }
+        Ok(n)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Interest, Poller};
+    use std::io::Write;
+    use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
+    use std::time::Duration;
+
+    #[test]
+    fn pipe_readability_round_trip() {
+        let (mut a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(b.as_raw_fd(), 7, Interest::READ).unwrap();
+
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "nothing written yet");
+
+        a.write_all(b"x").unwrap();
+        a.flush().unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(n >= 1);
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+
+        poller.deregister(b.as_raw_fd()).unwrap();
+        events.clear();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "deregistered descriptors never fire");
     }
 
-    #[cfg(target_os = "linux")]
-    poller_tests!(linux);
-    poller_tests!(posix);
+    #[test]
+    fn hangup_is_reported_readable() {
+        let (a, b) = UnixStream::pair().unwrap();
+        b.set_nonblocking(true).unwrap();
+        let mut poller = Poller::new().unwrap();
+        poller.register(b.as_raw_fd(), 1, Interest::READ).unwrap();
+        drop(a);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.readable || e.hangup),
+            "peer close must wake the poller: {events:?}"
+        );
+    }
+
+    #[test]
+    fn deregistering_keeps_the_other_descriptors_and_their_tokens() {
+        let pairs: Vec<_> = (0..3).map(|_| UnixStream::pair().unwrap()).collect();
+        let mut poller = Poller::new().unwrap();
+        for (token, (a, b)) in (0..).zip(&pairs) {
+            poller
+                .register(b.as_raw_fd(), token, Interest::READ)
+                .unwrap();
+            (&*a).write_all(b"x").unwrap();
+        }
+        // The last entry moves into the first one's place.
+        poller.deregister(pairs[0].1.as_raw_fd()).unwrap();
+        let fd = pairs[2].1.as_raw_fd();
+        poller.register(fd, 20, Interest::READ_WRITE).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let seen: Vec<_> = events.iter().map(|e| (e.token, e.writable)).collect();
+        assert_eq!(seen, [(20, true), (1, false)]);
+    }
 }

@@ -32,7 +32,6 @@ pub enum SessionSpec {
 pub struct Session {
     name: String,
     spec: SessionSpec,
-    ic_text: Mutex<Option<String>>,
     prep: RwLock<Arc<PreparedOptimizer>>,
     cache: PlanCache,
     /// Per-session request sequence, the tail of each trace id.
@@ -155,7 +154,6 @@ impl Session {
     pub fn reload_ic(&self, ic: &str) -> Result<u64, ServeError> {
         let generation = self.prepared().generation() + 1;
         let fresh = Session::build(&self.spec, Some(ic), generation)?;
-        *self.ic_text.lock().unwrap_or_else(|e| e.into_inner()) = Some(ic.to_string());
         *self.prep.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(fresh);
         self.cache.invalidate();
         obs::add(obs::Counter::ServiceSessionsPrepared, 1);
@@ -193,7 +191,6 @@ impl SessionRegistry {
         let session = Arc::new(Session {
             name: name.to_string(),
             spec,
-            ic_text: Mutex::new(ic_text.map(str::to_string)),
             prep: RwLock::new(Arc::new(prep)),
             cache: PlanCache::new(),
             trace_seq: AtomicU64::new(0),

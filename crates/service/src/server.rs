@@ -121,13 +121,13 @@ pub struct Server {
 
 impl Server {
     /// Binds `cfg.addr` and spawns the worker pool. Serving needs a Unix
-    /// readiness poller (epoll or `poll(2)`, the `poll` module); on any
+    /// readiness poller (`poll(2)`, the `poll` module); on any
     /// other target this returns [`std::io::ErrorKind::Unsupported`].
     pub fn bind(cfg: ServerConfig, registry: Arc<SessionRegistry>) -> std::io::Result<Server> {
         if cfg!(not(unix)) {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "sqo serve requires a Unix poller (epoll or poll(2))",
+                "sqo serve requires a Unix poller (poll(2))",
             ));
         }
         let listener = TcpListener::bind(&cfg.addr)?;

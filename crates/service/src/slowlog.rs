@@ -3,7 +3,8 @@
 //! Requests whose service time exceeds the configured threshold append
 //! one JSON object — trace id, canonical template hash, verdict, cache
 //! outcome, chosen plan cost (when the session has a bound object base),
-//! total and per-stage durations, and the full `explain_json` report —
+//! total duration and per-stage totals (one key per span name, summed
+//! over its occurrences), and the full `explain_json` report —
 //! to an in-memory ring buffer. The newest `capacity` entries are
 //! retrievable over the wire with `{"op":"slowlog"}`, and each entry is
 //! also appended as a JSON line to `--slowlog-path` when configured.
@@ -40,7 +41,8 @@ pub struct SlowEntry<'a> {
     pub plan_cost: Option<f64>,
     /// End-to-end service time (admission wait excluded).
     pub elapsed_ns: u64,
-    /// The request's span events (per-stage durations), when traced.
+    /// The request's span events, rendered as per-stage totals, when
+    /// traced.
     pub trace: Option<&'a obs::Trace>,
     /// The full machine-readable report, already compacted.
     pub explain: &'a str,
@@ -108,13 +110,11 @@ fn render_entry(e: &SlowEntry<'_>) -> String {
     };
     let mut stages = String::from("{");
     if let Some(trace) = e.trace {
-        let mut first = true;
-        for ev in &trace.events {
-            if !first {
+        for (i, (name, ns)) in trace.stage_totals().into_iter().enumerate() {
+            if i > 0 {
                 stages.push(',');
             }
-            first = false;
-            stages.push_str(&format!("{}:{}", obs::json_string(ev.name), ev.dur_ns));
+            stages.push_str(&format!("{}:{ns}", obs::json_string(name)));
         }
     }
     stages.push('}');

@@ -16,6 +16,10 @@ server runs with --slow-ms 0, every request lands in the slow-query log,
 so the slowlog op must return well-formed entries and the --slowlog-path
 file must hold the same JSON lines.
 
+Every reply, pipelined line and slow-log sink line is parsed with a
+hook that fails on a repeated object key (a JSON reader would keep one
+value and drop the rest).
+
 Stdlib only, mirroring check_explain_schema.py (whose validator it
 reuses).
 
@@ -74,6 +78,22 @@ def fail(msg):
     sys.exit(1)
 
 
+def unique_keys(pairs):
+    """`object_pairs_hook` that refuses a repeated key: a JSON reader
+    keeps one value per key, so a repeat silently loses the others."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"duplicate JSON key {k!r} in {dict(pairs)}")
+        obj[k] = v
+    return obj
+
+
+def loads(text):
+    """Every JSON line the server (or `sqo`) writes is parsed here."""
+    return json.loads(text, object_pairs_hook=unique_keys)
+
+
 def request_raw(addr, line, timeout=TIMEOUT_S):
     """One request line -> the raw response line (undecoded JSON text)."""
     with socket.create_connection(addr, timeout=timeout) as s:
@@ -89,7 +109,7 @@ def request_raw(addr, line, timeout=TIMEOUT_S):
 
 def request(addr, line, timeout=TIMEOUT_S):
     """One request line -> one parsed response object."""
-    return json.loads(request_raw(addr, line, timeout))
+    return loads(request_raw(addr, line, timeout))
 
 
 def check(value, schema, root, what):
@@ -126,8 +146,7 @@ def telemetry_checks(addr, serve_schema, slowlog_path):
 
     # Metrics: histogram quantiles for the request path and the pinned
     # stages, with deterministically sorted keys on the wire.
-    raw = request_raw(addr, json.dumps({"op": "metrics"}))
-    metrics = json.loads(raw)
+    metrics = request(addr, json.dumps({"op": "metrics"}))
     check(metrics, serve_schema, serve_schema, "telemetry metrics response")
     hist = metrics.get("hist", {})
     for key in ("serve.request", "serve.wait",
@@ -157,11 +176,10 @@ def telemetry_checks(addr, serve_schema, slowlog_path):
         if keys != sorted(keys):
             fail(f"{what} keys are not sorted: {keys}")
 
-    ordered = json.loads(raw, object_pairs_hook=lambda p: dict(p))
     # dict preserves insertion order, so these reflect the wire order.
-    assert_sorted(ordered["hist"], "metrics hist")
-    assert_sorted(ordered["stats"]["counters"], "metrics counters")
-    assert_sorted(ordered["stats"]["hists"], "metrics stats.hists")
+    assert_sorted(metrics["hist"], "metrics hist")
+    assert_sorted(metrics["stats"]["counters"], "metrics counters")
+    assert_sorted(metrics["stats"]["hists"], "metrics stats.hists")
 
     # The slow-query log: --slow-ms 0 makes every request slow, so the
     # ring buffer and the sink file must both have entries by now.
@@ -181,8 +199,8 @@ def telemetry_checks(addr, serve_schema, slowlog_path):
         lines = [ln for ln in f.read().splitlines() if ln.strip()]
     if not lines:
         fail(f"slowlog sink {slowlog_path} is empty")
-    for ln in lines[-3:]:
-        entry = json.loads(ln)
+    for ln in lines:
+        entry = loads(ln)
         if "trace_id" not in entry or "explain" not in entry:
             fail(f"slowlog sink line malformed: {ln}")
     return len(events), slowlog["count"]
@@ -220,7 +238,7 @@ def fuzz_differential(sqo, addr, serve_schema, explain_schema, n_cases=10):
             if ref_run.returncode not in (0, 2):
                 fail(f"fuzz case {i}: in-process run failed "
                      f"(rc {ref_run.returncode}): {ref_run.stderr}")
-            ref = json.loads(ref_run.stdout)
+            ref = loads(ref_run.stdout)
 
             prep = request(addr, json.dumps(
                 {"op": "prepare", "session": f"fuzz{i}", "schema": odl, "ic": ic}))
@@ -294,7 +312,7 @@ def pipelined_phase(addr, serve_schema):
     with socket.create_connection(addr, timeout=TIMEOUT_S) as s:
         s.sendall(("\n".join(lines) + "\n").encode())
         f = s.makefile("rb")
-        piped = [json.loads(f.readline()) for _ in lines]
+        piped = [loads(f.readline()) for _ in lines]
 
     for i, (seq, pipe) in enumerate(zip(sequential, piped)):
         check(pipe, serve_schema, serve_schema, f"pipelined response {i}")
@@ -371,7 +389,7 @@ def recovery_phase(sqo, serve_schema):
         line = p.stdout.readline()
         if not line:
             fail("recovery: server did not announce a listening address")
-        host, port = json.loads(line)["listening"].rsplit(":", 1)
+        host, port = loads(line)["listening"].rsplit(":", 1)
         return p, (host, int(port))
 
     proc = None
@@ -455,7 +473,7 @@ def run_phases(sqo, serve_schema, explain_schema):
         line = proc.stdout.readline()
         if not line:
             fail("server did not announce a listening address")
-        announce = json.loads(line)
+        announce = loads(line)
         host, port = announce["listening"].rsplit(":", 1)
         addr = (host, int(port))
 

@@ -47,8 +47,8 @@
 
 pub use sqo_core::{
     CacheOutcome, CompileOptions, Constraint, Delta, EquivalentQuery, OptimizationReport, Outcome,
-    PlanCache, PreparedOptimizer, Query, Result, Rule, Schema, SearchConfig, SelectQuery,
-    SemanticOptimizer, SqoError, Step, Verdict,
+    PlanCache, PreparedOptimizer, Query, Result, Rule, Schema, SelectQuery, SemanticOptimizer,
+    SqoError, Step, Verdict,
 };
 pub use sqo_datalog as datalog;
 pub use sqo_fuzz as fuzz;
