@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p sqo-bench --bin tables [--quick]
-//! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/warm_hit* rows only
+//! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/* rows only
 //! cargo run --release -p sqo-bench --bin tables -- --store-recovery  # store/* row only
 //! cargo run --release -p sqo-bench --bin tables -- --edb             # x1/edb_* rows only
 //! ```
@@ -16,7 +16,7 @@
 //! original query on the scan-only executor, `_seed`: the rewrite on the
 //! scan-only executor) and the `speedup/…` ratio derived over the
 //! baseline; the in-process warm hit (`serve/warm_hit`, `_parsed`,
-//! `_obs_ns`);
+//! `_obs_ns`) and the written reply of a miss (`serve/cold_reply_ns`);
 //! `store/recover_1m_objects`; and the `x1/edb_*` rows: what the Datalog
 //! image of the served object base costs to rebuild (ms), to index (ms,
 //! every declared index built once) and to hold (bytes per tuple).
@@ -117,15 +117,17 @@ fn main() {
     }
 
     // Standalone serving mode: re-measure just the in-process warm hit
-    // and merge its rows into the committed manifest.
+    // and a miss's reply, and merge their rows into the committed
+    // manifest.
     if std::env::args().any(|a| a == "--serve") {
         let mut rows = BTreeMap::new();
         bench_warm_hit(&mut rows);
+        bench_cold_reply(&mut rows);
         if quick {
-            println!("(quick mode — serve/warm_hit* rows not persisted)");
+            println!("(quick mode — serve/* rows not persisted)");
             return;
         }
-        merge_into_manifest(rows, "serve/warm_hit* rows");
+        merge_into_manifest(rows, "serve/* rows");
         return;
     }
 
@@ -540,8 +542,8 @@ fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
 
 /// What a served warm hit runs in process, and what `obs` costs it: a
 /// query the plan cache has finished, asked again verbatim —
-/// `optimize_cached(text)`, then `explain_json_compact()` as the reply
-/// embeds it.
+/// `optimize_cached(text)`, then `explain_json()`, the report as the
+/// reply embeds it.
 ///
 /// * `serve/warm_hit` — `optimize_cached` on the text (the instance is
 ///   found before anything is parsed);
@@ -580,7 +582,7 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
 
     let served_hit = || {
         let (report, _) = prep.optimize_cached(&cache, text).unwrap();
-        std::hint::black_box(report.explain_json_compact());
+        std::hint::black_box(report.explain_json());
     };
     let (mut on_ns, mut off_ns, mut diffs) = (f64::INFINITY, f64::INFINITY, Vec::new());
     let (mut hit_ns, mut parsed_ns) = (f64::INFINITY, f64::INFINITY);
@@ -601,7 +603,7 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
     }
     let obs_ns = median(diffs.into_iter());
     println!(
-        "\nserved warm hit (optimize_cached(text) + explain_json_compact): \
+        "\nserved warm hit (optimize_cached(text) + explain_json): \
          {:.2} us with obs on, {:.2} us off; obs costs {obs_ns:+.0} ns = {:+.1}% \
          (median paired difference over 7 rounds)",
         on_ns / 1e3,
@@ -617,6 +619,35 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
     // The manifest holds positive numbers only; a difference lost in the
     // noise is recorded as the smallest of them.
     bench.insert("serve/warm_hit_obs_ns".to_string(), obs_ns.max(1.0));
+}
+
+/// What a miss's reply costs to write: `serve/cold_reply_ns` is
+/// `write_json` of the report a `cold_search` miss serves (32 range ICs
+/// on `faculty.age`, the constant on one of their thresholds) into a
+/// fresh buffer: the least of 7 medians of 101 writes, each after one
+/// warm-up write, as the warm-hit rows take theirs. The report has no
+/// plan-cache instance behind it, so every write renders the whole body,
+/// as a miss or rebind does. `scripts/check_bench_manifest.py` gates it.
+fn bench_cold_reply(bench: &mut BTreeMap<String, f64>) {
+    let (mut opt, _) = optimizer_with_n_ics(32);
+    let report = opt
+        .optimize("select x.name from x in Faculty where x.age > 25")
+        .unwrap();
+    let bytes = report.explain_json().len();
+    let write = || {
+        let mut line = String::new();
+        report.write_json(&mut line);
+        std::hint::black_box(line);
+    };
+    let ns = (0..7)
+        .map(|_| median_ns(101, write))
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "cold reply (write_json of a 32-IC miss: {} equivalents, {bytes} B): \
+         {ns:.0} ns (serve/cold_reply_ns, min of 7 medians)",
+        report.equivalents().len()
+    );
+    bench.insert("serve/cold_reply_ns".to_string(), ns);
 }
 
 /// Store durability: build an n-object store on disk — a compact
@@ -841,8 +872,9 @@ fn bench_pipeline(quick: bool) {
         );
     }
 
-    // The in-process warm hit and what `obs` costs it.
+    // The in-process warm hit and what `obs` costs it; a miss's reply.
     bench_warm_hit(&mut bench);
+    bench_cold_reply(&mut bench);
 
     // EDB rebuild and footprint of the served base.
     bench_edb_storage(quick, &mut bench);

@@ -22,7 +22,7 @@ use sqo_obs as obs;
 use sqo_odl::Schema;
 use sqo_oql::SelectQuery;
 use sqo_translate::{apply_delta, translate_query, translate_schema, Catalog, QueryTranslation};
-use std::borrow::Cow;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One semantically equivalent query, in both representations.
@@ -67,17 +67,15 @@ pub enum Verdict {
 }
 
 /// What a finished optimization keeps besides its verdict, so a repeat
-/// of the same query re-derives neither: the rendered explain body
-/// (everything of [`OptimizationReport::explain_json`] except the
+/// of the same query re-derives neither: the written explain body
+/// (everything of [`OptimizationReport::write_json`] before the
 /// per-request `stats`) and the chosen physical plan. Shared between a
 /// plan-cache instance and every report served from it; each part is
 /// filled by the first caller that asks for it.
 #[derive(Debug, Default)]
 pub(crate) struct Finished {
-    /// The body as [`OptimizationReport::explain_json`] prints it.
+    /// The body as [`OptimizationReport::write_json`] writes it.
     body: OnceLock<Box<str>>,
-    /// The body without insignificant whitespace (one-line responses).
-    compact_body: OnceLock<Box<str>>,
     /// The cheapest equivalent as last priced.
     plan: Mutex<Option<ChosenPlan>>,
 }
@@ -244,92 +242,125 @@ impl OptimizationReport {
         out
     }
 
-    /// Machine-readable account of the run, with stable key order.
+    /// The machine-readable account of the run: [`Self::write_json`]'s line.
+    pub fn explain_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends the report to `out` as one compact JSON object.
     ///
     /// Top-level keys: `query`, `datalog`, `verdict`, then either
     /// `contradiction` (object with `ic`, `note`, `provenance`) or
     /// `equivalents` (array of objects with `oql`, `datalog`, `changed`,
     /// `warnings`, `provenance`), then `stats` (the [`obs::Snapshot`]).
-    pub fn explain_json(&self) -> String {
-        let body = self.kept(|f| &f.body, || self.render_body());
-        [&body, "\"stats\": ", &self.stats.to_json(), "\n}"].concat()
-    }
-
-    /// [`Self::explain_json`] without insignificant whitespace: the form
-    /// a one-line wire response embeds.
-    pub fn explain_json_compact(&self) -> String {
-        let body = self.kept(
-            |f| &f.compact_body,
-            || obs::json_compact(&self.render_body()),
-        );
-        let stats = obs::json_compact(&self.stats.to_json());
-        [&body, "\"stats\":", &stats, "}"].concat()
-    }
-
-    /// `render()`, made once and kept in `slot` when the report has a
-    /// plan-cache instance to keep it with.
-    fn kept(
-        &self,
-        slot: impl FnOnce(&Finished) -> &OnceLock<Box<str>>,
-        render: impl FnOnce() -> String,
-    ) -> Cow<'_, str> {
+    /// Everything before `stats` is a pure function of the parsed query
+    /// and the verdict, so a report with a plan-cache instance writes it
+    /// once and copies it from then on.
+    pub fn write_json(&self, out: &mut String) {
         match &self.finished {
-            Some(f) => Cow::Borrowed(slot(f).get_or_init(|| render().into())),
-            None => Cow::Owned(render()),
+            Some(f) => out.push_str(f.body.get_or_init(|| {
+                let mut body = String::new();
+                self.write_body(&mut body);
+                body.into()
+            })),
+            None => self.write_body(out),
         }
+        out.push_str("\"stats\":");
+        self.stats.write_json(out);
+        out.push('}');
     }
 
-    /// The one explain renderer: everything of [`Self::explain_json`] up
-    /// to the `stats` key. A pure function of the parsed query and the
-    /// verdict, which is why a plan-cache instance may keep it.
-    fn render_body(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "\"query\": {},\n",
-            obs::json_string(&self.original.to_string())
-        ));
-        out.push_str(&format!(
-            "\"datalog\": {},\n",
-            obs::json_string(&self.datalog.to_string())
-        ));
+    /// Everything of [`Self::write_json`] up to the `stats` key.
+    fn write_body(&self, out: &mut String) {
+        out.push_str("{\"query\":");
+        push_display(out, &self.original);
+        out.push_str(",\"datalog\":");
+        push_display(out, &self.datalog);
         match &*self.verdict {
-            Verdict::Contradiction { ic_name, note, .. } => {
-                out.push_str("\"verdict\": \"contradiction\",\n");
-                out.push_str(&format!(
-                    "\"contradiction\": {{\"ic\": {}, \"note\": {}, \"provenance\": {}}},\n",
-                    obs::json_opt_string(ic_name.as_deref()),
-                    obs::json_string(note),
-                    self.contradiction_provenance()
-                        .unwrap_or_default()
-                        .to_json()
-                ));
+            Verdict::Contradiction {
+                ic_name,
+                note,
+                steps,
+            } => {
+                out.push_str(",\"verdict\":\"contradiction\",\"contradiction\":{\"ic\":");
+                push_opt(out, ic_name.as_deref());
+                out.push_str(",\"note\":");
+                obs::push_json_string(out, note);
+                out.push_str(",\"provenance\":");
+                let refuted = ("contradiction", None, ic_name.as_deref(), note.as_str());
+                push_chain(out, steps.iter().map(record).chain([refuted]));
+                out.push_str("},");
             }
             Verdict::Equivalents(eqs) => {
-                out.push_str("\"verdict\": \"equivalents\",\n");
-                out.push_str("\"equivalents\": [");
+                let original = obs::ProvenanceStep::original();
+                out.push_str(",\"verdict\":\"equivalents\",\"equivalents\":[");
                 for (i, e) in eqs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
+                    out.push_str(if i > 0 { ",{\"oql\":" } else { "{\"oql\":" });
+                    push_display(out, &e.oql);
+                    out.push_str(",\"datalog\":");
+                    push_display(out, &e.datalog);
+                    let _ = write!(out, ",\"changed\":{},\"warnings\":[", !e.delta.is_empty());
+                    for (j, w) in e.oql_warnings.iter().enumerate() {
+                        if j > 0 {
+                            out.push(',');
+                        }
+                        obs::push_json_string(out, w);
                     }
-                    out.push_str(&format!(
-                        "\n  {{\"oql\": {}, \"datalog\": {}, \"changed\": {}, \
-                         \"warnings\": [{}], \"provenance\": {}}}",
-                        obs::json_string(&e.oql.to_string()),
-                        obs::json_string(&e.datalog.to_string()),
-                        !e.delta.is_empty(),
-                        e.oql_warnings
-                            .iter()
-                            .map(|w| obs::json_string(w))
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                        e.provenance().to_json()
-                    ));
+                    out.push_str("],\"provenance\":");
+                    if e.steps.is_empty() {
+                        push_chain(out, [(original.kind, None, None, &*original.detail)]);
+                    } else {
+                        push_chain(out, e.steps.iter().map(record));
+                    }
+                    out.push('}');
                 }
-                out.push_str("\n],\n");
+                out.push_str("],");
             }
         }
-        out
     }
+}
+
+/// Appends `v` as a JSON string literal, escaped while it is formatted.
+fn push_display(out: &mut String, v: &impl std::fmt::Display) {
+    out.push('"');
+    let _ = write!(obs::JsonEscape(out), "{v}");
+    out.push('"');
+}
+
+/// Appends `s` as a JSON string literal, or `null`.
+fn push_opt(out: &mut String, s: Option<&str>) {
+    match s {
+        Some(s) => obs::push_json_string(out, s),
+        None => out.push_str("null"),
+    }
+}
+
+/// One [`obs::ProvenanceStep`], borrowed: kind, residue, IC, detail.
+type Record<'a> = (&'a str, Option<&'a str>, Option<&'a str>, &'a str);
+
+/// A search step as its provenance record ([`Step::provenance`]).
+fn record(s: &Step) -> Record<'_> {
+    let (residue, ic) = (s.residue.as_deref(), s.ic_name.as_deref());
+    (s.op.kind(), residue, ic, &s.note)
+}
+
+/// Appends a provenance chain as a JSON array of step objects.
+fn push_chain<'a>(out: &mut String, chain: impl IntoIterator<Item = Record<'a>>) {
+    out.push('[');
+    for (i, (kind, residue, ic, detail)) in chain.into_iter().enumerate() {
+        out.push_str(if i > 0 { ",{\"kind\":" } else { "{\"kind\":" });
+        obs::push_json_string(out, kind);
+        out.push_str(",\"residue\":");
+        push_opt(out, residue);
+        out.push_str(",\"ic\":");
+        push_opt(out, ic);
+        out.push_str(",\"detail\":");
+        obs::push_json_string(out, detail);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// The result of optimizing a `union` query: one report per branch.

@@ -118,8 +118,4 @@ fn histogram_merge_is_interleaving_independent() {
         threaded.hists["equiv.hist.pin"],
         sequential.hists["equiv.hist.pin"]
     );
-    assert_eq!(
-        threaded.hists["equiv.hist.pin"].summary_json(),
-        sequential.hists["equiv.hist.pin"].summary_json()
-    );
 }

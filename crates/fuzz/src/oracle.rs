@@ -210,7 +210,7 @@ fn check_report(
 /// and per equivalent the OQL and Datalog text, warnings and provenance.
 fn rendering(report: &OptimizationReport) -> String {
     let json = report.explain_json();
-    let body = json.split("\"stats\": ").next().unwrap_or_default();
+    let body = json.split("\"stats\":").next().unwrap_or_default();
     body.to_string()
 }
 

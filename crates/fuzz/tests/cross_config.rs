@@ -8,10 +8,14 @@
 //! `search.frontier_peak`, `search.subsumed_pruned`, …), while a new
 //! counter elsewhere in the pipeline does not churn the file.
 //!
-//! The table was recorded at the last commit that still carried the
-//! exhaustive level-BFS engine, where the same 50 reports were asserted
-//! byte-identical to that engine's. An intentional change to what Step 3
-//! finds re-records it with
+//! The table descends from the recording made at the last commit that
+//! still carried the exhaustive level-BFS engine, where the same 50
+//! reports were asserted byte-identical to that engine's. When the report
+//! became one line of compact JSON, the table was not re-recorded from
+//! the new writer: it was generated at the commit before (94bf650) as
+//! `fnv1a(json_compact(explain_json()))` by a throwaway run of this
+//! file, so the new writer is held to what the old one said. An
+//! intentional change to what Step 3 finds re-records it with
 //! `cargo test -p sqo-fuzz --test cross_config -- --ignored --nocapture`.
 //!
 //! Everything runs inside ONE test function per run: per-report counter

@@ -9,7 +9,7 @@
 //! byte-identical result, the same discipline the counter registry
 //! relies on when the service's workers merge their totals.
 
-use crate::SpanStat;
+use crate::{push_u64, SpanStat};
 
 /// Number of buckets: index 0 holds zeros, index 1 holds ones, and each
 /// octave `o in 1..=63` owns indices `2*o` and `2*o + 1`.
@@ -166,19 +166,31 @@ impl Histogram {
     /// range, so a single-sample histogram returns the sample itself and
     /// `quantile(1.0)` is always the exact max.
     pub fn quantile(&self, p: f64) -> Option<u64> {
+        self.quantiles([p]).map(|[q]| q)
+    }
+
+    /// [`Self::quantile`] of every `p` in `ps`, in one pass over the
+    /// buckets whatever their order.
+    pub fn quantiles<const N: usize>(&self, ps: [f64; N]) -> Option<[u64; N]> {
         if self.count == 0 {
             return None;
         }
-        let p = p.clamp(0.0, 1.0);
-        let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let ranks = ps
+            .map(|p| ((p.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count));
+        let mut found = [None; N];
         let mut seen = 0u64;
         for (idx, &n) in self.buckets.iter().enumerate() {
             seen += n;
-            if seen >= rank {
-                return Some(bucket_upper(idx).clamp(self.min, self.max));
+            for (q, rank) in found.iter_mut().zip(ranks) {
+                if q.is_none() && seen >= rank {
+                    *q = Some(bucket_upper(idx).clamp(self.min, self.max));
+                }
+            }
+            if seen >= self.count {
+                break;
             }
         }
-        Some(self.max)
+        Some(found.map(|q| q.unwrap_or(self.max)))
     }
 
     /// The difference of `self` relative to an `earlier` state of the
@@ -200,25 +212,23 @@ impl Histogram {
         out
     }
 
-    /// Serializes the summary (`count`, `p50`, `p90`, `p99`, `max`) as a
-    /// single-line JSON object; quantiles are `null` when empty.
-    pub fn summary_json(&self) -> String {
-        let q = |p: f64| match self.quantile(p) {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        let max = match self.max() {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-            self.count,
-            q(0.5),
-            q(0.9),
-            q(0.99),
-            max
-        )
+    /// Appends the summary (`count`, `p50`, `p90`, `p99`, `max`) to `out`
+    /// as a compact JSON object; quantiles are `null` when empty. One pass
+    /// over the buckets reads all three quantiles.
+    pub fn write_summary_json(&self, out: &mut String) {
+        out.push_str("{\"count\":");
+        push_u64(out, self.count);
+        let quantiles = self.quantiles([0.5, 0.9, 0.99]);
+        let values = quantiles.map(|[p50, p90, p99]| [p50, p90, p99, self.max].map(Some));
+        let keys = [",\"p50\":", ",\"p90\":", ",\"p99\":", ",\"max\":"];
+        for (key, v) in keys.into_iter().zip(values.unwrap_or_default()) {
+            out.push_str(key);
+            match v {
+                Some(v) => push_u64(out, v),
+                None => out.push_str("null"),
+            }
+        }
+        out.push('}');
     }
 }
 
@@ -235,7 +245,9 @@ mod tests {
         assert_eq!(h.quantile(1.0), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert!(h.summary_json().contains("\"p50\": null"));
+        let mut summary = String::new();
+        h.write_summary_json(&mut summary);
+        assert!(summary.contains("\"p50\":null"));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! * **A series** is a [`Histogram`]: log-bucketed (HDR-style, two
 //!   sub-buckets per octave) plus the exact count, sum, minimum and
 //!   maximum. [`record_hist`] feeds one explicitly (`serve.request`,
-//!   `serve.wait`, `store.recover`). Merging is element-wise addition —
+//!   `serve.serialize`, `serve.wait`, `store.recover`). Merging is element-wise addition —
 //!   associative and commutative — so several threads' series merge
 //!   byte-identically to one thread recording every sample, and a span's
 //!   `count / total_ns / min_ns / max_ns` ([`SpanStat`]) is read off its
@@ -38,6 +38,8 @@
 //!   which residue, source integrity constraint, and transformation kind
 //!   derived each rewrite. These are plain data (always populated, never
 //!   gated by [`enabled`]).
+//! * **JSON** — one compact form, written into the caller's buffer;
+//!   [`JsonEscape`] escapes a `Display` value while it is formatted.
 
 #![warn(missing_docs)]
 
@@ -49,7 +51,7 @@ pub use request::{trace_begin, trace_end, trace_event, Scope, SpanEvent, Trace};
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -336,7 +338,7 @@ type SeriesMap = BTreeMap<&'static str, Histogram>;
 
 /// Global merged series keyed by name: one per span name, fed by
 /// [`SpanGuard`], and the explicit request-level ones (`serve.request`,
-/// `serve.wait`, `store.recover`), fed by [`record_hist`].
+/// `serve.serialize`, `serve.wait`, `store.recover`), fed by [`record_hist`].
 static SERIES: Mutex<SeriesMap> = Mutex::new(BTreeMap::new());
 
 /// Per-thread series, merged into [`SERIES`] with the same discipline as
@@ -547,51 +549,29 @@ impl Snapshot {
         self.counters.get(c.name()).copied().unwrap_or(0)
     }
 
-    /// Serializes the snapshot as a JSON object with stable key order.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (name, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": ");
-            push_u64(&mut out, *v);
+    /// Appends the snapshot to `out` as a compact JSON object with stable
+    /// key order.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"counters\":{");
+        for (i, (name, v)) in self.counters.iter().enumerate() {
+            push_key(out, i, name);
+            push_u64(out, *v);
         }
-        out.push_str("\n  },\n  \"spans\": {");
-        first = true;
-        for (name, s) in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {}: {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-                json_string(name),
-                s.count,
-                s.total_ns,
-                s.min_ns,
-                s.max_ns
-            ));
+        out.push_str("},\"spans\":{");
+        for (i, (name, s)) in self.spans.iter().enumerate() {
+            push_key(out, i, name);
+            let _ = write!(
+                out,
+                "{{\"count\":{},\"total_ns\":{},\"min_ns\":{},\"max_ns\":{}}}",
+                s.count, s.total_ns, s.min_ns, s.max_ns
+            );
         }
-        out.push_str("\n  },\n  \"hists\": {");
-        first = true;
-        for (name, h) in &self.hists {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {}: {}",
-                json_string(name),
-                h.summary_json()
-            ));
+        out.push_str("},\"hists\":{");
+        for (i, (name, h)) in self.hists.iter().enumerate() {
+            push_key(out, i, name);
+            h.write_summary_json(out);
         }
-        out.push_str("\n  }\n}");
-        out
+        out.push_str("}}");
     }
 
     /// Human-readable rendering of the snapshot (counters, then spans).
@@ -693,17 +673,6 @@ impl ProvenanceStep {
             detail: "input query, no transformation applied".to_string(),
         }
     }
-
-    /// Serializes the step as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\": {}, \"residue\": {}, \"ic\": {}, \"detail\": {}}}",
-            json_string(self.kind),
-            json_opt_string(self.residue.as_deref()),
-            json_opt_string(self.ic.as_deref()),
-            json_string(&self.detail)
-        )
-    }
 }
 
 impl fmt::Display for ProvenanceStep {
@@ -746,12 +715,6 @@ impl Provenance {
             Provenance { steps }
         }
     }
-
-    /// Serializes the chain as a JSON array of step objects.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.steps.iter().map(ProvenanceStep::to_json).collect();
-        format!("[{}]", items.join(", "))
-    }
 }
 
 impl fmt::Display for Provenance {
@@ -767,7 +730,7 @@ impl fmt::Display for Provenance {
 }
 
 // ---------------------------------------------------------------------------
-// JSON helpers (shared by explain() implementations downstream)
+// JSON writing: one compact form, appended to the caller's buffer
 // ---------------------------------------------------------------------------
 
 /// Escapes and quotes `s` as a JSON string literal.
@@ -777,30 +740,71 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Appends `s` to `out` as a JSON string literal. Text with nothing to
-/// escape is copied in one piece.
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    if s.bytes().any(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    } else {
-        out.push_str(s);
-    }
+    escape_into(out, s);
     out.push('"');
 }
 
+/// A [`fmt::Write`] that appends what is written to it to the string as
+/// the inside of a JSON string literal, so a `Display` value is escaped
+/// while it is formatted. Every escape is of one character and a
+/// `write_str` piece is whole characters, so where the pieces break does
+/// not change the output.
+pub struct JsonEscape<'a>(pub &'a mut String);
+
+impl fmt::Write for JsonEscape<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(self.0, s);
+        Ok(())
+    }
+}
+
+/// Appends `s` escaped as JSON string content: `"`, `\`, `\n`, `\r` and
+/// `\t` by their short escapes, any other byte below 0x20 as `\u00XX`.
+/// Runs with nothing to escape are copied in one piece.
+///
+/// One pass, byte by byte: what reaches it is mostly the few-byte pieces
+/// a `Display` impl writes, where this beats scanning in wide chunks.
+fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // `b` is ASCII, so both slice ends fall on character boundaries.
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends the `i`-th key of an object: a separating comma after the
+/// first, the quoted name and the colon.
+fn push_key(out: &mut String, i: usize, name: &str) {
+    if i > 0 {
+        out.push(',');
+    }
+    push_json_string(out, name);
+    out.push(':');
+}
+
 /// Appends `v` in decimal to `out`, without going through `fmt`.
-fn push_u64(out: &mut String, mut v: u64) {
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -814,16 +818,9 @@ fn push_u64(out: &mut String, mut v: u64) {
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
-/// `json_string` for optional values; `None` serializes as `null`.
-pub fn json_opt_string(s: Option<&str>) -> String {
-    match s {
-        Some(s) => json_string(s),
-        None => "null".to_string(),
-    }
-}
-
-/// Removes insignificant whitespace from JSON text, so a pretty-printed
-/// report embeds into a single-line wire response. String literals are
+/// Removes insignificant whitespace from JSON text. Everything this
+/// workspace writes is compact already, so on its own output this is the
+/// identity; it is for JSON text from elsewhere. String literals are
 /// copied verbatim, a run at a time.
 pub fn json_compact(src: &str) -> String {
     let bytes = src.as_bytes();
@@ -871,6 +868,12 @@ mod tests {
 
     pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn json(snap: &Snapshot) -> String {
+        let mut out = String::new();
+        snap.write_json(&mut out);
+        out
     }
 
     #[test]
@@ -935,12 +938,12 @@ mod tests {
         let _g = lock();
         reset();
         bump(Counter::SearchLevels);
-        let json = snapshot().to_json();
-        let a = json.find("\"eval.join_input_tuples\"").unwrap();
-        let b = json.find("\"search.levels\"").unwrap();
-        let c = json.find("\"unify.attempts\"").unwrap();
+        let text = json(&snapshot());
+        let a = text.find("\"eval.join_input_tuples\"").unwrap();
+        let b = text.find("\"search.levels\"").unwrap();
+        let c = text.find("\"unify.attempts\"").unwrap();
         assert!(a < b && b < c, "counter keys must be sorted");
-        assert_eq!(json, snapshot().to_json());
+        assert_eq!(text, json(&snapshot()));
     }
 
     #[test]
@@ -963,27 +966,49 @@ mod tests {
     }
 
     #[test]
-    fn provenance_chain_renders_json_and_text() {
+    fn provenance_chain_renders_text() {
         let step = ProvenanceStep {
             kind: "scope-reduction",
             residue: Some("r3@faculty".into()),
             ic: Some("IC4".into()),
             detail: "added not dept(x)".into(),
         };
-        let chain = Provenance::from_steps(vec![step]);
-        let json = chain.to_json();
-        assert!(json.contains("\"kind\": \"scope-reduction\""));
-        assert!(json.contains("\"residue\": \"r3@faculty\""));
-        assert!(json.contains("\"ic\": \"IC4\""));
-        let text = chain.to_string();
-        assert!(text.contains("via r3@faculty"));
+        let text = Provenance::from_steps(vec![step]).to_string();
+        assert_eq!(
+            text,
+            "1. scope-reduction via r3@faculty [IC4]: added not dept(x)"
+        );
         assert_eq!(Provenance::from_steps(Vec::new()).steps[0].kind, "original");
     }
 
     #[test]
     fn json_string_escapes_specials() {
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_opt_string(None), "null");
+        assert_eq!(
+            json_string("\r\t\u{1}\u{1f} é"),
+            "\"\\r\\t\\u0001\\u001f é\""
+        );
+    }
+
+    #[test]
+    fn snapshot_json_is_compact() {
+        let mut h = Histogram::new();
+        h.record(7);
+        let snap = Snapshot {
+            counters: [("a.b", 1), ("c", 0)].into(),
+            spans: spans_of(&[("s", h.clone())].into()),
+            hists: [("s", h), ("t", Histogram::new())].into(),
+        };
+        assert_eq!(
+            json(&snap),
+            concat!(
+                r#"{"counters":{"a.b":1,"c":0},"#,
+                r#""spans":{"s":{"count":1,"total_ns":7,"min_ns":7,"max_ns":7}},"#,
+                r#""hists":{"s":{"count":1,"p50":7,"p90":7,"p99":7,"max":7},"#,
+                r#""t":{"count":0,"p50":null,"p90":null,"p99":null,"max":null}}}"#
+            )
+        );
+        assert_eq!(json_compact(&json(&snap)), json(&snap));
     }
 
     #[test]
@@ -1032,7 +1057,7 @@ mod tests {
         let h = &snap.hists["test.hist.span"];
         assert_eq!(h.count(), 5);
         assert!(h.quantile(0.5).is_some());
-        assert!(snap.to_json().contains("\"test.hist.span\""));
+        assert!(json(&snap).contains("\"test.hist.span\""));
     }
 
     #[test]
@@ -1058,7 +1083,6 @@ mod tests {
         }
         let sequential = snapshot().hists["test.hist.merge"].clone();
         assert_eq!(parallel, sequential);
-        assert_eq!(parallel.summary_json(), sequential.summary_json());
     }
 
     #[test]

@@ -33,6 +33,7 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::marker::PhantomData;
 use std::time::Instant;
 
@@ -56,27 +57,6 @@ pub struct SpanEvent {
     pub counters: Vec<(&'static str, u64)>,
 }
 
-impl SpanEvent {
-    /// Serializes the event as a single-line JSON object.
-    pub fn to_json(&self) -> String {
-        let mut counters = String::from("{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                counters.push_str(", ");
-            }
-            counters.push_str(&format!("{}: {v}", json_string(name)));
-        }
-        counters.push('}');
-        format!(
-            "{{\"name\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"counters\": {}}}",
-            json_string(self.name),
-            self.start_ns,
-            self.dur_ns,
-            counters
-        )
-    }
-}
-
 /// A completed request trace: its id and ordered span events.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trace {
@@ -88,10 +68,26 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Serializes the event list as a JSON array.
-    pub fn events_json(&self) -> String {
-        let items: Vec<String> = self.events.iter().map(SpanEvent::to_json).collect();
-        format!("[{}]", items.join(", "))
+    /// Appends the event list to `out` as a JSON array of `name`,
+    /// `start_ns`, `dur_ns` and `counters` objects, keeping the blank
+    /// after each `,` and `:` that `"trace":true` replies carry.
+    pub fn write_events_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, e) in self.events.iter().enumerate() {
+            let sep = if i > 0 { ", " } else { "" };
+            let name = json_string(e.name);
+            let _ = write!(
+                out,
+                "{sep}{{\"name\": {name}, \"start_ns\": {}, \"dur_ns\": {}, \"counters\": {{",
+                e.start_ns, e.dur_ns
+            );
+            for (j, (name, v)) in e.counters.iter().enumerate() {
+                let sep = if j > 0 { ", " } else { "" };
+                let _ = write!(out, "{sep}{}: {v}", json_string(name));
+            }
+            out.push_str("}}");
+        }
+        out.push(']');
     }
 
     /// Total duration per event name, in first-occurrence order: a name
@@ -519,7 +515,8 @@ mod tests {
             assert_eq!(trace.events[1].counters, [("unify.attempts", 5)]);
             assert!(trace.events[2].counters.is_empty());
             assert!(trace.events[1].start_ns <= trace.events[2].start_ns);
-            let json = trace.events_json();
+            let mut json = String::new();
+            trace.write_events_json(&mut json);
             assert!(json.contains("\"name\": \"test.trace.outer\""));
             assert!(json.contains("\"unify.attempts\": 5"));
             // The trace is closed: further spans are not logged.

@@ -89,8 +89,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Removes insignificant whitespace from JSON text — used to embed the
-/// (pretty-printed) explain report into a single-line wire response.
+/// Removes insignificant whitespace from JSON text. What the service
+/// writes is compact already; this is for JSON text from elsewhere.
 pub use sqo_obs::json_compact as compact;
 
 struct Parser<'a> {

@@ -43,7 +43,7 @@ use crate::registry::{SessionRegistry, SessionSpec};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::ServeError;
 use sqo_obs as obs;
-use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -52,8 +52,9 @@ use std::time::{Duration, Instant};
 /// Histogram series pinned into every `metrics` reply (with zero samples
 /// until recorded), so consumers see a stable key set from the first
 /// request on.
-const PINNED_HISTS: [&str; 7] = [
+const PINNED_HISTS: [&str; 8] = [
     "serve.request",
+    "serve.serialize",
     "serve.wait",
     "cache.lookup",
     "pipeline.optimize",
@@ -234,29 +235,25 @@ fn session_name(req: &Json) -> Result<&str, ServeError> {
     }
 }
 
-/// Wire display name for a histogram series: request-level `serve.*`
-/// series keep their name; pipeline spans get a `stage/` prefix.
-fn hist_display_name(name: &str) -> String {
-    if name.starts_with("serve.") {
-        name.to_string()
-    } else {
-        format!("stage/{name}")
-    }
-}
-
-/// The `"hist"` section of the metrics reply: per-series quantile
+/// Appends the `"hist"` section of the metrics reply: per-series quantile
 /// summaries keyed by display name, in sorted (deterministic) order.
-fn hist_section(snapshot: &obs::Snapshot) -> String {
-    let entries: BTreeMap<String, String> = snapshot
-        .hists
-        .iter()
-        .map(|(name, h)| (hist_display_name(name), json::compact(&h.summary_json())))
-        .collect();
-    let body: Vec<String> = entries
-        .iter()
-        .map(|(name, summary)| format!("{}:{summary}", obs::json_string(name)))
-        .collect();
-    format!("{{{}}}", body.join(","))
+/// Request-level `serve.*` series keep their name and sort first; every
+/// other series is a pipeline span and gets a `stage/` prefix.
+fn write_hist_section(out: &mut String, snapshot: &obs::Snapshot) {
+    let is_serve = |name: &&str| name.starts_with("serve.");
+    let serve = snapshot.hists.iter().filter(|(n, _)| is_serve(n));
+    let stages = snapshot.hists.iter().filter(|(n, _)| !is_serve(n));
+    out.push('{');
+    for (i, (name, h)) in serve.chain(stages).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(if is_serve(name) { "\"" } else { "\"stage/" });
+        let _ = obs::JsonEscape(out).write_str(name);
+        out.push_str("\":");
+        h.write_summary_json(out);
+    }
+    out.push('}');
 }
 
 fn metrics_response(shared: &Arc<Shared>) -> String {
@@ -278,16 +275,19 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
         })
         .collect();
     let snapshot = obs::snapshot();
-    format!(
-        r#"{{"ok":true,"op":"metrics","workers":{},"queue_capacity":{},"queue_depth":{},"queue_depth_hwm":{},"sessions":[{}],"hist":{},"stats":{}}}"#,
+    let mut out = format!(
+        r#"{{"ok":true,"op":"metrics","workers":{},"queue_capacity":{},"queue_depth":{},"queue_depth_hwm":{},"sessions":[{}],"hist":"#,
         shared.workers,
         shared.queue_capacity,
         shared.pool.queue_depth(),
         shared.pool.queue_depth_hwm(),
         sessions.join(","),
-        hist_section(&snapshot),
-        json::compact(&snapshot.to_json())
-    )
+    );
+    write_hist_section(&mut out, &snapshot);
+    out.push_str(",\"stats\":");
+    snapshot.write_json(&mut out);
+    out.push('}');
+    out
 }
 
 fn slowlog_response(shared: &Arc<Shared>) -> String {
@@ -480,20 +480,6 @@ fn persist(shared: &Arc<Shared>, req: &Json) -> Result<String, ServeError> {
     ))
 }
 
-/// What the worker sends back for an accepted, successful query.
-pub(crate) struct QueryAnswer {
-    report: String,
-    cache: &'static str,
-    generation: u64,
-    elapsed_us: u128,
-    trace_id: String,
-    /// Span events as a JSON array, when the request asked for them.
-    trace_json: Option<String>,
-    /// `(plan_index, plan_cost, answer_rows)` when execution ran; the
-    /// index/cost are `None` on contradiction (nothing to execute).
-    exec: Option<(Option<usize>, Option<f64>, usize)>,
-}
-
 /// A validated `query` request, admitted-shape but not yet submitted.
 pub(crate) struct QueryJob {
     pub(crate) name: String,
@@ -583,72 +569,27 @@ pub(crate) fn submit_job(shared: &Arc<Shared>, job: QueryJob, reply: Reply) -> b
     shared.pool.submit(Task {
         deadline,
         submitted: Instant::now(),
-        run: Box::new(move |wait| {
-            let answer = run_query(
-                &job.session,
-                &slowlog,
-                job.trace_id,
-                &job.oql,
-                wait,
-                job.want_trace,
-                job.want_execute,
-            );
-            reply.send(match answer {
-                Ok(a) => format_query_ok(&job.name, &a),
-                Err(msg) => error_response(&ServeError::Optimize(msg)),
-            });
-        }),
+        run: Box::new(move |wait| reply.send(run_query(&job, &slowlog, wait))),
     })
 }
 
-/// The success envelope for a completed query.
-pub(crate) fn format_query_ok(name: &str, a: &QueryAnswer) -> String {
-    let mut extra = String::new();
-    if let Some((plan_index, plan_cost, answers)) = a.exec {
-        let idx = plan_index.map_or("null".to_string(), |i| i.to_string());
-        let cost = plan_cost.map_or("null".to_string(), |c| format!("{c:.1}"));
-        extra.push_str(&format!(
-            r#","plan_index":{idx},"plan_cost":{cost},"answers":{answers}"#
-        ));
-    }
-    if let Some(trace) = &a.trace_json {
-        extra.push_str(&format!(r#","trace":{trace}"#));
-    }
-    let head = format!(
-        r#"{{"ok":true,"op":"query","session":{},"generation":{},"cache":{},"elapsed_us":{},"trace_id":{}{extra},"report":"#,
-        obs::json_string(name),
-        a.generation,
-        obs::json_string(a.cache),
-        a.elapsed_us,
-        obs::json_string(&a.trace_id),
-    );
-    // One exact allocation for the line: the report is most of it.
-    [&head, &a.report, "}"].concat()
-}
-
-/// Executes one admitted query on a worker thread: opens the trace,
-/// optimizes (and optionally executes) under it, records the request
-/// latency histogram, files a slow-log entry past the threshold, and
-/// publishes the thread's counters.
-fn run_query(
-    session: &crate::registry::Session,
-    slowlog: &SlowLog,
-    trace_id: String,
-    oql: &str,
-    wait: Duration,
-    want_trace: bool,
-    want_execute: bool,
-) -> Result<QueryAnswer, String> {
-    obs::trace_begin(trace_id.clone());
+/// Executes one admitted query on a worker thread and returns its reply
+/// line: opens the trace, optimizes (and optionally executes) under it,
+/// records the request latency histogram, writes the reply, files a
+/// slow-log entry past the threshold, and publishes the thread's
+/// counters.
+fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
+    let session = &job.session;
+    obs::trace_begin(job.trace_id.clone());
     let wait_ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
     obs::trace_event("serve.admission_wait", 0, wait_ns);
     let prep = session.prepared();
     let started = Instant::now();
-    let outcome = match prep.optimize_cached(session.cache(), oql) {
+    let outcome = match prep.optimize_cached(session.cache(), &job.oql) {
         Ok((report, outcome)) => {
             let mut exec = None;
             let mut exec_err = None;
-            if want_execute {
+            if job.want_execute {
                 if report.is_contradiction() {
                     // Step 4 of the paper: a refuted query needs no
                     // evaluation at all — zero answers, no plan.
@@ -677,42 +618,67 @@ fn run_query(
     let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     obs::record_hist("serve.request", elapsed_ns);
     let trace = obs::trace_end();
-    let answer = outcome.map(|(report, outcome, exec)| {
-        let explain = report.explain_json_compact();
-        if slowlog.is_slow(elapsed_ns) {
-            let verdict = if report.is_contradiction() {
-                "contradiction"
-            } else {
-                "equivalents"
-            };
-            slowlog.record(&SlowEntry {
-                trace_id: &trace_id,
-                session: session.name(),
-                template_hash: report.datalog.canonical_template().hash,
-                verdict,
-                cache: outcome.label(),
-                plan_cost: exec.and_then(|(_, cost, _)| cost),
-                elapsed_ns,
-                trace: trace.as_ref(),
-                explain: &explain,
-            });
+    let line = match outcome {
+        Ok((report, outcome, exec)) => {
+            // The envelope, the report and its `stats` are written
+            // straight into the one reply line. Timed outside the trace
+            // and every scope: no reply's `stats` include it.
+            let writing = Instant::now();
+            let mut line = format!(
+                r#"{{"ok":true,"op":"query","session":{},"generation":{},"cache":"{}","elapsed_us":{},"trace_id":{}"#,
+                obs::json_string(&job.name),
+                prep.generation(),
+                outcome.label(),
+                elapsed.as_micros(),
+                obs::json_string(&job.trace_id),
+            );
+            if let Some((plan_index, plan_cost, answers)) = exec {
+                let idx = plan_index.map_or("null".to_string(), |i| i.to_string());
+                let cost = plan_cost.map_or("null".to_string(), |c| format!("{c:.1}"));
+                let _ = write!(
+                    line,
+                    r#","plan_index":{idx},"plan_cost":{cost},"answers":{answers}"#
+                );
+            }
+            if let (Some(t), true) = (&trace, job.want_trace) {
+                line.push_str(r#","trace":"#);
+                t.write_events_json(&mut line);
+            }
+            line.push_str(r#","report":"#);
+            let report_at = line.len();
+            report.write_json(&mut line);
+            let report_end = line.len();
+            line.push('}');
+            let written = writing.elapsed().as_nanos();
+            obs::record_hist(
+                "serve.serialize",
+                u64::try_from(written).unwrap_or(u64::MAX),
+            );
+            if slowlog.is_slow(elapsed_ns) {
+                let verdict = if report.is_contradiction() {
+                    "contradiction"
+                } else {
+                    "equivalents"
+                };
+                slowlog.record(&SlowEntry {
+                    trace_id: &job.trace_id,
+                    session: session.name(),
+                    template_hash: report.datalog.canonical_template().hash,
+                    verdict,
+                    cache: outcome.label(),
+                    plan_cost: exec.and_then(|(_, cost, _)| cost),
+                    elapsed_ns,
+                    trace: trace.as_ref(),
+                    explain: &line[report_at..report_end],
+                });
+            }
+            line
         }
-        QueryAnswer {
-            report: explain,
-            cache: outcome.label(),
-            generation: prep.generation(),
-            elapsed_us: elapsed.as_micros(),
-            trace_json: match (&trace, want_trace) {
-                (Some(t), true) => Some(t.events_json()),
-                _ => None,
-            },
-            trace_id,
-            exec,
-        }
-    });
+        Err(msg) => error_response(&ServeError::Optimize(msg)),
+    };
     // What this request counted is in `metrics` before its reply is on
     // the wire: a report's `stats` are the thread's own and publish
     // nothing, so the worker does, here.
     obs::flush_local();
-    answer
+    line
 }

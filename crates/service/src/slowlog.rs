@@ -44,7 +44,7 @@ pub struct SlowEntry<'a> {
     /// The request's span events, rendered as per-stage totals, when
     /// traced.
     pub trace: Option<&'a obs::Trace>,
-    /// The full machine-readable report, already compacted.
+    /// The full machine-readable report, a slice of the reply line.
     pub explain: &'a str,
 }
 

@@ -149,16 +149,19 @@ def telemetry_checks(addr, serve_schema, slowlog_path):
     metrics = request(addr, json.dumps({"op": "metrics"}))
     check(metrics, serve_schema, serve_schema, "telemetry metrics response")
     hist = metrics.get("hist", {})
-    for key in ("serve.request", "serve.wait",
+    for key in ("serve.request", "serve.serialize", "serve.wait",
                 "stage/cache.lookup", "stage/objdb.execute"):
         if key not in hist:
             fail(f"metrics hist lacks pinned series {key!r}: {sorted(hist)}")
-    req = hist["serve.request"]
-    if req["count"] < 1:
-        fail(f"serve.request histogram is empty: {req}")
-    for p in ("p50", "p90", "p99", "max"):
-        if not isinstance(req[p], (int, float)) or req[p] <= 0:
-            fail(f"serve.request {p} should be a positive sample: {req}")
+    # Every answered query wrote its reply line once: `serve.serialize`
+    # has a sample per `serve.request` sample that succeeded.
+    for key in ("serve.request", "serve.serialize"):
+        series = hist[key]
+        if series["count"] < 1:
+            fail(f"{key} histogram is empty: {series}")
+        for p in ("p50", "p90", "p99", "max"):
+            if not isinstance(series[p], (int, float)) or series[p] <= 0:
+                fail(f"{key} {p} should be a positive sample: {series}")
     if "queue_depth_hwm" not in metrics:
         fail("metrics lacks queue_depth_hwm")
     # "Gave up" is told apart from "nothing more to find" by these

@@ -3,8 +3,9 @@
 //! thread-local-then-merge discipline gives byte-identical results no
 //! matter how many threads recorded or in which order their cells were
 //! folded in), and `quantile` must never panic and always answer inside
-//! the recorded range. The exact sum a histogram carries — what a span's
-//! `total_ns` is read from — is part of that monoid and of `since`.
+//! the recorded range, alone or several in one pass. The exact sum a
+//! histogram carries — what a span's `total_ns` is read from — is part of
+//! that monoid and of `since`.
 
 use proptest::prelude::*;
 use semantic_sqo::obs::{Histogram, Snapshot, SpanStat};
@@ -147,6 +148,37 @@ proptest! {
             let hi = *samples.iter().max().unwrap();
             prop_assert!(v >= lo && v <= hi, "q={} outside [{}, {}]", v, lo, hi);
         }
+    }
+
+    /// `quantiles` answers several `p` in one pass over the buckets, in
+    /// any order and with repeats, exactly as `quantile` answers each
+    /// alone; the `metrics` summary is written from that pass, with the
+    /// exact max.
+    #[test]
+    fn one_pass_quantiles_equal_quantile_one_at_a_time(
+        samples in proptest::collection::vec(sample_strategy(), 0..80),
+        p_mille in (0u64..1001, 0u64..1001, 0u64..1001, 0u64..1001),
+    ) {
+        let h = build(&samples);
+        let (a, b, c, d) = p_mille;
+        let ps = [a, b, c, d, a].map(|m| m as f64 / 1000.0);
+        let each = ps.map(|p| h.quantile(p));
+        match h.quantiles(ps) {
+            None => prop_assert!(samples.is_empty() && each.iter().all(Option::is_none)),
+            Some(one_pass) => prop_assert_eq!(one_pass.map(Some), each),
+        }
+        let mut summary = String::new();
+        h.write_summary_json(&mut summary);
+        let q = |p: f64| h.quantile(p).map_or("null".to_string(), |v| v.to_string());
+        let max = h.max().map_or("null".to_string(), |v| v.to_string());
+        let want = format!(
+            r#"{{"count":{},"p50":{},"p90":{},"p99":{},"max":{max}}}"#,
+            h.count(),
+            q(0.5),
+            q(0.9),
+            q(0.99)
+        );
+        prop_assert_eq!(summary, want);
     }
 }
 

@@ -138,8 +138,8 @@ fn every_equivalent_has_nonempty_provenance() {
             }
         }
         let json = report.explain_json();
-        assert!(json.contains("\"provenance\": [{"), "{json}");
-        assert!(!json.contains("\"provenance\": []"), "{json}");
+        assert!(json.contains("\"provenance\":[{"), "{json}");
+        assert!(!json.contains("\"provenance\":[]"), "{json}");
     }
 }
 
@@ -172,8 +172,8 @@ fn contradiction_provenance_names_refuting_ic() {
     assert_eq!(last.kind, "contradiction");
     assert_eq!(last.ic.as_deref(), Some("IC3"));
     let json = report.explain_json();
-    assert!(json.contains("\"verdict\": \"contradiction\""));
-    assert!(json.contains("\"ic\": \"IC3\""));
+    assert!(json.contains("\"verdict\":\"contradiction\""));
+    assert!(json.contains("\"ic\":\"IC3\""));
 }
 
 /// Union pruning attributes each dropped branch to its refuting IC.
