@@ -10,12 +10,12 @@
 //! one entry, with the residue-applicability conditions re-checked
 //! cheaply against the bound constants (the *parameter signature*), and
 //! the cached rewrite set retargeted onto the new variables and
-//! constants before Step 4 runs. Each entry also keeps the *finished
-//! instances* of the queries it has answered — the query's parsed,
-//! normalized and Datalog forms, the Step-4 verdict, the rendered
-//! explanation and the chosen physical plan — and the cache indexes them
-//! by the request text that produced them, so a query repeated verbatim
-//! costs one lookup and its execution: no parse, no Step 2.
+//! constants before Step 4 runs. Beside the templates the cache keeps the
+//! *finished instances* of the queries it has answered — the query's
+//! parsed, normalized and Datalog forms, the Step-4 verdict, the rendered
+//! explanation and the chosen physical plan — by the request text that
+//! produced them, so a query repeated verbatim costs one lookup and its
+//! execution: no parse, no Step 2.
 //!
 //! ## Why the parameter signature is sound
 //!
@@ -30,12 +30,15 @@
 //! same outcome, so the search would traverse the same path; the cached
 //! outcome transfers. A parameter that *equals* a threshold forces the
 //! new parameter to equal it too, so retargeting can never corrupt an
-//! IC-derived constant.
+//! IC-derived constant. A finished instance was derived under its own
+//! signature, so it stays valid when its template is later searched
+//! again for another one.
 
 use crate::error::Result;
 use crate::optimizer::{
     count_verdict, outcome_to_verdict, Finished, OptimizationReport, SemanticOptimizer, Verdict,
 };
+use sqo_datalog::clause::CanonicalForm;
 use sqo_datalog::search::{self, Outcome, SearchConfig, Variant};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::{Atom, CanonicalTemplate, Comparison, Literal, Query, Term};
@@ -43,11 +46,11 @@ use sqo_obs as obs;
 use sqo_odl::Schema;
 use sqo_oql::SelectQuery;
 use sqo_translate::{translate_query, Catalog};
-use std::collections::hash_map::{DefaultHasher, RandomState};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use sqo_datalog::term::{Const, Var};
 
@@ -80,6 +83,10 @@ impl CacheOutcome {
 struct CacheEntry {
     /// Schema generation the entry was computed under.
     generation: u64,
+    /// The template itself. The entry's key is only its 64-bit hash, a
+    /// digest anyone can compute: a template with that hash and another
+    /// form is another template.
+    form: CanonicalForm,
     /// Thresholds the signature was computed against (knowledge-base
     /// constants plus the template's non-lifted constants).
     thresholds: Vec<Const>,
@@ -90,26 +97,17 @@ struct CacheEntry {
     /// The representative's variables, in canonical order.
     repr_var_order: Vec<Var>,
     /// The representative's search outcome. Shared, so a hit copies a
-    /// pointer under the shard lock and retargets outside it.
+    /// pointer under the cache lock and retargets outside it.
     outcome: Arc<Outcome>,
-    /// The queries this entry has finished, by [`binding_hash`]. The
-    /// entry owns them: they live and die with it, a rebind, an eviction
-    /// or an invalidation of the entry drops them — and with them every
-    /// [`TextSlot`] that points at one.
-    instances: HashMap<u64, Arc<Instance>>,
 }
 
-/// One query answered under a [`CacheEntry`], finished: what a repeat of
-/// the same query gets without Step 2, retargeting, Step 4, pricing or
+/// One query finished from a template hit: what a repeat of its request
+/// text gets without a parse, Step 2, retargeting, Step 4, pricing or
 /// rendering.
 struct Instance {
-    /// Generation of the prepared optimizer that finished it (its
-    /// entry's): a hit found by text never sees the entry.
+    /// Generation of the prepared optimizer that finished it.
     generation: u64,
-    /// The parsed query. The binding hash only finds the slot; equality
-    /// here decides the hit, because two OQL surfaces (`select x.a, y.b`
-    /// and `select list(x.a, y.b)`) can share a template and a binding
-    /// yet print different rewrites.
+    /// The parsed query.
     original: SelectQuery,
     /// What Step 2 made of it; a hit found by text has no other source.
     normalized: SelectQuery,
@@ -133,7 +131,7 @@ impl Instance {
     }
 
     /// The report of a repeat served from this instance, counted as the
-    /// hit it is, whichever way the instance was found.
+    /// hit it is.
     fn hit(&self, scope: obs::Scope) -> OptimizationReport {
         obs::bump(obs::Counter::PlanCacheHits);
         obs::bump(obs::Counter::PlanCacheInstanceHits);
@@ -142,163 +140,84 @@ impl Instance {
     }
 }
 
-/// One request text known to produce a finished instance. It points and
-/// never owns: once the entry drops the instance the slot is dead, and a
-/// dead slot is a miss.
+/// A request text and the instance it finished, which it owns.
 struct TextSlot {
     /// The exact request bytes; the slot's key is only their hash.
     text: Box<str>,
-    instance: Weak<Instance>,
+    instance: Arc<Instance>,
 }
 
-/// Where a template's instance for these variables and constants lives.
-fn binding_hash(template: &CanonicalTemplate) -> u64 {
-    let mut h = DefaultHasher::new();
-    template.var_order.hash(&mut h);
-    template.params.hash(&mut h);
-    h.finish()
-}
-
-/// One independently locked slice of the cache.
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<u64, CacheEntry>,
-    /// Instances over all entries of this shard, held to the same budget
-    /// as the entries.
-    instances: usize,
-    /// Request texts by [`PlanCache::text_hash`], which also picks the
-    /// shard — so a slot and the instance it points at usually live in
-    /// different shards. Held to the same budget again.
-    texts: HashMap<u64, TextSlot>,
-}
-
-impl Shard {
-    /// Takes the entry of `template` out, its instances with it.
-    fn remove(&mut self, template: u64) -> Option<CacheEntry> {
-        let entry = self.entries.remove(&template)?;
-        self.instances -= entry.instances.len();
-        Some(entry)
-    }
-
-    /// Inserts (or replaces) the entry of `template`; a full shard gives
-    /// up an arbitrary other entry first. Returns the entry displaced
-    /// either way, for the caller to drop outside the shard lock.
-    fn store(&mut self, template: u64, entry: CacheEntry, capacity: usize) -> Option<CacheEntry> {
-        let mut displaced = self.remove(template);
-        if displaced.is_none() && self.entries.len() >= capacity {
-            if let Some(&k) = self.entries.keys().next() {
-                displaced = self.remove(k);
-                let evicted = displaced.as_ref().map_or(0, |e| e.instances.len());
-                obs::add(obs::Counter::PlanCacheInstanceEvictions, evicted as u64);
-            }
-        }
-        self.entries.insert(template, entry);
-        displaced
-    }
-
-    /// Attaches `instance` to the entry it was derived from — unless that
-    /// entry was replaced meanwhile — and, over budget, gives up an
-    /// arbitrary other instance, the way [`Shard::store`] does entries.
-    /// Returns the instance displaced, for the caller to drop outside
-    /// the shard lock.
-    fn fill(
-        &mut self,
-        template: u64,
-        outcome: &Arc<Outcome>,
-        binding: u64,
-        instance: Arc<Instance>,
-        capacity: usize,
-    ) -> Option<Arc<Instance>> {
-        let Some(entry) = self
-            .entries
-            .get_mut(&template)
-            .filter(|e| Arc::ptr_eq(&e.outcome, outcome))
-        else {
-            return Some(instance);
-        };
-        if let Some(same_slot) = entry.instances.insert(binding, instance) {
-            return Some(same_slot);
-        }
-        self.instances += 1;
-        if self.instances <= capacity {
-            return None;
-        }
-        // The entry just filled usually holds the victim; only when the
-        // new instance is its first do the other entries get a look.
-        let own = entry.instances.keys().find(|k| **k != binding);
-        let (t, k) = own.map(|k| (template, *k)).or_else(|| {
-            self.entries
-                .iter()
-                .filter(|(t, _)| **t != template)
-                .find_map(|(t, e)| Some((*t, *e.instances.keys().next()?)))
-        })?;
-        let evicted = self.entries.get_mut(&t)?.instances.remove(&k)?;
-        self.instances -= 1;
-        obs::bump(obs::Counter::PlanCacheInstanceEvictions);
-        Some(evicted)
-    }
-
-    /// Points `hash` at `slot`; a full shard gives up an arbitrary other
-    /// slot first, the way [`Shard::store`] does entries. Returns the
-    /// slot displaced, for the caller to drop outside the shard lock.
-    fn point(&mut self, hash: u64, slot: TextSlot, capacity: usize) -> Option<TextSlot> {
-        let mut displaced = self.texts.insert(hash, slot);
-        if displaced.is_none() && self.texts.len() > capacity {
-            if let Some(&k) = self.texts.keys().find(|k| **k != hash) {
-                displaced = self.texts.remove(&k);
-            }
-        }
-        displaced
-    }
-}
-
-/// What the cache holds for one query.
+/// What the cache holds for one query's template.
+#[allow(clippy::large_enum_variant)] // a return value, matched at once
 enum Lookup {
-    /// The query itself was finished before.
-    Instance(Arc<Instance>),
     /// The template's outcome applies; retarget it and finish.
     Template(Arc<Outcome>, Retarget),
     /// Nothing usable: search. `had_entry` tells a rebind from a miss.
     Search { had_entry: bool },
 }
 
-/// A bounded, invalidation-aware cache of Step-3 search outcomes keyed
-/// by [`Query::canonical_template`] fingerprints.
+/// The two maps of a [`PlanCache`], under its one lock.
+#[derive(Default)]
+struct Maps {
+    /// Search outcomes by template hash.
+    templates: HashMap<u64, CacheEntry>,
+    /// Finished instances by [`PlanCache::text_hash`] of their text.
+    texts: HashMap<u64, TextSlot>,
+}
+
+/// Puts `value` under `key` in a map held to `capacity`: a new key into a
+/// full map first takes an arbitrary other one out. Returns the value
+/// replaced and the one evicted, for the caller to count and to drop
+/// after the lock.
+fn insert_bounded<V>(
+    map: &mut HashMap<u64, V>,
+    key: u64,
+    value: V,
+    capacity: usize,
+) -> (Option<V>, Option<V>) {
+    let mut evicted = None;
+    if map.len() >= capacity && !map.contains_key(&key) {
+        if let Some(&k) = map.keys().next() {
+            evicted = map.remove(&k);
+        }
+    }
+    (map.insert(key, value), evicted)
+}
+
+/// A bounded, invalidation-aware semantic-plan cache: Step-3 search
+/// outcomes by [`Query::canonical_template`], and the queries finished
+/// from them by request text.
 ///
-/// Thread-safe; share one per prepared schema. Entries live in
-/// `shard_count()` independently locked shards selected by template
-/// hash, so concurrent warm lookups of *different* templates never
-/// contend on a common mutex (the serving event loop's workers hit this
-/// path on every cached query). The observable behaviour is that of the
-/// former single-map cache: `len()` sums the shards, and the
-/// `plan_cache.*` counters are bumped exactly as before, so per-shard
-/// stats always sum to the old global totals.
+/// Thread-safe; share one per prepared schema. One lock covers both
+/// maps, and a text hit holds it for a probe and a pointer copy; a
+/// retarget, a search, and dropping what an insertion displaced run
+/// outside it.
 ///
-/// Finished instances hang off the entries and share their budget: over
-/// the whole cache there are never more instances than `capacity`, an
-/// instance goes when its entry is rebound, evicted or invalidated, and a
-/// full shard gives up an arbitrary instance per insertion
-/// ([`PlanCache::instance_count`], `plan_cache.instance_evictions`).
+/// * *Templates.* One entry per template hash, confirmed by the
+///   template's canonical form. A request whose parameter signature
+///   matches the entry's retargets its outcome (a hit) and finishes an
+///   instance for its text; one whose signature differs is searched and
+///   replaces the entry (a rebind).
+/// * *Texts.* The instance each request text finished, keyed by the exact
+///   bytes — no normalisation, so a client that reformats a query pays
+///   Step 2 and one retarget per spelling. The keys come from clients, so
+///   they are hashed with a per-cache random SipHash key. A text hit is
+///   decided by those bytes and the prepared optimizer's generation
+///   alone: a rebind of the template leaves the instance standing.
 ///
-/// There are two ways to find an instance, the cheaper tried first: by
-/// the exact bytes of the request text — no normalisation, so a client
-/// that reformats a query pays Step 2 once per spelling — and, through
-/// the entry, by template and binding. The text index only points at
-/// instances ([`PlanCache::text_count`] slots, the same budget and
-/// eviction again); its keys come from clients, so it hashes them with a
-/// per-cache random SipHash key.
-///
-/// [`PlanCache::invalidate`] bumps the generation and drops every entry
-/// in every shard — call it whenever the constraint set changes (the
-/// service does this on IC reload).
+/// The maps hold at most `capacity` templates and an eighth as many
+/// texts, and each gives up an arbitrary item per insertion into a full
+/// map ([`PlanCache::instance_count`], `plan_cache.instance_evictions`).
+/// [`PlanCache::invalidate`] bumps the generation and empties both — call
+/// it whenever the constraint set changes (the service does this on IC
+/// reload).
 pub struct PlanCache {
-    shards: Box<[Mutex<Shard>]>,
-    /// `shards.len() - 1`; shard count is always a power of two.
-    shard_mask: u64,
+    maps: Mutex<Maps>,
     generation: AtomicU64,
-    /// Per-shard budget (total capacity / shard count), for entries,
-    /// finished instances and request texts alike.
-    shard_capacity: usize,
+    /// The budget of `templates`.
+    capacity: usize,
+    /// The budget of `texts`.
+    text_capacity: usize,
     /// Keys [`PlanCache::text_hash`].
     text_keys: RandomState,
 }
@@ -309,114 +228,65 @@ impl Default for PlanCache {
     }
 }
 
-/// Default shard count: enough that a worker pool in the tens never
-/// queues on one lock, small enough that `len()`/`invalidate()` stay
-/// cheap.
-const DEFAULT_SHARDS: usize = 16;
-
 impl PlanCache {
-    /// A cache holding up to 4096 templates across 16 shards.
+    /// A cache holding up to 4096 templates and 512 finished texts: a few
+    /// MiB per session, as a finished text keeps its verdict, query forms
+    /// and written report (~6 KB for a report of 2 KB).
     pub fn new() -> Self {
         PlanCache::with_capacity(4096)
     }
 
-    /// A cache holding up to `capacity` templates; when a shard is full,
-    /// an arbitrary entry of that shard is evicted per insertion.
+    /// A cache holding up to `capacity` templates and an eighth as many
+    /// finished texts (at least one); a full map gives up an arbitrary
+    /// item per insertion.
     pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// A cache with an explicit shard count (rounded up to a power of
-    /// two, and down to one no larger than `capacity`) splitting
-    /// `capacity` evenly, so the shards' budgets never sum to more.
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let most = 1 << capacity.ilog2();
-        let shards = shards.clamp(1, 1 << 16).next_power_of_two().min(most);
         PlanCache {
-            shards: (0..shards)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-            shard_mask: (shards - 1) as u64,
+            maps: Mutex::default(),
             generation: AtomicU64::new(0),
-            shard_capacity: capacity / shards,
+            capacity: capacity.max(1),
+            text_capacity: (capacity / 8).max(1),
             text_keys: RandomState::new(),
         }
     }
 
-    /// The shard holding `hash`. Template hashes are already avalanched,
-    /// but fold the high half in so shard choice never depends on low
-    /// bits alone.
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
-        &self.shards[((hash ^ (hash >> 32)) & self.shard_mask) as usize]
+    /// The maps. Each step of every change leaves them valid, so a lock
+    /// poisoned by a panicking thread is taken over as it stands.
+    fn maps(&self) -> MutexGuard<'_, Maps> {
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Changes the shard holding `hash`. What the change displaced is
-    /// dropped here, after the shard lock: freeing plans needs no lock.
-    fn update<T>(&self, hash: u64, change: impl FnOnce(&mut Shard, usize) -> Option<T>) {
-        let displaced = match self.shard(hash).lock() {
-            Ok(mut shard) => change(&mut shard, self.shard_capacity),
-            Err(_) => None,
-        };
-        drop(displaced);
-    }
-
-    /// Number of independently locked shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Entries per shard, in shard order. Sums to [`PlanCache::len`].
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map(|s| s.entries.len()).unwrap_or(0))
-            .collect()
-    }
-
-    /// Finished instances over all entries; at most the cache's capacity.
+    /// Finished instances, one per request text; at most an eighth of
+    /// the cache's capacity.
     pub fn instance_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map(|s| s.instances).unwrap_or(0))
-            .sum()
+        self.maps().texts.len()
     }
 
-    /// Request texts the cache can answer without parsing, live or dead;
-    /// at most the cache's capacity.
-    pub fn text_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map(|s| s.texts.len()).unwrap_or(0))
-            .sum()
-    }
-
-    /// Where the request text `src` lives: slot key and shard choice.
+    /// The key of the request text `src`.
     fn text_hash(&self, src: &str) -> u64 {
         self.text_keys.hash_one(src)
     }
 
-    /// The finished instance `src` is known to produce, when the entry
-    /// that owns it still does and a prepared optimizer of `generation`
-    /// finished it.
+    /// The instance `src` finished, when a prepared optimizer of
+    /// `generation` finished it.
     fn find_text(&self, src: &str, generation: u64) -> Option<Arc<Instance>> {
         let hash = self.text_hash(src);
-        let shard = self.shard(hash).lock().ok()?;
-        let slot = shard.texts.get(&hash).filter(|s| *s.text == *src)?;
-        slot.instance
-            .upgrade()
-            .filter(|i| i.generation == generation)
+        let maps = self.maps();
+        let slot = maps.texts.get(&hash).filter(|s| *s.text == *src)?;
+        (slot.instance.generation == generation).then(|| Arc::clone(&slot.instance))
     }
 
     /// Makes `src` find `instance` from now on.
-    fn register_text(&self, src: &str, instance: &Arc<Instance>) {
+    fn register_text(&self, src: &str, instance: Arc<Instance>) {
         let hash = self.text_hash(src);
         let slot = TextSlot {
             text: src.into(),
-            instance: Arc::downgrade(instance),
+            instance,
         };
-        self.update(hash, |shard, capacity| shard.point(hash, slot, capacity));
+        let (_replaced, evicted) =
+            insert_bounded(&mut self.maps().texts, hash, slot, self.text_capacity);
+        if evicted.is_some() {
+            obs::bump(obs::Counter::PlanCacheInstanceEvictions);
+        }
     }
 
     /// The current invalidation generation.
@@ -424,9 +294,9 @@ impl PlanCache {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Number of cached templates (summed over shards).
+    /// Number of cached templates.
     pub fn len(&self) -> usize {
-        self.shard_lens().iter().sum()
+        self.maps().templates.len()
     }
 
     /// Whether the cache is empty.
@@ -434,24 +304,19 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Drop every cached plan, and every request text with them, and bump
-    /// the generation, so plans computed under the previous constraint
-    /// set can never be served again.
+    /// Drop every cached plan and every finished instance, and bump the
+    /// generation, so plans computed under the previous constraint set
+    /// can never be served again.
     /// Bumps [`obs::Counter::PlanCacheInvalidations`] once per dropped
-    /// entry (summed over shards, so the total matches the old
-    /// single-map behaviour exactly).
+    /// template.
     pub fn invalidate(&self) {
         self.generation.fetch_add(1, Ordering::AcqRel);
-        for shard in self.shards.iter() {
-            // Dropped after the guard: freeing plans needs no lock.
-            let dropped = shard.lock().map(|mut s| std::mem::take(&mut *s));
-            if let Ok(dropped) = dropped {
-                obs::add(
-                    obs::Counter::PlanCacheInvalidations,
-                    dropped.entries.len() as u64,
-                );
-            }
-        }
+        // Dropped after the guard: freeing plans needs no lock.
+        let dropped = std::mem::take(&mut *self.maps());
+        obs::add(
+            obs::Counter::PlanCacheInvalidations,
+            dropped.templates.len() as u64,
+        );
     }
 }
 
@@ -547,12 +412,15 @@ impl PreparedOptimizer {
     }
 
     /// Optimize an OQL query through the semantic-plan cache. A text the
-    /// cache has finished before — these exact bytes — gets its instance
-    /// back before anything is parsed: such a hit's `stats` show one
-    /// `cache.lookup`, `translate.queries: 0` and no Step-2 span. Any
-    /// other text is parsed and goes the way of
-    /// [`Self::optimize_query_cached`], which remembers the text with the
-    /// instance it fills or finds.
+    /// cache has finished before — these exact bytes, under this
+    /// generation — gets its instance back before anything is parsed:
+    /// such a hit's `stats` show one `cache.lookup`, `translate.queries: 0`
+    /// and no Step-2 span. Any other text is parsed and translated; on a
+    /// template hit with a matching parameter signature the Step-3 search
+    /// is skipped, the cached rewrite set is retargeted onto this query's
+    /// variables and constants, and the result is kept as the text's
+    /// instance for the next repeat. A miss or rebind searches and keeps
+    /// the outcome for the template, but finishes no instance.
     pub fn optimize_cached(
         &self,
         cache: &PlanCache,
@@ -569,52 +437,16 @@ impl PreparedOptimizer {
             return Ok((instance.hit(scope), CacheOutcome::Hit));
         }
         let original = sqo_oql::parse_oql(oql_src)?;
-        self.optimize_parsed(cache, &original, Some(oql_src), scope)
-    }
-
-    /// Optimize a parsed OQL query through the semantic-plan cache. A
-    /// query the cache has finished before gets its verdict back as is;
-    /// on a template hit with a matching parameter signature the Step-3
-    /// search is skipped and the cached rewrite set is retargeted onto
-    /// this query's variables and constants, which finishes an instance
-    /// for the next repeat.
-    pub fn optimize_query_cached(
-        &self,
-        cache: &PlanCache,
-        original: &SelectQuery,
-    ) -> Result<(OptimizationReport, CacheOutcome)> {
-        let _span = obs::span!("pipeline.optimize");
-        self.optimize_parsed(cache, original, None, obs::Scope::enter())
-    }
-
-    /// The cached path from Step 2 on, inside the caller's
-    /// `pipeline.optimize` span and `scope`. `text` is the request text
-    /// `original` was parsed from, when there is one to remember.
-    fn optimize_parsed(
-        &self,
-        cache: &PlanCache,
-        original: &SelectQuery,
-        text: Option<&str>,
-        scope: obs::Scope,
-    ) -> Result<(OptimizationReport, CacheOutcome)> {
         obs::bump(obs::Counter::OptimizerQueries);
-        let translation = translate_query(original, &self.schema, &self.catalog)?;
-        let datalog = &translation.query;
+        let translation = translate_query(&original, &self.schema, &self.catalog)?;
 
-        let (template, binding, found) = {
+        let (template, found) = {
             let _s = obs::span!("cache.lookup");
-            let template = datalog.canonical_template();
-            let binding = binding_hash(&template);
-            let found = self.lookup(cache, &template, binding, original);
-            (template, binding, found)
+            let template = translation.query.canonical_template();
+            let found = self.lookup(cache, &template);
+            (template, found)
         };
         match found {
-            Lookup::Instance(instance) => {
-                if let Some(src) = text {
-                    cache.register_text(src, &instance);
-                }
-                Ok((instance.hit(scope), CacheOutcome::Hit))
-            }
             Lookup::Template(outcome, retarget) => {
                 obs::bump(obs::Counter::PlanCacheHits);
                 let retargeted = {
@@ -624,19 +456,13 @@ impl PreparedOptimizer {
                 let verdict = outcome_to_verdict(retargeted, &translation, &self.catalog)?;
                 let instance = Arc::new(Instance {
                     generation: self.generation,
-                    original: original.clone(),
+                    original,
                     normalized: translation.normalized,
                     datalog: translation.query,
                     verdict: Arc::new(verdict),
-                    finished: Arc::new(Finished::default()),
+                    finished: Arc::default(),
                 });
-                cache.update(template.hash, |shard, capacity| {
-                    let filling = Arc::clone(&instance);
-                    shard.fill(template.hash, &outcome, binding, filling, capacity)
-                });
-                if let Some(src) = text {
-                    cache.register_text(src, &instance);
-                }
+                cache.register_text(oql_src, Arc::clone(&instance));
                 Ok((instance.report(scope.finish()), CacheOutcome::Hit))
             }
             Lookup::Search { had_entry } => {
@@ -647,46 +473,48 @@ impl PreparedOptimizer {
                     obs::bump(obs::Counter::PlanCacheMisses);
                     CacheOutcome::Miss
                 };
+                let datalog = &translation.query;
                 let outcome = search::optimize(datalog, &self.ctx, &SearchConfig::default());
-                self.store(cache, datalog, &template, &outcome);
+                self.store(cache, datalog, template, &outcome);
                 let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
                 let report =
-                    OptimizationReport::fresh(original, translation, verdict, scope.finish());
+                    OptimizationReport::fresh(&original, translation, verdict, scope.finish());
                 Ok((report, disposition))
             }
         }
     }
 
-    /// What the cache holds for `original`, whose template is `template`:
-    /// one probe for the entry, one for the instance, both under the
-    /// shard lock, which is held for pointer copies only.
-    fn lookup(
+    /// [`Self::optimize_cached`] on the text `original` renders to. A
+    /// parsed query parses back from its rendering; one built by hand that
+    /// does not (a keyword for a name, say) is refused rather than
+    /// answered as the query its text stands for.
+    pub fn optimize_query_cached(
         &self,
         cache: &PlanCache,
-        template: &CanonicalTemplate,
-        binding: u64,
         original: &SelectQuery,
-    ) -> Lookup {
-        let Ok(shard) = cache.shard(template.hash).lock() else {
-            return Lookup::Search { had_entry: false };
-        };
-        let Some(entry) = shard.entries.get(&template.hash) else {
+    ) -> Result<(OptimizationReport, CacheOutcome)> {
+        let (report, outcome) = self.optimize_cached(cache, &original.to_string())?;
+        if report.original != *original {
+            return Err(sqo_oql::OqlError::Unsupported {
+                feature: "a query that does not parse back from its own text".into(),
+            }
+            .into());
+        }
+        Ok((report, outcome))
+    }
+
+    /// What the cache holds for `template`: one probe under the cache
+    /// lock. The entry's outcome applies when it was searched under this
+    /// generation, for this very form, with the same parameter signature.
+    fn lookup(&self, cache: &PlanCache, template: &CanonicalTemplate) -> Lookup {
+        let maps = cache.maps();
+        let Some(entry) = maps.templates.get(&template.hash) else {
             return Lookup::Search { had_entry: false };
         };
         if entry.generation != self.generation
-            || entry.repr_params.len() != template.params.len()
-            || entry.repr_var_order.len() != template.var_order.len()
+            || entry.form != template.form
+            || param_signature(&template.params, &entry.thresholds) != entry.signature
         {
-            return Lookup::Search { had_entry: true };
-        }
-        // An instance was finished under this very entry for these very
-        // parameters, so their signature needs no second check.
-        if let Some(i) = entry.instances.get(&binding) {
-            if i.original == *original {
-                return Lookup::Instance(Arc::clone(i));
-            }
-        }
-        if param_signature(&template.params, &entry.thresholds) != entry.signature {
             return Lookup::Search { had_entry: true };
         }
         Lookup::Template(
@@ -705,7 +533,7 @@ impl PreparedOptimizer {
         &self,
         cache: &PlanCache,
         datalog: &Query,
-        template: &CanonicalTemplate,
+        template: CanonicalTemplate,
         outcome: &Outcome,
     ) {
         let mut thresholds: BTreeSet<Const> = self.kb_consts.iter().copied().collect();
@@ -713,16 +541,20 @@ impl PreparedOptimizer {
         let thresholds: Vec<Const> = thresholds.into_iter().collect();
         let entry = CacheEntry {
             generation: self.generation,
+            form: template.form,
             signature: param_signature(&template.params, &thresholds),
             thresholds,
-            repr_params: template.params.clone(),
-            repr_var_order: template.var_order.clone(),
+            repr_params: template.params,
+            repr_var_order: template.var_order,
             outcome: Arc::new(outcome.clone()),
-            instances: HashMap::new(),
         };
-        cache.update(template.hash, |shard, capacity| {
-            shard.store(template.hash, entry, capacity)
-        });
+        // Dropped after the guard: freeing plans needs no lock.
+        let _displaced = insert_bounded(
+            &mut cache.maps().templates,
+            template.hash,
+            entry,
+            cache.capacity,
+        );
     }
 }
 
@@ -944,6 +776,37 @@ mod tests {
             param_signature(&[Const::Int(1)], &[]),
             param_signature(&[Const::Real(R64::new(1.0))], &[]),
         );
+    }
+
+    /// A template whose hash equals a stored one's, with as many
+    /// parameters and variables, is still another template: it is
+    /// searched, never handed the stored outcome.
+    #[test]
+    fn a_hash_collision_is_searched_not_retargeted() {
+        let mut opt = SemanticOptimizer::university();
+        opt.add_constraint_text("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+            .unwrap();
+        let prep = opt.prepare();
+        let cache = PlanCache::new();
+        let template = |src: &str| {
+            let q = sqo_oql::parse_oql(src).unwrap();
+            let translation = translate_query(&q, prep.schema(), prep.catalog()).unwrap();
+            translation.query.canonical_template()
+        };
+        // `employee` and `student` both have five columns.
+        let employee = "select x.name from x in Employee where x.age < 25";
+        prep.optimize_cached(&cache, employee).unwrap();
+        let stored = template(employee);
+        assert!(matches!(prep.lookup(&cache, &stored), Lookup::Template(..)));
+
+        let mut student = template("select x.name from x in Student where x.age < 25");
+        assert_eq!(student.params.len(), stored.params.len());
+        assert_eq!(student.var_order.len(), stored.var_order.len());
+        student.hash = stored.hash;
+        assert!(matches!(
+            prep.lookup(&cache, &student),
+            Lookup::Search { had_entry: true }
+        ));
     }
 
     #[test]

@@ -145,56 +145,16 @@ fn generation_mismatch_is_never_served() {
     assert_ne!(d1, CacheOutcome::Hit);
 }
 
+/// Templates are held to the cache's capacity, and invalidation counts
+/// each one it drops.
 #[test]
-fn shard_stats_sum_to_the_global_counters() {
+fn templates_stay_within_capacity() {
     let _g = lock();
     let prep = prepared_university();
-    let cache = PlanCache::new();
-    assert!(cache.shard_count() >= 1);
-    assert!(
-        cache.shard_count().is_power_of_two(),
-        "masked shard selection requires a power of two"
-    );
-    let queries = [
-        "select x.name from x in Person where x.age < 28",
-        "select x.name from x in Student where x.age < 28",
-        "select x.age from x in Person where x.age < 28",
-        "select x.name from x in Person",
-        "select x.name from x in Person where x.age > 28",
-        "select x.name from x in Student where x.age > 28",
-    ];
+    let capacity = 4;
+    let cache = PlanCache::with_capacity(capacity);
     let scope = obs::Scope::enter();
-    for q in queries {
-        let (_r, d) = prep.optimize_cached(&cache, q).unwrap();
-        assert_eq!(d, CacheOutcome::Miss, "{q} should be a distinct template");
-    }
-    // Per-shard lengths are the sharded view of the same population.
-    assert_eq!(cache.shard_lens().iter().sum::<usize>(), cache.len());
-    assert_eq!(cache.len(), queries.len());
-    // Invalidation counts each dropped entry once, summed over shards —
-    // identical to the old single-map total.
-    cache.invalidate();
-    let delta = scope.finish();
-    assert_eq!(
-        delta.counter(obs::Counter::PlanCacheInvalidations),
-        queries.len() as u64
-    );
-    assert_eq!(
-        delta.counter(obs::Counter::PlanCacheMisses),
-        queries.len() as u64
-    );
-    assert!(cache.is_empty());
-    assert!(cache.shard_lens().iter().all(|&l| l == 0));
-}
-
-#[test]
-fn shard_capacity_bounds_the_population() {
-    let _g = lock();
-    let prep = prepared_university();
-    // Four shards, one template each: eight distinct templates must
-    // evict down to at most four entries, never grow past the budget.
-    let cache = PlanCache::with_shards(4, 4);
-    assert_eq!(cache.shard_count(), 4);
+    let mut asked = 0;
     for class in ["Person", "Student"] {
         for (proj, pred) in [
             ("x.name", "x.age < 28"),
@@ -203,15 +163,20 @@ fn shard_capacity_bounds_the_population() {
             ("x.age", "x.age > 28 and x.age < 90"),
         ] {
             let q = format!("select {proj} from x in {class} where {pred}");
-            prep.optimize_cached(&cache, &q).unwrap();
+            let (_r, d) = prep.optimize_cached(&cache, &q).unwrap();
+            assert_eq!(d, CacheOutcome::Miss, "{q} should be a distinct template");
+            asked += 1;
+            assert_eq!(cache.len(), asked.min(capacity));
         }
     }
-    assert!(
-        cache.len() <= 4,
-        "population {} exceeds the 4-entry budget",
-        cache.len()
+    cache.invalidate();
+    let delta = scope.finish();
+    assert_eq!(delta.counter(obs::Counter::PlanCacheMisses), asked as u64);
+    assert_eq!(
+        delta.counter(obs::Counter::PlanCacheInvalidations),
+        capacity as u64
     );
-    assert!(cache.shard_lens().iter().all(|&l| l <= 1));
+    assert!(cache.is_empty());
 }
 
 #[test]
@@ -289,9 +254,8 @@ fn a_repeated_query_is_served_from_its_finished_instance() {
     assert_eq!(d3, CacheOutcome::Miss);
 }
 
-/// Two OQL surfaces with one Datalog translation share a template and a
-/// binding, yet Step 4 prints each its own rewrites: the instance is
-/// decided by the parsed query, not by the binding.
+/// Two OQL surfaces with one Datalog translation share a template, yet
+/// Step 4 prints each its own rewrites: each text has its own instance.
 #[test]
 fn instances_do_not_alias_across_select_clause_shapes() {
     let _g = lock();
@@ -336,14 +300,15 @@ fn instances_do_not_alias_across_select_clause_shapes() {
     assert_eq!(texts(&p2), texts(&p));
 }
 
-/// Instances share the entries' budget: never more than `capacity` of
-/// them, evictions counted, and a rebind of the template drops its own.
+/// Instances are held to an eighth of the cache's capacity whichever
+/// templates they came from, every eviction is counted, and a rebind
+/// leaves them be.
 #[test]
-fn instances_are_bounded_and_die_with_their_entry() {
+fn instances_are_bounded_and_evictions_counted() {
     let _g = lock();
     let prep = prepared_university();
     let (capacity, extra) = (4usize, 3usize);
-    let cache = PlanCache::with_shards(capacity, 1);
+    let cache = PlanCache::with_capacity(8 * capacity);
     let ask = |q: String| prep.optimize_cached(&cache, &q).unwrap();
     let names = |c: usize| format!("select x.name from x in Person where x.age < {c}");
     let evicted = |scope: obs::Scope| {
@@ -364,16 +329,11 @@ fn instances_are_bounded_and_die_with_their_entry() {
         .sum();
     assert!(served >= 1 && cache.instance_count() == capacity);
 
-    // Across IC4's threshold the template rebinds; its instances go.
+    // Across IC4's threshold the template rebinds; the instances stay.
     assert_eq!(ask(names(35)).1, CacheOutcome::Rebind);
-    assert_eq!(cache.instance_count(), 0);
-
-    // A full shard gives up another entry's instance for a new entry's
-    // first one.
-    for c in 36..36 + capacity {
-        assert_eq!(ask(names(c)).1, CacheOutcome::Hit);
-    }
     assert_eq!(cache.instance_count(), capacity);
+
+    // Another template's first instance gives up one of them.
     let scope = obs::Scope::enter();
     let ages = "select x.age from x in Person where x.age < 20".to_string();
     assert_eq!(ask(ages.clone()).1, CacheOutcome::Miss);
@@ -393,9 +353,9 @@ fn a_verbatim_repeat_is_decided_on_its_text() {
     let cache = PlanCache::new();
     let q = "select x.name from x in Person where x.age < 25";
     prep.optimize_cached(&cache, q).unwrap();
-    assert_eq!(cache.text_count(), 0, "a miss finishes no instance");
+    assert_eq!(cache.instance_count(), 0, "a miss finishes no instance");
     let (filled, _) = prep.optimize_cached(&cache, q).unwrap();
-    assert_eq!(cache.text_count(), 1);
+    assert_eq!(cache.instance_count(), 1);
     assert_eq!(
         filled.stats.counter(obs::Counter::TranslateQueries),
         1,
@@ -426,22 +386,32 @@ fn a_verbatim_repeat_is_decided_on_its_text() {
     };
     assert_eq!(body(&hit), body(&prep.optimize(q).unwrap()));
 
-    // Another spelling is another text: it pays Step 2 once, finds the
-    // same instance through the entry, and is a text hit from then on.
+    // Another spelling is another text: it pays Step 2 and a retarget
+    // once, for an instance of its own that says the same, and is a text
+    // hit from then on.
     let respelled = "SELECT  x.name  FROM x IN Person  WHERE x.age < 25";
-    let (first, _) = prep.optimize_cached(&cache, respelled).unwrap();
-    assert_eq!(instance_hits(&first), 1);
+    let (first, d) = prep.optimize_cached(&cache, respelled).unwrap();
+    assert_eq!(d, CacheOutcome::Hit);
+    assert_eq!(instance_hits(&first), 0);
     assert_eq!(first.stats.counter(obs::Counter::TranslateQueries), 1);
+    assert!(first.stats.spans.contains_key("cache.retarget"));
     let (second, _) = prep.optimize_cached(&cache, respelled).unwrap();
+    assert_eq!(instance_hits(&second), 1);
     assert_eq!(second.stats.counter(obs::Counter::TranslateQueries), 0);
-    assert!(Arc::ptr_eq(&second.verdict, &filled.verdict));
-    assert_eq!((cache.instance_count(), cache.text_count()), (1, 2));
+    assert!(Arc::ptr_eq(&second.verdict, &first.verdict));
+    assert_eq!(body(&second), body(&hit));
+    assert_eq!(cache.instance_count(), 2);
 
-    // The parsed entry point keeps finding it by template and binding.
+    // The parsed entry point goes by the text the query renders to: one
+    // more spelling.
     let parsed = sqo_oql::parse_oql(q).unwrap();
-    let (by_binding, _) = prep.optimize_query_cached(&cache, &parsed).unwrap();
-    assert_eq!(instance_hits(&by_binding), 1);
-    assert_eq!(by_binding.stats.counter(obs::Counter::TranslateQueries), 1);
+    let (rendered, _) = prep.optimize_query_cached(&cache, &parsed).unwrap();
+    assert_eq!(instance_hits(&rendered), 0);
+    assert_eq!(rendered.original, parsed);
+    let (again, _) = prep.optimize_query_cached(&cache, &parsed).unwrap();
+    assert_eq!(instance_hits(&again), 1);
+    assert_eq!(again.stats.counter(obs::Counter::TranslateQueries), 0);
+    assert_eq!(body(&again), body(&hit));
 
     // A text of another generation's optimizer is not this one's.
     let reloaded = prepared_university().with_generation(1);
@@ -450,33 +420,76 @@ fn a_verbatim_repeat_is_decided_on_its_text() {
     assert_eq!(instance_hits(&other), 0);
 
     cache.invalidate();
-    assert_eq!((cache.instance_count(), cache.text_count()), (0, 0));
+    assert_eq!(cache.instance_count(), 0);
 }
 
-/// The text index is held to the cache's capacity like entries and
-/// instances, whatever the number of distinct texts.
+/// Templates are held to the cache's capacity and finished texts to an
+/// eighth of it, whatever the number of distinct texts.
 #[test]
 fn distinct_texts_stay_within_capacity() {
     let _g = lock();
     let prep = prepared_university();
-    let capacity = 8;
+    let capacity = 16;
     let cache = PlanCache::with_capacity(capacity);
     for c in 0..1000 {
         // One template, a thousand bindings (and two rebinds, at IC4's 30).
         let q = format!("select x.name from x in Person where x.age < {c}");
         prep.optimize_cached(&cache, &q).unwrap();
-        assert!(cache.text_count() <= capacity, "{}", cache.text_count());
-        assert!(cache.instance_count() <= capacity);
+        assert!(
+            cache.instance_count() <= capacity / 8,
+            "{}",
+            cache.instance_count()
+        );
         assert!(cache.len() <= capacity);
     }
-    assert!(cache.text_count() > 0 && cache.instance_count() > 0);
+    assert_eq!(cache.instance_count(), capacity / 8);
 }
 
-/// A rebind drops the entry's instances; the texts that pointed at them
-/// are dead pointers, so the old text is searched again, never answered
-/// from what the entry used to hold.
+/// The parsed entry point answers the very query it is given. String
+/// literals holding a CR, a control byte or a non-ASCII letter, a real
+/// too large to print with a fraction by accident, and a negative
+/// integer all parse back from the query's rendering unchanged — on the
+/// miss, on the hit that fills the text, and on the text hit.
 #[test]
-fn a_rebind_makes_the_old_texts_miss() {
+fn a_parsed_query_is_answered_as_itself() {
+    let _g = lock();
+    let prep = prepared_university();
+    let cache = PlanCache::new();
+    for src in [
+        "select x.name from x in Person where x.name = \"a\rb\"",
+        "select x.name from x in Person where x.name = \"\u{1}\"",
+        "select x.name from x in Person where x.name = \"é\"",
+        "select x.name from x in Person where x.name = 'tab\\there'",
+        "select x.name from x in Faculty where x.taxes_withheld(1000000000000000.0) < 5",
+        "select x.name from x in Person where x.age > -5",
+    ] {
+        let q = sqo_oql::parse_oql(src).unwrap();
+        let outcomes: Vec<_> = (0..3)
+            .map(|_| {
+                let (report, outcome) = prep.optimize_query_cached(&cache, &q).unwrap();
+                assert_eq!(report.original, q, "{src:?}");
+                (outcome, instance_hits(&report))
+            })
+            .collect();
+        assert_eq!(outcomes[2], (CacheOutcome::Hit, 1), "{src:?}: {outcomes:?}");
+    }
+    let q = sqo_oql::parse_oql("select x.name from x in Person where x.name = \"é\"").unwrap();
+    let sqo_oql::Predicate { rhs, .. } = &q.where_[0];
+    assert_eq!(rhs.to_string(), "\"é\"", "a letter, not its UTF-8 bytes");
+
+    // A query built by hand whose text stands for another is refused.
+    let mut odd = sqo_oql::parse_oql("select x from x in Person").unwrap();
+    odd.select = vec![sqo_oql::SelectItem::Expr(sqo_oql::Expr::Path(
+        sqo_oql::PathExpr::var("x.name"),
+    ))];
+    assert!(prep.optimize_query_cached(&cache, &odd).is_err());
+}
+
+/// A rebind searches the template again for the new region; the text
+/// finished in the old one keeps its instance, whose verdict was derived
+/// under its own signature, and is still a text hit.
+#[test]
+fn a_rebind_keeps_finished_texts() {
     let _g = lock();
     let prep = prepared_university();
     let cache = PlanCache::new();
@@ -484,22 +497,17 @@ fn a_rebind_makes_the_old_texts_miss() {
     for _ in 0..3 {
         prep.optimize_cached(&cache, young).unwrap();
     }
-    assert_eq!((cache.instance_count(), cache.text_count()), (1, 1));
+    assert_eq!(cache.instance_count(), 1);
     let old = "select x.name from x in Person where x.age < 35";
     assert_eq!(
         prep.optimize_cached(&cache, old).unwrap().1,
         CacheOutcome::Rebind
     );
-    assert_eq!(cache.instance_count(), 0);
-    assert_eq!(
-        cache.text_count(),
-        1,
-        "the slot outlives what it pointed at"
-    );
+    assert_eq!(cache.instance_count(), 1);
 
     let (again, d) = prep.optimize_cached(&cache, young).unwrap();
-    assert_eq!(d, CacheOutcome::Rebind);
-    assert_eq!(instance_hits(&again), 0);
-    assert_eq!(again.stats.counter(obs::Counter::TranslateQueries), 1);
+    assert_eq!(d, CacheOutcome::Hit);
+    assert_eq!(instance_hits(&again), 1);
+    assert_eq!(again.stats.counter(obs::Counter::TranslateQueries), 0);
     assert_eq!(rewrites(&again), rewrites(&prep.optimize(young).unwrap()));
 }

@@ -306,6 +306,9 @@ pub struct CanonicalTemplate {
     /// constants (and variable renaming; body reordering is absorbed
     /// up to duplicate shapes, as in [`Query::canonical_hash`]).
     pub hash: u64,
+    /// The token sequence `hash` digests: equal exactly for queries in
+    /// one template family, where equal hashes only make it likely.
+    pub form: CanonicalForm,
     /// The lifted constants, in parameter order.
     pub params: Vec<crate::term::Const>,
     /// Where each parameter lives in the original body (parallel to
@@ -408,6 +411,7 @@ impl Query {
         let (form, params, slots, var_order) = self.canonical_walk(true);
         CanonicalTemplate {
             hash: form.hash64(),
+            form,
             params,
             slots,
             var_order,

@@ -62,7 +62,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -78,7 +78,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -94,7 +94,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let c = self.src.get(self.pos).copied()?;
+        let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
@@ -105,12 +105,53 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// The whole character at the cursor, which must sit on a character
+    /// boundary: a string constant holds any UTF-8 text.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.src[self.pos..].chars().next()?;
+        if c == '\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
+        }
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
+    }
+
+    /// The character an escape stands for, the backslash already read.
+    /// These are the escapes `{:?}` writes, so a string [`Const`] parses
+    /// back from its display.
+    fn escape(&mut self) -> Result<char> {
+        Ok(match self.bump() {
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'0') => '\0',
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'u') if self.peek() == Some(b'{') => {
+                self.bump();
+                let start = self.pos;
+                while self.peek().is_some_and(|d| d.is_ascii_hexdigit()) {
+                    self.bump();
+                }
+                let code = u32::from_str_radix(&self.src[start..self.pos], 16).ok();
+                match (code.and_then(char::from_u32), self.bump()) {
+                    (Some(c), Some(b'}')) => c,
+                    _ => return Err(self.err("invalid `\\u{..}` escape in string")),
+                }
+            }
+            _ => return Err(self.err("invalid escape in string")),
+        })
     }
 
     fn tokens(mut self) -> Result<Vec<Spanned>> {
@@ -214,16 +255,10 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     let mut s = String::new();
                     loop {
-                        match self.bump() {
-                            Some(b'"') => break,
-                            Some(b'\\') => match self.bump() {
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                _ => return Err(self.err("invalid escape in string")),
-                            },
-                            Some(c) => s.push(c as char),
+                        match self.bump_char() {
+                            Some('"') => break,
+                            Some('\\') => s.push(self.escape()?),
+                            Some(c) => s.push(c),
                             None => return Err(self.err("unterminated string literal")),
                         }
                     }

@@ -185,7 +185,7 @@ counters! {
     SearchSubsumedPruned => "search.subsumed_pruned",
     /// Requests that missed their deadline before or during execution.
     ServeDeadlineExceeded => "serve.deadline_exceeded",
-    /// Requests accepted by the serve front end (all ops).
+    /// `query` requests the serve front end received, valid or not.
     ServeRequests => "serve.requests",
     /// Requests shed because the admission queue was full.
     ServeShed => "serve.shed",

@@ -52,12 +52,15 @@ pub enum Literal {
     Bool(bool),
 }
 
+/// Written so the parser reads it back: a finite real always has a
+/// fractional part (an integral one would come back an `Int`), and a
+/// string takes `{:?}`'s escapes, which are the lexer's.
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Literal::Int(v) => write!(f, "{v}"),
             Literal::Real(v) => {
-                if *v == v.trunc() && v.abs() < 1e15 {
+                if v.fract() == 0.0 {
                     write!(f, "{v:.1}")
                 } else {
                     write!(f, "{v}")

@@ -44,8 +44,11 @@ enum Tok {
     KwUnion,
 }
 
+/// Why `or` is refused.
+const OR_UNSUPPORTED: &str = "`or` is outside the supported conjunctive subset (Section 4.3)";
+
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -61,7 +64,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -77,7 +80,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let c = self.src.get(self.pos).copied()?;
+        let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
@@ -88,12 +91,65 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// The whole character at the cursor, which must sit on a character
+    /// boundary: a string literal holds any UTF-8 text.
+    fn bump_char(&mut self) -> Option<char> {
+        let c = self.src[self.pos..].chars().next()?;
+        if c == '\n' {
+            self.line += 1;
+            self.col = 1;
+        } else {
+            self.col += 1;
+        }
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
+    }
+
+    /// The error for a character no token starts with.
+    fn unexpected(&self) -> OqlError {
+        let rest = self.src.get(self.pos..).unwrap_or_default();
+        let ch = rest.chars().next().unwrap_or_default();
+        self.err(format!("unexpected character `{ch}`"))
+    }
+
+    /// Whether the byte after the one at the cursor is a digit.
+    fn digit_next(&self) -> bool {
+        self.peek2().is_some_and(|d| d.is_ascii_digit())
+    }
+
+    /// The character an escape in a string quoted by `quote` stands for,
+    /// the backslash already read. These are the escapes `{:?}` writes,
+    /// so a [`Literal::Str`] parses back from its display.
+    fn escape(&mut self, quote: u8) -> Result<char> {
+        Ok(match self.bump() {
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'0') => '\0',
+            Some(b'\\') => '\\',
+            Some(q) if q == quote => q as char,
+            Some(b'u') if self.peek() == Some(b'{') => {
+                self.bump();
+                let start = self.pos;
+                while self.peek().is_some_and(|d| d.is_ascii_hexdigit()) {
+                    self.bump();
+                }
+                let code = u32::from_str_radix(&self.src[start..self.pos], 16).ok();
+                match (code.and_then(char::from_u32), self.bump()) {
+                    (Some(c), Some(b'}')) => c,
+                    _ => return Err(self.err("invalid `\\u{..}` escape in string")),
+                }
+            }
+            _ => return Err(self.err("invalid escape in string")),
+        })
     }
 
     fn tokens(mut self) -> Result<Vec<Spanned>> {
@@ -179,32 +235,24 @@ impl<'a> Lexer<'a> {
                     self.bump();
                     let mut s = String::new();
                     loop {
-                        match self.bump() {
-                            Some(q) if q == quote => break,
-                            Some(b'\\') => match self.bump() {
-                                Some(b'n') => s.push('\n'),
-                                Some(b't') => s.push('\t'),
-                                Some(q) if q == quote => s.push(q as char),
-                                Some(b'\\') => s.push('\\'),
-                                _ => return Err(self.err("invalid escape in string")),
-                            },
-                            Some(ch) => s.push(ch as char),
+                        match self.bump_char() {
+                            Some(q) if q == quote as char => break,
+                            Some('\\') => s.push(self.escape(quote)?),
+                            Some(ch) => s.push(ch),
                             None => return Err(self.err("unterminated string literal")),
                         }
                     }
                     Tok::Str(s)
                 }
-                c if c.is_ascii_digit() => {
-                    let mut text = String::new();
+                c if c.is_ascii_digit() || c == b'-' && self.digit_next() => {
+                    let mut text = String::from(c as char);
+                    self.bump();
                     let mut is_real = false;
                     while let Some(d) = self.peek() {
                         if d.is_ascii_digit() {
                             text.push(d as char);
                             self.bump();
-                        } else if d == b'.'
-                            && !is_real
-                            && self.peek2().is_some_and(|e| e.is_ascii_digit())
-                        {
+                        } else if d == b'.' && !is_real && self.digit_next() {
                             is_real = true;
                             text.push('.');
                             self.bump();
@@ -212,17 +260,19 @@ impl<'a> Lexer<'a> {
                             break;
                         }
                     }
-                    if self.peek() == Some(b'%') {
-                        self.bump();
-                        let v: f64 = text
-                            .parse()
-                            .map_err(|_| self.err(format!("invalid number `{text}`")))?;
-                        Tok::Real(v / 100.0)
-                    } else if is_real {
-                        Tok::Real(
-                            text.parse()
-                                .map_err(|_| self.err(format!("invalid number `{text}`")))?,
-                        )
+                    let percent = self.peek() == Some(b'%');
+                    if percent || is_real {
+                        if percent {
+                            self.bump();
+                        }
+                        // A literal too large for an `f64` is an error,
+                        // not an infinity no literal could write back.
+                        let v = text
+                            .parse::<f64>()
+                            .ok()
+                            .filter(|v| v.is_finite())
+                            .ok_or_else(|| self.err(format!("invalid number `{text}`")))?;
+                        Tok::Real(if percent { v / 100.0 } else { v })
                     } else {
                         Tok::Int(
                             text.parse()
@@ -256,15 +306,11 @@ impl<'a> Lexer<'a> {
                         "bag" => Tok::KwBag,
                         "exists" => Tok::KwExists,
                         "union" => Tok::KwUnion,
-                        "or" => {
-                            return Err(self.err(
-                                "`or` is outside the supported conjunctive subset (Section 4.3)",
-                            ))
-                        }
+                        "or" => return Err(self.err(OR_UNSUPPORTED)),
                         _ => Tok::Ident(s),
                     }
                 }
-                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+                _ => return Err(self.unexpected()),
             };
             out.push(Spanned { tok, line, col });
         }
@@ -793,6 +839,25 @@ mod tests {
             let q2 = parse_oql(&q.to_string()).unwrap();
             assert_eq!(q, q2, "roundtrip failed for: {s}");
         }
+    }
+
+    #[test]
+    fn literals_read_what_display_writes() {
+        let q = parse_oql(
+            "select x from x in P where x.a = \"é\\r\\0\\u{1}\\\"\" and x.b > -5 and x.c < -0.5",
+        )
+        .unwrap();
+        let rhs: Vec<String> = q.where_.iter().map(|p| p.rhs.to_string()).collect();
+        assert_eq!(rhs, [r#""é\r\0\u{1}\"""#, "-5", "-0.5"]);
+        assert_eq!(
+            q.where_[0].rhs,
+            Expr::Lit(Literal::Str("é\r\0\u{1}\"".into()))
+        );
+        // An escape naming no character, and a real no `f64` holds.
+        assert!(parse_oql(r#"select x from x in P where x.a = "\u{d800}""#).is_err());
+        let huge = format!("select x from x in P where x.a < 1{}.0", "0".repeat(400));
+        assert!(parse_oql(&huge).is_err());
+        assert!(parse_oql("select x from x in P where x.a < é").is_err());
     }
 
     #[test]

@@ -264,11 +264,10 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
         .filter_map(|name| shared.registry.get(&name))
         .map(|s| {
             format!(
-                r#"{{"name":{},"generation":{},"cached_templates":{},"cache_shards":{},"cached_instances":{},"store_generation":{}}}"#,
+                r#"{{"name":{},"generation":{},"cached_templates":{},"cached_instances":{},"store_generation":{}}}"#,
                 obs::json_string(s.name()),
                 s.prepared().generation(),
                 s.cache().len(),
-                s.cache().shard_count(),
                 s.cache().instance_count(),
                 s.store_generation()
             )

@@ -62,9 +62,10 @@ which never overwrites the manifest, so this validates what a full
    built from sorted input (re-recorded at 2 086 ns with the compact
    writer, when the parent commit read 1 951 to 2 074 ns on the same
    box: its slower state, so the ceiling stays) — and `serve/warm_hit` <=
-   `serve/warm_hit_parsed` (`optimize_query_cached`, which still pays
-   Step 2 and the template hash): finding the instance by text must
-   never cost more than finding it by binding. `serve/warm_hit_obs_ns`
+   `serve/warm_hit_parsed` (`optimize_query_cached`: the parsed query
+   rendered back to text, then the same text hit on that rendering's
+   instance): a text hit must never cost more than rendering a query
+   and taking one. `serve/warm_hit_obs_ns`
    (the rendered hit with `obs` on minus off) must be present; it is
    reported, not gated.
 9. `serve/cold_reply_ns` (refresh with `tables --serve`): `write_json`
@@ -287,8 +288,8 @@ def main() -> None:
         fail(
             f"{WARM_HIT_ROW} ({manifest[WARM_HIT_ROW]:.0f} ns) exceeds "
             f"{WARM_HIT_PARSED_ROW} ({manifest[WARM_HIT_PARSED_ROW]:.0f} ns): "
-            "finding a finished instance by its request text costs more "
-            "than parsing and translating the query to find it by binding"
+            "a text hit costs more than rendering a parsed query and "
+            "taking the same text hit on the rendering"
         )
 
     cold_reply = manifest.get(COLD_REPLY_ROW)

@@ -330,7 +330,8 @@ def pipelined_phase(addr, serve_schema):
 
 def repeat_phase(addr, serve_schema):
     """A repeated executing query is served from its finished instance:
-    same bytes as the hit that filled it, answers still executed."""
+    same bytes as the hit that filled it, answers still executed, and
+    still so after its template was searched again for another region."""
     def instance_hits():
         metrics = request(addr, json.dumps({"op": "metrics"}))
         check(metrics, serve_schema, serve_schema, "repeat metrics")
@@ -355,6 +356,21 @@ def repeat_phase(addr, serve_schema):
         fail(f"repeat: instance hit diverged from the hit that filled it:\n"
              f"  fill:   {json.dumps(scrub(fill))}\n"
              f"  repeat: {json.dumps(scrub(again))}")
+    # 35 is across IC4's 30: the template is searched again for that
+    # region, and the text finished in the old one keeps its instance.
+    rebind = request(addr, json.dumps(
+        {"op": "query", "session": "repeat", "execute": True,
+         "oql": "select x.name from x in Student where x.age < 35"}))
+    if rebind.get("cache") != "rebind":
+        fail(f"repeat: x.age < 35 should rebind: {rebind.get('cache')}")
+    before_kept = instance_hits()
+    kept = request(addr, line)
+    if kept.get("cache") != "hit" or scrub(kept) != scrub(fill):
+        fail(f"repeat: a finished text diverged after its template rebound:\n"
+             f"  fill: {json.dumps(scrub(fill))}\n"
+             f"  kept: {json.dumps(scrub(kept))}")
+    if instance_hits() != before_kept + 1:
+        fail("repeat: the text asked after a rebind should be an instance hit")
     created = request(addr, json.dumps(
         {"op": "create", "session": "repeat", "class": "Student",
          "attrs": {"name": "repeat-smoke", "age": 20}}))
@@ -364,8 +380,9 @@ def repeat_phase(addr, serve_schema):
     if after.get("cache") != "hit" or after.get("answers") != fill["answers"] + 1:
         fail(f"repeat: the repeat after a create must execute again: "
              f"{fill.get('answers')} answers before, {after}")
-    if instance_hits() != base + 2:
-        fail("repeat: both repeats should count as plan_cache.instance_hits")
+    if instance_hits() != base + 3:
+        fail("repeat: all three repeats should count as "
+             "plan_cache.instance_hits")
     return after["answers"]
 
 
