@@ -15,8 +15,9 @@
 //! the e3 indexed rewrite with its reference paths (`_baseline`: the
 //! original query on the scan-only executor, `_seed`: the rewrite on the
 //! scan-only executor) and the `speedup/…` ratio derived over the
-//! baseline; the in-process warm hit (`serve/warm_hit`, `_parsed`,
-//! `_obs_ns`) and the written reply of a miss (`serve/cold_reply_ns`);
+//! baseline; the in-process warm hit (`serve/warm_hit`, `_obs_ns`), the
+//! in-process miss (`serve/cold_miss_ns`) and the written reply of a
+//! miss (`serve/cold_reply_ns`);
 //! `store/recover_1m_objects`; and the `x1/edb_*` rows: what the Datalog
 //! image of the served object base costs to rebuild (ms), to index (ms,
 //! every declared index built once) and to hold (bytes per tuple).
@@ -31,7 +32,7 @@ use sqo_bench::{
     key_join_scenario, optimizer_with_n_ics, probe_every_index, scope_reduction_scenario,
     served_university_base, synthetic_schema, Scenario,
 };
-use sqo_core::{CompileOptions, PlanCache, SemanticOptimizer};
+use sqo_core::{CacheOutcome, CompileOptions, PlanCache, SemanticOptimizer};
 use sqo_datalog::parser::{parse_constraint, parse_query};
 use sqo_datalog::residue::ResidueSet;
 use sqo_datalog::search::{self, SearchConfig};
@@ -116,12 +117,13 @@ fn main() {
         return;
     }
 
-    // Standalone serving mode: re-measure just the in-process warm hit
-    // and a miss's reply, and merge their rows into the committed
+    // Standalone serving mode: re-measure just the in-process warm hit,
+    // a miss and its reply, and merge their rows into the committed
     // manifest.
     if std::env::args().any(|a| a == "--serve") {
         let mut rows = BTreeMap::new();
         bench_warm_hit(&mut rows);
+        bench_cold_miss(&mut rows);
         bench_cold_reply(&mut rows);
         if quick {
             println!("(quick mode — serve/* rows not persisted)");
@@ -547,18 +549,15 @@ fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
 ///
 /// * `serve/warm_hit` — `optimize_cached` on the text (the instance is
 ///   found before anything is parsed);
-/// * `serve/warm_hit_parsed` — `optimize_query_cached` on the parsed
-///   query: rendering it back to text, then a text hit on that
-///   rendering's own instance;
 /// * `serve/warm_hit_obs_ns` — the whole hit, rendering included, with
 ///   `obs` recording on minus off.
 ///
 /// On and off are measured back to back in every round and compared per
 /// round, so the difference cancels whatever performance mode the
 /// machine is in; the median over the rounds is printed in ns and as a
-/// percentage. `scripts/check_bench_manifest.py` gates the first two
-/// rows; the percentage is stated, not gated — its denominator is the
-/// hit itself. Runs at full strength in quick mode too: a round is
+/// percentage. `scripts/check_bench_manifest.py` gates the first row;
+/// the percentage is stated, not gated — its denominator is the hit
+/// itself. Runs at full strength in quick mode too: a round is
 /// milliseconds.
 fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
     let mut opt = SemanticOptimizer::university();
@@ -566,29 +565,22 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
         .unwrap();
     let prep = opt.prepare();
     let text = "select x.name from x in Person where x.age < 25";
-    let parsed = sqo_oql::parse_oql(text).unwrap();
     let cache = PlanCache::new();
-    // Miss and fill by text, fill by the parsed query's rendering (another
-    // spelling), and from here on instance hits by either entry point.
+    // A miss, a hit that finishes the text's instance, and from here on
+    // instance hits.
     for _ in 0..2 {
         prep.optimize_cached(&cache, text).unwrap();
     }
-    prep.optimize_query_cached(&cache, &parsed).unwrap();
-    let translated =
-        |r: &sqo_core::OptimizationReport| r.stats.counter(obs::Counter::TranslateQueries);
-    let by_text = prep.optimize_cached(&cache, text).unwrap().0;
-    let by_rendering = prep.optimize_query_cached(&cache, &parsed).unwrap().0;
-    assert_eq!((translated(&by_text), translated(&by_rendering)), (0, 0));
-    for r in [&by_text, &by_rendering] {
-        assert_eq!(r.stats.counter(obs::Counter::PlanCacheInstanceHits), 1);
-    }
+    let hit = prep.optimize_cached(&cache, text).unwrap().0;
+    assert_eq!(hit.stats.counter(obs::Counter::TranslateQueries), 0);
+    assert_eq!(hit.stats.counter(obs::Counter::PlanCacheInstanceHits), 1);
 
     let served_hit = || {
         let (report, _) = prep.optimize_cached(&cache, text).unwrap();
         std::hint::black_box(report.explain_json());
     };
     let (mut on_ns, mut off_ns, mut diffs) = (f64::INFINITY, f64::INFINITY, Vec::new());
-    let (mut hit_ns, mut parsed_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut hit_ns = f64::INFINITY;
     for _round in 0..7 {
         let on = median_ns(501, served_hit);
         obs::set_enabled(false);
@@ -600,9 +592,6 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
         hit_ns = hit_ns.min(median_ns(501, || {
             std::hint::black_box(prep.optimize_cached(&cache, text).unwrap());
         }));
-        parsed_ns = parsed_ns.min(median_ns(501, || {
-            std::hint::black_box(prep.optimize_query_cached(&cache, &parsed).unwrap());
-        }));
     }
     let obs_ns = median(diffs.into_iter());
     println!(
@@ -613,15 +602,45 @@ fn bench_warm_hit(bench: &mut BTreeMap<String, f64>) {
         off_ns / 1e3,
         obs_ns / off_ns * 100.0
     );
-    println!(
-        "optimize only: {hit_ns:.0} ns by text (serve/warm_hit), \
-         {parsed_ns:.0} ns parsed (serve/warm_hit_parsed)"
-    );
+    println!("optimize only: {hit_ns:.0} ns (serve/warm_hit)");
     bench.insert("serve/warm_hit".to_string(), hit_ns);
-    bench.insert("serve/warm_hit_parsed".to_string(), parsed_ns);
     // The manifest holds positive numbers only; a difference lost in the
     // noise is recorded as the smallest of them.
     bench.insert("serve/warm_hit_obs_ns".to_string(), obs_ns.max(1.0));
+}
+
+/// What a miss costs in process, reply aside: `serve/cold_miss_ns` is
+/// `optimize_cached` of a `cold_search` rebind (32 range ICs on
+/// `faculty.age`; each request's constant sits on another threshold than
+/// the last one's, so its parameter signature differs) — the parse, Step
+/// 2, the search, Step 4 and the cache store — the least of 7 medians of
+/// 101 requests, each median after one warm-up request.
+/// `scripts/check_bench_manifest.py` gates it.
+fn bench_cold_miss(bench: &mut BTreeMap<String, f64>) {
+    let (opt, _) = optimizer_with_n_ics(32);
+    let prep = opt.prepare();
+    let cache = PlanCache::new();
+    // Thresholds 10..=41, seven apart from one request to the next.
+    let texts: Vec<String> = (0..32)
+        .map(|k| {
+            format!(
+                "select x.name from x in Faculty where x.age > {}",
+                10 + k * 7 % 32
+            )
+        })
+        .collect();
+    let mut next = 0;
+    let mut rebind = || {
+        let (report, disposition) = prep.optimize_cached(&cache, &texts[next % 32]).unwrap();
+        assert_ne!(disposition, CacheOutcome::Hit);
+        std::hint::black_box(report);
+        next += 1;
+    };
+    let ns = (0..7)
+        .map(|_| median_ns(101, &mut rebind))
+        .fold(f64::INFINITY, f64::min);
+    println!("cold miss (optimize_cached of a 32-IC rebind): {ns:.0} ns (serve/cold_miss_ns, min of 7 medians)");
+    bench.insert("serve/cold_miss_ns".to_string(), ns);
 }
 
 /// What a miss's reply costs to write: `serve/cold_reply_ns` is
@@ -875,8 +894,9 @@ fn bench_pipeline(quick: bool) {
         );
     }
 
-    // The in-process warm hit and what `obs` costs it; a miss's reply.
+    // The in-process warm hit and what `obs` costs it; a miss, and its reply.
     bench_warm_hit(&mut bench);
+    bench_cold_miss(&mut bench);
     bench_cold_reply(&mut bench);
 
     // EDB rebuild and footprint of the served base.

@@ -55,9 +55,9 @@ pub enum Verdict {
     /// The query can never return answers; skip evaluation entirely.
     Contradiction {
         /// The justifying constraint, if known.
-        ic_name: Option<String>,
+        ic_name: Option<Arc<str>>,
         /// Human-readable explanation.
-        note: String,
+        note: Arc<str>,
         /// Transformation steps applied before the contradiction surfaced
         /// (empty when the original query is already contradictory).
         steps: Vec<Step>,
@@ -116,14 +116,14 @@ impl OptimizationReport {
     pub(crate) fn fresh(
         original: &SelectQuery,
         translation: QueryTranslation,
-        verdict: Verdict,
+        verdict: Arc<Verdict>,
         stats: obs::Snapshot,
     ) -> OptimizationReport {
         OptimizationReport {
             original: original.clone(),
             normalized: translation.normalized,
             datalog: translation.query,
-            verdict: Arc::new(verdict),
+            verdict,
             stats,
             finished: None,
         }
@@ -200,8 +200,8 @@ impl OptimizationReport {
         chain.push(obs::ProvenanceStep {
             kind: "contradiction",
             residue: None,
-            ic: ic_name.clone(),
-            detail: note.clone(),
+            ic: ic_name.as_deref().map(str::to_owned),
+            detail: note.to_string(),
         });
         Some(obs::Provenance { steps: chain })
     }
@@ -289,7 +289,7 @@ impl OptimizationReport {
                 out.push_str(",\"note\":");
                 obs::push_json_string(out, note);
                 out.push_str(",\"provenance\":");
-                let refuted = ("contradiction", None, ic_name.as_deref(), note.as_str());
+                let refuted = ("contradiction", None, ic_name.as_deref(), &**note);
                 push_chain(out, steps.iter().map(record).chain([refuted]));
                 out.push_str("},");
             }
@@ -397,7 +397,8 @@ impl UnionReport {
                 let Verdict::Contradiction { ic_name, .. } = &*b.verdict else {
                     return None;
                 };
-                Some((i, ic_name.clone(), b.contradiction_provenance()?))
+                let ic_name = ic_name.as_deref().map(str::to_owned);
+                Some((i, ic_name, b.contradiction_provenance()?))
             })
             .collect()
     }
@@ -544,7 +545,7 @@ impl SemanticOptimizer {
         Ok(OptimizationReport::fresh(
             original,
             translation,
-            verdict,
+            Arc::new(verdict),
             scope.finish(),
         ))
     }

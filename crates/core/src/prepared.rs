@@ -78,8 +78,8 @@ impl CacheOutcome {
     }
 }
 
-/// One cached plan: the search outcome of the template representative,
-/// plus everything needed to decide applicability and retarget.
+/// One cached plan: the verdict of the template representative, plus
+/// everything needed to decide applicability and retarget.
 struct CacheEntry {
     /// Schema generation the entry was computed under.
     generation: u64,
@@ -96,9 +96,10 @@ struct CacheEntry {
     repr_params: Vec<Const>,
     /// The representative's variables, in canonical order.
     repr_var_order: Vec<Var>,
-    /// The representative's search outcome. Shared, so a hit copies a
-    /// pointer under the cache lock and retargets outside it.
-    outcome: Arc<Outcome>,
+    /// The representative's verdict: the very one its report carries, so
+    /// storing it copies a pointer, as a hit does under the cache lock
+    /// before it retargets outside it.
+    verdict: Arc<Verdict>,
 }
 
 /// One query finished from a template hit: what a repeat of its request
@@ -150,8 +151,8 @@ struct TextSlot {
 /// What the cache holds for one query's template.
 #[allow(clippy::large_enum_variant)] // a return value, matched at once
 enum Lookup {
-    /// The template's outcome applies; retarget it and finish.
-    Template(Arc<Outcome>, Retarget),
+    /// The template's verdict applies; retarget it and finish.
+    Template(Arc<Verdict>, Retarget),
     /// Nothing usable: search. `had_entry` tells a rebind from a miss.
     Search { had_entry: bool },
 }
@@ -159,7 +160,7 @@ enum Lookup {
 /// The two maps of a [`PlanCache`], under its one lock.
 #[derive(Default)]
 struct Maps {
-    /// Search outcomes by template hash.
+    /// Searched verdicts by template hash.
     templates: HashMap<u64, CacheEntry>,
     /// Finished instances by [`PlanCache::text_hash`] of their text.
     texts: HashMap<u64, TextSlot>,
@@ -406,7 +407,7 @@ impl PreparedOptimizer {
         Ok(OptimizationReport::fresh(
             original,
             translation,
-            verdict,
+            Arc::new(verdict),
             scope.finish(),
         ))
     }
@@ -447,11 +448,11 @@ impl PreparedOptimizer {
             (template, found)
         };
         match found {
-            Lookup::Template(outcome, retarget) => {
+            Lookup::Template(cached, retarget) => {
                 obs::bump(obs::Counter::PlanCacheHits);
                 let retargeted = {
                     let _s = obs::span!("cache.retarget");
-                    retarget.outcome(&outcome)
+                    retarget.outcome(&cached)
                 };
                 let verdict = outcome_to_verdict(retargeted, &translation, &self.catalog)?;
                 let instance = Arc::new(Instance {
@@ -473,10 +474,10 @@ impl PreparedOptimizer {
                     obs::bump(obs::Counter::PlanCacheMisses);
                     CacheOutcome::Miss
                 };
-                let datalog = &translation.query;
-                let outcome = search::optimize(datalog, &self.ctx, &SearchConfig::default());
-                self.store(cache, datalog, template, &outcome);
-                let verdict = outcome_to_verdict(outcome, &translation, &self.catalog)?;
+                let outcome =
+                    search::optimize(&translation.query, &self.ctx, &SearchConfig::default());
+                let verdict = Arc::new(outcome_to_verdict(outcome, &translation, &self.catalog)?);
+                self.store(cache, &translation.query, template, Arc::clone(&verdict));
                 let report =
                     OptimizationReport::fresh(&original, translation, verdict, scope.finish());
                 Ok((report, disposition))
@@ -504,7 +505,7 @@ impl PreparedOptimizer {
     }
 
     /// What the cache holds for `template`: one probe under the cache
-    /// lock. The entry's outcome applies when it was searched under this
+    /// lock. The entry's verdict applies when it was searched under this
     /// generation, for this very form, with the same parameter signature.
     fn lookup(&self, cache: &PlanCache, template: &CanonicalTemplate) -> Lookup {
         let maps = cache.maps();
@@ -518,7 +519,7 @@ impl PreparedOptimizer {
             return Lookup::Search { had_entry: true };
         }
         Lookup::Template(
-            Arc::clone(&entry.outcome),
+            Arc::clone(&entry.verdict),
             Retarget::new(
                 &entry.repr_var_order,
                 &template.var_order,
@@ -528,13 +529,13 @@ impl PreparedOptimizer {
         )
     }
 
-    /// Insert (or replace) the template's entry with a fresh outcome.
+    /// Insert (or replace) the template's entry with a fresh verdict.
     fn store(
         &self,
         cache: &PlanCache,
         datalog: &Query,
         template: CanonicalTemplate,
-        outcome: &Outcome,
+        verdict: Arc<Verdict>,
     ) {
         let mut thresholds: BTreeSet<Const> = self.kb_consts.iter().copied().collect();
         collect_unlifted_consts(datalog, &mut thresholds);
@@ -546,7 +547,7 @@ impl PreparedOptimizer {
             thresholds,
             repr_params: template.params,
             repr_var_order: template.var_order,
-            outcome: Arc::new(outcome.clone()),
+            verdict,
         };
         // Dropped after the guard: freeing plans needs no lock.
         let _displaced = insert_bounded(
@@ -732,19 +733,28 @@ impl Retarget {
         }
     }
 
-    /// Retarget a cached outcome. Variant queries are rewritten onto the
-    /// new variables/constants; derivation steps are kept verbatim — the
-    /// provenance describes the template representative's derivation,
-    /// which is step-for-step the derivation of the new query.
-    fn outcome(mut self, o: &Outcome) -> Outcome {
-        match o {
-            Outcome::Contradiction { .. } => o.clone(),
-            Outcome::Equivalents(variants) => Outcome::Equivalents(
-                variants
-                    .iter()
-                    .map(|v| Variant {
-                        query: self.query(&v.query),
-                        steps: v.steps.clone(),
+    /// The search outcome a cached verdict came from, retargeted: each
+    /// equivalent's Datalog form is rewritten onto the new
+    /// variables/constants, ready for this query's own Step 4; derivation
+    /// steps are kept verbatim — the provenance describes the template
+    /// representative's derivation, which is step-for-step the derivation
+    /// of the new query.
+    fn outcome(mut self, cached: &Verdict) -> Outcome {
+        match cached {
+            Verdict::Contradiction {
+                ic_name,
+                note,
+                steps,
+            } => Outcome::Contradiction {
+                ic_name: ic_name.clone(),
+                note: Arc::clone(note),
+                steps: steps.clone(),
+            },
+            Verdict::Equivalents(eqs) => Outcome::Equivalents(
+                eqs.iter()
+                    .map(|e| Variant {
+                        query: self.query(&e.datalog),
+                        steps: e.steps.clone(),
                     })
                     .collect(),
             ),

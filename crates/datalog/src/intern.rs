@@ -17,12 +17,18 @@
 //! canonical forms sort renamed literals, and the golden tests pin the
 //! resulting output — so interning must not change it.
 //!
-//! The interner is thread-safe (`RwLock`; reads vastly dominate) and
-//! the service's workers intern freely from their own threads.
+//! The interner is thread-safe and the service's workers intern freely
+//! from their own threads. Interning takes a lock (`RwLock`; a known
+//! string only reads it); resolving a symbol — every `as_str` and so
+//! every `Ord` comparison — takes none. Names live in an append-only
+//! table of chunks, each published once through a `OnceLock`, and every
+//! slot of a chunk is itself a `OnceLock` set before its id is handed
+//! out: a thread holding a `Sym` got it from `intern` (or from a thread
+//! that did) after the slot was set, so an acquire load finds the name.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{LazyLock, RwLock};
+use std::sync::{LazyLock, OnceLock, RwLock};
 
 /// An interned string.
 ///
@@ -31,43 +37,62 @@ use std::sync::{LazyLock, RwLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
-}
+/// Ids by text: what `intern` looks up, and the lock it takes.
+static IDS: LazyLock<RwLock<HashMap<&'static str, u32>>> = LazyLock::new(RwLock::default);
 
-static INTERNER: LazyLock<RwLock<Interner>> = LazyLock::new(|| {
-    RwLock::new(Interner {
-        map: HashMap::new(),
-        strings: Vec::new(),
-    })
-});
+/// log₂ of the first chunk's slot count; chunk `k` holds twice as many
+/// slots as chunk `k - 1`, so [`CHUNKS`] of them cover every `u32` id.
+const FIRST_CHUNK_BITS: u32 = 10;
+const CHUNKS: usize = 33 - FIRST_CHUNK_BITS as usize;
+
+/// Names by id, read without a lock.
+static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; CHUNKS] =
+    [const { OnceLock::new() }; CHUNKS];
+
+/// The chunk of `id` and its slot there.
+fn locate(id: u32) -> (usize, usize) {
+    let at = u64::from(id) + (1 << FIRST_CHUNK_BITS);
+    let top = at.ilog2();
+    (
+        (top - FIRST_CHUNK_BITS) as usize,
+        (at - (1 << top)) as usize,
+    )
+}
 
 impl Sym {
     /// Intern a string, returning its symbol. Idempotent: interning the
     /// same text always returns the same `Sym`.
     pub fn intern(text: &str) -> Sym {
-        {
-            let interner = INTERNER.read().unwrap();
-            if let Some(&id) = interner.map.get(text) {
-                return Sym(id);
-            }
-        }
-        let mut interner = INTERNER.write().unwrap();
-        // Double-check: another thread may have interned between locks.
-        if let Some(&id) = interner.map.get(text) {
+        if let Some(&id) = IDS.read().unwrap().get(text) {
             return Sym(id);
         }
-        let id = u32::try_from(interner.strings.len()).expect("interner overflow");
+        let mut ids = IDS.write().unwrap();
+        // Double-check: another thread may have interned between locks.
+        if let Some(&id) = ids.get(text) {
+            return Sym(id);
+        }
+        let id = u32::try_from(ids.len()).expect("interner overflow");
         let leaked: &'static str = Box::leak(text.to_owned().into_boxed_str());
-        interner.strings.push(leaked);
-        interner.map.insert(leaked, id);
+        let (chunk, slot) = locate(id);
+        let slots = NAMES[chunk].get_or_init(|| {
+            (0..1usize << (chunk as u32 + FIRST_CHUNK_BITS))
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[slot]
+            .set(leaked)
+            .expect("ids are handed out once, under the write lock");
+        ids.insert(leaked, id);
         Sym(id)
     }
 
     /// Resolve the symbol to its string.
     pub fn as_str(self) -> &'static str {
-        INTERNER.read().unwrap().strings[self.0 as usize]
+        let (chunk, slot) = locate(self.0);
+        NAMES[chunk]
+            .get()
+            .and_then(|slots| slots[slot].get())
+            .expect("a symbol's name is set before its id is handed out")
     }
 
     /// The raw id (useful for hashing/diagnostics; ids are assigned in
@@ -133,6 +158,16 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.id(), b.id());
         assert_eq!(a.as_str(), "faculty");
+    }
+
+    #[test]
+    fn chunks_tile_the_id_space() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(1023), (0, 1023));
+        assert_eq!(locate(1024), (1, 0));
+        assert_eq!(locate(3071), (1, 2047));
+        assert_eq!(locate(3072), (2, 0));
+        assert_eq!(locate(u32::MAX), (CHUNKS - 1, 1023));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::clause::Query;
 use crate::subsume::SubsumptionIndex;
 use crate::transform::{analyse, apply, Analysis, Op, TransformContext};
 use sqo_obs as obs;
+use std::sync::Arc;
 
 /// Bounds on the equivalent-query search.
 #[derive(Debug, Clone)]
@@ -81,12 +82,12 @@ pub struct Step {
     /// The transformation applied.
     pub op: Op,
     /// The justifying constraint/view name, if any.
-    pub ic_name: Option<String>,
+    pub ic_name: Option<Arc<str>>,
     /// Provenance id of the compiled residue that drove the step, if one
     /// did (see [`crate::residue::Residue::provenance_id`]).
-    pub residue: Option<String>,
+    pub residue: Option<Arc<str>>,
     /// Human-readable explanation.
-    pub note: String,
+    pub note: Arc<str>,
 }
 
 impl Step {
@@ -95,9 +96,9 @@ impl Step {
     pub fn provenance(&self) -> obs::ProvenanceStep {
         obs::ProvenanceStep {
             kind: self.op.kind(),
-            residue: self.residue.clone(),
-            ic: self.ic_name.clone(),
-            detail: self.note.clone(),
+            residue: self.residue.as_deref().map(str::to_owned),
+            ic: self.ic_name.as_deref().map(str::to_owned),
+            detail: self.note.to_string(),
         }
     }
 }
@@ -204,9 +205,9 @@ pub enum Outcome {
     /// need not be evaluated at all.
     Contradiction {
         /// The justifying constraint, if known.
-        ic_name: Option<String>,
+        ic_name: Option<Arc<str>>,
         /// Human-readable explanation.
-        note: String,
+        note: Arc<str>,
         /// Steps applied before the contradiction surfaced (empty when
         /// the original query is already contradictory).
         steps: Vec<Step>,

@@ -28,6 +28,7 @@
 //! those intervals.
 
 use crate::atom::{CmpOp, Comparison};
+use crate::fxhash::FxHashMap;
 use crate::term::{Const, Term, Var};
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -135,7 +136,7 @@ fn probe(summary: &[(Var, Interval)], c: &Comparison) -> Option<Sat> {
 #[derive(Debug, Clone, Default)]
 pub struct ConstraintSet {
     nodes: Vec<Term>,
-    index: HashMap<Term, usize>,
+    index: FxHashMap<Term, usize>,
     /// Asserted equalities (pairs of node ids).
     eqs: Vec<(usize, usize)>,
     /// Asserted `a ≤ b` / `a < b` edges.

@@ -15,8 +15,8 @@
 //!   residue's `Age < 30`.
 
 use crate::atom::{Atom, Comparison, Literal};
-use crate::clause::Query;
-use crate::fxhash::FxHashMap;
+use crate::clause::{CanonScratch, CanonTok, Query};
+use crate::fxhash::FxHashSet;
 use crate::solver::ConstraintSet;
 use crate::subst::Subst;
 use crate::unify::match_atoms;
@@ -211,21 +211,21 @@ pub fn match_db_staged(
     results
 }
 
-/// A canonical-hash-bucketed duplicate/subsumption index over query
-/// variants.
+/// The exact duplicate index over query variants: the set of their
+/// canonical forms ([`Query::canonical_form`]).
 ///
-/// A flat `HashSet` of [`Query::canonical_hash`] fingerprints would
-/// accept a (vanishingly small but nonzero) risk that a hash collision
-/// silently drops a genuinely novel variant. The index instead buckets
-/// by the canonical hash and, when a bucket already has occupants,
-/// confirms with the exact canonical token form
-/// ([`Query::canonical_form`] — the very sequence the hash digests) —
-/// so a true duplicate is recognized exactly, and a hash collision
-/// costs one token-sequence compare instead of a lost variant.
+/// A set of 64-bit fingerprints would accept a (vanishingly small but
+/// nonzero) risk that a collision silently drops a genuinely novel
+/// variant. The index instead keeps each form whole, buckets it by a
+/// cheap Fx digest of its tokens and confirms a match by comparing the
+/// tokens — so a true duplicate is recognized exactly, and a collision
+/// costs one token-sequence compare instead of a lost variant. Each
+/// insert renders its form into buffers the index keeps, and copies it
+/// out only when it is new.
 #[derive(Debug, Default)]
 pub struct SubsumptionIndex {
-    buckets: FxHashMap<u64, Vec<crate::clause::CanonicalForm>>,
-    len: usize,
+    forms: FxHashSet<Box<[CanonTok]>>,
+    scratch: CanonScratch,
 }
 
 impl SubsumptionIndex {
@@ -237,24 +237,21 @@ impl SubsumptionIndex {
     /// Insert `q`'s canonical form; `true` iff it was not already
     /// present.
     pub fn insert(&mut self, q: &Query) -> bool {
-        let form = q.canonical_form();
-        let bucket = self.buckets.entry(form.hash64()).or_default();
-        if bucket.contains(&form) {
+        let form = q.canonical_tokens(&mut self.scratch);
+        if self.forms.contains(form) {
             return false;
         }
-        bucket.push(form);
-        self.len += 1;
-        true
+        self.forms.insert(form.into())
     }
 
     /// Number of distinct canonical forms inserted.
     pub fn len(&self) -> usize {
-        self.len
+        self.forms.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.forms.is_empty()
     }
 }
 

@@ -95,12 +95,12 @@ pub struct Candidate {
     /// The transformation.
     pub op: Op,
     /// Name of the justifying integrity constraint or view, if any.
-    pub ic_name: Option<String>,
+    pub ic_name: Option<Arc<str>>,
     /// Provenance id of the compiled residue that produced the candidate
     /// (see [`crate::residue::Residue::provenance_id`]), if one did.
-    pub residue: Option<String>,
+    pub residue: Option<Arc<str>>,
     /// Human-readable explanation for reports.
-    pub note: String,
+    pub note: Arc<str>,
 }
 
 /// The result of analysing a query against the compiled constraints.
@@ -109,9 +109,9 @@ pub enum Analysis {
     /// The query can never produce answers; it need not be evaluated.
     Contradiction {
         /// Justifying constraint name, if known.
-        ic_name: Option<String>,
+        ic_name: Option<Arc<str>>,
         /// Human-readable explanation.
-        note: String,
+        note: Arc<str>,
     },
     /// The applicable transformations (possibly empty).
     Candidates(Vec<Candidate>),
@@ -173,14 +173,28 @@ impl TransformContext {
 /// OID-functional relation with entailed-equal OIDs have pairwise equal
 /// attributes — the paper's IC8).
 pub fn query_solver(q: &Query, functional: &BTreeMap<PredSym, usize>) -> ConstraintSet {
+    body_solver(q.body.iter(), functional)
+}
+
+/// [`query_solver`] of a body given literal by literal, so a caller can
+/// leave one out without copying the rest.
+fn body_solver<'a>(
+    body: impl Iterator<Item = &'a Literal> + Clone,
+    functional: &BTreeMap<PredSym, usize>,
+) -> ConstraintSet {
     let mut solver = ConstraintSet::new();
-    for l in &q.body {
+    for l in body.clone() {
         if let Literal::Cmp(c) = l {
             solver.assert_cmp(c);
         }
     }
     // Congruence fixpoint.
-    let atoms: Vec<&Atom> = q.positive_atoms().collect();
+    let atoms: Vec<&Atom> = body
+        .filter_map(|l| match l {
+            Literal::Pos(a) => Some(a),
+            _ => None,
+        })
+        .collect();
     loop {
         let mut new_eqs: Vec<Comparison> = Vec::new();
         for (i, a) in atoms.iter().enumerate() {
@@ -234,20 +248,13 @@ fn tail_candidates(
     // Comparison removal: a comparison implied by the rest of the body.
     for (i, l) in q.body.iter().enumerate() {
         let Literal::Cmp(c) = l else { continue };
-        let rest: Vec<Literal> = q
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, l)| l.clone())
-            .collect();
-        let rest_query = Query::new(q.name.clone(), q.projection.clone(), rest);
-        let rest_solver = query_solver(&rest_query, &ctx.functional);
+        let rest = q.body.iter().enumerate().filter(|(j, _)| *j != i);
+        let rest_solver = body_solver(rest.map(|(_, l)| l), &ctx.functional);
         if rest_solver.implies(c) {
             push_candidate(
                 candidates,
                 Candidate {
-                    note: format!("`{c}` is implied by the rest of the query"),
+                    note: format!("`{c}` is implied by the rest of the query").into(),
                     op: Op::RemoveCmp(*c),
                     ic_name: None,
                     residue: None,
@@ -304,7 +311,8 @@ fn tail_candidates(
             push_candidate(
                 candidates,
                 Candidate {
-                    note: format!("join elimination: `{a}` is implied by the rest of the query"),
+                    note: format!("join elimination: `{a}` is implied by the rest of the query")
+                        .into(),
                     op: Op::RemoveAtoms(vec![a.clone()]),
                     ic_name: None,
                     residue: None,
@@ -379,34 +387,35 @@ impl StructKey {
 /// at structure-cache build time. Solver-independent checks (foreign
 /// comparison variables, negated-head anchoring, head freshening, note
 /// rendering) are resolved here; solver-dependent checks replay per
-/// query in [`analyse`].
+/// query in [`analyse`]. Notes are rendered once, here, and shared by
+/// every candidate and step that cites them.
 #[derive(Debug)]
 enum HeadAction {
     /// Denial head: the match alone proves a contradiction.
-    Denial { note: String },
+    Denial { note: Arc<str> },
     /// Structurally discarded head (foreign comparison variable or
     /// unanchored negated head): counts as an application, adds nothing.
     Discard,
     /// Comparison head to test and attach against the node's solver.
     Cmp {
         c: Comparison,
-        contra_note: String,
-        note: String,
+        contra_note: Arc<str>,
+        note: Arc<str>,
     },
     /// Atom head (join introduction); `raw` is the pre-freshening
     /// instantiation the subsumption check runs against.
     Atom {
         raw: Atom,
         freshened: Atom,
-        note: String,
+        note: Arc<str>,
     },
     /// Negated-atom head (scope reduction); `raw` drives the
     /// negation-dedup check, `freshened` the clash check and the op.
     NegAtom {
         raw: Atom,
         freshened: Atom,
-        contra_note: String,
-        note: String,
+        contra_note: Arc<str>,
+        note: Arc<str>,
     },
 }
 
@@ -424,8 +433,8 @@ struct ThetaEntry {
 /// residue), with shared provenance.
 #[derive(Debug)]
 struct AppEntry {
-    ic_name: Option<String>,
-    residue_id: String,
+    ic_name: Option<Arc<str>>,
+    residue_id: Arc<str>,
     matches: Vec<ThetaEntry>,
 }
 
@@ -559,7 +568,8 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                         note: format!(
                             "denial constraint{} fully matches the query",
                             name_suffix(&residue.ic_name)
-                        ),
+                        )
+                        .into(),
                     },
                     ConstraintHead::Cmp(c) => {
                         if has_foreign_var(&c, qvars) {
@@ -569,8 +579,9 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                                 contra_note: format!(
                                     "residue head `{c}`{} contradicts the query",
                                     name_suffix(&residue.ic_name)
-                                ),
-                                note: format!("restriction `{c}` attached by residue"),
+                                )
+                                .into(),
+                                note: format!("restriction `{c}` attached by residue").into(),
                                 c,
                             }
                         }
@@ -578,7 +589,8 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                     ConstraintHead::Atom(a) => {
                         let freshened = freshen_foreign_vars(&a, qvars);
                         HeadAction::Atom {
-                            note: format!("join introduction: `{freshened}` implied by the query"),
+                            note: format!("join introduction: `{freshened}` implied by the query")
+                                .into(),
                             raw: a,
                             freshened,
                         }
@@ -592,11 +604,13 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                                 contra_note: format!(
                                     "residue head `not {freshened}`{} contradicts a required atom",
                                     name_suffix(&residue.ic_name)
-                                ),
+                                )
+                                .into(),
                                 note: format!(
                                     "scope reduction: answers cannot lie in `{}`",
                                     freshened.pred
-                                ),
+                                )
+                                .into(),
                                 raw: a,
                                 freshened,
                             }
@@ -610,8 +624,8 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                 });
             }
             apps.push(AppEntry {
-                ic_name: residue.ic_name.clone(),
-                residue_id: residue.provenance_id(),
+                ic_name: residue.ic_name.as_deref().map(Arc::from),
+                residue_id: residue.provenance_id().into(),
                 matches,
             });
         }
@@ -673,24 +687,24 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
     // Whether the solver implies each gate, decided on first use.
     let mut open: Vec<Option<bool>> = vec![None; structure.gates.len()];
     for app in &structure.apps {
-        let mut propose = |op: Op, note: &str| {
+        let mut propose = |op: Op, note: &Arc<str>| {
             if enumerate {
                 push_candidate(
                     &mut candidates,
                     Candidate {
                         op,
-                        note: note.to_owned(),
+                        note: Arc::clone(note),
                         ic_name: app.ic_name.clone(),
-                        residue: Some(app.residue_id.clone()),
+                        residue: Some(Arc::clone(&app.residue_id)),
                     },
                 );
             }
         };
-        let contradiction = |note: &str, applied: u64| {
+        let contradiction = |note: &Arc<str>, applied: u64| {
             obs::add(obs::Counter::ResiduesApplied, applied);
             Analysis::Contradiction {
                 ic_name: app.ic_name.clone(),
-                note: note.to_owned(),
+                note: Arc::clone(note),
             }
         };
         for m in &app.matches {
@@ -816,9 +830,10 @@ fn fold_view_candidates(
                 note: format!(
                     "introduce access support relation `{}` for the matched path",
                     view.head.pred
-                ),
+                )
+                .into(),
                 op: Op::AddAtom(head_inst),
-                ic_name: Some(format!("view {}", view.head.pred)),
+                ic_name: Some(format!("view {}", view.head.pred).into()),
                 residue: None,
             });
             continue;
@@ -861,9 +876,10 @@ fn fold_view_candidates(
                     note: format!(
                         "fold path expression into access support relation `{}`",
                         view.head.pred
-                    ),
+                    )
+                    .into(),
                     op: Op::RemoveAtoms(removal),
-                    ic_name: Some(format!("view {}", view.head.pred)),
+                    ic_name: Some(format!("view {}", view.head.pred).into()),
                     residue: None,
                 });
                 break; // largest sound removal found for this match
@@ -927,7 +943,7 @@ fn term_occurs_once(t: &Term, q: &Query) -> bool {
     let Term::Var(v) = t else { return false };
     let mut count = q.projection.iter().filter(|p| *p == t).count();
     for l in &q.body {
-        count += l.vars().into_iter().filter(|w| *w == v).count();
+        count += l.iter_vars().filter(|w| *w == v).count();
     }
     count == 1
 }
