@@ -28,11 +28,6 @@ pub enum DatalogError {
         /// The offending fact, pretty-printed.
         fact: String,
     },
-    /// The program's negation could not be stratified.
-    NotStratified {
-        /// The predicate involved.
-        predicate: String,
-    },
     /// Arity mismatch against a previously declared/used predicate.
     ArityMismatch {
         /// The predicate involved.
@@ -75,9 +70,6 @@ impl fmt::Display for DatalogError {
             }
             DatalogError::NonGroundFact { fact } => {
                 write!(f, "fact is not ground: `{fact}`")
-            }
-            DatalogError::NotStratified { predicate } => {
-                write!(f, "program is not stratifiable (recursion through negation involving `{predicate}`)")
             }
             DatalogError::ArityMismatch {
                 predicate,

@@ -1,31 +1,27 @@
-//! Bottom-up evaluation: semi-naive materialization and query answering.
-//!
-//! The engine executes conjunctive queries (with stratified negation and
-//! comparison built-ins) against an [`EdbDatabase`], and materializes rule
-//! programs — in particular access-support-relation views (Application 4
-//! of the paper), which are "separate structures that explicitly store
-//! OIDs that relate objects with each other".
+//! Query answering: conjunctive queries (with negation and comparison
+//! built-ins) evaluated against an [`EdbDatabase`].
 //!
 //! A body is compiled once per call: [`execution_order`] orders it
-//! greedily (most-bound literal first), chains of binary atoms are fused,
-//! every variable gets a dense slot, and every atom argument becomes a
-//! check or a bind. A binding is a fixed-width row of constants; each
-//! step walks its candidates in place (index postings, a range-probe
-//! result, or the whole relation), *matches* a tuple against the checks
-//! first and allocates a row only for a match. [`choose_access_path`]
-//! picks each atom's access path from the declared indexes and the number
-//! of input bindings. Both functions are public because the cost model
-//! prices exactly the steps the evaluator runs. [`EvalStats`] counts the
-//! work done so benchmarks can report *logical* cost (tuples examined,
-//! bindings produced) alongside wall-clock time.
+//! greedily (most-bound literal first), every variable gets a dense slot,
+//! and every atom argument becomes a check or a bind. The body is then
+//! joined hop by hop, one atom a step. A binding is a fixed-width row of
+//! constants; each step walks its candidates in place (index postings, a
+//! range-probe result, or the whole relation), *matches* a tuple against
+//! the checks first and allocates a row only for a match.
+//! [`choose_access_path`] picks each atom's one access path from the
+//! declared indexes and the number of input bindings. Both functions are
+//! public because the cost model prices exactly the steps the evaluator
+//! runs. [`EvalStats`] counts the work done so benchmarks can report
+//! *logical* cost (tuples examined, bindings produced) alongside
+//! wall-clock time.
 
 use crate::atom::{Atom, CmpOp, Comparison, Literal, PredSym};
-use crate::clause::{Query, Rule};
+use crate::clause::Query;
 use crate::error::{DatalogError, Result};
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::program::{EdbDatabase, Program, RangeBound, Relation};
+use crate::program::{EdbDatabase, RangeBound, Relation};
 use crate::term::{Const, Term, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Work counters for one evaluation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -34,8 +30,6 @@ pub struct EvalStats {
     pub tuples_examined: u64,
     /// Intermediate bindings produced by joins.
     pub bindings_produced: u64,
-    /// Facts derived during materialization.
-    pub facts_derived: u64,
     /// Anti-join (negation) probes.
     pub negation_probes: u64,
     /// Bindings flowing *into* positive-atom join steps (the sum of input
@@ -51,8 +45,6 @@ pub struct EvalStats {
     /// Full relation passes: explicit scans plus each build of an
     /// ephemeral (per-evaluation) join index.
     pub scans: u64,
-    /// Path-expression chains fused into index-nested-loop walks.
-    pub chains_fused: u64,
     /// Tuples examined per predicate — the object-database cost model
     /// distinguishes class-relation access (object fetches) from
     /// relationship traversal and extent probes.
@@ -64,14 +56,12 @@ impl EvalStats {
     pub fn merge(&mut self, other: &EvalStats) {
         self.tuples_examined += other.tuples_examined;
         self.bindings_produced += other.bindings_produced;
-        self.facts_derived += other.facts_derived;
         self.negation_probes += other.negation_probes;
         self.join_input_tuples += other.join_input_tuples;
         self.join_output_tuples += other.join_output_tuples;
         self.index_probes += other.index_probes;
         self.range_probes += other.range_probes;
         self.scans += other.scans;
-        self.chains_fused += other.chains_fused;
         for (k, v) in &other.per_pred {
             *self.per_pred.entry(*k).or_insert(0) += v;
         }
@@ -92,8 +82,7 @@ impl EvalStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalOptions {
     /// Scans and ephemeral join indexes only: no declared hash/ordered
-    /// index probes and no fusion of binary-relation chains into one
-    /// index-nested-loop walk.
+    /// index probes.
     pub scan_only: bool,
 }
 
@@ -512,13 +501,6 @@ struct AtomOps<'a> {
 enum Step<'a> {
     /// Join a positive atom, extending each row.
     Join(AtomOps<'a>),
-    /// A run of binary atoms fused into one index-nested-loop walk from
-    /// `start` (first atom, column 0) to `end` (last atom, column 1).
-    Chain {
-        atoms: Vec<&'a Atom>,
-        start: ArgOp,
-        end: ArgOp,
-    },
     /// Drop the rows some tuple of a negated atom matches.
     AntiJoin(AtomOps<'a>),
     /// Equality with exactly one bound side: copy it into the other
@@ -574,33 +556,17 @@ fn src(slots: &[Var], t: &Term) -> Option<Src> {
     }
 }
 
-/// Compile a body for one evaluation: order it, fuse chains, give every
-/// variable a dense slot in binding order, and turn every term into the
-/// check or bind it performs. Returns the steps and the slot → variable
-/// table.
-fn compile<'a>(
-    body: &'a [Literal],
-    protected: &HashSet<Var>,
-    opts: &EvalOptions,
-) -> (Vec<Step<'a>>, Vec<Var>) {
-    let ordered = execution_order(body);
-    let units: Vec<Unit<'a>> = if !opts.scan_only {
-        fuse_chains(&ordered, body, protected)
-    } else {
-        ordered.iter().map(|o| Unit::Single(o.literal)).collect()
-    };
+/// Compile a body for one evaluation: order it, give every variable a
+/// dense slot in binding order, and turn every term into the check or
+/// bind it performs. Returns the steps and the slot → variable table.
+fn compile(body: &[Literal]) -> (Vec<Step<'_>>, Vec<Var>) {
     let mut slots: Vec<Var> = Vec::new();
-    let steps = units
+    let steps = execution_order(body)
         .into_iter()
-        .map(|unit| match unit {
-            Unit::Chain(atoms) => {
-                let start = term_op(&mut slots, &atoms[0].args[0]);
-                let end = term_op(&mut slots, &atoms[atoms.len() - 1].args[1]);
-                Step::Chain { atoms, start, end }
-            }
-            Unit::Single(Literal::Pos(a)) => Step::Join(atom_ops(&mut slots, a, true)),
-            Unit::Single(Literal::Neg(a)) => Step::AntiJoin(atom_ops(&mut slots, a, false)),
-            Unit::Single(Literal::Cmp(c)) => {
+        .map(|ordered| match ordered.literal {
+            Literal::Pos(a) => Step::Join(atom_ops(&mut slots, a, true)),
+            Literal::Neg(a) => Step::AntiJoin(atom_ops(&mut slots, a, false)),
+            Literal::Cmp(c) => {
                 let sides = (src(&slots, &c.lhs), src(&slots, &c.rhs));
                 let unbound = c.vars().find(|v| slot_of(&slots, v).is_none()).copied();
                 match (sides, unbound) {
@@ -619,77 +585,6 @@ fn compile<'a>(
         })
         .collect();
     (steps, slots)
-}
-
-/// Count every occurrence of each variable across the body's literals
-/// (duplicates within one literal count separately).
-fn occurrence_counts(body: &[Literal]) -> FxHashMap<Var, usize> {
-    let mut counts: FxHashMap<Var, usize> = FxHashMap::default();
-    for v in body.iter().flat_map(Literal::iter_vars) {
-        *counts.entry(*v).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// One execution unit after chain-fusion detection: either a single body
-/// literal, or a run of binary atoms fused into an index-nested-loop walk.
-enum Unit<'a> {
-    Single(&'a Literal),
-    Chain(Vec<&'a Atom>),
-}
-
-/// Fuse runs of consecutive binary positive atoms chained head-to-tail
-/// through variables that occur exactly twice in the body and are not
-/// protected (projected / exported by the rule head). Such intermediate
-/// variables exist only to link the hops — per the Odra collection-join
-/// fusion, the run collapses into one index-nested-loop walk that never
-/// materializes the intermediate bindings.
-fn fuse_chains<'a>(
-    ordered: &[OrderedLiteral<'a>],
-    body: &[Literal],
-    protected: &HashSet<Var>,
-) -> Vec<Unit<'a>> {
-    let counts = occurrence_counts(body);
-    let fusable_link = |a: &Atom, b: &Atom| -> bool {
-        if a.args.len() != 2 || b.args.len() != 2 {
-            return false;
-        }
-        let (Term::Var(mid), Term::Var(next_src)) = (&a.args[1], &b.args[0]) else {
-            return false;
-        };
-        if mid != next_src || protected.contains(mid) {
-            return false;
-        }
-        // Exactly the two chain occurrences, and not a self-link.
-        counts.get(mid).copied().unwrap_or(0) == 2
-            && a.args[0] != a.args[1]
-            && b.args[0] != b.args[1]
-    };
-    let mut units: Vec<Unit<'a>> = Vec::new();
-    let mut i = 0;
-    while i < ordered.len() {
-        let Literal::Pos(a) = ordered[i].literal else {
-            units.push(Unit::Single(ordered[i].literal));
-            i += 1;
-            continue;
-        };
-        let mut run: Vec<&Atom> = vec![a];
-        while let Some(Literal::Pos(next)) = ordered.get(i + run.len()).map(|o| o.literal) {
-            if fusable_link(run[run.len() - 1], next) {
-                run.push(next);
-            } else {
-                break;
-            }
-        }
-        if run.len() >= 2 {
-            i += run.len();
-            units.push(Unit::Chain(run));
-        } else {
-            units.push(Unit::Single(ordered[i].literal));
-            i += 1;
-        }
-    }
-    units
 }
 
 /// What every step of one body evaluation reads.
@@ -882,121 +777,6 @@ fn anti_join(
     Ok(())
 }
 
-/// Walk a fused chain from one start value into `level`: the values
-/// reachable through every hop, deduplicated at each level, via the
-/// declared hash index on a hop's source column when present, else an
-/// ephemeral one.
-fn chain_reach(
-    ctx: &Ctx<'_>,
-    idx: &mut IndexCache,
-    stats: &mut EvalStats,
-    atoms: &[&Atom],
-    start: Const,
-    level: &mut Vec<Const>,
-) {
-    level.clear();
-    level.push(start);
-    for a in atoms {
-        let mut next: Vec<Const> = Vec::new();
-        if let Some(rel) = ctx.db.relation(&a.pred) {
-            let mut seen: FxHashSet<Const> = FxHashSet::default();
-            for from in level.iter() {
-                let postings = match rel.hash_probe(0, from) {
-                    Some(p) => {
-                        stats.index_probes += 1;
-                        p
-                    }
-                    None => idx.index(rel, a.pred, &[0]).probe(&[*from]),
-                };
-                count_examined(stats, a.pred, postings.len() as u64);
-                for &ti in postings {
-                    let to = rel.tuple_at(ti)[1];
-                    if seen.insert(to) {
-                        next.push(to);
-                    }
-                }
-            }
-        }
-        *level = next;
-        if level.is_empty() {
-            break;
-        }
-    }
-}
-
-/// Execute one fused chain step over the rows.
-fn join_chain(
-    ctx: &Ctx<'_>,
-    idx: &mut IndexCache,
-    stats: &mut EvalStats,
-    atoms: &[&Atom],
-    start: ArgOp,
-    end: ArgOp,
-    rows: &Rows,
-) -> Result<Rows> {
-    stats.chains_fused += 1;
-    stats.join_input_tuples += rows.len as u64;
-    // Arity guard: a hop relation with non-binary arity is a real error
-    // (the unfused path would raise it too); unknown relations mean empty.
-    for a in atoms {
-        if let Some(rel) = ctx.db.relation(&a.pred) {
-            check_arity(rel, a)?;
-        }
-    }
-    // Unbound start: every row walks the chain from each distinct source
-    // value of the first hop.
-    let all_starts: Option<Vec<Const>> = match start {
-        ArgOp::BindSlot(_) => Some(match ctx.db.relation(&atoms[0].pred) {
-            None => Vec::new(),
-            Some(rel0) => {
-                stats.scans += rows.len as u64;
-                let mut seen: FxHashSet<Const> = FxHashSet::default();
-                let firsts = rel0.rows().map(|t| t[0]);
-                firsts.filter(|c| seen.insert(*c)).collect()
-            }
-        }),
-        _ => None,
-    };
-    let mut out = Rows::new(rows.width);
-    let mut reach = Vec::new();
-    for row in rows.iter() {
-        let bound_start;
-        let starts: &[Const] = match &all_starts {
-            Some(all) => all,
-            None => {
-                bound_start = [start.bound_value(row)];
-                &bound_start
-            }
-        };
-        for &from in starts {
-            chain_reach(ctx, idx, stats, atoms, from, &mut reach);
-            for &to in &reach {
-                let accept = match end {
-                    ArgOp::CheckConst(c) => c == to,
-                    // The end may be the start variable this step binds.
-                    ArgOp::CheckSlot(s) if matches!(start, ArgOp::BindSlot(b) if b == s) => {
-                        from == to
-                    }
-                    ArgOp::CheckSlot(s) => row[s] == to,
-                    _ => true,
-                };
-                if accept {
-                    let new = out.push(row);
-                    if let ArgOp::BindSlot(s) = start {
-                        new[s] = from;
-                    }
-                    if let ArgOp::BindSlot(s) = end {
-                        new[s] = to;
-                    }
-                }
-            }
-        }
-    }
-    stats.bindings_produced += out.len as u64;
-    stats.join_output_tuples += out.len as u64;
-    Ok(out)
-}
-
 fn compare(c: &Comparison, l: Const, r: Const) -> Result<bool> {
     match c.op {
         CmpOp::Eq => Ok(l.same_value(&r)),
@@ -1039,16 +819,13 @@ impl Bindings {
 }
 
 /// Evaluate a body against the database, returning all complete bindings.
-/// `protected` names the variables consumed outside the body (projection
-/// or rule head) — chain fusion must not eliminate them.
 fn eval_body(
     db: &EdbDatabase,
     body: &[Literal],
-    protected: &HashSet<Var>,
     opts: &EvalOptions,
     stats: &mut EvalStats,
 ) -> Result<Bindings> {
-    let (steps, slots) = compile(body, protected, opts);
+    let (steps, slots) = compile(body);
     let ctx = Ctx {
         db,
         opts,
@@ -1059,9 +836,6 @@ fn eval_body(
     for step in &steps {
         match step {
             Step::Join(step) => rows = join(&ctx, &mut idx, stats, step, &rows)?,
-            Step::Chain { atoms, start, end } => {
-                rows = join_chain(&ctx, &mut idx, stats, atoms, *start, *end, &rows)?;
-            }
             Step::AntiJoin(step) => anti_join(&ctx, &mut idx, stats, step, &mut rows)?,
             Step::Bind { from, slot } => {
                 for row in rows.data.chunks_exact_mut(rows.width) {
@@ -1101,13 +875,7 @@ pub fn answer_query_with(
 ) -> Result<(Vec<Vec<Const>>, EvalStats)> {
     let _span = sqo_obs::span!("eval.answer_query");
     let mut stats = EvalStats::default();
-    let protected: HashSet<Var> = q
-        .projection
-        .iter()
-        .filter_map(Term::as_var)
-        .copied()
-        .collect();
-    let bindings = eval_body(db, &q.body, &protected, opts, &mut stats)?;
+    let bindings = eval_body(db, &q.body, opts, &mut stats)?;
     let mut answers =
         bindings
             .project(&q.projection)
@@ -1127,84 +895,10 @@ pub fn answer_query_with(
     Ok((answers, stats))
 }
 
-/// Materialize a program over the database: returns a new database
-/// containing the EDB plus all derived IDB facts, with statistics.
-///
-/// Semi-naive evaluation runs stratum by stratum; within a stratum each
-/// recursive rule is re-evaluated against the growing database until
-/// fixpoint, joining new bindings only through the per-iteration deltas.
-pub fn materialize(db: &EdbDatabase, program: &Program) -> Result<(EdbDatabase, EvalStats)> {
-    let _span = sqo_obs::span!("eval.materialize");
-    program.validate()?;
-    let strata = program.stratify()?;
-    let mut total = db.clone();
-    let mut stats = EvalStats::default();
-    for stratum in strata {
-        // Naive-with-delta loop: evaluate every rule in the stratum until
-        // nothing new is derived. Joins run against the full database;
-        // semi-naive filtering happens via the insert dedup plus a delta
-        // short-circuit (skip a rule whose body predicates gained nothing
-        // last round).
-        let mut first_round = true;
-        let mut changed_preds: std::collections::HashSet<String> = std::collections::HashSet::new();
-        loop {
-            let mut any_new = false;
-            let mut new_changed: std::collections::HashSet<String> =
-                std::collections::HashSet::new();
-            for &ri in &stratum {
-                let rule: &Rule = &program.rules[ri];
-                if !first_round {
-                    // Delta check: at least one body predicate changed.
-                    let touches_changed = rule
-                        .body
-                        .iter()
-                        .any(|l| l.pred().is_some_and(|p| changed_preds.contains(p.name())));
-                    if !touches_changed {
-                        continue;
-                    }
-                }
-                let protected: HashSet<Var> = rule
-                    .head
-                    .args
-                    .iter()
-                    .filter_map(Term::as_var)
-                    .copied()
-                    .collect();
-                let bindings = eval_body(
-                    &total,
-                    &rule.body,
-                    &protected,
-                    &EvalOptions::default(),
-                    &mut stats,
-                )?;
-                let facts = bindings.project(&rule.head.args).map_err(|_| {
-                    DatalogError::UnsafeVariable {
-                        clause: rule.to_string(),
-                        variable: String::new(),
-                    }
-                })?;
-                for tuple in facts {
-                    if total.insert(rule.head.pred, &tuple)? {
-                        stats.facts_derived += 1;
-                        any_new = true;
-                        new_changed.insert(rule.head.pred.name().to_string());
-                    }
-                }
-            }
-            if !any_new {
-                break;
-            }
-            changed_preds = new_changed;
-            first_round = false;
-        }
-    }
-    Ok((total, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_program, parse_query, parse_rule, Statement};
+    use crate::parser::{parse_program, parse_query, Statement};
 
     fn db_from(src: &str) -> EdbDatabase {
         let mut db = EdbDatabase::new();
@@ -1282,45 +976,6 @@ mod tests {
         let q = parse_query(r#"Q(X) <- student(X, "john")"#).unwrap();
         let (rows, _) = answer_query(&db, &q).unwrap();
         assert_eq!(rows, vec![vec![Const::Oid(1)]]);
-    }
-
-    #[test]
-    fn materialize_non_recursive_view() {
-        let db = db_from(
-            r#"takes(#1, #10). is_section_of(#10, #100). has_sections(#100, #10).
-               has_ta(#10, #50)."#,
-        );
-        let p = Program::new(vec![parse_rule(
-            "asr(X, W) <- takes(X, Y), is_section_of(Y, Z), has_sections(Z, V), has_ta(V, W)",
-        )
-        .unwrap()]);
-        let (mat, stats) = materialize(&db, &p).unwrap();
-        let asr = mat.relation(&"asr".into()).unwrap();
-        assert_eq!(asr.len(), 1);
-        assert_eq!(asr.tuple_at(0), [Const::Oid(1), Const::Oid(50)]);
-        assert_eq!(stats.facts_derived, 1);
-    }
-
-    #[test]
-    fn materialize_transitive_closure() {
-        let db = db_from("e(1, 2). e(2, 3). e(3, 4).");
-        let p = Program::new(vec![
-            parse_rule("tc(X, Y) <- e(X, Y)").unwrap(),
-            parse_rule("tc(X, Z) <- tc(X, Y), e(Y, Z)").unwrap(),
-        ]);
-        let (mat, _) = materialize(&db, &p).unwrap();
-        assert_eq!(mat.relation(&"tc".into()).unwrap().len(), 6);
-    }
-
-    #[test]
-    fn materialize_stratified_negation() {
-        let db = db_from("node(1). node(2). node(3). marked(2).");
-        let p = Program::new(vec![
-            parse_rule("m(X) <- marked(X)").unwrap(),
-            parse_rule("unmarked(X) <- node(X), not m(X)").unwrap(),
-        ]);
-        let (mat, _) = materialize(&db, &p).unwrap();
-        assert_eq!(mat.relation(&"unmarked".into()).unwrap().len(), 2);
     }
 
     #[test]

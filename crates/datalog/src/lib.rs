@@ -22,9 +22,8 @@
 //!   semantically equivalent queries;
 //! * [`parser`] — a concrete syntax for facts, rules, constraints and
 //!   queries, matching the paper's notation;
-//! * [`program`]/[`eval`] — a bottom-up (semi-naive) evaluation engine
-//!   with stratified negation, used to execute queries and materialize
-//!   access-support-relation views.
+//! * [`program`]/[`eval`] — stored relations with secondary indexes, and
+//!   the hop-by-hop join that answers conjunctive queries over them.
 
 pub mod atom;
 pub mod clause;

@@ -288,17 +288,19 @@ impl<'a> Lexer<'a> {
                             break;
                         }
                     }
-                    if self.peek() == Some(b'%') {
-                        self.bump();
-                        let v: f64 = text
-                            .parse()
-                            .map_err(|_| self.err(format!("invalid number `{text}`")))?;
-                        Tok::Real(v / 100.0)
-                    } else if is_real {
-                        let v: f64 = text
-                            .parse()
-                            .map_err(|_| self.err(format!("invalid number `{text}`")))?;
-                        Tok::Real(v)
+                    let percent = self.peek() == Some(b'%');
+                    if percent || is_real {
+                        if percent {
+                            self.bump();
+                        }
+                        // A literal too large for an `f64` is an error,
+                        // not an infinity no literal could write back.
+                        let v = text
+                            .parse::<f64>()
+                            .ok()
+                            .filter(|v| v.is_finite())
+                            .ok_or_else(|| self.err(format!("invalid number `{text}`")))?;
+                        Tok::Real(if percent { v / 100.0 } else { v })
                     } else {
                         let v: i64 = text
                             .parse()
@@ -325,7 +327,10 @@ impl<'a> Lexer<'a> {
                         _ => Tok::LIdent(s),
                     }
                 }
-                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+                _ => {
+                    let ch = self.src[self.pos..].chars().next().unwrap_or_default();
+                    return Err(self.err(format!("unexpected character `{ch}`")));
+                }
             };
             out.push(Spanned { tok, line, col });
         }

@@ -1,13 +1,12 @@
-//! Extensional databases, programs and stratification.
+//! Extensional databases: stored relations and their secondary indexes.
 
-use crate::atom::{Atom, Literal, PredSym};
-use crate::clause::Rule;
+use crate::atom::{Atom, PredSym};
 use crate::error::{DatalogError, Result};
 use crate::fxhash::FxHasher;
 use crate::term::Const;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Bound;
@@ -653,7 +652,7 @@ impl Relation {
     }
 }
 
-/// A database of stored relations (the EDB, or a materialized EDB+IDB).
+/// A database of stored relations (the EDB).
 #[derive(Debug, Clone, Default)]
 pub struct EdbDatabase {
     relations: crate::fxhash::FxHashMap<PredSym, Relation>,
@@ -745,130 +744,12 @@ impl EdbDatabase {
     pub fn heap_bytes(&self) -> usize {
         self.relations.values().map(Relation::heap_bytes).sum()
     }
-
-    /// Merge all tuples of `other` into `self`.
-    pub fn absorb(&mut self, other: &EdbDatabase) -> Result<()> {
-        for (p, rel) in &other.relations {
-            for t in rel.rows() {
-                self.insert(*p, t)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// A set of rules (views / IDB definitions).
-#[derive(Debug, Clone, Default)]
-pub struct Program {
-    /// The rules, in declaration order.
-    pub rules: Vec<Rule>,
-}
-
-impl Program {
-    /// Create a program from rules.
-    pub fn new(rules: Vec<Rule>) -> Self {
-        Program { rules }
-    }
-
-    /// The set of intensional (rule-defined) predicates.
-    pub fn idb_preds(&self) -> HashSet<PredSym> {
-        self.rules.iter().map(|r| r.head.pred).collect()
-    }
-
-    /// Validate safety of every rule.
-    pub fn validate(&self) -> Result<()> {
-        for r in &self.rules {
-            if !r.is_safe() {
-                let positive: HashSet<_> = r
-                    .body
-                    .iter()
-                    .filter(|l| l.is_positive())
-                    .flat_map(|l| l.vars())
-                    .collect();
-                let bad = r
-                    .vars()
-                    .into_iter()
-                    .find(|v| !positive.contains(v))
-                    .map(|v| v.name().to_string())
-                    .unwrap_or_default();
-                return Err(DatalogError::UnsafeVariable {
-                    clause: r.to_string(),
-                    variable: bad,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Stratify the program: returns rule indices grouped into strata such
-    /// that negation only refers to lower strata. Errors if the program
-    /// has recursion through negation.
-    pub fn stratify(&self) -> Result<Vec<Vec<usize>>> {
-        let idb = self.idb_preds();
-        // Compute per-predicate stratum numbers by fixpoint.
-        let mut stratum: HashMap<PredSym, usize> = idb.iter().map(|p| (*p, 0)).collect();
-        let max_iter = idb.len() * idb.len() + idb.len() + 2;
-        for round in 0..=max_iter {
-            let mut changed = false;
-            for r in &self.rules {
-                let head_s = stratum[&r.head.pred];
-                let mut need = head_s;
-                for l in &r.body {
-                    match l {
-                        Literal::Pos(a) => {
-                            if let Some(&s) = stratum.get(&a.pred) {
-                                need = need.max(s);
-                            }
-                        }
-                        Literal::Neg(a) => {
-                            if let Some(&s) = stratum.get(&a.pred) {
-                                need = need.max(s + 1);
-                            }
-                        }
-                        Literal::Cmp(_) => {}
-                    }
-                }
-                if need > head_s {
-                    stratum.insert(r.head.pred, need);
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            if round == max_iter {
-                // A stratum exceeding the predicate count proves a negative
-                // cycle.
-                let culprit = stratum
-                    .iter()
-                    .max_by_key(|(_, s)| **s)
-                    .map(|(p, _)| p.name().to_string())
-                    .unwrap_or_default();
-                return Err(DatalogError::NotStratified { predicate: culprit });
-            }
-        }
-        if stratum.values().any(|&s| s > idb.len()) {
-            let culprit = stratum
-                .iter()
-                .max_by_key(|(_, s)| **s)
-                .map(|(p, _)| p.name().to_string())
-                .unwrap_or_default();
-            return Err(DatalogError::NotStratified { predicate: culprit });
-        }
-        let max_s = stratum.values().copied().max().unwrap_or(0);
-        let mut out = vec![Vec::new(); max_s + 1];
-        for (i, r) in self.rules.iter().enumerate() {
-            out[stratum[&r.head.pred]].push(i);
-        }
-        out.retain(|v| !v.is_empty());
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_fact, parse_rule};
+    use crate::parser::parse_fact;
     use crate::term::Term;
 
     #[test]
@@ -899,50 +780,6 @@ mod tests {
         assert!(db.insert_fact(&ok).unwrap());
         let bad = Atom::new("p", vec![Term::var("X")]);
         assert!(db.insert_fact(&bad).is_err());
-    }
-
-    #[test]
-    fn stratification_simple() {
-        let p = Program::new(vec![
-            parse_rule("a(X) <- e(X)").unwrap(),
-            parse_rule("b(X) <- e(X), not a(X)").unwrap(),
-        ]);
-        let strata = p.stratify().unwrap();
-        assert_eq!(strata.len(), 2);
-        assert_eq!(strata[0], vec![0]);
-        assert_eq!(strata[1], vec![1]);
-    }
-
-    #[test]
-    fn stratification_rejects_negative_cycle() {
-        let p = Program::new(vec![
-            parse_rule("a(X) <- e(X), not b(X)").unwrap(),
-            parse_rule("b(X) <- e(X), not a(X)").unwrap(),
-        ]);
-        assert!(matches!(
-            p.stratify(),
-            Err(DatalogError::NotStratified { .. })
-        ));
-    }
-
-    #[test]
-    fn stratification_allows_positive_recursion() {
-        let p = Program::new(vec![
-            parse_rule("tc(X, Y) <- e(X, Y)").unwrap(),
-            parse_rule("tc(X, Z) <- tc(X, Y), e(Y, Z)").unwrap(),
-        ]);
-        let strata = p.stratify().unwrap();
-        assert_eq!(strata.len(), 1);
-        assert_eq!(strata[0].len(), 2);
-    }
-
-    #[test]
-    fn validate_flags_unsafe_rule() {
-        let p = Program::new(vec![parse_rule("v(Z) <- p(X)").unwrap()]);
-        assert!(matches!(
-            p.validate(),
-            Err(DatalogError::UnsafeVariable { .. })
-        ));
     }
 
     #[test]
@@ -1139,16 +976,5 @@ mod tests {
         }
         assert_eq!(r.len(), 200_000);
         assert!(r.contains(&[Const::Real(2048.0.into())]));
-    }
-
-    #[test]
-    fn absorb_merges_databases() {
-        let mut a = EdbDatabase::new();
-        a.insert(PredSym::new("p"), &[Const::Int(1)]).unwrap();
-        let mut b = EdbDatabase::new();
-        b.insert(PredSym::new("p"), &[Const::Int(2)]).unwrap();
-        b.insert(PredSym::new("q"), &[Const::Int(3)]).unwrap();
-        a.absorb(&b).unwrap();
-        assert_eq!(a.total_tuples(), 3);
     }
 }

@@ -1,7 +1,7 @@
 //! Substitutions: finite maps from variables to terms.
 
 use crate::atom::{Atom, Comparison, Literal};
-use crate::clause::{Constraint, ConstraintHead, Query, Rule};
+use crate::clause::{Constraint, ConstraintHead, Query};
 use crate::term::{Term, Var};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -123,11 +123,6 @@ impl Subst {
     /// Apply the substitution to all body literals.
     pub fn apply_body(&self, body: &[Literal]) -> Vec<Literal> {
         body.iter().map(|l| self.apply_literal(l)).collect()
-    }
-
-    /// Apply the substitution to a rule.
-    pub fn apply_rule(&self, r: &Rule) -> Rule {
-        Rule::new(self.apply_atom(&r.head), self.apply_body(&r.body))
     }
 
     /// Apply the substitution to a constraint head.

@@ -134,14 +134,6 @@ pub struct StagedMatch {
     pub deferred: Vec<Comparison>,
 }
 
-impl StagedMatch {
-    /// Whether every deferred comparison is implied by `solver`.
-    #[inline]
-    pub fn deferred_implied(&self, solver: &ConstraintSet) -> bool {
-        self.deferred.iter().all(|c| solver.implies(c))
-    }
-}
-
 /// [`match_body_onto`] with the solver-dependent half deferred: match
 /// only the database literals of `pattern` onto `pos`/`neg`, returning
 /// each surviving substitution with its instantiated comparisons.

@@ -188,8 +188,10 @@ impl fmt::Display for Const {
         match self {
             Const::Int(v) => write!(f, "{v}"),
             Const::Real(v) => {
+                // Always with a fraction: an integral one would parse back
+                // as an `Int`.
                 let x = v.get();
-                if x == x.trunc() && x.abs() < 1e15 {
+                if x.fract() == 0.0 {
                     write!(f, "{x:.1}")
                 } else {
                     write!(f, "{x}")

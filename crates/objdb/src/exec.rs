@@ -52,8 +52,6 @@ pub struct CostReport {
     pub range_probes: u64,
     /// Full relation passes (explicit scans plus ephemeral index builds).
     pub scans: u64,
-    /// Path-expression chains fused into index-nested-loop walks.
-    pub chains_fused: u64,
     /// Wall-clock evaluation time.
     pub elapsed: Duration,
     /// Tuples examined per relation (predicate name → count), for
@@ -340,7 +338,6 @@ pub fn execute_with(
     sqo_obs::add(sqo_obs::Counter::ExecIndexProbes, stats.index_probes);
     sqo_obs::add(sqo_obs::Counter::ExecRangeProbes, stats.range_probes);
     sqo_obs::add(sqo_obs::Counter::ExecScans, stats.scans);
-    sqo_obs::add(sqo_obs::Counter::ExecChainsFused, stats.chains_fused);
 
     let mut report = CostReport {
         answers: rows.len(),
@@ -350,7 +347,6 @@ pub fn execute_with(
         index_probes: stats.index_probes,
         range_probes: stats.range_probes,
         scans: stats.scans,
-        chains_fused: stats.chains_fused,
         elapsed,
         ..Default::default()
     };

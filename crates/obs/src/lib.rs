@@ -121,8 +121,6 @@ counters! {
     EvalJoinInputTuples => "eval.join_input_tuples",
     /// Tuples flowing out of join steps during evaluation.
     EvalJoinOutputTuples => "eval.join_output_tuples",
-    /// Path-expression chains fused into index-nested-loop walks.
-    ExecChainsFused => "exec.chain_fused",
     /// Equality probes against declared (persistent) hash indexes.
     ExecIndexProbes => "exec.index_probe",
     /// Queries executed by the object-database evaluator.

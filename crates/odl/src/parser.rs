@@ -42,7 +42,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
@@ -58,7 +58,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -74,7 +74,7 @@ impl<'a> Lexer<'a> {
     }
 
     fn bump(&mut self) -> Option<u8> {
-        let c = self.src.get(self.pos).copied()?;
+        let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
@@ -86,11 +86,11 @@ impl<'a> Lexer<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.src.as_bytes().get(self.pos + 1).copied()
     }
 
     fn tokens(mut self) -> Result<Vec<Spanned>> {
@@ -182,7 +182,10 @@ impl<'a> Lexer<'a> {
                     }
                     Tok::Ident(s)
                 }
-                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+                _ => {
+                    let ch = self.src[self.pos..].chars().next().unwrap_or_default();
+                    return Err(self.err(format!("unexpected character `{ch}`")));
+                }
             };
             out.push(Spanned { tok, line, col });
         }

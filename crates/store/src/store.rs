@@ -290,12 +290,6 @@ impl ShardedStore {
         self.shards.len()
     }
 
-    /// Whether this store is backed by a directory (durable) or purely
-    /// in-memory.
-    pub fn is_durable(&self) -> bool {
-        self.dir.is_some()
-    }
-
     /// What the opening recovery pass found.
     pub fn recover_report(&self) -> &RecoverReport {
         &self.recover

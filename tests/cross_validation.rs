@@ -1,16 +1,15 @@
 //! Cross-validation between independent subsystems: the object store's
-//! direct ASR materialization vs the Datalog engine's view
-//! materialization, and the evaluator vs a hand-rolled object-graph
-//! walker.
+//! direct ASR materialization vs the evaluator answering the view's
+//! body, and the evaluator vs a hand-rolled object-graph walker.
 
-use semantic_sqo::datalog::eval::{answer_query, materialize};
-use semantic_sqo::datalog::parser::{parse_query, parse_rule};
-use semantic_sqo::datalog::program::Program;
+use semantic_sqo::datalog::eval::answer_query;
+use semantic_sqo::datalog::parser::parse_query;
 use semantic_sqo::datalog::Const;
 use semantic_sqo::objdb::{UniversityConfig, Value};
 
-/// The store materializes ASR pairs by walking links; the Datalog engine
-/// materializes the same view by semi-naive evaluation. They must agree.
+/// The store materializes ASR pairs by composing the path's links; the
+/// evaluator answers the view's defining body over the base relations.
+/// They must agree.
 #[test]
 fn asr_materialization_agrees_with_datalog_views() {
     let mut data = UniversityConfig {
@@ -36,16 +35,12 @@ fn asr_materialization_agrees_with_datalog_views() {
         rows.sort();
         rows
     };
-    // Engine-side: materialize the definition over the base relations.
-    let program = Program::new(vec![parse_rule(
-        "asr_check(X, W) <- takes(X, Y), is_section_of(Y, Z), has_sections(Z, V), has_ta(V, W)",
+    // Engine-side: the view's body over the base relations.
+    let body = parse_query(
+        "Q(X, W) <- takes(X, Y), is_section_of(Y, Z), has_sections(Z, V), has_ta(V, W)",
     )
-    .unwrap()]);
-    let (mat, _) = materialize(&data.db.edb(), &program).unwrap();
-    let mut engine_pairs: Vec<Vec<Const>> = mat
-        .relation(&"asr_check".into())
-        .map(|r| r.rows().map(<[Const]>::to_vec).collect())
-        .unwrap_or_default();
+    .unwrap();
+    let (mut engine_pairs, _) = answer_query(&data.db.edb(), &body).unwrap();
     engine_pairs.sort();
     assert_eq!(store_pairs, engine_pairs);
     assert!(!store_pairs.is_empty(), "non-trivial materialization");

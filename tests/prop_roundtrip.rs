@@ -34,6 +34,11 @@ fn dl_term() -> impl Strategy<Value = Term> {
     prop_oneof![
         ident_upper().prop_map(Term::var),
         (-1000i64..1000).prop_map(Term::int),
+        (0u64..u64::MAX)
+            .prop_map(f64::from_bits)
+            .prop_filter("finite", |v| v.is_finite())
+            .prop_map(Term::real),
+        (-1000i64..1000).prop_map(|n| Term::real(n as f64 * 1e15)),
         any_text().prop_map(Term::str),
         (0u64..100).prop_map(Term::oid),
         any::<bool>().prop_map(|b| Term::Const(semantic_sqo::datalog::Const::Bool(b))),
@@ -86,13 +91,18 @@ fn dl_constraint() -> impl Strategy<Value = Constraint> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Datalog queries survive a display → parse round-trip.
+    /// Datalog queries survive a display → parse round-trip, and a real
+    /// too large for an `f64` is refused rather than read as an infinity
+    /// no literal writes back.
     #[test]
-    fn datalog_query_roundtrip(q in dl_query()) {
+    fn datalog_query_roundtrip(q in dl_query(), nines in 309usize..400) {
         let text = q.to_string();
         let parsed = parse_query(&text)
             .unwrap_or_else(|e| panic!("reparse failed for `{text}`: {e}"));
         prop_assert_eq!(parsed, q);
+        let huge = format!("Q(X) <- p(X), X < {}.5", "9".repeat(nines));
+        let err = parse_query(&huge).expect_err("an infinite real");
+        prop_assert!(err.to_string().contains("invalid number"), "{}", err);
     }
 
     /// Datalog constraints survive a display → parse round-trip.
@@ -118,6 +128,20 @@ proptest! {
             subst.apply_query(&q)
         };
         prop_assert_eq!(q.canonical_hash(), renamed.canonical_hash());
+    }
+}
+
+/// Each of the three lexers names a character it cannot start a token
+/// with whole, not by its first UTF-8 byte.
+#[test]
+fn a_non_ascii_character_is_named_whole() {
+    let datalog = parse_query("Q(X) <- é(X)").unwrap_err().to_string();
+    let odl = semantic_sqo::odl::parse_odl("interface é { };")
+        .unwrap_err()
+        .to_string();
+    let oql = parse_oql("select x from x in é").unwrap_err().to_string();
+    for message in [datalog, odl, oql] {
+        assert!(message.contains("unexpected character `é`"), "{message}");
     }
 }
 
