@@ -419,8 +419,8 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{}: {e}", scenario.label));
             let (opt, _) = execute(&scenario.db, &scenario.optimized)
                 .unwrap_or_else(|e| panic!("{}: {e}", scenario.label));
-            let mut a = orig.clone();
-            let mut b = opt.clone();
+            let mut a: Vec<_> = orig.rows().collect();
+            let mut b: Vec<_> = opt.rows().collect();
             a.sort();
             b.sort();
             assert_eq!(a, b, "{}: rewrite must preserve answers", scenario.label);

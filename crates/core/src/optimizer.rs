@@ -839,8 +839,10 @@ mod tests {
         let (fresh_idx, _, fresh_costs) = fresh.best_plan(&db).unwrap();
         assert_eq!((idx, &costs), (fresh_idx, &fresh_costs));
         assert_ne!(costs, priced_before, "200 more students move the estimates");
-        let mut got = sqo_objdb::execute(&db, &eq.datalog).unwrap().0;
-        let mut want = sqo_objdb::execute(&db, &repeat.datalog).unwrap().0;
+        let got = sqo_objdb::execute(&db, &eq.datalog).unwrap().0;
+        let want = sqo_objdb::execute(&db, &repeat.datalog).unwrap().0;
+        let mut got: Vec<_> = got.rows().collect();
+        let mut want: Vec<_> = want.rows().collect();
         got.sort();
         want.sort();
         assert_eq!(got, want);

@@ -70,6 +70,18 @@ impl Hasher for FxHasher {
     }
 }
 
+/// Spread every bit of `x` over the whole word: both halves of its
+/// 128-bit product with an odd constant, xor-ed. A multiply-rotate state
+/// carries its input's low bits only upwards, and keys that differ in a
+/// few bits (consecutive ids, round floats) otherwise share most of the
+/// bits a table picks its slot from.
+#[inline]
+pub fn fold(x: u64) -> u64 {
+    const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+    let wide = u128::from(x) * u128::from(FOLD);
+    ((wide >> 64) as u64) ^ (wide as u64)
+}
+
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

@@ -69,13 +69,10 @@ impl std::hash::Hash for R64 {
     /// multiply-rotate, so the low bits of its hash are those of the key,
     /// and `std`'s tables index by the low bits: hashed as they are, such
     /// keys share a handful of buckets and a map over a `salary` column
-    /// goes quadratic. So the key is folded first: both halves of its
-    /// 128-bit product with an odd constant, xor-ed, carry every bit of
-    /// the key into the low bits.
+    /// goes quadratic. So the key is [folded](crate::fxhash::fold) first,
+    /// which carries every bit of the key into the low bits.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
-        let wide = u128::from(self.key()) * u128::from(FOLD);
-        (((wide >> 64) as u64) ^ (wide as u64)).hash(state);
+        crate::fxhash::fold(self.key()).hash(state);
     }
 }
 impl From<f64> for R64 {

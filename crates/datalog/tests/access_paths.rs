@@ -158,7 +158,7 @@ fn a_three_hop_path_probes_each_hop_once_per_binding() {
         db.declare_hash_index(PredSym::new(p), 0);
     }
     let q = parse_query("Q(X, W) <- start(X), a(X, Y), b(Y, Z), c(Z, W)").unwrap();
-    let (mut rows, got) = answer_query(&db, &q).unwrap();
+    let (rows, got) = answer_query(&db, &q).unwrap();
     assert_eq!(rows.len(), 6);
     // One scan of `start` (3 rows); then 3 probes of `a` (2 postings
     // each), and 6 each of `b` and `c` (one posting each).
@@ -173,7 +173,9 @@ fn a_three_hop_path_probes_each_hop_once_per_binding() {
         ..EvalStats::default()
     };
     assert_eq!(got, want);
-    let (mut reference, _) = answer_query_with(&db, &q, &EvalOptions::scan_only()).unwrap();
+    let (reference, _) = answer_query_with(&db, &q, &EvalOptions::scan_only()).unwrap();
+    let mut rows: Vec<&[Const]> = rows.rows().collect();
+    let mut reference: Vec<&[Const]> = reference.rows().collect();
     rows.sort();
     reference.sort();
     assert_eq!(rows, reference);

@@ -434,7 +434,7 @@ fn engine_matches_brute_force_oracle() {
         let oracle = brute_force(&c.tables, &c.query);
         for opts in [EvalOptions::default(), EvalOptions::scan_only()] {
             let got = answer_query_with(&c.db, &c.query, &opts)
-                .map(|(rows, _)| rows.into_iter().collect::<BTreeSet<_>>());
+                .map(|(rows, _)| rows.rows().map(<[Const]>::to_vec).collect::<BTreeSet<_>>());
             let ctx = format!(
                 "seed {seed} {opts:?}\n  query {}\n  got {got:?}\n  oracle {oracle:?}",
                 c.query

@@ -142,7 +142,8 @@ fn rand_case(rng: &mut Lcg) -> (EdbDatabase, Query) {
 
 fn run(db: &EdbDatabase, q: &Query, opts: &EvalOptions) -> Result<Vec<Vec<Const>>, String> {
     match answer_query_with(db, q, opts) {
-        Ok((mut rows, _)) => {
+        Ok((answers, _)) => {
+            let mut rows: Vec<Vec<Const>> = answers.rows().map(<[Const]>::to_vec).collect();
             rows.sort();
             Ok(rows)
         }
@@ -215,8 +216,10 @@ fn three_hop_path_matches_scan_only() {
             Literal::Pos(Atom::new("e", vec![z, w])),
         ],
     );
-    let (mut indexed, stats) = answer_query_with(&db, &q, &EvalOptions::default()).unwrap();
-    let (mut scan, _) = answer_query_with(&db, &q, &EvalOptions::scan_only()).unwrap();
+    let (indexed, stats) = answer_query_with(&db, &q, &EvalOptions::default()).unwrap();
+    let (scan, _) = answer_query_with(&db, &q, &EvalOptions::scan_only()).unwrap();
+    let mut indexed: Vec<&[Const]> = indexed.rows().collect();
+    let mut scan: Vec<&[Const]> = scan.rows().collect();
     indexed.sort();
     scan.sort();
     assert!(!indexed.is_empty());

@@ -190,8 +190,10 @@ proptest! {
         );
         prop_assert!(ok, "removal should be approved under the dependency");
         let reduced = Query::new("q", q.projection.clone(), kept);
-        let (mut full, _) = answer_query(&db, &q).unwrap();
-        let (mut red, _) = answer_query(&db, &reduced).unwrap();
+        let (full, _) = answer_query(&db, &q).unwrap();
+        let (red, _) = answer_query(&db, &reduced).unwrap();
+        let mut full: Vec<&[Const]> = full.rows().collect();
+        let mut red: Vec<&[Const]> = red.rows().collect();
         full.sort();
         red.sort();
         prop_assert_eq!(full, red);

@@ -149,7 +149,8 @@ fn alpha_variant(rng: &mut StdRng, q: &Query) -> Query {
 }
 
 fn answers(db: &EdbDatabase, q: &Query) -> Vec<Vec<Const>> {
-    let (mut rows, _) = answer_query(db, q).expect("query evaluates");
+    let (answers, _) = answer_query(db, q).expect("query evaluates");
+    let mut rows: Vec<Vec<Const>> = answers.rows().map(<[Const]>::to_vec).collect();
     rows.sort();
     rows
 }

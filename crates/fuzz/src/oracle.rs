@@ -22,6 +22,7 @@
 //! so the driver can skip them; the generator should make these rare.
 
 use sqo_core::{CacheOutcome, OptimizationReport, PlanCache, SemanticOptimizer, Verdict};
+use sqo_datalog::program::Relation;
 use sqo_datalog::term::Const;
 use sqo_datalog::Query;
 use sqo_objdb::{execute, execute_with, ExecOptions, ObjectDb};
@@ -85,9 +86,8 @@ fn answers(db: &ObjectDb, q: &Query) -> Result<Vec<Vec<Const>>, EvalFailure> {
     let indexed = execute(db, q);
     let scan = execute_with(db, q, ExecOptions::scan_only());
     match (indexed, scan) {
-        (Ok((mut rows, _)), Ok((mut scan_rows, _))) => {
-            rows.sort();
-            scan_rows.sort();
+        (Ok((rows, _)), Ok((scan_rows, _))) => {
+            let (rows, scan_rows) = (sorted(&rows), sorted(&scan_rows));
             if rows != scan_rows {
                 return Err(EvalFailure::Mismatch(Box::new(Mismatch {
                     path: "index-differential".to_string(),
@@ -116,6 +116,13 @@ fn answers(db: &ObjectDb, q: &Query) -> Result<Vec<Vec<Const>>, EvalFailure> {
             ),
         }))),
     }
+}
+
+/// An answer relation as a sorted list: what the checks compare.
+fn sorted(answers: &Relation) -> Vec<Vec<Const>> {
+    let mut rows: Vec<Vec<Const>> = answers.rows().map(<[Const]>::to_vec).collect();
+    rows.sort();
+    rows
 }
 
 /// [`answers`] adapted to the `Result<Option<Mismatch>, String>` shape of

@@ -18,6 +18,7 @@ use crate::error::{ObjDbError, Result};
 use crate::store::ObjectDb;
 use sqo_datalog::eval::{answer_query_with, collect_ranges, EvalOptions};
 use sqo_datalog::fxhash::FxHashMap;
+use sqo_datalog::program::Relation;
 use sqo_datalog::{Atom, Const, Literal, PredSym, Query, Term, Var};
 use sqo_translate::RelKind;
 use std::borrow::Cow;
@@ -274,19 +275,17 @@ fn physical_body(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Option<Vec<Lite
 }
 
 /// Execute a Datalog query against the object store, with cost
-/// accounting, using the full access-path repertoire.
-pub fn execute(db: &ObjectDb, q: &Query) -> Result<(Vec<Vec<Const>>, CostReport)> {
+/// accounting, using the full access-path repertoire. The answers are a
+/// relation of the projection's arity, each once, in the order of its
+/// first derivation.
+pub fn execute(db: &ObjectDb, q: &Query) -> Result<(Relation, CostReport)> {
     execute_with(db, q, EvalOptions::default())
 }
 
 /// Execute with explicit physical options (see [`EvalOptions`]; the
 /// differential tests and the `*_seed`/`*_baseline` bench rows use
 /// [`EvalOptions::scan_only`] as the reference).
-pub fn execute_with(
-    db: &ObjectDb,
-    q: &Query,
-    opts: EvalOptions,
-) -> Result<(Vec<Vec<Const>>, CostReport)> {
+pub fn execute_with(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Result<(Relation, CostReport)> {
     let _span = sqo_obs::span!("objdb.execute");
     sqo_obs::bump(sqo_obs::Counter::ExecQueries);
     let physical = physical(db, q, opts);
@@ -482,7 +481,7 @@ mod tests {
         assert_eq!(report.extent_probes, 0);
         // The pre-index executor scans all persons incl faculty.
         let (rows_s, report_s) = execute_with(&d, &q, EvalOptions::scan_only()).unwrap();
-        assert_eq!(rows_s, rows);
+        assert!(rows_s.rows().eq(rows.rows()));
         assert!(report_s.object_fetches >= 15);
         assert_eq!(report_s.range_probes, 0);
         // OID-only query: extent probes, no fetches.

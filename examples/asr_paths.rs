@@ -50,7 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("folded variant");
     let (rows_orig, cost_orig) = execute(&data.db, &eqs[0].datalog)?;
     let (rows_fold, cost_fold) = execute(&data.db, &folded.datalog)?;
-    assert_eq!(rows_orig, rows_fold, "fold preserves answers");
+    assert!(
+        rows_orig.rows().eq(rows_fold.rows()),
+        "fold preserves answers"
+    );
     println!("  original: {cost_orig}");
     println!("  folded:   {cost_fold}");
     println!(

@@ -26,7 +26,8 @@ fn sorted_answers(
     q: &Query,
     opts: ExecOptions,
 ) -> Vec<Vec<semantic_sqo::datalog::Const>> {
-    let (mut rows, _) = execute_with(db, q, opts).unwrap_or_else(|e| panic!("[{q}]: {e}"));
+    let (answers, _) = execute_with(db, q, opts).unwrap_or_else(|e| panic!("[{q}]: {e}"));
+    let mut rows: Vec<_> = answers.rows().map(<[_]>::to_vec).collect();
     rows.sort();
     rows
 }

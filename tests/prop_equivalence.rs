@@ -8,13 +8,15 @@
 //! pipeline, and execute every variant.
 
 use proptest::prelude::*;
+use semantic_sqo::datalog::program::Relation;
 use semantic_sqo::objdb::{execute, UniversityConfig};
 use semantic_sqo::{SemanticOptimizer, Verdict};
 
-fn normalize_rows(mut rows: Vec<Vec<semantic_sqo::datalog::Const>>) -> Vec<Vec<String>> {
+fn normalize_rows(answers: Relation) -> Vec<Vec<String>> {
+    let mut rows: Vec<&[_]> = answers.rows().collect();
     rows.sort();
     rows.into_iter()
-        .map(|r| r.into_iter().map(|c| c.to_string()).collect())
+        .map(|r| r.iter().map(|c| c.to_string()).collect())
         .collect()
 }
 

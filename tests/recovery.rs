@@ -17,7 +17,8 @@ fn optimized_answers(prep: &PreparedOptimizer, db: &ObjectDb, oql: &str) -> Vec<
     let (_, plan, _) = report
         .best_plan(db)
         .expect("a satisfiable query has a plan");
-    let (mut rows, _) = execute(db, &plan.datalog).unwrap();
+    let (answers, _) = execute(db, &plan.datalog).unwrap();
+    let mut rows: Vec<Vec<Const>> = answers.rows().map(<[Const]>::to_vec).collect();
     rows.sort();
     rows
 }
