@@ -564,21 +564,12 @@ impl PreparedOptimizer {
 /// signatures guarantee every constant-vs-constant decision the search
 /// could take comes out identically (see the module docs).
 fn param_signature(params: &[Const], thresholds: &[Const]) -> Vec<u8> {
-    fn family(c: &Const) -> u8 {
-        match c {
-            Const::Int(_) => 0,
-            Const::Real(_) => 1,
-            Const::Str(_) => 2,
-            Const::Bool(_) => 3,
-            Const::Oid(_) => 4,
-        }
-    }
     fn rel(a: &Const, b: &Const) -> u8 {
         match a.order(b) {
             Some(std::cmp::Ordering::Less) => 0,
             Some(std::cmp::Ordering::Equal) => 1,
             Some(std::cmp::Ordering::Greater) => 2,
-            None if a.same_value(b) => 3,
+            None if a == b => 3,
             None => 4,
         }
     }
@@ -593,6 +584,19 @@ fn param_signature(params: &[Const], thresholds: &[Const]) -> Vec<u8> {
         }
     }
     sig
+}
+
+/// A constant's spelling family. Templates, signatures and retargeting
+/// keep `30` and `30.0` apart, though they are one value: the cached
+/// rewrite is rendered back with the constants it was given.
+fn family(c: &Const) -> u8 {
+    match c {
+        Const::Int(_) => 0,
+        Const::Real(_) => 1,
+        Const::Str(_) => 2,
+        Const::Bool(_) => 3,
+        Const::Oid(_) => 4,
+    }
 }
 
 fn collect_term_const(t: &Term, out: &mut BTreeSet<Const>) {
@@ -658,7 +662,9 @@ fn collect_unlifted_consts(q: &Query, out: &mut BTreeSet<Const>) {
 /// target variable.
 struct Retarget {
     var_map: HashMap<Var, Var>,
-    const_map: HashMap<Const, Const>,
+    /// Each representative parameter, by family and value, to the new
+    /// query's.
+    const_map: HashMap<(u8, Const), Const>,
     used: HashSet<Var>,
     fresh: HashMap<Var, Var>,
     next_fresh: usize,
@@ -671,9 +677,9 @@ impl Retarget {
             .copied()
             .zip(to_vars.iter().copied())
             .collect();
-        let const_map: HashMap<Const, Const> = from_params
+        let const_map: HashMap<(u8, Const), Const> = from_params
             .iter()
-            .copied()
+            .map(|c| (family(c), *c))
             .zip(to_params.iter().copied())
             .collect();
         Retarget {
@@ -707,7 +713,7 @@ impl Retarget {
     fn term(&mut self, t: &Term) -> Term {
         match t {
             Term::Var(v) => Term::Var(self.var(*v)),
-            Term::Const(c) => Term::Const(*self.const_map.get(c).unwrap_or(c)),
+            Term::Const(c) => Term::Const(*self.const_map.get(&(family(c), *c)).unwrap_or(c)),
         }
     }
 
@@ -845,5 +851,23 @@ mod tests {
             panic!()
         };
         assert_eq!(c.rhs, Term::int(40), "parameter remapped");
+    }
+
+    /// `30` and `30.0` are one value but two parameters, each retargeted
+    /// in its own spelling; an IC's `90000` is not the `90000.0`
+    /// parameter the signature pinned to it, and keeps its spelling.
+    #[test]
+    fn retarget_keeps_each_constant_in_its_family() {
+        let mut rt = Retarget::new(
+            &[],
+            &[],
+            &[Const::Int(30), Const::from(30.0), Const::from(90_000.0)],
+            &[Const::Int(31), Const::from(31.0), Const::from(90_000.0)],
+        );
+        let mut spelled = |t: Term| rt.term(&t).to_string();
+        assert_eq!(spelled(Term::int(30)), "31");
+        assert_eq!(spelled(Term::real(30.0)), "31.0");
+        assert_eq!(spelled(Term::int(90_000)), "90000");
+        assert_eq!(spelled(Term::real(90_000.0)), "90000.0");
     }
 }

@@ -792,8 +792,8 @@ fn anti_join(
 
 fn compare(c: &Comparison, l: Const, r: Const) -> Result<bool> {
     match c.op {
-        CmpOp::Eq => Ok(l.same_value(&r)),
-        CmpOp::Ne => Ok(!l.same_value(&r)),
+        CmpOp::Eq => Ok(l == r),
+        CmpOp::Ne => Ok(l != r),
         op => match l.order(&r) {
             Some(ord) => Ok(op.test(ord)),
             None => Err(DatalogError::Incomparable {
@@ -1070,10 +1070,9 @@ mod tests {
         }
     }
 
-    /// Above 2^53 an `Int` and the `Real` it rounds to compare equal, and
-    /// an ordered index files distinct `Int`s under one `Real` key: a
-    /// probe bounded there returns rows its bound excludes, which only
-    /// the comparison, run after it, drops.
+    /// Past 2^53 `f64` no longer holds every integer: the ordered index
+    /// keeps the `Int`s on either side of the `Real` between them apart,
+    /// and the probe answers exactly what the scan does.
     #[test]
     fn a_range_probe_past_2_pow_53_answers_what_the_scan_does() {
         let big = 1_i64 << 53;

@@ -12,53 +12,6 @@ use std::mem::size_of;
 use std::ops::Bound;
 use std::sync::OnceLock;
 
-/// A secondary-index key with a *total* order over mixed-type columns.
-///
-/// `Const`'s derived `Ord` is discriminant-major (all `Int`s before all
-/// `Real`s), which would break range probes over numeric columns holding a
-/// mix of the two. `OrdKey` orders by type *rank* first — numerics (0) <
-/// strings (1) < booleans (2) < OIDs (3) — and within a rank by the
-/// numeric-aware [`Const::order`], so `Int(3)` and `Real(3.0)` coincide and
-/// a range scan over `[lo, hi]` visits exactly the tuples [`crate::eval`]'s
-/// comparison filter would keep.
-#[derive(Clone, Copy, Debug)]
-struct OrdKey(Const);
-
-fn type_rank(c: &Const) -> u8 {
-    match c {
-        Const::Int(_) | Const::Real(_) => 0,
-        Const::Str(_) => 1,
-        Const::Bool(_) => 2,
-        Const::Oid(_) => 3,
-    }
-}
-
-impl Ord for OrdKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        type_rank(&self.0).cmp(&type_rank(&other.0)).then_with(|| {
-            // Same rank: `order` is total within numerics/strings/booleans;
-            // OID pairs fall back to the derived (structural) order.
-            self.0
-                .order(&other.0)
-                .unwrap_or_else(|| self.0.cmp(&other.0))
-        })
-    }
-}
-
-impl PartialOrd for OrdKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for OrdKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for OrdKey {}
-
 /// The rows carrying one key of an ordered index, ascending. Most keys of
 /// a near-unique column are one inline row id: no `Vec` header and no
 /// heap block per key.
@@ -132,9 +85,9 @@ const EMPTY_SLOT: Slot = Slot {
 /// A hash secondary index over one column: key value → ids of the rows
 /// carrying it. It stores no key — a key is read from the arena row a slot
 /// names, through the `key_of` every method takes — and compares keys by
-/// `Const`'s derived equality, the same equality the join verification
-/// loop applies, so a probe returns exactly the rows a scan-and-compare
-/// would keep.
+/// `Const`'s equality, the same equality the join verification loop
+/// applies, so a probe returns exactly the rows a scan-and-compare would
+/// keep (`Int(3)` and `Real(3.0)` are one key).
 ///
 /// An open-addressing table, linear probing, empty or a power of two at
 /// most half full. A unique key costs its 8-byte slot; a key of several
@@ -251,35 +204,32 @@ impl HashIndex {
     }
 }
 
-/// An ordered secondary index over one column, supporting range probes.
+/// An ordered secondary index over one column: keys in `Const`'s order,
+/// the comparison filter's, so a range probe visits the rows it keeps.
 #[derive(Debug, Clone, Default)]
 struct OrderedIndex {
-    postings: BTreeMap<OrdKey, Postings>,
+    postings: BTreeMap<Const, Postings>,
 }
 
 impl OrderedIndex {
     fn add(&mut self, key: Const, row: u32) {
         self.postings
-            .entry(OrdKey(key))
+            .entry(key)
             .and_modify(|p| p.push(row))
             .or_insert(Postings::One(row));
     }
 
-    /// Whether every key in the index has the same type rank as `probe`
-    /// (and that rank supports ordering) — the precondition for a range
-    /// probe to be equivalent to scan-plus-filter, *including* the filter's
-    /// incomparability errors.
+    /// Whether every key is [comparable](Const::comparable) with `probe`,
+    /// so that a range probe is scan-plus-filter, *including* the filter's
+    /// incomparability errors. Kinds are contiguous in the order: the two
+    /// end keys decide.
     fn homogeneous_for(&self, probe: &Const) -> bool {
-        let rank = type_rank(probe);
-        if rank == 3 {
-            return false; // OIDs have no order semantics in comparisons.
-        }
         match (
             self.postings.keys().next(),
             self.postings.keys().next_back(),
         ) {
-            (Some(min), Some(max)) => type_rank(&min.0) == rank && type_rank(&max.0) == rank,
-            _ => true, // empty index: trivially homogeneous
+            (Some(min), Some(max)) => probe.comparable(min) && probe.comparable(max),
+            _ => probe.comparable(probe), // empty index: any orderable kind
         }
     }
 
@@ -287,7 +237,7 @@ impl OrderedIndex {
     /// at the two-thirds node fill random insertion settles at, plus the
     /// multi-row postings.
     fn heap_bytes(&self) -> usize {
-        self.postings.len() * size_of::<(OrdKey, Postings)>() * 3 / 2
+        self.postings.len() * size_of::<(Const, Postings)>() * 3 / 2
             + self
                 .postings
                 .values()
@@ -300,11 +250,11 @@ impl OrderedIndex {
 /// is inclusive.
 pub type RangeBound = (Const, bool);
 
-fn to_bound(b: Option<&RangeBound>) -> Bound<OrdKey> {
+fn to_bound(b: Option<&RangeBound>) -> Bound<Const> {
     match b {
         None => Bound::Unbounded,
-        Some((c, true)) => Bound::Included(OrdKey(*c)),
-        Some((c, false)) => Bound::Excluded(OrdKey(*c)),
+        Some((c, true)) => Bound::Included(*c),
+        Some((c, false)) => Bound::Excluded(*c),
     }
 }
 
@@ -556,10 +506,10 @@ impl Relation {
         // would panic on it, so detect it here.
         let empty = match (lo, hi) {
             (Some((l, li)), Some((h, hi_inc))) => {
-                if type_rank(l) != type_rank(h) {
+                if !l.comparable(h) {
                     return None;
                 }
-                match OrdKey(*l).cmp(&OrdKey(*h)) {
+                match l.cmp(h) {
                     Ordering::Greater => true,
                     Ordering::Equal => !(*li && *hi_inc),
                     Ordering::Less => false,
@@ -579,8 +529,8 @@ impl Relation {
     /// whose `col` lies within `[lo, hi]` (each bound optional, inclusive
     /// per its flag), in key order and ascending within a key. Returns
     /// `None` — meaning "fall back to a scan" — when no ordered index is
-    /// declared *or* the column holds values of a different type rank than
-    /// the probe constants, so scan-and-filter error semantics
+    /// declared *or* the column holds values of another kind than the
+    /// probe constants, so scan-and-filter error semantics
     /// (incomparable operands) are preserved.
     pub fn range_probe(
         &self,

@@ -79,15 +79,6 @@ fn ordered(lo: &Const, hi: &Const, s: Strict) -> bool {
     matches!(lo.order(hi), Some(ord) if op.test(ord))
 }
 
-/// Whether [`Const::order`] places the term (a variable trivially) exactly.
-/// `Int` meets `Real` through `f64`, which is only the integers' own order
-/// up to 2⁵³; past that two bounds can tie against a real and differ
-/// against each other, so the summary leaves such sets and probes to the
-/// general path.
-fn exactly_ordered(t: &Term) -> bool {
-    !matches!(t, Term::Const(Const::Int(v)) if v.unsigned_abs() > 1 << 53)
-}
-
 /// Whether the bound `(c, s)` is tighter than `cur` on the side where
 /// moving towards `tighter` narrows the interval; `None` when the two
 /// constants cannot be ordered.
@@ -102,7 +93,7 @@ fn tightens(c: &Const, s: Strict, cur: &(Const, Strict), tighter: Ordering) -> O
 /// summary: a new bound on a variable is consistent exactly when it
 /// clears that variable's tightest opposite bound, and a ground probe
 /// when it holds. `None` for what the summary cannot see — `=`, `!=`,
-/// a var–var edge, or a constant it cannot place ([`exactly_ordered`]).
+/// a var–var edge.
 fn probe(summary: &[(Var, Interval)], c: &Comparison) -> Option<Sat> {
     let (lo, hi, s) = match c.op {
         CmpOp::Lt => (&c.lhs, &c.rhs, Strict::Strict),
@@ -111,9 +102,6 @@ fn probe(summary: &[(Var, Interval)], c: &Comparison) -> Option<Sat> {
         CmpOp::Ge => (&c.rhs, &c.lhs, Strict::NonStrict),
         CmpOp::Eq | CmpOp::Ne => return None,
     };
-    if !exactly_ordered(lo) || !exactly_ordered(hi) {
-        return None;
-    }
     let interval = |v: &Var| summary.iter().find(|(w, _)| w == v).map(|(_, i)| i);
     let holds = match (lo, hi) {
         (Term::Var(_), Term::Var(_)) => return None,
@@ -216,10 +204,8 @@ impl ConstraintSet {
     /// every later `var ⋚ const` probe.
     ///
     /// A poisoned set is unsatisfiable wherever it lies. Returns `None` —
-    /// the general path decides — outside the fragment, and for bounds it
-    /// cannot order totally: two bounds on one side of a variable with
-    /// incomparable constants, or an integer past 2⁵³
-    /// ([`exactly_ordered`]).
+    /// the general path decides — outside the fragment, and for two bounds
+    /// on one side of a variable with incomparable constants.
     fn summarize(&self) -> Option<Checked> {
         const UNSAT: Checked = Checked {
             sat: Sat::Unsatisfiable,
@@ -234,9 +220,6 @@ impl ConstraintSet {
         let mut summary: Vec<(Var, Interval)> = Vec::new();
         for &(a, b, s) in &self.edges {
             let (lo, hi) = (&self.nodes[a], &self.nodes[b]);
-            if !exactly_ordered(lo) || !exactly_ordered(hi) {
-                return None;
-            }
             let (v, c, lower) = match (lo, hi) {
                 (Term::Var(_), Term::Var(_)) => return None,
                 (Term::Const(lo), Term::Const(hi)) => {
@@ -372,7 +355,7 @@ impl ConstraintSet {
                 if let Term::Const(c) = t {
                     let rep = uf.find(i);
                     if let Some(prev) = class_const.get(&rep) {
-                        if !prev.same_value(c) {
+                        if *prev != c {
                             return Sat::Unsatisfiable;
                         }
                     } else {
@@ -414,7 +397,7 @@ impl ConstraintSet {
                     // Classes pinned to the same constant value (covers
                     // syntactically distinct but equal constants too).
                     if let (Some(&x), Some(&y)) = (class_const.get(&ra), class_const.get(&rb)) {
-                        if x.same_value(y) {
+                        if x == y {
                             return Sat::Unsatisfiable;
                         }
                     }
@@ -436,8 +419,8 @@ impl ConstraintSet {
         // Ground comparisons decide directly where possible.
         if let (Term::Const(a), Term::Const(b)) = (&c.lhs, &c.rhs) {
             match c.op {
-                CmpOp::Eq => return a.same_value(b),
-                CmpOp::Ne => return !a.same_value(b),
+                CmpOp::Eq => return a == b,
+                CmpOp::Ne => return a != b,
                 _ => {
                     if let Some(ord) = a.order(b) {
                         return c.op.test(ord);
@@ -663,22 +646,21 @@ mod tests {
 
     /// The interval summary must decide exactly like the general
     /// union-find/closure path: enumerate small bound-only constraint
-    /// sets and compare `check()`/`sat_with()`/`implies()` (answered from
-    /// the summary) against a set with a redundant variable–variable
-    /// tautology appended (which forces the general path without changing
-    /// the decision). Probes cover both orientations of a bound on a
-    /// bounded and on an unbounded variable, and ground comparisons.
-    #[test]
-    fn bounds_fast_path_matches_general_path() {
+    /// sets over `consts` and compare `check()`/`sat_with()`/`implies()`
+    /// (answered from the summary) against a set with a redundant
+    /// variable–variable tautology appended (which forces the general
+    /// path without changing the decision). Probes cover both
+    /// orientations of a bound on a bounded and on an unbounded variable,
+    /// and ground comparisons. Returns the number of sets.
+    fn fast_path_matches_general_path(consts: [Term; 3]) -> usize {
         let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-        let consts = [0i64, 5, 10];
         let mut probes = Vec::new();
         for &op in &ops {
             for &k in &consts {
-                probes.push(cmp(v("X"), op, i(k)));
-                probes.push(cmp(i(k), op, v("X")));
-                probes.push(cmp(v("U"), op, i(k)));
-                probes.push(cmp(i(5), op, i(k)));
+                probes.push(cmp(v("X"), op, k));
+                probes.push(cmp(k, op, v("X")));
+                probes.push(cmp(v("U"), op, k));
+                probes.push(cmp(consts[1], op, k));
             }
         }
         let mut cases = 0usize;
@@ -689,9 +671,9 @@ mod tests {
                         for &op3 in &ops {
                             for &c3 in &consts {
                                 let cmps = [
-                                    cmp(v("X"), op1, i(c1)),
-                                    cmp(v("X"), op2, i(c2)),
-                                    cmp(v("Y"), op3, i(c3)),
+                                    cmp(v("X"), op1, c1),
+                                    cmp(v("X"), op2, c2),
+                                    cmp(v("Y"), op3, c3),
                                 ];
                                 let fast = ConstraintSet::from_comparisons(&cmps);
                                 let mut general = ConstraintSet::from_comparisons(&cmps);
@@ -725,12 +707,26 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 1728);
+        cases
+    }
+
+    #[test]
+    fn bounds_fast_path_matches_general_path() {
+        assert_eq!(fast_path_matches_general_path([i(0), i(5), i(10)]), 1728);
+    }
+
+    /// Past 2^53 two integers straddle the real they both round to; the
+    /// summary orders them exactly and decides as the general path does.
+    #[test]
+    fn bounds_fast_path_matches_general_path_past_f64_precision() {
+        let big = 1_i64 << 53;
+        let consts = [i(big), Term::real(big as f64), i(big + 1)];
+        assert_eq!(fast_path_matches_general_path(consts), 1728);
     }
 
     /// What the summary declines goes to the general path and comes back
     /// with its answer: a var–var probe, an `=`/`!=` probe, two lower
-    /// bounds of incomparable types, an integer `f64` cannot hold.
+    /// bounds of incomparable types. An integer past 2^53 it answers.
     #[test]
     fn summary_declines_what_it_cannot_order() {
         let s = ConstraintSet::from_comparisons(&[
@@ -740,7 +736,10 @@ mod tests {
         let summary = s.checked().summary.as_deref().expect("bounds only");
         assert!(probe(summary, &cmp(v("X"), CmpOp::Lt, v("Y"))).is_none());
         assert!(probe(summary, &cmp(v("X"), CmpOp::Eq, i(4))).is_none());
-        assert!(probe(summary, &cmp(v("X"), CmpOp::Lt, i(1 << 60))).is_none());
+        assert_eq!(
+            probe(summary, &cmp(v("X"), CmpOp::Lt, i(1 << 60))),
+            Some(Sat::Satisfiable)
+        );
         assert_eq!(s.sat_with(&cmp(v("X"), CmpOp::Eq, i(4))), Sat::Satisfiable);
         assert_eq!(
             s.sat_with(&cmp(v("X"), CmpOp::Eq, i(9))),
@@ -756,7 +755,7 @@ mod tests {
         assert!(mixed.checked().summary.is_none());
         assert_eq!(mixed.check(), Sat::Satisfiable);
         let huge = ConstraintSet::from_comparisons(&[cmp(v("X"), CmpOp::Ge, i((1 << 53) + 1))]);
-        assert!(huge.checked().summary.is_none());
+        assert!(huge.checked().summary.is_some());
         assert!(huge.implies(&cmp(v("X"), CmpOp::Gt, i(1 << 53))));
     }
 

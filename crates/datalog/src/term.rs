@@ -123,7 +123,12 @@ impl From<&str> for Var {
 ///
 /// `Copy`: string constants are interned [`Sym`]s, so constants (and
 /// [`Term`]s) move without heap traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// One equality and one order for every layer: numbers by exact value
+/// across `Int`/`Real` (`Int(3) == Real(3.0)`; no `i64` goes through
+/// `f64`) with NaN above them, then strings, booleans, OIDs. Constants of
+/// two kinds are never equal, and `Hash` agrees with `==`.
+#[derive(Debug, Clone, Copy)]
 pub enum Const {
     /// Integer constant, e.g. `30`, `40000`.
     Int(i64),
@@ -137,45 +142,117 @@ pub enum Const {
     Oid(u64),
 }
 
+/// The `i64` a real equals, if any: a round trip through the saturating
+/// cast. No real equals `i64::MAX` (2^63 − 1 has no `f64`), so a cast
+/// that lands there saturated from 2^63 or above.
+#[inline]
+fn integral(r: R64) -> Option<i64> {
+    let t = r.get() as i64;
+    (t as f64 == r.get() && t != i64::MAX).then_some(t)
+}
+
+/// `i` against `r` by exact value, NaN above every number: the integer
+/// parts first (the saturating cast truncates), then `r`'s fraction.
+/// `R64` holds no −0.0, so `total_cmp` is the numeric order here.
+fn cmp_int_real(i: i64, r: R64) -> Ordering {
+    let r = r.get();
+    if r.is_nan() {
+        return Ordering::Less;
+    }
+    let t = r as i64;
+    match i.cmp(&t) {
+        Ordering::Equal if t == i64::MAX => Ordering::Less,
+        Ordering::Equal => (t as f64).total_cmp(&r),
+        ord => ord,
+    }
+}
+
+impl PartialEq for Const {
+    #[inline]
+    fn eq(&self, other: &Const) -> bool {
+        match (self, other) {
+            (Const::Int(a), Const::Int(b)) => a == b,
+            (Const::Real(a), Const::Real(b)) => a == b,
+            (Const::Int(i), Const::Real(r)) | (Const::Real(r), Const::Int(i)) => {
+                integral(*r) == Some(*i)
+            }
+            (Const::Str(a), Const::Str(b)) => a == b,
+            (Const::Bool(a), Const::Bool(b)) => a == b,
+            (Const::Oid(a), Const::Oid(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Const {}
+
+impl std::hash::Hash for Const {
+    /// As the derive would (the `isize` discriminant, then the payload),
+    /// except that an integral real hashes as the `Int` it equals.
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match *self {
+            Const::Int(i) => (0isize, i).hash(state),
+            Const::Real(r) => match integral(r) {
+                Some(i) => (0isize, i).hash(state),
+                None => (1isize, r).hash(state),
+            },
+            Const::Str(s) => (2isize, s).hash(state),
+            Const::Bool(b) => (3isize, b).hash(state),
+            Const::Oid(o) => (4isize, o).hash(state),
+        }
+    }
+}
+
+impl PartialOrd for Const {
+    #[inline]
+    fn partial_cmp(&self, other: &Const) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Const {
+    #[inline]
+    fn cmp(&self, other: &Const) -> Ordering {
+        match (self, other) {
+            (Const::Int(a), Const::Int(b)) => a.cmp(b),
+            (Const::Real(a), Const::Real(b)) => a.cmp(b),
+            (Const::Int(i), Const::Real(r)) => cmp_int_real(*i, *r),
+            (Const::Real(r), Const::Int(i)) => cmp_int_real(*i, *r).reverse(),
+            (Const::Str(a), Const::Str(b)) => a.cmp(b),
+            (Const::Bool(a), Const::Bool(b)) => a.cmp(b),
+            (Const::Oid(a), Const::Oid(b)) => a.cmp(b),
+            _ => self.rank().cmp(&other.rank()),
+        }
+    }
+}
+
 impl Const {
-    /// A short tag naming the constant's type, used in error messages and
-    /// for comparability checks.
-    pub fn type_tag(&self) -> &'static str {
+    /// The kind's place in the order: numbers, strings, booleans, OIDs.
+    fn rank(&self) -> u8 {
         match self {
-            Const::Int(_) | Const::Real(_) => "number",
-            Const::Str(_) => "string",
-            Const::Bool(_) => "bool",
-            Const::Oid(_) => "oid",
+            Const::Int(_) | Const::Real(_) => 0,
+            Const::Str(_) => 1,
+            Const::Bool(_) => 2,
+            Const::Oid(_) => 3,
         }
     }
 
     /// Whether an *order* comparison (`<`, `<=`, …) between the two
-    /// constants is meaningful. Equality is always meaningful (constants of
-    /// different types are simply unequal).
+    /// constants is meaningful: both of one kind, and not OIDs. Equality
+    /// is always meaningful (constants of different kinds are unequal).
     pub fn comparable(&self, other: &Const) -> bool {
-        self.type_tag() == other.type_tag() && self.type_tag() != "oid"
+        self.rank() == other.rank() && !matches!(self, Const::Oid(_))
     }
 
-    /// Total order used by the constraint solver and the evaluator for
-    /// comparable constants. Numbers compare numerically across
-    /// `Int`/`Real`; other types compare within their kind.
+    /// [`Ord::cmp`] where an order comparison is meaningful
+    /// ([`Const::comparable`]), `None` otherwise.
     pub fn order(&self, other: &Const) -> Option<Ordering> {
         match (self, other) {
-            (Const::Int(a), Const::Int(b)) => Some(a.cmp(b)),
-            (Const::Real(a), Const::Real(b)) => Some(a.cmp(b)),
-            (Const::Int(a), Const::Real(b)) => R64::new(*a as f64).partial_cmp(b),
-            (Const::Real(a), Const::Int(b)) => a.partial_cmp(&R64::new(*b as f64)),
-            (Const::Str(a), Const::Str(b)) => Some(a.as_str().cmp(b.as_str())),
-            (Const::Bool(a), Const::Bool(b)) => Some(a.cmp(b)),
+            (Const::Int(_) | Const::Real(_), Const::Int(_) | Const::Real(_))
+            | (Const::Str(_), Const::Str(_))
+            | (Const::Bool(_), Const::Bool(_)) => Some(self.cmp(other)),
             _ => None,
-        }
-    }
-
-    /// Numeric-aware equality: `Int(3)` equals `Real(3.0)`.
-    pub fn same_value(&self, other: &Const) -> bool {
-        match (self, other) {
-            (Const::Oid(a), Const::Oid(b)) => a == b,
-            _ => self.order(other) == Some(Ordering::Equal),
         }
     }
 }
@@ -324,15 +401,37 @@ mod tests {
     #[test]
     fn const_cross_type_order() {
         assert_eq!(
-            Const::Int(3).order(&Const::Real(R64::new(3.0))),
+            Const::Int(3).order(&Const::from(3.0)),
             Some(Ordering::Equal)
         );
-        assert!(Const::Int(3).same_value(&Const::Real(R64::new(3.0))));
+        assert_eq!(Const::Int(3), Const::from(3.0));
         assert_eq!(Const::Str("a".into()).order(&Const::Int(1)), None);
         assert!(!Const::Str("a".into()).comparable(&Const::Int(1)));
         assert!(!Const::Oid(1).comparable(&Const::Oid(2)));
-        assert!(Const::Oid(1).same_value(&Const::Oid(1)));
-        assert!(!Const::Oid(1).same_value(&Const::Oid(2)));
+        assert_eq!(Const::Oid(1).order(&Const::Oid(1)), None);
+        assert_ne!(Const::Oid(1), Const::Oid(2));
+        assert_ne!(Const::Int(1), Const::Oid(1));
+        // Past 2^53 `f64` no longer holds every integer; the order and
+        // the equality still tell the integers apart from the real
+        // between them.
+        let big = 1_i64 << 53;
+        let real = Const::from(big as f64);
+        assert_eq!(Const::Int(big), real);
+        assert!(Const::Int(big - 1) < real && real < Const::Int(big + 1));
+        assert_ne!(Const::Int(big + 1), real);
+        assert!(Const::Int(i64::MAX) < Const::from(i64::MAX as f64));
+        assert_eq!(Const::Int(i64::MIN), Const::from(i64::MIN as f64));
+        assert!(Const::from(2.5) < Const::Int(3) && Const::Int(-3) < Const::from(-2.5));
+        assert!(Const::Int(i64::MAX) < Const::from(f64::NAN));
+        assert!(Const::Int(i64::MIN) > Const::from(f64::NEG_INFINITY));
+        let hash = |c: Const| {
+            use std::hash::{Hash, Hasher};
+            let mut h = crate::fxhash::FxHasher::default();
+            c.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(Const::Int(big)), hash(real));
+        assert_eq!(hash(Const::Int(0)), hash(Const::from(-0.0)));
     }
 
     #[test]

@@ -92,8 +92,8 @@ fn brute_force(tables: &Tables, q: &Query) -> Oracle {
                 Literal::Cmp(c) => match (resolve(&c.lhs, &b), resolve(&c.rhs, &b)) {
                     (Some(l), Some(r)) => {
                         let holds = match c.op {
-                            CmpOp::Eq => Some(l.same_value(&r)),
-                            CmpOp::Ne => Some(!l.same_value(&r)),
+                            CmpOp::Eq => Some(l == r),
+                            CmpOp::Ne => Some(l != r),
                             op => l.order(&r).map(|o| op.test(o)),
                         };
                         match holds {

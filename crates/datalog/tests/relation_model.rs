@@ -10,8 +10,8 @@
 //!
 //! The model knows nothing of arenas, row tables or postings: membership
 //! is a linear search, a hash probe a filtered pass under `Const`'s
-//! derived equality, a range probe a filtered pass under the evaluator's
-//! numeric-aware [`Const::order`], stably sorted by value — and it
+//! equality, a range probe a filtered pass under the evaluator's
+//! [`Const::order`], stably sorted by value — and it
 //! declines (`None`) exactly when scan-and-filter could raise
 //! `Incomparable`: a column that holds another kind of value than the
 //! bounds, OID bounds, or bounds of two kinds.
@@ -51,7 +51,7 @@ impl Lcg {
 enum Col {
     Int,
     /// Ints and reals, whole reals included: `Int(3)` and `Real(3.0)` are
-    /// two hash keys and one ordered key.
+    /// one value, so one tuple and one key, hashed or ordered.
     Num,
     Str,
     Oid,

@@ -392,6 +392,31 @@ impl ObjectDb {
         })
     }
 
+    /// The attributes of a new `owner` object: the `provided` values
+    /// type-checked, then defaults for the rest. Every check runs before a
+    /// default structure instance is created and logged, so a refused
+    /// write logs nothing.
+    fn attr_values(
+        &mut self,
+        owner: &str,
+        declared: &[(String, Type)],
+        mut provided: BTreeMap<&str, Value>,
+    ) -> Result<BTreeMap<String, Value>> {
+        let mut values = BTreeMap::new();
+        for (name, ty) in declared {
+            if let Some(v) = provided.remove(name.as_str()) {
+                values.insert(name.clone(), self.check_type(owner, name, ty, v)?);
+            }
+        }
+        for (name, ty) in declared {
+            if !values.contains_key(name) {
+                let v = self.default_value(ty)?;
+                values.insert(name.clone(), v);
+            }
+        }
+        Ok(values)
+    }
+
     /// Create an object of a class; missing attributes get defaults
     /// (structure attributes get auto-created structure instances).
     pub fn create(&mut self, class: &str, attrs: Vec<(&str, Value)>) -> Result<Oid> {
@@ -417,14 +442,7 @@ impl ObjectDb {
             }
             provided.insert(k, v);
         }
-        let mut final_attrs = BTreeMap::new();
-        for (name, ty) in &declared {
-            let value = match provided.remove(name.as_str()) {
-                Some(v) => self.check_type(class, name, ty, v)?,
-                None => self.default_value(ty)?,
-            };
-            final_attrs.insert(name.clone(), value);
-        }
+        let final_attrs = self.attr_values(class, &declared, provided)?;
         let oid = self.alloc_oid();
         self.log(&StoreOp::PutObject {
             oid: oid.0,
@@ -461,15 +479,7 @@ impl ObjectDb {
             .iter()
             .map(|f| (f.name.clone(), f.ty.clone()))
             .collect();
-        let mut provided: BTreeMap<&str, Value> = fields.into_iter().collect();
-        let mut final_attrs = BTreeMap::new();
-        for (name, ty) in &declared {
-            let value = match provided.remove(name.as_str()) {
-                Some(v) => self.check_type(strct, name, ty, v)?,
-                None => self.default_value(ty)?,
-            };
-            final_attrs.insert(name.clone(), value);
-        }
+        let final_attrs = self.attr_values(strct, &declared, fields.into_iter().collect())?;
         let oid = self.alloc_oid();
         self.log(&StoreOp::PutObject {
             oid: oid.0,
@@ -502,18 +512,27 @@ impl ObjectDb {
             },
             _ => false,
         };
-        if ok {
-            // Coerce ints to reals where declared real.
-            if let (Type::Base(BaseType::Real), Value::Int(i)) = (ty, &v) {
-                return Ok(Value::Real(*i as f64));
+        let refuse = |detail: String| ObjDbError::BadAttribute {
+            class: owner.to_string(),
+            attribute: attr.to_string(),
+            detail,
+        };
+        if !ok {
+            return Err(refuse(format!("value {v} does not match type {ty}")));
+        }
+        match (ty, v) {
+            // Coerce ints to reals where declared real; an integer the
+            // real would round (past 2^53) is refused, not stored as
+            // another number.
+            (Type::Base(BaseType::Real), Value::Int(i)) => {
+                let real = i as f64;
+                if Const::Int(i) == Const::from(real) {
+                    Ok(Value::Real(real))
+                } else {
+                    Err(refuse(format!("integer {i} has no exact {ty} value")))
+                }
             }
-            Ok(v)
-        } else {
-            Err(ObjDbError::BadAttribute {
-                class: owner.to_string(),
-                attribute: attr.to_string(),
-                detail: format!("value {v} does not match type {ty}"),
-            })
+            (_, v) => Ok(v),
         }
     }
 
@@ -1206,6 +1225,33 @@ mod tests {
             .create("Employee", vec![("salary", Value::Int(50000))])
             .unwrap();
         assert_eq!(d.attr(e, "salary"), Some(&Value::Real(50000.0)));
+    }
+
+    /// A `float` attribute takes an integer only if it holds it exactly:
+    /// past 2^53 the write is refused before it reaches the log.
+    #[test]
+    fn a_float_attribute_refuses_an_integer_it_would_round() {
+        let dir = std::env::temp_dir().join(format!("sqo_objdb_{}_round", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut d = ObjectDb::open(university_schema(), &dir, 2).unwrap();
+        let big = 1_i64 << 53;
+        for ok in [50_000, big] {
+            let e = d.create("Employee", vec![("salary", Value::Int(ok))]);
+            assert_eq!(d.attr(e.unwrap(), "salary"), Some(&Value::Real(ok as f64)));
+        }
+        let logged = d.store_generation();
+        let e = d.create("Employee", vec![]).unwrap();
+        let logged_with_e = d.store_generation();
+        assert!(logged_with_e > logged);
+        for refused in [
+            d.create("Employee", vec![("salary", Value::Int(big + 1))]),
+            d.set_attr(e, "salary", Value::Int(big + 1)).map(|()| e),
+        ] {
+            assert!(matches!(refused, Err(ObjDbError::BadAttribute { .. })));
+        }
+        assert_eq!(d.store_generation(), logged_with_e);
+        assert_eq!(d.attr(e, "salary"), Some(&Value::Real(0.0)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

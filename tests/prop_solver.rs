@@ -1,9 +1,13 @@
 //! Property tests for the comparison-constraint solver: soundness and
 //! (restricted) completeness against a brute-force model finder over a
-//! small domain.
+//! small domain; and the laws of the one equality and order on constants
+//! the solver, the evaluator and the indexes share.
 
 use proptest::prelude::*;
-use semantic_sqo::datalog::{CmpOp, Comparison, ConstraintSet, Sat, Term};
+use semantic_sqo::datalog::fxhash::FxHasher;
+use semantic_sqo::datalog::{CmpOp, Comparison, Const, ConstraintSet, Sat, Term};
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 const DOMAIN: std::ops::Range<i64> = 0..5;
 const VARS: [&str; 4] = ["A", "B", "C", "D"];
@@ -203,5 +207,88 @@ proptest! {
         let a = ConstraintSet::from_comparisons(cmps.iter()).check();
         let b = ConstraintSet::from_comparisons(flipped.iter()).check();
         prop_assert_eq!(a, b);
+    }
+}
+
+/// Numbers where `Int` against `Real` is hard to get right — the ends of
+/// `i64`, ±2^53 ± 2 (past 2^53 `f64` skips integers), integral and
+/// fractional reals, ±∞, NaN, −0.0 — and a few constants of every other
+/// kind.
+fn law_const_strategy() -> impl Strategy<Value = Const> {
+    const BIG: i64 = 1 << 53;
+    const INTS: [i64; 5] = [i64::MIN, i64::MAX, 0, 3, -3];
+    const REALS: [f64; 14] = [
+        3.0,
+        -3.0,
+        2.5,
+        -2.5,
+        0.5,
+        -0.0,
+        i64::MIN as f64,
+        i64::MAX as f64,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        (BIG + 2) as f64,
+        -((BIG + 2) as f64),
+    ];
+    prop_oneof![
+        2 => (0usize..INTS.len()).prop_map(|i| Const::Int(INTS[i])),
+        4 => (-2i64..3, 0usize..2).prop_map(|(d, neg)| Const::Int([BIG, -BIG][neg] + d)),
+        2 => (0usize..REALS.len()).prop_map(|i| Const::from(REALS[i])),
+        3 => (-2i64..3, 0usize..2).prop_map(|(d, neg)| Const::from(([BIG, -BIG][neg] + d) as f64)),
+        1 => (0usize..2).prop_map(|i| Const::from(["a", "b"][i])),
+        1 => (0usize..2).prop_map(|i| Const::Bool(i == 1)),
+        1 => (1u64..3).prop_map(Const::Oid),
+    ]
+}
+
+fn fx_hash(c: &Const) -> u64 {
+    let mut h = FxHasher::default();
+    c.hash(&mut h);
+    h.finish()
+}
+
+/// The kinds an order comparison stays within; `None` for OIDs, which
+/// have none.
+fn order_kind(c: &Const) -> Option<u8> {
+    match c {
+        Const::Int(_) | Const::Real(_) => Some(0),
+        Const::Str(_) => Some(1),
+        Const::Bool(_) => Some(2),
+        Const::Oid(_) => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    /// `cmp` is a total order, `==` is its `Equal`, equal constants hash
+    /// alike, and `order` is `cmp` exactly where an order comparison is
+    /// meaningful.
+    #[test]
+    fn const_equality_order_and_hash_agree(
+        a in law_const_strategy(),
+        b in law_const_strategy(),
+        c in law_const_strategy(),
+    ) {
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse(), "{:?} {:?}", a, b);
+        if a <= b && b <= c {
+            prop_assert!(a <= c, "{:?} <= {:?} <= {:?}", a, b, c);
+            if a < b || b < c {
+                prop_assert!(a < c, "{:?} {:?} {:?}", a, b, c);
+            }
+        }
+        prop_assert_eq!(a == b, a.cmp(&b) == Ordering::Equal, "{:?} {:?}", a, b);
+        if a == b {
+            prop_assert_eq!(fx_hash(&a), fx_hash(&b), "{:?} {:?}", a, b);
+        }
+        let comparable = order_kind(&a).is_some() && order_kind(&a) == order_kind(&b);
+        prop_assert_eq!(
+            a.order(&b),
+            comparable.then(|| a.cmp(&b)),
+            "{:?} {:?}", a, b
+        );
     }
 }

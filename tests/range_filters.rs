@@ -6,9 +6,14 @@
 //! The bodies are one atom over an ordered-indexed `Int` column and one
 //! to three comparisons on it — `<`, `<=`, `>`, `>=`, either operand
 //! order — against constants from a small pool, so that equal values
-//! with both inclusivities, `Int`s against `Real`s of the same value, and
-//! one incomparable string all come up. Cases are driven by a seeded LCG;
-//! a failure prints its seed.
+//! with both inclusivities, `Int`s against `Real`s of the same value
+//! (2^53 among them, where `f64` stops holding every integer), and one
+//! incomparable string all come up. A second base mixes `Int`s and
+//! `Real`s in the indexed column itself, ordered-indexed in one relation
+//! and hash-indexed in another, and every way of asking for one value
+//! there — a `=` filter either side of the atom, a closed range, the
+//! constant in the atom — answers the same. Cases are driven by a seeded
+//! LCG; a failure prints its seed.
 
 use semantic_sqo::datalog::eval::{answer_query_with, EvalOptions};
 use semantic_sqo::datalog::parser::parse_query;
@@ -19,6 +24,9 @@ use semantic_sqo::odl::fixtures::university_schema;
 use std::cmp::Ordering;
 
 const OPS: [CmpOp; 4] = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+
+/// 2^53: the first integer past which `f64` skips integers.
+const BIG: i64 = 1 << 53;
 
 /// Numerical Recipes LCG: deterministic, no dependency.
 struct Lcg(u64);
@@ -52,11 +60,42 @@ fn base() -> EdbDatabase {
     db
 }
 
-/// A bounding constant: `Int`s and `Real`s sharing values, so bounds tie.
-fn constant(rng: &mut Lcg) -> Const {
-    match rng.below(5) {
-        0..=2 => Const::Int([4, 8][rng.below(2) as usize]),
-        _ => Const::from([4.0, 8.0, 8.5][rng.below(3) as usize]),
+/// `p(I, V)` and `h(I, V)`: 36 rows each, `V` cycling through `Int`s
+/// and `Real`s of one value — 3 and 3.0, 2^53 and 2^53.0 — with 4 and
+/// 2^53 + 1 between and beside them; an ordered index on `p`'s `V`, a
+/// hash index on `h`'s.
+fn mixed_base() -> EdbDatabase {
+    let values = [
+        Const::Int(3),
+        Const::from(3.0),
+        Const::Int(4),
+        Const::Int(BIG),
+        Const::from(BIG as f64),
+        Const::Int(BIG + 1),
+    ];
+    let mut db = EdbDatabase::new();
+    for pred in ["p", "h"] {
+        let pred = PredSym::new(pred);
+        db.declare(pred, 2);
+        for i in 0..36 {
+            db.insert(pred, &[Const::Int(i), values[i as usize % values.len()]])
+                .unwrap();
+        }
+    }
+    db.declare_ordered_index(PredSym::new("p"), 1);
+    db.declare_hash_index(PredSym::new("h"), 1);
+    db
+}
+
+/// A bounding constant: `Int`s and `Real`s sharing values, so bounds tie;
+/// small, or (`big`) around 2^53, where `f64` has no 2^53 + 1 and its
+/// next real is 2^53 + 2.
+fn constant(rng: &mut Lcg, big: bool) -> Const {
+    match (rng.below(5), big) {
+        (0..=2, false) => Const::Int([4, 8][rng.below(2) as usize]),
+        (_, false) => Const::from([4.0, 8.0, 8.5][rng.below(3) as usize]),
+        (0..=2, true) => Const::Int([BIG - 1, BIG, BIG + 1][rng.below(3) as usize]),
+        (_, true) => Const::from([BIG - 1, BIG, BIG + 2][rng.below(3) as usize] as f64),
     }
 }
 
@@ -69,17 +108,19 @@ fn as_upper_or_lower(c: &Comparison) -> (Const, CmpOp) {
     }
 }
 
-fn random_query(rng: &mut Lcg) -> Query {
+fn random_query(rng: &mut Lcg, pred: &str) -> Query {
     let (i, v) = (Term::var("I"), Term::var("V"));
-    let mut body = vec![Literal::Pos(Atom::new("p", vec![i, v]))];
+    let mut body = vec![Literal::Pos(Atom::new(pred, vec![i, v]))];
     let mut has_str = false;
+    // One body in four bounds around 2^53.
+    let big = rng.below(4) == 0;
     for _ in 0..1 + rng.below(3) {
         // At most one string a body: incomparable with the column.
         let k = if !has_str && rng.below(6) == 0 {
             has_str = true;
             Const::Str("a".into())
         } else {
-            constant(rng)
+            constant(rng, big)
         };
         let op = OPS[rng.below(4) as usize];
         let c = if rng.below(2) == 0 {
@@ -133,31 +174,117 @@ fn has_equal_bounds_of_both_inclusivities(q: &Query) -> bool {
     })
 }
 
-#[test]
-fn range_probed_bodies_answer_what_the_scan_answers() {
-    let db = base();
-    let (mut probed, mut errored, mut tied, mut nonempty) = (0, 0, 0, 0);
-    for seed in 0u64..600 {
+/// Counts of the regimes [`differential`] reached.
+#[derive(Default)]
+struct Reached {
+    probed: usize,
+    errored: usize,
+    tied: usize,
+    nonempty: usize,
+}
+
+/// Indexed and scan-only answers of `seeds` random bodies over `pred`
+/// agree, or both error.
+fn differential(db: &EdbDatabase, pred: &str, seeds: std::ops::Range<u64>) -> Reached {
+    let mut reached = Reached::default();
+    for seed in seeds {
         let mut rng = Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(7));
-        let q = random_query(&mut rng);
-        let indexed = sorted(&db, &q, &EvalOptions::default());
-        let scan = sorted(&db, &q, &EvalOptions::scan_only());
+        let q = random_query(&mut rng, pred);
+        let indexed = sorted(db, &q, &EvalOptions::default());
+        let scan = sorted(db, &q, &EvalOptions::scan_only());
         match (&indexed, &scan) {
             (Ok((got, range_probes)), Ok((want, _))) => {
                 assert_eq!(got, want, "seed {seed}: [{q}]");
-                probed += usize::from(*range_probes > 0);
-                nonempty += usize::from(!got.is_empty());
-                tied += usize::from(has_equal_bounds_of_both_inclusivities(&q));
+                reached.probed += usize::from(*range_probes > 0);
+                reached.nonempty += usize::from(!got.is_empty());
+                reached.tied += usize::from(has_equal_bounds_of_both_inclusivities(&q));
             }
-            (Err(_), Err(_)) => errored += 1,
+            (Err(_), Err(_)) => reached.errored += 1,
             _ => panic!("seed {seed}: [{q}]: indexed {indexed:?}, scan {scan:?}"),
         }
     }
+    reached
+}
+
+#[test]
+fn range_probed_bodies_answer_what_the_scan_answers() {
+    let Reached {
+        probed,
+        errored,
+        tied,
+        nonempty,
+    } = differential(&base(), "p", 0..600);
     // The generator reaches every regime the range bounds have to get right.
     assert!(probed >= 300, "only {probed} range-probed cases");
     assert!(nonempty >= 200, "only {nonempty} non-empty cases");
     assert!(tied >= 40, "only {tied} cases with tied bounds");
     assert!(errored >= 100, "only {errored} incomparable cases");
+
+    // Over a column mixing `Int`s and `Real`s, ordered- or hash-indexed.
+    let mixed = mixed_base();
+    let ordered = differential(&mixed, "p", 0..300);
+    let hashed = differential(&mixed, "h", 300..600);
+    assert!(
+        ordered.probed >= 150,
+        "only {} range-probed cases",
+        ordered.probed
+    );
+    assert_eq!(hashed.probed, 0, "`h` has no ordered index");
+    for reached in [&ordered, &hashed] {
+        assert!(
+            reached.nonempty >= 100,
+            "only {} non-empty cases",
+            reached.nonempty
+        );
+    }
+}
+
+/// One value asked for every way there is — `V = k`, `k = V` before the
+/// atom, `V >= k, V <= k`, the constant in the atom — over the ordered-
+/// and the hash-indexed mixed column, indexed and scan-only: one answer
+/// set, the rows holding that value whichever kind it was stored as.
+#[test]
+fn every_way_of_asking_for_a_value_answers_the_same() {
+    let db = mixed_base();
+    // Each value with the number of rows holding it: 3 and 3.0 are one
+    // value, stored both ways; so are 2^53 and 2^53.0; 2^53 + 1 is not.
+    let values = [
+        (Const::Int(3), 12),
+        (Const::from(3.0), 12),
+        (Const::Int(4), 6),
+        (Const::from(4.5), 0),
+        (Const::Int(BIG - 1), 0),
+        (Const::Int(BIG), 12),
+        (Const::from(BIG as f64), 12),
+        (Const::Int(BIG + 1), 6),
+        (Const::from((BIG + 2) as f64), 0),
+    ];
+    for pred in ["p", "h"] {
+        for (k, held) in values {
+            let (i, v, k_) = (Term::var("I"), Term::var("V"), Term::Const(k));
+            let atom = |arg| Literal::Pos(Atom::new(pred, vec![i, arg]));
+            let cmp = |l, op, r| Literal::Cmp(Comparison::new(l, op, r));
+            let bodies = [
+                vec![atom(v), cmp(v, CmpOp::Eq, k_)],
+                vec![cmp(k_, CmpOp::Eq, v), atom(v)],
+                vec![atom(v), cmp(v, CmpOp::Ge, k_), cmp(v, CmpOp::Le, k_)],
+                vec![atom(k_)],
+            ];
+            let mut first = None;
+            for body in bodies {
+                let q = Query::new("q", vec![i], body);
+                let (got, _) = sorted(&db, &q, &EvalOptions::default()).unwrap();
+                let (scan, _) = sorted(&db, &q, &EvalOptions::scan_only()).unwrap();
+                assert_eq!(got, scan, "{pred}, {k}: [{q}]");
+                assert_eq!(got.len(), held, "{pred}, {k}: [{q}]");
+                assert_eq!(
+                    first.get_or_insert_with(|| got.clone()),
+                    &got,
+                    "{pred}, {k}: [{q}]"
+                );
+            }
+        }
+    }
 }
 
 /// Answers come back in the order of their first derivation, each once:
