@@ -132,8 +132,9 @@ impl Instance {
     }
 
     /// The report of a repeat served from this instance, counted as the
-    /// hit it is.
+    /// optimization and the hit it is.
     fn hit(&self, scope: obs::Scope) -> OptimizationReport {
+        obs::bump(obs::Counter::OptimizerQueries);
         obs::bump(obs::Counter::PlanCacheHits);
         obs::bump(obs::Counter::PlanCacheInstanceHits);
         count_verdict(&self.verdict);
@@ -429,12 +430,7 @@ impl PreparedOptimizer {
     ) -> Result<(OptimizationReport, CacheOutcome)> {
         let _span = obs::span!("pipeline.optimize");
         let scope = obs::Scope::enter();
-        let by_text = {
-            let _s = obs::span!("cache.lookup");
-            cache.find_text(oql_src, self.generation)
-        };
-        if let Some(instance) = by_text {
-            obs::bump(obs::Counter::OptimizerQueries);
+        if let Some(instance) = self.probe_text(cache, oql_src) {
             return Ok((instance.hit(scope), CacheOutcome::Hit));
         }
         let original = sqo_oql::parse_oql(oql_src)?;
@@ -483,6 +479,30 @@ impl PreparedOptimizer {
                 Ok((report, disposition))
             }
         }
+    }
+
+    /// The text-hit branch of [`Self::optimize_cached`] on its own: the
+    /// report of a repeat of a text the cache has finished under this
+    /// generation — one probe under the cache lock, nothing parsed — and
+    /// `None` for any other text. A `None` records the probe as a
+    /// `cache.lookup` sample and nothing else.
+    pub fn finished_text(&self, cache: &PlanCache, oql_src: &str) -> Option<OptimizationReport> {
+        let span = obs::span!("pipeline.optimize");
+        let scope = obs::Scope::enter();
+        match self.probe_text(cache, oql_src) {
+            Some(instance) => Some(instance.hit(scope)),
+            None => {
+                span.discard();
+                None
+            }
+        }
+    }
+
+    /// The instance `oql_src` finished under this generation: the probe by
+    /// text every cached optimization starts with.
+    fn probe_text(&self, cache: &PlanCache, oql_src: &str) -> Option<Arc<Instance>> {
+        let _s = obs::span!("cache.lookup");
+        cache.find_text(oql_src, self.generation)
     }
 
     /// [`Self::optimize_cached`] on the text `original` renders to. A

@@ -511,3 +511,43 @@ fn a_rebind_keeps_finished_texts() {
     assert_eq!(again.stats.counter(obs::Counter::TranslateQueries), 0);
     assert_eq!(rewrites(&again), rewrites(&prep.optimize(young).unwrap()));
 }
+
+/// The text-hit branch on its own: a repeat of a finished text is the
+/// report `optimize_cached` gives it, and any other text leaves one probe
+/// behind and nothing else.
+#[test]
+fn finished_text_is_the_text_hit_branch_of_optimize_cached() {
+    let _g = lock();
+    let prep = prepared_university();
+    let cache = PlanCache::new();
+    let q = "select x.name from x in Person where x.age < 25";
+    let global = obs::snapshot();
+    assert!(prep.finished_text(&cache, q).is_none());
+    let probed = obs::snapshot().since(&global);
+    assert_eq!(probed.hists["cache.lookup"].count(), 1);
+    assert!(!probed.hists.contains_key("pipeline.optimize"));
+    assert_eq!(probed.counter(obs::Counter::OptimizerQueries), 0);
+
+    prep.optimize_cached(&cache, q).unwrap();
+    assert!(
+        prep.finished_text(&cache, q).is_none(),
+        "a miss finishes none"
+    );
+    let (filled, _) = prep.optimize_cached(&cache, q).unwrap();
+    let hit = prep
+        .finished_text(&cache, q)
+        .expect("the fill finished the text");
+    let (again, d) = prep.optimize_cached(&cache, q).unwrap();
+    assert_eq!(d, CacheOutcome::Hit);
+    for report in [&hit, &again] {
+        assert_eq!(instance_hits(report), 1);
+        assert_eq!(report.stats.counter(obs::Counter::OptimizerQueries), 1);
+        assert_eq!(report.stats.spans["cache.lookup"].count, 1);
+        assert!(Arc::ptr_eq(&report.verdict, &filled.verdict));
+    }
+    let body = |r: &OptimizationReport| {
+        let json = r.explain_json();
+        json[..json.find("\"stats\":").unwrap()].to_string()
+    };
+    assert_eq!(body(&hit), body(&again));
+}

@@ -192,7 +192,9 @@ counters! {
     /// Total nanoseconds accepted requests spent waiting in the admission
     /// queue before a worker picked them up.
     ServeWaitNs => "serve.wait_ns",
-    /// Panics caught on a serve worker and answered as `internal_error`.
+    /// Panics caught while serving a request and answered as
+    /// `internal_error`: on a worker, or on the serving loop in what it
+    /// answers itself (control ops, writes, finished rewrite-only texts).
     ServeWorkerPanic => "serve.worker_panic",
     /// Sessions prepared (ODL parse + Step-1 translation + residue
     /// compilation) by the service session registry.
@@ -459,6 +461,12 @@ impl SpanGuard {
             start: Some(Instant::now()),
             trace_base: request::span_baseline(),
         }
+    }
+
+    /// Closes the span without recording it anywhere: for a span opened
+    /// around work that turned out to be another thread's to finish.
+    pub fn discard(mut self) {
+        self.start = None;
     }
 }
 

@@ -614,4 +614,18 @@ mod tests {
             assert_eq!(depth_and_log(), (0, 0));
         });
     }
+
+    /// A discarded span is recorded nowhere: not in the open scope, not
+    /// in its series.
+    #[test]
+    fn a_discarded_span_is_recorded_nowhere() {
+        on_fresh_thread(|| {
+            let before = crate::snapshot();
+            let scope = Scope::enter();
+            span!("test.discarded").discard();
+            assert!(scope.finish().spans.is_empty());
+            let global = crate::snapshot().since(&before);
+            assert!(!global.hists.contains_key("test.discarded"));
+        });
+    }
 }

@@ -4,22 +4,43 @@
 //! Connections are state machines, not threads. Each one owns an
 //! incremental [`LineFramer`](crate::framing::LineFramer) for reads, an
 //! in-order response queue (*slots*), and a pending write buffer. A
-//! single wake-up drains **all** complete frames a connection has
-//! buffered (pipelined batching), routes each through
+//! wake-up routes the complete frames a connection has buffered
+//! (pipelined batching), up to [`FRAMES_PER_TURN`] of them, through
 //! [`route`](crate::server), and queues the responses strictly in
 //! request order — a later request answered early (a cache hit behind a
 //! slow miss) waits in its slot until everything ahead of it is on the
 //! wire.
 //!
-//! Division of labour: control ops (`ping`, `metrics`, `prepare`, …)
-//! are answered inline on the loop thread; `query` work is submitted to
-//! the admission [`Pool`](crate::admission::Pool) — a full queue is
-//! answered `overloaded` on the spot — and the worker hands the
-//! formatted response back through a completion queue, waking the loop
-//! via a self-pipe. Deadlines are enforced by the loop: the poll timeout
-//! is the nearest pending deadline, and an expired slot is answered with
-//! `deadline_exceeded` (a late worker result for an already-answered
-//! slot is dropped).
+//! Division of labour: the loop answers every request that cannot block
+//! — control ops (`ping`, `metrics`, `prepare`, …), the writes (`create`,
+//! `link`, `persist`), and a rewrite-only `query` whose exact text the
+//! session's plan cache has finished, which is one probe and a copy of a
+//! written report. Every other `query` is submitted to the admission
+//! [`Pool`](crate::admission::Pool) — a full queue is answered
+//! `overloaded` on the spot — and the worker hands the formatted
+//! response back through a completion queue, waking the loop via a
+//! self-pipe. A panic in anything the loop answers is answered
+//! `internal_error`, as a worker's is. Deadlines are enforced by the
+//! loop: the poll timeout is the nearest pending deadline, and an
+//! expired slot is answered with `deadline_exceeded` (a late worker
+//! result for an already-answered slot is dropped).
+//!
+//! Every connection gets bounded memory and a fair share of the loop:
+//!
+//! * a wake-up routes at most [`FRAMES_PER_TURN`] frames of one
+//!   connection; frames left over are routed on the next turns, which
+//!   poll without sleeping until none are left, and the connection is
+//!   not read while it has any;
+//! * a connection with more than [`MAX_UNSENT`] reply bytes produced and
+//!   not yet written — a client that pipelines and does not read — is
+//!   neither read nor routed until its peer has read enough.
+//!
+//! So a connection holds at most one read's worth of frames, a frame's
+//! tail, and a few MiB of replies, whatever its peer does.
+//!
+//! End of input is not the end of a connection: a peer that shuts down
+//! its write half (`printf … | nc -N`) gets every reply to what it sent,
+//! in order, before the loop closes the socket.
 //!
 //! Nothing here blocks on a socket, so a slow-loris peer dribbling one
 //! byte per minute costs one framer tail, never a worker thread, and a
@@ -37,11 +58,21 @@ use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const LISTENER: u64 = 0;
 const WAKER: u64 = 1;
 const FIRST_CONN: u64 = 2;
+
+/// Frames of one connection routed per wake-up: the default admission
+/// queue's capacity, so a pipelined window that fits the queue is routed
+/// in one turn.
+const FRAMES_PER_TURN: usize = 64;
+
+/// Reply bytes a connection may have produced and not yet written before
+/// it is neither read nor routed: well above the largest pipelined
+/// window a client waits on (32 replies of up to ~30 KB).
+const MAX_UNSENT: usize = 4 << 20;
 
 /// A worker-completed query: which connection, which slot, what bytes.
 type Completion = (u64, u64, String);
@@ -73,11 +104,17 @@ struct Conn {
     write_buf: Vec<u8>,
     write_pos: usize,
     next_seq: u64,
+    /// Reply bytes produced and not yet written: the `Ready` slots and
+    /// the unwritten part of `write_buf`.
+    unsent: usize,
     /// Stop reading and close once every queued response is flushed
     /// (protocol violation, invalid UTF-8, or shutdown).
     close_after_flush: bool,
-    /// Whether the poller currently watches this socket for writability.
-    wants_write: bool,
+    /// The peer shut down its write half: nothing more will arrive, and
+    /// the connection closes once every reply to what did is written.
+    read_closed: bool,
+    /// What the poller currently watches this socket for.
+    interest: Interest,
 }
 
 impl Conn {
@@ -89,9 +126,49 @@ impl Conn {
             write_buf: Vec::new(),
             write_pos: 0,
             next_seq: 0,
+            unsent: 0,
             close_after_flush: false,
-            wants_write: false,
+            read_closed: false,
+            interest: Interest::READ,
         }
+    }
+
+    /// Queues an answered response behind every earlier one.
+    fn push_ready(&mut self, resp: String) {
+        self.unsent += resp.len() + 1;
+        self.slots.push_back(Slot::Ready(resp));
+    }
+
+    /// Answers a pending slot in place.
+    fn fill(&mut self, slot: usize, resp: String) {
+        self.unsent += resp.len() + 1;
+        self.slots[slot] = Slot::Ready(resp);
+    }
+
+    /// Whether the peer has left more replies unread than it may.
+    fn backed_up(&self) -> bool {
+        self.unsent > MAX_UNSENT
+    }
+
+    /// Whether a frame is buffered that this turn may route.
+    fn routable(&self) -> bool {
+        !self.close_after_flush && !self.backed_up() && self.framer.has_frame()
+    }
+
+    /// Whether to read the socket: not after end of input, and otherwise
+    /// only once every buffered frame is routed and the replies are
+    /// within bounds. A closing connection reads on to discard, so its
+    /// goodbye is not cut short by a reset.
+    fn wants_read(&self) -> bool {
+        !self.read_closed
+            && (self.close_after_flush || (!self.backed_up() && !self.framer.has_frame()))
+    }
+
+    /// Whether the connection has nothing left to do: every reply it
+    /// owes is written and no request will follow.
+    fn finished(&self) -> bool {
+        let done_reading = self.close_after_flush || (self.read_closed && !self.framer.has_frame());
+        done_reading && self.slots.is_empty() && self.write_pos == self.write_buf.len()
     }
 
     /// The nearest deadline among this connection's pending slots.
@@ -150,12 +227,18 @@ impl Loop {
     fn serve(&mut self, listener: &TcpListener) -> std::io::Result<()> {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let timeout = self
-                .conns
-                .values()
-                .filter_map(Conn::next_deadline)
-                .min()
-                .map(|d| d.saturating_duration_since(Instant::now()));
+            // Frames left over from the last turn are routed without
+            // waiting for the socket: level-triggered readiness would
+            // not report them.
+            let timeout = if self.conns.values().any(Conn::routable) {
+                Some(Duration::ZERO)
+            } else {
+                self.conns
+                    .values()
+                    .filter_map(Conn::next_deadline)
+                    .min()
+                    .map(|d| d.saturating_duration_since(Instant::now()))
+            };
             events.clear();
             self.poller.wait(&mut events, timeout)?;
 
@@ -171,33 +254,42 @@ impl Loop {
                     }
                 }
             }
+            let mut stop_now = self.close_all(&mut dead);
+            let ids: Vec<u64> = self.conns.keys().copied().collect();
+            for &id in &ids {
+                self.process_frames(id);
+            }
             self.apply_completions();
             self.expire_deadlines();
+            // What the loop counted for the replies it is about to write
+            // (serve.requests, the answers it gave itself, shed,
+            // deadline_exceeded) is visible before they are on the wire.
+            obs::flush_local();
             // A slot may have become `Ready` for any connection (via a
             // completion or an expiry), so give each a flush chance.
-            let ids: Vec<u64> = self.conns.keys().copied().collect();
             for id in ids {
                 if !self.flush_conn(id) {
                     dead.push(id);
                 }
             }
-            dead.sort_unstable();
-            dead.dedup();
-            let mut stop_now = false;
-            for id in dead {
-                self.close_conn(id);
-                if self.shutdown_conn == Some(id) {
-                    stop_now = true;
-                }
-            }
-            // Counter bumps made on the loop thread (serve.requests,
-            // shed, deadline_exceeded) become globally visible no later
-            // than the responses that reported them.
-            obs::flush_local();
+            stop_now |= self.close_all(&mut dead);
             if stop_now {
                 return Ok(());
             }
         }
+    }
+
+    /// Closes every connection in `dead`, emptying it. Returns whether
+    /// the `shutdown` connection was among them.
+    fn close_all(&mut self, dead: &mut Vec<u64>) -> bool {
+        let mut stop = false;
+        for id in dead.drain(..) {
+            if let Some(conn) = self.conns.remove(&id) {
+                let _ = self.poller.deregister(conn.stream.as_raw_fd());
+            }
+            stop |= self.shutdown_conn == Some(id);
+        }
+        stop
     }
 
     fn accept_ready(&mut self, listener: &TcpListener) {
@@ -246,65 +338,60 @@ impl Loop {
         }
     }
 
-    /// Reads and processes everything a connection has for us. Returns
-    /// `false` when the connection should be torn down now.
+    /// Takes one read's worth of bytes from a readable connection into
+    /// its framer; routing them is the turn's next step. Returns `false`
+    /// when the connection should be torn down now.
     fn handle_conn_event(&mut self, id: u64, ev: Event) -> bool {
-        if ev.readable || ev.hangup {
-            let conn = self.conns.get_mut(&id).expect("checked by caller");
-            let buf = &mut self.read_buf;
-            loop {
-                match conn.stream.read(buf) {
-                    Ok(0) => {
-                        // Peer closed. Anything unflushed has no reader
-                        // worth waiting for; pending worker results are
-                        // dropped on completion (the conn id is gone).
-                        return false;
-                    }
-                    Ok(n) => {
-                        if conn.close_after_flush {
-                            continue; // discard: already closing
-                        }
-                        if conn.framer.push(&buf[..n]).is_err() {
-                            let e = ServeError::BadRequest(format!(
-                                "request line exceeds {} bytes",
-                                self.shared.max_frame_bytes
-                            ));
-                            conn.slots
-                                .push_back(Slot::Ready(server::error_response(&e)));
-                            conn.close_after_flush = true;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return false,
+        if ev.hangup {
+            // Reset or failed: no reply can reach the peer any more, and
+            // pending worker results are dropped on completion (the conn
+            // id is gone).
+            return false;
+        }
+        let conn = self.conns.get_mut(&id).expect("checked by caller");
+        if !ev.readable || !conn.wants_read() {
+            return true;
+        }
+        match conn.stream.read(&mut self.read_buf) {
+            // End of input, not of the connection: what was read is
+            // still routed and answered.
+            Ok(0) => conn.read_closed = true,
+            Ok(_) if conn.close_after_flush => {} // discard: already closing
+            Ok(n) => {
+                if conn.framer.push(&self.read_buf[..n]).is_err() {
+                    let e = ServeError::BadRequest(format!(
+                        "request line exceeds {} bytes",
+                        self.shared.max_frame_bytes
+                    ));
+                    conn.push_ready(server::error_response(&e));
+                    conn.close_after_flush = true;
                 }
             }
-            self.process_frames(id);
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {}
+            Err(_) => return false,
         }
         true
     }
 
-    /// Drains every complete frame the connection has buffered — the
-    /// pipelined batch — and queues one response slot per request.
+    /// Routes the connection's buffered frames, up to a turn's worth and
+    /// while its replies are within bounds, queueing one response slot
+    /// per request.
     fn process_frames(&mut self, id: u64) {
-        loop {
-            let conn = match self.conns.get_mut(&id) {
-                Some(c) => c,
-                None => return,
+        for _ in 0..FRAMES_PER_TURN {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
             };
-            if conn.close_after_flush {
+            if !conn.routable() {
                 return;
             }
-            let frame = match conn.framer.next_frame() {
-                Some(f) => f,
-                None => return,
+            let Some(frame) = conn.framer.next_frame() else {
+                return;
             };
             let line = match String::from_utf8(frame) {
                 Ok(l) => l,
                 Err(_) => {
                     let e = ServeError::BadRequest("request line is not valid UTF-8".into());
-                    conn.slots
-                        .push_back(Slot::Ready(server::error_response(&e)));
+                    conn.push_ready(server::error_response(&e));
                     conn.close_after_flush = true;
                     return;
                 }
@@ -317,12 +404,12 @@ impl Loop {
             match server::route(&self.shared, &line) {
                 Routed::Done(resp) => {
                     if let Some(c) = self.conns.get_mut(&id) {
-                        c.slots.push_back(Slot::Ready(resp));
+                        c.push_ready(resp);
                     }
                 }
                 Routed::Shutdown(resp) => {
                     if let Some(c) = self.conns.get_mut(&id) {
-                        c.slots.push_back(Slot::Ready(resp));
+                        c.push_ready(resp);
                         c.close_after_flush = true;
                     }
                     self.shutdown_conn = Some(id);
@@ -356,8 +443,8 @@ impl Loop {
                     );
                     if !admitted {
                         let c = self.conns.get_mut(&id).expect("just inserted");
-                        *c.slots.back_mut().expect("just pushed") =
-                            Slot::Ready(server::error_response(&ServeError::Overloaded));
+                        let last = c.slots.len() - 1;
+                        c.fill(last, server::error_response(&ServeError::Overloaded));
                     }
                 }
             }
@@ -374,12 +461,9 @@ impl Loop {
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue;
             };
-            if let Some(slot) = conn
-                .slots
-                .iter_mut()
-                .find(|s| matches!(s, Slot::Pending { seq: have, .. } if *have == seq))
-            {
-                *slot = Slot::Ready(resp);
+            let pending = |s: &Slot| matches!(s, Slot::Pending { seq: have, .. } if *have == seq);
+            if let Some(slot) = conn.slots.iter().position(pending) {
+                conn.fill(slot, resp);
             }
         }
     }
@@ -389,70 +473,65 @@ impl Loop {
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         for conn in self.conns.values_mut() {
-            for slot in conn.slots.iter_mut() {
-                if let Slot::Pending { deadline, .. } = slot {
-                    if *deadline <= now {
-                        obs::add(obs::Counter::ServeDeadlineExceeded, 1);
-                        *slot = Slot::Ready(server::error_response(&ServeError::DeadlineExceeded));
-                    }
+            for slot in 0..conn.slots.len() {
+                if matches!(conn.slots[slot], Slot::Pending { deadline, .. } if deadline <= now) {
+                    obs::add(obs::Counter::ServeDeadlineExceeded, 1);
+                    conn.fill(slot, server::error_response(&ServeError::DeadlineExceeded));
                 }
             }
         }
     }
 
-    /// Moves ready head slots onto the wire. Returns `false` when the
-    /// connection is finished (flushed its goodbye, or the peer broke).
+    /// Moves ready head slots onto the wire and sets what the poller
+    /// watches the socket for. Returns `false` when the connection is
+    /// finished (flushed its goodbye or its last reply, or the peer
+    /// broke).
     fn flush_conn(&mut self, id: u64) -> bool {
         let Some(conn) = self.conns.get_mut(&id) else {
             return true;
         };
-        loop {
-            while matches!(conn.slots.front(), Some(Slot::Ready(_))) {
-                if let Some(Slot::Ready(resp)) = conn.slots.pop_front() {
-                    conn.write_buf.extend_from_slice(resp.as_bytes());
-                    conn.write_buf.push(b'\n');
-                }
+        // Drop what was written, so a peer that reads as fast as replies
+        // are made never lets the buffer grow.
+        if conn.write_pos * 2 >= conn.write_buf.len() {
+            conn.write_buf.drain(..conn.write_pos);
+            conn.write_pos = 0;
+        }
+        while let Some(Slot::Ready(_)) = conn.slots.front() {
+            if let Some(Slot::Ready(resp)) = conn.slots.pop_front() {
+                conn.write_buf.extend_from_slice(resp.as_bytes());
+                conn.write_buf.push(b'\n');
             }
-            if conn.write_pos == conn.write_buf.len() {
-                conn.write_buf.clear();
-                conn.write_pos = 0;
-                if conn.close_after_flush && conn.slots.is_empty() {
-                    return false;
-                }
-                break;
-            }
+        }
+        while conn.write_pos < conn.write_buf.len() {
             match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
                 Ok(0) => return false,
-                Ok(n) => conn.write_pos += n,
+                Ok(n) => {
+                    conn.write_pos += n;
+                    conn.unsent -= n;
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return false,
             }
         }
-        // Watch for writability only while bytes are stuck; waking on
-        // an always-writable socket would spin the loop.
-        let needs_write = conn.write_pos < conn.write_buf.len();
-        if needs_write != conn.wants_write {
-            let interest = if needs_write {
-                Interest::READ_WRITE
-            } else {
-                Interest::READ
-            };
-            if self
+        if conn.finished() {
+            return false;
+        }
+        // Watch for writability only while bytes are stuck (waking on an
+        // always-writable socket would spin the loop), and for input
+        // only while it would be read.
+        let interest = Interest {
+            readable: conn.wants_read(),
+            writable: conn.write_pos < conn.write_buf.len(),
+        };
+        if interest != conn.interest
+            && self
                 .poller
                 .register(conn.stream.as_raw_fd(), id, interest)
                 .is_ok()
-            {
-                let conn = self.conns.get_mut(&id).expect("still present");
-                conn.wants_write = needs_write;
-            }
+        {
+            conn.interest = interest;
         }
         true
-    }
-
-    fn close_conn(&mut self, id: u64) {
-        if let Some(conn) = self.conns.remove(&id) {
-            let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        }
     }
 }

@@ -111,6 +111,12 @@ impl LineFramer {
         Some(frame)
     }
 
+    /// Whether a complete frame is buffered: [`LineFramer::next_frame`]
+    /// would return one.
+    pub fn has_frame(&self) -> bool {
+        !self.poisoned && self.buffered() > self.tail_len
+    }
+
     /// Bytes currently buffered (undelivered frames plus the tail).
     pub fn buffered(&self) -> usize {
         self.buf.len() - self.start
@@ -162,10 +168,13 @@ mod tests {
     fn partial_tail_stays_buffered() {
         let mut f = LineFramer::new(1024);
         f.push(b"{\"op\":\"pi").unwrap();
+        assert!(!f.has_frame());
         assert_eq!(f.next_frame(), None);
         assert_eq!(f.buffered(), 9);
-        f.push(b"ng\"}\n").unwrap();
+        f.push(b"ng\"}\n{\"op").unwrap();
+        assert!(f.has_frame());
         assert_eq!(frames(&mut f), vec!["{\"op\":\"ping\"}"]);
+        assert!(!f.has_frame(), "a tail alone is no frame");
     }
 
     #[test]

@@ -63,8 +63,9 @@ pub enum ServeError {
     DeadlineExceeded,
     /// The optimizer rejected the query (parse/translation error).
     Optimize(String),
-    /// The worker serving the request panicked; the request is lost, the
-    /// worker is not.
+    /// The thread serving the request — a worker, or the serving loop
+    /// for what it answers itself — panicked; the request is lost, the
+    /// thread is not.
     Internal,
 }
 
@@ -89,7 +90,7 @@ impl ServeError {
             ServeError::Overloaded => "admission queue full; request shed".to_string(),
             ServeError::DeadlineExceeded => "deadline exceeded".to_string(),
             ServeError::Optimize(m) => m.clone(),
-            ServeError::Internal => "the worker serving this request panicked".to_string(),
+            ServeError::Internal => "the thread serving this request panicked".to_string(),
         }
     }
 }

@@ -50,7 +50,8 @@ pub struct Event {
     pub readable: bool,
     /// The descriptor can accept writes.
     pub writable: bool,
-    /// Error/hangup condition; the owner should read to observe it.
+    /// Error/hangup condition: for a TCP socket, nothing written to it
+    /// reaches the peer any more.
     pub hangup: bool,
 }
 
@@ -133,9 +134,9 @@ impl Poller {
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         let timeout_ms: c_int = match timeout {
             None => -1,
-            // Round up so a 100µs deadline doesn't busy-spin at 0ms.
-            Some(d) => c_int::try_from(d.as_millis().saturating_add(1).min(i32::MAX as u128))
-                .unwrap_or(i32::MAX),
+            // Round up so a 100µs deadline doesn't busy-spin at 0ms; only
+            // a zero wait is a poll that does not sleep.
+            Some(d) => c_int::try_from(d.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX),
         };
         let n = loop {
             // SAFETY: `fds` is an exclusively borrowed, initialised array

@@ -1,9 +1,17 @@
 //! The JSON-lines-over-TCP front end.
 //!
 //! One request per line, one response per line, `std::net` only. A
-//! connection may issue any number of requests; `query` requests pass
-//! through the admission pool while control requests (`ping`,
-//! `metrics`, `prepare`, `reload_ic`, `shutdown`) are answered inline.
+//! connection may issue any number of requests. The serving loop answers
+//! every request that cannot block itself: control requests (`ping`,
+//! `metrics`, `prepare`, `reload_ic`, `shutdown`, …), the writes
+//! (`create`, `link`, `persist`), and a rewrite-only `query` whose exact
+//! text the session's plan cache has finished under its current
+//! generation. Every other `query` — a miss, a rebind, the template hit
+//! that finishes an instance, anything with `"execute":true` — passes
+//! through the admission pool. Both write the same reply: a loop answer
+//! differs from a pooled one only in its timing, its trace id and an
+//! admission wait of 0, and leaves no `serve.wait` sample, as it was
+//! never queued.
 //!
 //! Request shapes (`op` selects the operation):
 //!
@@ -42,6 +50,7 @@ use crate::json::{self, Json};
 use crate::registry::{SessionRegistry, SessionSpec};
 use crate::slowlog::{SlowEntry, SlowLog};
 use crate::ServeError;
+use sqo_core::{CacheOutcome, OptimizationReport, PreparedOptimizer};
 use sqo_obs as obs;
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
@@ -181,9 +190,10 @@ pub(crate) fn error_response(e: &ServeError) -> String {
 
 /// What a request line routed to.
 pub(crate) enum Routed {
-    /// Fully handled inline (control ops and every error path).
+    /// Answered on the loop: control ops, writes, finished rewrite-only
+    /// texts and every error path.
     Done(String),
-    /// An admitted-shape `query`, not yet submitted: the event loop
+    /// A `query` for the pool, not yet submitted: the event loop
     /// reserves its response slot, then calls [`submit_job`].
     Query(Box<QueryJob>),
     /// `shutdown`: the stop flag is already set; write this response,
@@ -191,11 +201,24 @@ pub(crate) enum Routed {
     Shutdown(String),
 }
 
+/// Routes one request line on the serving loop. A panic in whatever the
+/// loop answers itself costs that request only, as a worker's does: it
+/// is answered `internal_error` and counted in `serve.worker_panic`, and
+/// the loop goes on serving.
 pub(crate) fn route(shared: &Arc<Shared>, line: &str) -> Routed {
-    match route_inner(shared, line) {
+    caught(|| match route_inner(shared, line) {
         Ok(routed) => routed,
         Err(e) => Routed::Done(error_response(&e)),
-    }
+    })
+}
+
+/// `answer()`, or `internal_error` when it panics. What it touches is
+/// behind poison-tolerant locks, so serving on after the unwind is sound.
+fn caught(answer: impl FnOnce() -> Routed) -> Routed {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer)).unwrap_or_else(|_| {
+        obs::bump(obs::Counter::ServeWorkerPanic);
+        Routed::Done(error_response(&ServeError::Internal))
+    })
 }
 
 fn route_inner(shared: &Arc<Shared>, line: &str) -> Result<Routed, ServeError> {
@@ -213,7 +236,7 @@ fn route_inner(shared: &Arc<Shared>, line: &str) -> Result<Routed, ServeError> {
         "create" => create(shared, &req).map(Routed::Done),
         "link" => link(shared, &req).map(Routed::Done),
         "persist" => persist(shared, &req).map(Routed::Done),
-        "query" => Ok(Routed::Query(Box::new(parse_query(shared, &req)?))),
+        "query" => query(shared, &req),
         "shutdown" => {
             // The event loop exits only after the response line is on
             // the wire.
@@ -528,6 +551,23 @@ fn parse_query(shared: &Arc<Shared>, req: &Json) -> Result<QueryJob, ServeError>
     })
 }
 
+/// A `query` request: answered here when it cannot block — its deadline
+/// has passed, or it executes nothing and its text is a finished instance
+/// of the session's plan cache — and otherwise handed back for the pool.
+fn query(shared: &Arc<Shared>, req: &Json) -> Result<Routed, ServeError> {
+    let job = parse_query(shared, req)?;
+    if job.deadline <= Instant::now() {
+        obs::bump(obs::Counter::ServeDeadlineExceeded);
+        return Err(ServeError::DeadlineExceeded);
+    }
+    if !job.want_execute {
+        if let Some(line) = answer_finished(&job, &shared.slowlog) {
+            return Ok(Routed::Done(line));
+        }
+    }
+    Ok(Routed::Query(Box::new(job)))
+}
+
 /// The reply half of an admitted query: called once, on the worker, with
 /// the response line. A worker that panics drops it uncalled mid-unwind;
 /// it then answers `internal_error` itself, so the request's slot is
@@ -572,11 +612,28 @@ pub(crate) fn submit_job(shared: &Arc<Shared>, job: QueryJob, reply: Reply) -> b
     })
 }
 
+/// Answers a rewrite-only query whose text the session's plan cache has
+/// finished, on the calling thread: what [`run_query`] would answer, with
+/// an admission wait of 0 and no `serve.wait` sample, as it was never
+/// queued. `None` leaves any other text to the pool, whose worker probes
+/// again: the text may be finished by the time it runs.
+fn answer_finished(job: &QueryJob, slowlog: &SlowLog) -> Option<String> {
+    obs::trace_begin(job.trace_id.clone());
+    obs::trace_event("serve.admission_wait", 0, 0);
+    let prep = job.session.prepared();
+    let started = Instant::now();
+    let Some(report) = prep.finished_text(job.session.cache(), &job.oql) else {
+        drop(obs::trace_end());
+        return None;
+    };
+    let answered = Ok((report, CacheOutcome::Hit, None));
+    Some(write_reply(job, &prep, started, answered, slowlog))
+}
+
 /// Executes one admitted query on a worker thread and returns its reply
 /// line: opens the trace, optimizes (and optionally executes) under it,
-/// records the request latency histogram, writes the reply, files a
-/// slow-log entry past the threshold, and publishes the thread's
-/// counters.
+/// and writes the reply. The caller publishes the thread's counters
+/// before the line goes on the wire.
 fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
     let session = &job.session;
     obs::trace_begin(job.trace_id.clone());
@@ -584,7 +641,7 @@ fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
     obs::trace_event("serve.admission_wait", 0, wait_ns);
     let prep = session.prepared();
     let started = Instant::now();
-    let outcome = match prep.optimize_cached(session.cache(), &job.oql) {
+    let answered = match prep.optimize_cached(session.cache(), &job.oql) {
         Ok((report, outcome)) => {
             let mut exec = None;
             let mut exec_err = None;
@@ -613,11 +670,28 @@ fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
         }
         Err(e) => Err(e.to_string()),
     };
+    write_reply(job, &prep, started, answered, slowlog)
+}
+
+/// What executing a query's chosen plan gave: the plan's index and cost
+/// (`None` for a refuted query, which runs no plan) and the answer count.
+type Executed = (Option<usize>, Option<f64>, usize);
+
+/// The reply writer of every answered query, on the loop or a worker:
+/// records the request latency histogram, closes the trace, writes the
+/// reply line, and files a slow-log entry past the threshold.
+fn write_reply(
+    job: &QueryJob,
+    prep: &PreparedOptimizer,
+    started: Instant,
+    answered: Result<(OptimizationReport, CacheOutcome, Option<Executed>), String>,
+    slowlog: &SlowLog,
+) -> String {
     let elapsed = started.elapsed();
     let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     obs::record_hist("serve.request", elapsed_ns);
     let trace = obs::trace_end();
-    let line = match outcome {
+    match answered {
         Ok((report, outcome, exec)) => {
             // The envelope, the report and its `stats` are written
             // straight into the one reply line. Timed outside the trace
@@ -661,7 +735,7 @@ fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
                 };
                 slowlog.record(&SlowEntry {
                     trace_id: &job.trace_id,
-                    session: session.name(),
+                    session: job.session.name(),
                     template_hash: report.datalog.canonical_template().hash,
                     verdict,
                     cache: outcome.label(),
@@ -674,10 +748,24 @@ fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
             line
         }
         Err(msg) => error_response(&ServeError::Optimize(msg)),
-    };
-    // What this request counted is in `metrics` before its reply is on
-    // the wire: a report's `stats` are the thread's own and publish
-    // nothing, so the worker does, here.
-    obs::flush_local();
-    line
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A panic in an answer the loop gives itself is that request's
+    /// `internal_error`, counted as a caught panic.
+    #[test]
+    fn a_panicking_loop_answer_is_an_internal_error() {
+        let scope = obs::Scope::enter();
+        let routed = caught(|| panic!("injected loop panic"));
+        let counted = scope.finish();
+        let Routed::Done(line) = routed else {
+            panic!("a caught panic is answered at once");
+        };
+        assert_eq!(line, error_response(&ServeError::Internal));
+        assert_eq!(counted.counter(obs::Counter::ServeWorkerPanic), 1);
+    }
 }

@@ -40,6 +40,14 @@ served from the plan cache's finished instance); the repeats must equal
 the first hit modulo volatile fields, count as instance hits, and still
 execute — a create between them changes the answer count.
 
+A rewrite-only repeat phase checks what the serving loop answers
+itself: a query that executes nothing is sent four times (miss, the hit
+that finishes its instance, and two repeats of the finished text); the
+repeats must equal the fill modulo volatile fields, validate against the
+schemas, and raise plan_cache.instance_hits by exactly 2. A half-close
+check sends a ping, shuts down the socket's write half, and must still
+get the reply.
+
 A fourth phase smoke-tests durable-store crash recovery: a server
 started with --store-path takes writes over the wire (create/link),
 persists a snapshot, keeps writing so the WAL holds a tail, is killed
@@ -386,6 +394,52 @@ def repeat_phase(addr, serve_schema):
     return after["answers"]
 
 
+def rewrite_only_repeat_phase(addr, serve_schema, explain_schema):
+    """Repeats of a finished rewrite-only text, which the serving loop
+    answers without the pool: the same reply as the fill, counted as
+    instance hits."""
+    def instance_hits():
+        metrics = request(addr, json.dumps({"op": "metrics"}))
+        check(metrics, serve_schema, serve_schema, "rewrite-only metrics")
+        return metrics["stats"]["counters"]["plan_cache.instance_hits"]
+
+    line = json.dumps(
+        {"op": "query", "oql": "select x.age from x in Person where x.age < 26"})
+    miss, fill = request(addr, line), request(addr, line)
+    if (miss.get("cache"), fill.get("cache")) != ("miss", "hit"):
+        fail(f"rewrite-only: expected miss then hit: {miss.get('cache')}, "
+             f"{fill.get('cache')}")
+    base = instance_hits()
+    for i in range(2):
+        again = request(addr, line)
+        check(again, serve_schema, serve_schema, f"rewrite-only repeat {i}")
+        check(again.get("report"), explain_schema, explain_schema,
+              f"rewrite-only repeat {i} report")
+        if again.get("cache") != "hit" or scrub(again) != scrub(fill):
+            fail(f"rewrite-only: repeat {i} diverged from the fill:\n"
+                 f"  fill:   {json.dumps(scrub(fill))}\n"
+                 f"  repeat: {json.dumps(scrub(again))}")
+    if instance_hits() != base + 2:
+        fail("rewrite-only: two repeats should be two plan_cache.instance_hits")
+    return 2
+
+
+def half_close_check(addr, serve_schema):
+    """A client that shuts down its write half after a request (the
+    `printf ... | nc -N` pattern) still gets the reply."""
+    with socket.create_connection(addr, timeout=TIMEOUT_S) as s:
+        s.sendall(b'{"op":"ping"}\n')
+        s.shutdown(socket.SHUT_WR)
+        f = s.makefile("rb")
+        reply = f.readline()
+        if not reply:
+            fail("half-close: no reply to a ping sent before SHUT_WR")
+        pong = loads(reply)
+        check(pong, serve_schema, serve_schema, "half-close ping")
+        if pong.get("op") != "ping" or f.readline():
+            fail(f"half-close: want one ping reply, then the end: {pong}")
+
+
 def recovery_phase(sqo, serve_schema):
     """Durable-store crash recovery over the wire.
 
@@ -561,6 +615,10 @@ def run_phases(sqo, serve_schema, explain_schema):
 
         n_repeat = repeat_phase(addr, serve_schema)
 
+        n_loop = rewrite_only_repeat_phase(addr, serve_schema, explain_schema)
+
+        half_close_check(addr, serve_schema)
+
         n_fuzz = fuzz_differential(sqo, addr, serve_schema, explain_schema)
 
         bye = request(addr, json.dumps({"op": "shutdown"}))
@@ -574,6 +632,8 @@ def run_phases(sqo, serve_schema, explain_schema):
               f"slowlog {n_slow} entries, "
               f"{n_piped} pipelined == one-at-a-time, "
               f"{n_repeat} answers re-executed on an instance hit, "
+              f"{n_loop} rewrite-only repeats answered by the loop, "
+              f"half-close answered, "
               f"{n_fuzz} fuzz cases wire==in-process, "
               f"{n_recovered} answers across a kill -9 recovery)")
     finally:
