@@ -54,64 +54,18 @@ impl<'a> MatchTarget<'a> {
 /// `pattern` maps into the target as described in the module docs.
 /// Duplicate substitutions are removed.
 ///
+/// This is [`match_db_staged`] with each staged match kept iff the
+/// target's solver implies all its deferred comparisons (see
+/// [`StagedMatch`] for why that is the same sequence).
+///
 /// **Precondition:** pattern variables disjoint from target variables
 /// (see [`crate::unify::match_terms`]).
 pub fn match_body_onto(pattern: &[Literal], target: &MatchTarget<'_>, seed: &Subst) -> Vec<Subst> {
-    obs::bump(obs::Counter::SubsumeChecks);
-    // Match database literals first so comparisons see their variables
-    // bound; among database literals keep the given order.
-    let mut db: Vec<&Literal> = Vec::new();
-    let mut cmps: Vec<&Literal> = Vec::new();
-    for l in pattern {
-        match l {
-            Literal::Cmp(_) => cmps.push(l),
-            _ => db.push(l),
-        }
-    }
-    let ordered: Vec<&Literal> = db.into_iter().chain(cmps).collect();
-
-    let mut results: Vec<Subst> = Vec::new();
-    let mut stack: Vec<(usize, Subst)> = vec![(0, seed.clone())];
-    while let Some((i, s)) = stack.pop() {
-        if i == ordered.len() {
-            if !results.contains(&s) {
-                results.push(s);
-            }
-            continue;
-        }
-        match ordered[i] {
-            Literal::Pos(pat) => {
-                for cand in &target.pos {
-                    let mut s2 = s.clone();
-                    if match_atoms(pat, cand, &mut s2) {
-                        stack.push((i + 1, s2));
-                    }
-                }
-            }
-            Literal::Neg(pat) => {
-                for cand in &target.neg {
-                    let mut s2 = s.clone();
-                    if match_atoms(pat, cand, &mut s2) {
-                        stack.push((i + 1, s2));
-                    }
-                }
-            }
-            Literal::Cmp(c) => {
-                let inst = s.apply_cmp(c);
-                // Every variable of the instantiated comparison must now be
-                // a query term; a residue variable that never got bound
-                // cannot be checked and the match fails conservatively.
-                let unbound_residue_var = [&inst.lhs, &inst.rhs].into_iter().any(|t| {
-                    t.as_var()
-                        .is_some_and(|v| s.lookup(v).is_none() && c.vars().any(|w| w == v))
-                });
-                if !unbound_residue_var && target.solver.implies(&inst) {
-                    stack.push((i + 1, s));
-                }
-            }
-        }
-    }
-    results
+    match_db_staged(pattern, &target.pos, &target.neg, seed)
+        .into_iter()
+        .filter(|m| m.deferred.iter().all(|c| target.solver.implies(c)))
+        .map(|m| m.theta)
+        .collect()
 }
 
 /// One complete match of a pattern's *database* literals, with the
@@ -120,10 +74,10 @@ pub fn match_body_onto(pattern: &[Literal], target: &MatchTarget<'_>, seed: &Sub
 ///
 /// Produced by [`match_db_staged`]; a caller holding a query-specific
 /// [`ConstraintSet`] accepts the match iff every deferred comparison is
-/// implied. Filtering staged matches this way yields exactly the
-/// substitution sequence [`match_body_onto`] returns against the same
-/// atoms, because comparison steps never bind variables: the database
-/// DFS is identical, and equal substitutions pass or fail the deferred
+/// implied, which is all [`match_body_onto`] does. Checking comparisons
+/// after the database search rather than as its last steps finds the
+/// same substitutions in the same order, because comparison steps never
+/// bind variables, and equal substitutions pass or fail the deferred
 /// checks identically, so dedup-before-filter equals filter-before-dedup.
 #[derive(Debug, Clone)]
 pub struct StagedMatch {
@@ -134,14 +88,14 @@ pub struct StagedMatch {
     pub deferred: Vec<Comparison>,
 }
 
-/// [`match_body_onto`] with the solver-dependent half deferred: match
-/// only the database literals of `pattern` onto `pos`/`neg`, returning
-/// each surviving substitution with its instantiated comparisons.
+/// The database half of [`match_body_onto`], with the solver-dependent
+/// half deferred: match only the database literals of `pattern` onto
+/// `pos`/`neg` (in the given order, depth first), returning each
+/// distinct surviving substitution with its instantiated comparisons.
 ///
 /// A residue variable that stays unbound inside one of the pattern's
-/// comparisons fails the match conservatively here (that check depends
-/// only on θ, never on the target's solver), mirroring
-/// [`match_body_onto`].
+/// comparisons cannot be checked, so the match fails conservatively
+/// here (that check depends only on θ, never on the target's solver).
 pub fn match_db_staged(
     pattern: &[Literal],
     pos: &[&Atom],

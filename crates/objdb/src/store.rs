@@ -17,11 +17,12 @@
 //! cache, and the next read rebuilds it, without disturbing pinned
 //! readers.
 //!
-//! When a durable [`ShardedStore`] is attached (via [`ObjectDb::open`]
-//! or [`ObjectDb::from_store`]), every mutation is mirrored into the
-//! store before the in-memory maps change, so the WAL always leads the
-//! materialized state and recovery replays to exactly the acknowledged
-//! prefix. Compound mutations commit as a single atomic
+//! Every mutation is checked, expressed as [`StoreOp`]s, appended to the
+//! attached durable [`ShardedStore`] (if any, via [`ObjectDb::open`] or
+//! [`ObjectDb::from_store`]), and only then applied to the in-memory
+//! maps by the one `apply` that recovery also runs: the WAL always leads
+//! the materialized state, and recovery replays to exactly the
+//! acknowledged prefix. Compound mutations commit as a single atomic
 //! [`StoreOp::Batch`] (one WAL frame): a `link` batches the relation
 //! with its inverse, a `delete` batches one `Unlink` per severed pair
 //! with the `RemoveObject` — so a crash can never persist a forward
@@ -113,6 +114,14 @@ fn insert_pairs(db: &mut EdbDatabase, pred: PredSym, pairs: &[(Oid, Oid)]) {
     for (f, t) in pairs {
         db.insert(pred, &[Const::Oid(f.0), Const::Oid(t.0)])
             .expect("binary");
+    }
+}
+
+/// One WAL frame for a write's ops: the op itself, or a `Batch` of them.
+fn one_frame(mut ops: Vec<StoreOp>) -> StoreOp {
+    match ops.len() {
+        1 => ops.pop().expect("one op"),
+        _ => StoreOp::Batch { ops },
     }
 }
 
@@ -215,72 +224,39 @@ impl ObjectDb {
         Ok(store.persist()?)
     }
 
-    /// Replay a pinned store view into the (empty) in-memory maps.
+    /// Replay a pinned store view into the (empty) head through
+    /// [`apply`](Self::apply), the one path live writes take too.
     fn load_view(&mut self, view: &StoreView) -> Result<()> {
         // Objects in OID order: OIDs allocate monotonically in creation
         // order, so this reproduces every extent's original order.
         for (oid, obj) in view.objects_sorted() {
-            self.restore_object(Oid(oid), &obj.class, &obj.attrs)?;
+            self.apply(StoreOp::PutObject {
+                oid,
+                class: obj.class.clone(),
+                attrs: obj
+                    .attrs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect(),
+            })?;
         }
         // Links ordered by their global sequence stamps: per-predicate
-        // insertion order comes back exactly.
+        // insertion order comes back exactly. Inverses are stored as
+        // their own pairs.
         for (pred, pairs) in view.links_by_pred() {
-            for (f, t) in pairs {
-                self.restore_link(&pred, Oid(f), Oid(t));
+            for (from, to) in pairs {
+                let pred = pred.clone();
+                self.apply(StoreOp::Link { pred, from, to })?;
             }
         }
         for asr in view.asrs() {
-            let path: Vec<&str> = asr.path.iter().map(String::as_str).collect();
-            self.define_asr_inner(&asr.name, &asr.class, &path)?;
+            self.apply(StoreOp::DefineAsr {
+                name: asr.name.clone(),
+                class: asr.class.clone(),
+                path: asr.path.clone(),
+            })?;
         }
         Ok(())
-    }
-
-    /// Reinstate one stored object (no type checks: the data was
-    /// validated when originally written).
-    fn restore_object(
-        &mut self,
-        oid: Oid,
-        class: &str,
-        attrs: &BTreeMap<String, sqo_store::StoreValue>,
-    ) -> Result<()> {
-        let attrs: BTreeMap<String, Value> = attrs
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::from_store(v)))
-            .collect();
-        if self.schema.class(class).is_some() {
-            for c in self.schema.chain(class) {
-                let name = c.name.clone();
-                self.extents.entry(name).or_default().push(oid);
-            }
-        } else if self.schema.structure(class).is_some() {
-            self.extents.entry(class.to_string()).or_default().push(oid);
-        } else {
-            return Err(ObjDbError::UnknownClass {
-                name: class.to_string(),
-            });
-        }
-        self.objects.insert(
-            oid,
-            Object {
-                class: class.to_string(),
-                attrs,
-            },
-        );
-        Ok(())
-    }
-
-    /// Reinstate one stored link pair (inverses are stored as their own
-    /// pairs, so no inverse maintenance here).
-    fn restore_link(&mut self, pred: &str, from: Oid, to: Oid) {
-        self.links
-            .entry(pred.to_string())
-            .or_default()
-            .push((from, to));
-        self.link_sets
-            .entry(pred.to_string())
-            .or_default()
-            .insert((from, to));
     }
 
     /// The schema.
@@ -337,33 +313,96 @@ impl ObjectDb {
         *self.edb_cache.get_mut() = None;
     }
 
-    /// Mirror one shard-local operation into the attached store (if
-    /// any), then bump the cache epoch. Called *before* the in-memory
-    /// mutation so a failed append leaves memory untouched.
-    fn log(&mut self, op: &StoreOp) -> Result<()> {
+    /// The one write path: append `op` to the attached store (one WAL
+    /// frame; a compound write is one [`StoreOp::Batch`]), bump the cache
+    /// epoch once, then [`apply`](Self::apply) `op` to the head.
+    ///
+    /// Every check runs before this call. `apply` fails only on what a
+    /// recovered record may hold (an unknown class, an ASR path the
+    /// schema does not resolve), and a live op has been checked for both:
+    /// an error after the append would leave the log ahead of memory.
+    fn commit(&mut self, op: StoreOp) -> Result<()> {
         if let Some(store) = &self.store {
-            store.apply(op)?;
+            store.apply(&op)?;
         }
         self.touch();
-        Ok(())
+        self.apply(op)
     }
 
-    /// Mirror a compound mutation into the attached store as a single
-    /// atomic [`StoreOp::Batch`] — one WAL frame, so a crash persists
-    /// either every component or none. Bumps the cache epoch once.
-    fn log_batch(&mut self, ops: Vec<StoreOp>) -> Result<()> {
-        if let Some(store) = &self.store {
-            match ops.len() {
-                0 => {}
-                1 => {
-                    store.apply(&ops[0])?;
+    /// The one writer of the head: what `op` does to the objects,
+    /// extents, links and ASRs, and the catalog's ASR views. Live writes
+    /// reach it through [`commit`](Self::commit), recovery through
+    /// [`load_view`](Self::load_view).
+    fn apply(&mut self, op: StoreOp) -> Result<()> {
+        match op {
+            StoreOp::PutObject { oid, class, attrs } => {
+                let oid = Oid(oid);
+                if self.schema.class(&class).is_some() {
+                    // Its own extent and every superclass extent.
+                    for c in self.schema.chain(&class) {
+                        self.extents.entry(c.name.clone()).or_default().push(oid);
+                    }
+                } else if self.schema.structure(&class).is_some() {
+                    self.extents.entry(class.clone()).or_default().push(oid);
+                } else {
+                    return Err(ObjDbError::UnknownClass { name: class });
                 }
-                _ => {
-                    store.apply(&StoreOp::Batch { ops })?;
+                let attrs = attrs.into_iter().map(|(k, v)| (k, v.into())).collect();
+                self.objects.insert(oid, Object { class, attrs });
+            }
+            StoreOp::SetAttr { oid, attr, value } => {
+                let Some(obj) = self.objects.get_mut(&Oid(oid)) else {
+                    return Err(ObjDbError::UnknownObject { oid });
+                };
+                obj.attrs.insert(attr, value.into());
+            }
+            StoreOp::Link { pred, from, to } => {
+                let pair = (Oid(from), Oid(to));
+                self.link_sets.entry(pred.clone()).or_default().insert(pair);
+                self.links.entry(pred).or_default().push(pair);
+            }
+            StoreOp::Unlink { pred, from, to } => {
+                let pair = (Oid(from), Oid(to));
+                if let Some(set) = self.link_sets.get_mut(&pred) {
+                    set.remove(&pair);
+                }
+                if let Some(pairs) = self.links.get_mut(&pred) {
+                    pairs.retain(|p| *p != pair);
+                }
+            }
+            // Its links were severed by the `Unlink`s batched before it.
+            StoreOp::RemoveObject { oid } => {
+                let oid = Oid(oid);
+                for extent in self.extents.values_mut() {
+                    extent.retain(|o| *o != oid);
+                }
+                self.objects.remove(&oid);
+            }
+            StoreOp::DefineAsr { name, class, path } => {
+                let preds = self.asr_path(&class, &path)?;
+                let pred = self.catalog.register_view(&name, 2);
+                // The view rule asr(X0, Xn) ← r1(X0, X1), …, rn(Xn-1, Xn).
+                let x = |i: usize| Term::var(format!("X{i}"));
+                let body = preds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| Literal::pos(p.as_str(), vec![x(i), x(i + 1)]))
+                    .collect();
+                let rule = Rule::new(Atom::new(pred, vec![x(0), x(preds.len())]), body);
+                self.asrs.push(AsrDef {
+                    name: pred.name().to_string(),
+                    src_class: class,
+                    src_path: path,
+                    path: preds,
+                    rule,
+                });
+            }
+            StoreOp::Batch { ops } => {
+                for op in ops {
+                    self.apply(op)?;
                 }
             }
         }
-        self.touch();
         Ok(())
     }
 
@@ -442,29 +481,8 @@ impl ObjectDb {
             }
             provided.insert(k, v);
         }
-        let final_attrs = self.attr_values(class, &declared, provided)?;
-        let oid = self.alloc_oid();
-        self.log(&StoreOp::PutObject {
-            oid: oid.0,
-            class: class.to_string(),
-            attrs: final_attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_store()))
-                .collect(),
-        })?;
-        self.objects.insert(
-            oid,
-            Object {
-                class: class.to_string(),
-                attrs: final_attrs,
-            },
-        );
-        // Register in its own extent and every superclass extent.
-        for c in self.schema.chain(class) {
-            let name = c.name.clone();
-            self.extents.entry(name).or_default().push(oid);
-        }
-        Ok(oid)
+        let attrs = self.attr_values(class, &declared, provided)?;
+        self.put_object(class, attrs)
     }
 
     /// Create a structure instance.
@@ -479,24 +497,19 @@ impl ObjectDb {
             .iter()
             .map(|f| (f.name.clone(), f.ty.clone()))
             .collect();
-        let final_attrs = self.attr_values(strct, &declared, fields.into_iter().collect())?;
+        let attrs = self.attr_values(strct, &declared, fields.into_iter().collect())?;
+        self.put_object(strct, attrs)
+    }
+
+    /// Commit a new object of `class` with checked `attrs` under a fresh
+    /// OID.
+    fn put_object(&mut self, class: &str, attrs: BTreeMap<String, Value>) -> Result<Oid> {
         let oid = self.alloc_oid();
-        self.log(&StoreOp::PutObject {
+        self.commit(StoreOp::PutObject {
             oid: oid.0,
-            class: strct.to_string(),
-            attrs: final_attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_store()))
-                .collect(),
+            class: class.to_string(),
+            attrs: attrs.into_iter().map(|(k, v)| (k, v.to_store())).collect(),
         })?;
-        self.objects.insert(
-            oid,
-            Object {
-                class: strct.to_string(),
-                attrs: final_attrs,
-            },
-        );
-        self.extents.entry(strct.to_string()).or_default().push(oid);
         Ok(oid)
     }
 
@@ -562,17 +575,11 @@ impl ObjectDb {
                 detail: "not declared".into(),
             })?;
         let v = self.check_type(&class, attr, &ty, v)?;
-        self.log(&StoreOp::SetAttr {
+        self.commit(StoreOp::SetAttr {
             oid: oid.0,
             attr: attr.to_string(),
             value: v.to_store(),
-        })?;
-        self.objects
-            .get_mut(&oid)
-            .expect("checked above")
-            .attrs
-            .insert(attr.to_string(), v);
-        Ok(())
+        })
     }
 
     /// Look up an object.
@@ -693,25 +700,18 @@ impl ObjectDb {
             }
         }
         let mut ops = vec![StoreOp::Link {
-            pred: pred.clone(),
+            pred,
             from: from.0,
             to: to.0,
         }];
-        if let Some(inv) = &inv_pred {
+        if let Some(pred) = inv_pred {
             ops.push(StoreOp::Link {
-                pred: inv.clone(),
+                pred,
                 from: to.0,
                 to: from.0,
             });
         }
-        self.log_batch(ops)?;
-        self.links.entry(pred.clone()).or_default().push((from, to));
-        self.link_sets.entry(pred).or_default().insert((from, to));
-        if let Some(inv) = inv_pred {
-            self.links.entry(inv.clone()).or_default().push((to, from));
-            self.link_sets.entry(inv).or_default().insert((to, from));
-        }
-        Ok(())
+        self.commit(one_frame(ops))
     }
 
     /// The objects linked from `from` through a relationship.
@@ -749,36 +749,23 @@ impl ObjectDb {
             .link_sets
             .get(&pred)
             .is_some_and(|s| s.contains(&(from, to)));
-        if existed {
-            let mut ops = vec![StoreOp::Unlink {
-                pred: pred.clone(),
-                from: from.0,
-                to: to.0,
-            }];
-            if let Some(inv) = &inv_pred {
-                ops.push(StoreOp::Unlink {
-                    pred: inv.clone(),
-                    from: to.0,
-                    to: from.0,
-                });
-            }
-            self.log_batch(ops)?;
-            if let Some(s) = self.link_sets.get_mut(&pred) {
-                s.remove(&(from, to));
-            }
-            if let Some(v) = self.links.get_mut(&pred) {
-                v.retain(|p| *p != (from, to));
-            }
-            if let Some(inv) = inv_pred {
-                if let Some(s) = self.link_sets.get_mut(&inv) {
-                    s.remove(&(to, from));
-                }
-                if let Some(v) = self.links.get_mut(&inv) {
-                    v.retain(|p| *p != (to, from));
-                }
-            }
+        if !existed {
+            return Ok(false);
         }
-        Ok(existed)
+        let mut ops = vec![StoreOp::Unlink {
+            pred,
+            from: from.0,
+            to: to.0,
+        }];
+        if let Some(pred) = inv_pred {
+            ops.push(StoreOp::Unlink {
+                pred,
+                from: to.0,
+                to: from.0,
+            });
+        }
+        self.commit(one_frame(ops))?;
+        Ok(true)
     }
 
     /// Delete an object: removes it from every extent, severs every
@@ -790,38 +777,22 @@ impl ObjectDb {
         if !self.objects.contains_key(&oid) {
             return Err(ObjDbError::UnknownObject { oid: oid.0 });
         }
-        // Expand into shard-local store ops — one Unlink per severed
-        // pair (inverse pairs are their own entries), then the removal
-        // — committed as one atomic batch frame.
-        let mut severed: Vec<(String, Oid, Oid)> = Vec::new();
+        // One Unlink per severed pair (inverse pairs are their own
+        // entries), then the removal — committed as one atomic frame.
+        let mut ops = Vec::new();
         for (pred, pairs) in &self.links {
             for (f, t) in pairs {
                 if *f == oid || *t == oid {
-                    severed.push((pred.clone(), *f, *t));
+                    ops.push(StoreOp::Unlink {
+                        pred: pred.clone(),
+                        from: f.0,
+                        to: t.0,
+                    });
                 }
             }
         }
-        let mut ops: Vec<StoreOp> = severed
-            .iter()
-            .map(|(pred, f, t)| StoreOp::Unlink {
-                pred: pred.clone(),
-                from: f.0,
-                to: t.0,
-            })
-            .collect();
         ops.push(StoreOp::RemoveObject { oid: oid.0 });
-        self.log_batch(ops)?;
-        for v in self.extents.values_mut() {
-            v.retain(|o| *o != oid);
-        }
-        for (pred, pairs) in self.links.iter_mut() {
-            pairs.retain(|(f, t)| *f != oid && *t != oid);
-            if let Some(set) = self.link_sets.get_mut(pred) {
-                set.retain(|(f, t)| *f != oid && *t != oid);
-            }
-        }
-        self.objects.remove(&oid);
-        Ok(())
+        self.commit(one_frame(ops))
     }
 
     /// Register a method implementation for `class::name`.
@@ -852,67 +823,37 @@ impl ObjectDb {
     /// Define (and materialize) an access support relation over a path of
     /// relationship names starting at `class`. Returns the view predicate.
     pub fn define_asr(&mut self, name: &str, class: &str, path: &[&str]) -> Result<PredSym> {
-        let pred = self.define_asr_inner(name, class, path)?;
-        self.log(&StoreOp::DefineAsr {
+        let path: Vec<String> = path.iter().map(|s| s.to_string()).collect();
+        self.asr_path(class, &path)?;
+        // The name `apply` registers: the catalog qualifies one that
+        // collides with another relation, and the log must hold that one.
+        let pred = self.catalog.clone().register_view(name, 2);
+        self.commit(StoreOp::DefineAsr {
             name: pred.name().to_string(),
             class: class.to_string(),
-            path: path.iter().map(|s| s.to_string()).collect(),
+            path,
         })?;
         Ok(pred)
     }
 
-    /// `define_asr` minus the durable logging (shared with store
-    /// recovery, which replays recorded definitions).
-    fn define_asr_inner(&mut self, name: &str, class: &str, path: &[&str]) -> Result<PredSym> {
+    /// The relationship predicates along an ASR path from `class`.
+    fn asr_path(&self, class: &str, path: &[String]) -> Result<Vec<String>> {
         if path.is_empty() {
             return Err(ObjDbError::BadAsrPath {
                 detail: "empty path".into(),
             });
         }
-        let mut preds = Vec::new();
+        let mut preds = Vec::with_capacity(path.len());
         let mut cur_class = class.to_string();
         for rel in path {
-            let (_, target, _, pred, _) = self.resolve_rel_by_class(&cur_class, rel)?;
+            if self.schema.class(&cur_class).is_none() {
+                return Err(ObjDbError::UnknownClass { name: cur_class });
+            }
+            let (_, target, _, pred, _) = self.resolve_rel(&cur_class, rel)?;
             preds.push(pred);
             cur_class = target;
         }
-        // Build the view rule asr(X0, Xn) ← r1(X0, X1), …, rn(Xn-1, Xn).
-        let mut body = Vec::new();
-        for (i, p) in preds.iter().enumerate() {
-            body.push(Literal::pos(
-                p.as_str(),
-                vec![Term::var(format!("X{i}")), Term::var(format!("X{}", i + 1))],
-            ));
-        }
-        let head = Atom::new(
-            name.to_lowercase(),
-            vec![Term::var("X0"), Term::var(format!("X{}", preds.len()))],
-        );
-        let rule = Rule::new(head, body);
-        let pred = self.catalog.register_view(name, 2);
-        self.asrs.push(AsrDef {
-            name: pred.name().to_string(),
-            src_class: class.to_string(),
-            src_path: path.iter().map(|s| s.to_string()).collect(),
-            path: preds,
-            rule,
-        });
-        Ok(pred)
-    }
-
-    /// Like [`resolve_rel`](Self::resolve_rel) but starting from a class
-    /// name rather than an instance.
-    fn resolve_rel_by_class(
-        &self,
-        class: &str,
-        rel: &str,
-    ) -> Result<(String, String, bool, String, Option<String>)> {
-        if self.schema.class(class).is_none() {
-            return Err(ObjDbError::UnknownClass {
-                name: class.to_string(),
-            });
-        }
-        self.resolve_rel(class, rel)
+        Ok(preds)
     }
 
     /// The pairs of an ASR (walking the stored links) in derivation order:
@@ -1437,6 +1378,18 @@ mod tests {
         assert!(d.define_asr("v", "Student", &[]).is_err());
         assert!(d.define_asr("v", "Student", &["nope"]).is_err());
         assert!(d.define_asr("v", "Martian", &["takes"]).is_err());
+        assert!(d.asrs().is_empty());
+    }
+
+    /// A name that collides with a relation is qualified by the catalog;
+    /// the view rule is headed by the registered name, not the given one.
+    #[test]
+    fn a_colliding_asr_name_heads_its_rule_with_the_registered_name() {
+        let mut d = db();
+        let pred = d.define_asr("takes", "Student", &["takes"]).unwrap();
+        assert_ne!(pred.name(), "takes");
+        assert_eq!(d.asrs()[0].name, pred.name());
+        assert_eq!(d.asr_rules()[0].head.pred, pred);
     }
 
     #[test]

@@ -95,12 +95,18 @@ impl Value {
 
     /// Convert from the durable store's value representation.
     pub fn from_store(v: &sqo_store::StoreValue) -> Value {
+        v.clone().into()
+    }
+}
+
+impl From<sqo_store::StoreValue> for Value {
+    fn from(v: sqo_store::StoreValue) -> Self {
         match v {
-            sqo_store::StoreValue::Int(i) => Value::Int(*i),
-            sqo_store::StoreValue::Real(r) => Value::Real(*r),
-            sqo_store::StoreValue::Str(s) => Value::Str(s.clone()),
-            sqo_store::StoreValue::Bool(b) => Value::Bool(*b),
-            sqo_store::StoreValue::Obj(o) => Value::Obj(Oid(*o)),
+            sqo_store::StoreValue::Int(i) => Value::Int(i),
+            sqo_store::StoreValue::Real(r) => Value::Real(r),
+            sqo_store::StoreValue::Str(s) => Value::Str(s),
+            sqo_store::StoreValue::Bool(b) => Value::Bool(b),
+            sqo_store::StoreValue::Obj(o) => Value::Obj(Oid(o)),
         }
     }
 }

@@ -193,9 +193,17 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The deepest nesting of collection types (`Set<List<…>>`) the parser
+/// accepts. Schemas nest one or two deep; the bound keeps the parser's
+/// recursion, and the parsed type's recursive drop, far inside the
+/// calling thread's stack whatever a source text holds.
+pub const MAX_TYPE_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Collection types open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -268,7 +276,15 @@ impl Parser {
                     _ => CollectionKind::Bag,
                 };
                 self.expect(&Tok::LAngle, "`<`")?;
-                let inner = self.type_expr()?;
+                if self.depth == MAX_TYPE_DEPTH {
+                    return Err(self.err_at(format!(
+                        "collection types nest deeper than {MAX_TYPE_DEPTH}"
+                    )));
+                }
+                self.depth += 1;
+                let inner = self.type_expr();
+                self.depth -= 1;
+                let inner = inner?;
                 self.expect(&Tok::RAngle, "`>`")?;
                 return Ok(Type::Collection(kind, Box::new(inner)));
             }
@@ -420,7 +436,11 @@ impl Parser {
 pub fn parse_odl(src: &str) -> Result<Vec<Decl>> {
     let _span = sqo_obs::span!("odl.parse");
     let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let decls = p.decls()?;
     sqo_obs::add(
         sqo_obs::Counter::OdlClassesParsed,
@@ -435,6 +455,19 @@ pub fn parse_odl(src: &str) -> Result<Vec<Decl>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn collection_nesting_is_refused_past_the_bound() {
+        let nested = |n: usize| {
+            let ty = format!("{}long{}", "set<".repeat(n), ">".repeat(n));
+            parse_odl(&format!("interface C {{ attribute {ty} a; }};"))
+        };
+        assert!(nested(MAX_TYPE_DEPTH).is_ok());
+        for n in [MAX_TYPE_DEPTH + 1, 50_000] {
+            let err = nested(n).unwrap_err().to_string();
+            assert!(err.contains("nest deeper than 64"), "{err}");
+        }
+    }
 
     #[test]
     fn parse_struct() {

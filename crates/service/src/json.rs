@@ -9,6 +9,12 @@
 
 use std::collections::BTreeMap;
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. No
+/// protocol request nests deeper than 3; the bound keeps the parser's
+/// recursion, and the parsed value's recursive drop, far inside the
+/// serving thread's stack whatever a line holds.
+pub const MAX_DEPTH: usize = 64;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -77,9 +83,14 @@ impl Json {
 }
 
 /// Parses exactly one JSON value from `src` (surrounding whitespace
-/// allowed, trailing content rejected).
+/// allowed, trailing content rejected, nesting past [`MAX_DEPTH`]
+/// refused).
 pub fn parse(src: &str) -> Result<Json, String> {
-    let mut p = Parser { src, pos: 0 };
+    let mut p = Parser {
+        src,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -96,6 +107,8 @@ pub use sqo_obs::json_compact as compact;
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +142,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -138,6 +151,21 @@ impl Parser<'_> {
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// `parse` one array or object a level deeper, refused past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -285,6 +313,18 @@ mod tests {
         assert!(parse("{\"a\": 1} trailing").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_refused_past_the_bound() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let obj = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&obj).is_ok());
+        for deep in [nested(MAX_DEPTH + 1), "[".repeat(1 << 20)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+        }
     }
 
     #[test]

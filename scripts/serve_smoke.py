@@ -46,7 +46,9 @@ that finishes its instance, and two repeats of the finished text); the
 repeats must equal the fill modulo volatile fields, validate against the
 schemas, and raise plan_cache.instance_hits by exactly 2. A half-close
 check sends a ping, shuts down the socket's write half, and must still
-get the reply.
+get the reply. Two lines that once overflowed the serving thread's
+stack (60 000 `[`, and a prepare whose ODL nests `set<` 50 000 deep)
+must each get a `bad_request` and leave the server answering pings.
 
 A fourth phase smoke-tests durable-store crash recovery: a server
 started with --store-path takes writes over the wire (create/link),
@@ -440,6 +442,32 @@ def half_close_check(addr, serve_schema):
             fail(f"half-close: want one ping reply, then the end: {pong}")
 
 
+def hostile_lines_check(addr, serve_schema):
+    """Lines that once overflowed the serving thread's stack, which
+    aborts the process: each must get a schema-valid error reply, and a
+    ping must be answered after it."""
+    deep_set = "set<" * 50_000 + "long" + ">" * 50_000
+    lines = [
+        ("60 000 '['", "[" * 60_000),
+        ("a prepare nesting set< 50 000 deep", json.dumps(
+            {"op": "prepare", "session": "deep",
+             "schema": f"interface C {{ attribute {deep_set} a; }};"})),
+    ]
+    for what, line in lines:
+        raw = request_raw(addr, line)
+        if not raw:
+            fail(f"hostile line ({what}): the server closed without a reply")
+        reply = loads(raw)
+        check(reply, serve_schema, serve_schema, f"hostile line ({what})")
+        if reply.get("ok") or reply["error"]["kind"] != "bad_request":
+            fail(f"hostile line ({what}): want bad_request, got {reply}")
+        pong = request(addr, json.dumps({"op": "ping"}))
+        check(pong, serve_schema, serve_schema, f"ping after {what}")
+        if not pong.get("ok"):
+            fail(f"ping after hostile line ({what}): {pong}")
+    return len(lines)
+
+
 def recovery_phase(sqo, serve_schema):
     """Durable-store crash recovery over the wire.
 
@@ -619,6 +647,8 @@ def run_phases(sqo, serve_schema, explain_schema):
 
         half_close_check(addr, serve_schema)
 
+        n_hostile = hostile_lines_check(addr, serve_schema)
+
         n_fuzz = fuzz_differential(sqo, addr, serve_schema, explain_schema)
 
         bye = request(addr, json.dumps({"op": "shutdown"}))
@@ -634,6 +664,7 @@ def run_phases(sqo, serve_schema, explain_schema):
               f"{n_repeat} answers re-executed on an instance hit, "
               f"{n_loop} rewrite-only repeats answered by the loop, "
               f"half-close answered, "
+              f"{n_hostile} stack-deep lines refused, "
               f"{n_fuzz} fuzz cases wire==in-process, "
               f"{n_recovered} answers across a kill -9 recovery)")
     finally:
