@@ -5,8 +5,10 @@
 //! when the remaining body, *under the integrity constraints*, implies the
 //! removed conjunct. We decide this with the classical chase:
 //!
-//! 1. Freeze the remaining body: its variables become labelled constants.
-//! 2. Chase the frozen facts with the tuple-generating dependencies
+//! 1. Freeze the remaining body: its atoms become the facts, and its
+//!    variables stay rigid, as [`crate::unify::match_terms`] treats a
+//!    target's variables.
+//! 2. Chase the facts with the tuple-generating dependencies
 //!    (atom-headed ICs: OID identification, subclass hierarchy, inverse
 //!    relationships, IC9), the *reverse* direction of view definitions
 //!    (an access support relation fact implies a witness path with fresh
@@ -18,41 +20,25 @@
 //!    homomorphically into the chased facts, with variables shared with
 //!    the kept part frozen and purely-internal variables existential.
 //!
-//! The chase is bounded (rounds, facts, nulls), so the check is sound but
-//! not complete: "not derivable within the budget" simply means the
-//! optimizer keeps the literal.
+//! A fact is an [`Atom`], a labelled null a fresh [`Var`] in a namespace
+//! no parser produces, and the merges are one [`Subst`] applied to the
+//! facts. Every dependency body and the final test are matched by Step
+//! 3's one matcher, [`match_db_staged`]; the query's solver decides the
+//! comparisons it defers.
+//!
+//! The chase is bounded (rounds, facts, nulls, and [`MAX_MATCH_STEPS`]
+//! per match and per round), so the check is sound but not complete:
+//! "not derivable within the budget" means the optimizer keeps the
+//! literal, and a chase whose matching runs out of steps is refused.
 
 use crate::atom::{Atom, CmpOp, Literal, PredSym};
 use crate::clause::{Constraint, ConstraintHead, Rule};
 use crate::solver::ConstraintSet;
-use crate::term::{Const, Term, Var};
+use crate::subst::Subst;
+use crate::subsume::{match_db_staged, MAX_MATCH_STEPS};
+use crate::term::{Term, Var};
 use sqo_obs as obs;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-
-/// A term in the chase universe.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum CTerm {
-    /// A frozen query variable (behaves as a distinct constant, but keeps
-    /// its identity so comparisons can consult the query's solver).
-    Frozen(Var),
-    /// A labelled null introduced for an existential variable.
-    Null(usize),
-    /// An ordinary constant.
-    Const(Const),
-}
-
-impl std::fmt::Display for CTerm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CTerm::Frozen(v) => write!(f, "'{v}"),
-            CTerm::Null(n) => write!(f, "~{n}"),
-            CTerm::Const(c) => write!(f, "{c}"),
-        }
-    }
-}
-
-/// A chase fact: a predicate applied to chase terms.
-pub type CFact = (PredSym, Vec<CTerm>);
 
 /// Maximum fixpoint rounds of one chase.
 const MAX_ROUNDS: usize = 6;
@@ -60,8 +46,17 @@ const MAX_ROUNDS: usize = 6;
 const MAX_FACTS: usize = 400;
 /// Maximum number of fresh nulls one chase introduces.
 const MAX_NULLS: usize = 64;
+/// Match steps one chase may take in all: [`MAX_MATCH_STEPS`] a round.
+const CHASE_STEPS: u64 = MAX_ROUNDS as u64 * MAX_MATCH_STEPS;
 
-/// The dependencies the chase runs with.
+/// The namespace the dependencies' variables are renamed into.
+const APART: char = '\u{1}';
+/// The namespace of labelled nulls.
+const NULL: char = '\u{2}';
+
+/// The dependencies the chase runs with. [`ChaseContext::from_constraints`]
+/// renames their variables apart from every query's, as matching requires
+/// (see [`crate::unify::match_terms`]).
 #[derive(Debug, Clone, Default)]
 pub struct ChaseContext {
     /// Tuple-generating dependencies: ICs whose head is a positive atom.
@@ -79,7 +74,8 @@ pub struct ChaseContext {
 
 impl ChaseContext {
     /// Partition a constraint list into tgds/egds (others are ignored by
-    /// the chase — denials and range ICs are the solver's business).
+    /// the chase — denials and range ICs are the solver's business), and
+    /// standardize them and the views apart.
     pub fn from_constraints(
         constraints: &[Constraint],
         views: Vec<Rule>,
@@ -88,12 +84,16 @@ impl ChaseContext {
         let mut tgds = Vec::new();
         let mut egds = Vec::new();
         for ic in constraints {
+            let apart = || apart(ic.vars().iter()).apply_constraint(ic);
             match &ic.head {
-                ConstraintHead::Atom(_) => tgds.push(ic.clone()),
-                ConstraintHead::Cmp(c) if c.op == CmpOp::Eq => egds.push(ic.clone()),
+                ConstraintHead::Atom(_) => tgds.push(apart()),
+                ConstraintHead::Cmp(c) if c.op == CmpOp::Eq => egds.push(apart()),
                 _ => {}
             }
         }
+        let views = views.iter().map(|v| (v, apart(v.vars())));
+        let views = views.map(|(v, s)| Rule::new(s.apply_atom(&v.head), s.apply_body(&v.body)));
+        let views = views.collect();
         ChaseContext {
             tgds,
             egds,
@@ -103,25 +103,51 @@ impl ChaseContext {
     }
 }
 
-/// The chase state: facts plus a canonicalization map over chase terms
-/// (for equality-generating dependencies).
+/// The renaming of `vars` into the [`APART`] namespace.
+fn apart<'v>(vars: impl IntoIterator<Item = &'v Var>) -> Subst {
+    let mut s = Subst::new();
+    for v in vars {
+        s.bind(*v, Term::Var(Var::new(format!("{APART}{}", v.name()))));
+    }
+    s
+}
+
+/// Rank of a term as a merge representative: constants first, then the
+/// query's variables, then nulls.
+fn rank(t: &Term) -> u8 {
+    match t {
+        Term::Const(_) => 0,
+        Term::Var(v) if v.name().starts_with(NULL) => 2,
+        Term::Var(_) => 1,
+    }
+}
+
+/// The chase state: the facts, and the merges made so far.
 pub struct Chase<'a> {
     ctx: &'a ChaseContext,
-    /// The query's comparison context, used to evaluate comparison
-    /// literals over frozen terms.
+    /// The query's comparison context: it decides a dependency body's
+    /// comparisons over the facts' terms.
     solver: &'a ConstraintSet,
-    facts: HashSet<CFact>,
-    /// Per-predicate index over `facts` (kept in sync).
-    by_pred: BTreeMap<PredSym, Vec<Vec<CTerm>>>,
-    /// Canonical representative for merged terms.
-    canon: BTreeMap<CTerm, CTerm>,
-    next_null: usize,
-    /// Firing keys to avoid re-firing the same dependency on the same
-    /// binding (oblivious-chase dedup).
-    fired: HashSet<String>,
+    /// The facts in derivation order, and the same set for membership.
+    facts: Vec<Atom>,
+    known: HashSet<Atom>,
+    /// Every merge so far: a merged-away variable ↦ its representative.
+    /// The facts are kept in its image.
+    merged: Subst,
+    nulls: usize,
+    /// Dependencies already fired, each by its index and its match θ
+    /// (oblivious-chase dedup; views are numbered after the tgds).
+    fired: HashSet<(usize, Subst)>,
     /// Whether the null or fact budget refused something the
     /// dependencies asked for.
     refused: bool,
+    /// Match steps taken so far, over every match.
+    steps: u64,
+    /// Whether a match, or all of them together, ran out of
+    /// [`MAX_MATCH_STEPS`]: the chase then entails nothing.
+    exhausted: bool,
+    /// Whether `chase.budget_exhausted` was bumped for this chase.
+    counted: bool,
 }
 
 impl<'a> Chase<'a> {
@@ -130,285 +156,172 @@ impl<'a> Chase<'a> {
         let mut chase = Chase {
             ctx,
             solver,
-            facts: HashSet::new(),
-            by_pred: BTreeMap::new(),
-            canon: BTreeMap::new(),
-            next_null: 0,
+            facts: Vec::new(),
+            known: HashSet::new(),
+            merged: Subst::new(),
+            nulls: 0,
             fired: HashSet::new(),
             refused: false,
+            steps: 0,
+            exhausted: false,
+            counted: false,
         };
         for l in body {
             if let Literal::Pos(a) = l {
-                chase.insert_fact(a.pred, a.args.iter().map(freeze).collect());
+                chase.insert_fact(a.clone());
             }
         }
         chase
     }
 
-    fn insert_fact(&mut self, pred: PredSym, args: Vec<CTerm>) -> bool {
-        if self.facts.insert((pred, args.clone())) {
-            self.by_pred.entry(pred).or_default().push(args);
-            true
-        } else {
-            false
+    fn insert_fact(&mut self, a: Atom) -> bool {
+        let new = self.known.insert(a.clone());
+        if new {
+            self.facts.push(a);
         }
+        new
     }
 
-    /// The canonical representative of a chase term.
-    pub fn rep(&self, t: &CTerm) -> CTerm {
-        let mut cur = t.clone();
-        let mut hops = 0;
-        while let Some(next) = self.canon.get(&cur) {
-            if *next == cur || hops > self.canon.len() {
-                break;
-            }
-            cur = next.clone();
-            hops += 1;
-        }
-        cur
+    /// Every merge so far, as a substitution from a merged-away variable
+    /// to its representative.
+    pub fn merged(&self) -> &Subst {
+        &self.merged
     }
 
-    /// Merge two chase terms (egd firing). Prefers constants, then frozen
+    /// Merge two terms (egd firing). Prefers constants, then the query's
     /// variables, as representatives. Merging two distinct constants is
     /// skipped (the query would be unsatisfiable; the solver reports that
     /// separately).
-    fn merge(&mut self, a: &CTerm, b: &CTerm) -> bool {
-        let (ra, rb) = (self.rep(a), self.rep(b));
-        if ra == rb {
+    fn merge(&mut self, a: &Term, b: &Term) -> bool {
+        let (a, b) = (self.merged.apply_term(a), self.merged.apply_term(b));
+        let (keep, drop) = if rank(&b) < rank(&a) { (b, a) } else { (a, b) };
+        let Term::Var(drop) = drop else {
+            return false;
+        };
+        if keep == Term::Var(drop) {
             return false;
         }
-        let (keep, drop) = match (&ra, &rb) {
-            (CTerm::Const(_), CTerm::Const(_)) => return false,
-            (CTerm::Const(_), _) => (ra.clone(), rb.clone()),
-            (_, CTerm::Const(_)) => (rb.clone(), ra.clone()),
-            (CTerm::Frozen(_), _) => (ra.clone(), rb.clone()),
-            (_, CTerm::Frozen(_)) => (rb.clone(), ra.clone()),
-            _ => (ra.clone(), rb.clone()),
-        };
-        self.canon.insert(drop, keep);
-        // Rewrite facts to canonical form (both the set and the index).
-        let rewritten: HashSet<CFact> = self
-            .facts
-            .iter()
-            .map(|(p, args)| (*p, args.iter().map(|t| self.rep(t)).collect()))
-            .collect();
-        self.by_pred.clear();
-        for (p, args) in &rewritten {
-            self.by_pred.entry(*p).or_default().push(args.clone());
+        self.merged.bind(drop, keep);
+        self.known.clear();
+        for a in std::mem::take(&mut self.facts) {
+            self.insert_fact(self.merged.apply_atom(&a));
         }
-        self.facts = rewritten;
         true
     }
 
     /// Insert a fact a dependency derived, unless the fact budget is
     /// spent.
-    fn derive_fact(&mut self, pred: PredSym, args: Vec<CTerm>) -> bool {
+    fn derive_fact(&mut self, a: Atom) -> bool {
         if self.facts.len() < MAX_FACTS {
-            return self.insert_fact(pred, args);
+            return self.insert_fact(a);
         }
-        self.refused |= !self.facts.contains(&(pred, args));
+        self.refused |= !self.known.contains(&a);
         false
     }
 
-    fn fresh_null(&mut self) -> Option<CTerm> {
-        if self.next_null >= MAX_NULLS {
+    fn fresh_null(&mut self) -> Option<Term> {
+        if self.nulls >= MAX_NULLS {
             self.refused = true;
             return None;
         }
-        let n = self.next_null;
-        self.next_null += 1;
-        Some(CTerm::Null(n))
+        self.nulls += 1;
+        Some(Term::Var(Var::new(format!("{NULL}{}", self.nulls))))
     }
 
-    /// Evaluate a comparison over chase terms, consulting the query solver
-    /// for frozen variables. Conservative: unknown ⇒ false.
-    fn eval_cmp(&self, lhs: &CTerm, op: CmpOp, rhs: &CTerm) -> bool {
-        let (l, r) = (self.rep(lhs), self.rep(rhs));
-        if l == r {
-            return matches!(op, CmpOp::Eq | CmpOp::Le | CmpOp::Ge);
+    /// Every match of `pattern` into the facts, extending `seed`, whose
+    /// comparisons the query's solver implies. A match that runs out of
+    /// steps marks the chase exhausted, and nothing matches from then on.
+    fn matches(&mut self, pattern: &[Literal], seed: &Subst) -> Vec<Subst> {
+        if self.exhausted {
+            return Vec::new();
         }
-        let to_term = |t: &CTerm| -> Option<Term> {
-            match t {
-                CTerm::Frozen(v) => Some(Term::Var(*v)),
-                CTerm::Const(c) => Some(Term::Const(*c)),
-                CTerm::Null(_) => None,
-            }
-        };
-        match (to_term(&l), to_term(&r)) {
-            (Some(a), Some(b)) => self.solver.implies(&crate::atom::Comparison::new(a, op, b)),
-            _ => false,
+        let facts: Vec<&Atom> = self.facts.iter().collect();
+        let staged = match_db_staged(pattern, &facts, &[], seed);
+        self.steps += staged.steps;
+        self.exhausted |= staged.exhausted || self.steps > CHASE_STEPS;
+        if self.exhausted {
+            return Vec::new();
         }
+        let solver = self.solver;
+        staged
+            .matches
+            .into_iter()
+            .filter(|m| m.deferred.iter().all(|c| solver.implies(c)))
+            .map(|m| m.theta)
+            .collect()
     }
 
-    /// Find all bindings of `body` (a conjunction with plain `Var`s) into
-    /// the current facts, extending `seed`. Negative literals are not
-    /// supported inside chase dependencies and fail the match.
-    fn match_body(
-        &self,
-        body: &[Literal],
-        seed: &BTreeMap<Var, CTerm>,
-    ) -> Vec<BTreeMap<Var, CTerm>> {
-        let mut db: Vec<&Atom> = Vec::new();
-        let mut cmps = Vec::new();
-        for l in body {
-            match l {
-                Literal::Pos(a) => db.push(a),
-                Literal::Cmp(c) => cmps.push(c),
-                Literal::Neg(_) => return Vec::new(),
+    /// Fire dependency `dep`, `body ⇒ head`, on each match of its body not
+    /// fired before: the head atoms are derived with one fresh null per
+    /// variable the match leaves unbound.
+    fn fire(&mut self, dep: usize, body: &[Literal], head: &[&Atom]) -> bool {
+        let mut changed = false;
+        'matches: for mut theta in self.matches(body, &Subst::new()) {
+            if !self.fired.insert((dep, theta.clone())) {
+                continue;
             }
-        }
-        let mut bindings: Vec<BTreeMap<Var, CTerm>> = vec![seed.clone()];
-        let empty_rel: Vec<Vec<CTerm>> = Vec::new();
-        for atom in db {
-            let candidates = self.by_pred.get(&atom.pred).unwrap_or(&empty_rel);
-            let mut next: Vec<BTreeMap<Var, CTerm>> = Vec::new();
-            for b in &bindings {
-                for args in candidates {
-                    if args.len() != atom.args.len() {
-                        continue;
-                    }
-                    let mut b2 = b.clone();
-                    let mut ok = true;
-                    for (pat, val) in atom.args.iter().zip(args) {
-                        match pat {
-                            Term::Const(c) => {
-                                if self.rep(val) != CTerm::Const(*c) {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            Term::Var(v) => match b2.get(v) {
-                                Some(bound) => {
-                                    if self.rep(bound) != self.rep(val) {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                                None => {
-                                    b2.insert(*v, self.rep(val));
-                                }
-                            },
-                        }
-                    }
-                    if ok {
-                        next.push(b2);
+            let mut derived = Vec::with_capacity(head.len());
+            for a in head {
+                for v in a.vars() {
+                    if theta.lookup(v).is_none() {
+                        let Some(null) = self.fresh_null() else {
+                            continue 'matches;
+                        };
+                        theta.bind(*v, null);
                     }
                 }
+                derived.push(theta.apply_atom(a));
             }
-            bindings = next;
-            if bindings.is_empty() {
-                return bindings;
+            for a in derived {
+                changed |= self.derive_fact(a);
             }
         }
-        bindings.retain(|b| {
-            cmps.iter()
-                .all(|c| match (instantiate(&c.lhs, b), instantiate(&c.rhs, b)) {
-                    (Some(l), Some(r)) => self.eval_cmp(&l, c.op, &r),
-                    _ => false,
-                })
-        });
-        bindings
+        changed
+    }
+
+    /// Count this chase in `chase.budget_exhausted`, once.
+    fn count_exhausted(&mut self) {
+        if !std::mem::replace(&mut self.counted, true) {
+            obs::bump(obs::Counter::ChaseExhausted);
+        }
     }
 
     /// Run the chase to fixpoint (or budget exhaustion, which bumps
     /// `chase.budget_exhausted` once).
     pub fn run(&mut self) {
-        let empty = BTreeMap::new();
+        let ctx = self.ctx;
         let mut fixpoint = false;
         for _round in 0..MAX_ROUNDS {
             let mut changed = false;
 
             // 1. tgds: body ⇒ head atom (existential head vars get nulls).
-            for (ti, tgd) in self.ctx.tgds.iter().enumerate() {
-                let ConstraintHead::Atom(head) = &tgd.head else {
-                    continue;
-                };
-                let head = head.clone();
-                for binding in self.match_body(&tgd.body, &empty) {
-                    let key = format!("t{ti}:{binding:?}");
-                    if !self.fired.insert(key) {
-                        continue;
-                    }
-                    let mut b = binding.clone();
-                    let mut args = Vec::with_capacity(head.args.len());
-                    let mut ok = true;
-                    for t in &head.args {
-                        match t {
-                            Term::Const(c) => args.push(CTerm::Const(*c)),
-                            Term::Var(v) => {
-                                if let Some(val) = b.get(v) {
-                                    args.push(val.clone());
-                                } else if let Some(null) = self.fresh_null() {
-                                    b.insert(*v, null.clone());
-                                    args.push(null);
-                                } else {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    if ok {
-                        changed |= self.derive_fact(head.pred, args);
-                    }
+            for (ti, tgd) in ctx.tgds.iter().enumerate() {
+                if let ConstraintHead::Atom(head) = &tgd.head {
+                    changed |= self.fire(ti, &tgd.body, &[head]);
                 }
             }
 
             // 2. views in reverse: a view-head fact implies its body with
             //    shared fresh nulls for body-only variables.
-            for (vi, view) in self.ctx.views.iter().enumerate() {
-                let head_lit = [Literal::Pos(view.head.clone())];
-                let view_body = view.body.clone();
-                for binding in self.match_body(&head_lit, &empty) {
-                    let key = format!("v{vi}:{binding:?}");
-                    if !self.fired.insert(key) {
-                        continue;
-                    }
-                    let mut b = binding.clone();
-                    let mut new_facts = Vec::new();
-                    let mut ok = true;
-                    for l in &view_body {
-                        let Literal::Pos(a) = l else { continue };
-                        let mut args = Vec::with_capacity(a.args.len());
-                        for t in &a.args {
-                            match t {
-                                Term::Const(c) => args.push(CTerm::Const(*c)),
-                                Term::Var(v) => {
-                                    if let Some(val) = b.get(v) {
-                                        args.push(val.clone());
-                                    } else if let Some(null) = self.fresh_null() {
-                                        b.insert(*v, null.clone());
-                                        args.push(null);
-                                    } else {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        if !ok {
-                            break;
-                        }
-                        new_facts.push((a.pred, args));
-                    }
-                    if ok {
-                        for (p, args) in new_facts {
-                            changed |= self.derive_fact(p, args);
-                        }
-                    }
-                }
+            for (vi, view) in ctx.views.iter().enumerate() {
+                let positive = view.body.iter().filter(|l| l.is_positive());
+                let witness: Vec<&Atom> = positive.filter_map(Literal::atom).collect();
+                let head = [Literal::Pos(view.head.clone())];
+                changed |= self.fire(ctx.tgds.len() + vi, &head, &witness);
             }
 
             // 3. egds: body ⇒ X = Y merges.
-            let mut merges: Vec<(CTerm, CTerm)> = Vec::new();
-            for egd in &self.ctx.egds {
+            let mut merges: Vec<(Term, Term)> = Vec::new();
+            for egd in &ctx.egds {
                 let ConstraintHead::Cmp(c) = &egd.head else {
                     continue;
                 };
-                for binding in self.match_body(&egd.body, &empty) {
-                    if let (Some(l), Some(r)) =
-                        (instantiate(&c.lhs, &binding), instantiate(&c.rhs, &binding))
-                    {
+                for theta in self.matches(&egd.body, &Subst::new()) {
+                    let bound = |t: &Term| match t {
+                        Term::Var(v) => theta.lookup(v).copied(),
+                        Term::Const(_) => Some(*t),
+                    };
+                    if let (Some(l), Some(r)) = (bound(&c.lhs), bound(&c.rhs)) {
                         merges.push((l, r));
                     }
                 }
@@ -417,26 +330,19 @@ impl<'a> Chase<'a> {
             //    facts of the same relation agrees, the remaining
             //    arguments merge (classes/structures: OID determines all
             //    attributes; methods: OID + arguments determine Value).
-            let snapshot: Vec<CFact> = self.facts.iter().cloned().collect();
-            for (i, (p1, a1)) in snapshot.iter().enumerate() {
-                let Some(&k) = self.ctx.functional.get(p1) else {
+            for (i, a1) in self.facts.iter().enumerate() {
+                let Some(&k) = ctx.functional.get(&a1.pred) else {
                     continue;
                 };
-                if a1.len() < k {
+                if a1.arity() < k {
                     continue;
                 }
-                for (p2, a2) in snapshot.iter().skip(i + 1) {
-                    if p1 != p2 || a1.len() != a2.len() {
-                        continue;
-                    }
-                    let prefix_eq = a1[..k]
-                        .iter()
-                        .zip(&a2[..k])
-                        .all(|(x, y)| self.rep(x) == self.rep(y));
-                    if prefix_eq {
-                        for (x, y) in a1.iter().zip(a2).skip(k) {
-                            merges.push((x.clone(), y.clone()));
-                        }
+                for a2 in &self.facts[i + 1..] {
+                    if a1.pred == a2.pred
+                        && a1.arity() == a2.arity()
+                        && a1.args[..k] == a2.args[..k]
+                    {
+                        merges.extend(a1.args.iter().copied().zip(a2.args.iter().copied()).skip(k));
                     }
                 }
             }
@@ -444,46 +350,37 @@ impl<'a> Chase<'a> {
                 changed |= self.merge(&l, &r);
             }
 
-            if !changed {
-                fixpoint = true;
+            if self.exhausted || !changed {
+                fixpoint = !changed;
                 break;
             }
         }
-        if !fixpoint || self.refused {
-            obs::bump(obs::Counter::ChaseExhausted);
+        if !fixpoint || self.refused || self.exhausted {
+            self.count_exhausted();
         }
     }
 
     /// Check whether the conjunctive `pattern` (with `frozen` variables
     /// fixed and all other variables existential) maps homomorphically
-    /// into the chased facts.
-    pub fn entails(&self, pattern: &[Atom], frozen: &BTreeSet<Var>) -> bool {
-        let lits: Vec<Literal> = pattern.iter().map(|a| Literal::Pos(a.clone())).collect();
-        // Pre-bind frozen variables to their frozen chase terms.
-        let seed: BTreeMap<Var, CTerm> = frozen
-            .iter()
-            .map(|v| (*v, self.rep(&CTerm::Frozen(*v))))
-            .collect();
-        !self.match_body(&lits, &seed).is_empty()
+    /// into the chased facts. An exhausted chase entails nothing.
+    pub fn entails(&mut self, pattern: &[Atom], frozen: &BTreeSet<Var>) -> bool {
+        let lits: Vec<Literal> = pattern.iter().cloned().map(Literal::Pos).collect();
+        // Pre-bind frozen variables to their merged terms; an unmerged one
+        // to itself, so that it matches only itself.
+        let mut seed = Subst::new();
+        for v in frozen {
+            seed.bind_exact(*v, self.merged.apply_term(&Term::Var(*v)));
+        }
+        let found = !self.matches(&lits, &seed).is_empty();
+        if self.exhausted {
+            self.count_exhausted();
+        }
+        found
     }
 
     /// Number of facts currently derived.
     pub fn fact_count(&self) -> usize {
         self.facts.len()
-    }
-}
-
-fn freeze(t: &Term) -> CTerm {
-    match t {
-        Term::Var(v) => CTerm::Frozen(*v),
-        Term::Const(c) => CTerm::Const(*c),
-    }
-}
-
-fn instantiate(t: &Term, b: &BTreeMap<Var, CTerm>) -> Option<CTerm> {
-    match t {
-        Term::Const(c) => Some(CTerm::Const(*c)),
-        Term::Var(v) => b.get(v).cloned(),
     }
 }
 
@@ -598,8 +495,8 @@ mod tests {
         chase.run();
         // Z and W must be merged.
         assert_eq!(
-            chase.rep(&CTerm::Frozen(Var::new("Z"))),
-            chase.rep(&CTerm::Frozen(Var::new("W")))
+            chase.merged().apply_term(&v("Z")),
+            chase.merged().apply_term(&v("W"))
         );
     }
 
@@ -731,12 +628,12 @@ mod tests {
         let mut chase = Chase::new(&kept, &ctx, &solver);
         chase.run();
         assert_eq!(
-            chase.rep(&CTerm::Frozen(Var::new("Z"))),
-            chase.rep(&CTerm::Frozen(Var::new("W")))
+            chase.merged().apply_term(&v("Z")),
+            chase.merged().apply_term(&v("W"))
         );
         assert_eq!(
-            chase.rep(&CTerm::Frozen(Var::new("Name1"))),
-            chase.rep(&CTerm::Frozen(Var::new("Name2")))
+            chase.merged().apply_term(&v("Name1")),
+            chase.merged().apply_term(&v("Name2"))
         );
     }
 

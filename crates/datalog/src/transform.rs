@@ -558,11 +558,12 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                 continue;
             }
             let staged = match_db_staged(&residue.rest, &pos_refs, &neg_refs, &seed);
-            if staged.is_empty() {
+            staged.charge();
+            if staged.matches.is_empty() {
                 continue;
             }
-            let mut matches: Vec<ThetaEntry> = Vec::with_capacity(staged.len());
-            for m in staged {
+            let mut matches: Vec<ThetaEntry> = Vec::with_capacity(staged.matches.len());
+            for m in staged.matches {
                 let action = match m.theta.apply_head(&residue.head) {
                     ConstraintHead::None => HeadAction::Denial {
                         note: format!(

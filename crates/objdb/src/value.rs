@@ -92,11 +92,6 @@ impl Value {
             Value::Obj(o) => sqo_store::StoreValue::Obj(o.0),
         }
     }
-
-    /// Convert from the durable store's value representation.
-    pub fn from_store(v: &sqo_store::StoreValue) -> Value {
-        v.clone().into()
-    }
 }
 
 impl From<sqo_store::StoreValue> for Value {

@@ -318,9 +318,17 @@ impl<'a> Lexer<'a> {
     }
 }
 
+/// The deepest nesting of method-call arguments (`x.m(x.m(…))`) the
+/// parser accepts. Queries nest one or two deep; the bound keeps the
+/// parser's recursion, and the parsed path's recursive drop, far inside
+/// the calling thread's stack whatever a query text holds.
+pub const MAX_CALL_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Method-call argument lists open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -389,17 +397,15 @@ impl Parser {
             let name = self.ident("a member name after `.`")?;
             if self.peek() == Some(&Tok::LParen) {
                 self.pos += 1;
-                let mut args = Vec::new();
-                if self.peek() != Some(&Tok::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if self.peek() == Some(&Tok::Comma) {
-                            self.pos += 1;
-                        } else {
-                            break;
-                        }
-                    }
+                if self.depth == MAX_CALL_DEPTH {
+                    return Err(
+                        self.err_at(format!("method calls nest deeper than {MAX_CALL_DEPTH}"))
+                    );
                 }
+                self.depth += 1;
+                let args = self.call_args();
+                self.depth -= 1;
+                let args = args?;
                 self.expect(&Tok::RParen, "`)`")?;
                 steps.push(PathStep::MethodCall { name, args });
             } else {
@@ -407,6 +413,21 @@ impl Parser {
             }
         }
         Ok(PathExpr { root, steps })
+    }
+
+    fn call_args(&mut self) -> Result<Vec<Expr>> {
+        let mut args = Vec::new();
+        if self.peek() != Some(&Tok::RParen) {
+            loop {
+                args.push(self.expr()?);
+                if self.peek() == Some(&Tok::Comma) {
+                    self.pos += 1;
+                } else {
+                    break;
+                }
+            }
+        }
+        Ok(args)
     }
 
     fn expr(&mut self) -> Result<Expr> {
@@ -594,7 +615,11 @@ impl Parser {
 /// Parse an OQL select-from-where query.
 pub fn parse_oql(src: &str) -> Result<SelectQuery> {
     let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.query()?;
     validate_scopes(&q)?;
     Ok(q)
@@ -606,7 +631,11 @@ pub fn parse_oql(src: &str) -> Result<SelectQuery> {
 /// A single query parses as a one-branch union.
 pub fn parse_oql_union(src: &str) -> Result<Vec<SelectQuery>> {
     let toks = Lexer::new(src).tokens()?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let mut out = vec![p.query_until_union()?];
     while p.peek() == Some(&Tok::KwUnion) {
         p.pos += 1;
@@ -933,6 +962,21 @@ mod tests {
             parse_oql_union("select x from x in Person union select y.name from x in Person")
                 .is_err()
         );
+    }
+
+    #[test]
+    fn method_call_nesting_is_refused_past_the_bound() {
+        let nested = |n: usize| {
+            let arg = format!("{}1{}", "x.m(".repeat(n), ")".repeat(n));
+            parse_oql(&format!(
+                "select x.name from x in Person where x.age = {arg}"
+            ))
+        };
+        assert!(nested(MAX_CALL_DEPTH).is_ok());
+        for n in [MAX_CALL_DEPTH + 1, 50_000] {
+            let err = nested(n).unwrap_err().to_string();
+            assert!(err.contains("nest deeper than 64"), "{err}");
+        }
     }
 
     #[test]

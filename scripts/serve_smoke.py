@@ -46,9 +46,17 @@ that finishes its instance, and two repeats of the finished text); the
 repeats must equal the fill modulo volatile fields, validate against the
 schemas, and raise plan_cache.instance_hits by exactly 2. A half-close
 check sends a ping, shuts down the socket's write half, and must still
-get the reply. Two lines that once overflowed the serving thread's
-stack (60 000 `[`, and a prepare whose ODL nests `set<` 50 000 deep)
-must each get a `bad_request` and leave the server answering pings.
+get the reply. Three lines that once overflowed a serving thread's
+stack (60 000 `[`, a prepare whose ODL nests `set<` 50 000 deep, and a
+query nesting method calls 5 000 deep) must each get an error reply and
+leave the server answering pings.
+
+A hostile-IC phase runs a server of its own with two workers: a session
+prepared with IC H (a `takes` head over five chained `takes` atoms)
+gets one 6-hop path query per worker, each of which must be answered
+with its chase refused (`chase.budget_exhausted`), and a plain query on
+the default session sent behind them with a 3 s deadline must be
+answered ok.
 
 A fourth phase smoke-tests durable-store crash recovery: a server
 started with --store-path takes writes over the wire (create/link),
@@ -67,6 +75,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from check_explain_schema import validate  # noqa: E402
@@ -76,6 +85,8 @@ TIMEOUT_S = 60
 N_CLIENTS = 33  # one contradiction + 32 mixed queries
 
 IC4 = "ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).\n"
+IC_H = ("ic H: takes(X, Y) <- takes(X, A), takes(B, A), takes(B, C), "
+        "takes(D, C), takes(D, Y).\n")
 
 
 def load_schema(name):
@@ -447,25 +458,102 @@ def hostile_lines_check(addr, serve_schema):
     aborts the process: each must get a schema-valid error reply, and a
     ping must be answered after it."""
     deep_set = "set<" * 50_000 + "long" + ">" * 50_000
+    deep_call = "x.m(" * 5_000 + "1" + ")" * 5_000
     lines = [
-        ("60 000 '['", "[" * 60_000),
+        ("60 000 '['", "[" * 60_000, "bad_request"),
         ("a prepare nesting set< 50 000 deep", json.dumps(
             {"op": "prepare", "session": "deep",
-             "schema": f"interface C {{ attribute {deep_set} a; }};"})),
+             "schema": f"interface C {{ attribute {deep_set} a; }};"}),
+         "bad_request"),
+        ("a query nesting method calls 5 000 deep", json.dumps(
+            {"op": "query", "oql": "select x.name from x in Person "
+             f"where x.age = {deep_call}"}),
+         "optimize_error"),
     ]
-    for what, line in lines:
+    for what, line, want in lines:
         raw = request_raw(addr, line)
         if not raw:
             fail(f"hostile line ({what}): the server closed without a reply")
         reply = loads(raw)
         check(reply, serve_schema, serve_schema, f"hostile line ({what})")
-        if reply.get("ok") or reply["error"]["kind"] != "bad_request":
-            fail(f"hostile line ({what}): want bad_request, got {reply}")
+        if reply.get("ok") or reply["error"]["kind"] != want:
+            fail(f"hostile line ({what}): want {want}, got {reply}")
         pong = request(addr, json.dumps({"op": "ping"}))
         check(pong, serve_schema, serve_schema, f"ping after {what}")
         if not pong.get("ok"):
             fail(f"ping after hostile line ({what}): {pong}")
     return len(lines)
+
+
+def path_query(hops):
+    """A Student/takes/taken_by path of `hops` sections."""
+    binds = ["s1 in Student", "c1 in s1.takes"]
+    for i in range(2, hops + 1):
+        binds += [f"s{i} in c{i - 1}.taken_by", f"c{i} in s{i}.takes"]
+    return "select s1.name from " + " ".join(binds)
+
+
+def hostile_ic_phase(sqo, serve_schema):
+    """An IC whose body chains five `takes` atoms makes the chase that
+    validates a join elimination match a product of the facts it
+    derives. Two 6-hop queries under it, one per worker, must each be
+    answered with the chase refused, and must leave the pool free for a
+    plain query with a 3 s deadline."""
+    proc = subprocess.Popen(
+        [sqo, "serve", "--university", "--addr", "127.0.0.1:0",
+         "--workers", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        line = proc.stdout.readline()
+        if not line:
+            fail("hostile IC: server did not announce a listening address")
+        host, port = loads(line)["listening"].rsplit(":", 1)
+        addr = (host, int(port))
+        prep = request(addr, json.dumps(
+            {"op": "prepare", "session": "hostile", "university": True,
+             "ic": IC_H}))
+        if not prep.get("ok"):
+            fail(f"hostile IC: prepare failed: {prep}")
+        replies = [None, None]
+
+        def hostile(i):
+            try:
+                replies[i] = request(addr, json.dumps(
+                    {"op": "query", "session": "hostile",
+                     "oql": path_query(6)}))
+            except Exception as e:  # noqa: BLE001 - reported below
+                replies[i] = e
+
+        threads = [threading.Thread(target=hostile, args=(i,), daemon=True)
+                   for i in range(len(replies))]
+        for t in threads:
+            t.start()
+        time.sleep(0.1)  # both reach a worker before the plain query
+        plain = request(addr, json.dumps(
+            {"op": "query", "timeout_ms": 3000,
+             "oql": "select x.name from x in Person where x.age < 30"}))
+        check(plain, serve_schema, serve_schema, "hostile IC plain query")
+        if not plain.get("ok"):
+            fail(f"hostile IC: the plain query behind two 6-hop queries "
+                 f"under IC H was not answered: {plain}")
+        for t in threads:
+            t.join(TIMEOUT_S)
+        for i, reply in enumerate(replies):
+            if not isinstance(reply, dict):
+                fail(f"hostile IC: 6-hop query {i}: {reply}")
+            check(reply, serve_schema, serve_schema, f"hostile IC query {i}")
+            counters = reply.get("report", {}).get("stats", {}).get("counters", {})
+            if not reply.get("ok") or counters.get("chase.budget_exhausted", 0) < 1:
+                fail(f"hostile IC: 6-hop query {i} should be answered with "
+                     f"its chase refused: {reply}")
+        bye = request(addr, json.dumps({"op": "shutdown"}))
+        check(bye, serve_schema, serve_schema, "hostile IC shutdown")
+        proc.wait(timeout=TIMEOUT_S)
+        return len(replies)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def recovery_phase(sqo, serve_schema):
@@ -655,6 +743,8 @@ def run_phases(sqo, serve_schema, explain_schema):
         check(bye, serve_schema, serve_schema, "shutdown response")
         proc.wait(timeout=TIMEOUT_S)
 
+        n_hostile_ic = hostile_ic_phase(sqo, serve_schema)
+
         n_recovered = recovery_phase(sqo, serve_schema)
 
         print(f"serve_smoke: OK ({N_CLIENTS} concurrent queries, "
@@ -665,6 +755,7 @@ def run_phases(sqo, serve_schema, explain_schema):
               f"{n_loop} rewrite-only repeats answered by the loop, "
               f"half-close answered, "
               f"{n_hostile} stack-deep lines refused, "
+              f"{n_hostile_ic} hostile-IC queries left the pool free, "
               f"{n_fuzz} fuzz cases wire==in-process, "
               f"{n_recovered} answers across a kill -9 recovery)")
     finally:

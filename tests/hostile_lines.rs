@@ -1,7 +1,7 @@
 //! No request line can stop the server. A stack overflow is no panic:
 //! nothing catches it, and the whole process aborts with every session
 //! in it. So the test runs the built `sqo serve` out of process, sends
-//! the lines that once overflowed the serving thread's stack, and asks
+//! the lines that once overflowed a serving thread's stack, and asks
 //! for an error reply to each and a `ping` answered after it.
 #![cfg(unix)]
 
@@ -68,17 +68,28 @@ fn no_line_can_stop_the_server() {
         "set<".repeat(50_000),
         ">".repeat(50_000)
     );
+    let deep_call = format!(
+        "select x.name from x in Person where x.age = {}1{}",
+        "x.m(".repeat(5_000),
+        ")".repeat(5_000)
+    );
     let lines = [
-        ("60 000 `[`", "[".repeat(60_000)),
+        ("60 000 `[`", "[".repeat(60_000), "bad_request"),
         (
             "a prepare nesting set< 50 000 deep",
             format!(
                 r#"{{"op":"prepare","session":"deep","schema":{}}}"#,
                 obs::json_string(&deep_set)
             ),
+            "bad_request",
+        ),
+        (
+            "a query nesting method calls 5 000 deep",
+            format!(r#"{{"op":"query","oql":{}}}"#, obs::json_string(&deep_call)),
+            "optimize_error",
         ),
     ];
-    for (what, line) in lines {
+    for (what, line, want) in lines {
         let reply = served.ask(&line);
         assert!(
             !reply.is_empty(),
@@ -86,7 +97,7 @@ fn no_line_can_stop_the_server() {
         );
         let reply = json::parse(&reply).unwrap();
         let kind = reply.get("error").and_then(|e| e.get("kind"));
-        assert_eq!(kind.and_then(Json::as_str), Some("bad_request"), "{what}");
+        assert_eq!(kind.and_then(Json::as_str), Some(want), "{what}");
         let pong = served.ask(r#"{"op":"ping"}"#);
         assert_eq!(pong.trim_end(), r#"{"ok":true,"op":"ping"}"#, "{what}");
     }
