@@ -41,7 +41,7 @@ use crate::optimizer::{
 use sqo_datalog::clause::CanonicalForm;
 use sqo_datalog::search::{self, Outcome, SearchConfig, Variant};
 use sqo_datalog::transform::TransformContext;
-use sqo_datalog::{Atom, CanonicalTemplate, Comparison, Literal, Query, Term};
+use sqo_datalog::{Atom, CanonicalTemplate, Comparison, Literal, Query, Rule, Term};
 use sqo_obs as obs;
 use sqo_odl::Schema;
 use sqo_oql::SelectQuery;
@@ -383,6 +383,12 @@ impl PreparedOptimizer {
     /// The Step-1 catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// The registered view rules, heads as the catalog named them: the
+    /// relations a rewrite may fold a path into.
+    pub fn views(&self) -> &[Rule] {
+        &self.ctx.views
     }
 
     /// Number of compiled residues.

@@ -278,9 +278,7 @@ pub fn choose_access_path(
             .map(|&col| {
                 let candidates = match &atom.args[col] {
                     Term::Const(key) => rel.hash_probe(col, key).map_or(0, <[u32]>::len) as f64,
-                    Term::Var(_) => {
-                        rel.len() as f64 / rel.index_distinct(col).unwrap_or(0).max(1) as f64
-                    }
+                    Term::Var(_) => rel.len() as f64 / rel.distinct(col).max(1) as f64,
                 };
                 (candidates, col)
             })

@@ -2,7 +2,7 @@
 
 use crate::atom::{Atom, PredSym};
 use crate::error::{DatalogError, Result};
-use crate::fxhash::{fold, FxHasher};
+use crate::fxhash::{fold, FxHashSet, FxHasher};
 use crate::term::Const;
 use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
@@ -300,6 +300,9 @@ pub struct Relation {
     slots: Vec<u32>,
     hash_indexes: BTreeMap<usize, OnceLock<HashIndex>>,
     ordered_indexes: BTreeMap<usize, OnceLock<OrderedIndex>>,
+    /// Per column of the arity, its distinct values once
+    /// [`Relation::distinct`] has counted them; `insert` clears them.
+    counts: OnceLock<Box<[OnceLock<usize>]>>,
 }
 
 impl Relation {
@@ -398,6 +401,7 @@ impl Relation {
                 idx.add(tuple[col], row);
             }
         }
+        self.counts.take();
         Ok(true)
     }
 
@@ -478,12 +482,28 @@ impl Relation {
         Some(idx.rows(key, |row| self.key_at(row, col)))
     }
 
-    /// Number of distinct keys in the index on `col` (hash preferred,
-    /// ordered as fallback). `None` when the column has no index.
-    pub fn index_distinct(&self, col: usize) -> Option<usize> {
-        match self.hash_index(col) {
-            Some(idx) => Some(idx.keys),
-            None => self.ordered_index(col).map(|idx| idx.postings.len()),
+    /// Distinct values in column `col`: the cost model's join
+    /// selectivity. A hash-declared column reads its index's key count,
+    /// building the index if this is its first use (pricing a bound
+    /// hashed column goes on to probe it anyway). Any other column is
+    /// counted in one pass, which builds nothing, and the count is kept
+    /// until the next insert.
+    pub fn distinct(&self, col: usize) -> usize {
+        if let Some(idx) = self.hash_index(col) {
+            return idx.keys;
+        }
+        let count = || {
+            let values: FxHashSet<Const> =
+                self.rows().filter_map(|t| t.get(col).copied()).collect();
+            values.len()
+        };
+        let arity = self.arity.unwrap_or_default();
+        let counts = self
+            .counts
+            .get_or_init(|| (0..arity).map(|_| OnceLock::new()).collect());
+        match counts.get(col) {
+            Some(kept) => *kept.get_or_init(count),
+            None => count(),
         }
     }
 
@@ -752,7 +772,30 @@ mod tests {
         assert_eq!(r.hash_probe(1, &Const::Str("a".into())), Some(&[0, 2][..]));
         assert_eq!(r.hash_probe(1, &Const::Str("zzz".into())), Some(&[][..]));
         assert_eq!(r.hash_probe(0, &Const::Int(1)), None, "no index on col 0");
-        assert_eq!(r.index_distinct(1), Some(2));
+        assert_eq!(r.distinct(1), 2);
+    }
+
+    #[test]
+    fn distinct_counts_an_unhashed_column_once_per_change() {
+        let mut r = Relation::with_arity(2);
+        r.declare_ordered_index(1);
+        for (a, b) in [(1, 10), (2, 10), (3, 20)] {
+            r.insert(&[Const::Int(a), Const::Int(b)]).unwrap();
+        }
+        assert_eq!(r.distinct(1), 2);
+        assert_eq!(r.counts.get().unwrap()[1].get(), Some(&2));
+        assert!(
+            r.ordered_indexes[&1].get().is_none(),
+            "counting builds no index"
+        );
+        r.insert(&[Const::Int(4), Const::Real(30.0.into())])
+            .unwrap();
+        assert!(r.counts.get().is_none(), "an insert clears the counts");
+        assert_eq!(r.distinct(1), 3);
+        // `Int(10) == Real(10.0)`: one value, as the indexes count it.
+        r.insert(&[Const::Int(5), Const::Real(10.0.into())])
+            .unwrap();
+        assert_eq!(r.distinct(1), 3);
     }
 
     #[test]
@@ -840,7 +883,7 @@ mod tests {
         r.declare_ordered_index(5);
         r.insert(&[Const::Int(1), Const::Int(2)]).unwrap();
         assert_eq!(r.hash_probe(5, &Const::Int(1)), Some(&[][..]));
-        assert_eq!(r.index_distinct(5), Some(0));
+        assert_eq!(r.distinct(5), 0);
         assert_eq!(
             r.range_count(5, Some(&(Const::Int(0), true)), None),
             Some(0)

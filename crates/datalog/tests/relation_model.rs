@@ -211,7 +211,7 @@ fn check(rel: &Relation, model: &Model, cols: &[Col], rng: &mut Lcg, seed: u64) 
         if model.hash_cols.contains(&col) {
             keys.pop();
             let distinct: BTreeSet<Const> = keys.into_iter().collect();
-            assert_eq!(rel.index_distinct(col), Some(distinct.len()), "seed {seed}");
+            assert_eq!(rel.distinct(col), distinct.len(), "seed {seed}");
         }
         for _ in 0..6 {
             // Mostly the column's own kind; sometimes any kind at all.
@@ -419,7 +419,7 @@ fn an_index_answers_alike_whenever_it_was_first_probed() {
             if distinct.insert(t[0]) && (keys.is_power_of_two() || (keys - 1).is_power_of_two()) {
                 checkpoints += 1;
                 let expected = model.postings(0);
-                assert_eq!(probed_first.index_distinct(0), Some(expected.len()));
+                assert_eq!(probed_first.distinct(0), expected.len());
                 for (key, rows) in &expected {
                     let got = probed_first.hash_probe(0, key);
                     assert_eq!(got, Some(&rows[..]), "kind {kind}, {key} at row {i}");
@@ -440,7 +440,7 @@ fn an_index_answers_alike_whenever_it_was_first_probed() {
 
         let expected = model.postings(0);
         for rel in [&declared_before, &declared_after, &probed_first] {
-            assert_eq!(rel.index_distinct(0), Some(expected.len()), "kind {kind}");
+            assert_eq!(rel.distinct(0), expected.len(), "kind {kind}");
             for (key, rows) in &expected {
                 assert_eq!(
                     rel.hash_probe(0, key),
@@ -493,7 +493,7 @@ fn a_clone_is_independent_of_its_source_before_and_after_the_first_probe() {
             let want = model.range_probe(1, None, Some(&hi));
             assert_eq!(rel.range_probe(1, None, Some(&hi)), want);
         }
-        assert_eq!(rel.index_distinct(0), Some(model.postings(0).len()));
+        assert_eq!(rel.distinct(0), model.postings(0).len());
     };
     let unprobed = source.clone();
     agrees(&source, &model);

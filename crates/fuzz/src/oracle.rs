@@ -8,12 +8,10 @@
 //! * each [`sqo_core::EquivalentQuery`] from the Step-3 search,
 //! * a second search on a context an earlier search has warmed (same
 //!   verdict, equivalents and steps as the context's first search),
-//! * the warm plan-cache path (miss → hit on the same query, two
-//!   repeats served from the finished instance that hit filled, then a
-//!   constant-shifted sibling through retargeting),
-//! * the request-text path (the case's OQL text three times through a
-//!   cache of its own: miss, fill, and a hit decided on the text before
-//!   anything is parsed),
+//! * the warm plan-cache path, driven by the case's OQL text as a client
+//!   sends it (miss → hit, then two repeats served from the finished
+//!   instance that hit filled, decided on the text before anything is
+//!   parsed), then a constant-shifted sibling through retargeting,
 //! * and a [`sqo_core::Verdict::Contradiction`] only when the baseline is actually
 //!   empty — a contradiction verdict over a non-empty answer set is a
 //!   soundness bug, not an optimization.
@@ -47,7 +45,7 @@ pub struct PassInfo {
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Which check failed (`"equivalent"`, `"contradiction"`,
-    /// `"warm-context"`, `"cache"`, `"instance"`, `"text"`, `"sibling"`,
+    /// `"warm-context"`, `"cache"`, `"instance"`, `"sibling"`,
     /// `"recovery"`).
     pub path: String,
     /// Human-readable explanation.
@@ -221,10 +219,11 @@ fn rendering(report: &OptimizationReport) -> String {
     body.to_string()
 }
 
-/// A repeat of the query whose warm hit produced `filled` must be served
-/// from that hit's finished instance, and be indistinguishable from
-/// `fresh`, an uncached optimization of the same query: in what it says,
-/// in the plan it picks and in what that plan answers.
+/// A repeat of the text whose warm hit produced `filled` must be served
+/// from that hit's finished instance without running Step 2, and be
+/// indistinguishable from `fresh`, an uncached optimization of the same
+/// query: in what it says, in the plan it picks and in what that plan
+/// answers.
 fn check_repeat(
     db: &ObjectDb,
     filled: &OptimizationReport,
@@ -245,13 +244,16 @@ fn check_repeat(
     let instance_hits = repeat
         .stats
         .counter(sqo_obs::Counter::PlanCacheInstanceHits);
+    let translated = repeat.stats.counter(sqo_obs::Counter::TranslateQueries);
     if outcome != CacheOutcome::Hit
         || instance_hits < 1
+        || translated != 0
         || !std::sync::Arc::ptr_eq(&repeat.verdict, &filled.verdict)
     {
         return mismatch(format!(
             "repeat of a warm hit was not served from its finished instance \
-             (cache={}, plan_cache.instance_hits delta={instance_hits})",
+             (cache={}, plan_cache.instance_hits delta={instance_hits}, \
+             translate.queries={translated})",
             outcome.label()
         ));
     }
@@ -283,61 +285,6 @@ fn check_repeat(
             eq.datalog,
             rows.len(),
             baseline.len()
-        ));
-    }
-    Ok(None)
-}
-
-/// `oql` three times through [`sqo_core::PreparedOptimizer::optimize_cached`]
-/// on an empty cache: a miss, the hit that fills an instance, and the hit
-/// decided on the request text. All three must say what `fresh`, an
-/// uncached optimization, says, and answer `baseline`; the third must
-/// have skipped Step 2.
-fn check_text_path(
-    db: &ObjectDb,
-    prepared: &sqo_core::PreparedOptimizer,
-    oql: &str,
-    fresh: &OptimizationReport,
-    baseline: &[Vec<Const>],
-) -> Result<Option<Mismatch>, String> {
-    let mismatch = |detail: String| {
-        Ok(Some(Mismatch {
-            path: "text".to_string(),
-            detail,
-        }))
-    };
-    let cache = PlanCache::new();
-    let expected = rendering(fresh);
-    // Per pass: the disposition, and whether Step 2 ran.
-    let mut passes = Vec::new();
-    for pass in ["miss", "fill", "text hit"] {
-        let (report, outcome) = prepared
-            .optimize_cached(&cache, oql)
-            .map_err(|e| format!("text({pass}): {e}"))?;
-        let said = rendering(&report);
-        if said != expected {
-            return mismatch(format!(
-                "the {pass} pass explains differently from a fresh optimize:\n\
-                 --- fresh ---\n{expected}\n--- {pass} ---\n{said}"
-            ));
-        }
-        if let Some(m) = check_report(db, &report, baseline, "text")? {
-            return Ok(Some(m));
-        }
-        let translated = report.stats.counter(sqo_obs::Counter::TranslateQueries) == 1;
-        passes.push((outcome, translated));
-    }
-    // Only a hit fills an instance for the text to find; a fill that
-    // rebinds leaves the third pass to fill.
-    let decided_on_text = passes[1].0 != CacheOutcome::Hit || !passes[2].1;
-    if passes[0] != (CacheOutcome::Miss, true)
-        || passes[1].0 == CacheOutcome::Miss
-        || !passes[1].1
-        || passes[2].0 == CacheOutcome::Miss
-        || !decided_on_text
-    {
-        return mismatch(format!(
-            "miss, fill, text hit were answered as (cache, Step 2 ran) = {passes:?}"
         ));
     }
     Ok(None)
@@ -459,11 +406,12 @@ pub fn run_inputs_full(inputs: &CaseInputs, recovery: bool) -> Result<CaseStatus
         return Ok(CaseStatus::Mismatch(m));
     }
 
-    // Warm plan-cache path: miss, then hit, on the very same query.
+    // Warm plan-cache path, on the text as a client sends it: miss,
+    // then hit, on the very same words.
     let prepared = build_optimizer(inputs)?.prepare();
     let cache = PlanCache::new();
     let (cold_report, first) = prepared
-        .optimize_query_cached(&cache, &query)
+        .optimize_cached(&cache, &inputs.oql)
         .map_err(|e| format!("cache(miss): {e}"))?;
     if first != CacheOutcome::Miss {
         return Err(format!("expected cold cache miss, got {}", first.label()));
@@ -490,7 +438,7 @@ pub fn run_inputs_full(inputs: &CaseInputs, recovery: bool) -> Result<CaseStatus
         return Ok(CaseStatus::Mismatch(m));
     }
     let (hit_report, second) = prepared
-        .optimize_query_cached(&cache, &query)
+        .optimize_cached(&cache, &inputs.oql)
         .map_err(|e| format!("cache(hit): {e}"))?;
     if second == CacheOutcome::Miss {
         return Err("expected warm cache hit, got miss".to_string());
@@ -509,27 +457,20 @@ pub fn run_inputs_full(inputs: &CaseInputs, recovery: bool) -> Result<CaseStatus
         return Ok(CaseStatus::Mismatch(m));
     }
 
-    // Finished instances: the hit above filled one, so the same query
-    // asked again skips retargeting, Step 4, pricing and rendering — and
-    // must not be told apart from a fresh, uncached optimization. Twice:
-    // the second repeat also reads the plan the first one remembered.
+    // Finished instances: the hit above filled one, so the same text
+    // asked again skips the parse, Step 2, retargeting, Step 4, pricing
+    // and rendering — and must not be told apart from a fresh, uncached
+    // optimization. Twice: the second repeat also reads the plan the
+    // first one remembered. (A hit that rebound fills nothing.)
     if second == CacheOutcome::Hit {
         for _ in 0..2 {
             let (repeat, outcome) = prepared
-                .optimize_query_cached(&cache, &query)
+                .optimize_cached(&cache, &inputs.oql)
                 .map_err(|e| format!("cache(repeat): {e}"))?;
             if let Some(m) = check_repeat(db, &hit_report, &repeat, outcome, &fresh, &baseline)? {
                 return Ok(CaseStatus::Mismatch(m));
             }
         }
-    }
-
-    // The text entry point, on a cache of its own: the same words miss,
-    // fill an instance and are then answered from it without a parse —
-    // one more way to reach an answer, held to the uncached verdict and
-    // to the baseline like the others.
-    if let Some(m) = check_text_path(db, &prepared, &inputs.oql, &fresh, &baseline)? {
-        return Ok(CaseStatus::Mismatch(m));
     }
 
     // Constant-shifted sibling through the warm cache: the retargeted

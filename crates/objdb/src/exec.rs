@@ -234,7 +234,7 @@ fn physical_body(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Option<Vec<Lite
         if opts.scan_only {
             return false;
         }
-        let edb = db.edb();
+        let edb = db.edb_pinned();
         let Some(rel) = edb.relation(&a.pred) else {
             return false;
         };
@@ -318,7 +318,7 @@ pub fn execute_with(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Result<(Rela
 
     let start = Instant::now();
     let (rows, stats) = {
-        let edb = db.edb();
+        let edb = db.edb_pinned();
         answer_query_with(&edb, &physical, &opts)?
     };
     let elapsed = start.elapsed();

@@ -18,9 +18,10 @@
 //! of the atom's most selective bound column, fixed factors for
 //! comparisons, and per-relation-kind access weights reflecting the
 //! object-level cost of each probe (object fetch ≫ extent probe).
-//! Distinct counts are column statistics of the cached EDB
-//! (`ObjectDb::column_distinct`): counted once per EDB build — read off
-//! the column's hash index where one is declared, else in one pass.
+//! Distinct counts are column statistics of the relations themselves
+//! ([`Relation::distinct`]): read off the column's hash index where one
+//! is declared, else counted in one pass and kept until the relation
+//! changes, so a column is counted once per EDB build.
 //! Pricing is a first use like any other: it builds the indexes
 //! `choose_access_path` consults — the hash index of a bound column, the
 //! ordered index of a range-constrained one — for every candidate priced,
@@ -88,7 +89,7 @@ fn price_steps(
 ) -> f64 {
     let q = physical(db, q, EvalOptions::default());
     let ranges = collect_ranges(&q.body);
-    let edb = db.edb();
+    let edb = db.edb_pinned();
     let is_bound = |bound: &[Var], t: &Term| match t {
         Term::Const(_) => true,
         Term::Var(v) => bound.contains(v),
@@ -134,7 +135,7 @@ fn price_steps(
                 // towards zero and make the longest body look cheapest.
                 let distinct = bound_cols
                     .iter()
-                    .map(|&col| db.column_distinct(&a.pred, col))
+                    .map(|&col| rel.map_or(1, |r| r.distinct(col)).max(1) as f64)
                     .fold(1.0, f64::max);
                 let mut sel = 1.0 / distinct;
                 // Repeated variables within the atom also filter.
@@ -310,16 +311,16 @@ mod tests {
     #[test]
     fn pricing_a_bound_numeric_column_builds_no_index() {
         let d = db_with_path();
-        let bare = d.edb().heap_bytes();
+        let bare = d.edb_pinned().heap_bytes();
         // `age` is bound on entry: its ordered index answers no equality
         // probe, so its distinct count is a pass over the column.
         let by_age = parse_query("Q(X) <- A = 30, student(X, N, A, Sid, Ad)").unwrap();
         estimate_cost(&d, &by_age);
-        assert_eq!(d.edb().heap_bytes(), bare);
+        assert_eq!(d.edb_pinned().heap_bytes(), bare);
         // A bound hashed column is probed to be priced, and so built.
         let by_name = parse_query("Q(X) <- student(X, \"st1\", A, Sid, Ad)").unwrap();
         estimate_cost(&d, &by_name);
-        assert!(d.edb().heap_bytes() > bare);
+        assert!(d.edb_pinned().heap_bytes() > bare);
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! materialized **access support relations** over relationship paths
 //! (Kemper–Moerkotte; Application 4).
 //!
-//! [`ObjectDb::edb`] exposes the whole store in the Datalog
+//! [`ObjectDb::edb_pinned`] exposes the whole store in the Datalog
 //! representation of Step 1, so translated queries run directly against
 //! it; an `Arc`-shared cache keeps repeated query evaluation cheap
-//! while letting callers pin a consistent snapshot with
-//! [`ObjectDb::edb_pinned`] — a writer that arrives later drops the
-//! cache, and the next read rebuilds it, without disturbing pinned
-//! readers.
+//! while letting callers pin a consistent snapshot — a writer that
+//! arrives later drops the cache, and the next read rebuilds it, without
+//! disturbing pinned readers.
 //!
 //! Every mutation is checked, expressed as [`StoreOp`]s, appended to the
 //! attached durable [`ShardedStore`] (if any, via [`ObjectDb::open`] or
@@ -29,7 +28,7 @@
 //! link whose inverse is missing, or a half-severed object.
 
 use crate::error::{ObjDbError, Result};
-use crate::value::{Oid, Value};
+use crate::value::{from_const, to_const, Oid, Value};
 use sqo_datalog::fxhash::{FxHashMap, FxHashSet};
 use sqo_datalog::program::EdbDatabase;
 use sqo_datalog::{Atom, Const, Literal, PredSym, Rule, Term};
@@ -41,14 +40,9 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
-/// A stored object (or structure instance).
-#[derive(Debug, Clone)]
-pub struct Object {
-    /// The most specific class (or structure) name.
-    pub class: String,
-    /// Attribute values by attribute name.
-    pub attrs: BTreeMap<String, Value>,
-}
+/// A stored object (or structure instance): the store's record, held in
+/// the head as it was logged.
+pub use sqo_store::StoredObject as Object;
 
 /// A registered method implementation. `Send` so a populated store can
 /// move behind a `Mutex` shared across service worker threads.
@@ -98,14 +92,10 @@ pub struct ObjectDb {
 }
 
 /// The cached EDB plus the method/argument combinations already
-/// materialized into it and the column statistics counted on it.
+/// materialized into it.
 struct EdbCacheEntry {
     edb: Arc<EdbDatabase>,
     methods: HashSet<(String, Vec<Const>)>,
-    /// Distinct values per (relation, column), counted on the cost
-    /// model's first use: one pass per column per EDB build, not per
-    /// request.
-    distinct: RefCell<FxHashMap<(PredSym, usize), f64>>,
 }
 
 /// Load OID pairs into the binary relation `pred`.
@@ -198,7 +188,7 @@ impl ObjectDb {
                 attrs: obj
                     .attrs
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.to_store()))
+                    .map(|(k, v)| (k.clone(), v.clone()))
                     .collect(),
             })?;
         }
@@ -347,14 +337,14 @@ impl ObjectDb {
                 } else {
                     return Err(ObjDbError::UnknownClass { name: class });
                 }
-                let attrs = attrs.into_iter().map(|(k, v)| (k, v.into())).collect();
+                let attrs = attrs.into_iter().collect();
                 self.objects.insert(oid, Object { class, attrs });
             }
             StoreOp::SetAttr { oid, attr, value } => {
                 let Some(obj) = self.objects.get_mut(&Oid(oid)) else {
                     return Err(ObjDbError::UnknownObject { oid });
                 };
-                obj.attrs.insert(attr, value.into());
+                obj.attrs.insert(attr, value);
             }
             StoreOp::Link { pred, from, to } => {
                 let pair = (Oid(from), Oid(to));
@@ -508,7 +498,7 @@ impl ObjectDb {
         self.commit(StoreOp::PutObject {
             oid: oid.0,
             class: class.to_string(),
-            attrs: attrs.into_iter().map(|(k, v)| (k, v.to_store())).collect(),
+            attrs: attrs.into_iter().collect(),
         })?;
         Ok(oid)
     }
@@ -578,7 +568,7 @@ impl ObjectDb {
         self.commit(StoreOp::SetAttr {
             oid: oid.0,
             attr: attr.to_string(),
-            value: v.to_store(),
+            value: v,
         })
     }
 
@@ -896,7 +886,20 @@ impl ObjectDb {
         pairs
     }
 
-    /// The Datalog representation of the whole store (cached).
+    /// Build the cached EDB if a mutation dropped it (or none was built
+    /// yet). Pinned `Arc` clones of an earlier one stay untouched.
+    fn refresh_edb(&self) {
+        let missing = self.edb_cache.borrow().is_none();
+        if missing {
+            *self.edb_cache.borrow_mut() = Some(EdbCacheEntry {
+                edb: Arc::new(self.build_edb()),
+                methods: HashSet::new(),
+            });
+        }
+    }
+
+    /// The Datalog representation of the whole store, as a consistent
+    /// snapshot pinned at the current generation.
     ///
     /// Produces: full class/structure relations (a class relation contains
     /// its subclasses' objects, projected onto the class's attributes),
@@ -904,63 +907,14 @@ impl ObjectDb {
     /// relationship relations, and materialized ASR relations. Method
     /// relations are materialized lazily per (method, arguments) combo by
     /// [`ensure_method_facts`](Self::ensure_method_facts).
-    pub fn edb(&self) -> std::cell::Ref<'_, EdbDatabase> {
-        self.refresh_edb();
-        std::cell::Ref::map(self.edb_cache.borrow(), |o| {
-            o.as_ref().expect("just built").edb.as_ref()
-        })
-    }
-
-    /// Build the cached EDB if a mutation dropped it (or none was built
-    /// yet). Pinned `Arc` clones of an earlier one stay untouched.
-    fn refresh_edb(&self) {
-        // Checked under a shared borrow, so a caller already holding
-        // [`ObjectDb::edb`] may ask again (the entry is then there).
-        let missing = self.edb_cache.borrow().is_none();
-        if missing {
-            *self.edb_cache.borrow_mut() = Some(EdbCacheEntry {
-                edb: Arc::new(self.build_edb()),
-                methods: HashSet::new(),
-                distinct: RefCell::default(),
-            });
-        }
-    }
-
-    /// Distinct values in one column of an EDB relation (at least 1; 1
-    /// for an unknown relation) — the cost model's join selectivity.
-    /// Read off the hash index when the column has one — pricing a bound
-    /// hashed column goes on to probe it (`choose_access_path`), so
-    /// building it here costs nothing more — else counted in one pass,
-    /// which builds nothing: an ordered index answers no equality probe
-    /// and is not built for its key count. Either way kept with the
-    /// cached EDB, so a column is counted once per EDB build.
-    pub(crate) fn column_distinct(&self, pred: &PredSym, col: usize) -> f64 {
-        self.refresh_edb();
-        let cache = self.edb_cache.borrow();
-        let entry = cache.as_ref().expect("just built");
-        if let Some(&d) = entry.distinct.borrow().get(&(*pred, col)) {
-            return d;
-        }
-        let d = entry.edb.relation(pred).map_or(1, |r| {
-            if r.has_hash_index(col) {
-                return r.index_distinct(col).unwrap_or(1);
-            }
-            let values: FxHashSet<Const> = r.rows().filter_map(|t| t.get(col).copied()).collect();
-            values.len()
-        });
-        let d = d.max(1) as f64;
-        entry.distinct.borrow_mut().insert((*pred, col), d);
-        d
-    }
-
-    /// A consistent EDB snapshot pinned at the current generation.
     ///
     /// The returned `Arc` stays valid and *unchanged* while later
     /// writers advance the database: mutations drop the cache entry
     /// rather than touching shared state, and late method
-    /// materialization copies-on-write. Long-running
-    /// evaluations (or service sessions) should pin once and evaluate
-    /// against the pin.
+    /// materialization copies-on-write — so a caller must not hold the
+    /// `Arc` across `ensure_method_facts`, or the materialization copies
+    /// the whole EDB. Long-running evaluations (or service sessions)
+    /// should pin once and evaluate against the pin.
     pub fn edb_pinned(&self) -> Arc<EdbDatabase> {
         self.refresh_edb();
         self.edb_cache
@@ -1030,7 +984,7 @@ impl ObjectDb {
                                     ArgType::Base(BaseType::Bool) => Const::Bool(false),
                                     ArgType::Base(BaseType::Int) => Const::Int(0),
                                 },
-                                Value::to_const,
+                                to_const,
                             )
                         }));
                         db.insert(pred, &row).expect("consistent arity");
@@ -1094,7 +1048,7 @@ impl ObjectDb {
             });
         };
         let class = class.clone();
-        let values: Vec<Value> = args.iter().map(Value::from_const).collect();
+        let values: Vec<Value> = args.iter().map(from_const).collect();
         let receivers: Vec<Oid> = self.extent(&class).to_vec();
         let mut calls = 0u64;
         let mut facts: Vec<Vec<Const>> = Vec::with_capacity(receivers.len());
@@ -1103,7 +1057,7 @@ impl ObjectDb {
             calls += 1;
             let mut tuple = vec![Const::Oid(oid.0)];
             tuple.extend(args.iter().cloned());
-            tuple.push(out.to_const());
+            tuple.push(to_const(&out));
             facts.push(tuple);
         }
         {
@@ -1116,7 +1070,6 @@ impl ObjectDb {
             for t in facts {
                 db.insert(pred, &t).map_err(ObjDbError::from)?;
             }
-            entry.distinct.get_mut().retain(|(p, _), _| *p != pred);
             entry.methods.insert(key);
         }
         Ok(calls)
@@ -1254,7 +1207,7 @@ mod tests {
             .unwrap();
         let sec = d.create("Section", vec![]).unwrap();
         d.link(s, "takes", sec).unwrap();
-        let edb = d.edb();
+        let edb = d.edb_pinned();
         // Person relation includes the student (subclass member).
         let person = edb.relation(&"person".into()).unwrap();
         assert_eq!(person.len(), 1);
@@ -1297,7 +1250,7 @@ mod tests {
             .ensure_method_facts("taxes_withheld", &[Const::Real(0.1.into())])
             .unwrap();
         assert_eq!(calls2, 0);
-        let edb = d.edb();
+        let edb = d.edb_pinned();
         let m = edb.relation(&"taxes_withheld".into()).unwrap();
         assert_eq!(
             m.tuple_at(0),
@@ -1329,7 +1282,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(pred.name(), "asr");
-        let edb = d.edb();
+        let edb = d.edb_pinned();
         let asr = edb.relation(&pred).unwrap();
         assert_eq!(
             asr.rows().collect::<Vec<_>>(),
@@ -1362,7 +1315,7 @@ mod tests {
         }
         let path = ["takes", "is_section_of", "has_sections", "has_ta"];
         let pred = d.define_asr("asr", "Student", &path).unwrap();
-        let edb = d.edb();
+        let edb = d.edb_pinned();
         assert_eq!(
             edb.relation(&pred).unwrap().rows().collect::<Vec<_>>(),
             [
@@ -1404,7 +1357,7 @@ mod tests {
         // Second unlink is a no-op.
         assert!(!d.unlink(s, "takes", sec).unwrap());
         // The EDB no longer carries the pair.
-        let edb = d.edb();
+        let edb = d.edb_pinned();
         assert!(edb.relation(&"takes".into()).is_none_or(|r| r.is_empty()));
     }
 
@@ -1439,12 +1392,12 @@ mod tests {
         let mut d = db();
         let p = d.create("Person", vec![]).unwrap();
         {
-            let edb = d.edb();
+            let edb = d.edb_pinned();
             assert_eq!(edb.relation(&"person".into()).unwrap().len(), 1);
         }
         d.set_attr(p, "age", Value::Int(44)).unwrap();
         assert!(d.set_attr(p, "age", Value::Str("x".into())).is_err());
-        let edb = d.edb();
+        let edb = d.edb_pinned();
         let person = edb.relation(&"person".into()).unwrap();
         let pos = d
             .catalog()

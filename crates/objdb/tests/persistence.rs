@@ -20,7 +20,7 @@ fn test_dir(name: &str) -> PathBuf {
 /// Every base relation of `db`'s EDB as (pred, sorted tuples) — the
 /// canonical logical fingerprint we compare across recoveries.
 fn edb_fingerprint(db: &ObjectDb) -> Vec<(String, Vec<Vec<sqo_datalog::Const>>)> {
-    let edb = db.edb();
+    let edb = db.edb_pinned();
     let mut out = Vec::new();
     for decl in &db.catalog().relations {
         if let Some(rel) = edb.relation(&decl.pred) {
@@ -173,7 +173,7 @@ fn pinned_edb_snapshot_survives_later_writes() {
     // The pinned snapshot is bitwise-stable: same relation contents.
     assert_eq!(relation_len(&pinned, "person"), pinned_people);
     // A fresh read sees the new state.
-    assert_eq!(relation_len(&db.edb(), "person"), 17);
+    assert_eq!(relation_len(&db.edb_pinned(), "person"), 17);
 
     // Only the shards owning the written OIDs advanced. The create
     // wrote two objects (the person and its auto-created Address
@@ -227,7 +227,7 @@ fn method_facts_do_not_leak_into_pinned_snapshots() {
         .unwrap();
     // Pinned snapshot untouched; the live cache carries the facts.
     assert_eq!(relation_len(&pinned, "taxes_withheld"), 0);
-    assert_eq!(relation_len(&db.edb(), "taxes_withheld"), 1);
+    assert_eq!(relation_len(&db.edb_pinned(), "taxes_withheld"), 1);
     // And the materialization is remembered (no re-invocation).
     let calls = db
         .ensure_method_facts("taxes_withheld", &[sqo_datalog::Const::Real(0.1.into())])
@@ -281,7 +281,10 @@ fn pinned_generation_answers_are_stable_under_writes() {
     answers_again.sort();
     assert_eq!(answers_again, answers_at_g);
     // The live view has moved on.
-    assert_eq!(relation_len(&db.edb(), "faculty"), answers_at_g.len() + 25);
+    assert_eq!(
+        relation_len(&db.edb_pinned(), "faculty"),
+        answers_at_g.len() + 25
+    );
 }
 
 /// Deleting in one session and recovering in the next leaves no

@@ -11,7 +11,9 @@
 
 use crate::ServeError;
 use sqo_core::{PlanCache, PreparedOptimizer, SemanticOptimizer};
+use sqo_datalog::clause::CanonicalForm;
 use sqo_datalog::parser::{parse_program, Statement};
+use sqo_datalog::{Query, Rule};
 use sqo_objdb::{ObjectDb, ShardedStore, UniversityConfig};
 use sqo_obs as obs;
 use std::collections::HashMap;
@@ -40,6 +42,24 @@ pub struct Session {
     /// `RefCell`s, so execution serializes on its mutex; optimization
     /// (the expensive part) stays concurrent.
     data: RwLock<Option<Attached>>,
+    /// [`Session::check_views`]'s last verdict.
+    views_checked: Mutex<Option<ViewCheck>>,
+}
+
+/// Whether the attached data defines a session's views.
+struct ViewCheck {
+    /// The prepared generation and ASR count the verdict was reached at.
+    at: (u64, usize),
+    /// The first view the data lacks, if any.
+    unbacked: Option<String>,
+}
+
+/// A rule's head arguments and body as [`Query::canonical_form`] writes
+/// them: two rules of one head predicate with equal forms are one rule
+/// with its variables renamed (and its body reordered).
+fn rule_form(rule: &Rule) -> CanonicalForm {
+    let (args, body) = (rule.head.args.clone(), rule.body.clone());
+    Query::new(rule.head.pred.name(), args, body).canonical_form()
 }
 
 /// A bound object base and, beside it, the durable store it logs to (if
@@ -119,6 +139,39 @@ impl Session {
             db: Arc::new(Mutex::new(db)),
         };
         *self.data.write().unwrap_or_else(|e| e.into_inner()) = Some(attached);
+        *self.views_checked.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    }
+
+    /// Refuses to execute against a base that lacks a view the optimizer
+    /// may fold a path into: every view of `prep` must be one of `db`'s
+    /// ASR rules up to variable renaming, or the evaluator would read the
+    /// missing relation as empty and answer nothing. The verdict is kept
+    /// per prepared generation and ASR count.
+    pub(crate) fn check_views(
+        &self,
+        prep: &PreparedOptimizer,
+        db: &ObjectDb,
+    ) -> Result<(), ServeError> {
+        let at = (prep.generation(), db.asrs().len());
+        let mut memo = self.views_checked.lock().unwrap_or_else(|e| e.into_inner());
+        if memo.as_ref().is_none_or(|check| check.at != at) {
+            let backed = |view: &Rule| {
+                let form = rule_form(view);
+                let asrs = db.asrs().iter().map(|asr| &asr.rule);
+                asrs.filter(|asr| asr.head.pred == view.head.pred)
+                    .any(|asr| rule_form(asr) == form)
+            };
+            let unbacked = prep.views().iter().find(|v| !backed(v));
+            let unbacked = unbacked.map(|v| v.head.pred.name().to_string());
+            *memo = Some(ViewCheck { at, unbacked });
+        }
+        match memo.as_ref().and_then(|check| check.unbacked.as_deref()) {
+            None => Ok(()),
+            Some(view) => Err(ServeError::BadRequest(format!(
+                "view `{view}` is not an access support relation of the attached data \
+                 (define it there with the same path, or drop it from the constraint text)"
+            ))),
+        }
     }
 
     /// Binds the deterministic built-in university object base (the
@@ -195,6 +248,7 @@ impl SessionRegistry {
             cache: PlanCache::new(),
             trace_seq: AtomicU64::new(0),
             data: RwLock::new(None),
+            views_checked: Mutex::new(None),
         });
         self.sessions
             .write()
@@ -267,6 +321,40 @@ mod tests {
         // The generation component tracks reloads; the sequence keeps
         // counting so ids never repeat.
         assert_eq!(s.next_trace_id(), "t:1:2");
+    }
+
+    /// A view passes only as the data's ASR up to renaming; the verdict
+    /// follows the ASRs the base defines.
+    #[test]
+    fn views_are_checked_against_the_data_asrs() {
+        let reg = SessionRegistry::new();
+        let path = "takes(A, B), is_section_of(B, C), has_sections(C, D), has_ta(D, E)";
+        reg.prepare(
+            "v",
+            SessionSpec::University,
+            Some(&format!("asr(A, E) <- {path}.")),
+        )
+        .unwrap();
+        let s = reg.get("v").unwrap();
+        let mut db = ObjectDb::new(sqo_odl::fixtures::university_schema());
+        let refused = s.check_views(&s.prepared(), &db).unwrap_err();
+        assert!(matches!(&refused, ServeError::BadRequest(m) if m.contains("`asr`")));
+        db.define_asr(
+            "asr",
+            "Student",
+            &["takes", "is_section_of", "has_sections", "has_ta"],
+        )
+        .unwrap();
+        assert!(s.check_views(&s.prepared(), &db).is_ok());
+        // Same predicates, other variable pattern: not the data's view.
+        s.reload_ic(&format!("asr(E, A) <- {path}.")).unwrap();
+        assert!(s.check_views(&s.prepared(), &db).is_err());
+        s.reload_ic("asr(A, C) <- takes(A, B), has_ta(B, C).")
+            .unwrap();
+        assert!(s.check_views(&s.prepared(), &db).is_err());
+        s.reload_ic("ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).")
+            .unwrap();
+        assert!(s.check_views(&s.prepared(), &db).is_ok());
     }
 
     #[test]

@@ -652,14 +652,21 @@ fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
                     exec = Some((None, None, 0));
                 } else if let Some(db) = session.data() {
                     let db = db.lock().unwrap_or_else(|e| e.into_inner());
-                    match report.best_plan(&db) {
-                        Some((idx, eq, costs)) => match sqo_objdb::execute(&db, &eq.datalog) {
+                    match session
+                        .check_views(&prep, &db)
+                        .map(|()| report.best_plan(&db))
+                    {
+                        Ok(Some((idx, eq, costs))) => match sqo_objdb::execute(&db, &eq.datalog) {
                             Ok((rows, _)) => {
                                 exec = Some((Some(idx), Some(costs[idx]), rows.len()));
                             }
-                            Err(e) => exec_err = Some(e.to_string()),
+                            Err(e) => exec_err = Some(ServeError::Optimize(e.to_string())),
                         },
-                        None => exec_err = Some("no equivalent plan to execute".to_string()),
+                        Ok(None) => {
+                            let e = "no equivalent plan to execute".to_string();
+                            exec_err = Some(ServeError::Optimize(e));
+                        }
+                        Err(e) => exec_err = Some(e),
                     }
                 }
             }
@@ -668,7 +675,7 @@ fn run_query(job: &QueryJob, slowlog: &SlowLog, wait: Duration) -> String {
                 None => Ok((report, outcome, exec)),
             }
         }
-        Err(e) => Err(e.to_string()),
+        Err(e) => Err(ServeError::Optimize(e.to_string())),
     };
     write_reply(job, &prep, started, answered, slowlog)
 }
@@ -684,7 +691,7 @@ fn write_reply(
     job: &QueryJob,
     prep: &PreparedOptimizer,
     started: Instant,
-    answered: Result<(OptimizationReport, CacheOutcome, Option<Executed>), String>,
+    answered: Result<(OptimizationReport, CacheOutcome, Option<Executed>), ServeError>,
     slowlog: &SlowLog,
 ) -> String {
     let elapsed = started.elapsed();
@@ -747,7 +754,7 @@ fn write_reply(
             }
             line
         }
-        Err(msg) => error_response(&ServeError::Optimize(msg)),
+        Err(e) => error_response(&e),
     }
 }
 

@@ -8,7 +8,7 @@
 //! this file.
 
 use crate::error::{Result, StoreError};
-use crate::StoreValue;
+use crate::{Oid, StoreValue};
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) lookup table, built at
 /// compile time.
@@ -107,7 +107,7 @@ impl Writer {
             }
             StoreValue::Obj(o) => {
                 self.u8(4);
-                self.u64(*o);
+                self.u64(o.0);
             }
         }
     }
@@ -184,7 +184,7 @@ impl<'a> Reader<'a> {
             1 => StoreValue::Real(self.f64(what)?),
             2 => StoreValue::Str(self.str(what)?),
             3 => StoreValue::Bool(self.u8(what)? != 0),
-            4 => StoreValue::Obj(self.u64(what)?),
+            4 => StoreValue::Obj(Oid(self.u64(what)?)),
             tag => {
                 return Err(StoreError::Corrupt {
                     detail: format!("{what}: unknown value tag {tag}"),
@@ -212,7 +212,7 @@ mod tests {
             StoreValue::Real(3.5),
             StoreValue::Str("héllo".into()),
             StoreValue::Bool(true),
-            StoreValue::Obj(u64::MAX),
+            StoreValue::Obj(Oid(u64::MAX)),
         ];
         let mut w = Writer::new();
         for v in &values {

@@ -47,7 +47,7 @@ pub mod wal;
 
 pub use codec::crc32;
 pub use error::{Result, StoreError};
-pub use op::{StoreOp, StoreValue};
+pub use op::{Oid, StoreOp, StoreValue};
 pub use snapshot::{SnapshotData, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 pub use store::{
     AsrRecord, LinkEntry, PersistReport, RecoverReport, ShardData, ShardedStore, StoreView,

@@ -12,10 +12,21 @@
 
 use crate::codec::{Reader, Writer};
 use crate::error::{Result, StoreError};
+use std::fmt;
 
-/// A stored attribute value. Mirrors the object layer's value model
-/// (`sqo-objdb`'s `Value`) without depending on it, keeping this crate
-/// at the bottom of the dependency stack.
+/// An object identifier. Opaque: only identity is meaningful. The codec
+/// writes it as its `u64`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Oid(pub u64);
+
+impl fmt::Display for Oid {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "#{}", self.0)
+    }
+}
+
+/// An attribute value: the one value type of the object layer, logged,
+/// snapshotted and held in memory as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoreValue {
     /// 64-bit integer.
@@ -26,8 +37,70 @@ pub enum StoreValue {
     Str(String),
     /// Boolean.
     Bool(bool),
-    /// Reference to another object by OID.
-    Obj(u64),
+    /// Reference to another object (structure attributes).
+    Obj(Oid),
+}
+
+impl StoreValue {
+    /// The OID inside, if this is an object reference.
+    pub fn as_oid(&self) -> Option<Oid> {
+        match self {
+            StoreValue::Obj(o) => Some(*o),
+            _ => None,
+        }
+    }
+
+    /// The float inside (int or real), if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            StoreValue::Int(v) => Some(*v as f64),
+            StoreValue::Real(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for StoreValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StoreValue::Int(v) => write!(f, "{v}"),
+            StoreValue::Real(v) => write!(f, "{v}"),
+            StoreValue::Str(s) => write!(f, "{s:?}"),
+            StoreValue::Bool(b) => write!(f, "{b}"),
+            StoreValue::Obj(o) => o.fmt(f),
+        }
+    }
+}
+
+impl From<i64> for StoreValue {
+    fn from(v: i64) -> Self {
+        StoreValue::Int(v)
+    }
+}
+impl From<f64> for StoreValue {
+    fn from(v: f64) -> Self {
+        StoreValue::Real(v)
+    }
+}
+impl From<&str> for StoreValue {
+    fn from(v: &str) -> Self {
+        StoreValue::Str(v.to_string())
+    }
+}
+impl From<String> for StoreValue {
+    fn from(v: String) -> Self {
+        StoreValue::Str(v)
+    }
+}
+impl From<bool> for StoreValue {
+    fn from(v: bool) -> Self {
+        StoreValue::Bool(v)
+    }
+}
+impl From<Oid> for StoreValue {
+    fn from(o: Oid) -> Self {
+        StoreValue::Obj(o)
+    }
 }
 
 /// A shard-local logical mutation.
@@ -269,7 +342,7 @@ mod tests {
                     ("age".into(), StoreValue::Int(50)),
                     ("salary".into(), StoreValue::Real(90000.0)),
                     ("tenured".into(), StoreValue::Bool(true)),
-                    ("address".into(), StoreValue::Obj(8)),
+                    ("address".into(), StoreValue::Obj(Oid(8))),
                 ],
             },
             StoreOp::SetAttr {
@@ -308,6 +381,26 @@ mod tests {
                 ],
             },
         ]
+    }
+
+    #[test]
+    fn value_accessors_and_display() {
+        assert_eq!(StoreValue::Obj(Oid(1)).as_oid(), Some(Oid(1)));
+        assert_eq!(StoreValue::Int(1).as_oid(), None);
+        assert_eq!(StoreValue::Int(2).as_f64(), Some(2.0));
+        assert_eq!(StoreValue::Real(2.5).as_f64(), Some(2.5));
+        assert_eq!(StoreValue::Str("x".into()).as_f64(), None);
+        let shown: Vec<String> = [
+            StoreValue::Int(-3),
+            StoreValue::Real(0.5),
+            StoreValue::Str("a\"b".into()),
+            StoreValue::Bool(true),
+            StoreValue::Obj(Oid(7)),
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+        assert_eq!(shown, ["-3", "0.5", "\"a\\\"b\"", "true", "#7"]);
     }
 
     #[test]

@@ -40,6 +40,12 @@ served from the plan cache's finished instance); the repeats must equal
 the first hit modulo volatile fields, count as instance hits, and still
 execute — a create between them changes the answer count.
 
+A view phase checks that a view the attached data does not define is
+never read as empty: a data session whose constraint text defines the
+4-hop `asr` view, and a data session reloaded with a 2-hop one, must
+answer their path queries with the data's own rows or `bad_request`,
+never 0 rows.
+
 A rewrite-only repeat phase checks what the serving loop answers
 itself: a query that executes nothing is sent four times (miss, the hit
 that finishes its instance, and two repeats of the finished text); the
@@ -85,6 +91,13 @@ TIMEOUT_S = 60
 N_CLIENTS = 33  # one contradiction + 32 mixed queries
 
 IC4 = "ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).\n"
+ASR_4HOP = ("asr(X, W) <- takes(X, Y), is_section_of(Y, Z), "
+            "has_sections(Z, V), has_ta(V, W).")
+PATH_4HOP = ("select w from x in Student y in x.takes z in y.is_section_of "
+             "v in z.has_sections w in v.has_ta where x.name = \"student3\"")
+ASR_2HOP = "asr(X, W) <- takes(X, Y), has_ta(Y, W)."
+PATH_2HOP = ("select w from x in Student y in x.takes w in y.has_ta "
+             "where x.name = \"student3\"")
 IC_H = ("ic H: takes(X, Y) <- takes(X, A), takes(B, A), takes(B, C), "
         "takes(D, C), takes(D, Y).\n")
 
@@ -405,6 +418,57 @@ def repeat_phase(addr, serve_schema):
         fail("repeat: all three repeats should count as "
              "plan_cache.instance_hits")
     return after["answers"]
+
+
+def view_phase(addr, serve_schema):
+    """A session's view that the attached data does not define: the
+    optimizer may fold a path into it, but an executing query must answer
+    the data's rows or `bad_request` naming the view, never 0 rows."""
+    def prepare(session, ic=None):
+        req = {"op": "prepare", "session": session, "university": True,
+               "data": True}
+        if ic is not None:
+            req["ic"] = ic
+        reply = request(addr, json.dumps(req))
+        if not reply.get("ok"):
+            fail(f"views: prepare {session} failed: {reply}")
+
+    def execute(session, oql):
+        reply = request(addr, json.dumps(
+            {"op": "query", "session": session, "execute": True, "oql": oql}))
+        check(reply, serve_schema, serve_schema, f"views {session} reply")
+        return reply
+
+    def rows_or_refused(reply, want, what):
+        if reply.get("ok"):
+            if reply.get("answers") != want:
+                fail(f"views: {what} answered {reply.get('answers')} rows, "
+                     f"the data holds {want}")
+            return
+        error = reply.get("error", {})
+        if error.get("kind") != "bad_request" or "`asr`" not in error.get(
+                "message", ""):
+            fail(f"views: {what} should be refused naming `asr`: {reply}")
+
+    prepare("views_plain")
+    want_4hop = execute("views_plain", PATH_4HOP).get("answers")
+    want_2hop = execute("views_plain", PATH_2HOP).get("answers")
+    if not want_4hop or not want_2hop:
+        fail(f"views: the plain session should answer rows: "
+             f"{want_4hop}, {want_2hop}")
+    prepare("views_prepared", ASR_4HOP)
+    rows_or_refused(execute("views_prepared", PATH_4HOP), want_4hop,
+                    "a 4-hop path under a prepared view")
+    prepare("views_reloaded")
+    if execute("views_reloaded", PATH_2HOP).get("answers") != want_2hop:
+        fail("views: the session to reload should answer like the plain one")
+    reload = request(addr, json.dumps(
+        {"op": "reload_ic", "session": "views_reloaded", "ic": ASR_2HOP}))
+    if not reload.get("ok"):
+        fail(f"views: reload_ic failed: {reload}")
+    rows_or_refused(execute("views_reloaded", PATH_2HOP), want_2hop,
+                    "a 2-hop path after reload_ic")
+    return 2
 
 
 def rewrite_only_repeat_phase(addr, serve_schema, explain_schema):
@@ -731,6 +795,8 @@ def run_phases(sqo, serve_schema, explain_schema):
 
         n_repeat = repeat_phase(addr, serve_schema)
 
+        n_views = view_phase(addr, serve_schema)
+
         n_loop = rewrite_only_repeat_phase(addr, serve_schema, explain_schema)
 
         half_close_check(addr, serve_schema)
@@ -752,6 +818,7 @@ def run_phases(sqo, serve_schema, explain_schema):
               f"slowlog {n_slow} entries, "
               f"{n_piped} pipelined == one-at-a-time, "
               f"{n_repeat} answers re-executed on an instance hit, "
+              f"{n_views} view-folded paths never read as empty, "
               f"{n_loop} rewrite-only repeats answered by the loop, "
               f"half-close answered, "
               f"{n_hostile} stack-deep lines refused, "

@@ -6,7 +6,8 @@ use semantic_sqo::datalog::eval::answer_query;
 use semantic_sqo::datalog::parser::parse_query;
 use semantic_sqo::datalog::program::Relation;
 use semantic_sqo::datalog::Const;
-use semantic_sqo::objdb::{UniversityConfig, Value};
+use semantic_sqo::objdb::{execute, UniversityConfig, Value};
+use std::sync::Arc;
 
 /// An answer relation as a sorted list.
 fn sorted(answers: &Relation) -> Vec<Vec<Const>> {
@@ -39,7 +40,7 @@ fn asr_materialization_agrees_with_datalog_views() {
     // Store-side pairs.
     let store_pairs = {
         let q = parse_query("Q(X, W) <- asr(X, W)").unwrap();
-        let (rows, _) = answer_query(&data.db.edb(), &q).unwrap();
+        let (rows, _) = answer_query(&data.db.edb_pinned(), &q).unwrap();
         sorted(&rows)
     };
     // Engine-side: the view's body over the base relations.
@@ -47,7 +48,7 @@ fn asr_materialization_agrees_with_datalog_views() {
         "Q(X, W) <- takes(X, Y), is_section_of(Y, Z), has_sections(Z, V), has_ta(V, W)",
     )
     .unwrap();
-    let (engine_pairs, _) = answer_query(&data.db.edb(), &body).unwrap();
+    let (engine_pairs, _) = answer_query(&data.db.edb_pinned(), &body).unwrap();
     assert_eq!(store_pairs, sorted(&engine_pairs));
     assert!(!store_pairs.is_empty(), "non-trivial materialization");
 }
@@ -68,7 +69,7 @@ fn evaluator_agrees_with_graph_walk() {
     // Datalog: students and the professors of sections they take.
     let q = parse_query("Q(X, F) <- student(X, N, A, Sid, Ad), takes(X, Y), is_taught_by(Y, F)")
         .unwrap();
-    let (rows, _) = answer_query(&data.db.edb(), &q).unwrap();
+    let (rows, _) = answer_query(&data.db.edb_pinned(), &q).unwrap();
     let rows = sorted(&rows);
     // Graph walk over the store.
     let mut expected: Vec<Vec<Const>> = Vec::new();
@@ -103,7 +104,7 @@ fn method_relation_agrees_with_direct_calls() {
         .ensure_method_facts("taxes_withheld", &[Const::Real(0.25.into())])
         .unwrap();
     let q = parse_query("Q(X, V) <- taxes_withheld(X, 0.25, V)").unwrap();
-    let (rows, _) = answer_query(&data.db.edb(), &q).unwrap();
+    let (rows, _) = answer_query(&data.db.edb_pinned(), &q).unwrap();
     assert_eq!(rows.len(), 12);
     for row in rows.rows() {
         let Const::Oid(oid) = row[0] else { panic!() };
@@ -115,6 +116,26 @@ fn method_relation_agrees_with_direct_calls() {
                 &[Value::Real(0.25)],
             )
             .unwrap();
-        assert_eq!(row[1], direct.to_const());
+        assert_eq!(row[1], semantic_sqo::objdb::value::to_const(&direct));
+    }
+}
+
+/// Method facts land in the cached EDB in place: no execute path holds a
+/// pin across `ensure_method_facts`, whose copy-on-write would otherwise
+/// copy the whole EDB. Application 1's query, unrefuted (no IC3), runs
+/// `taxes_withheld` twice on one base.
+#[test]
+fn a_method_query_leaves_the_cached_edb_where_it_was() {
+    let data = UniversityConfig::default().build().unwrap();
+    let oql = "select z.name, w.city from x in Student y in x.takes z in y.is_taught_by \
+               w in z.address where z.taxes_withheld(10%) < 1000";
+    let plain = semantic_sqo::SemanticOptimizer::university();
+    let parsed = semantic_sqo::oql::parse_oql(oql).unwrap();
+    let query = plain.translate(&parsed).unwrap().query;
+    let before = Arc::as_ptr(&data.db.edb_pinned());
+    for run in 0..2 {
+        let (_, cost) = execute(&data.db, &query).unwrap();
+        assert!(cost.method_invocations > 0, "run {run}: {cost}");
+        assert_eq!(Arc::as_ptr(&data.db.edb_pinned()), before, "run {run}");
     }
 }

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 #[test]
 fn every_row_is_a_member_and_every_hash_index_is_a_filtered_scan() {
     let data = served_university_base(20);
-    let edb = data.db.edb();
+    let edb = data.db.edb_pinned();
     // The loader declares and builds nothing: arena and row table only.
     let (bare, tuples) = (edb.heap_bytes(), edb.total_tuples());
     assert_eq!(tuples, 267_799);
@@ -35,7 +35,7 @@ fn every_row_is_a_member_and_every_hash_index_is_a_filtered_scan() {
             for (row, t) in rel.rows().enumerate() {
                 by_key.entry(t[col]).or_default().push(row as u32);
             }
-            assert_eq!(rel.index_distinct(col), Some(by_key.len()), "{pred}.{col}");
+            assert_eq!(rel.distinct(col), by_key.len(), "{pred}.{col}");
             for (key, rows) in &by_key {
                 assert_eq!(rel.hash_probe(col, key), Some(&rows[..]), "{pred}.{col}");
             }

@@ -102,7 +102,7 @@ fn cost_model_prefers_hash_probe_exactly_when_indexed() {
     let without_key = build(&unkeyed);
     let (tag, color, packed_in) = (1, 2, 3);
     for db in [&with_key, &without_key] {
-        let edb = db.edb();
+        let edb = db.edb_pinned();
         let rel = edb.relation(&"item".into()).expect("item relation");
         assert!(rel.has_hash_index(tag), "a string attribute is indexed");
         assert!(rel.has_hash_index(color), "key or not");
@@ -114,7 +114,11 @@ fn cost_model_prefers_hash_probe_exactly_when_indexed() {
     }
 
     let q_tag = parse_query("Q(X) <- item(X, \"t7\", Color, Crate)").unwrap();
-    let a_crate = with_key.edb().relation(&"item".into()).unwrap().tuple_at(7)[packed_in];
+    let a_crate = with_key
+        .edb_pinned()
+        .relation(&"item".into())
+        .unwrap()
+        .tuple_at(7)[packed_in];
     let q_crate = parse_query(&format!("Q(X) <- item(X, Tag, Color, {a_crate})")).unwrap();
     for db in [&with_key, &without_key] {
         let (probe, scan) = (estimate_cost(db, &q_tag), estimate_cost(db, &q_crate));

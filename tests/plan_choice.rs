@@ -102,11 +102,11 @@ fn a4_template_picks_the_folded_asr_plan() {
 fn e3_template_still_picks_the_range_probe_plan() {
     let (db, prep) = base();
     {
-        let edb = db.edb();
+        let edb = db.edb_pinned();
         let faculty = edb.relation(&"faculty".into()).unwrap();
         let rank = 4;
         assert!(faculty.has_hash_index(rank));
-        assert_eq!(faculty.index_distinct(rank), Some(2));
+        assert_eq!(faculty.distinct(rank), 2);
     }
     let report = prep.optimize(E3).unwrap();
     let plan = chosen(&db, &report);
