@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p sqo-bench --bin tables [--quick]
-//! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/* rows only
+//! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/* and step3/a3 rows only
 //! cargo run --release -p sqo-bench --bin tables -- --store-recovery  # store/* row only
 //! cargo run --release -p sqo-bench --bin tables -- --edb             # x1/* rows only
 //! ```
@@ -17,7 +17,8 @@
 //! scan-only executor) and the `speedup/…` ratio derived over the
 //! baseline; the in-process warm hit (`serve/warm_hit`, `_obs_ns`), the
 //! in-process miss (`serve/cold_miss_ns`) and the written reply of a
-//! miss (`serve/cold_reply_ns`);
+//! miss (`serve/cold_reply_ns`); Step 3 of the served key-join template
+//! on a cold context (`step3/a3_search_ns`);
 //! `store/recover_1m_objects`; and the `x1/*` rows: what the Datalog
 //! image of the served object base costs to rebuild (ms), to index (ms,
 //! every declared index built once) and to hold (bytes per tuple), and
@@ -34,7 +35,7 @@ use sqo_bench::{
     served_university_base, synthetic_schema, Scenario,
 };
 use sqo_core::{CacheOutcome, CompileOptions, PlanCache, SemanticOptimizer};
-use sqo_datalog::parser::{parse_constraint, parse_query};
+use sqo_datalog::parser::{parse_constraint, parse_program, parse_query, Statement};
 use sqo_datalog::residue::ResidueSet;
 use sqo_datalog::search::{self, SearchConfig};
 use sqo_datalog::transform::TransformContext;
@@ -119,18 +120,19 @@ fn main() {
     }
 
     // Standalone serving mode: re-measure just the in-process warm hit,
-    // a miss and its reply, and merge their rows into the committed
-    // manifest.
+    // a miss and its reply, and a joining template's search, and merge
+    // their rows into the committed manifest.
     if std::env::args().any(|a| a == "--serve") {
         let mut rows = BTreeMap::new();
         bench_warm_hit(&mut rows);
         bench_cold_miss(&mut rows);
         bench_cold_reply(&mut rows);
+        bench_a3_search(&mut rows);
         if quick {
-            println!("(quick mode — serve/* rows not persisted)");
+            println!("(quick mode — serve/* and step3/* rows not persisted)");
             return;
         }
-        merge_into_manifest(rows, "serve/* rows");
+        merge_into_manifest(rows, "serve/* and step3/* rows");
         return;
     }
 
@@ -703,6 +705,51 @@ fn bench_cold_reply(bench: &mut BTreeMap<String, f64>) {
     bench.insert("serve/cold_reply_ns".to_string(), ns);
 }
 
+/// The constraint and view text `benchmark/`'s `serve_exec` workload
+/// prepares its session with (a copy: the benchmark is a workspace of
+/// its own).
+const EXEC_ICS: &str = "\
+ic IC4: Age >= 30 <- faculty(X, N, Age, S, R, Ad).
+ic IC3: Value > 3000 <- taxes_withheld(X, 0.1, Value), faculty(X, N, A, S, R, Ad).
+ic IC_PROF: Salary >= 90000 <- faculty(X, N, Age, Salary, Rank, Ad), Rank = \"professor\".
+asr(X, W) <- takes(X, Y), is_section_of(Y, Z), has_sections(Z, V), has_ta(V, W).";
+
+/// `serve_exec`'s Application 3 template (the key join), one constant.
+const A3_OQL: &str = "select list(x.student_id, t.employee_id) from x in Student y in x.takes \
+                      z in y.is_taught_by t in TA v in t.takes w in v.is_taught_by \
+                      where z.name = w.name and x.name = \"student0\"";
+
+/// What Step 3 costs on a template whose join eliminations run the
+/// chase: `step3/a3_search_ns` is `search::optimize` of `serve_exec`'s
+/// Application 3 template under its session's constraint text, each
+/// search on a context no search has used yet (as a session's first
+/// miss of the template is), the least of 7 medians of 21 searches.
+/// `scripts/check_bench_manifest.py` gates it.
+fn bench_a3_search(bench: &mut BTreeMap<String, f64>) {
+    let mut opt = SemanticOptimizer::university();
+    for statement in parse_program(EXEC_ICS).expect("the constraint text parses") {
+        match statement {
+            Statement::Constraint(ic) => opt.add_constraint(ic),
+            Statement::Rule(view) => opt.add_view(view),
+            other => panic!("unexpected statement {other:?}"),
+        }
+    }
+    let q = opt
+        .optimize(A3_OQL)
+        .expect("the template optimizes")
+        .datalog;
+    let cfg = SearchConfig::default();
+    let ctx = opt.compile();
+    let ns = (0..7)
+        .map(|_| median_cold_context_ns(21, &q, ctx, &cfg))
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "step 3 of serve_exec's A3 template, cold context: {ns:.0} ns \
+         (step3/a3_search_ns, min of 7 medians)"
+    );
+    bench.insert("step3/a3_search_ns".to_string(), ns);
+}
+
 /// Store durability: build an n-object store on disk — a compact
 /// snapshot holding 90% of the objects plus a live WAL tail with the
 /// rest — then measure a cold [`sqo_store::ShardedStore::open`], i.e.
@@ -927,10 +974,12 @@ fn bench_pipeline(quick: bool) {
         );
     }
 
-    // The in-process warm hit and what `obs` costs it; a miss, and its reply.
+    // The in-process warm hit and what `obs` costs it; a miss, and its
+    // reply; a joining template's search.
     bench_warm_hit(&mut bench);
     bench_cold_miss(&mut bench);
     bench_cold_reply(&mut bench);
+    bench_a3_search(&mut bench);
 
     // EDB rebuild and footprint of the served base.
     bench_edb_storage(quick, &mut bench);

@@ -184,6 +184,9 @@ impl Default for CompileOptions {
 pub struct ResidueSet {
     /// Original constraints followed by derived ones.
     pub constraints: Vec<Constraint>,
+    /// How many of `constraints` were written: the derived ones start
+    /// here.
+    written: usize,
     by_pred: FxHashMap<PredSym, Vec<Residue>>,
     residue_count: usize,
 }
@@ -197,6 +200,7 @@ impl ResidueSet {
     /// Compile a set of integrity constraints.
     pub fn compile_with(mut constraints: Vec<Constraint>, opts: &CompileOptions) -> Self {
         let _span = obs::span!("step1.residue_compile");
+        let written = constraints.len();
         if opts.derive_strengthened {
             // Saturate inclusion constraints transitively first, so a
             // two-hop hierarchy (faculty ⊆ employee ⊆ person) still
@@ -241,9 +245,17 @@ impl ResidueSet {
         obs::add(obs::Counter::ResiduesAttached, residue_count as u64);
         ResidueSet {
             constraints,
+            written,
             by_pred,
             residue_count,
         }
+    }
+
+    /// The constraints as written, without the derived ones: the chase's
+    /// dependencies, which derive what the strengthened and
+    /// contrapositive forms say from the constraints they came from.
+    pub fn written(&self) -> &[Constraint] {
+        &self.constraints[..self.written]
     }
 
     /// Residues attached to the given relation.

@@ -127,7 +127,7 @@ pub struct TransformContext {
     /// memo below is derived from them, so new constraints mean a new
     /// context ([`TransformContext::new`]), never an assignment here.
     pub residues: ResidueSet,
-    /// Chase dependencies (derived from the same constraints + views).
+    /// Chase dependencies: the written constraints and the views.
     pub chase: ChaseContext,
     /// View definitions usable for folding (access support relations).
     pub views: Vec<Rule>,
@@ -141,18 +141,17 @@ pub struct TransformContext {
 
 impl TransformContext {
     /// Build a context from compiled residues, views and OID-functional
-    /// relations. The chase context is derived from the full (original +
-    /// derived) constraint set.
+    /// relations. The chase runs with the constraints as written
+    /// ([`ResidueSet::written`]): a derived constraint says what the
+    /// chase derives from the ones it came from, and matching its longer
+    /// body only costs steps. The residues keep every constraint.
     pub fn new(
         residues: ResidueSet,
         views: Vec<Rule>,
         functional: BTreeMap<PredSym, usize>,
     ) -> Self {
-        let chase = ChaseContext::from_constraints(
-            &residues.constraints,
-            views.clone(),
-            functional.clone(),
-        );
+        let chase =
+            ChaseContext::from_constraints(residues.written(), views.clone(), functional.clone());
         TransformContext {
             residues,
             chase,

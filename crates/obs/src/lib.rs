@@ -109,13 +109,17 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Chase runs a budget stopped short of a fixpoint (rounds ran out,
-    /// or a fresh null or a derived fact was refused): "not derivable"
-    /// then means "not derivable within the budget". Also chases whose
-    /// matching ran out of `MAX_MATCH_STEPS` (one match, or all of a
-    /// chase's together): those are refused, and the atom is kept. At
-    /// most one per run.
+    /// Chases a bound stopped: match steps (one match's
+    /// `MAX_MATCH_STEPS`, or all of a chase's together), derived facts,
+    /// fresh nulls or rounds. A chase out of steps is refused and the
+    /// atom kept; one out of facts, nulls or rounds answers from what it
+    /// derived, so "not derivable" means "not derivable within the
+    /// bounds". At most one per chase.
     ChaseExhausted => "chase.budget_exhausted",
+    /// Candidate atoms the chase's matches tried (`match_db_staged`
+    /// steps): dependency bodies, the head checks of restricted firing
+    /// and the final entailment test.
+    ChaseSteps => "chase.steps",
     /// Secondary indexes of stored relations built: each by the first
     /// probe of its column (span `edb.index_build`), so a repeated read
     /// adds none.

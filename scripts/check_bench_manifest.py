@@ -92,7 +92,16 @@ which never overwrites the manifest, so this validates what a full
    read 328 to 532 us alongside (EXPERIMENTS.md X13), inside the gate:
    it catches only a cost twice the recorded one, more than undoing the
    `Relation` answers and the folded row hash together adds.
-12. No other row: every name is one a check above reads or one of
+12. `step3/a3_search_ns` (refresh with `tables --serve`): Step 3 of
+   `benchmark/`'s `serve_exec` Application 3 template (the key join,
+   whose join eliminations run the chase) under that session's
+   constraint text, each search on a fresh context, the least of 7
+   medians of 21 searches, <= 64.4 ms, twice the recorded median
+   (32.2 ms; other runs of the same code read 21 to 36 ms on the shared
+   box). A chase that matches the derived constraints as well as the
+   written ones read 71 to 97 ms, and the parent commit's chase, which
+   also fired every trigger, 154 to 242 ms (EXPERIMENTS.md X17).
+13. No other row: every name is one a check above reads or one of
    `REPORT_ONLY` (rows EXPERIMENTS.md cites without a threshold). A row
    whose producer or reader is gone fails here instead of lingering.
 
@@ -169,6 +178,10 @@ COLD_MISS_MAX_NS = 2 * 289_707.0
 A2_EXECUTE_ROW = "x1/a2_execute_us/30000"
 A2_EXECUTE_MAX_US = 2 * 314.4
 
+# Step 3 of serve_exec's A3 template on a cold context.
+A3_SEARCH_ROW = "step3/a3_search_ns"
+A3_SEARCH_MAX_NS = 2 * 32_186_304.0
+
 # Rows EXPERIMENTS.md cites and no check bounds: Example 1's residue
 # attachment, refutation and compilation, and a 64-IC context's first
 # search.
@@ -191,6 +204,7 @@ KNOWN_ROWS = {
     COLD_REPLY_ROW,
     COLD_MISS_ROW,
     A2_EXECUTE_ROW,
+    A3_SEARCH_ROW,
     *REPORT_ONLY,
 }
 
@@ -345,6 +359,19 @@ def main() -> None:
             "table's slots cluster?"
         )
 
+    a3_search = manifest.get(A3_SEARCH_ROW)
+    if a3_search is None:
+        fail(f"missing row {A3_SEARCH_ROW!r} — run the full tables binary "
+             "or `tables --serve`")
+    if a3_search > A3_SEARCH_MAX_NS:
+        fail(
+            f"{A3_SEARCH_ROW} = {a3_search:.0f} ns exceeds "
+            f"{A3_SEARCH_MAX_NS:.0f} ns: Step 3 of the key-join template "
+            "costs more than twice its recorded median — does the chase "
+            "fire triggers whose head holds, or match the derived "
+            "constraints, again?"
+        )
+
     unknown = sorted(set(manifest) - KNOWN_ROWS)
     if unknown:
         fail(
@@ -363,7 +390,8 @@ def main() -> None:
         f"e3 indexed-rewrite speedup {speedup}x; "
         f"warm hit {manifest[WARM_HIT_ROW]:.0f} ns, obs "
         f"{manifest[WARM_HIT_OBS_ROW]:.0f} ns; cold miss {cold_miss:.0f} ns, "
-        f"reply {cold_reply:.0f} ns; A2 execute {a2_execute:.1f} us; "
+        f"reply {cold_reply:.0f} ns; A3 search {a3_search / 1e6:.2f} ms; "
+        f"A2 execute {a2_execute:.1f} us; "
         f"1m-object recovery {recover / 1e6:.0f} ms; "
         f"EDB {manifest[EDB_BYTES_ROW]:.0f} B/tuple, rebuild "
         f"{manifest[EDB_BUILD_SMALL]:.1f} -> {manifest[EDB_BUILD_LARGE]:.1f} ms "

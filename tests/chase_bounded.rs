@@ -4,15 +4,18 @@
 //! chained `takes` atoms) makes every match of its body into the chased
 //! facts enumerate a product of them. Each optimization below runs on a
 //! thread of its own behind a deadline, so an unbounded chase fails the
-//! test instead of hanging it, and each must come back `Ok` with its
-//! chases refused (`chase.budget_exhausted`).
+//! test instead of hanging it, and each must come back `Ok`: on the
+//! longer paths with chases refused (`chase.budget_exhausted`).
 //!
 //! G's `A < C` is never implied by the path query, so G rewrites
-//! nothing: only the root's five join eliminations run the chase, and
-//! the test stays cheap in a debug build. Without the bound each of
-//! those chases enumerates the product.
+//! nothing: only the root's join eliminations run the chase, and the
+//! test stays cheap in a debug build. Without the bound each of those
+//! chases enumerates the product. On the 3-hop path G's body matches to
+//! its end within the bound; the 4-hop path has enough `takes` facts to
+//! exhaust it. On the 3-hop path G must not cost a sound elimination:
+//! the last `takes` atom is implied through `taken_by`'s inverse.
 
-use semantic_sqo::SemanticOptimizer;
+use semantic_sqo::{OptimizationReport, SemanticOptimizer};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -32,27 +35,54 @@ fn path_query(hops: usize) -> String {
 }
 
 /// Optimizes `oql` under the university ICs plus `ic` on a thread of its
-/// own; the report's `chase.budget_exhausted`, or a failure once 20 s
-/// pass (the thread is then left running: joining it would hang).
-fn chases_refused(ic: &'static str, oql: String) -> u64 {
+/// own; the report, or a failure once 20 s pass (the thread is then left
+/// running: joining it would hang).
+fn optimize_within_deadline(ic: &'static str, oql: String) -> OptimizationReport {
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
         let mut opt = SemanticOptimizer::university();
         opt.add_constraint_text(ic).expect("the IC parses");
-        let report = opt.optimize(&oql).map(|r| r.stats.counters);
-        tx.send(report).expect("the test waits for the report");
+        tx.send(opt.optimize(&oql))
+            .expect("the test waits for the report");
     });
-    let counters = rx
+    let report = rx
         .recv_timeout(Duration::from_secs(20))
         .unwrap_or_else(|_| panic!("optimizing under {ic} did not finish within 20 s"))
         .expect("the query optimizes");
     worker.join().expect("the optimizing thread finished");
-    counters.get("chase.budget_exhausted").copied().unwrap_or(0)
+    report
+}
+
+/// The report's `chase.budget_exhausted` for `oql` under `ic`.
+fn chases_refused(ic: &'static str, oql: String) -> u64 {
+    let report = optimize_within_deadline(ic, oql);
+    report
+        .stats
+        .counters
+        .get("chase.budget_exhausted")
+        .copied()
+        .unwrap_or(0)
 }
 
 #[test]
 fn a_product_egd_body_is_refused_within_the_bound() {
-    assert!(chases_refused(G, path_query(3)) > 0);
+    assert!(chases_refused(G, path_query(4)) > 0);
+}
+
+#[test]
+fn a_product_egd_leaves_the_implied_last_hop_removable() {
+    let report = optimize_within_deadline(G, path_query(3));
+    let last_hop_only = |removed: &[_]| {
+        let removed: Vec<String> = removed.iter().map(ToString::to_string).collect();
+        removed == ["takes(S3, C3)"]
+    };
+    assert!(
+        report
+            .equivalents()
+            .iter()
+            .any(|e| e.delta.added.is_empty() && last_hop_only(&e.delta.removed)),
+        "removing takes(S3, C3) is implied by taken_by(C2, S3) and the inverse tgd"
+    );
 }
 
 #[test]
