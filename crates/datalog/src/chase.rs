@@ -48,7 +48,7 @@
 use crate::atom::{Atom, CmpOp, Literal, PredSym};
 use crate::clause::{Constraint, ConstraintHead, Rule};
 use crate::solver::ConstraintSet;
-use crate::subst::Subst;
+use crate::subst::{apart, Subst};
 use crate::subsume::{match_db_staged, MAX_MATCH_STEPS};
 use crate::term::{Term, Var};
 use sqo_obs as obs;
@@ -63,14 +63,12 @@ const MAX_NULLS: usize = 64;
 /// Match steps one chase may take in all: [`MAX_MATCH_STEPS`] a round.
 const CHASE_STEPS: u64 = MAX_ROUNDS as u64 * MAX_MATCH_STEPS;
 
-/// The namespace the dependencies' variables are renamed into.
-const APART: char = '\u{1}';
 /// The namespace of labelled nulls.
 const NULL: char = '\u{2}';
 
 /// The dependencies the chase runs with. [`ChaseContext::from_constraints`]
-/// renames their variables apart from every query's, as matching requires
-/// (see [`crate::unify::match_terms`]).
+/// renames their variables into [`crate::subst::APART`], apart from every
+/// query's, as matching requires (see [`crate::unify::match_terms`]).
 #[derive(Debug, Clone, Default)]
 pub struct ChaseContext {
     /// Tuple-generating dependencies: ICs whose head is a positive atom.
@@ -78,7 +76,8 @@ pub struct ChaseContext {
     /// Equality-generating dependencies: ICs whose head is `X = Y`.
     pub egds: Vec<Constraint>,
     /// View definitions (e.g. access support relations); used in the
-    /// reverse direction — a view fact implies a witness body.
+    /// reverse direction — a view fact implies a witness body — and by
+    /// Step 3's view folds, which match their bodies against a query.
     pub views: Vec<Rule>,
     /// Functional-dependency map: `pred → k` means the first `k`
     /// arguments determine the remaining ones (classes and structures:
@@ -89,7 +88,7 @@ pub struct ChaseContext {
 impl ChaseContext {
     /// Partition a constraint list into tgds/egds (others are ignored by
     /// the chase — denials and range ICs are the solver's business), and
-    /// standardize them and the views apart.
+    /// rename them and the views into [`crate::subst::APART`].
     pub fn from_constraints(
         constraints: &[Constraint],
         views: Vec<Rule>,
@@ -115,15 +114,6 @@ impl ChaseContext {
             functional,
         }
     }
-}
-
-/// The renaming of `vars` into the [`APART`] namespace.
-fn apart<'v>(vars: impl IntoIterator<Item = &'v Var>) -> Subst {
-    let mut s = Subst::new();
-    for v in vars {
-        s.bind(*v, Term::Var(Var::new(format!("{APART}{}", v.name()))));
-    }
-    s
 }
 
 /// Rank of a term as a merge representative: constants first, then the

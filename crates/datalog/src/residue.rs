@@ -15,6 +15,9 @@
 //! relation occurring in the query applies if its `rest` also maps into
 //! the query; its (instantiated) head is then a formula true of every
 //! answer, usable to add or remove literals, or to detect a contradiction.
+//! Each constraint is renamed into the [`crate::subst::APART`] namespace
+//! before it is split, so its residues are kept apart from every query's
+//! variables here, once, and never renamed at query time.
 //!
 //! The compiler also performs the paper's IC-derivation steps
 //! (Application 2, the IC4 + IC5 ⇒ IC6 ⇒ IC6′ chain):
@@ -30,10 +33,17 @@
 use crate::atom::{Atom, Literal, PredSym};
 use crate::clause::{Constraint, ConstraintHead};
 use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::subst::apart;
 use crate::unify::mgu;
 use sqo_obs as obs;
 
 /// A compiled integrity-constraint fragment attached to a relation.
+///
+/// Its variables are in the [`crate::subst::APART`] namespace, renamed
+/// once when the constraint is compiled, so matching it against any
+/// query needs no renaming: a matched variable is replaced by the query's
+/// term, and an unmatched (foreign) one is discarded or freshened into an
+/// `NV*` query name before it reaches a candidate.
 #[derive(Debug, Clone)]
 pub struct Residue {
     /// Compile-order ordinal of this residue within its [`ResidueSet`];
@@ -51,49 +61,6 @@ pub struct Residue {
     pub rest: Vec<Literal>,
     /// The residue head: what becomes true of every query answer.
     pub head: ConstraintHead,
-    /// Sorted, deduplicated variables of the whole residue (anchor,
-    /// rest, and head), precomputed at compile time so the per-query
-    /// standardize-apart clash check does not rebuild it.
-    pub vars: Vec<crate::term::Var>,
-    /// Lazily-built copy of this residue with every variable renamed
-    /// into a reserved namespace no parser produces, so
-    /// [`standardize_residue_apart`] can return a borrow instead of
-    /// renaming afresh on every query it is applied to.
-    apart: std::sync::OnceLock<Box<Residue>>,
-}
-
-/// Equality on the semantic fields only — the lazy standardized copy is
-/// derived data.
-impl PartialEq for Residue {
-    fn eq(&self, other: &Self) -> bool {
-        self.ic_index == other.ic_index
-            && self.ic_name == other.ic_name
-            && self.anchor == other.anchor
-            && self.rest == other.rest
-            && self.head == other.head
-    }
-}
-
-impl Eq for Residue {}
-
-/// The sorted, deduplicated variable set of a residue's parts.
-fn residue_vars(anchor: &Atom, rest: &[Literal], head: &ConstraintHead) -> Vec<crate::term::Var> {
-    let mut vars: Vec<crate::term::Var> = Vec::with_capacity(anchor.args.len() + 4);
-    match head {
-        ConstraintHead::None => {}
-        ConstraintHead::Atom(a) | ConstraintHead::NegAtom(a) => vars.extend(a.vars().copied()),
-        ConstraintHead::Cmp(c) => vars.extend(c.vars().copied()),
-    }
-    vars.extend(anchor.vars().copied());
-    for l in rest {
-        match l {
-            Literal::Pos(a) | Literal::Neg(a) => vars.extend(a.vars().copied()),
-            Literal::Cmp(c) => vars.extend(c.vars().copied()),
-        }
-    }
-    vars.sort_unstable();
-    vars.dedup();
-    vars
 }
 
 impl Residue {
@@ -142,20 +109,6 @@ impl Residue {
             ConstraintHead::Cmp(c) => c.vars().any(|v| !self.bindable(v)),
             ConstraintHead::NegAtom(a) => a.vars().all(|v| !self.bindable(v)),
         }
-    }
-}
-
-impl std::fmt::Display for Residue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{{{}", self.head)?;
-        write!(f, " <-")?;
-        for (i, l) in self.rest.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, " {l}")?;
-        }
-        write!(f, "}} @ {}", self.anchor.pred)
     }
 }
 
@@ -218,6 +171,7 @@ impl ResidueSet {
             FxHashMap::with_capacity_and_hasher(constraints.len(), Default::default());
         let mut residue_count = 0;
         for (idx, ic) in constraints.iter().enumerate() {
+            let ic = apart(&ic.vars()).apply_constraint(ic);
             for (i, lit) in ic.body.iter().enumerate() {
                 let Literal::Pos(anchor) = lit else { continue };
                 let mut rest: Vec<Literal> = Vec::with_capacity(ic.body.len() - 1);
@@ -228,7 +182,6 @@ impl ResidueSet {
                         .filter(|(j, _)| *j != i)
                         .map(|(_, l)| l.clone()),
                 );
-                let vars = residue_vars(anchor, &rest, &ic.head);
                 by_pred.entry(anchor.pred).or_default().push(Residue {
                     id: residue_count as u32,
                     ic_index: idx,
@@ -236,8 +189,6 @@ impl ResidueSet {
                     anchor: anchor.clone(),
                     rest,
                     head: ic.head.clone(),
-                    vars,
-                    apart: std::sync::OnceLock::new(),
                 });
                 residue_count += 1;
             }
@@ -562,73 +513,6 @@ fn dedup_constraints(ics: Vec<Constraint>) -> Vec<Constraint> {
     out
 }
 
-/// Apply a renaming substitution to a residue's three parts, rebuilding
-/// the precomputed variable set.
-fn apply_rename(r: &Residue, s: &crate::subst::Subst) -> Residue {
-    let anchor = s.apply_atom(&r.anchor);
-    let rest: Vec<Literal> = r.rest.iter().map(|l| s.apply_literal(l)).collect();
-    let head = s.apply_head(&r.head);
-    let vars = residue_vars(&anchor, &rest, &head);
-    Residue {
-        id: r.id,
-        ic_index: r.ic_index,
-        ic_name: r.ic_name.clone(),
-        anchor,
-        rest,
-        head,
-        vars,
-        apart: std::sync::OnceLock::new(),
-    }
-}
-
-/// Rename a residue's variables apart from a set of used variables.
-/// Used at query-application time; matching requires the pattern's
-/// variables to be disjoint from the query's (see
-/// [`crate::unify::match_terms`]).
-///
-/// This sits on the inner loop of [`crate::transform::analyse`] — once
-/// per attached residue per frontier query — so the common cases return
-/// a borrow: either the residue itself (no clash), or its lazily-built
-/// copy renamed into a reserved `\u{1}`-prefixed namespace no parser
-/// produces. The renamed names are not observable downstream: matched
-/// variables are substituted by query terms, and unmatched (foreign)
-/// ones are either discarded or freshened into `NV*` query names before
-/// they reach a candidate. Only the pathological case of a query that
-/// itself uses reserved names pays for a per-call fresh renaming.
-pub fn standardize_residue_apart<'r>(
-    r: &'r Residue,
-    used: &std::collections::BTreeSet<crate::term::Var>,
-) -> std::borrow::Cow<'r, Residue> {
-    use crate::term::{Term, Var};
-    use std::borrow::Cow;
-    if !r.vars.iter().any(|v| used.contains(v)) {
-        return Cow::Borrowed(r);
-    }
-    let apart = r.apart.get_or_init(|| {
-        let mut s = crate::subst::Subst::new();
-        for v in &r.vars {
-            s.bind(*v, Term::Var(Var::new(format!("\u{1}{}", v.name()))));
-        }
-        Box::new(apply_rename(r, &s))
-    });
-    if !apart.vars.iter().any(|v| used.contains(v)) {
-        return Cow::Borrowed(apart);
-    }
-    let mut s = crate::subst::Subst::new();
-    let mut counter = 0usize;
-    for v in r.vars.iter().filter(|v| used.contains(v)) {
-        loop {
-            counter += 1;
-            let fresh = Var::new(format!("{}_{counter}", v.name()));
-            if !used.contains(&fresh) && r.vars.binary_search(&fresh).is_err() {
-                s.bind(*v, Term::Var(fresh));
-                break;
-            }
-        }
-    }
-    Cow::Owned(apply_rename(r, &s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,14 +574,22 @@ mod tests {
         let rs_fac = rs.residues_for(&PredSym::new("faculty"));
         assert_eq!(rs_fac.len(), 1);
         assert!(rs_fac[0].rest.is_empty());
+        // The residue is IC1 renamed into the apart namespace.
+        let apart = |name: &str| Term::var(format!("{}{name}", crate::subst::APART));
+        assert_eq!(
+            rs_fac[0].anchor,
+            Atom::new("faculty", vec![apart("OID"), apart("Salary")])
+        );
         assert_eq!(
             rs_fac[0].head,
             ConstraintHead::Cmp(Comparison::new(
-                Term::var("Salary"),
+                apart("Salary"),
                 CmpOp::Gt,
                 Term::int(40000)
             ))
         );
+        // The constraint itself keeps its written names.
+        assert_eq!(rs.constraints, [ic1()]);
         assert_eq!(rs.residues_for(&PredSym::new("student")).len(), 0);
     }
 
@@ -785,22 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn standardize_residue_apart_avoids_query_vars() {
-        let rs = ResidueSet::compile(vec![ic1()]);
-        let r = &rs.residues_for(&PredSym::new("faculty"))[0];
-        let used: std::collections::BTreeSet<_> = [
-            crate::term::Var::new("Salary"),
-            crate::term::Var::new("OID"),
-        ]
-        .into_iter()
-        .collect();
-        let fresh = standardize_residue_apart(r, &used);
-        for v in fresh.anchor.vars() {
-            assert!(!used.contains(v), "anchor var {v} clashes");
-        }
-    }
-
-    #[test]
     fn derived_sets_are_deduplicated() {
         // Compiling the same IC twice should not duplicate derived ICs.
         let rs = ResidueSet::compile(vec![ic4(), ic4(), ic5()]);
@@ -822,18 +698,5 @@ mod tests {
         d2.sort();
         d2.dedup();
         assert_eq!(derived.len(), d2.len());
-    }
-
-    #[test]
-    fn residue_display() {
-        let rs = ResidueSet::compile_with(
-            vec![ic1()],
-            &CompileOptions {
-                derive_strengthened: false,
-                derive_contrapositives: false,
-            },
-        );
-        let r = &rs.residues_for(&PredSym::new("faculty"))[0];
-        assert_eq!(r.to_string(), "{Salary > 40000 <-} @ faculty");
     }
 }

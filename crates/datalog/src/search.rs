@@ -13,6 +13,7 @@
 use crate::atom::Literal;
 use crate::clause::Query;
 use crate::subsume::SubsumptionIndex;
+pub use crate::transform::Step;
 use crate::transform::{analyse, apply, Analysis, Op, TransformContext};
 use sqo_obs as obs;
 use std::sync::Arc;
@@ -72,42 +73,6 @@ impl SearchConfig {
             Op::RemoveAtoms(_) => 4,
             Op::AddCmp(_) => 5,
             Op::AddAtom(_) => 6,
-        }
-    }
-}
-
-/// One applied transformation step, for provenance reporting.
-#[derive(Debug, Clone)]
-pub struct Step {
-    /// The transformation applied.
-    pub op: Op,
-    /// The justifying constraint/view name, if any.
-    pub ic_name: Option<Arc<str>>,
-    /// Provenance id of the compiled residue that drove the step, if one
-    /// did (see [`crate::residue::Residue::provenance_id`]).
-    pub residue: Option<Arc<str>>,
-    /// Human-readable explanation.
-    pub note: Arc<str>,
-}
-
-impl Step {
-    /// The step as a provenance record: (transformation kind, residue id,
-    /// source IC, detail).
-    pub fn provenance(&self) -> obs::ProvenanceStep {
-        obs::ProvenanceStep {
-            kind: self.op.kind(),
-            residue: self.residue.as_deref().map(str::to_owned),
-            ic: self.ic_name.as_deref().map(str::to_owned),
-            detail: self.note.to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for Step {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.ic_name {
-            Some(n) => write!(f, "{} [{n}]", self.op),
-            None => write!(f, "{}", self.op),
         }
     }
 }
@@ -312,12 +277,7 @@ pub fn optimize(q: &Query, ctx: &TransformContext, cfg: &SearchConfig) -> Outcom
                             continue;
                         }
                         let mut steps = node.steps.clone();
-                        steps.push(Step {
-                            op: cand.op,
-                            ic_name: cand.ic_name,
-                            residue: cand.residue,
-                            note: cand.note,
-                        });
+                        steps.push(cand);
                         next_level.push(Variant { query: next, steps });
                     }
                     variants.push(node);

@@ -212,9 +212,25 @@ impl fmt::Display for Subst {
     }
 }
 
+/// The namespace compiled patterns live in: residues, the chase's
+/// dependencies and the views are renamed into it once, when they are
+/// compiled, so matching them against a query needs no renaming (see
+/// [`crate::unify::match_terms`]). No parser produces it: both lexers
+/// take ASCII identifiers only.
+pub const APART: char = '\u{1}';
+
+/// The renaming of `vars` into the [`APART`] namespace.
+pub fn apart<'v>(vars: impl IntoIterator<Item = &'v Var>) -> Subst {
+    let mut s = Subst::new();
+    for v in vars {
+        s.bind(*v, Term::Var(Var::new(format!("{APART}{}", v.name()))));
+    }
+    s
+}
+
 /// Rename all variables of a constraint apart from the given "used" set by
-/// appending a numeric suffix (standardizing apart before resolution-style
-/// matching).
+/// appending a numeric suffix (standardizing one constraint apart from
+/// another during compile-time derivation).
 pub fn standardize_apart(c: &Constraint, used: &std::collections::BTreeSet<Var>) -> Constraint {
     let mut s = Subst::new();
     let mut counter = 0usize;

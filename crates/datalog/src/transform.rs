@@ -24,7 +24,7 @@ use crate::atom::{Atom, Comparison, Literal, PredSym};
 use crate::chase::{group_removal_sound, ChaseContext};
 use crate::clause::{ConstraintHead, Query, Rule};
 use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
-use crate::residue::{standardize_residue_apart, ResidueSet};
+use crate::residue::ResidueSet;
 use crate::solver::{ConstraintSet, Sat};
 use crate::subst::Subst;
 use crate::subsume::{match_body_onto, match_db_staged, MatchTarget};
@@ -89,18 +89,42 @@ impl std::fmt::Display for Op {
     }
 }
 
-/// A candidate transformation together with its provenance.
+/// One transformation step with its provenance: a candidate of
+/// [`analyse`], and, once the search admits it, a step of a variant's
+/// derivation.
 #[derive(Debug, Clone)]
-pub struct Candidate {
+pub struct Step {
     /// The transformation.
     pub op: Op,
     /// Name of the justifying integrity constraint or view, if any.
     pub ic_name: Option<Arc<str>>,
-    /// Provenance id of the compiled residue that produced the candidate
-    /// (see [`crate::residue::Residue::provenance_id`]), if one did.
+    /// Provenance id of the compiled residue that drove the step, if one
+    /// did (see [`crate::residue::Residue::provenance_id`]).
     pub residue: Option<Arc<str>>,
     /// Human-readable explanation for reports.
     pub note: Arc<str>,
+}
+
+impl Step {
+    /// The step as a provenance record: (transformation kind, residue id,
+    /// source IC, detail).
+    pub fn provenance(&self) -> obs::ProvenanceStep {
+        obs::ProvenanceStep {
+            kind: self.op.kind(),
+            residue: self.residue.as_deref().map(str::to_owned),
+            ic: self.ic_name.as_deref().map(str::to_owned),
+            detail: self.note.to_string(),
+        }
+    }
+}
+
+impl std::fmt::Display for Step {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.ic_name {
+            Some(n) => write!(f, "{} [{n}]", self.op),
+            None => write!(f, "{}", self.op),
+        }
+    }
 }
 
 /// The result of analysing a query against the compiled constraints.
@@ -114,7 +138,7 @@ pub enum Analysis {
         note: Arc<str>,
     },
     /// The applicable transformations (possibly empty).
-    Candidates(Vec<Candidate>),
+    Candidates(Vec<Step>),
 }
 
 /// Everything the transformer needs besides the query itself.
@@ -129,7 +153,9 @@ pub struct TransformContext {
     pub residues: ResidueSet,
     /// Chase dependencies: the written constraints and the views.
     pub chase: ChaseContext,
-    /// View definitions usable for folding (access support relations).
+    /// View definitions (access support relations) as written: the
+    /// predicates join introduction may add. The folds match the chase's
+    /// renamed copies ([`ChaseContext::views`]).
     pub views: Vec<Rule>,
     /// Functional-dependency map: `pred → k` means the first `k`
     /// arguments determine the rest.
@@ -242,7 +268,7 @@ fn tail_candidates(
     qvars: &BTreeSet<Var>,
     ctx: &TransformContext,
     solver: &ConstraintSet,
-    candidates: &mut Vec<Candidate>,
+    candidates: &mut Vec<Step>,
 ) {
     // Comparison removal: a comparison implied by the rest of the body.
     for (i, l) in q.body.iter().enumerate() {
@@ -252,7 +278,7 @@ fn tail_candidates(
         if rest_solver.implies(c) {
             push_candidate(
                 candidates,
-                Candidate {
+                Step {
                     note: format!("`{c}` is implied by the rest of the query").into(),
                     op: Op::RemoveCmp(*c),
                     ic_name: None,
@@ -309,7 +335,7 @@ fn tail_candidates(
         ) {
             push_candidate(
                 candidates,
-                Candidate {
+                Step {
                     note: format!("join elimination: `{a}` is implied by the rest of the query")
                         .into(),
                     op: Op::RemoveAtoms(vec![a.clone()]),
@@ -320,8 +346,9 @@ fn tail_candidates(
         }
     }
 
-    // View folds (access support relations).
-    for view in &ctx.views {
+    // View folds (access support relations), over the chase's copies of
+    // the views, which are renamed apart.
+    for view in &ctx.chase.views {
         for cand in fold_view_candidates(q, qvars, view, solver, ctx, &proj_vars) {
             push_candidate(candidates, cand);
         }
@@ -551,7 +578,6 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                 continue;
             }
             obs::bump(obs::Counter::PrefilterHits);
-            let residue = standardize_residue_apart(residue, qvars);
             let mut seed = Subst::new();
             if !match_atoms(&residue.anchor, anchor_target, &mut seed) {
                 continue;
@@ -660,7 +686,7 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
 /// Without `enumerate` the call is the *contradiction probe* alone: the
 /// own-solver check, the deferred-comparison gates and every head test
 /// that can return [`Analysis::Contradiction`] run as above, but no
-/// [`Candidate`] is materialised and the solver-rebuilding tail
+/// candidate [`Step`] is materialised and the solver-rebuilding tail
 /// (comparison removal, chase-validated atom removal, view folds — none of
 /// which can surface a contradiction) is skipped; a satisfiable query yields an
 /// empty candidate list. The search asks for this once no child of the
@@ -679,7 +705,7 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
     let qvars = q.vars();
     let structure = ctx.structure_of(q, &qvars);
 
-    let mut candidates: Vec<Candidate> = Vec::new();
+    let mut candidates: Vec<Step> = Vec::new();
     // Matches applied at this node, counted here and added to
     // `residue.applied` once — by a refutation, its own match included, or
     // at the end of the replay.
@@ -691,7 +717,7 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
             if enumerate {
                 push_candidate(
                     &mut candidates,
-                    Candidate {
+                    Step {
                         op,
                         note: Arc::clone(note),
                         ic_name: app.ic_name.clone(),
@@ -754,14 +780,7 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
                     if negative_atoms(q).any(|b| local_ok(b, raw)) {
                         continue;
                     }
-                    let clash = q.positive_atoms().any(|b| {
-                        b.pred == freshened.pred
-                            && b.args.len() == freshened.args.len()
-                            && b.args.iter().zip(&freshened.args).all(|(x, y)| {
-                                x == y || !var_in(y, &qvars) || solver.entails_equal(x, y)
-                            })
-                    });
-                    if clash {
+                    if atom_subsumed_in_query(freshened, q, &qvars, &solver) {
                         return contradiction(contra_note, applied);
                     }
                     if enumerate {
@@ -795,20 +814,11 @@ fn fold_view_candidates(
     solver: &ConstraintSet,
     ctx: &TransformContext,
     proj_vars: &BTreeSet<Var>,
-) -> Vec<Candidate> {
+) -> Vec<Step> {
     let mut out = Vec::new();
-    let packed = crate::clause::Constraint {
-        name: None,
-        head: ConstraintHead::Atom(view.head.clone()),
-        body: view.body.clone(),
-    };
-    let fresh = crate::subst::standardize_apart(&packed, qvars);
-    let ConstraintHead::Atom(head) = &fresh.head else {
-        return out;
-    };
     let target = MatchTarget::new(&q.body, solver);
-    for theta in match_body_onto(&fresh.body, &target, &Subst::new()) {
-        let head_inst = theta.apply_atom(head);
+    for theta in match_body_onto(&view.body, &target, &Subst::new()) {
+        let head_inst = theta.apply_atom(&view.head);
         if has_foreign_atom_var(&head_inst, qvars) {
             // The view head must be fully determined by the match.
             continue;
@@ -817,7 +827,7 @@ fn fold_view_candidates(
             .body
             .iter()
             .any(|l| matches!(l, Literal::Pos(b) if *b == head_inst));
-        let matched: Vec<Atom> = fresh
+        let matched: Vec<Atom> = view
             .body
             .iter()
             .filter_map(|l| match l {
@@ -826,7 +836,7 @@ fn fold_view_candidates(
             })
             .collect();
         if !head_present {
-            out.push(Candidate {
+            out.push(Step {
                 note: format!(
                     "introduce access support relation `{}` for the matched path",
                     view.head.pred
@@ -872,7 +882,7 @@ fn fold_view_candidates(
                 continue;
             }
             if group_removal_sound(&kept, &removal, proj_vars, &ctx.chase, solver) {
-                out.push(Candidate {
+                out.push(Step {
                     note: format!(
                         "fold path expression into access support relation `{}`",
                         view.head.pred
@@ -919,7 +929,7 @@ pub fn apply(q: &Query, op: &Op) -> Query {
     Query::new(q.name.clone(), q.projection.clone(), body)
 }
 
-fn push_candidate(cands: &mut Vec<Candidate>, c: Candidate) {
+fn push_candidate(cands: &mut Vec<Step>, c: Step) {
     if !cands.iter().any(|e| e.op == c.op) {
         cands.push(c);
     }
@@ -948,9 +958,12 @@ fn term_occurs_once(t: &Term, q: &Query) -> bool {
     count == 1
 }
 
-/// An added atom is redundant if an existing query atom matches it on
-/// every position bound to a query term (foreign positions are
-/// existential and match anything).
+/// Whether `a` maps into a positive atom of the query: at each position
+/// the query's term equals `a`'s or the solver entails it equal, except
+/// where `a` holds a variable foreign to the query, which matches
+/// anything. A join-introduction head that maps in is already in the
+/// query; a scope-reduction head `not a` that maps in refutes an atom
+/// the query requires.
 fn atom_subsumed_in_query(
     a: &Atom,
     q: &Query,
@@ -1294,6 +1307,44 @@ mod tests {
             Analysis::Contradiction { .. } => {}
             Analysis::Candidates(c) => panic!("expected contradiction, got {c:#?}"),
         }
+    }
+
+    /// A constant in a negated residue head clashes with a query term
+    /// only where the query's solver entails the two equal. Under
+    /// `Z >= 30 <- p(X, 1), q(X, Z)`, the head `not p(A, 1)` refutes
+    /// `p(A, C)` when the query says `C = 1`, and is a scope reduction
+    /// when it does not.
+    #[test]
+    fn a_negated_head_constant_clashes_only_where_the_solver_entails_it() {
+        let ic = Constraint::named(
+            "T",
+            ConstraintHead::Cmp(Comparison::new(v("Z"), CmpOp::Ge, Term::int(30))),
+            vec![
+                Literal::pos("p", vec![v("X"), Term::int(1)]),
+                Literal::pos("q", vec![v("X"), v("Z")]),
+            ],
+        );
+        let ctx = TransformContext::new(ResidueSet::compile(vec![ic]), vec![], BTreeMap::new());
+        let query = |pinned: bool| {
+            let mut body = vec![
+                Literal::pos("q", vec![v("A"), v("Z")]),
+                Literal::pos("p", vec![v("A"), v("C")]),
+                Literal::cmp(v("Z"), CmpOp::Lt, Term::int(20)),
+            ];
+            if pinned {
+                body.push(Literal::cmp(v("C"), CmpOp::Eq, Term::int(1)));
+            }
+            Query::new("r", vec![v("A")], body)
+        };
+        match analyse(&query(true), &ctx, true) {
+            Analysis::Contradiction { ic_name, .. } => assert_eq!(ic_name.as_deref(), Some("T'")),
+            Analysis::Candidates(c) => panic!("expected contradiction, got {c:#?}"),
+        }
+        let Analysis::Candidates(cands) = analyse(&query(false), &ctx, true) else {
+            panic!("`p(A, C)` without `C = 1` is no contradiction");
+        };
+        let scope = Op::AddNegAtom(Atom::new("p", vec![v("A"), Term::int(1)]));
+        assert!(cands.iter().any(|c| c.op == scope), "{cands:#?}");
     }
 
     /// `residue.applied` is added once per node but counts what one bump

@@ -41,11 +41,10 @@ pub fn unify_atoms(a: &Atom, b: &Atom, s: &mut Subst) -> bool {
 /// variables behave like constants.
 ///
 /// **Precondition:** the pattern's variables must be disjoint from the
-/// target's (standardize apart first, as every optimizer call site does
-/// via [`crate::subst::standardize_apart`] /
-/// [`crate::residue::standardize_residue_apart`]). With shared names a
-/// substitution cannot distinguish the two variable spaces and bindings
-/// may chain through the overlap.
+/// target's. Every compiled pattern — residue, chase dependency, view —
+/// lives in the [`crate::subst::APART`] namespace, which no query uses.
+/// With shared names a substitution cannot distinguish the two variable
+/// spaces and bindings may chain through the overlap.
 pub fn match_terms(pattern: &Term, target: &Term, s: &mut Subst) -> bool {
     match pattern {
         Term::Const(c) => matches!(target, Term::Const(d) if c == d),

@@ -10,17 +10,20 @@
 //! (deterministic, no time dependence): alpha-variants (variable
 //! permutation + body shuffle) must agree on form, hash and answers;
 //! independently generated pairs must answer identically *whenever*
-//! their hashes agree; and standardizing constraints/residues apart from
-//! a query's variable set must never capture a query variable.
+//! their hashes agree; standardizing a constraint apart from a query's
+//! variable set must never capture a query variable; and every compiled
+//! residue variable must be in the apart namespace.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqo_datalog::eval::answer_query;
 use sqo_datalog::parser::parse_constraint;
 use sqo_datalog::program::EdbDatabase;
-use sqo_datalog::residue::{standardize_residue_apart, ResidueSet};
-use sqo_datalog::subst::standardize_apart;
-use sqo_datalog::{Atom, CmpOp, Comparison, Const, Literal, PredSym, Query, Term, Var};
+use sqo_datalog::residue::ResidueSet;
+use sqo_datalog::subst::{standardize_apart, APART};
+use sqo_datalog::{
+    Atom, CmpOp, Comparison, Const, ConstraintHead, Literal, PredSym, Query, Term, Var,
+};
 use std::collections::BTreeSet;
 
 const PAIRS: usize = 200;
@@ -290,17 +293,21 @@ fn standardize_apart_never_captures_query_vars() {
             );
         }
 
-        // The residue-level fast path must uphold the same guarantee.
+        // Every compiled residue variable is in the apart namespace, so
+        // none is a query's.
         let rs = ResidueSet::compile(vec![ic.clone()]);
-        for pred in [PredSym::new("p"), PredSym::new("q"), PredSym::new("r")] {
-            for r in rs.residues_for(&pred) {
-                let fresh = standardize_residue_apart(r, &used);
-                for v in &fresh.vars {
-                    assert!(
-                        !used.contains(v),
-                        "constraint {n}: standardize_residue_apart left {v} captured"
-                    );
-                }
+        for r in rs.iter() {
+            let head: Vec<&Var> = match &r.head {
+                ConstraintHead::None => Vec::new(),
+                ConstraintHead::Atom(a) | ConstraintHead::NegAtom(a) => a.vars().collect(),
+                ConstraintHead::Cmp(c) => c.vars().collect(),
+            };
+            let rest = r.rest.iter().flat_map(Literal::iter_vars);
+            for v in r.anchor.vars().chain(rest).chain(head) {
+                assert!(
+                    v.name().starts_with(APART) && !used.contains(v),
+                    "constraint {n}: residue variable {v:?} is not apart from {used:?}"
+                );
             }
         }
     }

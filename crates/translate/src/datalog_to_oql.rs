@@ -21,9 +21,13 @@
 //! Removing a `from` entry that still *binds* a referenced variable would
 //! break OQL scoping even though the Datalog query stays safe; such edits
 //! are skipped and reported in [`OqlEdit::warnings`] (the equivalent
-//! query remains available at the Datalog level).
+//! query remains available at the Datalog level). So is an added
+//! `not c(X, …)` that restricts an attribute — with a constant, with a
+//! variable the translation named for anything but `x`'s own value of
+//! that attribute, or with a variable it repeats — which `x not in C`
+//! would drop.
 
-use crate::catalog::{Catalog, RelKind};
+use crate::catalog::{Catalog, RelKind, RelationDecl};
 use crate::error::Result;
 use crate::query_to_datalog::TranslationMap;
 use sqo_datalog::search::Delta;
@@ -288,18 +292,22 @@ impl<'a> Editor<'a> {
         };
         match &decl.kind {
             RelKind::Class { class } | RelKind::Struct { strct: class } => {
-                let class = class.clone();
-                if let Some(v) = a.args.first().and_then(Term::as_var) {
-                    let v = *v;
-                    let var = self.oql_name(&v);
-                    self.query.from.push(FromEntry::NotIn {
-                        var,
-                        source: Source::Extent(class),
-                    });
-                } else {
+                let Some(v) = a.args.first().and_then(Term::as_var) else {
                     self.warnings
                         .push(format!("negated atom `{a}` has a non-variable OID"));
+                    return;
+                };
+                if !self.negates_whole_object(a, decl) {
+                    self.warnings.push(format!(
+                        "negated atom `{a}` restricts an attribute, which `not in` cannot express"
+                    ));
+                    return;
                 }
+                let var = self.oql_name(v);
+                self.query.from.push(FromEntry::NotIn {
+                    var,
+                    source: Source::Extent(class.clone()),
+                });
             }
             RelKind::Relationship { name, .. } | RelKind::View { name } => {
                 let name = name.clone();
@@ -322,6 +330,30 @@ impl<'a> Editor<'a> {
                 .warnings
                 .push(format!("cannot negate method atom `{a}` in OQL")),
         }
+    }
+
+    /// Whether `not c(X, …)` says what `x not in C` says: each attribute
+    /// argument is `x`'s own variable for that attribute, or a variable
+    /// the translation never named, used once. A constant, or any other
+    /// variable, restricts the attribute, which `x not in C` drops.
+    fn negates_whole_object(&self, a: &Atom, decl: &RelationDecl) -> bool {
+        let owner = a
+            .args
+            .first()
+            .and_then(Term::as_var)
+            .and_then(|v| self.map.oql_var(v));
+        let mut unnamed = std::collections::BTreeSet::new();
+        a.args.iter().zip(&decl.args).skip(1).all(|(t, arg)| {
+            let Term::Var(v) = t else { return false };
+            match self.map.attr_of(v) {
+                Some((x, attr)) => owner == Some(x) && attr == arg.name,
+                None => {
+                    self.map.oql_var(v).is_none()
+                        && !self.map.method_results.contains_key(v.name())
+                        && unnamed.insert(*v)
+                }
+            }
+        })
     }
 
     fn remove_neg_atom(&mut self, a: &Atom) {
@@ -704,6 +736,42 @@ mod tests {
         assert!(!edit.warnings.is_empty());
         // The entry survives.
         assert_eq!(edit.query.from.len(), 2);
+    }
+
+    /// A negated class atom that restricts an attribute has no `not in`
+    /// form: it is skipped with a warning and the from clause is kept.
+    #[test]
+    fn negated_class_atom_restricting_an_attribute_is_a_warning() {
+        let (oql, map, catalog) = setup("select x.name from x in Employee where x.age < 25");
+        let not_faculty = |rank: Term| Delta {
+            added: vec![DLiteral::neg(
+                "faculty",
+                vec![
+                    Term::var("X"),
+                    Term::var("NV1"),
+                    Term::var("Age"),
+                    Term::var("NV2"),
+                    rank,
+                    Term::var("Address_X"),
+                ],
+            )],
+            removed: vec![],
+        };
+        // A constant rank, x's name variable in the rank position, or
+        // the salary's unnamed variable again.
+        for rank in [Term::str("professor"), Term::var("Name"), Term::var("NV2")] {
+            let edit = apply_delta(&oql, &map, &catalog, &not_faculty(rank)).unwrap();
+            assert_eq!(edit.warnings.len(), 1, "{rank}: {:?}", edit.warnings);
+            assert_eq!(edit.query.to_string(), oql.to_string(), "{rank}");
+        }
+        // Any rank at all: the whole object is negated.
+        let edit = apply_delta(&oql, &map, &catalog, &not_faculty(Term::var("NV3"))).unwrap();
+        assert!(edit.warnings.is_empty(), "{:?}", edit.warnings);
+        assert!(
+            edit.query.to_string().contains("x not in Faculty"),
+            "{}",
+            edit.query
+        );
     }
 
     /// Added negated relationship literal: `y not in x.takes`.
