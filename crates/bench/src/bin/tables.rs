@@ -91,8 +91,8 @@ fn median_cold_context_ns(
     median((0..reps).map(|_| {
         let fresh = TransformContext::new(
             ctx.residues.clone(),
-            ctx.views.clone(),
-            ctx.functional.clone(),
+            ctx.chase.views.clone(),
+            ctx.chase.functional.clone(),
         );
         let t0 = Instant::now();
         std::hint::black_box(search::optimize(q, &fresh, cfg));

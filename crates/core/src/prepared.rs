@@ -346,7 +346,7 @@ impl PreparedOptimizer {
                 collect_literal_consts(l, &mut kb);
             }
         }
-        for v in &ctx.views {
+        for v in &ctx.chase.views {
             for t in &v.head.args {
                 collect_term_const(t, &mut kb);
             }
@@ -385,10 +385,11 @@ impl PreparedOptimizer {
         &self.catalog
     }
 
-    /// The registered view rules, heads as the catalog named them: the
-    /// relations a rewrite may fold a path into.
+    /// The registered view rules, heads as the catalog named them and
+    /// variables renamed apart (the chase's copies): the relations a
+    /// rewrite may fold a path into.
     pub fn views(&self) -> &[Rule] {
-        &self.ctx.views
+        &self.ctx.chase.views
     }
 
     /// Number of compiled residues.

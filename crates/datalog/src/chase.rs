@@ -22,9 +22,10 @@
 //!
 //! A fact is an [`Atom`], a labelled null a fresh [`Var`] in a namespace
 //! no parser produces, and the merges are one [`Subst`] applied to the
-//! facts. Every dependency body and the final test are matched by Step
-//! 3's one matcher, [`match_db_staged`]; the query's solver decides the
-//! comparisons it defers.
+//! facts. The facts are kept by relation, as a [`Target`], and every
+//! dependency body and the final test are matched onto them by Step 3's
+//! one matcher, [`match_db_staged`]; the query's solver decides the
+//! comparisons it defers ([`crate::subsume::Staged::implied_by`]).
 //!
 //! The chase derives only what the dependencies require:
 //!
@@ -49,10 +50,10 @@ use crate::atom::{Atom, CmpOp, Literal, PredSym};
 use crate::clause::{Constraint, ConstraintHead, Rule};
 use crate::solver::ConstraintSet;
 use crate::subst::{apart, Subst};
-use crate::subsume::{match_db_staged, MAX_MATCH_STEPS};
+use crate::subsume::{match_db_staged, Target, MAX_MATCH_STEPS};
 use crate::term::{Term, Var};
 use sqo_obs as obs;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Maximum fixpoint rounds of one chase.
 const MAX_ROUNDS: usize = 6;
@@ -132,9 +133,10 @@ pub struct Chase<'a> {
     /// The query's comparison context: it decides a dependency body's
     /// comparisons over the facts' terms.
     solver: &'a ConstraintSet,
-    /// The facts in derivation order, and the same set for membership.
-    facts: Vec<Atom>,
-    known: HashSet<Atom>,
+    /// The facts by relation, each relation's in derivation order.
+    facts: Target<Atom>,
+    /// Each fact, with its place in derivation order over all relations.
+    known: HashMap<Atom, usize>,
     /// Every merge so far: a merged-away variable ↦ its representative.
     /// The facts are kept in its image.
     merged: Subst,
@@ -161,8 +163,8 @@ impl<'a> Chase<'a> {
         let mut chase = Chase {
             ctx,
             solver,
-            facts: Vec::new(),
-            known: HashSet::new(),
+            facts: Target::default(),
+            known: HashMap::new(),
             merged: Subst::new(),
             nulls: 0,
             fired: HashSet::new(),
@@ -179,12 +181,14 @@ impl<'a> Chase<'a> {
         chase
     }
 
+    /// Insert `a` as the last fact, unless it is one already.
     fn insert_fact(&mut self, a: Atom) -> bool {
-        let new = self.known.insert(a.clone());
-        if new {
-            self.facts.push(a);
+        if self.known.contains_key(&a) {
+            return false;
         }
-        new
+        self.known.insert(a.clone(), self.known.len());
+        self.facts.push(a);
+        true
     }
 
     /// Every merge so far, as a substitution from a merged-away variable
@@ -214,8 +218,10 @@ impl<'a> Chase<'a> {
     /// `merged` is idempotent, so one rewrite after a round's merges
     /// leaves the facts a rewrite after each merge would.
     fn rewrite(&mut self) {
-        self.known.clear();
-        for a in std::mem::take(&mut self.facts) {
+        let mut old: Vec<(Atom, usize)> = std::mem::take(&mut self.known).into_iter().collect();
+        old.sort_unstable_by_key(|(_, place)| *place);
+        self.facts = Target::default();
+        for (a, _) in old {
             self.insert_fact(self.merged.apply_atom(&a));
         }
     }
@@ -223,10 +229,10 @@ impl<'a> Chase<'a> {
     /// Insert a fact a dependency derived, unless the fact budget is
     /// spent.
     fn derive_fact(&mut self, a: Atom) -> bool {
-        if self.facts.len() < MAX_FACTS {
+        if self.known.len() < MAX_FACTS {
             return self.insert_fact(a);
         }
-        self.refused |= !self.known.contains(&a);
+        self.refused |= !self.known.contains_key(&a);
         false
     }
 
@@ -246,21 +252,14 @@ impl<'a> Chase<'a> {
         if self.exhausted {
             return Vec::new();
         }
-        let facts: Vec<&Atom> = self.facts.iter().collect();
-        let staged = match_db_staged(pattern, &facts, &[], seed);
+        let staged = match_db_staged(pattern, &self.facts, seed);
         obs::add(obs::Counter::ChaseSteps, staged.steps);
         self.steps += staged.steps;
         self.exhausted |= staged.exhausted || self.steps > CHASE_STEPS;
         if self.exhausted {
             return Vec::new();
         }
-        let solver = self.solver;
-        staged
-            .matches
-            .into_iter()
-            .filter(|m| m.deferred.iter().all(|c| solver.implies(c)))
-            .map(|m| m.theta)
-            .collect()
+        staged.implied_by(self.solver)
     }
 
     /// Fire dependency `dep`, `body ⇒ head`, on each match θ of its body
@@ -350,22 +349,29 @@ impl<'a> Chase<'a> {
             //    facts of the same relation agrees, the remaining
             //    arguments merge (classes/structures: OID determines all
             //    attributes; methods: OID + arguments determine Value).
-            for (i, a1) in self.facts.iter().enumerate() {
-                let Some(&k) = ctx.functional.get(&a1.pred) else {
+            //    The pairs merge in derivation order, by the first
+            //    fact's place and then the second's: which term a
+            //    merge keeps depends on that order.
+            let mut congruent: Vec<((usize, usize), Term, Term)> = Vec::new();
+            for relation in self.facts.relations() {
+                let Some(&k) = ctx.functional.get(&relation[0].pred) else {
                     continue;
                 };
-                if a1.arity() < k {
+                if relation[0].arity() < k {
                     continue;
                 }
-                for a2 in &self.facts[i + 1..] {
-                    if a1.pred == a2.pred
-                        && a1.arity() == a2.arity()
-                        && a1.args[..k] == a2.args[..k]
-                    {
-                        merges.extend(a1.args.iter().copied().zip(a2.args.iter().copied()).skip(k));
+                for (i, a1) in relation.iter().enumerate() {
+                    for a2 in relation[i + 1..].iter() {
+                        if a1.args[..k] == a2.args[..k] {
+                            let at = (self.known[a1], self.known[a2]);
+                            let args = a1.args.iter().zip(&a2.args).skip(k);
+                            congruent.extend(args.map(|(l, r)| (at, *l, *r)));
+                        }
                     }
                 }
             }
+            congruent.sort_by_key(|(at, ..)| *at);
+            merges.extend(congruent.into_iter().map(|(_, l, r)| (l, r)));
             let mut merged = false;
             for (l, r) in merges {
                 merged |= self.merge(&l, &r);
@@ -405,7 +411,7 @@ impl<'a> Chase<'a> {
 
     /// Number of facts currently derived.
     pub fn fact_count(&self) -> usize {
-        self.facts.len()
+        self.known.len()
     }
 }
 

@@ -53,7 +53,7 @@ fn explored(op: &Op, ctx: &TransformContext) -> bool {
     let Op::AddAtom(a) = op else {
         return true;
     };
-    ctx.views.iter().any(|v| {
+    ctx.chase.views.iter().any(|v| {
         v.head.pred == a.pred
             || v.body
                 .iter()

@@ -14,63 +14,95 @@
 //!   derived cases such as matching `Age < 25` in a query against a
 //!   residue's `Age < 30`.
 
-use crate::atom::{Atom, Comparison, Literal};
+use crate::atom::{Atom, Comparison, Literal, PredSym};
 use crate::clause::{CanonScratch, CanonTok, Query};
 use crate::fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 use crate::solver::ConstraintSet;
 use crate::subst::Subst;
 use crate::unify::match_terms;
 use sqo_obs as obs;
+use std::borrow::Borrow;
 use std::hash::BuildHasher;
 
-/// The fixed side of a match: the query's positive atoms, negative atoms,
-/// and a solver primed with its comparison literals (plus any derived
-/// equalities, e.g. OID-functional congruence).
-pub struct MatchTarget<'a> {
-    /// Positive database atoms of the query body.
-    pub pos: Vec<&'a Atom>,
-    /// Negative database atoms of the query body.
-    pub neg: Vec<&'a Atom>,
-    /// Solver primed with the query's evaluable literals.
-    pub solver: &'a ConstraintSet,
+/// The fixed side of a match, by relation: for each sign, predicate and
+/// arity, the target's atoms of it, in target order. A pattern literal is
+/// tried against exactly the atoms [`Target::atoms`] hands it.
+///
+/// A query's target borrows its body's atoms ([`Target::of`]); the chase
+/// keeps its facts, all positive, in one of its own.
+#[derive(Debug)]
+pub struct Target<A>(FxHashMap<(bool, PredSym, usize), Vec<A>>);
+
+/// A database literal's relation: whether it is negated, its predicate
+/// and its arity; with its atom.
+fn relation(l: &Literal) -> Option<((bool, PredSym, usize), &Atom)> {
+    let a = l.atom()?;
+    Some(((!l.is_positive(), a.pred, a.arity()), a))
 }
 
-impl<'a> MatchTarget<'a> {
-    /// Build a target from a body slice and a primed solver.
-    pub fn new(body: &'a [Literal], solver: &'a ConstraintSet) -> Self {
-        let mut pos = Vec::new();
-        let mut neg = Vec::new();
-        for l in body {
-            match l {
-                Literal::Pos(a) => pos.push(a),
-                Literal::Neg(a) => neg.push(a),
-                Literal::Cmp(_) => {}
-            }
+impl<A> Default for Target<A> {
+    fn default() -> Self {
+        Target(FxHashMap::default())
+    }
+}
+
+impl<'a> Target<&'a Atom> {
+    /// The target of a body: its positive and negated atoms.
+    pub fn of(body: &'a [Literal]) -> Self {
+        let mut target = Target::default();
+        for (key, a) in body.iter().filter_map(relation) {
+            target.0.entry(key).or_default().push(a);
         }
-        MatchTarget { pos, neg, solver }
+        target
+    }
+}
+
+impl<A: Borrow<Atom>> Target<A> {
+    /// The atoms a database literal may match, those of its own
+    /// relation, in target order; none for a comparison.
+    pub fn atoms(&self, l: &Literal) -> &[A] {
+        let own = relation(l).and_then(|(key, _)| self.0.get(&key));
+        own.map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether every database literal of `pattern` has an atom to match.
+    pub fn covers(&self, pattern: &[Literal]) -> bool {
+        let has_atoms = |l: &Literal| l.atom().is_none() || !self.atoms(l).is_empty();
+        pattern.iter().all(has_atoms)
+    }
+
+    /// Append a positive atom after its relation's others.
+    pub fn push(&mut self, atom: A) {
+        let key = (false, atom.borrow().pred, atom.borrow().arity());
+        self.0.entry(key).or_default().push(atom);
+    }
+
+    /// Each relation's atoms, in target order, and the relations in no
+    /// particular one.
+    pub fn relations(&self) -> impl Iterator<Item = &[A]> {
+        self.0.values().map(Vec::as_slice)
     }
 }
 
 /// Find every substitution θ extending `seed` such that each literal of
-/// `pattern` maps into the target as described in the module docs.
-/// Duplicate substitutions are removed.
+/// `pattern` maps into the target as described in the module docs, its
+/// comparisons implied by `solver`. Duplicate substitutions are removed.
 ///
-/// This is [`match_db_staged`] with each staged match kept iff the
-/// target's solver implies all its deferred comparisons (see
-/// [`StagedMatch`] for why that is the same sequence), charged as one
-/// `subsume.checks` and its steps as `unify.attempts`.
+/// This is [`match_db_staged`] with each staged match kept iff `solver`
+/// implies all its deferred comparisons ([`Staged::implied_by`]),
+/// charged as one `subsume.checks` and its steps as `unify.attempts`.
 ///
 /// **Precondition:** pattern variables disjoint from target variables
 /// (see [`crate::unify::match_terms`]).
-pub fn match_body_onto(pattern: &[Literal], target: &MatchTarget<'_>, seed: &Subst) -> Vec<Subst> {
-    let staged = match_db_staged(pattern, &target.pos, &target.neg, seed);
+pub fn match_body_onto<A: Borrow<Atom>>(
+    pattern: &[Literal],
+    target: &Target<A>,
+    solver: &ConstraintSet,
+    seed: &Subst,
+) -> Vec<Subst> {
+    let staged = match_db_staged(pattern, target, seed);
     staged.charge();
-    staged
-        .matches
-        .into_iter()
-        .filter(|m| m.deferred.iter().all(|c| target.solver.implies(c)))
-        .map(|m| m.theta)
-        .collect()
+    staged.implied_by(solver)
 }
 
 /// One complete match of a pattern's *database* literals, with the
@@ -128,43 +160,46 @@ impl Staged {
             obs::bump(obs::Counter::SubsumeBudgetExhausted);
         }
     }
+
+    /// The θs whose deferred comparisons `solver` implies, in order: the
+    /// solver-dependent half of a match, for the residue path and the
+    /// chase alike.
+    pub fn implied_by(self, solver: &ConstraintSet) -> Vec<Subst> {
+        let implied = |m: &StagedMatch| m.deferred.iter().all(|c| solver.implies(c));
+        self.matches
+            .into_iter()
+            .filter(implied)
+            .map(|m| m.theta)
+            .collect()
+    }
 }
 
 /// The database half of [`match_body_onto`], with the solver-dependent
-/// half deferred: match only the database literals of `pattern` onto
-/// `pos`/`neg` (in the given order, depth first), returning each
-/// distinct surviving substitution with its instantiated comparisons.
-/// The search stops after [`MAX_MATCH_STEPS`] candidate tries.
+/// half deferred: match only the database literals of `pattern` onto the
+/// atoms `target` hands each (in pattern order, depth first), returning
+/// each distinct surviving substitution with its instantiated
+/// comparisons. The search stops after [`MAX_MATCH_STEPS`] candidate
+/// tries; a literal with no candidate ends it before the first.
 ///
 /// A residue variable that stays unbound inside one of the pattern's
 /// comparisons cannot be checked, so the match fails conservatively
 /// here (that check depends only on θ, never on the target's solver).
-pub fn match_db_staged(pattern: &[Literal], pos: &[&Atom], neg: &[&Atom], seed: &Subst) -> Staged {
-    let mut db: Vec<&Literal> = Vec::new();
+pub fn match_db_staged<A: Borrow<Atom>>(
+    pattern: &[Literal],
+    target: &Target<A>,
+    seed: &Subst,
+) -> Staged {
+    // Each database literal with the atoms it may match.
+    let mut db: Vec<(&Atom, &[A])> = Vec::new();
     let mut cmps: Vec<&Comparison> = Vec::new();
     for l in pattern {
         match l {
             Literal::Cmp(c) => cmps.push(c),
-            _ => db.push(l),
+            Literal::Pos(a) | Literal::Neg(a) => match target.atoms(l) {
+                [] => return Staged::default(),
+                own => db.push((a, own)),
+            },
         }
-    }
-
-    // Each database literal's candidates: the atoms of its own relation
-    // and arity, on its own side, in target order. A literal with none
-    // leaves nothing to match.
-    let mut candidates: Vec<Vec<&Atom>> = Vec::with_capacity(db.len());
-    for l in &db {
-        let (pat, side) = match l {
-            Literal::Pos(a) => (a, pos),
-            Literal::Neg(a) => (a, neg),
-            Literal::Cmp(_) => unreachable!("comparisons were split off above"),
-        };
-        let fits = |a: &&&Atom| a.pred == pat.pred && a.arity() == pat.arity();
-        let own: Vec<&Atom> = side.iter().filter(fits).copied().collect();
-        if own.is_empty() {
-            return Staged::default();
-        }
-        candidates.push(own);
     }
 
     let mut out = Staged::default();
@@ -201,8 +236,8 @@ pub fn match_db_staged(pattern: &[Literal], pos: &[&Atom], neg: &[&Atom], seed: 
             out.matches.push(StagedMatch { theta: s, deferred });
             continue;
         }
-        let pat = db[i].atom().expect("a database literal");
-        for cand in &candidates[i] {
+        let (pat, candidates) = db[i];
+        for cand in candidates.iter().map(Borrow::<Atom>::borrow) {
             if out.steps >= MAX_MATCH_STEPS {
                 out.exhausted = true;
                 return out;
@@ -278,8 +313,7 @@ pub fn body_subsumes(pattern: &[Literal], body: &[Literal]) -> bool {
         })
         .collect();
     let solver = ConstraintSet::from_comparisons(cmps.iter());
-    let target = MatchTarget::new(body, &solver);
-    !match_body_onto(pattern, &target, &Subst::new()).is_empty()
+    !match_body_onto(pattern, &Target::of(body), &solver, &Subst::new()).is_empty()
 }
 
 #[cfg(test)]
@@ -384,9 +418,51 @@ mod tests {
         ];
         let cmp_none: Vec<crate::atom::Comparison> = Vec::new();
         let solver = ConstraintSet::from_comparisons(cmp_none.iter());
-        let target = MatchTarget::new(&body, &solver);
-        let matches = match_body_onto(&pattern, &target, &Subst::new());
+        let matches = match_body_onto(&pattern, &Target::of(&body), &solver, &Subst::new());
         assert_eq!(matches.len(), 2);
+    }
+
+    #[test]
+    fn a_literal_tries_only_atoms_of_its_own_relation() {
+        let (x, y, z) = (Term::var("X"), Term::var("Y"), Term::var("Z"));
+        let [s, a, b, f, g] = ["S", "A", "B", "F", "G"].map(Term::var);
+        let pattern = vec![lit("takes", vec![x, y]), lit("taught_by", vec![y, z])];
+        let base = vec![
+            lit("takes", vec![s, a]),
+            lit("taught_by", vec![a, f]),
+            lit("takes", vec![s, b]),
+            lit("taught_by", vec![b, g]),
+        ];
+        // Other relations, another arity of `takes`, and negated atoms of
+        // the pattern's own relations, interleaved with the base.
+        let mut noisy = base.clone();
+        noisy.insert(0, lit("student", vec![s]));
+        noisy.insert(2, Literal::neg("takes", vec![s, a]));
+        noisy.insert(4, lit("takes", vec![s, a, b]));
+        noisy.push(Literal::neg("taught_by", vec![b, g]));
+        noisy.push(Literal::cmp(a, CmpOp::Lt, b));
+        let thetas = |staged: &Staged| -> Vec<Subst> {
+            staged.matches.iter().map(|m| m.theta.clone()).collect()
+        };
+        let plain = match_db_staged(&pattern, &Target::of(&base), &Subst::new());
+        let mixed = match_db_staged(&pattern, &Target::of(&noisy), &Subst::new());
+        // Two `takes` tries, then two `taught_by` tries under each.
+        assert_eq!(plain.steps, 6);
+        assert_eq!(plain.matches.len(), 2);
+        assert_eq!(thetas(&mixed), thetas(&plain));
+        assert_eq!(mixed.steps, plain.steps);
+        assert!(!mixed.exhausted);
+
+        // A literal whose relation the target lacks ends the call before
+        // its first try, wherever it sits in the pattern.
+        let absent = vec![lit("takes", vec![x, y]), lit("has_ta", vec![y, z])];
+        let none = match_db_staged(&absent, &Target::of(&noisy), &Subst::new());
+        assert_eq!(
+            (none.steps, none.matches.len(), none.exhausted),
+            (0, 0, false)
+        );
+        assert!(!Target::of(&noisy).covers(&absent));
+        assert!(Target::of(&noisy).covers(&pattern));
     }
 
     #[test]
@@ -398,8 +474,7 @@ mod tests {
         let body: Vec<Literal> = (0..5)
             .map(|i| lit("r", vec![Term::var(format!("A{i}"))]))
             .collect();
-        let pos: Vec<&Atom> = body.iter().filter_map(Literal::atom).collect();
-        let staged = match_db_staged(&pattern, &pos, &[], &Subst::new());
+        let staged = match_db_staged(&pattern, &Target::of(&body), &Subst::new());
         assert!(staged.exhausted);
         assert_eq!(staged.steps, MAX_MATCH_STEPS);
         assert!(!staged.matches.is_empty() && staged.matches.len() < 5usize.pow(6));

@@ -22,12 +22,12 @@
 
 use crate::atom::{Atom, Comparison, Literal, PredSym};
 use crate::chase::{group_removal_sound, ChaseContext};
-use crate::clause::{ConstraintHead, Query, Rule};
-use crate::fxhash::{FxHashMap, FxHashSet, FxHasher};
+use crate::clause::{Constraint, ConstraintHead, Query, Rule};
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::residue::ResidueSet;
 use crate::solver::{ConstraintSet, Sat};
 use crate::subst::Subst;
-use crate::subsume::{match_body_onto, match_db_staged, MatchTarget};
+use crate::subsume::{match_body_onto, match_db_staged, Target};
 use crate::term::{Term, Var};
 use crate::unify::match_atoms;
 use sqo_obs as obs;
@@ -151,15 +151,10 @@ pub struct TransformContext {
     /// memo below is derived from them, so new constraints mean a new
     /// context ([`TransformContext::new`]), never an assignment here.
     pub residues: ResidueSet,
-    /// Chase dependencies: the written constraints and the views.
+    /// Chase dependencies: the written constraints, and the views and
+    /// functional dependencies, which join introduction, the view folds
+    /// and the query's solver read from here too.
     pub chase: ChaseContext,
-    /// View definitions (access support relations) as written: the
-    /// predicates join introduction may add. The folds match the chase's
-    /// renamed copies ([`ChaseContext::views`]).
-    pub views: Vec<Rule>,
-    /// Functional-dependency map: `pred → k` means the first `k`
-    /// arguments determine the rest.
-    pub functional: BTreeMap<PredSym, usize>,
     /// Residue matches per query structure, shared by every search on
     /// this context.
     structures: StructureMemo,
@@ -176,13 +171,10 @@ impl TransformContext {
         views: Vec<Rule>,
         functional: BTreeMap<PredSym, usize>,
     ) -> Self {
-        let chase =
-            ChaseContext::from_constraints(residues.written(), views.clone(), functional.clone());
+        let chase = ChaseContext::from_constraints(residues.written(), views, functional);
         TransformContext {
             residues,
             chase,
-            views,
-            functional,
             structures: StructureMemo::default(),
         }
     }
@@ -274,7 +266,7 @@ fn tail_candidates(
     for (i, l) in q.body.iter().enumerate() {
         let Literal::Cmp(c) = l else { continue };
         let rest = q.body.iter().enumerate().filter(|(j, _)| *j != i);
-        let rest_solver = body_solver(rest.map(|(_, l)| l), &ctx.functional);
+        let rest_solver = body_solver(rest.map(|(_, l)| l), &ctx.chase.functional);
         if rest_solver.implies(c) {
             push_candidate(
                 candidates,
@@ -289,24 +281,16 @@ fn tail_candidates(
     }
 
     // Single-atom removal validated by the chase.
-    let proj_vars: BTreeSet<Var> = q
-        .projection
-        .iter()
-        .filter_map(Term::as_var)
-        .cloned()
-        .collect();
+    let projected = q.projection.iter().filter_map(Term::as_var);
+    let proj_vars: BTreeSet<Var> = projected.cloned().collect();
     // Prefilter: an atom can only be derivable by the chase if its
     // predicate is the head of some tgd, occurs in a view body (reverse
     // view firing), or appears more than once in the query (congruence /
     // egd merging can expose duplicates).
     let derivable_pred = |pred: &PredSym| {
-        ctx.chase.tgds.iter().any(|t| match &t.head {
-            crate::clause::ConstraintHead::Atom(h) => h.pred == *pred,
-            _ => false,
-        }) || ctx
-            .views
-            .iter()
-            .any(|v| v.body.iter().any(|l| l.pred() == Some(pred)))
+        let heads = |t: &Constraint| matches!(&t.head, ConstraintHead::Atom(h) if h.pred == *pred);
+        let in_body = |v: &Rule| v.body.iter().any(|l| l.pred() == Some(pred));
+        ctx.chase.tgds.iter().any(heads) || ctx.chase.views.iter().any(in_body)
     };
     for (i, l) in q.body.iter().enumerate() {
         let Literal::Pos(a) = l else { continue };
@@ -314,13 +298,8 @@ fn tail_candidates(
         if !duplicated && !derivable_pred(&a.pred) {
             continue;
         }
-        let kept: Vec<Literal> = q
-            .body
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, l)| l.clone())
-            .collect();
+        let mut kept = q.body.clone();
+        kept.remove(i);
         // Removal must keep the query safe.
         let candidate_query = Query::new(q.name.clone(), q.projection.clone(), kept.clone());
         if !candidate_query.is_safe() {
@@ -347,9 +326,10 @@ fn tail_candidates(
     }
 
     // View folds (access support relations), over the chase's copies of
-    // the views, which are renamed apart.
+    // the views, which are renamed apart, onto one target of the query.
+    let target = Target::of(&q.body);
     for view in &ctx.chase.views {
-        for cand in fold_view_candidates(q, qvars, view, solver, ctx, &proj_vars) {
+        for cand in fold_view_candidates(q, qvars, view, &target, solver, ctx, &proj_vars) {
             push_candidate(candidates, cand);
         }
     }
@@ -535,34 +515,10 @@ impl TransformContext {
 /// once per context for a structure the memo retains, not once per
 /// search.
 fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> Structure {
-    let mut pos_refs: Vec<&Atom> = Vec::new();
-    let mut neg_refs: Vec<&Atom> = Vec::new();
-    let mut pos_sigs: FxHashSet<(PredSym, usize)> = FxHashSet::default();
-    let mut neg_sigs: FxHashSet<(PredSym, usize)> = FxHashSet::default();
-    for l in &q.body {
-        match l {
-            Literal::Pos(a) => {
-                pos_refs.push(a);
-                pos_sigs.insert((a.pred, a.args.len()));
-            }
-            Literal::Neg(a) => {
-                neg_refs.push(a);
-                neg_sigs.insert((a.pred, a.args.len()));
-            }
-            Literal::Cmp(_) => {}
-        }
-    }
-    let rest_can_match = |rest: &[Literal]| {
-        rest.iter().all(|l| match l {
-            Literal::Pos(a) => pos_sigs.contains(&(a.pred, a.args.len())),
-            Literal::Neg(a) => neg_sigs.contains(&(a.pred, a.args.len())),
-            Literal::Cmp(_) => true,
-        })
-    };
-
+    let target = Target::of(&q.body);
     let mut apps: Vec<AppEntry> = Vec::new();
     let mut gate_ids: FxHashMap<Vec<Comparison>, usize> = FxHashMap::default();
-    for anchor_target in &pos_refs {
+    for anchor_target in q.positive_atoms() {
         for residue in ctx.residues.residues_for(&anchor_target.pred) {
             // Exactness prefilter: applications that provably cannot
             // contribute for *any* query are dropped wholesale (see
@@ -572,7 +528,7 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                 continue;
             }
             if residue.anchor.args.len() != anchor_target.args.len()
-                || !rest_can_match(&residue.rest)
+                || !target.covers(&residue.rest)
             {
                 obs::bump(obs::Counter::PrefilterMisses);
                 continue;
@@ -582,7 +538,7 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
             if !match_atoms(&residue.anchor, anchor_target, &mut seed) {
                 continue;
             }
-            let staged = match_db_staged(&residue.rest, &pos_refs, &neg_refs, &seed);
+            let staged = match_db_staged(&residue.rest, &target, &seed);
             staged.charge();
             if staged.matches.is_empty() {
                 continue;
@@ -598,7 +554,7 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
                         .into(),
                     },
                     ConstraintHead::Cmp(c) => {
-                        if has_foreign_var(&c, qvars) {
+                        if c.vars().any(|v| !qvars.contains(v)) {
                             HeadAction::Discard
                         } else {
                             HeadAction::Cmp {
@@ -695,7 +651,7 @@ fn build_structure(q: &Query, qvars: &BTreeSet<Var>, ctx: &TransformContext) -> 
 /// Structure-level work (prefilter, unification, subsumption staging) is
 /// counted when a structure is built, not once per node.
 pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
-    let solver = query_solver(q, &ctx.functional);
+    let solver = query_solver(q, &ctx.chase.functional);
     if solver.check() == Sat::Unsatisfiable {
         return Analysis::Contradiction {
             ic_name: None,
@@ -811,31 +767,19 @@ fn fold_view_candidates(
     q: &Query,
     qvars: &BTreeSet<Var>,
     view: &Rule,
+    target: &Target<&Atom>,
     solver: &ConstraintSet,
     ctx: &TransformContext,
     proj_vars: &BTreeSet<Var>,
 ) -> Vec<Step> {
     let mut out = Vec::new();
-    let target = MatchTarget::new(&q.body, solver);
-    for theta in match_body_onto(&view.body, &target, &Subst::new()) {
+    for theta in match_body_onto(&view.body, target, solver, &Subst::new()) {
         let head_inst = theta.apply_atom(&view.head);
-        if has_foreign_atom_var(&head_inst, qvars) {
+        if head_inst.vars().any(|v| !qvars.contains(v)) {
             // The view head must be fully determined by the match.
             continue;
         }
-        let head_present = q
-            .body
-            .iter()
-            .any(|l| matches!(l, Literal::Pos(b) if *b == head_inst));
-        let matched: Vec<Atom> = view
-            .body
-            .iter()
-            .filter_map(|l| match l {
-                Literal::Pos(a) => Some(theta.apply_atom(a)),
-                _ => None,
-            })
-            .collect();
-        if !head_present {
+        if !q.positive_atoms().any(|b| *b == head_inst) {
             out.push(Step {
                 note: format!(
                     "introduce access support relation `{}` for the matched path",
@@ -848,6 +792,10 @@ fn fold_view_candidates(
             });
             continue;
         }
+        let positive = view.body.iter().filter(|l| l.is_positive());
+        let matched: Vec<Atom> = positive
+            .filter_map(|l| Some(theta.apply_atom(l.atom()?)))
+            .collect();
         // Fold phase: try removing all matched literals, then all except
         // those mentioning projected variables (the paper's Q1 case keeps
         // has_ta(V, W) because V is projected).
@@ -959,11 +907,12 @@ fn term_occurs_once(t: &Term, q: &Query) -> bool {
 }
 
 /// Whether `a` maps into a positive atom of the query: at each position
-/// the query's term equals `a`'s or the solver entails it equal, except
-/// where `a` holds a variable foreign to the query, which matches
-/// anything. A join-introduction head that maps in is already in the
-/// query; a scope-reduction head `not a` that maps in refutes an atom
-/// the query requires.
+/// the query's term equals `a`'s or the solver entails it equal. A
+/// variable foreign to the query binds to the query term at its first
+/// position, and stands for that term at every later one. A
+/// join-introduction head that maps in is already in the query; a
+/// scope-reduction head `not a` that maps in refutes an atom the query
+/// requires.
 fn atom_subsumed_in_query(
     a: &Atom,
     q: &Query,
@@ -971,20 +920,20 @@ fn atom_subsumed_in_query(
     solver: &ConstraintSet,
 ) -> bool {
     q.positive_atoms().any(|b| {
+        let mut foreign = Subst::new();
         b.pred == a.pred
             && b.args.len() == a.args.len()
             && b.args.iter().zip(&a.args).all(|(x, y)| {
-                x == y || !var_in(y, qvars) && y.as_var().is_some() || solver.entails_equal(x, y)
+                let y = match y.as_var() {
+                    Some(v) if !qvars.contains(v) => match foreign.lookup(v) {
+                        Some(t) => *t,
+                        None => return foreign.bind(*v, *x),
+                    },
+                    _ => *y,
+                };
+                *x == y || solver.entails_equal(x, &y)
             })
     })
-}
-
-fn has_foreign_var(c: &Comparison, qvars: &BTreeSet<Var>) -> bool {
-    c.vars().any(|v| !qvars.contains(v))
-}
-
-fn has_foreign_atom_var(a: &Atom, qvars: &BTreeSet<Var>) -> bool {
-    a.vars().any(|v| !qvars.contains(v))
 }
 
 /// Replace residue-local variables in an added atom with fresh query
@@ -1011,7 +960,6 @@ fn freshen_foreign_vars(a: &Atom, qvars: &BTreeSet<Var>) -> Atom {
 mod tests {
     use super::*;
     use crate::atom::CmpOp;
-    use crate::clause::Constraint;
     use crate::residue::ResidueSet;
 
     fn v(n: &str) -> Term {

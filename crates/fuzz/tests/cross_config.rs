@@ -16,7 +16,19 @@
 //! `fnv1a(json_compact(explain_json()))` by a throwaway run of this
 //! file, so the new writer is held to what the old one said. An
 //! intentional change to what Step 3 finds re-records it with
-//! `cargo test -p sqo-fuzz --test cross_config -- --ignored --nocapture`.
+//! `cargo test -p sqo-fuzz --test cross_config print_explain_fingerprints --
+//! --ignored --nocapture`.
+//!
+//! The same pass holds the chase to `chase_fingerprints.txt`: a request
+//! trace is open around each optimization, and each seed's line is the
+//! number of `step3.chase` span events and an FNV-1a hash of their
+//! `chase.steps` and `chase.budget_exhausted` deltas, in order. So every
+//! chase a search runs must take the same matching steps and be refused
+//! exactly when it was — what a change to how the chase matches must
+//! leave as it is. The table was recorded before the chase and the
+//! residue matcher came to share one per-relation target, and that
+//! change passed it unchanged. Re-record it with `cargo test -p sqo-fuzz
+//! --test cross_config print_chase_fingerprints -- --ignored --nocapture`.
 //!
 //! Everything runs inside ONE test function per run: per-report counter
 //! deltas are computed against the process-global `sqo-obs` registry, so
@@ -27,6 +39,7 @@ use sqo_fuzz::oracle::run_inputs;
 use std::collections::BTreeMap;
 
 const RECORDED: &str = include_str!("explain_fingerprints.txt");
+const RECORDED_CHASE: &str = include_str!("chase_fingerprints.txt");
 
 /// 64-bit FNV-1a, written out so the recorded values never depend on a
 /// standard-library or in-repo hasher changing its definition.
@@ -36,11 +49,30 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// The chase's work in one optimization's trace: `<chases> <hash>`, the
+/// number of `step3.chase` events and the FNV-1a hash of their
+/// `steps,exhausted;` deltas in completion order.
+fn chase_fingerprint(trace: &sqo_obs::Trace) -> String {
+    let mut chases = 0usize;
+    let mut work = String::new();
+    for e in trace.events.iter().filter(|e| e.name == "step3.chase") {
+        chases += 1;
+        let delta = |name: &str| {
+            let moved = e.counters.iter().find(|(c, _)| *c == name);
+            moved.map_or(0, |(_, v)| *v)
+        };
+        let (steps, exhausted) = (delta("chase.steps"), delta("chase.budget_exhausted"));
+        work.push_str(&format!("{steps},{exhausted};"));
+    }
+    format!("{chases} {:016x}", fnv1a(work.as_bytes()))
+}
+
 /// `seed <hash>` lines for seeds 0..50, skipping cases the oracle itself
 /// would skip (none expected today, but the generator contract allows
-/// them).
-fn fingerprints() -> String {
+/// them), and the same seeds' `seed <chases> <hash>` chase lines.
+fn fingerprints() -> (String, String) {
     let mut out = String::new();
+    let mut chase_out = String::new();
     for seed in 0u64..50 {
         let inputs = generate_case(seed).inputs();
         if run_inputs(&inputs).is_err() {
@@ -51,7 +83,11 @@ fn fingerprints() -> String {
         for ic in &inputs.ics {
             opt.add_constraint_text(ic).expect("valid ic");
         }
-        let mut report = opt.optimize_query(&query).expect("optimize");
+        sqo_obs::trace_begin(format!("seed-{seed}"));
+        let report = opt.optimize_query(&query);
+        let trace = sqo_obs::trace_end().expect("trace was begun on this thread");
+        let mut report = report.expect("optimize");
+        chase_out.push_str(&format!("{seed} {}\n", chase_fingerprint(&trace)));
         report.stats.spans = BTreeMap::new();
         report.stats.hists = BTreeMap::new();
         report
@@ -61,20 +97,30 @@ fn fingerprints() -> String {
         let hash = fnv1a(report.explain_json().as_bytes());
         out.push_str(&format!("{seed} {hash:016x}\n"));
     }
-    out
+    (out, chase_out)
 }
 
 #[test]
 fn first_50_seeds_explain_json_matches_recorded() {
-    let live = fingerprints();
+    let (live, live_chase) = fingerprints();
     for (live, recorded) in live.lines().zip(RECORDED.lines()) {
         assert_eq!(live, recorded, "explain_json fingerprint differs");
     }
     assert_eq!(live.lines().count(), RECORDED.lines().count());
+    for (live, recorded) in live_chase.lines().zip(RECORDED_CHASE.lines()) {
+        assert_eq!(live, recorded, "chase fingerprint differs");
+    }
+    assert_eq!(live_chase.lines().count(), RECORDED_CHASE.lines().count());
 }
 
 #[test]
 #[ignore = "prints the table to re-record after an intentional search change"]
 fn print_explain_fingerprints() {
-    print!("{}", fingerprints());
+    print!("{}", fingerprints().0);
+}
+
+#[test]
+#[ignore = "prints the table to re-record after an intentional change to the chase's work"]
+fn print_chase_fingerprints() {
+    print!("{}", fingerprints().1);
 }

@@ -122,18 +122,12 @@ fn physical_body(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Option<Vec<Lite
         if !is_object_rel(&a.pred) || a.args.is_empty() {
             return None;
         }
-        // An attribute position is "used" if its variable occurs anywhere
-        // else in the query (more often than inside this atom alone) or
-        // is a constant.
-        let mut local: FxHashMap<&Var, usize> = FxHashMap::default();
-        for t in &a.args[1..] {
-            if let Term::Var(v) = t {
-                *local.entry(v).or_insert(0) += 1;
-            }
-        }
+        // An attribute position is "used" if it is a constant or its
+        // variable occurs anywhere else in the query, this atom's other
+        // positions included: a repeated variable equates its positions.
         let attr_used = a.args[1..].iter().any(|t| match t {
             Term::Const(_) => true,
-            Term::Var(v) => occurrences.get(v).copied().unwrap_or(0) > local[v],
+            Term::Var(v) => occurrences.get(v).copied().unwrap_or(0) > 1,
         });
         if attr_used {
             None
@@ -154,18 +148,14 @@ fn physical_body(db: &ObjectDb, q: &Query, opts: EvalOptions) -> Option<Vec<Lite
         if !matches!(decl.kind, RelKind::Class { .. } | RelKind::Struct { .. }) {
             return None;
         }
-        let mut local: FxHashMap<&Var, usize> = FxHashMap::default();
-        for v in a.vars() {
-            *local.entry(v).or_insert(0) += 1;
-        }
         let oid = a.args.first()?;
         let consistent = a.args[1..].iter().enumerate().all(|(i, t)| {
             let attr = &decl.args[i + 1].name;
             match t {
                 Term::Const(_) => false,
                 Term::Var(v) => {
-                    // Negation-local?
-                    if occurrences.get(v).copied().unwrap_or(0) <= local[v] {
+                    // Negation-local, and at this position only?
+                    if occurrences.get(v).copied().unwrap_or(0) <= 1 {
                         return true;
                     }
                     // Pinned by a positive object atom with the same OID?
@@ -465,6 +455,19 @@ mod tests {
         .unwrap();
         let r4 = rewrite_for_extents(&d, &q4);
         assert!(r4.to_string().contains("not faculty(X, N2,"), "{r4}");
+        // A variable repeated inside the negated atom equates its
+        // positions: no extent test, and no extent scan for a positive
+        // atom holding one either.
+        let q5 =
+            parse_query("Q(N) <- person(X, N, A, Ad), not faculty(X, N2, A2, S, S, Ad2)").unwrap();
+        let r5 = rewrite_for_extents(&d, &q5);
+        assert!(
+            r5.to_string().contains("not faculty(X, N2, A2, S, S,"),
+            "{r5}"
+        );
+        let q6 = parse_query("Q(X) <- faculty(X, N2, A2, S, S, Ad2)").unwrap();
+        let r6 = rewrite_for_extents(&d, &q6);
+        assert!(r6.to_string().contains("faculty(X, N2, A2, S, S,"), "{r6}");
     }
 
     #[test]

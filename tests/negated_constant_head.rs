@@ -1,10 +1,15 @@
-//! A constant in a negated residue head refutes only a query term equal
-//! to it. Under `T`, every faculty member who is a professor and an
-//! employee is at least 30; its contrapositive says an employee under 30
-//! is not a faculty member *whose rank is "professor"*. The query for
-//! employees who are faculty and under 25 is therefore satisfiable: on a
-//! base holding a 24-year-old lecturer and a 50-year-old professor it
-//! returns the lecturer, and so must every equivalent Step 3 finds.
+//! A negated residue head refutes only a query atom it maps into. Under
+//! `T`, every faculty member who is a professor and an employee is at
+//! least 30; its contrapositive says an employee under 30 is not a
+//! faculty member *whose rank is "professor"*, and a constant refutes
+//! only a query term equal to it. Under `U`, a person who is a faculty
+//! member whose salary equals their rank is at least 30 (which holds on
+//! every base: the two differ by type); its contrapositive's head
+//! `not faculty(X, _, _, S, S, _)` repeats a variable, which refutes only
+//! a faculty atom whose salary and rank are one term. The queries for
+//! faculty members under 25 are therefore satisfiable: on a base holding
+//! a 24-year-old lecturer and a 50-year-old professor each returns the
+//! lecturer, and so must every equivalent Step 3 finds.
 
 use semantic_sqo::datalog::Const;
 use semantic_sqo::objdb::{execute, ObjectDb, Value};
@@ -16,11 +21,15 @@ const T: &str =
 const QUERY: &str = "select x.name from x in Employee, y in Faculty \
                      where x = y and x.age = y.age and x.age < 25";
 
-#[test]
-fn a_constant_in_a_negated_head_refutes_only_an_equal_term() {
+const U: &str = "ic U: A >= 30 <- person(X, N, A, Ad), faculty(X, N2, A2, S, S, Ad2).";
+const U_QUERY: &str = "select x.name from x in Person, y in Faculty where x = y and x.age < 25";
+
+/// Optimizes `query` under `ic` and executes every equivalent on the
+/// two-member base: each must answer the lecturer alone.
+fn every_equivalent_answers_the_lecturer(ic: &str, query: &str) {
     let mut opt = SemanticOptimizer::university();
-    opt.add_constraint_text(T).unwrap();
-    let report = opt.optimize(QUERY).unwrap();
+    opt.add_constraint_text(ic).unwrap();
+    let report = opt.optimize(query).unwrap();
     let Verdict::Equivalents(equivalents) = &*report.verdict else {
         panic!("a lecturer under 25 answers:\n{}", report.explain());
     };
@@ -40,4 +49,14 @@ fn a_constant_in_a_negated_head_refutes_only_an_equal_term() {
         let rows: Vec<Vec<Const>> = answers.rows().map(<[Const]>::to_vec).collect();
         assert_eq!(rows, [[Const::Str("lee".into())]], "{}", eq.datalog);
     }
+}
+
+#[test]
+fn a_constant_in_a_negated_head_refutes_only_an_equal_term() {
+    every_equivalent_answers_the_lecturer(T, QUERY);
+}
+
+#[test]
+fn a_repeated_variable_in_a_negated_head_refutes_only_equal_terms() {
+    every_equivalent_answers_the_lecturer(U, U_QUERY);
 }
