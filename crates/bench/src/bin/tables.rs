@@ -40,7 +40,9 @@ use sqo_datalog::residue::ResidueSet;
 use sqo_datalog::search::{self, SearchConfig};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
-use sqo_objdb::{choose_best, execute, execute_with, ExecOptions, Value};
+use sqo_objdb::{
+    choose_best, execute, execute_with, register_university_methods, ExecOptions, Value,
+};
 use sqo_obs as obs;
 use sqo_translate::translate_schema;
 use std::collections::BTreeMap;
@@ -469,18 +471,23 @@ fn write_manifest(path: &str, bench: &BTreeMap<String, f64>) {
     std::fs::write(path, json).expect("write BENCH_pipeline.json");
 }
 
-/// X1: what the EDB of the served university base costs to rebuild and
-/// to hold, recorded into `bench` — [`served_university_base`] × 4 and
-/// × 20, the benchmark's 6 000- and 30 000-object bases:
+/// X1: what the EDB of the served university base costs to load, to
+/// refresh and to hold, recorded into `bench` —
+/// [`served_university_base`] × 4 and × 20, the benchmark's 6 000- and
+/// 30 000-object bases:
 ///
-/// * `x1/edb_build_ms/{6000,30000}` — median time of the rebuild the
-///   first read after a write pays (`edb_pinned` on a stale cache,
-///   dropping the previous EDB included). It builds no index;
+/// * `x1/edb_build_ms/{6000,30000}` — median time of a full load: every
+///   relation built, as by the first read of a base opened from its
+///   store, or the first after a catalog change (here, registering the
+///   base's method again). It builds no index;
 /// * `x1/edb_index_all_ms/{6000,30000}` — median time of building every
-///   declared index of a fresh EDB once ([`probe_every_index`]): the most
-///   the reads between two writes can pay between them. Rebuild plus
-///   this is the whole load, which is what the manifest check holds
-///   linear;
+///   declared index of that fresh EDB once ([`probe_every_index`]): the
+///   most the reads after a load can pay between them. Load plus this is
+///   the whole load, which is what the manifest check holds linear;
+/// * `x1/edb_refresh_ms/6000` — median time of the refresh the first
+///   read after one `Student` create and one `takes` link pays, the two
+///   writes of a `write_read` cycle: the relations those writes change,
+///   rebuilt, and every other one shared;
 /// * `x1/edb_bytes_per_tuple/30000` — `heap_bytes() / total_tuples()`
 ///   with every declared index built, which is deterministic;
 /// * `x1/a2_execute_us/30000` — see [`a2_execute_us`].
@@ -490,13 +497,14 @@ fn write_manifest(path: &str, bench: &BTreeMap<String, f64>) {
 /// `student.name` selection of the A4 and A3 templates at × 20, which the
 /// indexed executor answers with one probe).
 fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
-    println!("\n## X1 — EDB rebuild and footprint (served university base)");
+    println!("\n## X1 — EDB load, refresh and footprint (served university base)");
     println!(
-        "{:>8} {:>8} {:>11} {:>16} {:>14} {:>13} {:>16}",
+        "{:>8} {:>8} {:>10} {:>16} {:>12} {:>14} {:>13} {:>16}",
         "objects",
         "tuples",
-        "build (ms)",
+        "load (ms)",
         "all indexes (ms)",
+        "refresh (ms)",
         "B/tuple, bare",
         "B/tuple, all",
         "scan (ns/tuple)"
@@ -505,19 +513,36 @@ fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
     for mult in [4, 20] {
         let mut data = served_university_base(mult);
         let objects = 1500 * mult;
-        let (build_ms, index_ms): (Vec<f64>, Vec<f64>) = (0..reps)
+        data.db.edb_pinned();
+        // Each rep times a refresh (on the 6 000-object base only: the
+        // 30 000-object one goes on to A2, whose answers a created student
+        // would join) and a full load side by side, on one head, so that
+        // the box's drift moves both.
+        let samples: Vec<[f64; 3]> = (0..reps)
             .map(|i| {
-                // Any write leaves the cached EDB stale.
-                let age = Value::Int(40 + i as i64);
-                data.db.set_attr(data.persons[0], "age", age).unwrap();
+                let refresh_ms = if mult == 4 {
+                    let tag = format!("refresh{i}");
+                    let attrs = vec![
+                        ("name", Value::from(tag.as_str())),
+                        ("age", Value::Int(20)),
+                        ("student_id", tag.into()),
+                    ];
+                    let student = data.db.create("Student", attrs).unwrap();
+                    let section = data.sections[i % data.sections.len()];
+                    data.db.link(student, "takes", section).unwrap();
+                    time_ms(|| data.db.edb_pinned()).1
+                } else {
+                    f64::NAN
+                };
+                register_university_methods(&mut data.db).unwrap();
                 let (edb, build_ms) = time_ms(|| data.db.edb_pinned());
-                // Indexed as a copy: the EDB the next rebuild drops is the
-                // one a served base drops, with next to no index built.
-                let copy = (*edb).clone();
-                (build_ms, time_ms(|| probe_every_index(&copy)).1)
+                [build_ms, time_ms(|| probe_every_index(&edb)).1, refresh_ms]
             })
-            .unzip();
-        let (build_ms, index_ms) = (median(build_ms.into_iter()), median(index_ms.into_iter()));
+            .collect();
+        let [build_ms, index_ms, refresh_ms] =
+            [0, 1, 2].map(|k| median(samples.iter().map(|s| s[k])));
+        let refresh_ms = (mult == 4).then_some(refresh_ms);
+        register_university_methods(&mut data.db).unwrap();
         let edb = data.db.edb_pinned();
         let tuples = edb.total_tuples() as f64;
         let bare = edb.heap_bytes() as f64 / tuples;
@@ -534,12 +559,16 @@ fn bench_edb_storage(quick: bool, bench: &mut BTreeMap<String, f64>) {
         let scan_ns = median_ns(reps * 7, || {
             std::hint::black_box(run());
         }) / examined;
+        let refresh = refresh_ms.map_or("-".to_string(), |ms| format!("{ms:.2}"));
         println!(
-            "{objects:>8} {tuples:>8} {build_ms:>11.2} {index_ms:>16.2} {bare:>14.1} \
-             {per_tuple:>13.1} {scan_ns:>16.2}"
+            "{objects:>8} {tuples:>8} {build_ms:>10.2} {index_ms:>16.2} {refresh:>12} \
+             {bare:>14.1} {per_tuple:>13.1} {scan_ns:>16.2}"
         );
         bench.insert(format!("x1/edb_build_ms/{objects}"), build_ms);
         bench.insert(format!("x1/edb_index_all_ms/{objects}"), index_ms);
+        if let Some(ms) = refresh_ms {
+            bench.insert("x1/edb_refresh_ms/6000".to_string(), ms);
+        }
         if mult == 20 {
             bench.insert("x1/edb_bytes_per_tuple/30000".to_string(), per_tuple);
             bench.insert(

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::mem::size_of;
 use std::ops::Bound;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// The rows carrying one key of an ordered index, ascending. Most keys of
 /// a near-unique column are one inline row id: no `Vec` header and no
@@ -626,9 +626,15 @@ impl Relation {
 }
 
 /// A database of stored relations (the EDB).
+///
+/// Each relation sits behind its own `Arc`: cloning a database clones
+/// pointers, and a mutator copies only the relation it writes, and only
+/// while another database shares it (`Arc::make_mut`). So a copy can
+/// replace some relations and share the rest, with whatever indexes have
+/// been built on them.
 #[derive(Debug, Clone, Default)]
 pub struct EdbDatabase {
-    relations: crate::fxhash::FxHashMap<PredSym, Relation>,
+    relations: crate::fxhash::FxHashMap<PredSym, Arc<Relation>>,
 }
 
 impl EdbDatabase {
@@ -652,10 +658,14 @@ impl EdbDatabase {
         self.insert(atom.pred, &tuple)
     }
 
+    /// The relation `pred` for writing, created empty if absent.
+    fn relation_mut(&mut self, pred: PredSym) -> &mut Relation {
+        Arc::make_mut(self.relations.entry(pred).or_default())
+    }
+
     /// Insert a tuple into the named relation.
     pub fn insert(&mut self, pred: PredSym, tuple: &[Const]) -> Result<bool> {
-        let rel = self.relations.entry(pred).or_default();
-        rel.insert(tuple).map_err(|e| match e {
+        self.relation_mut(pred).insert(tuple).map_err(|e| match e {
             DatalogError::ArityMismatch {
                 expected, found, ..
             } => DatalogError::ArityMismatch {
@@ -670,52 +680,57 @@ impl EdbDatabase {
     /// Make room for `additional` more tuples of `pred` (creating the
     /// relation if absent); see [`Relation::reserve`].
     pub fn reserve(&mut self, pred: PredSym, additional: usize) {
-        self.relations.entry(pred).or_default().reserve(additional);
+        self.relation_mut(pred).reserve(additional);
     }
 
     /// Declare an (empty) relation with a fixed arity.
     pub fn declare(&mut self, pred: PredSym, arity: usize) {
         self.relations
             .entry(pred)
-            .or_insert_with(|| Relation::with_arity(arity));
+            .or_insert_with(|| Arc::new(Relation::with_arity(arity)));
     }
 
     /// Declare a hash secondary index on `pred`'s column `col` (creating
     /// the relation if absent); see [`Relation::declare_hash_index`].
     pub fn declare_hash_index(&mut self, pred: PredSym, col: usize) {
-        self.relations
-            .entry(pred)
-            .or_default()
-            .declare_hash_index(col);
+        self.relation_mut(pred).declare_hash_index(col);
     }
 
     /// Declare an ordered (range) secondary index on `pred`'s column
     /// `col` (creating the relation if absent).
     pub fn declare_ordered_index(&mut self, pred: PredSym, col: usize) {
-        self.relations
-            .entry(pred)
-            .or_default()
-            .declare_ordered_index(col);
+        self.relation_mut(pred).declare_ordered_index(col);
+    }
+
+    /// Make `rel` the relation `pred`, in place of any earlier one.
+    pub fn put(&mut self, pred: PredSym, rel: Relation) {
+        self.relations.insert(pred, Arc::new(rel));
+    }
+
+    /// Drop the relation `pred`; its rows are freed unless another
+    /// database shares them.
+    pub fn remove(&mut self, pred: &PredSym) {
+        self.relations.remove(pred);
     }
 
     /// Look up a relation.
     pub fn relation(&self, pred: &PredSym) -> Option<&Relation> {
-        self.relations.get(pred)
+        self.relations.get(pred).map(Arc::as_ref)
     }
 
     /// Iterate over (predicate, relation) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&PredSym, &Relation)> {
-        self.relations.iter()
+        self.relations.iter().map(|(p, r)| (p, r.as_ref()))
     }
 
     /// Total number of tuples across all relations.
     pub fn total_tuples(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|r| r.len()).sum()
     }
 
     /// Heap bytes held by all relations; see [`Relation::heap_bytes`].
     pub fn heap_bytes(&self) -> usize {
-        self.relations.values().map(Relation::heap_bytes).sum()
+        self.relations.values().map(|r| r.heap_bytes()).sum()
     }
 }
 
@@ -735,6 +750,31 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.contains(&[Const::Int(1)]));
         assert_eq!(r.arity(), Some(1));
+    }
+
+    /// Cloning an EDB clones pointers: a write to the clone copies only
+    /// the relation it writes, and the original never sees it.
+    #[test]
+    fn a_clone_shares_each_relation_until_it_is_written() {
+        let (p, q) = (PredSym::new("p"), PredSym::new("q"));
+        let mut a = EdbDatabase::new();
+        a.insert(p, &[Const::Int(1)]).unwrap();
+        a.insert(q, &[Const::Int(2)]).unwrap();
+        let mut b = a.clone();
+        let shared = |a: &EdbDatabase, b: &EdbDatabase, pred| {
+            std::ptr::eq(a.relation(&pred).unwrap(), b.relation(&pred).unwrap())
+        };
+        assert!(shared(&a, &b, p) && shared(&a, &b, q));
+        b.insert(p, &[Const::Int(3)]).unwrap();
+        assert!(!shared(&a, &b, p) && shared(&a, &b, q));
+        assert_eq!(
+            (a.relation(&p).unwrap().len(), b.relation(&p).unwrap().len()),
+            (1, 2)
+        );
+        b.remove(&q);
+        b.put(p, Relation::with_arity(1));
+        assert!(b.relation(&q).is_none() && b.relation(&p).unwrap().is_empty());
+        assert_eq!(a.total_tuples(), 2);
     }
 
     #[test]

@@ -726,14 +726,7 @@ pub fn analyse(q: &Query, ctx: &TransformContext, enumerate: bool) -> Analysis {
                     contra_note,
                     note,
                 } => {
-                    let local_ok = |b: &Atom, cand: &Atom| {
-                        b.pred == cand.pred
-                            && b.args.len() == cand.args.len()
-                            && b.args.iter().zip(&cand.args).all(|(x, y)| {
-                                x == y || (term_occurs_once(x, q) && !var_in(y, &qvars))
-                            })
-                    };
-                    if negative_atoms(q).any(|b| local_ok(b, raw)) {
+                    if negative_atoms(q).any(|b| negation_covers(b, raw, q, &qvars)) {
                         continue;
                     }
                     if atom_subsumed_in_query(freshened, q, &qvars, &solver) {
@@ -895,15 +888,40 @@ fn var_in(t: &Term, vars: &BTreeSet<Var>) -> bool {
     matches!(t, Term::Var(v) if vars.contains(v))
 }
 
-/// Whether a variable term occurs exactly once across the whole query
-/// (projection + body) — i.e. it is local to its literal.
-fn term_occurs_once(t: &Term, q: &Query) -> bool {
-    let Term::Var(v) = t else { return false };
-    let mut count = q.projection.iter().filter(|p| *p == t).count();
+/// Whether the query's negated atom `b` already says what the negated
+/// residue head `cand` would: `cand` is `b` with each of `b`'s
+/// negation-local variables — those the query has nowhere else — put
+/// consistently, at every one of its occurrences, for one term foreign
+/// to the query. A renaming of those variables is one such case, so a
+/// head added once under fresh names is not added again.
+fn negation_covers(b: &Atom, cand: &Atom, q: &Query, qvars: &BTreeSet<Var>) -> bool {
+    let mut put = Subst::new();
+    b.pred == cand.pred
+        && b.args.len() == cand.args.len()
+        && b.args.iter().zip(&cand.args).all(|(x, y)| {
+            if x == y {
+                return true;
+            }
+            let Term::Var(v) = x else { return false };
+            if var_in(y, qvars) || !local_to(v, b, q) {
+                return false;
+            }
+            match put.lookup(v) {
+                Some(t) => t == y,
+                None => put.bind(*v, *y),
+            }
+        })
+}
+
+/// Whether every occurrence of `v` in the query (projection and body) is
+/// inside the atom `b`.
+fn local_to(v: &Var, b: &Atom, q: &Query) -> bool {
+    let term = Term::Var(*v);
+    let mut count = q.projection.iter().filter(|p| **p == term).count();
     for l in &q.body {
         count += l.iter_vars().filter(|w| *w == v).count();
     }
-    count == 1
+    count == b.args.iter().filter(|a| **a == term).count()
 }
 
 /// Whether `a` maps into a positive atom of the query: at each position

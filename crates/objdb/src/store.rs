@@ -13,8 +13,8 @@
 //! representation of Step 1, so translated queries run directly against
 //! it; an `Arc`-shared cache keeps repeated query evaluation cheap
 //! while letting callers pin a consistent snapshot — a writer that
-//! arrives later drops the cache, and the next read rebuilds it, without
-//! disturbing pinned readers.
+//! arrives later marks the relations it writes stale, and the next read
+//! rebuilds those and shares the rest, without disturbing pinned readers.
 //!
 //! Every mutation is checked, expressed as [`StoreOp`]s, appended to the
 //! attached durable [`ShardedStore`] (if any, via [`ObjectDb::open`] or
@@ -30,7 +30,7 @@
 use crate::error::{ObjDbError, Result};
 use crate::value::{from_const, to_const, Oid, Value};
 use sqo_datalog::fxhash::{FxHashMap, FxHashSet};
-use sqo_datalog::program::EdbDatabase;
+use sqo_datalog::program::{EdbDatabase, Relation};
 use sqo_datalog::{Atom, Const, Literal, PredSym, Rule, Term};
 use sqo_odl::{BaseType, Member, Schema, Type};
 use sqo_store::{PersistReport, ShardedStore, StoreOp, StoreView};
@@ -85,26 +85,56 @@ pub struct ObjectDb {
     generation: u64,
     /// Attached durable store; `None` for a purely in-memory database.
     store: Option<Arc<ShardedStore>>,
-    /// Cached Datalog representation of the current generation: dropped
-    /// by every mutation, rebuilt by the next read. Pinned `Arc` clones
-    /// handed out earlier stay valid and unchanged.
+    /// Per class or structure name, the EDB relations its objects have
+    /// rows in: fixed by the schema, so a write finds what it makes
+    /// stale in O(class chain).
+    members: HashMap<String, Members>,
+    /// The method relations, which every data write resets.
+    method_rels: Vec<PredSym>,
+    /// Cached Datalog representation of the current generation: a write
+    /// marks the relations it changes stale, and the next read rebuilds
+    /// those. Pinned `Arc` clones handed out earlier stay valid and
+    /// unchanged.
     edb_cache: RefCell<Option<EdbCacheEntry>>,
 }
 
-/// The cached EDB plus the method/argument combinations already
-/// materialized into it.
+/// The EDB relations an object of one class (or structure) has rows in.
+#[derive(Default)]
+struct Members {
+    /// The class relation of each class of its chain (a structure: its
+    /// own relation): what a `SetAttr` changes.
+    rows: Vec<PredSym>,
+    /// Their `__extent` relations, which a `PutObject` or `RemoveObject`
+    /// changes too.
+    extents: Vec<PredSym>,
+}
+
+/// The cached EDB, the method/argument combinations already
+/// materialized into it, and the relations written since.
 struct EdbCacheEntry {
     edb: Arc<EdbDatabase>,
     methods: HashSet<(String, Vec<Const>)>,
+    /// Relations of `edb` that writes have changed: the next read
+    /// rebuilds them, and an unpinned `edb` no longer holds them.
+    stale: FxHashSet<PredSym>,
 }
 
-/// Load OID pairs into the binary relation `pred`.
-fn insert_pairs(db: &mut EdbDatabase, pred: PredSym, pairs: &[(Oid, Oid)]) {
-    db.reserve(pred, pairs.len());
+/// The unary relation of a class or structure relation's OIDs.
+fn extent_pred(pred: PredSym) -> PredSym {
+    PredSym::new(format!("{}__extent", pred.name()))
+}
+
+/// A binary relation of OID pairs, both columns hash-declared.
+fn pair_relation(pairs: &[(Oid, Oid)]) -> Relation {
+    let mut rel = Relation::with_arity(2);
+    rel.declare_hash_index(0);
+    rel.declare_hash_index(1);
+    rel.reserve(pairs.len());
     for (f, t) in pairs {
-        db.insert(pred, &[Const::Oid(f.0), Const::Oid(t.0)])
+        rel.insert(&[Const::Oid(f.0), Const::Oid(t.0)])
             .expect("binary");
     }
+    rel
 }
 
 /// One WAL frame for a write's ops: the op itself, or a `Batch` of them.
@@ -129,6 +159,28 @@ impl ObjectDb {
     /// Create an empty database over a schema.
     pub fn new(schema: Schema) -> Self {
         let catalog = translate_schema(&schema);
+        let mut members: HashMap<String, Members> = HashMap::new();
+        for cls in schema.classes() {
+            let m = members.entry(cls.name.clone()).or_default();
+            for c in schema.chain(&cls.name) {
+                if let Some(decl) = catalog.class_relation(&c.name) {
+                    m.rows.push(decl.pred);
+                    m.extents.push(extent_pred(decl.pred));
+                }
+            }
+        }
+        for strct in schema.structures() {
+            if let Some(decl) = catalog.struct_relation(&strct.name) {
+                let (rows, extents) = (vec![decl.pred], vec![extent_pred(decl.pred)]);
+                members.insert(strct.name.clone(), Members { rows, extents });
+            }
+        }
+        let method_rels = catalog
+            .relations
+            .iter()
+            .filter(|d| matches!(d.kind, RelKind::Method { .. }))
+            .map(|d| d.pred)
+            .collect();
         ObjectDb {
             schema,
             catalog,
@@ -141,6 +193,8 @@ impl ObjectDb {
             next_oid: 1,
             generation: 0,
             store: None,
+            members,
+            method_rels,
             edb_cache: RefCell::new(None),
         }
     }
@@ -295,17 +349,67 @@ impl ObjectDb {
         }
     }
 
-    /// Bump the cache epoch and drop the cached EDB, without logging a
-    /// store operation (used directly for changes that do not touch
-    /// durable state, e.g. method registration).
-    fn touch(&mut self) {
+    /// Bump the cache epoch and mark the relations `op` writes stale in
+    /// the cached EDB, before `op` is applied; `None` — a change to what
+    /// the catalog or the methods say, e.g. method registration — stales
+    /// the whole EDB. An unpinned cached EDB drops its stale relations
+    /// here, so the old rows are freed at the write.
+    fn touch(&mut self, op: Option<&StoreOp>) {
         self.generation += 1;
-        *self.edb_cache.get_mut() = None;
+        if self.edb_cache.get_mut().is_none() {
+            return;
+        }
+        let mut stale = self.method_rels.clone();
+        if !op.is_some_and(|op| self.writes(op, &mut stale)) {
+            *self.edb_cache.get_mut() = None;
+            return;
+        }
+        let entry = self.edb_cache.get_mut().as_mut().expect("checked above");
+        if let Some(db) = Arc::get_mut(&mut entry.edb) {
+            stale.iter().for_each(|pred| db.remove(pred));
+        }
+        entry.stale.extend(stale);
+        entry.methods.clear();
+    }
+
+    /// Push the EDB relations `op` changes onto `out`, method relations
+    /// aside; `false` for an op that changes the catalog, which stales
+    /// every relation. Runs before `op` is applied, so the object a
+    /// `RemoveObject` removes is still there.
+    fn writes(&self, op: &StoreOp, out: &mut Vec<PredSym>) -> bool {
+        let none = Members::default();
+        let members = |class: &str| self.members.get(class).unwrap_or(&none);
+        match op {
+            StoreOp::PutObject { class, .. } => {
+                let m = members(class);
+                out.extend(m.rows.iter().chain(&m.extents));
+            }
+            StoreOp::RemoveObject { oid } => {
+                if let Some(obj) = self.objects.get(&Oid(*oid)) {
+                    let m = members(&obj.class);
+                    out.extend(m.rows.iter().chain(&m.extents));
+                }
+            }
+            StoreOp::SetAttr { oid, .. } => {
+                if let Some(obj) = self.objects.get(&Oid(*oid)) {
+                    out.extend(&members(&obj.class).rows);
+                }
+            }
+            StoreOp::Link { pred, .. } | StoreOp::Unlink { pred, .. } => {
+                out.push(PredSym::new(pred.as_str()));
+                let over = self.asrs.iter().filter(|def| def.path.contains(pred));
+                out.extend(over.map(|def| def.rule.head.pred));
+            }
+            StoreOp::DefineAsr { .. } => return false,
+            StoreOp::Batch { ops } => return ops.iter().all(|op| self.writes(op, out)),
+        }
+        true
     }
 
     /// The one write path: append `op` to the attached store (one WAL
     /// frame; a compound write is one [`StoreOp::Batch`]), bump the cache
-    /// epoch once, then [`apply`](Self::apply) `op` to the head.
+    /// epoch once and mark what `op` writes stale, then
+    /// [`apply`](Self::apply) `op` to the head.
     ///
     /// Every check runs before this call. `apply` fails only on what a
     /// recovered record may hold (an unknown class, an ASR path the
@@ -315,7 +419,7 @@ impl ObjectDb {
         if let Some(store) = &self.store {
             store.apply(&op)?;
         }
-        self.touch();
+        self.touch(Some(&op));
         self.apply(op)
     }
 
@@ -797,7 +901,7 @@ impl ObjectDb {
         self.methods.insert(decl.pred.name().to_string(), f);
         // Methods are closures, not durable state: bump the cache epoch
         // without logging a store op.
-        self.touch();
+        self.touch(None);
         Ok(())
     }
 
@@ -886,15 +990,30 @@ impl ObjectDb {
         pairs
     }
 
-    /// Build the cached EDB if a mutation dropped it (or none was built
-    /// yet). Pinned `Arc` clones of an earlier one stay untouched.
+    /// Bring the cached EDB up to date: build it if there is none (or a
+    /// catalog change dropped it), or else rebuild the relations writes
+    /// made stale and share the rest. Pinned `Arc` clones of an earlier
+    /// one stay untouched: a pinned EDB is copied — its pointers — first.
     fn refresh_edb(&self) {
-        let missing = self.edb_cache.borrow().is_none();
-        if missing {
-            *self.edb_cache.borrow_mut() = Some(EdbCacheEntry {
-                edb: Arc::new(self.build_edb()),
-                methods: HashSet::new(),
-            });
+        let mut cache = self.edb_cache.borrow_mut();
+        if cache.as_ref().is_some_and(|entry| entry.stale.is_empty()) {
+            return;
+        }
+        let _span = sqo_obs::span!("objdb.edb_refresh");
+        match &mut *cache {
+            Some(entry) => {
+                let stale = std::mem::take(&mut entry.stale);
+                self.build_edb(Arc::make_mut(&mut entry.edb), |p| stale.contains(&p));
+            }
+            None => {
+                let mut edb = EdbDatabase::new();
+                self.build_edb(&mut edb, |_| true);
+                *cache = Some(EdbCacheEntry {
+                    edb: Arc::new(edb),
+                    methods: HashSet::new(),
+                    stale: FxHashSet::default(),
+                });
+            }
         }
     }
 
@@ -909,12 +1028,13 @@ impl ObjectDb {
     /// [`ensure_method_facts`](Self::ensure_method_facts).
     ///
     /// The returned `Arc` stays valid and *unchanged* while later
-    /// writers advance the database: mutations drop the cache entry
-    /// rather than touching shared state, and late method
-    /// materialization copies-on-write — so a caller must not hold the
-    /// `Arc` across `ensure_method_facts`, or the materialization copies
-    /// the whole EDB. Long-running evaluations (or service sessions)
-    /// should pin once and evaluate against the pin.
+    /// writers advance the database: a write marks relations stale
+    /// rather than touching shared state, and the next read rebuilds them
+    /// in a copy when the `Arc` is pinned. Late method materialization
+    /// copies-on-write the same way — a pinned `Arc` held across
+    /// `ensure_method_facts` costs a copy of the relation pointers and of
+    /// the method relation. Long-running evaluations (or service
+    /// sessions) should pin once and evaluate against the pin.
     pub fn edb_pinned(&self) -> Arc<EdbDatabase> {
         self.refresh_edb();
         self.edb_cache
@@ -925,20 +1045,34 @@ impl ObjectDb {
             .clone()
     }
 
-    /// The one production loader of the EDB. Every relation's indexes are
-    /// declared — not built: that is the first probe's — and its room
-    /// reserved before its rows arrive, and the rows of an extent are
-    /// staged in one reused scratch row.
-    fn build_edb(&self) -> EdbDatabase {
-        let mut db = EdbDatabase::new();
+    /// The one production loader of the EDB: (re)builds from the head
+    /// every relation of the catalog that `stale` names, in place of the
+    /// one `db` holds, and leaves the others — with the indexes built on
+    /// them — as they are. A first build names them all. Every rebuilt
+    /// relation's indexes are declared — not built: that is the first
+    /// probe's — and its room reserved before its rows arrive, and the
+    /// rows of an extent are staged in one reused scratch row.
+    fn build_edb(&self, db: &mut EdbDatabase, stale: impl Fn(PredSym) -> bool) {
         let mut row: Vec<Const> = Vec::new();
         for decl in &self.catalog.relations {
+            let pred = decl.pred;
             match &decl.kind {
                 RelKind::Class { class } | RelKind::Struct { strct: class } => {
-                    let pred = decl.pred;
-                    let extent_pred = PredSym::new(format!("{}__extent", pred.name()));
-                    db.declare(pred, decl.arity());
-                    db.declare(extent_pred, 1);
+                    let extent_pred = extent_pred(pred);
+                    let extent = self.extent(class);
+                    if stale(extent_pred) {
+                        let mut rel = Relation::with_arity(1);
+                        rel.declare_hash_index(0);
+                        rel.reserve(extent.len());
+                        for oid in extent {
+                            rel.insert(&[Const::Oid(oid.0)]).expect("unary");
+                        }
+                        db.put(extent_pred, rel);
+                    }
+                    if !stale(pred) {
+                        continue;
+                    }
+                    let mut rel = Relation::with_arity(decl.arity());
                     // Physical design: every attribute column a query can
                     // bind gets an index. The OID column, every declared
                     // (single-attribute) key and every string attribute
@@ -946,13 +1080,12 @@ impl ObjectDb {
                     // for range probes. Object-valued and boolean columns
                     // stay unindexed. Declaring is free — the first probe
                     // of a column builds its index.
-                    db.declare_hash_index(pred, 0);
-                    db.declare_hash_index(extent_pred, 0);
+                    rel.declare_hash_index(0);
                     if let Some(cls) = self.schema.class(class) {
                         for key in &cls.keys {
                             if let [attr] = key.as_slice() {
                                 if let Some(pos) = decl.arg_position(attr) {
-                                    db.declare_hash_index(pred, pos);
+                                    rel.declare_hash_index(pos);
                                 }
                             }
                         }
@@ -960,15 +1093,13 @@ impl ObjectDb {
                     for (pos, arg) in decl.args.iter().enumerate().skip(1) {
                         match arg.ty {
                             ArgType::Base(BaseType::Int | BaseType::Real) => {
-                                db.declare_ordered_index(pred, pos)
+                                rel.declare_ordered_index(pos)
                             }
-                            ArgType::Base(BaseType::Str) => db.declare_hash_index(pred, pos),
+                            ArgType::Base(BaseType::Str) => rel.declare_hash_index(pos),
                             ArgType::Base(BaseType::Bool) | ArgType::Oid(_) => {}
                         }
                     }
-                    let extent = self.extent(class);
-                    db.reserve(pred, extent.len());
-                    db.reserve(extent_pred, extent.len());
+                    rel.reserve(extent.len());
                     for oid in extent {
                         let obj = &self.objects[oid];
                         row.clear();
@@ -987,35 +1118,29 @@ impl ObjectDb {
                                 to_const,
                             )
                         }));
-                        db.insert(pred, &row).expect("consistent arity");
-                        db.insert(extent_pred, &row[..1]).expect("unary");
+                        rel.insert(&row).expect("consistent arity");
                     }
+                    db.put(pred, rel);
                 }
+                _ if !stale(pred) => {}
                 RelKind::Relationship { .. } => {
-                    db.declare(decl.pred, 2);
-                    db.declare_hash_index(decl.pred, 0);
-                    db.declare_hash_index(decl.pred, 1);
-                    if let Some(pairs) = self.links.get(decl.pred.name()) {
-                        insert_pairs(&mut db, decl.pred, pairs);
-                    }
+                    let pairs = self.links.get(pred.name()).map_or(&[][..], Vec::as_slice);
+                    db.put(pred, pair_relation(pairs));
                 }
+                // An ASR's relation is its catalog view: the pairs of
+                // every definition under that name.
                 RelKind::View { .. } => {
-                    db.declare(decl.pred, 2);
-                    db.declare_hash_index(decl.pred, 0);
-                    db.declare_hash_index(decl.pred, 1);
+                    let defs = self.asrs.iter().filter(|def| def.rule.head.pred == pred);
+                    let pairs: Vec<(Oid, Oid)> = defs.flat_map(|def| self.asr_pairs(def)).collect();
+                    db.put(pred, pair_relation(&pairs));
                 }
                 RelKind::Method { .. } => {
-                    db.declare(decl.pred, decl.arity());
-                    db.declare_hash_index(decl.pred, 0);
+                    let mut rel = Relation::with_arity(decl.arity());
+                    rel.declare_hash_index(0);
+                    db.put(pred, rel);
                 }
             }
         }
-        // An ASR's relation is its catalog view, declared and indexed
-        // above.
-        for def in &self.asrs {
-            insert_pairs(&mut db, PredSym::new(&def.name), &self.asr_pairs(def));
-        }
-        db
     }
 
     /// Ensure method facts for the given (method predicate, constant

@@ -9,9 +9,11 @@
 //! a faculty atom whose salary and rank are one term. The queries for
 //! faculty members under 25 are therefore satisfiable: on a base holding
 //! a 24-year-old lecturer and a 50-year-old professor each returns the
-//! lecturer, and so must every equivalent Step 3 finds.
+//! lecturer, and so must every equivalent Step 3 finds. Nor does an
+//! equivalent hold one negated atom twice under two namings of the
+//! variables only it has.
 
-use semantic_sqo::datalog::Const;
+use semantic_sqo::datalog::{Atom, Const, Literal, Query, Term};
 use semantic_sqo::objdb::{execute, ObjectDb, Value};
 use semantic_sqo::odl::fixtures::university_schema;
 use semantic_sqo::{SemanticOptimizer, Verdict};
@@ -45,10 +47,50 @@ fn every_equivalent_answers_the_lecturer(ic: &str, query: &str) {
         db.create("Faculty", attrs).unwrap();
     }
     for eq in equivalents {
+        let mut shapes: Vec<String> = (eq.datalog.body.iter())
+            .filter_map(|l| match l {
+                Literal::Neg(a) => Some(negation_shape(a, &eq.datalog)),
+                _ => None,
+            })
+            .collect();
+        let negated = shapes.len();
+        shapes.sort();
+        shapes.dedup();
+        assert_eq!(
+            shapes.len(),
+            negated,
+            "a negated atom twice: {}",
+            eq.datalog
+        );
         let (answers, _) = execute(&db, &eq.datalog).unwrap();
         let rows: Vec<Vec<Const>> = answers.rows().map(<[Const]>::to_vec).collect();
         assert_eq!(rows, [[Const::Str("lee".into())]], "{}", eq.datalog);
     }
+}
+
+/// `a` with each variable the query has only inside `a` named by its
+/// first position there: two renamings of one negated atom read alike.
+fn negation_shape(a: &Atom, q: &Query) -> String {
+    let occurrences = |t: &Term| {
+        let body = q.body.iter().flat_map(Literal::iter_vars);
+        let vars = body.filter(|v| Term::Var(**v) == *t).count();
+        vars + q.projection.iter().filter(|p| *p == t).count()
+    };
+    let mut local: Vec<&Term> = Vec::new();
+    let args: Vec<String> = (a.args.iter())
+        .map(|t| {
+            let inside = a.args.iter().filter(|u| *u == t).count();
+            if t.as_var().is_none() || occurrences(t) != inside {
+                return t.to_string();
+            }
+            let at = local.iter().position(|u| *u == t).unwrap_or_else(|| {
+                local.push(t);
+                local.len() - 1
+            });
+            format!("_{at}")
+        })
+        .collect();
+    format!("{}({})", a.pred, args.join(", "))
 }
 
 #[test]

@@ -117,9 +117,48 @@ fn only_the_first_read_of_a_column_builds_its_index() {
     assert_eq!(read(&data.db), (1, 1, one_build.clone()));
     assert_eq!(read(&data.db), (0, 0, vec![]));
     assert_eq!(read(&data.db), (0, 0, vec![]));
-    // A write leaves the EDB stale: the rebuilt one starts without.
+    // A write makes stale only the relations it changes. A plain
+    // person's leaves `student`, and the index built on it, in place.
     let age = Value::Int(41);
     data.db.set_attr(data.persons[0], "age", age).unwrap();
+    assert_eq!(read(&data.db), (0, 0, vec![]));
+    // A student's rebuilds `student`, which starts without.
+    data.db
+        .set_attr(data.students[0], "age", Value::Int(19))
+        .unwrap();
     assert_eq!(read(&data.db), (1, 1, one_build));
     assert_eq!(read(&data.db), (0, 0, vec![]));
+}
+
+/// A read that finds the EDB stale pays its refresh inside its own
+/// request: one `objdb.edb_refresh` span in its scope and its trace, and
+/// a read after it none.
+#[test]
+fn a_stale_read_shows_its_refresh() {
+    let mut data = UniversityConfig::default().build().unwrap();
+    let q = parse_query("Q(X) <- student(X, \"student7\", A, Sid, Ad)").unwrap();
+    let read = |db: &ObjectDb| {
+        obs::trace_begin("read".to_string());
+        let scope = obs::Scope::enter();
+        execute(db, &q).unwrap();
+        let trace = obs::trace_end().expect("begun above");
+        let traced = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "objdb.edb_refresh");
+        let spans = scope
+            .finish()
+            .spans
+            .get("objdb.edb_refresh")
+            .map(|s| s.count);
+        (spans.unwrap_or(0), traced.count())
+    };
+    // The first read builds the whole EDB, the second finds it built.
+    assert_eq!(read(&data.db), (1, 1));
+    assert_eq!(read(&data.db), (0, 0));
+    for (class, oids) in [("Person", &data.persons), ("Student", &data.students)] {
+        data.db.set_attr(oids[0], "age", Value::Int(33)).unwrap();
+        assert_eq!(read(&data.db), (1, 1), "after a {class} write");
+        assert_eq!(read(&data.db), (0, 0), "after a {class} write");
+    }
 }
